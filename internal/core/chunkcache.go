@@ -1,21 +1,24 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"time"
 
+	"privid/internal/query"
 	"privid/internal/table"
 	"privid/internal/vtime"
 )
 
-// chunkKeyPrefix builds the cache-key prefix shared by every chunk of
+// chunkIdentity renders the content identity shared by every chunk of
 // one (SPLIT, PROCESS) pair over one region source. Together with the
-// per-chunk suffix it captures everything the sandbox's output may
-// legitimately depend on:
+// chunk's absolute frame interval it captures everything the sandbox's
+// output may legitimately depend on:
 //
 //   - the frames the executable sees: camera, mask, region scheme and
-//     region name, and (via the suffix) the absolute frame interval;
+//     region name, and (per chunk) the absolute frame interval;
 //   - the executable itself and its contract limits: TIMEOUT, max
 //     rows, and the declared schema (types and default values shape
 //     conformed rows).
@@ -29,7 +32,7 @@ import (
 // Appendix B) cannot encode it in its rows. Keying on content rather
 // than position is what lets overlapping windows reuse each other's
 // work.
-func chunkKeyPrefix(camera, maskID, schemeName, region, using string,
+func chunkIdentity(camera, maskID, schemeName, region, using string,
 	timeout time.Duration, maxRows int, schema table.Schema,
 	chunkF, strideF int64) string {
 	var b strings.Builder
@@ -42,20 +45,54 @@ func chunkKeyPrefix(camera, maskID, schemeName, region, using string,
 	return b.String()
 }
 
-// chunkKeySuffix identifies one chunk within a prefix by its absolute
-// frame interval.
-func chunkKeySuffix(iv vtime.Interval) string {
-	return fmt.Sprintf("|%d-%d", iv.Start, iv.End)
+// Cache keys are compact and exact: a kind tag, the SHA-256 of the
+// rendered identity, and the chunk's fixed-width frame interval. The
+// digest is computed once per shard × region split (× plan for states),
+// so the per-chunk cost is one 49-byte string however long the camera
+// name, schema or plan text is — the cache hashes and compares that,
+// not the ~330-byte rendering. The tag keeps the two kinds the chunk
+// cache stores in disjoint namespaces by construction: a table key can
+// never equal a state key.
+const (
+	tableKeyKind = 'T' // digest of chunkIdentity
+	stateKeyKind = 'S' // digest of rel.PartialPlan.ID + chunkIdentity
+
+	keyPrefixLen = 1 + sha256.Size
+	chunkKeyLen  = keyPrefixLen + 16 // + start, end
+)
+
+// keyPrefix compacts a rendered identity into the per-split part of a
+// cache key. For state keys planID is the aggregation plan's versioned
+// identity: two queries share a state entry exactly when the same chunk
+// content would feed the same fold — same executable/contract (the
+// identity) and same canonical aggregation chain (the plan ID).
+func keyPrefix(kind byte, planID, identity string) string {
+	h := sha256.New()
+	h.Write([]byte(planID))
+	h.Write([]byte(identity))
+	b := make([]byte, 1, keyPrefixLen)
+	b[0] = kind
+	return string(h.Sum(b))
 }
 
-// stateKey keys one partial aggregate state in the chunk cache: the
-// aggregation plan's versioned identity (rel.PartialPlan.ID) composed
-// with the chunk's full content-identity key. Two queries share a state
-// entry exactly when the same chunk content would feed the same fold —
-// same executable/contract (the chunk key) and same canonical
-// aggregation chain (the plan ID). Plan IDs start with their codec
-// version tag ("pps1|…") while table keys start with a quoted camera
-// name, so the two kinds can never collide in the shared store.
-func stateKey(planID, chunkKey string) string {
-	return planID + chunkKey
+// chunkKey completes a key prefix with one chunk's absolute frame
+// interval. The string is its only allocation.
+func chunkKey(prefix string, iv vtime.Interval) string {
+	var b [chunkKeyLen]byte
+	copy(b[:], prefix)
+	binary.BigEndian.PutUint64(b[keyPrefixLen:], uint64(iv.Start))
+	binary.BigEndian.PutUint64(b[keyPrefixLen+8:], uint64(iv.End))
+	return string(b[:])
+}
+
+// keyPrefixes derives the table-key prefix and one state-key prefix per
+// pushdown plan for one region split of the shard.
+func (sh *splitShard) keyPrefixes(region string, st *query.ProcessStmt, schema table.Schema, planIDs []string) (tbl string, states []string) {
+	identity := chunkIdentity(sh.cam.cfg.Name, sh.maskID, sh.schemeName, region,
+		st.Using, st.Timeout, st.MaxRows, schema, sh.chunkF, sh.strideF)
+	states = make([]string, len(planIDs))
+	for p, id := range planIDs {
+		states[p] = keyPrefix(stateKeyKind, id, identity)
+	}
+	return keyPrefix(tableKeyKind, "", identity), states
 }

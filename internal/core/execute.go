@@ -899,81 +899,136 @@ func (e *Engine) spanTallies(ssp *obs.Span, tl *shardTallies) {
 	ssp.Add("sandbox_seconds", time.Duration(tl.sandboxNanos.Load()).Seconds())
 }
 
+// forEachChunk calls fn(i) once for every i in [0, n) from min(par, n)
+// workers — the caller is one of them — each claiming the next index
+// from a shared counter, so a slow chunk strands nothing behind it and
+// a shard costs par goroutines, not one per chunk. With par <= 1 or a
+// single chunk everything runs inline on the caller.
+func forEachChunk(n, par int, fn func(i int)) {
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < par && w < n; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
+// activeChunks enumerates each region split's active chunk ordinals —
+// once per shard — and their total.
+func (sh *splitShard) activeChunks() (ords [][]int64, total int) {
+	ords = make([][]int64, len(sh.splits))
+	for s, split := range sh.splits {
+		ords[s] = split.ActiveChunks()
+		total += len(ords[s])
+	}
+	return ords, total
+}
+
+// implicitConsts returns the trusted implicit column values stamped
+// onto every row of one chunk: its start time, then the region and the
+// camera where the table carries them.
+func implicitConsts(start time.Time, region string, hasRegion bool, camVal table.Value, multi bool) []table.Value {
+	consts := make([]table.Value, 0, 3)
+	consts = append(consts, table.N(float64(start.Unix())))
+	if hasRegion {
+		consts = append(consts, table.S(region))
+	}
+	if multi {
+		consts = append(consts, camVal)
+	}
+	return consts
+}
+
 // fetchChunkBlock obtains one chunk's block in the declared schema —
 // from the table cache, a singleflight peer, or a sandbox execution —
 // and reports whether the block is clean (cache hits and shared
 // results always are; an execution is clean unless the sandbox
 // substituted fallback rows). key is empty exactly when the chunk
-// cache is disabled.
-func (e *Engine) fetchChunkBlock(key string, chunk *video.Chunk, exec sandbox.Executor, tl *shardTallies) (*table.Table, bool) {
-	// execChunk is one raw sandbox execution: acquire a slot, run the
-	// executable, return the chunk's block in the declared schema and
-	// whether it completed cleanly.
-	execChunk := func() (*table.Table, bool) {
-		// The engine-wide semaphore keeps the total number of
-		// in-flight sandbox executions — across every query
-		// running concurrently — at Parallelism, so serving
-		// many analysts cannot oversubscribe the CPU and push
-		// executables past their wall-clock TIMEOUT.
-		//
-		// The slot is released when the executable goroutine
-		// exits (on a timeout that is later than RunChecked's
-		// return, so a slow executable cannot be double-booked)
-		// — except that a hung executable forfeits its slot
-		// after a grace period, so one non-terminating
-		// ProcessFunc degrades to a bounded CPU leak instead of
-		// permanently wedging every analyst's queries.
-		e.procSem <- struct{}{}
-		var once sync.Once
-		var released atomic.Bool
-		release := func() {
-			once.Do(func() {
-				released.Store(true)
-				<-e.procSem
-			})
-		}
-		runExec := exec
-		runExec.Done = release
-		execStart := time.Now()
-		rows, clean := runExec.RunChecked(chunk)
-		execDur := time.Since(execStart)
-		e.met.sandbox(execDur, clean)
-		tl.sandboxNanos.Add(int64(execDur))
-		// Arm the grace backstop only when the slot is still
-		// held — a panic's goroutine has already exited and
-		// released, so it needs no timer. (A release racing
-		// this check just leaves one harmless no-op timer.)
-		// exec.Timeout is always positive (runProcess substitutes
-		// the default for TIMEOUT-less programmatic statements), so
-		// the backstop can always arm.
-		if !clean && !released.Load() {
-			time.AfterFunc(slotGraceMultiple*exec.Timeout, release)
-		}
-		return table.FromRows(exec.Schema, rows), clean
-	}
+// cache is disabled. The video.Chunk is built only when the executable
+// has to run: a hit costs the lookup and nothing else.
+func (e *Engine) fetchChunkBlock(key string, split *video.Split, ord int64, exec sandbox.Executor, tl *shardTallies) (*table.Table, bool) {
 	if e.chunkCache == nil {
-		return execChunk()
+		return e.execChunk(split.ChunkAt(ord), exec, tl)
 	}
 	if blk, ok := e.chunkCache.Get(key); ok {
 		tl.hits.Add(1)
 		return blk, true
 	}
 	tl.misses.Add(1)
-	// Coalesce concurrent misses on this key onto one sandbox
-	// execution: the leader executes and publishes, followers
-	// share the frozen block by pointer.
+	return e.leadChunk(key, split.ChunkAt(ord), exec, tl)
+}
+
+// execChunk is one raw sandbox execution: acquire a slot, run the
+// executable, return the chunk's block in the declared schema and
+// whether it completed cleanly.
+func (e *Engine) execChunk(chunk *video.Chunk, exec sandbox.Executor, tl *shardTallies) (*table.Table, bool) {
+	// The engine-wide semaphore keeps the total number of
+	// in-flight sandbox executions — across every query
+	// running concurrently — at Parallelism, so serving
+	// many analysts cannot oversubscribe the CPU and push
+	// executables past their wall-clock TIMEOUT.
+	//
+	// The slot is released when the executable goroutine
+	// exits (on a timeout that is later than RunChecked's
+	// return, so a slow executable cannot be double-booked)
+	// — except that a hung executable forfeits its slot
+	// after a grace period, so one non-terminating
+	// ProcessFunc degrades to a bounded CPU leak instead of
+	// permanently wedging every analyst's queries.
+	e.procSem <- struct{}{}
+	var once sync.Once
+	var released atomic.Bool
+	release := func() {
+		once.Do(func() {
+			released.Store(true)
+			<-e.procSem
+		})
+	}
+	exec.Done = release
+	execStart := time.Now()
+	rows, clean := exec.RunChecked(chunk)
+	execDur := time.Since(execStart)
+	e.met.sandbox(execDur, clean)
+	tl.sandboxNanos.Add(int64(execDur))
+	// Arm the grace backstop only when the slot is still
+	// held — a panic's goroutine has already exited and
+	// released, so it needs no timer. (A release racing
+	// this check just leaves one harmless no-op timer.)
+	// exec.Timeout is always positive (runProcess substitutes
+	// the default for TIMEOUT-less programmatic statements), so
+	// the backstop can always arm.
+	if !clean && !released.Load() {
+		time.AfterFunc(slotGraceMultiple*exec.Timeout, release)
+	}
+	return table.FromRows(exec.Schema, rows), clean
+}
+
+// leadChunk resolves a table-cache miss: it coalesces concurrent
+// misses on this key onto one sandbox execution — the leader executes
+// and publishes, followers share the frozen block by pointer.
+func (e *Engine) leadChunk(key string, chunk *video.Chunk, exec sandbox.Executor, tl *shardTallies) (*table.Table, bool) {
 	blk, clean, outcome := e.flight.Do(key, flightWaitMultiple*exec.Timeout, func() (*table.Table, bool) {
 		// Re-check the cache under flight leadership: a clean
-		// result published between this goroutine's miss above
+		// result published between this goroutine's miss
 		// and its Do call is in the cache by now (leaders cache
 		// before dissolving the flight), and must not be
 		// re-executed. Peek, not Get — the miss was already
-		// counted above, and this internal re-check must not
+		// counted, and this internal re-check must not
 		// distort the analyst-visible hit rate.
 		if blk, ok := e.chunkCache.Peek(key); ok {
 			return blk, true
 		}
-		blk, clean := execChunk()
+		blk, clean := e.execChunk(chunk, exec, tl)
 		// Timeout/panic fallback rows depend on machine load,
 		// not on the chunk; caching them would poison every
 		// later query over this chunk with default rows. The
@@ -1000,10 +1055,13 @@ func (e *Engine) fetchChunkBlock(key string, chunk *video.Chunk, exec sandbox.Ex
 // materializing the shard's stamped rows it folds every chunk into one
 // partial state per plan and returns the shard's merged states (index-
 // aligned with push.plans). Chunks whose every plan state is in the
-// partial-state cache skip the sandbox and the fold entirely. The only
-// error path is a fold failure, which PlanPartial's static checks make
-// unreachable; it is propagated rather than swallowed so a planner bug
-// turns into a query error, never a wrong release.
+// partial-state cache skip the sandbox and the fold entirely: the
+// worker records the cached bytes (shared, read-only) and the shard
+// adds straight out of them. The only error paths are a fold failure,
+// which PlanPartial's static checks make unreachable, and a cached
+// state the worker accepted failing to merge, which immutable cache
+// payloads make unreachable; both are propagated rather than swallowed
+// so a bug turns into a query error, never a wrong release.
 func (e *Engine) runShardStreaming(sh *splitShard, st *query.ProcessStmt, exec sandbox.Executor,
 	schema, full table.Schema, hasRegion, multi bool, par int, push *shardPushdown, psp *obs.Span) ([]*rel.PartialState, error) {
 	camName := sh.cam.cfg.Name
@@ -1011,80 +1069,63 @@ func (e *Engine) runShardStreaming(sh *splitShard, st *query.ProcessStmt, exec s
 	tl := &shardTallies{}
 	ssp := psp.Child("shard")
 	defer ssp.End()
+	ordsBySplit, chunks := sh.activeChunks()
 	if ssp != nil {
 		ssp.Set("camera", camName)
 		ssp.Set("mode", "pushdown")
-		chunks := 0
-		for _, split := range sh.splits {
-			chunks += len(split.ActiveChunks())
-		}
 		ssp.Set("chunks", chunks)
 	}
-	shard := make([]*rel.PartialState, len(push.plans))
+	np := len(push.plans)
+	shard := make([]*rel.PartialState, np)
 	for p, pp := range push.plans {
 		shard[p] = pp.NewState()
 	}
-	for _, split := range sh.splits {
-		ords := split.ActiveChunks()
-		stateByOrd := make([][]*rel.PartialState, len(ords))
-		errByOrd := make([]error, len(ords))
-		var keyPrefix string
+	for s := range sh.splits {
+		split, ords := &sh.splits[s], ordsBySplit[s]
+		// Per chunk × plan the workers leave either the cached encoded
+		// state or, on a miss, the freshly folded one.
+		cached := make([][]byte, len(ords)*np)
+		folded := make([]*rel.PartialState, len(ords)*np)
+		var foldErr atomic.Pointer[error]
+		var tableKeys string
+		var stateKeys []string
 		if e.chunkCache != nil {
-			keyPrefix = chunkKeyPrefix(
-				camName, sh.maskID, sh.schemeName,
-				split.Region, st.Using, st.Timeout, st.MaxRows, schema,
-				sh.chunkF, sh.strideF)
+			tableKeys, stateKeys = sh.keyPrefixes(split.Region, st, schema, push.ids)
 		}
-		process := func(i int) {
-			chunk := split.ChunkAt(ords[i])
-			var chunkKey string
+		clock := split.Source.Info().Clock()
+		forEachChunk(len(ords), par, func(i int) {
+			iv := split.IntervalAt(ords[i])
+			var tableKey string
 			if e.chunkCache != nil {
-				chunkKey = keyPrefix + chunkKeySuffix(chunk.Interval)
 				// Warm path: every plan's state for this chunk is
-				// cached — no sandbox execution, no fold.
-				states := make([]*rel.PartialState, len(push.plans))
-				okAll := true
-				for p := range push.plans {
-					raw, ok := e.chunkCache.GetRaw(stateKey(push.ids[p], chunkKey))
-					if !ok {
-						okAll = false
+				// cached — no sandbox execution, no fold, no decode.
+				warm := true
+				for p, pp := range push.plans {
+					raw, ok := e.chunkCache.GetRaw(chunkKey(stateKeys[p], iv))
+					if !ok || !pp.CompatibleEncoded(raw) {
+						// Absent, bit-rotten or a stale incompatible
+						// entry; the fold path below overwrites it.
+						warm = false
 						break
 					}
-					dec, err := rel.DecodePartialState(raw)
-					if err != nil || !push.plans[p].Compatible(dec) {
-						// Bit rot or a stale incompatible entry; fall
-						// through to the fold path, which overwrites it.
-						okAll = false
-						break
-					}
-					states[p] = dec
+					cached[i*np+p] = raw
 				}
-				if okAll {
-					tl.stateChunks.Add(1)
-					e.ppCachedChunks.Add(1)
-					stateByOrd[i] = states
+				if warm {
 					return
 				}
+				tableKey = chunkKey(tableKeys, iv)
 			}
-			blk, clean := e.fetchChunkBlock(chunkKey, chunk, exec, tl)
+			blk, clean := e.fetchChunkBlock(tableKey, split, ords[i], exec, tl)
 			// Stamp the implicit columns onto a per-chunk mini-table so
 			// the fold sees exactly the rows this chunk contributes to
 			// the materialized table (same consts, same order).
-			consts := make([]table.Value, 0, 3)
-			consts = append(consts, table.N(float64(chunk.Start.Unix())))
-			if hasRegion {
-				consts = append(consts, table.S(split.Region))
-			}
-			if multi {
-				consts = append(consts, camVal)
-			}
 			mini := table.New(full)
-			mini.AppendBlock(blk, consts...)
-			states := make([]*rel.PartialState, len(push.plans))
+			mini.AppendBlock(blk, implicitConsts(clock.TimeOf(iv.Start), split.Region, hasRegion, camVal, multi)...)
 			for p, pp := range push.plans {
 				ps, err := pp.Partial(mini, camName)
 				if err != nil {
-					errByOrd[i] = err
+					err = fmt.Errorf("core: partial fold of chunk %d: %w", ords[i], err)
+					foldErr.CompareAndSwap(nil, &err)
 					return
 				}
 				tl.folds.Add(1)
@@ -1092,39 +1133,33 @@ func (e *Engine) runShardStreaming(sh *splitShard, st *query.ProcessStmt, exec s
 				if clean && e.chunkCache != nil {
 					// Memoize only clean executions' states, mirroring
 					// the table tier's fallback-row rule.
-					e.chunkCache.PutRaw(stateKey(push.ids[p], chunkKey), ps.EncodeBinary())
+					e.chunkCache.PutRaw(chunkKey(stateKeys[p], iv), ps.EncodeBinary())
 				}
-				states[p] = ps
+				folded[i*np+p] = ps
 			}
-			stateByOrd[i] = states
+		})
+		if err := foldErr.Load(); err != nil {
+			return nil, *err
 		}
-		if par > 1 && len(ords) > 1 {
-			var wg sync.WaitGroup
-			sem := make(chan struct{}, par)
-			for i := range ords {
-				wg.Add(1)
-				sem <- struct{}{}
-				go func(i int) {
-					defer wg.Done()
-					defer func() { <-sem }()
-					process(i)
-				}(i)
-			}
-			wg.Wait()
-		} else {
-			for i := range ords {
-				process(i)
-			}
-		}
+		// Merge serially in chunk order — float sums are not
+		// associative, and the differential tests pin the release to
+		// the row-major oracle bit for bit.
+		var stateChunks int64
 		for i := range ords {
-			if errByOrd[i] != nil {
-				return nil, fmt.Errorf("core: partial fold of chunk %d: %w", ords[i], errByOrd[i])
+			if folded[i*np] == nil {
+				stateChunks++
 			}
 			for p, pp := range push.plans {
-				pp.Merge(shard[p], stateByOrd[i][p])
-				e.ppMerges.Add(1)
+				if ps := folded[i*np+p]; ps != nil {
+					pp.Merge(shard[p], ps)
+				} else if err := pp.MergeEncoded(shard[p], cached[i*np+p]); err != nil {
+					return nil, fmt.Errorf("core: merge of cached state for chunk %d: %w", ords[i], err)
+				}
 			}
 		}
+		tl.stateChunks.Add(stateChunks)
+		e.ppCachedChunks.Add(uint64(stateChunks))
+		e.ppMerges.Add(uint64(len(ords) * np))
 	}
 	e.spanTallies(ssp, tl)
 	if ssp != nil {
@@ -1148,66 +1183,34 @@ func (e *Engine) runShard(sh *splitShard, st *query.ProcessStmt, exec sandbox.Ex
 	tl := &shardTallies{}
 	ssp := psp.Child("shard")
 	defer ssp.End()
+	ordsBySplit, chunks := sh.activeChunks()
 	if ssp != nil {
 		ssp.Set("camera", camName)
-		chunks := 0
-		for _, split := range sh.splits {
-			chunks += len(split.ActiveChunks())
-		}
 		ssp.Set("chunks", chunks)
 	}
-	for _, split := range sh.splits {
-		ords := split.ActiveChunks()
+	for s := range sh.splits {
+		split, ords := &sh.splits[s], ordsBySplit[s]
 		// Each chunk produces one frozen columnar block in the declared
 		// PROCESS schema (the cacheable unit); blocks are stamped with
 		// the implicit columns and merged in chunk order afterwards.
-		blockByOrd := make([]*table.Table, len(ords))
-		var keyPrefix string
+		blocks := make([]*table.Table, len(ords))
+		var tableKeys string
 		if e.chunkCache != nil {
-			keyPrefix = chunkKeyPrefix(
-				camName, sh.maskID, sh.schemeName,
-				split.Region, st.Using, st.Timeout, st.MaxRows, schema,
-				sh.chunkF, sh.strideF)
+			tableKeys, _ = sh.keyPrefixes(split.Region, st, schema, nil)
 		}
-		process := func(i int) {
-			chunk := split.ChunkAt(ords[i])
+		forEachChunk(len(ords), par, func(i int) {
 			var key string
 			if e.chunkCache != nil {
-				key = keyPrefix + chunkKeySuffix(chunk.Interval)
+				key = chunkKey(tableKeys, split.IntervalAt(ords[i]))
 			}
-			blk, _ := e.fetchChunkBlock(key, chunk, exec, tl)
-			blockByOrd[i] = blk
-		}
-		if par > 1 && len(ords) > 1 {
-			var wg sync.WaitGroup
-			sem := make(chan struct{}, par)
-			for i := range ords {
-				wg.Add(1)
-				sem <- struct{}{}
-				go func(i int) {
-					defer wg.Done()
-					defer func() { <-sem }()
-					process(i)
-				}(i)
-			}
-			wg.Wait()
-		} else {
-			for i := range ords {
-				process(i)
-			}
-		}
+			blocks[i], _ = e.fetchChunkBlock(key, split, ords[i], exec, tl)
+		})
 		// Stamp implicit columns as per-block constants and merge in
 		// chunk order: column-wise copies, no row materialization.
-		for i, blk := range blockByOrd {
-			consts := make([]table.Value, 0, 3)
-			consts = append(consts, table.N(float64(split.ChunkAt(ords[i]).Start.Unix())))
-			if hasRegion {
-				consts = append(consts, table.S(split.Region))
-			}
-			if multi {
-				consts = append(consts, camVal)
-			}
-			out.AppendBlock(blk, consts...)
+		clock := split.Source.Info().Clock()
+		for i, blk := range blocks {
+			start := clock.TimeOf(split.IntervalAt(ords[i]).Start)
+			out.AppendBlock(blk, implicitConsts(start, split.Region, hasRegion, camVal, multi)...)
 		}
 	}
 	e.spanTallies(ssp, tl)

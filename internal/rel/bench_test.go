@@ -106,7 +106,7 @@ func BenchmarkAggregate_Columnar(b *testing.B) {
 // in for the per-chunk sandbox outputs the engine already holds — so
 // the measured bytes/op is the footprint of aggregation itself:
 // O(groups x cameras) state instead of the materialized table's
-// O(rows) vectors. The CI contract (BENCH_9.json) holds this at >=5x
+// O(rows) vectors. The CI contract (BENCH_12.json) holds this at >=5x
 // fewer bytes/op than BenchmarkAggregate_Columnar.
 func BenchmarkAggregate_Streaming(b *testing.B) {
 	env := benchEnv(b)

@@ -56,6 +56,10 @@ type PartialPlan struct {
 
 	tableName string
 	metas     []TableMeta
+	// cams interns the shards' camera names (name → the same string),
+	// so MergeEncoded can key CamRows from payload bytes without
+	// allocating.
+	cams map[string]string
 	// bare is true when the FROM chain is the table reference itself,
 	// letting Fold skip relational evaluation entirely.
 	bare bool
@@ -262,6 +266,7 @@ unwrap:
 		from:      st.From,
 		tableName: name,
 		metas:     metas,
+		cams:      make(map[string]string, len(metas)),
 		bare:      len(wrappers) == 0,
 		cons:      cons,
 		spans:     cameraSpans(cons),
@@ -269,6 +274,9 @@ unwrap:
 		argCol:    -1,
 	}
 	p.begin, p.end = cons.Window()
+	for _, m := range metas {
+		p.cams[m.Camera] = m.Camera
+	}
 
 	switch st.Agg.Fun {
 	case query.AggCount, query.AggSum, query.AggArgmax:

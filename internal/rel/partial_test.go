@@ -7,8 +7,10 @@ package rel
 // and the release-order determinism golden test.
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"reflect"
 	"strconv"
 	"testing"
 
@@ -99,12 +101,44 @@ func comparePartialReleases(t *testing.T, seed int64, got, want []Release) {
 	}
 }
 
+// sameState is exact state equality: every count, tally and camera
+// row, and every sum bit for bit (NaN payloads and the sign of zero
+// included).
+func sameState(a, b *PartialState) bool {
+	if len(a.Sums) != len(b.Sums) || (a.Sums == nil) != (b.Sums == nil) {
+		return false
+	}
+	for i := range a.Sums {
+		if math.Float64bits(a.Sums[i]) != math.Float64bits(b.Sums[i]) {
+			return false
+		}
+	}
+	return reflect.DeepEqual(a.Counts, b.Counts) && a.Rows == b.Rows && a.Chunks == b.Chunks &&
+		reflect.DeepEqual(a.CamRows, b.CamRows)
+}
+
+func cloneState(s *PartialState) *PartialState {
+	c := &PartialState{Counts: append([]int64(nil), s.Counts...), Rows: s.Rows, Chunks: s.Chunks}
+	if s.Sums != nil {
+		c.Sums = append([]float64{}, s.Sums...)
+	}
+	if s.CamRows != nil {
+		c.CamRows = make(map[string]int64, len(s.CamRows))
+		for cam, r := range s.CamRows {
+			c.CamRows[cam] = r
+		}
+	}
+	return c
+}
+
 // TestDifferentialStreamingMerge extends the differential harness to
 // the streaming-merge path: every generated SELECT the pushdown planner
 // accepts is evaluated by folding random chunkings, round-tripping each
 // chunk state through the binary codec, merging in shuffled orders, and
 // finalizing — and must reproduce the row-major oracle's releases
-// exactly.
+// exactly. Every merge runs twice, decoded (Merge∘Decode) and straight
+// out of the encoded bytes (MergeEncoded, the engine's warm path); the
+// two merged states must be identical bit for bit.
 func TestDifferentialStreamingMerge(t *testing.T) {
 	accepted := 0
 	for seed := int64(0); seed < 300; seed++ {
@@ -133,25 +167,34 @@ func TestDifferentialStreamingMerge(t *testing.T) {
 		for trial := 0; trial < 3; trial++ {
 			chunks := splitChunks(rng, inst.Data)
 			states := make([]*PartialState, len(chunks))
+			raws := make([][]byte, len(chunks))
 			for i, c := range chunks {
 				s, err := plan.Partial(c, inst.Metas[0].Camera)
 				if err != nil {
 					t.Fatalf("seed %d: fold chunk %d: %v", seed, i, err)
 				}
-				dec, err := DecodePartialState(s.EncodeBinary())
+				raws[i] = s.EncodeBinary()
+				dec, err := DecodePartialState(raws[i])
 				if err != nil {
 					t.Fatalf("seed %d: codec round-trip chunk %d: %v", seed, i, err)
 				}
-				if !plan.Compatible(dec) {
+				if !plan.Compatible(dec) || !plan.CompatibleEncoded(raws[i]) {
 					t.Fatalf("seed %d: decoded state incompatible with plan", seed)
 				}
 				states[i] = dec
 			}
-			merged := plan.NewState()
+			merged, mergedEnc := plan.NewState(), plan.NewState()
 			for _, i := range rng.Perm(len(states)) {
 				plan.Merge(merged, states[i])
+				if err := plan.MergeEncoded(mergedEnc, raws[i]); err != nil {
+					t.Fatalf("seed %d: encoded merge of chunk %d: %v", seed, i, err)
+				}
+			}
+			if !sameState(mergedEnc, merged) {
+				t.Fatalf("seed %d: MergeEncoded diverged from Merge∘Decode:\n%+v\n%+v", seed, mergedEnc, merged)
 			}
 			comparePartialReleases(t, seed, plan.Finalize(merged), want)
+			comparePartialReleases(t, seed, plan.Finalize(mergedEnc), want)
 		}
 	}
 	if accepted == 0 {
@@ -334,6 +377,135 @@ func TestPartialStateCodec(t *testing.T) {
 	huge = append(huge, 0xff, 0xff, 0xff, 0x7f)
 	if _, err := DecodePartialState(huge); err == nil {
 		t.Fatal("oversized slot count accepted")
+	}
+}
+
+// encodedTestPlans returns the two plan shapes the encoded-merge tests
+// run against: an ungrouped COUNT (one slot, no sums) and a grouped
+// range-clamped SUM (one slot per colour, sums).
+func encodedTestPlans(tb testing.TB) (count, sum *PartialPlan) {
+	tb.Helper()
+	metas := []TableMeta{testMeta("tableA", "camA"), testMeta("tableA", "camB")}
+	count = PlanPartial(&query.SelectStmt{
+		Agg:  query.AggExpr{Fun: query.AggCount, Star: true},
+		From: &query.TableRef{Name: "tableA"},
+	}, "tableA", carSchema(), metas)
+	sum = PlanPartial(benchStmt(), "tableA", carSchema(), metas)
+	if count == nil || sum == nil {
+		tb.Fatal("test plans must be eligible for pushdown")
+	}
+	return count, sum
+}
+
+// checkEncodedAgreesWithDecode is the contract between the two ways of
+// consuming a payload, on any input: CompatibleEncoded and MergeEncoded
+// accept raw exactly when DecodePartialState does and Compatible
+// accepts the result; an accepted merge equals Merge∘Decode bit for
+// bit; a rejected one leaves dst untouched.
+func checkEncodedAgreesWithDecode(tb testing.TB, plan *PartialPlan, raw []byte) {
+	tb.Helper()
+	dec, derr := DecodePartialState(raw)
+	want := derr == nil && plan.Compatible(dec)
+	if got := plan.CompatibleEncoded(raw); got != want {
+		tb.Fatalf("CompatibleEncoded = %v, Decode+Compatible = %v (decode error: %v) on %x", got, want, derr, raw)
+	}
+	// A non-trivial accumulator: a rejected merge must not move it.
+	dst := plan.NewState()
+	for i := range dst.Counts {
+		dst.Counts[i] = int64(i + 1)
+	}
+	for i := range dst.Sums {
+		dst.Sums[i] = 0.25 * float64(i+1)
+	}
+	dst.Rows, dst.Chunks, dst.CamRows = 5, 2, map[string]int64{"camA": 5}
+	before := cloneState(dst)
+	err := plan.MergeEncoded(dst, raw)
+	if (err == nil) != want {
+		tb.Fatalf("MergeEncoded error %v, Decode+Compatible = %v on %x", err, want, raw)
+	}
+	if err == nil {
+		plan.Merge(before, dec)
+	}
+	if !sameState(dst, before) {
+		tb.Fatalf("MergeEncoded (error %v) left %+v, want %+v on %x", err, dst, before, raw)
+	}
+}
+
+// TestMergeEncodedRejects is the table test of the encoded path's
+// validation: every truncation, trailing bytes, bad magic, unknown
+// flags, oversized slot counts, out-of-order or duplicate cameras and
+// every shape mismatch is rejected by CompatibleEncoded and
+// MergeEncoded exactly as by DecodePartialState + Compatible, with dst
+// untouched — and none of it panics.
+func TestMergeEncodedRejects(t *testing.T) {
+	count, sum := encodedTestPlans(t)
+	slots := sum.Slots()
+	full := &PartialState{
+		Counts: make([]int64, slots), Sums: make([]float64, slots),
+		Rows: 9, Chunks: 3,
+		// camZ is not one of the plan's cameras: merged all the same.
+		CamRows: map[string]int64{"camA": 4, "camB": 3, "camZ": 2},
+	}
+	for i := range full.Counts {
+		full.Counts[i], full.Sums[i] = int64(10+i), []float64{1.5, math.NaN(), math.Copysign(0, -1), math.Inf(1)}[i%4]
+	}
+	enc := full.EncodeBinary()
+	mutate := func(f func(b []byte) []byte) []byte { return f(append([]byte(nil), enc...)) }
+	camOff := stateHeaderLen + 16*slots + stateTallyLen // first camera entry
+
+	cases := map[string][]byte{
+		"valid":          enc,
+		"valid count":    (&PartialState{Counts: []int64{7}, Rows: 7, Chunks: 1, CamRows: map[string]int64{"camB": 7}}).EncodeBinary(),
+		"valid empty":    (&PartialState{Counts: []int64{0}, Chunks: 1}).EncodeBinary(),
+		"empty input":    nil,
+		"trailing byte":  mutate(func(b []byte) []byte { return append(b, 0) }),
+		"bad magic":      mutate(func(b []byte) []byte { b[0] = 'X'; return b }),
+		"unknown flag":   mutate(func(b []byte) []byte { b[4] |= 2; return b }),
+		"sums flag off":  mutate(func(b []byte) []byte { b[4] = 0; return b }),
+		"huge slots":     mutate(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[5:], 0x7fffffff); return b }),
+		"max slots":      mutate(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[5:], 0xffffffff); return b }),
+		"one slot more":  mutate(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[5:], uint32(slots+1)); return b }),
+		"one slot fewer": (&PartialState{Counts: make([]int64, slots-1), Sums: make([]float64, slots-1)}).EncodeBinary(),
+		"sum-less":       (&PartialState{Counts: make([]int64, slots)}).EncodeBinary(),
+		"one cam more":   mutate(func(b []byte) []byte { b[camOff-2]++; return b }),
+		"one cam fewer":  mutate(func(b []byte) []byte { b[camOff-2]--; return b }),
+		"long cam name":  mutate(func(b []byte) []byte { b[camOff+1] = 0xff; return b }),
+		// camA → camC sorts after camB; camA → camB duplicates it.
+		"cams unordered": mutate(func(b []byte) []byte { b[camOff+2+3] = 'C'; return b }),
+		"cams duplicate": mutate(func(b []byte) []byte { b[camOff+2+3] = 'B'; return b }),
+	}
+	for i := 0; i < len(enc); i++ {
+		cases["truncated at "+strconv.Itoa(i)] = enc[:i]
+	}
+	accepted := map[*PartialPlan]int{}
+	for name, raw := range cases {
+		for _, plan := range []*PartialPlan{count, sum} {
+			checkEncodedAgreesWithDecode(t, plan, raw)
+			if plan.CompatibleEncoded(raw) {
+				accepted[plan]++
+				if name[:5] != "valid" {
+					t.Errorf("%s: accepted", name)
+				}
+			}
+		}
+	}
+	if accepted[count] != 2 || accepted[sum] != 1 {
+		t.Fatalf("accepted %d count-shaped and %d sum-shaped payloads, want 2 and 1", accepted[count], accepted[sum])
+	}
+	// A dst that is not the plan's shape is an error, not a panic.
+	if err := sum.MergeEncoded(count.NewState(), enc); err == nil {
+		t.Fatal("merge into a mis-shaped dst accepted")
+	}
+	// The warm path's cost: nothing per merge once dst's camera map
+	// holds the plan's cameras.
+	dst := sum.NewState()
+	plain := (&PartialState{Counts: full.Counts, Sums: full.Sums, Rows: 7, Chunks: 1, CamRows: map[string]int64{"camA": 4, "camB": 3}}).EncodeBinary()
+	if allocs := testing.AllocsPerRun(100, func() {
+		if !sum.CompatibleEncoded(plain) || sum.MergeEncoded(dst, plain) != nil {
+			t.Fatal("valid payload rejected")
+		}
+	}); allocs != 0 {
+		t.Fatalf("CompatibleEncoded+MergeEncoded allocate %v times per state, want 0", allocs)
 	}
 }
 

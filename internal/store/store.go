@@ -118,21 +118,25 @@ type Segment struct {
 // audit log, and retained terminal jobs. It is what a snapshot holds
 // and what recovery rebuilds from snapshot + WAL replay.
 type State struct {
-	spent   map[string]*intervalmap.Map
+	spent map[string]*intervalmap.Map
+	// audit and jobs hold at least the retained records; only the last
+	// maxAudit/maxJobs of them are state (see retained).
 	audit   []AuditRecord
 	jobs    []JobRecord
 	charges int64 // charge records applied since the last snapshot base
+	// maxJobs and maxAudit bound the retained terminal jobs and audit
+	// entries (oldest dropped); <= 0 keeps all. Spent budget is never
+	// bounded — it IS the guarantee.
+	maxJobs, maxAudit int
 }
 
-// NewState returns an empty state.
+// NewState returns an empty state that retains everything.
 func NewState() *State {
 	return &State{spent: map[string]*intervalmap.Map{}}
 }
 
-// apply folds one record into the state. maxJobs and maxAudit bound
-// the retained terminal jobs and audit entries (oldest dropped); <= 0
-// keeps all. Spent budget is never bounded — it IS the guarantee.
-func (s *State) apply(rec Record, maxJobs, maxAudit int) {
+// apply folds one record into the state.
+func (s *State) apply(rec Record) {
 	switch {
 	case rec.Charge != nil:
 		c := rec.Charge
@@ -144,16 +148,33 @@ func (s *State) apply(rec Record, maxJobs, maxAudit int) {
 		m.AddRange(c.Start, c.End, c.Eps)
 		s.charges++
 	case rec.Audit != nil:
-		s.audit = append(s.audit, *rec.Audit)
-		if maxAudit > 0 && len(s.audit) > maxAudit {
-			s.audit = append(s.audit[:0], s.audit[len(s.audit)-maxAudit:]...)
-		}
+		s.audit = appendBounded(s.audit, *rec.Audit, s.maxAudit)
 	case rec.Job != nil:
-		s.jobs = append(s.jobs, *rec.Job)
-		if maxJobs > 0 && len(s.jobs) > maxJobs {
-			s.jobs = append(s.jobs[:0], s.jobs[len(s.jobs)-maxJobs:]...)
-		}
+		s.jobs = appendBounded(s.jobs, *rec.Job, s.maxJobs)
 	}
+}
+
+// appendBounded appends rec to a log of which the last max entries are
+// retained. Dropping the oldest entry on every append would move the
+// whole log per commit once it is full — O(max) on the commit path —
+// so the log is left to grow to 2×max and trimmed back to max in one
+// move: O(1) amortised. Readers go through retained.
+func appendBounded[T any](log []T, rec T, max int) []T {
+	log = append(log, rec)
+	if max > 0 && len(log) >= 2*max {
+		n := copy(log, log[len(log)-max:])
+		clear(log[n:])
+		log = log[:n]
+	}
+	return log
+}
+
+// retained returns the last max entries of log, in commit order.
+func retained[T any](log []T, max int) []T {
+	if max > 0 && len(log) > max {
+		return log[len(log)-max:]
+	}
+	return log
 }
 
 // Cameras lists the cameras with recovered spent budget, sorted.
@@ -188,10 +209,14 @@ func (s *State) Spent(camera string, frame int64) float64 {
 }
 
 // Audit returns the recovered audit entries in commit order.
-func (s *State) Audit() []AuditRecord { return append([]AuditRecord(nil), s.audit...) }
+func (s *State) Audit() []AuditRecord {
+	return append([]AuditRecord(nil), retained(s.audit, s.maxAudit)...)
+}
 
 // Jobs returns the retained terminal jobs in commit order.
-func (s *State) Jobs() []JobRecord { return append([]JobRecord(nil), s.jobs...) }
+func (s *State) Jobs() []JobRecord {
+	return append([]JobRecord(nil), retained(s.jobs, s.maxJobs)...)
+}
 
 // Charges returns the number of charge records folded into the state
 // since its snapshot base.

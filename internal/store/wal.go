@@ -182,6 +182,7 @@ func Open(dir string, opts Options) (*WAL, error) {
 // exist yet), and the number of records replayed from the WAL.
 func loadState(dir string, maxJobs, maxAudit int) (*State, int64, int64, int64, error) {
 	state := NewState()
+	state.maxJobs, state.maxAudit = maxJobs, maxAudit
 	var gen int64
 	snapPath := filepath.Join(dir, snapshotName)
 	if b, err := os.ReadFile(snapPath); err == nil {
@@ -194,7 +195,7 @@ func loadState(dir string, maxJobs, maxAudit int) (*State, int64, int64, int64, 
 			for _, seg := range segs {
 				state.apply(Record{Charge: &ChargeRecord{
 					Camera: cam, Start: seg.Start, End: seg.End, Eps: seg.Eps,
-				}}, maxJobs, maxAudit)
+				}})
 			}
 		}
 		state.charges = 0 // snapshot segments are the base, not new records
@@ -221,7 +222,7 @@ func loadState(dir string, maxJobs, maxAudit int) (*State, int64, int64, int64, 
 		return nil, 0, 0, 0, derr
 	}
 	for _, rec := range recs {
-		state.apply(rec, maxJobs, maxAudit)
+		state.apply(rec)
 	}
 	return state, gen, off, int64(len(recs)), nil
 }
@@ -406,7 +407,7 @@ func (w *WAL) appendLocked(buf []byte, recs []Record) error {
 	w.opts.Metrics.CommitRecords.Observe(float64(len(recs)))
 	w.size += int64(len(buf))
 	for _, rec := range recs {
-		w.state.apply(rec, w.opts.MaxJobs, w.opts.MaxAudit)
+		w.state.apply(rec)
 	}
 	w.recsSinceSnap += int64(len(recs))
 	if w.opts.SnapshotEvery > 0 && w.recsSinceSnap >= int64(w.opts.SnapshotEvery) {
@@ -447,8 +448,8 @@ func (w *WAL) snapshotLocked() error {
 		Gen:     newGen,
 		TakenAt: time.Now(),
 		Spent:   map[string][]Segment{},
-		Audit:   w.state.audit,
-		Jobs:    w.state.jobs,
+		Audit:   retained(w.state.audit, w.state.maxAudit),
+		Jobs:    retained(w.state.jobs, w.state.maxJobs),
 	}
 	for cam, m := range w.state.spent {
 		if segs := segmentsOf(m); len(segs) > 0 {
@@ -562,8 +563,8 @@ func (w *WAL) Info() Info {
 		Snapshots:            w.snapshots,
 		LastSnapshot:         w.lastSnapshot,
 		Cameras:              len(w.state.spent),
-		Jobs:                 len(w.state.jobs),
-		AuditEntries:         len(w.state.audit),
+		Jobs:                 len(retained(w.state.jobs, w.state.maxJobs)),
+		AuditEntries:         len(retained(w.state.audit, w.state.maxAudit)),
 	}
 	if w.lastSnapErr != nil {
 		info.LastSnapshotError = w.lastSnapErr.Error()

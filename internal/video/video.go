@@ -242,21 +242,29 @@ func (s Split) NumChunks() int64 {
 	return (span + p - 1) / p
 }
 
-// ChunkAt returns the i-th chunk of the plan. The final chunk is
+// IntervalAt returns the frame interval of the i-th chunk of the plan
+// — pure arithmetic, for callers (the engine's warm cache path) that
+// need a chunk's identity but not its frames. The final chunk is
 // clipped to the window.
-func (s Split) ChunkAt(i int64) *Chunk {
+func (s Split) IntervalAt(i int64) vtime.Interval {
 	start := s.Interval.Start + i*s.period()
 	end := start + s.ChunkFrames
 	if end > s.Interval.End {
 		end = s.Interval.End
 	}
+	return vtime.NewInterval(start, end)
+}
+
+// ChunkAt returns the i-th chunk of the plan, covering IntervalAt(i).
+func (s Split) ChunkAt(i int64) *Chunk {
+	iv := s.IntervalAt(i)
 	info := s.Source.Info()
 	return &Chunk{
 		Camera:   info.Camera,
 		Ordinal:  i,
-		Interval: vtime.NewInterval(start, end),
+		Interval: iv,
 		FPS:      info.FPS,
-		Start:    info.Clock().TimeOf(start),
+		Start:    info.Clock().TimeOf(iv.Start),
 		Region:   s.Region,
 		src:      s.Source,
 	}
