@@ -10,6 +10,7 @@ package privid_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -241,7 +242,7 @@ func BenchmarkChunkCache_Warm(b *testing.B) { runCacheBench(b, true) }
 // or a follower sharing the leader's frozen block. "sandbox-execs/op"
 // is therefore exactly the chunk count (60), and "dedup-ratio" is
 // lookups/executions (8.0 = the fan-out width). Both are
-// deterministic, so the CI contract pins them (BENCH_8.json).
+// deterministic, so the CI contract pins them (BENCH_12.json).
 func BenchmarkSingleflight_ColdFanout(b *testing.B) {
 	const fanout = 8
 	src := privid.NewSceneCamera("campus", privid.CampusProfile(), 1, 10*time.Minute)
@@ -365,14 +366,13 @@ func BenchmarkPartialStateCache_Warm(b *testing.B) {
 	b.ReportMetric(float64(folds)/float64(b.N), "partial-folds/op")
 }
 
-// Multi-camera benchmarks: the identical 4-camera fleet query executed
-// serially (camera shards one after another — the pre-sharding
-// behavior, equivalent to running one query per camera back to back)
-// versus sharded (per-camera shards fan out across the worker pool).
-// The executable sleeps per chunk, modeling PROCESS cost that is
-// latency-bound (real per-chunk CV inference, often offloaded), so the
-// sharded variant's wall-clock approaches max(shard) instead of
-// sum(shards): ~4x on 4 shards.
+// Multi-camera benchmarks: the same 4-camera fleet processed serially
+// (one single-camera query per camera, back to back — the pre-sharding
+// behavior) versus sharded (one fleet query whose per-camera shards fan
+// out across the worker pool). The executable sleeps per chunk,
+// modeling PROCESS cost that is latency-bound (real per-chunk CV
+// inference, often offloaded), so the sharded variant's wall-clock
+// approaches max(shard) instead of sum(shards): ~4x on 4 shards.
 
 const multiCamQuery = `
 SPLIT cam0, cam1, cam2, cam3
@@ -383,18 +383,23 @@ PROCESS fleet USING slowcount TIMEOUT 5sec PRODUCING 1 ROWS
 SELECT COUNT(*) FROM t CONSUMING 0.00001;`
 
 func runMultiCamBench(b *testing.B, serial bool) {
-	engine := privid.New(privid.Options{
-		Seed: 1,
-		// Resource model: the pool can hold all shards' in-flight
-		// work, but each camera is bounded (stream decode capacity) to
-		// 3 concurrent chunk executions. Caching is disabled so every
-		// iteration pays full sandbox cost.
-		Parallelism:          12,
-		PerCameraParallelism: 3,
-		ChunkCacheBytes:      -1,
-		SerialShards:         serial,
-	})
-	for i := 0; i < 4; i++ {
+	// Resource model: each camera is bounded (stream decode capacity)
+	// to 3 concurrent chunk executions. The sharded engine's pool can
+	// hold all four shards' in-flight work; the serial baseline runs one
+	// camera at a time, so its pool is the per-camera bound. Caching is
+	// disabled so every iteration pays full sandbox cost.
+	const perCamera, cameras = 3, 4
+	opts := privid.Options{Seed: 1, Parallelism: perCamera * cameras, PerCameraParallelism: perCamera, ChunkCacheBytes: -1}
+	sources := []string{multiCamQuery}
+	if serial {
+		opts.Parallelism = perCamera
+		sources = nil
+		for i := 0; i < cameras; i++ {
+			sources = append(sources, strings.Replace(multiCamQuery, "cam0, cam1, cam2, cam3", fmt.Sprintf("cam%d", i), 1))
+		}
+	}
+	engine := privid.New(opts)
+	for i := 0; i < cameras; i++ {
 		name := fmt.Sprintf("cam%d", i)
 		if err := engine.RegisterCamera(privid.CameraConfig{
 			Name:    name,
@@ -417,20 +422,26 @@ func runMultiCamBench(b *testing.B, serial bool) {
 	}); err != nil {
 		b.Fatal(err)
 	}
-	prog, err := privid.Parse(multiCamQuery)
-	if err != nil {
-		b.Fatal(err)
+	var progs []*privid.Program
+	for _, src := range sources {
+		prog, err := privid.Parse(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		progs = append(progs, prog)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Execute(prog); err != nil {
-			b.Fatal(err)
+		for _, prog := range progs {
+			if _, err := engine.Execute(prog); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
 
-// BenchmarkMultiCamera_Serial processes the 4 camera shards one after
-// another (the pre-sharding baseline).
+// BenchmarkMultiCamera_Serial processes the 4 cameras one after another
+// (the pre-sharding baseline).
 func BenchmarkMultiCamera_Serial(b *testing.B) { runMultiCamBench(b, true) }
 
 // BenchmarkMultiCamera_Sharded fans the 4 shards out concurrently;

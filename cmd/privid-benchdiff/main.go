@@ -9,10 +9,15 @@
 // which vary with the runner. Each check carries a noise tolerance;
 // a regression beyond it fails the build.
 //
+// The snapshot's "size" section is the same idea for code size: see
+// size.go.
+//
 // Usage:
 //
 //	go test -run xxx -bench ... -count 3 ./... | tee bench.txt
-//	privid-benchdiff -baseline BENCH_7.json -bench bench.txt
+//	privid-benchdiff -baseline BENCH_12.json -bench bench.txt
+//	privid-benchdiff -size .                          # print the size table
+//	privid-benchdiff -size . -baseline BENCH_12.json  # enforce its ceilings
 package main
 
 import (
@@ -95,9 +100,20 @@ type baseline struct {
 func main() {
 	baselinePath := flag.String("baseline", "", "benchmark snapshot JSON with a ci_contract section")
 	benchPath := flag.String("bench", "", "go test -bench output ('-' = stdin)")
+	sizeRoot := flag.String("size", "", "module root: print its per-package size table, or with -baseline enforce the snapshot's")
 	flag.Parse()
+	if *sizeRoot != "" {
+		ok, err := runSize(*sizeRoot, *baselinePath)
+		if err != nil {
+			fatal(err)
+		}
+		if !ok {
+			os.Exit(1)
+		}
+		return
+	}
 	if *baselinePath == "" || *benchPath == "" {
-		fmt.Fprintln(os.Stderr, "usage: privid-benchdiff -baseline BENCH_N.json -bench bench.txt")
+		fmt.Fprintln(os.Stderr, "usage: privid-benchdiff -baseline BENCH_N.json -bench bench.txt | -size DIR [-baseline BENCH_N.json]")
 		os.Exit(2)
 	}
 	raw, err := os.ReadFile(*baselinePath)

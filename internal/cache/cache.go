@@ -96,34 +96,6 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// Cache is the interface the engine memoizes chunk results behind:
-// either a bare LRU, a bare Disk store, or the two composed by Tiered.
-// Implementations are safe for concurrent use. Tables returned by Get
-// are frozen and shared; callers must not mutate them.
-type Cache interface {
-	Get(key string) (*table.Table, bool)
-	// Peek is Get without side effects: no hit/miss accounting, no
-	// recency update, no tier promotion. The engine's singleflight
-	// leader uses it to re-check for a result published while it was
-	// queueing — an internal consistency check that must not distort
-	// the analyst-visible hit rate.
-	Peek(key string) (*table.Table, bool)
-	Put(key string, t *table.Table)
-	// GetRaw and PutRaw store opaque byte payloads — encoded partial
-	// aggregate states — in the same tiers under their own counters.
-	// Raw keys and table keys live in disjoint namespaces (the engine
-	// prefixes raw keys with the aggregation plan's versioned identity,
-	// which can never collide with a quoted camera name), so one store
-	// serves both kinds. The returned slice is shared; callers must not
-	// mutate it, and must not mutate a slice after PutRaw.
-	GetRaw(key string) ([]byte, bool)
-	PutRaw(key string, raw []byte)
-	Stats() Stats
-	// Close releases any resources (disk tiers sync and unmap). The
-	// cache must not be used after Close.
-	Close() error
-}
-
 // LRU is a least-recently-used cache from string keys to frozen
 // intermediate tables, bounded by approximate total bytes. It is safe
 // for concurrent use.
@@ -195,9 +167,9 @@ func (c *LRU) GetRaw(key string) ([]byte, bool) {
 	return el.Value.(*lruEntry).raw, true
 }
 
-// Peek returns the stored table without counting a hit or miss and
+// peek returns the stored table without counting a hit or miss and
 // without touching the entry's recency.
-func (c *LRU) Peek(key string) (*table.Table, bool) {
+func (c *LRU) peek(key string) (*table.Table, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -211,72 +183,43 @@ func (c *LRU) Peek(key string) (*table.Table, bool) {
 // entries as needed to respect the byte bound. The caller must not
 // mutate t after Put (Freeze makes any attempt panic). An entry larger
 // than the whole bound is not stored.
-func (c *LRU) Put(key string, t *table.Table) { c.put(key, t, true) }
-
-// promote stores t like Put but without counting it in Puts: a
-// disk→RAM promotion is a tier migration of an entry that was already
-// written through, not new write traffic, and conflating the two hides
-// the real write-through rate from operators (the composite cache
-// counts promotions separately in Stats.Promotions).
-func (c *LRU) promote(key string, t *table.Table) { c.put(key, t, false) }
+func (c *LRU) Put(key string, t *table.Table) { c.store(key, t, nil, true) }
 
 // PutRaw stores a raw partial-state payload under key, subject to the
 // same byte bound and eviction policy as tables. The caller must not
 // mutate raw afterwards.
-func (c *LRU) PutRaw(key string, raw []byte) { c.putRaw(key, raw, true) }
+func (c *LRU) PutRaw(key string, raw []byte) { c.store(key, nil, raw, true) }
 
-// promoteRaw is PutRaw without the StatePuts accounting, for disk→RAM
-// migrations (mirrors promote).
-func (c *LRU) promoteRaw(key string, raw []byte) { c.putRaw(key, raw, false) }
-
-func (c *LRU) putRaw(key string, raw []byte, countPut bool) {
+// store inserts or overwrites key's entry with a table (t non-nil,
+// frozen here) or a raw payload (t nil). countPut is false for a
+// disk→RAM promotion: that is a tier migration of an entry that was
+// already written through, not new write traffic, and conflating the
+// two hides the real write-through rate from operators (the composite
+// cache counts promotions separately in Stats.Promotions).
+func (c *LRU) store(key string, t *table.Table, raw []byte, countPut bool) {
 	cost := int64(entryOverhead + len(key) + len(raw))
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cost > c.maxBytes {
-		return
+	if t != nil {
+		t.Freeze()
+		cost = tableCost(key, t)
 	}
-	if countPut {
-		c.statePuts++
-	}
-	if el, ok := c.items[key]; ok {
-		ent := el.Value.(*lruEntry)
-		c.bytes += cost - ent.cost
-		ent.tbl = nil
-		ent.raw = raw
-		ent.cost = cost
-		c.ll.MoveToFront(el)
-	} else {
-		ent := &lruEntry{key: key, raw: raw, cost: cost}
-		c.items[key] = c.ll.PushFront(ent)
-		c.bytes += cost
-	}
-	for c.bytes > c.maxBytes {
-		c.evictOldest()
-	}
-}
-
-func (c *LRU) put(key string, t *table.Table, countPut bool) {
-	t.Freeze()
-	cost := tableCost(key, t)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if cost > c.maxBytes {
 		// Too large to ever fit; admitting it would flush everything.
 		return
 	}
-	if countPut {
+	if countPut && t != nil {
 		c.puts++
+	} else if countPut {
+		c.statePuts++
 	}
 	if el, ok := c.items[key]; ok {
 		ent := el.Value.(*lruEntry)
 		c.bytes += cost - ent.cost
-		ent.tbl = t
-		ent.cost = cost
+		ent.tbl, ent.raw, ent.cost = t, raw, cost
 		c.ll.MoveToFront(el)
 	} else {
-		ent := &lruEntry{key: key, tbl: t, cost: cost}
-		c.items[key] = c.ll.PushFront(ent)
+		c.items[key] = c.ll.PushFront(&lruEntry{key: key, tbl: t, raw: raw, cost: cost})
 		c.bytes += cost
 	}
 	for c.bytes > c.maxBytes {
@@ -303,9 +246,6 @@ func (c *LRU) Len() int {
 	defer c.mu.Unlock()
 	return c.ll.Len()
 }
-
-// Close implements Cache; an in-RAM tier has nothing to release.
-func (c *LRU) Close() error { return nil }
 
 // Stats returns a snapshot of the cache counters.
 func (c *LRU) Stats() Stats {

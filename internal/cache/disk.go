@@ -334,10 +334,10 @@ func (d *Disk) Get(key string) (*table.Table, bool) {
 	return t.Freeze(), true
 }
 
-// Peek returns the stored table without touching the hit/miss
+// peek returns the stored table without touching the hit/miss
 // counters. Unlike Get it leaves a corrupt frame in the index (the
 // next Get will collect it).
-func (d *Disk) Peek(key string) (*table.Table, bool) {
+func (d *Disk) peek(key string) (*table.Table, bool) {
 	d.mu.Lock()
 	e, ok := d.index[key]
 	var payload []byte

@@ -41,7 +41,7 @@ import (
 	"privid/internal/table"
 )
 
-// Outcome reports how a Flight.Do call obtained its result.
+// Outcome reports how a Do call obtained its result.
 type Outcome int
 
 const (
@@ -56,6 +56,8 @@ const (
 	// Abandoned: this call waited maxWait without a result, gave up on
 	// the leader, and executed fn on its own (uncoordinated).
 	Abandoned
+	// Hit: Tiered.Do found the entry stored; no flight was joined.
+	Hit
 )
 
 // String implements fmt.Stringer.
@@ -69,6 +71,8 @@ func (o Outcome) String() string {
 		return "handoff"
 	case Abandoned:
 		return "abandoned"
+	case Hit:
+		return "hit"
 	default:
 		return "unknown"
 	}
@@ -128,8 +132,8 @@ func NewFlight() *Flight {
 
 // Do executes fn under singleflight semantics for key. fn returns the
 // chunk's result table and whether the execution completed cleanly;
-// only clean results are published to followers (fn is expected to
-// freeze-and-cache clean results before returning, so arrivals after
+// only clean results are published to followers (Tiered.Do's fn
+// freezes and stores a clean result before returning, so arrivals after
 // the flight dissolves hit the cache instead).
 //
 // maxWait bounds a follower's wait for its leader; <= 0 waits forever.

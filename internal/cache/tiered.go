@@ -1,30 +1,76 @@
 package cache
 
-// Tiered composes the RAM LRU (tier 1) and the disk store (tier 2)
-// behind the Cache interface. Lookups try RAM first; a disk hit is
+// Tiered composes the RAM LRU (tier 1), the disk store (tier 2) and
+// the singleflight that fronts them into the one handle the engine
+// memoizes chunk results behind. Lookups try RAM first; a disk hit is
 // promoted back into RAM so the working set migrates to the fast tier.
 // Puts are write-through: the entry lands in both tiers, so it both
 // serves hot repeats at RAM speed and survives a process restart.
+//
+// One store serves two kinds of entry: frozen tables (Do/Get/Put) and
+// opaque byte payloads — encoded partial aggregate states — under
+// their own counters (GetRaw/PutRaw). The engine tags keys by kind, so
+// raw keys and table keys can never collide.
 
 import (
 	"sync/atomic"
+	"time"
 
 	"privid/internal/table"
 )
 
 // Tiered is a two-tier cache. Either tier may be nil, in which case it
-// degenerates to the other tier alone (both nil stores nothing).
+// degenerates to the other tier alone (both nil stores nothing). It is
+// safe for concurrent use. Tables it returns are frozen and shared;
+// callers must not mutate them.
 type Tiered struct {
-	mem  *LRU
-	disk *Disk
+	mem    *LRU
+	disk   *Disk
+	flight *Flight
 
 	promotions atomic.Uint64
 }
 
 // NewTiered composes the two tiers.
 func NewTiered(mem *LRU, disk *Disk) *Tiered {
-	return &Tiered{mem: mem, disk: disk}
+	return &Tiered{mem: mem, disk: disk, flight: NewFlight()}
 }
+
+// Do returns the table stored under key, or on a miss obtains it from
+// compute — which reports whether its result is clean — so that
+// concurrent misses on one key cost one compute: the first becomes the
+// leader, the rest wait up to maxWait (<= 0 waits forever) and share
+// its frozen table by pointer (see Flight for the handoff and timeout
+// rules). Only clean results are stored or shared: an unclean one —
+// sandbox fallback rows, which depend on machine load, not on the
+// chunk — would poison every later query over this chunk, so it goes
+// to its own caller alone. The returned bool is compute's verdict
+// (always true for a Hit or Shared outcome).
+func (t *Tiered) Do(key string, maxWait time.Duration, compute func() (*table.Table, bool)) (*table.Table, bool, Outcome) {
+	if tbl, ok := t.Get(key); ok {
+		return tbl, true, Hit
+	}
+	return t.flight.Do(key, maxWait, func() (*table.Table, bool) {
+		// Re-check under flight leadership: a clean result published
+		// between this caller's miss and its turn to lead is stored by
+		// now (leaders store before dissolving the flight) and must not
+		// be recomputed. peek, not Get — the miss was already counted,
+		// and this internal re-check must not distort the
+		// analyst-visible hit rate, recency or promotions.
+		if tbl, ok := t.peek(key); ok {
+			return tbl, true
+		}
+		tbl, clean := compute()
+		if clean {
+			t.Put(key, tbl) // freezes tbl
+		}
+		return tbl, clean
+	})
+}
+
+// FlightStats returns a snapshot of the singleflight counters behind
+// Do.
+func (t *Tiered) FlightStats() FlightStats { return t.flight.Stats() }
 
 // Get tries RAM, then disk. Disk hits are promoted into RAM.
 func (t *Tiered) Get(key string) (*table.Table, bool) {
@@ -44,28 +90,29 @@ func (t *Tiered) Get(key string) (*table.Table, bool) {
 		// Internal promote path: the entry migrates to the fast tier
 		// without inflating the RAM tier's Puts counter, so operators
 		// can tell real write-through traffic from promotions.
-		t.mem.promote(key, tbl)
+		t.mem.store(key, tbl, nil, false)
 		t.promotions.Add(1)
 	}
 	return tbl, true
 }
 
-// Peek checks RAM then disk without counting hits or misses and
+// peek checks RAM then disk without counting hits or misses and
 // without promoting a disk hit.
-func (t *Tiered) Peek(key string) (*table.Table, bool) {
+func (t *Tiered) peek(key string) (*table.Table, bool) {
 	if t.mem != nil {
-		if tbl, ok := t.mem.Peek(key); ok {
+		if tbl, ok := t.mem.peek(key); ok {
 			return tbl, true
 		}
 	}
 	if t.disk == nil {
 		return nil, false
 	}
-	return t.disk.Peek(key)
+	return t.disk.peek(key)
 }
 
 // GetRaw tries RAM, then disk, for a raw partial-state payload. Disk
-// hits are promoted into RAM like table entries.
+// hits are promoted into RAM like table entries. The returned slice is
+// shared; callers must not mutate it.
 func (t *Tiered) GetRaw(key string) ([]byte, bool) {
 	if t.mem != nil {
 		if raw, ok := t.mem.GetRaw(key); ok {
@@ -80,13 +127,14 @@ func (t *Tiered) GetRaw(key string) ([]byte, bool) {
 		return nil, false
 	}
 	if t.mem != nil {
-		t.mem.promoteRaw(key, raw)
+		t.mem.store(key, nil, raw, false)
 		t.promotions.Add(1)
 	}
 	return raw, true
 }
 
-// PutRaw stores a raw partial-state payload in both tiers.
+// PutRaw stores a raw partial-state payload in both tiers. The caller
+// must not mutate raw afterwards.
 func (t *Tiered) PutRaw(key string, raw []byte) {
 	if t.mem != nil {
 		t.mem.PutRaw(key, raw)
@@ -107,7 +155,8 @@ func (t *Tiered) Put(key string, tbl *table.Table) {
 	}
 }
 
-// Close releases the disk tier.
+// Close releases the disk tier (syncs and unmaps; a RAM-only cache has
+// nothing to release). The cache must not be used after Close.
 func (t *Tiered) Close() error {
 	if t.disk != nil {
 		return t.disk.Close()

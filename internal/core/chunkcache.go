@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"privid/internal/query"
+	"privid/internal/rel"
 	"privid/internal/table"
 	"privid/internal/vtime"
 )
@@ -87,12 +88,12 @@ func chunkKey(prefix string, iv vtime.Interval) string {
 
 // keyPrefixes derives the table-key prefix and one state-key prefix per
 // pushdown plan for one region split of the shard.
-func (sh *splitShard) keyPrefixes(region string, st *query.ProcessStmt, schema table.Schema, planIDs []string) (tbl string, states []string) {
+func (sh *splitShard) keyPrefixes(region string, st *query.ProcessStmt, schema table.Schema, plans []*rel.PartialPlan) (tbl string, states []string) {
 	identity := chunkIdentity(sh.cam.cfg.Name, sh.maskID, sh.schemeName, region,
 		st.Using, st.Timeout, st.MaxRows, schema, sh.chunkF, sh.strideF)
-	states = make([]string, len(planIDs))
-	for p, id := range planIDs {
-		states[p] = keyPrefix(stateKeyKind, id, identity)
+	states = make([]string, len(plans))
+	for p, pp := range plans {
+		states[p] = keyPrefix(stateKeyKind, pp.ID(), identity)
 	}
 	return keyPrefix(tableKeyKind, "", identity), states
 }

@@ -81,12 +81,6 @@ type Options struct {
 	// Parallelism are clamped to it. Single-camera chunk sets always
 	// use the full Parallelism.
 	PerCameraParallelism int
-	// SerialShards disables the sharded fan-out: the camera shards of
-	// a multi-camera chunk set are processed one after another, each
-	// still using PerCameraParallelism for its own chunks. It exists
-	// as the benchmark baseline (BenchmarkMultiCamera_Serial) and as a
-	// debugging escape hatch; leave it false in deployments.
-	SerialShards bool
 	// DefaultProcessTimeout is the effective per-chunk TIMEOUT applied
 	// when a PROCESS statement carries none. The parser rejects
 	// TIMEOUT <= 0, so this only matters for programmatically built
@@ -115,14 +109,6 @@ type Options struct {
 	// whole oldest segments are deleted to respect it). 0 uses
 	// DefaultDiskCacheBytes. Ignored when DiskCacheDir is empty.
 	DiskCacheBytes int64
-	// DisablePartialPushdown turns off aggregation pushdown: every
-	// PROCESS materializes its full intermediate table and every SELECT
-	// aggregates row-major, as before partial states existed. It exists
-	// as a benchmark baseline and a debugging escape hatch; leave it
-	// false in deployments. Pushdown never changes results — the
-	// streaming-merge path is differentially tested against the
-	// materialized path — only peak memory and warm-query latency.
-	DisablePartialPushdown bool
 	// StateDir enables the durable privacy ledger: every admitted
 	// charge is written to a write-ahead log under this directory and
 	// fsynced before the noised result is released, and Open recovers
@@ -181,14 +167,14 @@ const defaultProcessTimeout = 30 * time.Second
 // analyst executables. Engines are safe for concurrent query
 // execution; budget admission is serialized.
 type Engine struct {
-	opts       Options
-	registry   *sandbox.Registry
-	chunkCache cache.Cache // nil when caching is disabled
-	// flight coalesces concurrent cache misses on the same chunk key
-	// onto one sandbox execution. nil exactly when chunkCache is nil:
-	// flights are keyed by the cache's content-identity chunk key, so
-	// without a cache there is nothing sound to coalesce on.
-	flight *cache.Flight
+	opts     Options
+	registry *sandbox.Registry
+	// chunkCache memoizes per-chunk PROCESS results and coalesces
+	// concurrent misses on one chunk key onto one sandbox execution. nil
+	// when caching is disabled — and with it coalescing: flights are
+	// keyed by the cache's content-identity chunk key, so without a
+	// cache there is nothing sound to coalesce on.
+	chunkCache *cache.Tiered
 	// procSem bounds concurrent sandbox executions engine-wide (size
 	// Options.Parallelism). Cache hits bypass it.
 	procSem chan struct{}
@@ -258,9 +244,8 @@ func Open(opts Options) (*Engine, error) {
 	if opts.DefaultProcessTimeout <= 0 {
 		opts.DefaultProcessTimeout = defaultProcessTimeout
 	}
-	// Assemble the chunk cache tiers. The interface field stays a true
-	// nil when no tier is configured (never a typed nil), so the
-	// hot-path nil checks in runShard remain valid.
+	// Assemble the chunk cache tiers; with neither configured the
+	// engine holds no cache at all (the hot path's nil checks).
 	var mem *cache.LRU
 	if opts.ChunkCacheBytes > 0 {
 		mem = cache.New(opts.ChunkCacheBytes)
@@ -273,14 +258,9 @@ func Open(opts Options) (*Engine, error) {
 		}
 		diskTier = d
 	}
-	var cc cache.Cache
-	switch {
-	case mem != nil && diskTier != nil:
+	var cc *cache.Tiered
+	if mem != nil || diskTier != nil {
 		cc = cache.NewTiered(mem, diskTier)
-	case mem != nil:
-		cc = mem
-	case diskTier != nil:
-		cc = cache.NewTiered(nil, diskTier)
 	}
 	reg := opts.Metrics
 	if opts.DisableMetrics {
@@ -315,7 +295,6 @@ func Open(opts Options) (*Engine, error) {
 		opts:       opts,
 		registry:   sandbox.NewRegistry(),
 		chunkCache: cc,
-		flight:     newFlightFor(cc),
 		procSem:    make(chan struct{}, opts.Parallelism),
 		store:      st,
 		wal:        wal,
@@ -442,15 +421,6 @@ func (e *Engine) StateInfo() StateInfo {
 	}
 }
 
-// newFlightFor returns a Flight when chunk caching is on, nil
-// otherwise.
-func newFlightFor(cc cache.Cache) *cache.Flight {
-	if cc == nil {
-		return nil
-	}
-	return cache.NewFlight()
-}
-
 // CacheStats returns a snapshot of the chunk-result cache counters
 // (zero-valued when caching is disabled).
 func (e *Engine) CacheStats() cache.Stats {
@@ -463,10 +433,10 @@ func (e *Engine) CacheStats() cache.Stats {
 // FlightStats returns a snapshot of the chunk singleflight counters
 // (zero-valued when caching — and with it coalescing — is disabled).
 func (e *Engine) FlightStats() cache.FlightStats {
-	if e.flight == nil {
+	if e.chunkCache == nil {
 		return cache.FlightStats{}
 	}
-	return e.flight.Stats()
+	return e.chunkCache.FlightStats()
 }
 
 // PartialAggStats is a snapshot of the aggregation-pushdown counters:
@@ -503,10 +473,8 @@ func (e *Engine) PartialStats() PartialAggStats {
 		Merges:       e.ppMerges.Load(),
 		CachedChunks: e.ppCachedChunks.Load(),
 	}
-	if e.chunkCache != nil {
-		cs := e.chunkCache.Stats()
-		s.StateHits, s.StateMisses, s.StatePuts = cs.StateHits, cs.StateMisses, cs.StatePuts
-	}
+	cs := e.CacheStats()
+	s.StateHits, s.StateMisses, s.StatePuts = cs.StateHits, cs.StateMisses, cs.StatePuts
 	return s
 }
 

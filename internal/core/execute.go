@@ -1,11 +1,7 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"hash/fnv"
-	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,7 +13,6 @@ import (
 	"privid/internal/query"
 	"privid/internal/rel"
 	"privid/internal/sandbox"
-	"privid/internal/store"
 	"privid/internal/table"
 	"privid/internal/video"
 	"privid/internal/vtime"
@@ -135,18 +130,13 @@ func (e *Engine) Execute(prog *query.Program) (*Result, error) {
 	return e.execute(prog, "", nil, nil)
 }
 
-// ExecuteTagged runs prog like Execute, tagging its WAL charge records
+// ExecuteTraced runs prog like Execute, tagging its WAL charge records
 // with tag — typically a hash of the query source — so the durable
-// ledger ties every ε debit to the query that caused it. An empty tag
-// falls back to a fingerprint of the charge set.
-func (e *Engine) ExecuteTagged(prog *query.Program, tag string) (*Result, error) {
-	return e.execute(prog, tag, nil, nil)
-}
-
-// ExecuteTraced runs prog like ExecuteTagged and additionally records
-// a span tree of the execution: one span per pipeline stage, one child
-// span per camera shard of each PROCESS (with cache hit/miss counts
-// and sandbox time), and admission/commit outcomes. The trace is
+// ledger ties every ε debit to the query that caused it (an empty tag
+// falls back to a fingerprint of the charge set), and additionally
+// records a span tree of the execution: one span per pipeline stage,
+// one child span per camera shard of each PROCESS (with cache hit/miss
+// counts and sandbox time), and admission/commit outcomes. The trace is
 // returned even when execution fails, so denials and errors are
 // diagnosable. Trace attributes carry only identifiers, counts,
 // durations and ε amounts — never released values or row contents.
@@ -160,374 +150,177 @@ func (e *Engine) ExecuteTraced(prog *query.Program, tag string) (*Result, *obs.T
 	return res, tr, err
 }
 
-// execute optionally filters which releases are emitted (and paid
-// for); a nil filter keeps everything. Standing queries use the filter
-// to release only newly completed buckets (Appendix D's streaming
-// semantics). sp, when non-nil, receives one child span per pipeline
-// stage.
-func (e *Engine) execute(prog *query.Program, tag string, keep func(rel.Release) bool, sp *obs.Span) (*Result, error) {
+// execute is the pipeline (Algorithm 1): resolve the chunk sets, run
+// every PROCESS, execute every SELECT to releases, then admit the whole
+// program's budget atomically, persist the charges, and only then add
+// noise and release. See Execute for semantics and admit for the
+// crash-safety ordering. keep optionally filters which releases are
+// emitted (and paid for); a nil filter keeps everything. Standing
+// queries use it to release only newly completed buckets (Appendix D's
+// streaming semantics). sp, when non-nil, receives one child span per
+// pipeline stage.
+//
+// The stages fill maps that are made here: a map that never leaves
+// this frame stays on the stack, and a warm query is small enough for
+// four heap-allocated maps to show in its bytes per op.
+func (e *Engine) execute(prog *query.Program, tag string, keep func(rel.Release) bool, sp *obs.Span) (res *Result, err error) {
 	start := time.Now()
-	res, err := e.executeStages(prog, tag, keep, sp)
-	e.met.queryDone(res, err, time.Since(start))
-	return res, err
+	defer func() { e.met.queryDone(res, err, time.Since(start)) }()
+	plans := map[string]*splitPlan{}
+	if err := e.resolvePlans(prog, plans, sp); err != nil {
+		return nil, err
+	}
+	cands := map[string][]*query.SelectStmt{}
+	pushdownCandidates(prog, cands)
+	env, pushed := rel.Env{}, map[*query.SelectStmt][]rel.Release{}
+	if err := e.runProcesses(prog, plans, cands, env, pushed, sp); err != nil {
+		return nil, err
+	}
+	rels, err := e.aggregate(prog, env, pushed, keep, sp)
+	if err != nil {
+		return nil, err
+	}
+	charges := map[string][]dp.Charge{}
+	adm, err := e.admit(charges, rels, sp)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.persist(adm, charges, tag, rels, sp); err != nil {
+		return nil, err
+	}
+	return e.release(adm, charges, rels, sp), nil
 }
 
-// executeStages is the pipeline body of execute; see Execute for
-// semantics and the admission comment below for crash-safety ordering.
-func (e *Engine) executeStages(prog *query.Program, tag string, keep func(rel.Release) bool, sp *obs.Span) (*Result, error) {
-	stageStart := time.Now()
-	splitSp := sp.Child("split")
-	defer splitSp.End()
-	plans := map[string]*splitPlan{}
-	for _, st := range prog.Splits {
-		p, err := e.resolveSplit(st)
-		if err != nil {
-			return nil, err
-		}
-		plans[st.Into] = p
+// stage runs one pipeline stage under a child span of parent and, when
+// it succeeds, observes its latency in the per-stage histogram. A
+// failing stage still ends its span (the trace shows where the query
+// stopped) but is kept out of the histogram.
+func (e *Engine) stage(parent *obs.Span, name string, fn func(sp *obs.Span) error) error {
+	start := time.Now()
+	sp := parent.Child(name)
+	defer sp.End()
+	if err := fn(sp); err != nil {
+		return err
 	}
-	// MERGE unions previously resolved chunk sets; validation already
-	// guaranteed the inputs exist, are distinct, and share a region
-	// scheme. The merged set always stamps camera provenance, even
-	// when the inputs happen to cover a single camera: its sensitivity
-	// composes per shard either way.
-	for _, m := range prog.Merges {
-		merged := &splitPlan{multi: true}
-		for _, in := range m.Inputs {
-			p, ok := plans[in]
-			if !ok {
-				return nil, fmt.Errorf("core: MERGE input %q is not a defined chunk set", in)
-			}
-			merged.shards = append(merged.shards, p.shards...)
-		}
-		plans[m.Into] = merged
-	}
-	splitSp.Set("chunk_sets", len(plans))
-	splitSp.End()
-	e.met.stage("split", time.Since(stageStart))
+	sp.End()
+	e.met.stage(name, time.Since(start))
+	return nil
+}
 
-	// Partial-aggregation pushdown: group the SELECTs by the one PROCESS
-	// table they reference. A table qualifies when every SELECT touching
-	// it touches nothing else (a JOIN or UNION partner forces the full
-	// materialized path for all tables involved); whether each candidate
-	// SELECT is actually mergeable is decided in runProcess, once the
-	// stamped schema and shard metadata exist.
-	pushCands := map[string][]*query.SelectStmt{}
-	if !e.opts.DisablePartialPushdown {
-		excluded := map[string]bool{}
-		for _, sel := range prog.Selects {
-			refs := rel.ReferencedTables(sel.From)
-			if len(refs) == 1 {
-				pushCands[refs[0]] = append(pushCands[refs[0]], sel)
-				continue
+// resolvePlans resolves every SPLIT, then every MERGE, into the chunk
+// set it names.
+func (e *Engine) resolvePlans(prog *query.Program, plans map[string]*splitPlan, sp *obs.Span) error {
+	return e.stage(sp, "split", func(sp *obs.Span) error {
+		for _, st := range prog.Splits {
+			p, err := e.resolveSplit(st)
+			if err != nil {
+				return err
 			}
-			for _, r := range refs {
-				excluded[r] = true
-			}
+			plans[st.Into] = p
 		}
-		for name := range excluded {
-			delete(pushCands, name)
+		// MERGE unions previously resolved chunk sets; validation already
+		// guaranteed the inputs exist, are distinct, and share a region
+		// scheme. The merged set always stamps camera provenance, even
+		// when the inputs happen to cover a single camera: its sensitivity
+		// composes per shard either way.
+		for _, m := range prog.Merges {
+			merged := &splitPlan{multi: true}
+			for _, in := range m.Inputs {
+				p, ok := plans[in]
+				if !ok {
+					return fmt.Errorf("core: MERGE input %q is not a defined chunk set", in)
+				}
+				merged.shards = append(merged.shards, p.shards...)
+			}
+			plans[m.Into] = merged
+		}
+		sp.Set("chunk_sets", len(plans))
+		return nil
+	})
+}
+
+// pushdownCandidates groups the SELECTs by the one PROCESS table they
+// reference, for partial-aggregation pushdown. A table qualifies when
+// every SELECT touching it touches nothing else (a JOIN or UNION
+// partner forces the full materialized path for all tables involved);
+// whether each candidate SELECT is actually mergeable is decided in
+// runProcess, once the stamped schema and shard metadata exist.
+func pushdownCandidates(prog *query.Program, cands map[string][]*query.SelectStmt) {
+	excluded := map[string]bool{}
+	for _, sel := range prog.Selects {
+		refs := rel.ReferencedTables(sel.From)
+		if len(refs) == 1 {
+			cands[refs[0]] = append(cands[refs[0]], sel)
+			continue
+		}
+		for _, r := range refs {
+			excluded[r] = true
 		}
 	}
+	for name := range excluded {
+		delete(cands, name)
+	}
+}
 
-	stageStart = time.Now()
-	env := rel.Env{}
-	// pushedRels carries releases computed on the streaming-merge path,
-	// keyed by statement; the SELECT stage below consumes them in place
-	// of ExecuteSelect. A later PROCESS into the same table overwrites
-	// both the env entry and its statements' releases, matching the
-	// last-write-wins semantics the env always had.
-	pushedRels := map[*query.SelectStmt][]rel.Release{}
+// runProcesses executes every PROCESS statement in program order into
+// env. pushed receives the releases computed on the pushdown path,
+// keyed by statement; aggregate consumes them in place of
+// ExecuteSelect. A later PROCESS into the same table overwrites both
+// the env entry and its statements' releases, matching the
+// last-write-wins semantics the env always had.
+func (e *Engine) runProcesses(prog *query.Program, plans map[string]*splitPlan, cands map[string][]*query.SelectStmt,
+	env rel.Env, pushed map[*query.SelectStmt][]rel.Release, sp *obs.Span) error {
+	start := time.Now()
 	for _, st := range prog.Processes {
 		procSp := sp.Child("process")
 		procSp.Set("table", st.Into)
-		inst, rels, err := e.runProcess(st, plans[st.Input], pushCands[st.Into], procSp)
+		inst, rels, err := e.runProcess(st, plans[st.Input], cands[st.Into], procSp)
 		procSp.End()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		env[st.Into] = inst
 		for sel, rs := range rels {
-			pushedRels[sel] = rs
+			pushed[sel] = rs
 		}
 	}
-	e.met.stage("process", time.Since(stageStart))
+	e.met.stage("process", time.Since(start))
+	return nil
+}
 
-	// Execute every SELECT to releases first, then admit the whole
-	// program's budget atomically, then add noise.
-	stageStart = time.Now()
-	aggSp := sp.Child("aggregate")
-	defer aggSp.End()
-	type pending struct {
-		rel rel.Release
-	}
-	var pendings []pending
-	for _, st := range prog.Selects {
-		rels, pushed := pushedRels[st]
-		if !pushed {
-			var err error
-			rels, err = rel.ExecuteSelect(st, env)
-			if err != nil {
-				return nil, err
-			}
-		}
-		epsDefault := e.opts.DefaultQueryEpsilon / float64(len(rels))
-		for _, r := range rels {
-			if st.Consuming > 0 {
-				r.Epsilon = st.Consuming
-			} else {
-				r.Epsilon = epsDefault
-			}
-			if keep != nil && !keep(r) {
-				continue
-			}
-			pendings = append(pendings, pending{rel: r})
-		}
-	}
-	aggSp.Set("releases", len(pendings))
-	aggSp.End()
-	e.met.stage("aggregate", time.Since(stageStart))
-
-	// Build per-camera charges. Each release charges every camera it
-	// depends on, over that camera's own charge window (its queried
-	// span clipped to the release's span) mapped through the camera's
-	// own frame clock.
-	charges := map[string][]dp.Charge{}
-	for _, p := range pendings {
-		for _, camName := range p.rel.Cameras {
-			cam, err := e.lookupCamera(camName)
-			if err != nil {
-				return nil, err
-			}
-			w, ok := p.rel.CamWindows[camName]
+// aggregate executes every SELECT to its raw releases — from the
+// pushdown states where runProcesses produced them, else over the
+// materialized tables — and assigns each release its ε. keep, when
+// non-nil, drops releases before they are paid for.
+func (e *Engine) aggregate(prog *query.Program, env rel.Env, pushed map[*query.SelectStmt][]rel.Release, keep func(rel.Release) bool, sp *obs.Span) ([]rel.Release, error) {
+	var out []rel.Release
+	err := e.stage(sp, "aggregate", func(sp *obs.Span) error {
+		for _, st := range prog.Selects {
+			rels, ok := pushed[st]
 			if !ok {
-				w = [2]time.Time{p.rel.Begin, p.rel.End}
-			}
-			clock := cam.cfg.Source.Info().Clock()
-			iv := vtime.NewInterval(clock.FrameAt(w[0]), clock.FrameAt(w[1]))
-			charges[camName] = append(charges[camName], dp.Charge{Interval: iv, Eps: p.rel.Epsilon})
-		}
-	}
-	camNames := make([]string, 0, len(charges))
-	for camName := range charges {
-		camNames = append(camNames, camName)
-	}
-	sort.Strings(camNames)
-
-	// Admission (Algorithm 1 lines 1–5, atomic across cameras), in
-	// three phases so the durable fsync happens outside the engine
-	// lock and concurrent queries' charges share group commits:
-	//
-	//  1. Reserve: under the lock, dp.ReserveAll checks every touched
-	//     camera's ledger and holds the charges as reservations (they
-	//     block competing queries); if any single camera denies, every
-	//     reservation is dropped and no camera is charged anything.
-	//  2. Persist: outside the lock, append every charge plus the
-	//     audit entry to the WAL and fsync. A failure releases the
-	//     reservations exactly and denies the query — the analyst
-	//     never sees a noised result whose charge is not on disk.
-	//  3. Finalize: under the lock, move reservations into the spent
-	//     ledgers, then noise and release.
-	//
-	// A crash between 2 and 3 leaves charges on disk for a result
-	// nobody received: recovery over-charges (at-least-once), never
-	// under-charges.
-	stageStart = time.Now()
-	admitSp := sp.Child("admit")
-	defer admitSp.End()
-	for _, camName := range camNames {
-		var eps float64
-		for _, c := range charges[camName] {
-			eps += c.Eps
-		}
-		camSp := admitSp.Child("reserve")
-		camSp.Set("camera", camName)
-		camSp.Set("charges", len(charges[camName]))
-		camSp.Set("epsilon", eps)
-		camSp.End()
-	}
-	e.mu.Lock()
-	demands := make([]dp.Demand, 0, len(camNames))
-	for _, camName := range camNames {
-		cam := e.cameras[camName]
-		demands = append(demands, dp.Demand{
-			Ledger:    cam.ledger,
-			Charges:   charges[camName],
-			RhoFrames: cam.cfg.Policy.RhoFrames(cam.cfg.Source.Info().FPS),
-		})
-	}
-	resv, err := dp.ReserveAll(demands)
-	if err != nil {
-		denied := AuditEntry{At: e.clock(), Cameras: camNames, Denied: true, Reason: err.Error()}
-		e.recordAudit(denied)
-		e.mu.Unlock()
-		e.persistDeniedAudit(denied)
-		admitSp.Set("outcome", "denied")
-		admitSp.Set("reason", err.Error())
-		var exhausted *dp.ErrBudgetExhausted
-		if errors.As(err, &exhausted) {
-			admitSp.Set("denied_camera", exhausted.Camera)
-		}
-		return nil, err
-	}
-	// Stamp the audit time under the lock: Options.Now test clocks
-	// need not be goroutine-safe, and every other clock() call site
-	// holds e.mu.
-	at := e.clock()
-	e.mu.Unlock()
-	admitSp.Set("outcome", "reserved")
-	admitSp.End()
-	e.met.stage("admit", time.Since(stageStart))
-
-	if tag == "" {
-		tag = chargeFingerprint(camNames, charges)
-	}
-	var totalEps float64
-	for _, p := range pendings {
-		totalEps += p.rel.Epsilon
-	}
-	recs := make([]store.Record, 0, len(pendings)+1)
-	for _, camName := range camNames {
-		for _, c := range charges[camName] {
-			recs = append(recs, store.Record{Charge: &store.ChargeRecord{
-				Camera: camName,
-				Start:  c.Interval.Start,
-				End:    c.Interval.End,
-				Eps:    c.Eps,
-				Query:  tag,
-			}})
-		}
-	}
-	recs = append(recs, store.Record{Audit: &store.AuditRecord{
-		At:           at,
-		Cameras:      camNames,
-		Releases:     len(pendings),
-		EpsilonSpent: totalEps,
-	}})
-	stageStart = time.Now()
-	commitSp := sp.Child("wal_commit")
-	commitSp.Set("records", len(recs))
-	defer commitSp.End()
-	if err := e.store.Commit(recs...); err != nil {
-		e.mu.Lock()
-		resv.Release()
-		e.recordAudit(AuditEntry{
-			Cameras: camNames, Denied: true,
-			Reason: "charge not persisted: " + err.Error(),
-		})
-		e.mu.Unlock()
-		commitSp.Set("outcome", "failed")
-		return nil, fmt.Errorf("core: charge not persisted, result withheld: %w", err)
-	}
-	commitSp.End()
-	e.met.stage("wal_commit", time.Since(stageStart))
-
-	stageStart = time.Now()
-	noiseSp := sp.Child("noise")
-	defer noiseSp.End()
-	e.mu.Lock()
-	resv.Finalize()
-	res := &Result{}
-	for _, p := range pendings {
-		res.Releases = append(res.Releases, e.noiseRelease(p.rel))
-		res.EpsilonSpent += p.rel.Epsilon
-	}
-	for _, camName := range camNames {
-		cam := e.cameras[camName]
-		cb := CameraBudget{Camera: camName, Remaining: math.Inf(1)}
-		for _, c := range charges[camName] {
-			cb.EpsilonSpent += c.Eps
-			if r := cam.ledger.RemainingOver(c.Interval); r < cb.Remaining {
-				cb.Remaining = r
-			}
-		}
-		res.Cameras = append(res.Cameras, cb)
-	}
-	e.recordAudit(AuditEntry{
-		At:           at,
-		Cameras:      camNames,
-		Releases:     len(res.Releases),
-		EpsilonSpent: res.EpsilonSpent,
-	})
-	e.mu.Unlock()
-	noiseSp.Set("releases", len(res.Releases))
-	noiseSp.Set("epsilon", res.EpsilonSpent)
-	noiseSp.End()
-	e.met.stage("noise", time.Since(stageStart))
-	return res, nil
-}
-
-// persistDeniedAudit records a denial in the durable audit log,
-// best-effort: the denial consumed no budget, so accountability —
-// unlike charges — may tolerate a lost entry when the store itself is
-// failing.
-func (e *Engine) persistDeniedAudit(entry AuditEntry) {
-	_ = e.store.Commit(store.Record{Audit: &store.AuditRecord{
-		At:           entry.At,
-		Cameras:      entry.Cameras,
-		Denied:       true,
-		Reason:       entry.Reason,
-		EpsilonSpent: entry.EpsilonSpent,
-	}})
-}
-
-// chargeFingerprint derives a stable tag for untagged executions from
-// the charge set itself.
-func chargeFingerprint(camNames []string, charges map[string][]dp.Charge) string {
-	h := fnv.New64a()
-	for _, camName := range camNames {
-		fmt.Fprintf(h, "%s:", camName)
-		for _, c := range charges[camName] {
-			fmt.Fprintf(h, "[%d,%d)=%g;", c.Interval.Start, c.Interval.End, c.Eps)
-		}
-	}
-	return fmt.Sprintf("auto-%016x", h.Sum64())
-}
-
-// noiseRelease applies the Laplace mechanism (or noisy-max for ARGMAX)
-// to one release. Caller holds e.mu (the noise stream is shared).
-func (e *Engine) noiseRelease(r rel.Release) ReleaseResult {
-	out := ReleaseResult{
-		Desc:        r.Desc,
-		Key:         r.Key,
-		HasKey:      r.HasKey,
-		Epsilon:     r.Epsilon,
-		Sensitivity: r.Sensitivity,
-		NoiseScale:  dp.LaplaceScale(r.Sensitivity, r.Epsilon),
-		Begin:       r.Begin,
-		End:         r.End,
-	}
-	if len(r.Scores) > 0 {
-		out.IsArgmax = true
-		best := 0
-		bestScore := 0.0
-		for i, s := range r.Scores {
-			noisy := s.Raw + e.noise.Laplace(out.NoiseScale)
-			if i == 0 || noisy > bestScore {
-				best = i
-				bestScore = noisy
-			}
-		}
-		out.ArgmaxKey = r.Scores[best].Key
-		if e.opts.Evaluation {
-			// Raw winner for accuracy studies.
-			rawBest := 0
-			for i, s := range r.Scores {
-				if s.Raw > r.Scores[rawBest].Raw {
-					rawBest = i
+				var err error
+				rels, err = rel.ExecuteSelect(st, env)
+				if err != nil {
+					return err
 				}
 			}
-			out.RawArgmaxKey = r.Scores[rawBest].Key
-			out.RawSet = true
+			epsDefault := e.opts.DefaultQueryEpsilon / float64(len(rels))
+			for _, r := range rels {
+				if st.Consuming > 0 {
+					r.Epsilon = st.Consuming
+				} else {
+					r.Epsilon = epsDefault
+				}
+				if keep != nil && !keep(r) {
+					continue
+				}
+				out = append(out, r)
+			}
 		}
-		return out
-	}
-	out.Value = r.Raw + e.noise.Laplace(out.NoiseScale)
-	if e.opts.Evaluation {
-		out.Raw = r.Raw
-		out.RawSet = true
-	}
-	return out
+		sp.Set("releases", len(out))
+		return nil
+	})
+	return out, err
 }
 
 // resolveSplit turns a SPLIT statement into one concrete chunking
@@ -644,13 +437,12 @@ func (e *Engine) resolveShard(st *query.SplitStmt, camName string) (*splitShard,
 }
 
 // runProcess executes the analyst's executable over every chunk of the
-// plan and materializes the intermediate table. Multi-camera plans run
-// as a sharded pipeline: one worker per camera shard fans out over the
-// engine's pool (bounded per camera by PerCameraParallelism), streams
-// its partial table into the aggregator as it completes, and hits the
-// chunk cache independently per camera — an N-camera query costs about
-// the slowest shard's wall-clock, not the sum. Rows of multi-camera
-// tables carry the trusted implicit camera column.
+// plan, one shard per camera. Multi-camera plans fan the shards out
+// concurrently (each bounded by PerCameraParallelism, all of them by
+// the engine-wide pool) and hit the chunk cache independently per
+// camera — an N-camera query costs about the slowest shard's
+// wall-clock, not the sum. Rows of multi-camera tables carry the
+// trusted implicit camera column.
 //
 // Chunk results are memoized in the engine's chunk cache (when
 // enabled): a chunk whose (content identity, executable, contract
@@ -659,18 +451,19 @@ func (e *Engine) resolveShard(st *query.SplitStmt, camName string) (*splitShard,
 // noise downstream never observe whether a row came from the sandbox
 // or the cache.
 //
-// When every consuming SELECT of the table is a mergeable aggregation
-// (cands, pre-grouped by executeStages; rel.PlanPartial accepts each),
-// runProcess takes the streaming-merge path instead: each shard folds
-// chunk blocks into per-plan partial states as they arrive and the
-// full intermediate table is never materialized — peak memory scales
-// with groups × cameras, not rows. The finalized releases are returned
-// alongside an empty (schema- and metadata-correct) instance; they are
-// differentially tested to match ExecuteSelect over the materialized
-// table exactly. Per-chunk states are additionally memoized in the
-// chunk cache's partial-state tier keyed on chunk content × plan
-// identity, so a warm repeated or overlapping-window query skips both
-// the sandbox and the per-chunk fold.
+// The shards produce one of two outputs. By default each returns its
+// stamped rows and runProcess materializes the intermediate table. When
+// every consuming SELECT of the table is a mergeable aggregation
+// (cands, pre-grouped by pushdownCandidates; rel.PlanPartial accepts
+// each), each shard instead folds chunk blocks into per-plan partial
+// states and the full intermediate table is never materialized — peak
+// memory scales with groups × cameras, not rows. The finalized releases
+// are returned alongside an empty (schema- and metadata-correct)
+// instance; they are differentially tested to match ExecuteSelect over
+// the materialized table exactly. Per-chunk states are additionally
+// memoized in the chunk cache's partial-state tier keyed on chunk
+// content × plan identity, so a warm repeated or overlapping-window
+// query skips both the sandbox and the per-chunk fold.
 func (e *Engine) runProcess(st *query.ProcessStmt, plan *splitPlan, cands []*query.SelectStmt, sp *obs.Span) (*rel.Instance, map[*query.SelectStmt][]rel.Release, error) {
 	if plan == nil || len(plan.shards) == 0 {
 		return nil, nil, fmt.Errorf("core: PROCESS input %q has no SPLIT", st.Input)
@@ -697,15 +490,17 @@ func (e *Engine) runProcess(st *query.ProcessStmt, plan *splitPlan, cands []*que
 	if effTimeout <= 0 {
 		effTimeout = e.opts.DefaultProcessTimeout
 	}
-	exec := sandbox.Executor{
-		Fn:      fn,
-		Timeout: effTimeout,
-		MaxRows: st.MaxRows,
-		Schema:  schema,
+	run := &processRun{
+		st:        st,
+		exec:      sandbox.Executor{Fn: fn, Timeout: effTimeout, MaxRows: st.MaxRows, Schema: schema},
+		hasRegion: plan.shards[0].regions > 0,
+		multi:     plan.multi,
+		par:       e.opts.Parallelism,
 	}
-
-	hasRegion := plan.shards[0].regions > 0
-	full := schema.WithImplicitCols(hasRegion, plan.multi)
+	run.full = schema.WithImplicitCols(run.hasRegion, run.multi)
+	if len(plan.shards) > 1 {
+		run.par = e.opts.PerCameraParallelism
+	}
 
 	// Shard metadata is derived entirely from the resolved plan — build
 	// it up front so pushdown planning can see the same sensitivity
@@ -733,128 +528,80 @@ func (e *Engine) runProcess(st *query.ProcessStmt, plan *splitPlan, cands []*que
 	// Pushdown decision: every candidate SELECT must plan as a mergeable
 	// aggregation, else the whole table falls back to materialization
 	// (a single table cannot be both streamed and materialized).
-	var push *shardPushdown
-	if len(cands) > 0 {
-		pplans := make([]*rel.PartialPlan, 0, len(cands))
-		for _, sel := range cands {
-			pp := rel.PlanPartial(sel, st.Into, full, metas)
-			if pp == nil {
-				pplans = nil
-				break
-			}
-			pplans = append(pplans, pp)
-		}
-		if pplans != nil {
-			e.ppPlans.Add(uint64(len(pplans)))
-			ids := make([]string, len(pplans))
-			for i, pp := range pplans {
-				ids[i] = pp.ID()
-			}
-			push = &shardPushdown{plans: pplans, ids: ids}
-			sp.Set("pushdown_plans", len(pplans))
-		} else {
+	for _, sel := range cands {
+		pp := rel.PlanPartial(sel, st.Into, run.full, metas)
+		if pp == nil {
+			run.plans = nil
 			e.ppDeclined.Add(1)
+			break
 		}
+		run.plans = append(run.plans, pp)
+	}
+	if run.plans != nil {
+		e.ppPlans.Add(uint64(len(run.plans)))
+		sp.Set("pushdown_plans", len(run.plans))
 	}
 
-	shardPar := e.opts.Parallelism
-	if len(plan.shards) > 1 {
-		shardPar = e.opts.PerCameraParallelism
-	}
-
-	if push != nil {
-		// Streaming-merge path: per-shard fold, then a deterministic
-		// merge in shard-index order (merge order cannot matter — the
-		// property tests pin that — but determinism costs nothing).
-		states := make([][]*rel.PartialState, len(plan.shards))
-		errs := make([]error, len(plan.shards))
-		if len(plan.shards) == 1 || e.opts.SerialShards {
-			for i, sh := range plan.shards {
-				states[i], errs[i] = e.runShardStreaming(sh, st, exec, schema, full, hasRegion, plan.multi, shardPar, push, sp)
-			}
-		} else {
-			var wg sync.WaitGroup
-			for i, sh := range plan.shards {
-				wg.Add(1)
-				go func(i int, sh *splitShard) {
-					defer wg.Done()
-					states[i], errs[i] = e.runShardStreaming(sh, st, exec, schema, full, hasRegion, plan.multi, shardPar, push, sp)
-				}(i, sh)
-			}
-			wg.Wait()
-		}
-		for _, err := range errs {
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		agg := make([]*rel.PartialState, len(push.plans))
-		for p, pp := range push.plans {
-			agg[p] = pp.NewState()
-		}
-		for _, ss := range states {
-			for p, pp := range push.plans {
-				pp.Merge(agg[p], ss[p])
-				e.ppMerges.Add(1)
-			}
-		}
-		rels := make(map[*query.SelectStmt][]rel.Release, len(cands))
-		for p, sel := range cands {
-			rels[sel] = push.plans[p].Finalize(agg[p])
-		}
-		// The env still gets an instance with the right schema and shard
-		// metadata, but no rows: every SELECT over this table is answered
-		// from the merged states above.
-		return rel.NewInstance(table.New(full), metas...), rels, nil
-	}
-
-	data := table.New(full)
-	if len(plan.shards) == 1 || e.opts.SerialShards {
-		for _, sh := range plan.shards {
-			data.AppendTable(e.runShard(sh, st, exec, schema, full, hasRegion, plan.multi, shardPar, sp))
-		}
-	} else {
-		// Sharded fan-out with a streaming aggregator: shards complete
-		// in any order, but their columnar partials are appended in
-		// shard order so the materialized table is deterministic (dedup
-		// picks the same representative rows regardless of shard
-		// timing).
-		type partial struct {
-			idx int
-			tbl *table.Table
-		}
-		ch := make(chan partial, len(plan.shards))
-		for i, sh := range plan.shards {
-			go func(i int, sh *splitShard) {
-				ch <- partial{idx: i, tbl: e.runShard(sh, st, exec, schema, full, hasRegion, plan.multi, shardPar, sp)}
-			}(i, sh)
-		}
-		buffered := make(map[int]*table.Table, len(plan.shards))
-		next := 0
-		for range plan.shards {
-			p := <-ch
-			buffered[p.idx] = p.tbl
-			for {
-				tbl, ok := buffered[next]
-				if !ok {
-					break
-				}
-				data.AppendTable(tbl)
-				delete(buffered, next)
-				next++
-			}
+	// The one shard fan-out: every shard runs concurrently (a single
+	// shard inline) into its own slot, and the slots are combined in
+	// shard order below, so the output is deterministic however the
+	// shards' completions interleave.
+	outs := make([]shardOutput, len(plan.shards))
+	forEachChunk(len(outs), len(outs), func(i int) {
+		outs[i] = e.runShard(plan.shards[i], run, sp)
+	})
+	for _, out := range outs {
+		if out.err != nil {
+			return nil, nil, out.err
 		}
 	}
-
-	return rel.NewInstance(data, metas...), nil, nil
+	data := table.New(run.full)
+	if run.plans == nil {
+		// Columnar appends in shard order (dedup picks the same
+		// representative rows regardless of shard timing).
+		for _, out := range outs {
+			data.AppendTable(out.rows)
+		}
+		return rel.NewInstance(data, metas...), nil, nil
+	}
+	// Merge the shard states in shard order (merge order cannot matter —
+	// the property tests pin that — but determinism costs nothing). The
+	// env still gets an instance with the right schema and shard
+	// metadata, but no rows: every SELECT over this table is answered
+	// from the merged states.
+	rels := make(map[*query.SelectStmt][]rel.Release, len(cands))
+	for p, pp := range run.plans {
+		agg := pp.NewState()
+		for _, out := range outs {
+			pp.Merge(agg, out.states[p])
+		}
+		rels[cands[p]] = pp.Finalize(agg)
+	}
+	e.ppMerges.Add(uint64(len(outs) * len(run.plans)))
+	return rel.NewInstance(data, metas...), rels, nil
 }
 
-// shardPushdown carries one PROCESS table's pushdown plans into the
-// shard workers: the mergeable plan per candidate SELECT plus its
-// precomputed identity (the partial-state cache key prefix).
-type shardPushdown struct {
-	plans []*rel.PartialPlan
-	ids   []string
+// processRun is what every shard of one PROCESS execution shares: the
+// statement, its sandbox contract (with the declared schema), the
+// stamped full schema, the per-shard bound on concurrent chunks, and —
+// when the table is answered by pushdown — the mergeable plan per
+// candidate SELECT. plans is nil on the materialized path.
+type processRun struct {
+	st               *query.ProcessStmt
+	exec             sandbox.Executor
+	full             table.Schema
+	hasRegion, multi bool
+	par              int
+	plans            []*rel.PartialPlan
+}
+
+// shardOutput is one shard's result: its stamped rows in deterministic
+// chunk order, or under pushdown its merged state per plan (index-
+// aligned with processRun.plans).
+type shardOutput struct {
+	rows   *table.Table
+	states []*rel.PartialState
+	err    error
 }
 
 // shardTallies accumulates one shard's per-chunk counters in atomics
@@ -866,10 +613,16 @@ type shardTallies struct {
 	stateChunks, folds                   atomic.Int64
 }
 
-// spanTallies lands the accumulated counters on a shard span.
+// spanTallies lands the accumulated counters on a shard span; the
+// exceptional ones only when they moved.
 func (e *Engine) spanTallies(ssp *obs.Span, tl *shardTallies) {
 	if ssp == nil {
 		return
+	}
+	addMoved := func(key string, n *atomic.Int64) {
+		if v := n.Load(); v > 0 {
+			ssp.Add(key, float64(v))
+		}
 	}
 	if e.chunkCache != nil {
 		ssp.Add("cache_hits", float64(tl.hits.Load()))
@@ -878,24 +631,14 @@ func (e *Engine) spanTallies(ssp *obs.Span, tl *shardTallies) {
 		// miss elsewhere led the same key (plus the failure modes:
 		// promotions after a failed leader, waits abandoned after
 		// flightWaitMultiple×TIMEOUT).
-		if n := tl.sfFollowers.Load(); n > 0 {
-			ssp.Add("singleflight_followers", float64(n))
-		}
-		if n := tl.sfHandoffs.Load(); n > 0 {
-			ssp.Add("singleflight_handoffs", float64(n))
-		}
-		if n := tl.sfAbandoned.Load(); n > 0 {
-			ssp.Add("singleflight_abandoned", float64(n))
-		}
+		addMoved("singleflight_followers", &tl.sfFollowers)
+		addMoved("singleflight_handoffs", &tl.sfHandoffs)
+		addMoved("singleflight_abandoned", &tl.sfAbandoned)
 		// Chunks whose every plan's partial state came from the cache —
 		// no sandbox execution and no fold.
-		if n := tl.stateChunks.Load(); n > 0 {
-			ssp.Add("partial_state_chunks", float64(n))
-		}
+		addMoved("partial_state_chunks", &tl.stateChunks)
 	}
-	if n := tl.folds.Load(); n > 0 {
-		ssp.Add("partial_folds", float64(n))
-	}
+	addMoved("partial_folds", &tl.folds)
 	ssp.Add("sandbox_seconds", time.Duration(tl.sandboxNanos.Load()).Seconds())
 }
 
@@ -903,8 +646,16 @@ func (e *Engine) spanTallies(ssp *obs.Span, tl *shardTallies) {
 // workers — the caller is one of them — each claiming the next index
 // from a shared counter, so a slow chunk strands nothing behind it and
 // a shard costs par goroutines, not one per chunk. With par <= 1 or a
-// single chunk everything runs inline on the caller.
+// single chunk everything runs inline on the caller, before the shared
+// counter and WaitGroup (heap-allocated: the workers capture them)
+// exist.
 func forEachChunk(n, par int, fn func(i int)) {
+	if par <= 1 || n <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
 	var next atomic.Int64
 	work := func() {
 		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
@@ -921,17 +672,6 @@ func forEachChunk(n, par int, fn func(i int)) {
 	}
 	work()
 	wg.Wait()
-}
-
-// activeChunks enumerates each region split's active chunk ordinals —
-// once per shard — and their total.
-func (sh *splitShard) activeChunks() (ords [][]int64, total int) {
-	ords = make([][]int64, len(sh.splits))
-	for s, split := range sh.splits {
-		ords[s] = split.ActiveChunks()
-		total += len(ords[s])
-	}
-	return ords, total
 }
 
 // implicitConsts returns the trusted implicit column values stamped
@@ -953,19 +693,29 @@ func implicitConsts(start time.Time, region string, hasRegion bool, camVal table
 // from the table cache, a singleflight peer, or a sandbox execution —
 // and reports whether the block is clean (cache hits and shared
 // results always are; an execution is clean unless the sandbox
-// substituted fallback rows). key is empty exactly when the chunk
-// cache is disabled. The video.Chunk is built only when the executable
-// has to run: a hit costs the lookup and nothing else.
+// substituted fallback rows, which the cache then neither stores nor
+// shares). key is empty exactly when the chunk cache is disabled. The
+// video.Chunk is built only when the executable has to run: a hit costs
+// the lookup and nothing else.
 func (e *Engine) fetchChunkBlock(key string, split *video.Split, ord int64, exec sandbox.Executor, tl *shardTallies) (*table.Table, bool) {
+	run := func() (*table.Table, bool) { return e.execChunk(split.ChunkAt(ord), exec, tl) }
 	if e.chunkCache == nil {
-		return e.execChunk(split.ChunkAt(ord), exec, tl)
+		return run()
 	}
-	if blk, ok := e.chunkCache.Get(key); ok {
+	blk, clean, outcome := e.chunkCache.Do(key, flightWaitMultiple*exec.Timeout, run)
+	switch outcome {
+	case cache.Hit:
 		tl.hits.Add(1)
-		return blk, true
+		return blk, clean
+	case cache.Shared:
+		tl.sfFollowers.Add(1)
+	case cache.Handoff:
+		tl.sfHandoffs.Add(1)
+	case cache.Abandoned:
+		tl.sfAbandoned.Add(1)
 	}
 	tl.misses.Add(1)
-	return e.leadChunk(key, split.ChunkAt(ord), exec, tl)
+	return blk, clean
 }
 
 // execChunk is one raw sandbox execution: acquire a slot, run the
@@ -1013,94 +763,78 @@ func (e *Engine) execChunk(chunk *video.Chunk, exec sandbox.Executor, tl *shardT
 	return table.FromRows(exec.Schema, rows), clean
 }
 
-// leadChunk resolves a table-cache miss: it coalesces concurrent
-// misses on this key onto one sandbox execution — the leader executes
-// and publishes, followers share the frozen block by pointer.
-func (e *Engine) leadChunk(key string, chunk *video.Chunk, exec sandbox.Executor, tl *shardTallies) (*table.Table, bool) {
-	blk, clean, outcome := e.flight.Do(key, flightWaitMultiple*exec.Timeout, func() (*table.Table, bool) {
-		// Re-check the cache under flight leadership: a clean
-		// result published between this goroutine's miss
-		// and its Do call is in the cache by now (leaders cache
-		// before dissolving the flight), and must not be
-		// re-executed. Peek, not Get — the miss was already
-		// counted, and this internal re-check must not
-		// distort the analyst-visible hit rate.
-		if blk, ok := e.chunkCache.Peek(key); ok {
-			return blk, true
-		}
-		blk, clean := e.execChunk(chunk, exec, tl)
-		// Timeout/panic fallback rows depend on machine load,
-		// not on the chunk; caching them would poison every
-		// later query over this chunk with default rows. The
-		// flight applies the same rule: an unclean result is
-		// never published to followers (leadership is handed
-		// off instead).
-		if clean {
-			e.chunkCache.Put(key, blk) // freezes blk
-		}
-		return blk, clean
-	})
-	switch outcome {
-	case cache.Shared:
-		tl.sfFollowers.Add(1)
-	case cache.Handoff:
-		tl.sfHandoffs.Add(1)
-	case cache.Abandoned:
-		tl.sfAbandoned.Add(1)
-	}
-	return blk, clean
-}
-
-// runShardStreaming is runShard's pushdown counterpart: instead of
-// materializing the shard's stamped rows it folds every chunk into one
-// partial state per plan and returns the shard's merged states (index-
-// aligned with push.plans). Chunks whose every plan state is in the
-// partial-state cache skip the sandbox and the fold entirely: the
-// worker records the cached bytes (shared, read-only) and the shard
-// adds straight out of them. The only error paths are a fold failure,
-// which PlanPartial's static checks make unreachable, and a cached
-// state the worker accepted failing to merge, which immutable cache
-// payloads make unreachable; both are propagated rather than swallowed
-// so a bug turns into a query error, never a wrong release.
-func (e *Engine) runShardStreaming(sh *splitShard, st *query.ProcessStmt, exec sandbox.Executor,
-	schema, full table.Schema, hasRegion, multi bool, par int, push *shardPushdown, psp *obs.Span) ([]*rel.PartialState, error) {
+// runShard executes the analyst's executable over every chunk of one
+// camera shard and returns either the stamped rows in deterministic
+// chunk order or, under pushdown (run.plans), the shard's merged state
+// per plan. run.par bounds the shard's concurrent sandbox executions
+// (the per-camera bound of the sharded executor); the engine-wide
+// procSem still bounds the total across all shards and queries. Each
+// shard records one child span under the PROCESS span (concurrent
+// shards annotate sibling spans; Span is mutex-guarded).
+//
+// Under pushdown, chunks whose every plan state is in the partial-state
+// cache skip the sandbox and the fold entirely: the worker records the
+// cached bytes (shared, read-only) and the shard adds straight out of
+// them. The only error paths are a fold failure, which PlanPartial's
+// static checks make unreachable, and a cached state the worker
+// accepted failing to merge, which immutable cache payloads make
+// unreachable; both are propagated rather than swallowed so a bug turns
+// into a query error, never a wrong release.
+func (e *Engine) runShard(sh *splitShard, run *processRun, psp *obs.Span) (out shardOutput) {
 	camName := sh.cam.cfg.Name
 	camVal := table.S(camName)
 	tl := &shardTallies{}
 	ssp := psp.Child("shard")
 	defer ssp.End()
-	ordsBySplit, chunks := sh.activeChunks()
+	// Each region split's active chunk ordinals, enumerated once.
+	ordsBySplit, chunks := make([][]int64, len(sh.splits)), 0
+	for s, split := range sh.splits {
+		ordsBySplit[s] = split.ActiveChunks()
+		chunks += len(ordsBySplit[s])
+	}
+	np := len(run.plans)
 	if ssp != nil {
 		ssp.Set("camera", camName)
-		ssp.Set("mode", "pushdown")
+		if np > 0 {
+			ssp.Set("mode", "pushdown")
+		}
 		ssp.Set("chunks", chunks)
 	}
-	np := len(push.plans)
-	shard := make([]*rel.PartialState, np)
-	for p, pp := range push.plans {
-		shard[p] = pp.NewState()
+	if np == 0 {
+		out.rows = table.New(run.full)
+	}
+	for _, pp := range run.plans {
+		out.states = append(out.states, pp.NewState())
 	}
 	for s := range sh.splits {
 		split, ords := &sh.splits[s], ordsBySplit[s]
-		// Per chunk × plan the workers leave either the cached encoded
-		// state or, on a miss, the freshly folded one.
-		cached := make([][]byte, len(ords)*np)
-		folded := make([]*rel.PartialState, len(ords)*np)
+		// Each chunk produces one frozen columnar block in the declared
+		// PROCESS schema (the cacheable unit). The workers leave it in
+		// blocks, or under pushdown leave per chunk × plan either the
+		// cached encoded state or, on a miss, the freshly folded one;
+		// only the mode's own slots are allocated.
+		rowSlots, stateSlots := len(ords), 0
+		if np > 0 {
+			rowSlots, stateSlots = 0, len(ords)*np
+		}
+		blocks := make([]*table.Table, rowSlots)
+		cached := make([][]byte, stateSlots)
+		folded := make([]*rel.PartialState, stateSlots)
 		var foldErr atomic.Pointer[error]
 		var tableKeys string
 		var stateKeys []string
 		if e.chunkCache != nil {
-			tableKeys, stateKeys = sh.keyPrefixes(split.Region, st, schema, push.ids)
+			tableKeys, stateKeys = sh.keyPrefixes(split.Region, run.st, run.exec.Schema, run.plans)
 		}
 		clock := split.Source.Info().Clock()
-		forEachChunk(len(ords), par, func(i int) {
+		forEachChunk(len(ords), run.par, func(i int) {
 			iv := split.IntervalAt(ords[i])
 			var tableKey string
 			if e.chunkCache != nil {
 				// Warm path: every plan's state for this chunk is
 				// cached — no sandbox execution, no fold, no decode.
-				warm := true
-				for p, pp := range push.plans {
+				warm := np > 0
+				for p, pp := range run.plans {
 					raw, ok := e.chunkCache.GetRaw(chunkKey(stateKeys[p], iv))
 					if !ok || !pp.CompatibleEncoded(raw) {
 						// Absent, bit-rotten or a stale incompatible
@@ -1115,13 +849,17 @@ func (e *Engine) runShardStreaming(sh *splitShard, st *query.ProcessStmt, exec s
 				}
 				tableKey = chunkKey(tableKeys, iv)
 			}
-			blk, clean := e.fetchChunkBlock(tableKey, split, ords[i], exec, tl)
+			blk, clean := e.fetchChunkBlock(tableKey, split, ords[i], run.exec, tl)
+			if np == 0 {
+				blocks[i] = blk
+				return
+			}
 			// Stamp the implicit columns onto a per-chunk mini-table so
 			// the fold sees exactly the rows this chunk contributes to
 			// the materialized table (same consts, same order).
-			mini := table.New(full)
-			mini.AppendBlock(blk, implicitConsts(clock.TimeOf(iv.Start), split.Region, hasRegion, camVal, multi)...)
-			for p, pp := range push.plans {
+			mini := table.New(run.full)
+			mini.AppendBlock(blk, implicitConsts(clock.TimeOf(iv.Start), split.Region, run.hasRegion, camVal, run.multi)...)
+			for p, pp := range run.plans {
 				ps, err := pp.Partial(mini, camName)
 				if err != nil {
 					err = fmt.Errorf("core: partial fold of chunk %d: %w", ords[i], err)
@@ -1139,21 +877,33 @@ func (e *Engine) runShardStreaming(sh *splitShard, st *query.ProcessStmt, exec s
 			}
 		})
 		if err := foldErr.Load(); err != nil {
-			return nil, *err
+			out.err = *err
+			return out
 		}
-		// Merge serially in chunk order — float sums are not
+		// Combine serially in chunk order. Rows: stamp the implicit
+		// columns as per-block constants — column-wise copies, no row
+		// materialization (stamping here, not in the workers, keeps the
+		// constants off the heap). States: float sums are not
 		// associative, and the differential tests pin the release to
 		// the row-major oracle bit for bit.
+		for i, blk := range blocks {
+			start := clock.TimeOf(split.IntervalAt(ords[i]).Start)
+			out.rows.AppendBlock(blk, implicitConsts(start, split.Region, run.hasRegion, camVal, run.multi)...)
+		}
+		if np == 0 {
+			continue
+		}
 		var stateChunks int64
 		for i := range ords {
 			if folded[i*np] == nil {
 				stateChunks++
 			}
-			for p, pp := range push.plans {
+			for p, pp := range run.plans {
 				if ps := folded[i*np+p]; ps != nil {
-					pp.Merge(shard[p], ps)
-				} else if err := pp.MergeEncoded(shard[p], cached[i*np+p]); err != nil {
-					return nil, fmt.Errorf("core: merge of cached state for chunk %d: %w", ords[i], err)
+					pp.Merge(out.states[p], ps)
+				} else if err := pp.MergeEncoded(out.states[p], cached[i*np+p]); err != nil {
+					out.err = fmt.Errorf("core: merge of cached state for chunk %d: %w", ords[i], err)
+					return out
 				}
 			}
 		}
@@ -1163,59 +913,11 @@ func (e *Engine) runShardStreaming(sh *splitShard, st *query.ProcessStmt, exec s
 	}
 	e.spanTallies(ssp, tl)
 	if ssp != nil {
-		ssp.Set("rows", int(shard[0].Rows))
-	}
-	return shard, nil
-}
-
-// runShard executes the analyst's executable over every chunk of one
-// camera shard and returns the stamped rows in deterministic chunk
-// order. par bounds the shard's concurrent sandbox executions (the
-// per-camera bound of the sharded executor); the engine-wide procSem
-// still bounds the total across all shards and queries. Each shard
-// records one child span under the PROCESS span (concurrent shards
-// annotate sibling spans; Span is mutex-guarded).
-func (e *Engine) runShard(sh *splitShard, st *query.ProcessStmt, exec sandbox.Executor,
-	schema, full table.Schema, hasRegion, multi bool, par int, psp *obs.Span) *table.Table {
-	out := table.New(full)
-	camName := sh.cam.cfg.Name
-	camVal := table.S(camName)
-	tl := &shardTallies{}
-	ssp := psp.Child("shard")
-	defer ssp.End()
-	ordsBySplit, chunks := sh.activeChunks()
-	if ssp != nil {
-		ssp.Set("camera", camName)
-		ssp.Set("chunks", chunks)
-	}
-	for s := range sh.splits {
-		split, ords := &sh.splits[s], ordsBySplit[s]
-		// Each chunk produces one frozen columnar block in the declared
-		// PROCESS schema (the cacheable unit); blocks are stamped with
-		// the implicit columns and merged in chunk order afterwards.
-		blocks := make([]*table.Table, len(ords))
-		var tableKeys string
-		if e.chunkCache != nil {
-			tableKeys, _ = sh.keyPrefixes(split.Region, st, schema, nil)
+		if np == 0 {
+			ssp.Set("rows", out.rows.Len())
+		} else {
+			ssp.Set("rows", int(out.states[0].Rows))
 		}
-		forEachChunk(len(ords), par, func(i int) {
-			var key string
-			if e.chunkCache != nil {
-				key = chunkKey(tableKeys, split.IntervalAt(ords[i]))
-			}
-			blocks[i], _ = e.fetchChunkBlock(key, split, ords[i], exec, tl)
-		})
-		// Stamp implicit columns as per-block constants and merge in
-		// chunk order: column-wise copies, no row materialization.
-		clock := split.Source.Info().Clock()
-		for i, blk := range blocks {
-			start := clock.TimeOf(split.IntervalAt(ords[i]).Start)
-			out.AppendBlock(blk, implicitConsts(start, split.Region, hasRegion, camVal, multi)...)
-		}
-	}
-	e.spanTallies(ssp, tl)
-	if ssp != nil {
-		ssp.Set("rows", out.Len())
 	}
 	return out
 }

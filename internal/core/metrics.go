@@ -152,117 +152,118 @@ func storeMetrics(reg *obs.Registry) store.Metrics {
 	}
 }
 
-// registerCollectors installs the engine's scrape-time collectors:
-// sandbox pool occupancy, chunk-cache counters, per-camera budget
-// gauges, and WAL state. Called exactly once, at the end of Open —
-// never later, and never under e.mu — so a scrape (which runs the
-// collectors under the registry's read lock) can safely take e.mu
-// without lock-order inversion against registration.
+// collector is one scrape-time family. Exactly one of read (an
+// unlabelled sample) and perCamera (one sample per camera, labelled
+// "camera") is set; when, if non-nil, says whether an engine of this
+// shape has the family at all.
+type collector struct {
+	name, help string
+	typ        obs.MetricType
+	when       func(e *Engine) bool
+	read       func(e *Engine) float64
+	perCamera  func(c *camera) float64
+}
+
+func hasCache(e *Engine) bool { return e.chunkCache != nil }
+func hasDisk(e *Engine) bool  { return e.opts.DiskCacheDir != "" }
+func hasWAL(e *Engine) bool   { return e.wal != nil }
+
+// collectors lists every scrape-time family in exposition order:
+// sandbox pool occupancy, chunk-cache and pushdown counters,
+// singleflight, the disk tier, per-camera budget gauges, and WAL state.
+// Each reads state that already lives behind its own lock or atomic, so
+// nothing is mirrored into instruments on the hot path.
+var collectors = []collector{
+	{name: "privid_sandbox_inflight", help: "Sandbox executions currently holding a parallelism slot.", typ: obs.TypeGauge,
+		read: func(e *Engine) float64 { return float64(len(e.procSem)) }},
+
+	{name: "privid_chunk_cache_hits_total", help: "Chunk-result cache hits.", typ: obs.TypeCounter,
+		read: func(e *Engine) float64 { return float64(e.CacheStats().Hits) }},
+	{name: "privid_chunk_cache_misses_total", help: "Chunk-result cache misses.", typ: obs.TypeCounter,
+		read: func(e *Engine) float64 { return float64(e.CacheStats().Misses) }},
+	{name: "privid_chunk_cache_evictions_total", help: "Chunk-result cache evictions.", typ: obs.TypeCounter,
+		read: func(e *Engine) float64 { return float64(e.CacheStats().Evictions) }},
+	{name: "privid_chunk_cache_entries", help: "Chunk-result cache resident entries.", typ: obs.TypeGauge,
+		read: func(e *Engine) float64 { return float64(e.CacheStats().Entries) }},
+	{name: "privid_chunk_cache_puts_total", help: "Chunk-result cache write-through stores (disk→RAM promotions excluded).", typ: obs.TypeCounter,
+		read: func(e *Engine) float64 { return float64(e.CacheStats().Puts) }},
+	{name: "privid_chunk_cache_bytes", help: "Chunk-result cache resident bytes.", typ: obs.TypeGauge,
+		read: func(e *Engine) float64 { return float64(e.CacheStats().Bytes) }},
+
+	{name: "privid_partial_agg_plans_total", help: "Aggregation-pushdown plans built (one per mergeable SELECT per PROCESS execution).", typ: obs.TypeCounter,
+		read: func(e *Engine) float64 { return float64(e.PartialStats().Plans) }},
+	{name: "privid_partial_agg_declined_total", help: "PROCESS executions with pushdown candidates that fell back to full materialization.", typ: obs.TypeCounter,
+		read: func(e *Engine) float64 { return float64(e.PartialStats().Declined) }},
+	{name: "privid_partial_agg_folds_total", help: "Per-chunk folds of sandbox output into partial aggregate states.", typ: obs.TypeCounter,
+		read: func(e *Engine) float64 { return float64(e.PartialStats().Folds) }},
+	{name: "privid_partial_agg_merges_total", help: "Partial aggregate state merges.", typ: obs.TypeCounter,
+		read: func(e *Engine) float64 { return float64(e.PartialStats().Merges) }},
+	{name: "privid_partial_agg_chunks_cached_total", help: "Chunks answered entirely from the partial-state cache tier (no sandbox, no fold).", typ: obs.TypeCounter,
+		read: func(e *Engine) float64 { return float64(e.PartialStats().CachedChunks) }},
+	{name: "privid_partial_agg_state_hits_total", help: "Partial-state cache hits (per plan × chunk lookups).", typ: obs.TypeCounter,
+		read: func(e *Engine) float64 { return float64(e.PartialStats().StateHits) }},
+	{name: "privid_partial_agg_state_misses_total", help: "Partial-state cache misses.", typ: obs.TypeCounter,
+		read: func(e *Engine) float64 { return float64(e.PartialStats().StateMisses) }},
+	{name: "privid_partial_agg_state_puts_total", help: "Partial-state cache stores.", typ: obs.TypeCounter,
+		read: func(e *Engine) float64 { return float64(e.PartialStats().StatePuts) }},
+
+	{name: "privid_chunk_singleflight_leaders_total", help: "Chunk executions performed under singleflight leadership (initial leaders plus promoted followers).", typ: obs.TypeCounter,
+		when: hasCache, read: func(e *Engine) float64 { return float64(e.FlightStats().Leaders) }},
+	{name: "privid_chunk_singleflight_followers_total", help: "Chunk executions avoided by sharing a concurrent leader's result.", typ: obs.TypeCounter,
+		when: hasCache, read: func(e *Engine) float64 { return float64(e.FlightStats().Followers) }},
+	{name: "privid_chunk_singleflight_handoffs_total", help: "Followers promoted to leader after their leader's execution failed.", typ: obs.TypeCounter,
+		when: hasCache, read: func(e *Engine) float64 { return float64(e.FlightStats().Handoffs) }},
+	{name: "privid_chunk_singleflight_timeouts_total", help: "Followers that waited out their leader and executed alone.", typ: obs.TypeCounter,
+		when: hasCache, read: func(e *Engine) float64 { return float64(e.FlightStats().Timeouts) }},
+	{name: "privid_chunk_singleflight_waiting", help: "Followers currently blocked on a leader.", typ: obs.TypeGauge,
+		when: hasCache, read: func(e *Engine) float64 { return float64(e.FlightStats().Waiting) }},
+
+	{name: "privid_chunk_cache_disk_hits_total", help: "Chunk-result lookups served by the disk tier.", typ: obs.TypeCounter,
+		when: hasDisk, read: func(e *Engine) float64 { return float64(e.CacheStats().DiskHits) }},
+	{name: "privid_chunk_cache_disk_misses_total", help: "Chunk-result lookups that missed the disk tier.", typ: obs.TypeCounter,
+		when: hasDisk, read: func(e *Engine) float64 { return float64(e.CacheStats().DiskMisses) }},
+	{name: "privid_chunk_cache_promotions_total", help: "Disk-tier hits promoted back into the RAM tier.", typ: obs.TypeCounter,
+		when: hasDisk, read: func(e *Engine) float64 { return float64(e.CacheStats().Promotions) }},
+	{name: "privid_chunk_cache_disk_bytes", help: "Disk-tier resident bytes across segments.", typ: obs.TypeGauge,
+		when: hasDisk, read: func(e *Engine) float64 { return float64(e.CacheStats().DiskBytes) }},
+	{name: "privid_chunk_cache_disk_segments", help: "Disk-tier segment-file count.", typ: obs.TypeGauge,
+		when: hasDisk, read: func(e *Engine) float64 { return float64(e.CacheStats().DiskSegments) }},
+	{name: "privid_chunk_cache_disk_evictions_total", help: "Disk-tier segments deleted to respect the size bound.", typ: obs.TypeCounter,
+		when: hasDisk, read: func(e *Engine) float64 { return float64(e.CacheStats().DiskEvictions) }},
+
+	{name: "privid_camera_epsilon_budget", help: "Configured per-frame privacy budget, per camera.", typ: obs.TypeGauge,
+		perCamera: func(c *camera) float64 { return c.cfg.Epsilon }},
+	{name: "privid_camera_epsilon_remaining", help: "Worst-case remaining per-frame budget over all charged frames, per camera.", typ: obs.TypeGauge,
+		perCamera: func(c *camera) float64 { return c.ledger.MinRemaining() }},
+
+	{name: "privid_wal_bytes", help: "Active WAL generation size in bytes.", typ: obs.TypeGauge,
+		when: hasWAL, read: func(e *Engine) float64 { return float64(e.wal.Info().WALBytes) }},
+	{name: "privid_wal_generation", help: "Active WAL generation (advances on compaction).", typ: obs.TypeGauge,
+		when: hasWAL, read: func(e *Engine) float64 { return float64(e.wal.Info().Gen) }},
+	{name: "privid_wal_records_since_snapshot", help: "WAL records the next compaction will fold into the snapshot.", typ: obs.TypeGauge,
+		when: hasWAL, read: func(e *Engine) float64 { return float64(e.wal.Info().RecordsSinceSnapshot) }},
+	{name: "privid_wal_snapshots_total", help: "WAL compactions taken by this process.", typ: obs.TypeCounter,
+		when: hasWAL, read: func(e *Engine) float64 { return float64(e.wal.Info().Snapshots) }},
+}
+
+// registerCollectors installs the collectors this engine's shape has.
+// Called exactly once, at the end of Open — never later, and never
+// under e.mu — so a scrape (which runs the collectors under the
+// registry's read lock) can safely take e.mu without lock-order
+// inversion against registration.
 func (e *Engine) registerCollectors(reg *obs.Registry) {
-	reg.GaugeFunc("privid_sandbox_inflight",
-		"Sandbox executions currently holding a parallelism slot.",
-		func() float64 { return float64(len(e.procSem)) })
-
-	cacheStat := func(f func() float64) func(obs.Emit) {
-		return func(emit obs.Emit) { emit(nil, f()) }
-	}
-	reg.CollectFunc("privid_chunk_cache_hits_total",
-		"Chunk-result cache hits.", obs.TypeCounter, nil,
-		cacheStat(func() float64 { return float64(e.CacheStats().Hits) }))
-	reg.CollectFunc("privid_chunk_cache_misses_total",
-		"Chunk-result cache misses.", obs.TypeCounter, nil,
-		cacheStat(func() float64 { return float64(e.CacheStats().Misses) }))
-	reg.CollectFunc("privid_chunk_cache_evictions_total",
-		"Chunk-result cache evictions.", obs.TypeCounter, nil,
-		cacheStat(func() float64 { return float64(e.CacheStats().Evictions) }))
-	reg.CollectFunc("privid_chunk_cache_entries",
-		"Chunk-result cache resident entries.", obs.TypeGauge, nil,
-		cacheStat(func() float64 { return float64(e.CacheStats().Entries) }))
-	reg.CollectFunc("privid_chunk_cache_puts_total",
-		"Chunk-result cache write-through stores (disk→RAM promotions excluded).",
-		obs.TypeCounter, nil,
-		cacheStat(func() float64 { return float64(e.CacheStats().Puts) }))
-	reg.CollectFunc("privid_chunk_cache_bytes",
-		"Chunk-result cache resident bytes.", obs.TypeGauge, nil,
-		cacheStat(func() float64 { return float64(e.CacheStats().Bytes) }))
-
-	reg.CollectFunc("privid_partial_agg_plans_total",
-		"Aggregation-pushdown plans built (one per mergeable SELECT per PROCESS execution).",
-		obs.TypeCounter, nil,
-		cacheStat(func() float64 { return float64(e.PartialStats().Plans) }))
-	reg.CollectFunc("privid_partial_agg_declined_total",
-		"PROCESS executions with pushdown candidates that fell back to full materialization.",
-		obs.TypeCounter, nil,
-		cacheStat(func() float64 { return float64(e.PartialStats().Declined) }))
-	reg.CollectFunc("privid_partial_agg_folds_total",
-		"Per-chunk folds of sandbox output into partial aggregate states.",
-		obs.TypeCounter, nil,
-		cacheStat(func() float64 { return float64(e.PartialStats().Folds) }))
-	reg.CollectFunc("privid_partial_agg_merges_total",
-		"Partial aggregate state merges.", obs.TypeCounter, nil,
-		cacheStat(func() float64 { return float64(e.PartialStats().Merges) }))
-	reg.CollectFunc("privid_partial_agg_chunks_cached_total",
-		"Chunks answered entirely from the partial-state cache tier (no sandbox, no fold).",
-		obs.TypeCounter, nil,
-		cacheStat(func() float64 { return float64(e.PartialStats().CachedChunks) }))
-	reg.CollectFunc("privid_partial_agg_state_hits_total",
-		"Partial-state cache hits (per plan × chunk lookups).", obs.TypeCounter, nil,
-		cacheStat(func() float64 { return float64(e.PartialStats().StateHits) }))
-	reg.CollectFunc("privid_partial_agg_state_misses_total",
-		"Partial-state cache misses.", obs.TypeCounter, nil,
-		cacheStat(func() float64 { return float64(e.PartialStats().StateMisses) }))
-	reg.CollectFunc("privid_partial_agg_state_puts_total",
-		"Partial-state cache stores.", obs.TypeCounter, nil,
-		cacheStat(func() float64 { return float64(e.PartialStats().StatePuts) }))
-
-	if e.flight != nil {
-		reg.CollectFunc("privid_chunk_singleflight_leaders_total",
-			"Chunk executions performed under singleflight leadership (initial leaders plus promoted followers).",
-			obs.TypeCounter, nil,
-			cacheStat(func() float64 { return float64(e.flight.Stats().Leaders) }))
-		reg.CollectFunc("privid_chunk_singleflight_followers_total",
-			"Chunk executions avoided by sharing a concurrent leader's result.",
-			obs.TypeCounter, nil,
-			cacheStat(func() float64 { return float64(e.flight.Stats().Followers) }))
-		reg.CollectFunc("privid_chunk_singleflight_handoffs_total",
-			"Followers promoted to leader after their leader's execution failed.",
-			obs.TypeCounter, nil,
-			cacheStat(func() float64 { return float64(e.flight.Stats().Handoffs) }))
-		reg.CollectFunc("privid_chunk_singleflight_timeouts_total",
-			"Followers that waited out their leader and executed alone.",
-			obs.TypeCounter, nil,
-			cacheStat(func() float64 { return float64(e.flight.Stats().Timeouts) }))
-		reg.CollectFunc("privid_chunk_singleflight_waiting",
-			"Followers currently blocked on a leader.", obs.TypeGauge, nil,
-			cacheStat(func() float64 { return float64(e.flight.Stats().Waiting) }))
-	}
-
-	if e.opts.DiskCacheDir != "" {
-		reg.CollectFunc("privid_chunk_cache_disk_hits_total",
-			"Chunk-result lookups served by the disk tier.", obs.TypeCounter, nil,
-			cacheStat(func() float64 { return float64(e.CacheStats().DiskHits) }))
-		reg.CollectFunc("privid_chunk_cache_disk_misses_total",
-			"Chunk-result lookups that missed the disk tier.", obs.TypeCounter, nil,
-			cacheStat(func() float64 { return float64(e.CacheStats().DiskMisses) }))
-		reg.CollectFunc("privid_chunk_cache_promotions_total",
-			"Disk-tier hits promoted back into the RAM tier.", obs.TypeCounter, nil,
-			cacheStat(func() float64 { return float64(e.CacheStats().Promotions) }))
-		reg.CollectFunc("privid_chunk_cache_disk_bytes",
-			"Disk-tier resident bytes across segments.", obs.TypeGauge, nil,
-			cacheStat(func() float64 { return float64(e.CacheStats().DiskBytes) }))
-		reg.CollectFunc("privid_chunk_cache_disk_segments",
-			"Disk-tier segment-file count.", obs.TypeGauge, nil,
-			cacheStat(func() float64 { return float64(e.CacheStats().DiskSegments) }))
-		reg.CollectFunc("privid_chunk_cache_disk_evictions_total",
-			"Disk-tier segments deleted to respect the size bound.", obs.TypeCounter, nil,
-			cacheStat(func() float64 { return float64(e.CacheStats().DiskEvictions) }))
-	}
-
-	// One collector enumerates the cameras per scrape rather than
-	// registering a child per RegisterCamera call: registration under
-	// e.mu must never touch the registry lock (see package obs).
-	perCamera := func(value func(*camera) float64) func(obs.Emit) {
-		return func(emit obs.Emit) {
+	for _, c := range collectors {
+		if c.when != nil && !c.when(e) {
+			continue
+		}
+		if c.perCamera == nil {
+			reg.CollectFunc(c.name, c.help, c.typ, nil, func(emit obs.Emit) { emit(nil, c.read(e)) })
+			continue
+		}
+		// One collector enumerates the cameras per scrape rather than
+		// registering a child per RegisterCamera call: registration under
+		// e.mu must never touch the registry lock (see package obs).
+		reg.CollectFunc(c.name, c.help, c.typ, []string{"camera"}, func(emit obs.Emit) {
 			e.mu.Lock()
 			defer e.mu.Unlock()
 			names := make([]string, 0, len(e.cameras))
@@ -271,31 +272,8 @@ func (e *Engine) registerCollectors(reg *obs.Registry) {
 			}
 			sort.Strings(names)
 			for _, name := range names {
-				emit([]string{name}, value(e.cameras[name]))
+				emit([]string{name}, c.perCamera(e.cameras[name]))
 			}
-		}
-	}
-	reg.CollectFunc("privid_camera_epsilon_budget",
-		"Configured per-frame privacy budget, per camera.",
-		obs.TypeGauge, []string{"camera"},
-		perCamera(func(c *camera) float64 { return c.cfg.Epsilon }))
-	reg.CollectFunc("privid_camera_epsilon_remaining",
-		"Worst-case remaining per-frame budget over all charged frames, per camera.",
-		obs.TypeGauge, []string{"camera"},
-		perCamera(func(c *camera) float64 { return c.ledger.MinRemaining() }))
-
-	if e.wal != nil {
-		reg.GaugeFunc("privid_wal_bytes",
-			"Active WAL generation size in bytes.",
-			func() float64 { return float64(e.wal.Info().WALBytes) })
-		reg.GaugeFunc("privid_wal_generation",
-			"Active WAL generation (advances on compaction).",
-			func() float64 { return float64(e.wal.Info().Gen) })
-		reg.GaugeFunc("privid_wal_records_since_snapshot",
-			"WAL records the next compaction will fold into the snapshot.",
-			func() float64 { return float64(e.wal.Info().RecordsSinceSnapshot) })
-		reg.CollectFunc("privid_wal_snapshots_total",
-			"WAL compactions taken by this process.", obs.TypeCounter, nil,
-			func(emit obs.Emit) { emit(nil, float64(e.wal.Info().Snapshots)) })
+		})
 	}
 }

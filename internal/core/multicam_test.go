@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -95,31 +97,119 @@ func TestMultiCameraProvenanceColumn(t *testing.T) {
 	}
 }
 
-// The sharded fan-out must materialize a byte-identical table to
-// serial shard execution: the fan-out is a performance feature with no
-// observable semantics.
+// The shard fan-out has no observable semantics: however the shards'
+// completions interleave, a multi-camera PROCESS must produce exactly
+// the per-camera single-shard outputs combined in shard order — the
+// table bytes on the materialized path, the release bits on the
+// pushdown path. The executable emits camera-dependent fractions, so a
+// float SUM merged in any other order comes out different, and it
+// forces the hostile schedule: every shard's chunks block until the
+// next shard has finished, so the shards complete in reverse order.
 func TestShardedMatchesSerialTables(t *testing.T) {
-	progText := fleetQuery
-	prog, err := query.Parse(progText)
+	prog, err := query.Parse(`
+SPLIT camA, camB, camC BEGIN 03-15-2021/6:00am END 03-15-2021/6:10am
+  BY TIME 30sec STRIDE 0sec INTO fleet;
+PROCESS fleet USING jitter TIMEOUT 5sec PRODUCING 1 ROWS
+  WITH SCHEMA (v:NUMBER=0) INTO t;
+SELECT SUM(range(v, 0, 1)) FROM t CONSUMING 0.2;
+SELECT COUNT(*) FROM t CONSUMING 0.2;`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	render := func(opts Options) string {
+	proc := prog.Processes[0]
+	const chunksPerCam = 20
+	// newEngine registers the jitter executable. When gated, a camera's
+	// chunks wait for the camera after it to finish all of its own
+	// (needs PerCameraParallelism × 3 ≤ Parallelism, or the waiters
+	// would hold every slot); otherwise they just sleep longer the
+	// earlier the shard. Caching is off so every run executes.
+	newEngine := func(opts Options, gated bool) (*Engine, *splitPlan) {
+		opts.Seed, opts.ChunkCacheBytes = 1, -1
 		e := newFleetEngine(t, opts, 3, 10)
+		var left [3]atomic.Int32
+		var done [3]chan struct{}
+		for i := range done {
+			left[i].Store(chunksPerCam)
+			done[i] = make(chan struct{})
+		}
+		if err := e.Registry().Register("jitter", func(chunk *video.Chunk) []table.Row {
+			cam := int(chunk.Camera[3] - 'A')
+			if !gated {
+				time.Sleep(time.Duration(2-cam) * 500 * time.Microsecond)
+			} else if cam < 2 {
+				<-done[cam+1]
+			}
+			if gated && left[cam].Add(-1) == 0 {
+				close(done[cam])
+			}
+			v := 0.1 * float64(cam+1) / float64(1+chunk.Interval.Start%7)
+			return []table.Row{{table.N(v)}}
+		}); err != nil {
+			t.Fatal(err)
+		}
 		plan, err := e.resolveSplit(prog.Splits[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		inst, _, err := e.runProcess(prog.Processes[0], plan, nil, nil)
+		return e, plan
+	}
+
+	// Expectation: each camera as its own single-shard run, combined in
+	// shard order the way runProcess documents it — tables appended,
+	// states merged into an empty one (so a SUM is ((0+A)+B)+C).
+	ref, refPlan := newEngine(Options{Parallelism: 1}, false)
+	wantTable := table.New(table.MustSchema(table.Column{Name: "v", Type: table.DNumber, Default: table.N(0)}).WithImplicitCols(false, true))
+	var camSums []float64
+	var wantSum, wantCount float64
+	for i := range refPlan.shards {
+		one := &splitPlan{multi: true, shards: refPlan.shards[i : i+1]}
+		inst, _, err := ref.runProcess(proc, one, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return inst.Data.String()
+		wantTable.AppendTable(inst.Data)
+		_, rels, err := ref.runProcess(proc, one, prog.Selects, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		camSums = append(camSums, rels[prog.Selects[0]][0].Raw)
+		wantSum += camSums[i]
+		wantCount += rels[prog.Selects[1]][0].Raw
 	}
-	serial := render(Options{Seed: 1, SerialShards: true})
-	sharded := render(Options{Seed: 1, Parallelism: 8, PerCameraParallelism: 2})
-	if serial != sharded {
-		t.Fatalf("sharded table differs from serial:\nserial:\n%s\nsharded:\n%s", serial, sharded)
+	if wantCount != 3*chunksPerCam {
+		t.Fatalf("fixture holds %v chunks, want %d", wantCount, 3*chunksPerCam)
+	}
+	if reversed := camSums[2] + camSums[1] + camSums[0]; reversed == wantSum {
+		t.Fatalf("fixture cannot tell merge orders apart: both sum to %v", wantSum)
+	}
+
+	for _, tc := range []struct {
+		name  string
+		opts  Options
+		gated bool
+	}{
+		{"parallelism 1", Options{Parallelism: 1}, false},
+		{"parallelism 8, shards finish in reverse", Options{Parallelism: 8, PerCameraParallelism: 2}, true},
+	} {
+		e, plan := newEngine(tc.opts, tc.gated)
+		inst, _, err := e.runProcess(proc, plan, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(inst.Data.EncodeBinary(), wantTable.EncodeBinary()) {
+			t.Errorf("%s: sharded table differs from the shards in order:\nwant:\n%s\ngot:\n%s", tc.name, wantTable, inst.Data)
+		}
+		e, plan = newEngine(tc.opts, tc.gated) // fresh gates
+		_, rels, err := e.runProcess(proc, plan, prog.Selects, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rels[prog.Selects[0]][0].Raw; math.Float64bits(got) != math.Float64bits(wantSum) {
+			t.Errorf("%s: pushdown SUM = %v, want %v (shard states merged out of order)", tc.name, got, wantSum)
+		}
+		if got := rels[prog.Selects[1]][0].Raw; got != wantCount {
+			t.Errorf("%s: pushdown COUNT = %v, want %v", tc.name, got, wantCount)
+		}
 	}
 }
 

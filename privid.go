@@ -182,7 +182,9 @@ type (
 	// GET /v1/metrics.
 	MetricsRegistry = obs.Registry
 	// QueryTrace is one query execution's live span tree
-	// (Engine.ExecuteTraced).
+	// (Engine.ExecuteTraced — the one call that also tags the query's
+	// WAL charge records; Engine.Execute is the untagged, untraced
+	// form).
 	QueryTrace = obs.Trace
 	// SpanTree is the serialized form of a trace: the wire format of
 	// GET /v1/queries/{id}/trace and the shape persisted on terminal
