@@ -467,3 +467,35 @@ func TestNoiseAccuracyScalesWithEpsilon(t *testing.T) {
 		t.Errorf("noise scale did not shrink with epsilon: %v vs %v", lo, hi)
 	}
 }
+
+// TestRejectionIndependentOfRows pins the closed side channel: whether
+// a statement is rejected — and therefore whether ε is charged — is
+// decided from the query text and schemas alone, never from whether the
+// analyst's executable emitted a row. Before the planner, the first two
+// statements below succeeded (and charged) over an empty video and
+// failed (charging nothing) once a single row existed: a noise-free,
+// budget-free membership oracle.
+func TestRejectionIndependentOfRows(t *testing.T) {
+	for _, tc := range []struct{ sel, want string }{
+		{`SELECT SUM(range(nosuch, 0, 1)) FROM t;`, `unknown column "nosuch"`},
+		{`SELECT COUNT(*) FROM (SELECT bin(chunk, 0) AS b FROM t);`, `bin width must be positive`},
+		// The grammar has no negative literal: -5 parses as an expression,
+		// which used to panic in the bucket derivation instead of erroring.
+		{`SELECT COUNT(*) FROM (SELECT bin(chunk, -5) AS b FROM t);`, `bin() width is not a literal`},
+	} {
+		prog, err := query.Parse(strings.Replace(countQuery, "SELECT COUNT(*) FROM t;", tc.sel, 1))
+		if err != nil {
+			t.Fatalf("%s: parse: %v", tc.sel, err)
+		}
+		for _, people := range []int{0, 50} {
+			e := newTestEngine(t, countScene(people), policy.Policy{Rho: 25 * time.Second, K: 1}, 10)
+			_, err := e.Execute(prog)
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%s over %d people: err = %v, want %q", tc.sel, people, err, tc.want)
+			}
+			if rem, rerr := e.Remaining("camA", 100); rerr != nil || rem != 10 {
+				t.Errorf("%s over %d people: remaining = %v (%v), want the untouched 10", tc.sel, people, rem, rerr)
+			}
+		}
+	}
+}

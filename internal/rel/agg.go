@@ -55,88 +55,43 @@ type Release struct {
 }
 
 // ExecuteSelect runs one SELECT statement over the environment and
-// returns its data releases with sensitivities attached.
+// returns its data releases with sensitivities attached. The release
+// skeleton comes from the planner; this function only fills in values.
 func ExecuteSelect(st *query.SelectStmt, env Env) ([]Release, error) {
 	tbl, cons, err := execRel(st.From, env)
 	if err != nil {
 		return nil, err
 	}
-	begin, end := cons.Window()
-	spans := cameraSpans(cons)
-
-	base := Release{Fun: st.Agg.Fun, Begin: begin, End: end}
+	rp, err := planReleases(st, tbl.Schema, cons)
+	if err != nil {
+		return nil, err
+	}
+	out := rp.releases // this call's own plan: filled in place
 
 	// The aggregate argument is evaluated columnar, once, shared across
 	// every group — and lazily, so a statement whose groups are all
-	// empty never evaluates it (matching the row-at-a-time evaluator).
+	// empty never evaluates it.
 	var argv vec
 	argvDone := false
 	evalArg := func() (vec, error) {
+		if argvDone {
+			return argv, nil
+		}
+		argvDone = true
 		var err error
-		if !argvDone {
-			argvDone = true
-			argv, err = evalVec(st.Agg.Arg, tbl)
-			if err != nil {
-				return vec{}, err
-			}
-		}
-		return argv, nil
+		argv, err = evalVec(st.Agg.Arg, tbl)
+		return argv, err
 	}
 
-	if len(st.GroupBy) == 0 {
-		if st.Agg.Fun == query.AggArgmax {
-			return nil, fmt.Errorf("rel: ARGMAX requires GROUP BY")
-		}
-		raw, sens, err := aggregateSel(st.Agg, tbl, nil, true, evalArg, cons)
-		if err != nil {
-			return nil, err
-		}
-		r := base
-		r.Desc = aggDesc(st.Agg, "")
-		r.Raw = raw
-		r.Sensitivity = sens
-		return []Release{withWindows(r, spans, nil)}, nil
-	}
-
-	if len(st.GroupBy) != 1 {
-		return nil, fmt.Errorf("rel: outer GROUP BY supports a single column (got %v)", st.GroupBy)
-	}
-	col := st.GroupBy[0]
-	ci := tbl.Schema.Index(col)
-	if ci < 0 {
-		return nil, fmt.Errorf("rel: GROUP BY unknown column %q", col)
-	}
-
-	// Determine the release keys: explicit WITH KEYS, or every bucket
-	// of a trusted time column. Analyst-defined columns without
-	// explicit keys are rejected — otherwise the mere presence of a
-	// rare key leaks information (§6.2).
-	var keys []table.Value
-	var windows [][2]time.Time
-	switch {
-	case len(st.GroupKeys) > 0:
-		keys = st.GroupKeys
-		for range keys {
-			windows = append(windows, [2]time.Time{begin, end})
-		}
-	case cons.Trusted[col]:
-		spec, ok := cons.Buckets[col]
-		if !ok {
-			return nil, fmt.Errorf("rel: cannot enumerate buckets of trusted column %q; use hour()/day()/bin()", col)
-		}
-		keys, windows = enumerateBuckets(spec, begin, end)
-	default:
-		return nil, fmt.Errorf("rel: GROUP BY %q requires WITH KEYS (analyst-defined keys leak data)", col)
+	if rp.ci < 0 {
+		out[0].Raw, err = aggregateSel(st.Agg, tbl, nil, true, evalArg, rp.rg)
+		return out, err
 	}
 
 	// Partition rows across the requested keys by hashed cell key (a
 	// row matching several identical requested keys lands in each),
 	// scanning the column once instead of building per-row key strings.
-	slots := make(map[uint64][]int, len(keys))
-	for si, k := range keys {
-		h := k.KeyHash()
-		slots[h] = append(slots[h], si)
-	}
+	ci, keys, slots := rp.ci, rp.keys, rp.slots
 	groupSel := make([][]int, len(keys))
 	for i := 0; i < tbl.Len(); i++ {
 		h := tbl.HashCell(table.HashSeed, i, ci)
@@ -148,75 +103,17 @@ func ExecuteSelect(st *query.SelectStmt, env Env) ([]Release, error) {
 	}
 
 	if st.Agg.Fun == query.AggArgmax {
-		r := base
-		r.Desc = aggDesc(st.Agg, col)
-		// Fig. 10: ARGMAX sensitivity is max_k Δ(σ_a=k(R)). When the
-		// group column provably partitions the relation by source
-		// branch (a trusted per-table literal, or the implicit camera
-		// column), each key's influence is its own branch's Δ, not the
-		// union's sum.
-		r.Sensitivity = cons.Delta
-		if kd, ok := cons.KeyDeltas[col]; ok {
-			maxD, covered := 0.0, true
-			for _, k := range keys {
-				d, ok := kd[k.Str()]
-				if !ok {
-					covered = false
-					break
-				}
-				if d > maxD {
-					maxD = d
-				}
-			}
-			if covered {
-				r.Sensitivity = maxD
-			}
-		}
 		for si, k := range keys {
-			r.Scores = append(r.Scores, Score{Key: k, Raw: float64(len(groupSel[si]))})
+			out[0].Scores = append(out[0].Scores, Score{Key: k, Raw: float64(len(groupSel[si]))})
 		}
-		return []Release{withWindows(r, spans, nil)}, nil
+		return out, nil
 	}
-
-	kd, hasKD := cons.KeyDeltas[col]
-	kc, hasKC := cons.KeyCams[col]
-	var out []Release
-	for i, k := range keys {
-		// A trusted partition column (per-table literal tags, or the
-		// implicit camera column) confines each key's rows to its own
-		// branch: the release's sensitivity is that branch's ΔP and
-		// only that branch's cameras are charged. Keys outside the
-		// partition can never hold rows, so their releases carry zero
-		// sensitivity and charge nothing.
-		consK := cons
-		if hasKD {
-			consK.Delta = kd[k.Str()]
-		}
-		raw, sens, err := aggregateSel(st.Agg, tbl, groupSel[i], false, evalArg, consK)
+	for i := range out {
+		out[i].Raw, err = aggregateSel(st.Agg, tbl, groupSel[rp.slotOf[i]], false, evalArg, rp.rg)
 		if err != nil {
 			return nil, err
 		}
-		r := base
-		r.Desc = aggDesc(st.Agg, "") + "[" + col + "=" + k.Str() + "]"
-		r.Key = k
-		r.HasKey = true
-		r.Raw = raw
-		r.Sensitivity = sens
-		r.Begin, r.End = windows[i][0], windows[i][1]
-		var only []string
-		if hasKC {
-			only = kc[k.Str()]
-			if only == nil {
-				only = []string{}
-			}
-		}
-		out = append(out, withWindows(r, spans, only))
 	}
-	// Release order is part of the engine's determinism contract: the
-	// seeded noise stream is consumed in release order, so it must not
-	// depend on how chunks happened to concatenate. Sort by group key,
-	// exactly as the streaming-merge Finalize does.
-	sortReleases(out)
 	return out, nil
 }
 
@@ -276,33 +173,25 @@ func withWindows(r Release, spans map[string][2]time.Time, only []string) Releas
 	return r
 }
 
-// aggregateSel computes one aggregate and its sensitivity over the
-// rows selected by sel (or the whole table when all is true),
-// accumulating straight off the argument's column vector. evalArg
-// memoizes the columnar evaluation of the argument across groups and
-// is only invoked when the row set is non-empty, preserving the
-// row-at-a-time evaluator's behavior of never evaluating expressions
-// over zero rows.
-func aggregateSel(agg query.AggExpr, tbl *table.Table, sel []int, all bool, evalArg func() (vec, error), cons Constraints) (raw, sens float64, err error) {
+// aggregateSel computes one aggregate over the rows selected by sel (or
+// the whole table when all is true), accumulating straight off the
+// argument's column vector clamped to rg, the range the planner read off
+// the argument. evalArg memoizes the columnar evaluation of the argument
+// across groups and is only invoked when the row set is non-empty.
+func aggregateSel(agg query.AggExpr, tbl *table.Table, sel []int, all bool, evalArg func() (vec, error), rg Range) (float64, error) {
 	count := len(sel)
 	if all {
 		count = tbl.Len()
 	}
 	if agg.Fun == query.AggCount {
-		return float64(count), cons.Delta, nil
+		return float64(count), nil
 	}
-	// The remaining functions need a numeric argument with a declared
-	// range (Fig. 10's constraint column).
-	rg, ok := exprRange(agg.Arg, cons.Ranges)
-	if !ok {
-		return 0, 0, fmt.Errorf("rel: %s requires a range constraint on its argument (use range(col, lo, hi))", agg.Fun)
-	}
-	width := rg.Width()
 	var av vec
 	if count > 0 {
+		var err error
 		av, err = evalArg()
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 	}
 	// Defensive truncation: the declared range is a privacy constraint,
@@ -329,11 +218,8 @@ func aggregateSel(agg query.AggExpr, tbl *table.Table, sel []int, all bool, eval
 		for k := 0; k < count; k++ {
 			s += at(k)
 		}
-		return s, cons.Delta * width, nil
+		return s, nil
 	case query.AggAvg:
-		if math.IsInf(cons.Size, 1) {
-			return 0, 0, fmt.Errorf("rel: AVG requires a bounded relation size (use LIMIT or GROUP BY ... WITH KEYS)")
-		}
 		var s float64
 		for k := 0; k < count; k++ {
 			s += at(k)
@@ -342,13 +228,10 @@ func aggregateSel(agg query.AggExpr, tbl *table.Table, sel []int, all bool, eval
 		if count > 0 {
 			mean = s / float64(count)
 		}
-		return mean, cons.Delta * width / math.Max(cons.Size, 1), nil
+		return mean, nil
 	case query.AggVar:
-		if math.IsInf(cons.Size, 1) {
-			return 0, 0, fmt.Errorf("rel: VAR requires a bounded relation size")
-		}
 		if count == 0 {
-			return 0, square(cons.Delta*width) / math.Max(cons.Size, 1), nil
+			return 0, nil
 		}
 		var s float64
 		for k := 0; k < count; k++ {
@@ -360,13 +243,11 @@ func aggregateSel(agg query.AggExpr, tbl *table.Table, sel []int, all bool, eval
 			d := at(k) - mean
 			ss += d * d
 		}
-		return ss / float64(count), square(cons.Delta*width) / math.Max(cons.Size, 1), nil
+		return ss / float64(count), nil
 	default:
-		return 0, 0, fmt.Errorf("rel: unsupported aggregation %v", agg.Fun)
+		return 0, fmt.Errorf("rel: unsupported aggregation %v", agg.Fun)
 	}
 }
-
-func square(x float64) float64 { return x * x }
 
 // enumerateBuckets lists every bucket of a trusted time column within
 // the window, with each bucket's own wall-clock span (used for
@@ -378,9 +259,11 @@ func enumerateBuckets(spec BucketSpec, begin, end time.Time) ([]table.Value, [][
 		// Hours of day present in the window; for windows >= 24 h all
 		// 24 are present. Each hour-of-day release depends on every
 		// matching hour of the window, so its span is the whole
-		// window (conservative).
+		// window (conservative). The walk starts on begin's own hour
+		// boundary (hour() is the UTC hour of the chunk start): stepping
+		// from an unaligned begin would skip the final partial hour.
 		hours := map[int]bool{}
-		for t := begin; t.Before(end); t = t.Add(time.Hour) {
+		for t := begin.UTC().Truncate(time.Hour); t.Before(end); t = t.Add(time.Hour) {
 			hours[t.Hour()] = true
 		}
 		var hs []int
@@ -414,19 +297,6 @@ func enumerateBuckets(spec BucketSpec, begin, end time.Time) ([]table.Value, [][
 		windows = append(windows, [2]time.Time{bs, be})
 	}
 	return keys, windows
-}
-
-func camerasOf(cons Constraints) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, m := range cons.Metas {
-		if !seen[m.Camera] {
-			seen[m.Camera] = true
-			out = append(out, m.Camera)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // aggDesc renders a short description of the aggregation.

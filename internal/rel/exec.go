@@ -2,8 +2,6 @@ package rel
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strconv"
 
 	"privid/internal/query"
@@ -11,7 +9,9 @@ import (
 )
 
 // execRel evaluates a relational expression, returning its rows and
-// the propagated privacy constraints. Operators work directly on the
+// the propagated privacy constraints. Each operator asks the planner
+// (plan.go) for its accept/reject decision, output layout and output
+// constraints, then moves rows. Operators work directly on the
 // tables' columnar backing: selections produce index vectors, group and
 // join keys are hashed (with exact-equality collision checks) instead
 // of concatenated into strings, and output columns are preallocated
@@ -41,57 +41,18 @@ func execTableRef(rel *query.TableRef, env Env) (*table.Table, Constraints, erro
 	if len(inst.Metas) == 0 {
 		return nil, Constraints{}, fmt.Errorf("rel: table %q has no shard metadata", rel.Name)
 	}
-	// Fig. 10's UNION rule composes the per-camera shards: ΔP and C̃s
-	// of the whole table are the sums over shards.
-	cons := Constraints{
-		Ranges:  map[string]Range{},
-		Trusted: map[string]bool{table.ChunkColumn: true},
-		Buckets: map[string]BucketSpec{},
-		Metas:   append([]TableMeta(nil), inst.Metas...),
-	}
-	for _, m := range inst.Metas {
-		cons.Delta += m.Delta()
-		cons.Size += m.Size()
-	}
-	// The chunk column's bucket width is trusted only when every shard
-	// chunks at the same wall-clock width (a frame-count chunk spec on
-	// cameras with different FPS produces mismatched widths).
-	chunkW := inst.Metas[0].FPS.Seconds(inst.Metas[0].ChunkFrames)
-	uniform := true
-	for _, m := range inst.Metas[1:] {
-		if m.FPS.Seconds(m.ChunkFrames) != chunkW {
-			uniform = false
-			break
-		}
-	}
-	if uniform {
-		cons.Buckets[table.ChunkColumn] = BucketSpec{WidthSec: chunkW}
-	}
-	if inst.Data.Schema.Has(table.RegionColumn) {
-		cons.Trusted[table.RegionColumn] = true
-	}
-	if inst.Data.Schema.Has(table.CameraColumn) {
-		// Engine-stamped provenance: rows with camera=c can only come
-		// from c's shards, so the column partitions the table with
-		// per-key ΔP equal to each camera's own shard delta.
-		cons.Trusted[table.CameraColumn] = true
-		kd := map[string]float64{}
-		kc := map[string][]string{}
-		for _, m := range inst.Metas {
-			kd[m.Camera] += m.Delta()
-			kc[m.Camera] = []string{m.Camera}
-		}
-		cons.KeyDeltas = map[string]map[string]float64{table.CameraColumn: kd}
-		cons.KeyCams = map[string]map[string][]string{table.CameraColumn: kc}
-		if len(kd) == 1 {
-			cons.LiteralCols = map[string]string{table.CameraColumn: inst.Metas[0].Camera}
-		}
-	}
-	return inst.Data, cons, nil
+	return inst.Data, tableCons(inst.Metas, inst.Data.Schema), nil
 }
 
 func execSelect(rel *query.SelectExpr, env Env) (*table.Table, Constraints, error) {
 	in, cons, err := execRel(rel.From, env)
+	if err != nil {
+		return nil, Constraints{}, err
+	}
+	// Accept/reject, the output schema and the output constraints are
+	// settled before any row is looked at, so a static error keeps its
+	// precedence over anything the rows could cause.
+	schema, out, err := selectCons(rel, in.Schema, cons)
 	if err != nil {
 		return nil, Constraints{}, err
 	}
@@ -111,8 +72,6 @@ func execSelect(rel *query.SelectExpr, env Env) (*table.Table, Constraints, erro
 	if !all {
 		kept = len(sel)
 	}
-	// LIMIT caps the row count and, importantly, binds C̃s (Fig. 10's
-	// σ_limit rule).
 	if rel.Limit > 0 && kept > rel.Limit {
 		if all {
 			sel = make([]int, rel.Limit)
@@ -125,75 +84,16 @@ func execSelect(rel *query.SelectExpr, env Env) (*table.Table, Constraints, erro
 		}
 		kept = rel.Limit
 	}
-	out := cons.clone()
-	if rel.Limit > 0 {
-		out.Size = math.Min(out.Size, float64(rel.Limit))
-	}
 	if rel.Star {
 		if all {
 			return in, out, nil
 		}
 		return in.Gather(sel), out, nil
 	}
-	// Projection: evaluate each item, deriving the new constraint
-	// maps (Fig. 10's Π rules).
-	var cols []table.Column
-	names := make([]string, len(rel.Items))
-	for i, it := range rel.Items {
-		name := it.Alias
-		if name == "" {
-			name = exprName(it.Expr, i)
-		}
-		names[i] = name
-		cols = append(cols, table.Column{Name: name, Type: exprType(it.Expr, in.Schema)})
-	}
-	newRanges := map[string]Range{}
-	newTrusted := map[string]bool{}
-	newBuckets := map[string]BucketSpec{}
-	for i, it := range rel.Items {
-		if rg, ok := exprRange(it.Expr, cons.Ranges); ok {
-			newRanges[names[i]] = rg
-		}
-		if exprTrusted(it.Expr, cons.Trusted) {
-			newTrusted[names[i]] = true
-		}
-		if b, ok := exprBucket(it.Expr, cons.Buckets); ok {
-			newBuckets[names[i]] = b
-		}
-	}
-	newLiterals := map[string]string{}
-	newKeyDeltas := map[string]map[string]float64{}
-	newKeyCams := map[string]map[string][]string{}
-	for i, it := range rel.Items {
-		switch ex := it.Expr.(type) {
-		case *query.StrLit:
-			newLiterals[names[i]] = ex.V
-		case *query.ColRef:
-			if v, ok := cons.LiteralCols[ex.Name]; ok {
-				newLiterals[names[i]] = v
-			}
-			if kd, ok := cons.KeyDeltas[ex.Name]; ok {
-				newKeyDeltas[names[i]] = kd
-			}
-			if kc, ok := cons.KeyCams[ex.Name]; ok {
-				newKeyCams[names[i]] = kc
-			}
-		}
-	}
-	out.Ranges = newRanges
-	out.Trusted = newTrusted
-	out.Buckets = newBuckets
-	out.LiteralCols = newLiterals
-	out.KeyDeltas = newKeyDeltas
-	out.KeyCams = newKeyCams
-	out.DedupKeys = nil
-
 	if kept == 0 {
-		// No rows survive; item expressions are never evaluated (the
-		// row-at-a-time evaluator had the same property).
-		return table.New(table.Schema{Cols: cols}), out, nil
+		return table.New(schema), out, nil // no rows survive: nothing to evaluate
 	}
-	b := table.NewBuilder(table.Schema{Cols: cols}, kept)
+	b := table.NewBuilder(schema, kept)
 	for i, it := range rel.Items {
 		v, err := evalVec(it.Expr, in)
 		if err != nil {
@@ -233,18 +133,12 @@ func execGroup(rel *query.GroupExpr, env Env) (*table.Table, Constraints, error)
 	if err != nil {
 		return nil, Constraints{}, err
 	}
-	idx := make([]int, len(rel.Keys))
-	for i, k := range rel.Keys {
-		idx[i] = in.Schema.Index(k)
-		if idx[i] < 0 {
-			return nil, Constraints{}, fmt.Errorf("rel: GROUP BY unknown column %q", k)
-		}
+	idx, oc, err := groupCons(rel, in.Schema, cons)
+	if err != nil {
+		return nil, Constraints{}, err
 	}
 	var allow map[uint64][]table.Value
 	if len(rel.WithKeys) > 0 {
-		if len(rel.Keys) != 1 {
-			return nil, Constraints{}, fmt.Errorf("rel: WITH KEYS requires a single group column")
-		}
 		allow = make(map[uint64][]table.Value, len(rel.WithKeys))
 		for _, k := range rel.WithKeys {
 			allow[k.KeyHash()] = append(allow[k.KeyHash()], k)
@@ -281,33 +175,7 @@ func execGroup(rel *query.GroupExpr, env Env) (*table.Table, Constraints, error)
 		seen[h] = append(seen[h], i)
 		sel = append(sel, i)
 	}
-	out := in.Gather(sel)
-	oc := cons.clone()
-	switch {
-	case len(rel.WithKeys) > 0:
-		oc.Size = math.Min(oc.Size, float64(len(rel.WithKeys)))
-	default:
-		// Dedup can only shrink the relation; without explicit keys
-		// the bound carries over unchanged.
-	}
-	oc.DedupKeys = append([]string(nil), rel.Keys...)
-	return out, oc, nil
-}
-
-func keysMatch(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	set := make(map[string]bool, len(a))
-	for _, k := range a {
-		set[k] = true
-	}
-	for _, k := range b {
-		if !set[k] {
-			return false
-		}
-	}
-	return true
+	return in.Gather(sel), oc, nil
 }
 
 // firstPerKey returns, for each distinct key tuple in row order, the
@@ -353,65 +221,11 @@ func execJoin(rel *query.JoinExpr, env Env) (*table.Table, Constraints, error) {
 	if err != nil {
 		return nil, Constraints{}, err
 	}
-	// Fig. 10 restricts joins to inputs grouped on the join key(s):
-	// otherwise a single event's rows multiply through the join and
-	// the sensitivity bound no longer holds.
-	if !keysMatch(lc.DedupKeys, rel.On) || !keysMatch(rc.DedupKeys, rel.On) {
-		return nil, Constraints{}, fmt.Errorf("rel: JOIN inputs must be GROUP BY'd on the join key(s) %v", rel.On)
+	js, oc, err := joinCons(rel, lt.Schema, rt.Schema, lc, rc)
+	if err != nil {
+		return nil, Constraints{}, err
 	}
-	lIdx := make([]int, len(rel.On))
-	rIdx := make([]int, len(rel.On))
-	for i, k := range rel.On {
-		lIdx[i] = lt.Schema.Index(k)
-		rIdx[i] = rt.Schema.Index(k)
-		if lIdx[i] < 0 || rIdx[i] < 0 {
-			return nil, Constraints{}, fmt.Errorf("rel: JOIN column %q missing", k)
-		}
-	}
-	onSet := make(map[string]bool, len(rel.On))
-	for _, k := range rel.On {
-		onSet[k] = true
-	}
-	// Output schema: key columns, then left non-keys, then right
-	// non-keys (suffixed on clashes).
-	var cols []table.Column
-	for i, k := range rel.On {
-		cols = append(cols, table.Column{Name: k, Type: lt.Schema.Cols[lIdx[i]].Type})
-	}
-	type pick struct {
-		side int // 0 = left, 1 = right
-		col  int
-	}
-	var picks []pick
-	used := map[string]bool{}
-	for _, k := range rel.On {
-		used[k] = true
-	}
-	for i, c := range lt.Schema.Cols {
-		if onSet[c.Name] {
-			continue
-		}
-		name := c.Name
-		for used[name] {
-			name += "_l"
-		}
-		used[name] = true
-		cols = append(cols, table.Column{Name: name, Type: c.Type})
-		picks = append(picks, pick{0, i})
-	}
-	for i, c := range rt.Schema.Cols {
-		if onSet[c.Name] {
-			continue
-		}
-		name := c.Name
-		for used[name] {
-			name += "_r"
-		}
-		used[name] = true
-		cols = append(cols, table.Column{Name: name, Type: c.Type})
-		picks = append(picks, pick{1, i})
-	}
-	schema := table.Schema{Cols: cols}
+	lIdx, rIdx, cols := js.lIdx, js.rIdx, js.schema.Cols
 
 	// First row per key on each side (inputs are deduped, but stay
 	// defensive), then match by hashed key.
@@ -445,7 +259,7 @@ func execJoin(rel *query.JoinExpr, env Env) (*table.Table, Constraints, error) {
 	}
 
 	nout := len(lsel)
-	b := table.NewBuilder(schema, nout)
+	b := table.NewBuilder(js.schema, nout)
 	// Key columns: the left cell, or the right cell for right-only keys.
 	for k := range rel.On {
 		lk, rk := lIdx[k], rIdx[k]
@@ -458,7 +272,7 @@ func execJoin(rel *query.JoinExpr, env Env) (*table.Table, Constraints, error) {
 	}
 	// Picked columns: own side's cell, or the type default when the
 	// outer join's other side is missing.
-	for pi, p := range picks {
+	for pi, p := range js.picks {
 		jout := len(rel.On) + pi
 		side, col := p.side, p.col
 		fillJoinCol(b, jout, cols[jout].Type, nout, func(i int) (*table.Table, int, int) {
@@ -472,59 +286,7 @@ func execJoin(rel *query.JoinExpr, env Env) (*table.Table, Constraints, error) {
 			return nil, 0, 0
 		})
 	}
-	out := b.Build()
-
-	// Constraints: the additive JOIN rule (§6.3 "primed table"
-	// argument): a value need only appear in either input to appear in
-	// the intersection, so ΔP adds.
-	oc := Constraints{
-		Delta:   lc.Delta + rc.Delta,
-		Ranges:  map[string]Range{},
-		Trusted: map[string]bool{},
-		Buckets: map[string]BucketSpec{},
-		Metas:   append(append([]TableMeta(nil), lc.Metas...), rc.Metas...),
-	}
-	if rel.Outer {
-		oc.Size = lc.Size + rc.Size
-	} else {
-		oc.Size = math.Min(lc.Size, rc.Size)
-	}
-	for i, k := range rel.On {
-		lr, lok := lc.Ranges[k]
-		rr, rok := rc.Ranges[k]
-		if lok && rok {
-			oc.Ranges[k] = Range{math.Min(lr.Lo, rr.Lo), math.Max(lr.Hi, rr.Hi)}
-		}
-		oc.Trusted[k] = lc.Trusted[k] && rc.Trusted[k]
-		lb, lbok := lc.Buckets[k]
-		if rb, rbok := rc.Buckets[k]; lbok && rbok && lb == rb {
-			oc.Buckets[k] = lb
-		}
-		_ = i
-	}
-	ci := len(rel.On)
-	for _, p := range picks {
-		name := cols[ci].Name
-		src := lc
-		origin := lt.Schema.Cols[p.col].Name
-		if p.side == 1 {
-			src = rc
-			origin = rt.Schema.Cols[p.col].Name
-		}
-		if rg, ok := src.Ranges[origin]; ok {
-			if rel.Outer {
-				// A missing side contributes the 0 default.
-				rg = Range{math.Min(rg.Lo, 0), math.Max(rg.Hi, 0)}
-			}
-			oc.Ranges[name] = rg
-		}
-		if src.Trusted[origin] && !rel.Outer {
-			oc.Trusted[name] = true
-		}
-		ci++
-	}
-	oc.DedupKeys = append([]string(nil), rel.On...)
-	return out, oc, nil
+	return b.Build(), oc, nil
 }
 
 // fillJoinCol writes one join output column. src yields the source
@@ -574,18 +336,9 @@ func execUnion(rel *query.UnionExpr, env Env) (*table.Table, Constraints, error)
 	if err != nil {
 		return nil, Constraints{}, err
 	}
-	// Column sets must match by name; the right side is re-ordered to
-	// the left schema.
-	remap := make([]int, len(lt.Schema.Cols))
-	for i, c := range lt.Schema.Cols {
-		j := rt.Schema.Index(c.Name)
-		if j < 0 {
-			return nil, Constraints{}, fmt.Errorf("rel: UNION column %q missing on right side", c.Name)
-		}
-		remap[i] = j
-	}
-	if len(rt.Schema.Cols) != len(lt.Schema.Cols) {
-		return nil, Constraints{}, fmt.Errorf("rel: UNION column counts differ (%d vs %d)", len(lt.Schema.Cols), len(rt.Schema.Cols))
+	remap, oc, err := unionCons(lt.Schema, rt.Schema, lc, rc)
+	if err != nil {
+		return nil, Constraints{}, err
 	}
 	nl, nr := lt.Len(), rt.Len()
 	b := table.NewBuilder(lt.Schema, nl+nr)
@@ -620,104 +373,5 @@ func execUnion(rel *query.UnionExpr, env Env) (*table.Table, Constraints, error)
 		}
 		b.SetStrsView(i, strs, nums, valid)
 	}
-	out := b.Build()
-	oc := Constraints{
-		Delta:   lc.Delta + rc.Delta,
-		Size:    lc.Size + rc.Size,
-		Ranges:  map[string]Range{},
-		Trusted: map[string]bool{},
-		Buckets: map[string]BucketSpec{},
-		Metas:   append(append([]TableMeta(nil), lc.Metas...), rc.Metas...),
-	}
-	oc.LiteralCols = map[string]string{}
-	oc.KeyDeltas = map[string]map[string]float64{}
-	oc.KeyCams = map[string]map[string][]string{}
-	for _, c := range lt.Schema.Cols {
-		lr, lok := lc.Ranges[c.Name]
-		rr, rok := rc.Ranges[c.Name]
-		if lok && rok {
-			oc.Ranges[c.Name] = Range{math.Min(lr.Lo, rr.Lo), math.Max(lr.Hi, rr.Hi)}
-		}
-		oc.Trusted[c.Name] = lc.Trusted[c.Name] && rc.Trusted[c.Name]
-		if lb, ok := lc.Buckets[c.Name]; ok {
-			if rb, ok2 := rc.Buckets[c.Name]; ok2 && lb == rb {
-				oc.Buckets[c.Name] = lb
-			}
-		}
-		// A column that is a (possibly different) trusted literal on
-		// each side partitions the union: rows with each value can
-		// only come from the branch(es) that carry it, so each key's
-		// event influence is that branch's Δ — Fig. 10's per-key
-		// ARGMAX sensitivity.
-		ld, lok2 := branchDeltas(lc, c.Name)
-		rd, rok2 := branchDeltas(rc, c.Name)
-		if lok2 && rok2 {
-			merged := make(map[string]float64, len(ld)+len(rd))
-			for k, v := range ld {
-				merged[k] = v
-			}
-			for k, v := range rd {
-				merged[k] += v
-			}
-			oc.KeyDeltas[c.Name] = merged
-			lcm, rcm := branchCams(lc, c.Name), branchCams(rc, c.Name)
-			cams := make(map[string][]string, len(lcm)+len(rcm))
-			for k, v := range lcm {
-				cams[k] = mergeCams(cams[k], v)
-			}
-			for k, v := range rcm {
-				cams[k] = mergeCams(cams[k], v)
-			}
-			oc.KeyCams[c.Name] = cams
-		}
-		if lv, ok := lc.LiteralCols[c.Name]; ok {
-			if rv, ok2 := rc.LiteralCols[c.Name]; ok2 && rv == lv {
-				oc.LiteralCols[c.Name] = lv
-			}
-		}
-	}
-	return out, oc, nil
-}
-
-// branchDeltas returns the per-key ΔP partition of a relation on one
-// column: an existing KeyDeltas entry, or a single-key map when the
-// column is a trusted constant for the whole relation.
-func branchDeltas(c Constraints, col string) (map[string]float64, bool) {
-	if kd, ok := c.KeyDeltas[col]; ok && len(kd) > 0 {
-		return kd, true
-	}
-	if v, ok := c.LiteralCols[col]; ok {
-		return map[string]float64{v: c.Delta}, true
-	}
-	return nil, false
-}
-
-// branchCams returns the per-key camera attribution of a relation on
-// one column, mirroring branchDeltas: an existing KeyCams entry, or —
-// for a trusted whole-relation constant — the full camera set of the
-// branch under that key.
-func branchCams(c Constraints, col string) map[string][]string {
-	if kc, ok := c.KeyCams[col]; ok && len(kc) > 0 {
-		return kc
-	}
-	if v, ok := c.LiteralCols[col]; ok {
-		return map[string][]string{v: camerasOf(c)}
-	}
-	return nil
-}
-
-// mergeCams unions two sorted camera lists.
-func mergeCams(a, b []string) []string {
-	seen := make(map[string]bool, len(a)+len(b))
-	var out []string
-	for _, lst := range [2][]string{a, b} {
-		for _, c := range lst {
-			if !seen[c] {
-				seen[c] = true
-				out = append(out, c)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
+	return b.Build(), oc, nil
 }

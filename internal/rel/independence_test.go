@@ -1,18 +1,24 @@
 package rel
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"privid/internal/query"
 	"privid/internal/table"
 )
 
 // TestSensitivityDataIndependence pins the property the whole threat
-// model rests on: the computed sensitivity of a query must depend only
-// on trusted metadata (chunking, max_rows, policy, the query text) —
-// NEVER on table contents, which the analyst's executable controls.
-// We run the same queries over many randomized table fillings and
-// require bit-identical sensitivities.
+// model rests on: everything about a query's releases except their
+// values — how many there are, their descriptions, keys and order, their
+// sensitivities, their windows, the cameras they charge and over which
+// spans — must depend only on trusted metadata (chunking, max_rows,
+// policy, the query text) and NEVER on table contents, which the
+// analyst's executable controls. We run the same queries over many
+// randomized table fillings, the empty table included, on both the
+// materialized and the pushdown path, and require identical skeletons
+// (sensitivities bit for bit).
 func TestSensitivityDataIndependence(t *testing.T) {
 	queries := []string{
 		`SELECT COUNT(*) FROM tableA;`,
@@ -39,34 +45,51 @@ func TestSensitivityDataIndependence(t *testing.T) {
 		}
 		return tbl
 	}
-
+	var fillings []Env // seed 0 is the empty table
+	for seed := int64(0); seed < 8; seed++ {
+		fillings = append(fillings, Env{"tableA": &Instance{Metas: []TableMeta{meta}, Data: fill(seed, int(seed)*37%200)}})
+	}
 	for qi, q := range queries {
 		st := parseSelect(t, q)
-		var want []float64
-		for seed := int64(0); seed < 8; seed++ {
-			env := Env{"tableA": &Instance{Metas: []TableMeta{meta}, Data: fill(seed, int(seed)*37%200)}}
-			rels, err := ExecuteSelect(st, env)
-			if err != nil {
-				t.Fatalf("query %d seed %d: %v", qi, seed, err)
-			}
-			sens := make([]float64, len(rels))
-			for i, r := range rels {
-				sens[i] = r.Sensitivity
-			}
-			if want == nil {
-				want = sens
-				continue
-			}
-			if len(sens) != len(want) {
-				t.Fatalf("query %d seed %d: release count changed with data: %d vs %d",
-					qi, seed, len(sens), len(want))
-			}
-			for i := range sens {
-				if sens[i] != want[i] {
-					t.Fatalf("query %d seed %d release %d: sensitivity %v != %v — sensitivity leaked data dependence",
-						qi, seed, i, sens[i], want[i])
-				}
-			}
+		if _, err := ExecuteSelect(st, fillings[0]); err != nil {
+			t.Fatalf("query %d: %v", qi, err)
+		}
+		checkSkeletonIndependence(t, fmt.Sprintf("query %d", qi), st, fillings)
+	}
+
+	// Every statement shape the differential generator produces,
+	// rejected ones included (a rejection must not move with data
+	// either).
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+		first := diffEnv(rng)
+		from, cols := diffSchemaPreserving(rng, rng.Intn(3))
+		st := diffSelectStmt(rng, from, cols)
+		fillings := []Env{first, emptied(first)}
+		for f := int64(1); f < 8; f++ {
+			fillings = append(fillings, diffEnv(rand.New(rand.NewSource(seed*8+f))))
+		}
+		checkSkeletonIndependence(t, fmt.Sprintf("generated seed %d", seed), st, fillings)
+	}
+}
+
+// checkSkeletonIndependence requires st to produce the same outcome —
+// the same rejection, or the same release skeleton — over every filling,
+// from ExecuteSelect and, where the statement is eligible, from
+// PlanPartial→Finalize.
+func checkSkeletonIndependence(t *testing.T, label string, st *query.SelectStmt, fillings []Env) {
+	t.Helper()
+	var want string
+	for i, env := range fillings {
+		rels, err := ExecuteSelect(st, env)
+		got := errText(err) + "\n" + skeleton(rels)
+		if i == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("%s, filling %d: outcome changed with data — data dependence leaked\n got %s\nwant %s", label, i, got, want)
+		}
+		if ps, ok := pushdownSkeleton(t, st, env); ok && errText(err)+"\n"+ps != want {
+			t.Fatalf("%s, filling %d: pushdown skeleton diverges\n got %s\nwant %s", label, i, ps, want)
 		}
 	}
 }

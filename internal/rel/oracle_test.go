@@ -10,6 +10,7 @@ package rel
 import (
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"privid/internal/query"
@@ -771,4 +772,14 @@ func oracleExecuteSelect(st *query.SelectStmt, env Env) ([]Release, error) {
 	// (both sort keyed releases by group key).
 	sortReleases(out)
 	return out, nil
+}
+
+// sortReleases orders keyed releases by group key (see releaseKeyLess).
+// The sort is stable so duplicate keys keep their request order.
+// Production sorts slot indices in planReleases before it builds any
+// release; the oracle keeps the historical build-then-sort.
+func sortReleases(rs []Release) {
+	sort.SliceStable(rs, func(i, j int) bool {
+		return releaseKeyLess(rs[i].Key, rs[j].Key)
+	})
 }

@@ -3,9 +3,7 @@ package rel
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
-	"time"
 
 	"privid/internal/query"
 	"privid/internal/table"
@@ -16,18 +14,19 @@ import (
 // outer aggregation is COUNT, SUM or ARGMAX (grouped COUNT) can be
 // evaluated one chunk at a time: each chunk's rows fold into a small
 // mergeable state (per-group counts and clamped sums plus per-camera
-// row tallies), states merge associatively, and Finalize reconstructs
-// the exact releases ExecuteSelect would have produced — sensitivities
-// included, because Fig. 10's constraint propagation is data-independent
-// (ΔP, C̃r, buckets and the per-camera KeyDeltas partition all derive
-// from trusted metadata and the query text, never from row contents).
+// row tallies), states merge associatively, and Finalize fills the
+// values into the same release skeleton ExecuteSelect uses — the
+// planner (plan.go) lays it out from trusted metadata and the query
+// text alone, so the two paths cannot disagree on descriptions,
+// sensitivities, windows, charged cameras or release order.
 //
-// Eligibility is decided statically. The plan accepts a statement only
-// when no expression it would ever evaluate can error (checkExpr mirrors
-// the evaluator's failure branches), so the fold path needs no error
-// parity bookkeeping: any statement that could fail — or whose
-// aggregate is not exactly mergeable (AVG, VAR) — declines and takes
-// the full materialization path.
+// Eligibility is decided statically, by the planner's own accept/reject
+// rules: a statement the planner rejects would fail on the full
+// materialization path too and is left to fail there, and one whose
+// aggregate is not exactly mergeable (AVG, VAR) or whose chain is not
+// distributive over chunks declines. An accepted plan evaluates no
+// expression that can error, so the fold path needs no error parity
+// bookkeeping.
 
 // PartialState is the mergeable aggregate of some subset of chunks:
 // fixed parallel arrays indexed by plan key slot (a single slot for
@@ -64,33 +63,16 @@ type PartialPlan struct {
 	// letting Fold skip relational evaluation entirely.
 	bare bool
 
-	cons   Constraints
-	begin  time.Time
-	end    time.Time
-	spans  map[string][2]time.Time
-	schema table.Schema // output schema of the FROM chain
-
-	grouped bool
-	col     string // GROUP BY column
-	ci      int    // its index in schema
-	keys    []table.Value
-	windows [][2]time.Time
-	slots   map[uint64][]int
+	// rp is the statement's release skeleton: key slots, clamp range
+	// and the finished releases Finalize fills values into.
+	rp *releasePlan
 
 	needSum bool
-	rg      Range
-	width   float64
 	// argCol is the direct column index of the aggregate argument when
 	// it is a bare column reference or a range() call over one (the
-	// single clamp by rg reproduces evalVec + aggregateSel exactly);
+	// single clamp by rp.rg reproduces evalVec + aggregateSel exactly);
 	// -1 when the general expression evaluator is needed.
 	argCol int
-
-	argmaxSens float64
-	kd         map[string]float64
-	hasKD      bool
-	kc         map[string][]string
-	hasKC      bool
 
 	id string
 }
@@ -124,86 +106,22 @@ func ReferencedTables(r query.RelExpr) []string {
 	return out
 }
 
-// checkExpr statically verifies that evaluating e over any table with
-// the given schema cannot fail: it mirrors every error and panic branch
-// of evalVec/binVec/callVec (unknown column, unknown operator, unknown
-// function, non-literal range/bin bounds, non-positive bin width,
-// unsupported node). A nil error means evaluation is total.
-func checkExpr(e query.Expr, schema table.Schema) error {
-	switch ex := e.(type) {
-	case *query.ColRef:
-		if schema.Index(ex.Name) < 0 {
-			return fmt.Errorf("unknown column %q", ex.Name)
-		}
-		return nil
-	case *query.NumLit, *query.StrLit:
-		return nil
-	case *query.BinExpr:
-		if err := checkExpr(ex.L, schema); err != nil {
-			return err
-		}
-		if err := checkExpr(ex.R, schema); err != nil {
-			return err
-		}
-		switch ex.Op {
-		case "+", "-", "*", "/", "=", "!=", "<", "<=", ">", ">=", "AND", "OR":
-			return nil
-		}
-		return fmt.Errorf("unknown operator %q", ex.Op)
-	case *query.CallExpr:
-		switch ex.Name {
-		case "range":
-			if len(ex.Args) != 3 {
-				return fmt.Errorf("range() wants 3 args")
-			}
-			if err := checkExpr(ex.Args[0], schema); err != nil {
-				return err
-			}
-			if _, ok := ex.Args[1].(*query.NumLit); !ok {
-				return fmt.Errorf("range() bound is not a literal")
-			}
-			if _, ok := ex.Args[2].(*query.NumLit); !ok {
-				return fmt.Errorf("range() bound is not a literal")
-			}
-			return nil
-		case "hour", "day":
-			if len(ex.Args) != 1 {
-				return fmt.Errorf("%s() wants 1 arg", ex.Name)
-			}
-			return checkExpr(ex.Args[0], schema)
-		case "bin":
-			if len(ex.Args) != 2 {
-				return fmt.Errorf("bin() wants 2 args")
-			}
-			if err := checkExpr(ex.Args[0], schema); err != nil {
-				return err
-			}
-			w, ok := ex.Args[1].(*query.NumLit)
-			if !ok {
-				return fmt.Errorf("bin() width is not a literal")
-			}
-			if w.V <= 0 {
-				return fmt.Errorf("bin width must be positive")
-			}
-			return nil
-		}
-		return fmt.Errorf("unknown function %q", ex.Name)
-	default:
-		return fmt.Errorf("unsupported expression %T", e)
-	}
-}
-
 // PlanPartial decides whether st can be evaluated by per-chunk folding
 // over the named table (whose full execution schema and trusted shard
 // metadata are given) and, if so, returns the plan. A nil result means
 // the statement must take the full materialization path — because it
 // touches other tables, uses an operator that is not distributive over
 // chunks (LIMIT, inner GROUP BY, JOIN, UNION), aggregates with AVG/VAR
-// (not exactly mergeable), or could raise an evaluation error that the
-// fold path would not reproduce.
+// (not exactly mergeable), or is one the planner rejects (the full path
+// then reports the error).
 func PlanPartial(st *query.SelectStmt, name string, full table.Schema, metas []TableMeta) *PartialPlan {
 	if len(metas) == 0 {
 		return nil
+	}
+	switch st.Agg.Fun {
+	case query.AggCount, query.AggSum, query.AggArgmax:
+	default:
+		return nil // AVG/VAR need count-coupled division; not exactly mergeable
 	}
 	// Unwrap the FROM chain: projections/filters over the single table.
 	var wrappers []*query.SelectExpr // outermost first
@@ -226,37 +144,16 @@ unwrap:
 			return nil
 		}
 	}
-	// Static totality check of every expression the chain evaluates,
-	// tracking the evolving schema innermost-out.
-	schema := full
+	// The planner's rules, innermost-out: the chain's output schema and
+	// constraints, then the release skeleton.
+	schema, cons := full, tableCons(metas, full)
 	for i := len(wrappers) - 1; i >= 0; i-- {
-		w := wrappers[i]
-		if w.Where != nil {
-			if checkExpr(w.Where, schema) != nil {
-				return nil
-			}
+		var err error
+		if schema, cons, err = selectCons(wrappers[i], schema, cons); err != nil {
+			return nil
 		}
-		if w.Star {
-			continue
-		}
-		cols := make([]table.Column, 0, len(w.Items))
-		for j, it := range w.Items {
-			if checkExpr(it.Expr, schema) != nil {
-				return nil
-			}
-			cname := it.Alias
-			if cname == "" {
-				cname = exprName(it.Expr, j)
-			}
-			cols = append(cols, table.Column{Name: cname, Type: exprType(it.Expr, schema)})
-		}
-		schema = table.Schema{Cols: cols}
 	}
-
-	// Constraint propagation is data-independent: run the chain once
-	// over a zero-row table to obtain the output constraints.
-	env0 := Env{name: {Metas: metas, Data: table.New(full)}}
-	empty, cons, err := execRel(st.From, env0)
+	rp, err := planReleases(st, schema, cons)
 	if err != nil {
 		return nil
 	}
@@ -268,101 +165,25 @@ unwrap:
 		metas:     metas,
 		cams:      make(map[string]string, len(metas)),
 		bare:      len(wrappers) == 0,
-		cons:      cons,
-		spans:     cameraSpans(cons),
-		schema:    empty.Schema,
+		rp:        rp,
+		needSum:   st.Agg.Fun == query.AggSum,
 		argCol:    -1,
 	}
-	p.begin, p.end = cons.Window()
 	for _, m := range metas {
 		p.cams[m.Camera] = m.Camera
 	}
-
-	switch st.Agg.Fun {
-	case query.AggCount, query.AggSum, query.AggArgmax:
-	default:
-		return nil // AVG/VAR need count-coupled division; not exactly mergeable
-	}
-	p.grouped = len(st.GroupBy) > 0
-	if st.Agg.Fun == query.AggArgmax && !p.grouped {
-		return nil
-	}
-	if p.grouped && len(st.GroupBy) != 1 {
-		return nil
-	}
-
-	if st.Agg.Fun == query.AggSum {
-		p.needSum = true
-		rg, ok := exprRange(st.Agg.Arg, cons.Ranges)
-		if !ok {
-			return nil
-		}
-		if checkExpr(st.Agg.Arg, p.schema) != nil {
-			return nil
-		}
-		p.rg = rg
-		p.width = rg.Width()
+	if p.needSum {
 		switch arg := st.Agg.Arg.(type) {
 		case *query.ColRef:
-			p.argCol = p.schema.Index(arg.Name)
+			p.argCol = schema.Index(arg.Name)
 		case *query.CallExpr:
 			if arg.Name == "range" {
 				if c, ok := arg.Args[0].(*query.ColRef); ok {
-					p.argCol = p.schema.Index(c.Name)
+					p.argCol = schema.Index(c.Name)
 				}
 			}
 		}
 	}
-
-	if p.grouped {
-		p.col = st.GroupBy[0]
-		p.ci = p.schema.Index(p.col)
-		if p.ci < 0 {
-			return nil
-		}
-		switch {
-		case len(st.GroupKeys) > 0:
-			p.keys = st.GroupKeys
-			for range p.keys {
-				p.windows = append(p.windows, [2]time.Time{p.begin, p.end})
-			}
-		case cons.Trusted[p.col]:
-			spec, ok := cons.Buckets[p.col]
-			if !ok {
-				return nil
-			}
-			p.keys, p.windows = enumerateBuckets(spec, p.begin, p.end)
-		default:
-			return nil
-		}
-		p.slots = make(map[uint64][]int, len(p.keys))
-		for si, k := range p.keys {
-			h := k.KeyHash()
-			p.slots[h] = append(p.slots[h], si)
-		}
-		if st.Agg.Fun == query.AggArgmax {
-			p.argmaxSens = cons.Delta
-			if kd, ok := cons.KeyDeltas[p.col]; ok {
-				maxD, covered := 0.0, true
-				for _, k := range p.keys {
-					d, ok := kd[k.Str()]
-					if !ok {
-						covered = false
-						break
-					}
-					if d > maxD {
-						maxD = d
-					}
-				}
-				if covered {
-					p.argmaxSens = maxD
-				}
-			}
-		}
-		p.kd, p.hasKD = cons.KeyDeltas[p.col]
-		p.kc, p.hasKC = cons.KeyCams[p.col]
-	}
-
 	p.id = p.renderID(st, full)
 	return p
 }
@@ -382,12 +203,12 @@ func (p *PartialPlan) renderID(st *query.SelectStmt, full table.Schema) string {
 	renderRel(&b, st.From)
 	fmt.Fprintf(&b, "|agg:%d,star:%t,arg:", st.Agg.Fun, st.Agg.Star)
 	renderExpr(&b, st.Agg.Arg)
-	fmt.Fprintf(&b, "|gb:%q|keys:", p.col)
-	for _, k := range p.keys {
+	fmt.Fprintf(&b, "|gb:%q|keys:", p.rp.col)
+	for _, k := range p.rp.keys {
 		fmt.Fprintf(&b, "%q;", k.Key())
 	}
 	if p.needSum {
-		fmt.Fprintf(&b, "|rg:%x,%x", math.Float64bits(p.rg.Lo), math.Float64bits(p.rg.Hi))
+		fmt.Fprintf(&b, "|rg:%x,%x", math.Float64bits(p.rp.rg.Lo), math.Float64bits(p.rp.rg.Hi))
 	}
 	return b.String()
 }
@@ -453,8 +274,8 @@ func (p *PartialPlan) ID() string { return p.id }
 
 // Slots returns the number of key slots (1 for ungrouped aggregates).
 func (p *PartialPlan) Slots() int {
-	if p.grouped {
-		return len(p.keys)
+	if p.rp.ci >= 0 {
+		return len(p.rp.keys)
 	}
 	return 1
 }
@@ -505,7 +326,7 @@ func (p *PartialPlan) Partial(chunk *table.Table, camera string) (*PartialState,
 
 	var argAt func(i int) float64
 	if p.needSum {
-		lo, hi := p.rg.Lo, p.rg.Hi
+		lo, hi := p.rp.rg.Lo, p.rp.rg.Hi
 		if p.argCol >= 0 {
 			nums := tbl.Nums(p.argCol)
 			argAt = func(i int) float64 {
@@ -536,7 +357,7 @@ func (p *PartialPlan) Partial(chunk *table.Table, camera string) (*PartialState,
 		}
 	}
 
-	if !p.grouped {
+	if p.rp.ci < 0 {
 		s.Counts[0] = int64(n)
 		if p.needSum {
 			var sum float64
@@ -548,15 +369,15 @@ func (p *PartialPlan) Partial(chunk *table.Table, camera string) (*PartialState,
 		return s, nil
 	}
 
-	ci := p.ci
+	ci, keys, slots := p.rp.ci, p.rp.keys, p.rp.slots
 	for i := 0; i < n; i++ {
 		h := tbl.HashCell(table.HashSeed, i, ci)
-		sis := p.slots[h]
+		sis := slots[h]
 		if len(sis) == 0 {
 			continue
 		}
 		for _, si := range sis {
-			if tbl.At(i, ci).KeyEqual(p.keys[si]) {
+			if tbl.At(i, ci).KeyEqual(keys[si]) {
 				s.Counts[si]++
 				if p.needSum {
 					s.Sums[si] += argAt(i)
@@ -589,99 +410,24 @@ func (p *PartialPlan) Merge(dst, src *PartialState) {
 	}
 }
 
-// Finalize reconstructs the statement's releases from a merged state,
+// Finalize returns the statement's releases from a merged state: a copy
+// of the planned skeleton with each release's value read from its slot,
 // byte-identical to what ExecuteSelect produces over the concatenated
-// table: descriptions, sensitivities, per-bucket windows, per-camera
-// charge windows and release order (sorted by group key).
+// table.
 func (p *PartialPlan) Finalize(s *PartialState) []Release {
-	base := Release{Fun: p.agg.Fun, Begin: p.begin, End: p.end}
-
-	if !p.grouped {
-		r := base
-		r.Desc = aggDesc(p.agg, "")
-		switch p.agg.Fun {
-		case query.AggCount:
-			r.Raw = float64(s.Counts[0])
-			r.Sensitivity = p.cons.Delta
-		case query.AggSum:
-			r.Raw = s.Sums[0]
-			r.Sensitivity = p.cons.Delta * p.width
-		}
-		return []Release{withWindows(r, p.spans, nil)}
-	}
-
+	out := append([]Release(nil), p.rp.releases...)
 	if p.agg.Fun == query.AggArgmax {
-		r := base
-		r.Desc = aggDesc(p.agg, p.col)
-		r.Sensitivity = p.argmaxSens
-		for si, k := range p.keys {
-			r.Scores = append(r.Scores, Score{Key: k, Raw: float64(s.Counts[si])})
+		for si, k := range p.rp.keys {
+			out[0].Scores = append(out[0].Scores, Score{Key: k, Raw: float64(s.Counts[si])})
 		}
-		return []Release{withWindows(r, p.spans, nil)}
+		return out
 	}
-
-	var out []Release
-	for i, k := range p.keys {
-		delta := p.cons.Delta
-		if p.hasKD {
-			delta = p.kd[k.Str()]
+	for i, si := range p.rp.slotOf {
+		if p.needSum {
+			out[i].Raw = s.Sums[si]
+		} else {
+			out[i].Raw = float64(s.Counts[si])
 		}
-		r := base
-		r.Desc = aggDesc(p.agg, "") + "[" + p.col + "=" + k.Str() + "]"
-		r.Key = k
-		r.HasKey = true
-		switch p.agg.Fun {
-		case query.AggCount:
-			r.Raw = float64(s.Counts[i])
-			r.Sensitivity = delta
-		case query.AggSum:
-			r.Raw = s.Sums[i]
-			r.Sensitivity = delta * p.width
-		}
-		r.Begin, r.End = p.windows[i][0], p.windows[i][1]
-		var only []string
-		if p.hasKC {
-			only = p.kc[k.Str()]
-			if only == nil {
-				only = []string{}
-			}
-		}
-		out = append(out, withWindows(r, p.spans, only))
 	}
-	sortReleases(out)
 	return out
-}
-
-// sortReleases orders keyed releases by group key: numeric keys before
-// string keys, numeric keys ascending (NaN first), string keys
-// lexicographic. The sort is stable so duplicate keys keep their plan
-// order. Both the streaming and materialized paths apply it, making
-// release order — and therefore the seeded noise draw each release
-// consumes — independent of chunk arrival order.
-func sortReleases(rs []Release) {
-	sort.SliceStable(rs, func(i, j int) bool {
-		return releaseKeyLess(rs[i].Key, rs[j].Key)
-	})
-}
-
-func releaseKeyLess(a, b table.Value) bool {
-	an := a.Type() == table.DNumber
-	bn := b.Type() == table.DNumber
-	if an != bn {
-		return an
-	}
-	if an {
-		x, y := a.Num(), b.Num()
-		switch {
-		case x < y:
-			return true
-		case x > y:
-			return false
-		case math.IsNaN(x) && !math.IsNaN(y):
-			return true
-		default:
-			return false
-		}
-	}
-	return a.Str() < b.Str()
 }
