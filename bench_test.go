@@ -366,6 +366,75 @@ func BenchmarkPartialStateCache_Warm(b *testing.B) {
 	b.ReportMetric(float64(folds)/float64(b.N), "partial-folds/op")
 }
 
+// BenchmarkColdChunk_Pushdown measures the per-chunk miss path with the
+// cache on, the way the service benchmark's cold_scan drives it: every
+// op is a pushdown COUNT over a 60-chunk window whose entries a 256 KiB
+// cache evicted long before the window comes round again, so every
+// chunk pays keys, flight, harness, ingest, stamped view, fold, encode
+// and two puts. The executable reads every frame (allocation-free since
+// the interval source serves shared snapshots) and hands back one
+// preallocated row slice, so allocs/op is the engine's own and
+// BENCH_12.json pins it (cold_chunk_allocs_absolute).
+func BenchmarkColdChunk_Pushdown(b *testing.B) {
+	const chunks, windows = 60, 48
+	start := time.Date(2021, 3, 15, 0, 0, 0, 0, time.UTC)
+	src := &video.IntervalSource{Camera: "cam", FPS: 2, Start: start, Frames: windows * chunks * 60}
+	for id := 0; int64(id)*40 < src.Frames; id++ {
+		src.Objects = append(src.Objects, video.FakeObject{ID: id, Enter: int64(id) * 40, Exit: int64(id)*40 + 90})
+	}
+	src.Sort()
+	engine, err := privid.Open(privid.Options{Seed: 1, ChunkCacheBytes: 256 << 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := engine.RegisterCamera(privid.CameraConfig{
+		Name: "cam", Source: src, Policy: privid.Policy{Rho: 25 * time.Second, K: 1}, Epsilon: 1e9,
+	}); err != nil {
+		b.Fatal(err)
+	}
+	rows := []privid.Row{{privid.N(1)}, {privid.N(2)}}
+	var execs, objs atomic.Int64
+	if err := engine.Registry().Register("reader", func(chunk *privid.Chunk) []privid.Row {
+		execs.Add(1)
+		for f := int64(0); f < chunk.Len(); f++ {
+			objs.Add(int64(len(chunk.Frame(f).Objects)))
+		}
+		return rows
+	}); err != nil {
+		b.Fatal(err)
+	}
+	progs := make([]*privid.Program, windows)
+	for w := range progs {
+		begin := start.Add(time.Duration(w*chunks) * 30 * time.Second)
+		progs[w], err = privid.Parse(fmt.Sprintf(`
+SPLIT cam BEGIN %s END %s BY TIME 30sec STRIDE 0sec INTO c;
+PROCESS c USING reader TIMEOUT 5sec PRODUCING 2 ROWS WITH SCHEMA (id:NUMBER=0) INTO t;
+SELECT COUNT(*) FROM t CONSUMING 0.0001;`,
+			begin.Format("01-02-2006/3:04pm"), begin.Add(chunks*30*time.Second).Format("01-02-2006/3:04pm")))
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := engine.Execute(progs[windows-1]); err != nil { // builds the snapshot index
+		b.Fatal(err)
+	}
+	execs.Store(0)
+	folds := engine.PartialStats().Folds
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := engine.Execute(progs[i%windows]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if ran := execs.Load(); ran != int64(b.N)*chunks || objs.Load() == 0 {
+		b.Fatalf("%d sandbox executions over %d cold %d-chunk ops, %d objects read", ran, b.N, chunks, objs.Load())
+	}
+	b.ReportMetric(float64(execs.Load())/float64(b.N), "sandbox-execs/op")
+	b.ReportMetric(float64(engine.PartialStats().Folds-folds)/float64(b.N), "partial-folds/op")
+}
+
 // Multi-camera benchmarks: the same 4-camera fleet processed serially
 // (one single-camera query per camera, back to back — the pre-sharding
 // behavior) versus sharded (one fleet query whose per-camera shards fan

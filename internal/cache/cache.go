@@ -29,14 +29,13 @@
 package cache
 
 import (
-	"container/list"
 	"sync"
 
 	"privid/internal/table"
 )
 
 // entryOverhead approximates the fixed bookkeeping bytes per cache
-// entry (map bucket, list element, key string header, slice headers).
+// entry (map bucket, list links, key string header, slice headers).
 const entryOverhead = 128
 
 // Stats is a snapshot of cache effectiveness counters. Tier-1 (RAM)
@@ -103,8 +102,8 @@ type LRU struct {
 	mu       sync.Mutex
 	maxBytes int64
 	bytes    int64
-	ll       *list.List // front = most recent
-	items    map[string]*list.Element
+	root     lruEntry // ring sentinel: root.next = most recent, root.prev = oldest
+	items    map[string]*lruEntry
 
 	hits, misses, puts, evictions     uint64
 	stateHits, stateMisses, statePuts uint64
@@ -113,23 +112,34 @@ type LRU struct {
 // lruEntry is one cached value: a frozen table (tbl non-nil) or a raw
 // partial-state payload (tbl nil, raw set). The two kinds share the
 // recency list and byte bound — a hot table can evict a cold state and
-// vice versa.
+// vice versa. The list is intrusive (an entry is its own node), so a
+// store is one allocation.
 type lruEntry struct {
-	key  string
-	tbl  *table.Table
-	raw  []byte
-	cost int64
+	prev, next *lruEntry
+	key        string
+	tbl        *table.Table
+	raw        []byte
+	cost       int64
+}
+
+// unlink takes e out of the recency ring.
+func (e *lruEntry) unlink() {
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+// toFront makes e (unlinked, or new) the most recent entry.
+func (c *LRU) toFront(e *lruEntry) {
+	e.prev, e.next = &c.root, c.root.next
+	e.prev.next, e.next.prev = e, e
 }
 
 // New returns an empty cache bounded at maxBytes (approximate).
 // maxBytes <= 0 yields a cache that stores nothing, so callers may
 // treat "no cache" uniformly.
 func New(maxBytes int64) *LRU {
-	return &LRU{
-		maxBytes: maxBytes,
-		ll:       list.New(),
-		items:    map[string]*list.Element{},
-	}
+	c := &LRU{maxBytes: maxBytes, items: map[string]*lruEntry{}}
+	c.root.prev, c.root.next = &c.root, &c.root
+	return c
 }
 
 // tableCost approximates the memory footprint of one entry.
@@ -142,14 +152,15 @@ func tableCost(key string, t *table.Table) int64 {
 func (c *LRU) Get(key string) (*table.Table, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok || el.Value.(*lruEntry).tbl == nil {
+	ent, ok := c.items[key]
+	if !ok || ent.tbl == nil {
 		c.misses++
 		return nil, false
 	}
 	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).tbl, true
+	ent.unlink()
+	c.toFront(ent)
+	return ent.tbl, true
 }
 
 // GetRaw returns the raw partial-state payload stored under key
@@ -157,14 +168,15 @@ func (c *LRU) Get(key string) (*table.Table, bool) {
 func (c *LRU) GetRaw(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok || el.Value.(*lruEntry).tbl != nil {
+	ent, ok := c.items[key]
+	if !ok || ent.tbl != nil {
 		c.stateMisses++
 		return nil, false
 	}
 	c.stateHits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).raw, true
+	ent.unlink()
+	c.toFront(ent)
+	return ent.raw, true
 }
 
 // peek returns the stored table without counting a hit or miss and
@@ -172,11 +184,11 @@ func (c *LRU) GetRaw(key string) ([]byte, bool) {
 func (c *LRU) peek(key string) (*table.Table, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok || el.Value.(*lruEntry).tbl == nil {
+	ent, ok := c.items[key]
+	if !ok || ent.tbl == nil {
 		return nil, false
 	}
-	return el.Value.(*lruEntry).tbl, true
+	return ent.tbl, true
 }
 
 // Put freezes t and stores it under key, evicting least-recently-used
@@ -213,15 +225,17 @@ func (c *LRU) store(key string, t *table.Table, raw []byte, countPut bool) {
 	} else if countPut {
 		c.statePuts++
 	}
-	if el, ok := c.items[key]; ok {
-		ent := el.Value.(*lruEntry)
-		c.bytes += cost - ent.cost
-		ent.tbl, ent.raw, ent.cost = t, raw, cost
-		c.ll.MoveToFront(el)
+	ent, ok := c.items[key]
+	if ok {
+		c.bytes -= ent.cost
+		ent.unlink()
 	} else {
-		c.items[key] = c.ll.PushFront(&lruEntry{key: key, tbl: t, raw: raw, cost: cost})
-		c.bytes += cost
+		ent = &lruEntry{key: key}
+		c.items[key] = ent
 	}
+	ent.tbl, ent.raw, ent.cost = t, raw, cost
+	c.toFront(ent)
+	c.bytes += cost
 	for c.bytes > c.maxBytes {
 		c.evictOldest()
 	}
@@ -229,12 +243,11 @@ func (c *LRU) store(key string, t *table.Table, raw []byte, countPut bool) {
 
 // evictOldest drops the least-recently-used entry. Caller holds c.mu.
 func (c *LRU) evictOldest() {
-	el := c.ll.Back()
-	if el == nil {
+	ent := c.root.prev
+	if ent == &c.root {
 		return
 	}
-	ent := el.Value.(*lruEntry)
-	c.ll.Remove(el)
+	ent.unlink()
 	delete(c.items, ent.key)
 	c.bytes -= ent.cost
 	c.evictions++
@@ -244,7 +257,7 @@ func (c *LRU) evictOldest() {
 func (c *LRU) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return len(c.items)
 }
 
 // Stats returns a snapshot of the cache counters.
@@ -256,7 +269,7 @@ func (c *LRU) Stats() Stats {
 		Misses:      c.misses,
 		Puts:        c.puts,
 		Evictions:   c.evictions,
-		Entries:     c.ll.Len(),
+		Entries:     len(c.items),
 		Bytes:       c.bytes,
 		MaxBytes:    c.maxBytes,
 		StateHits:   c.stateHits,

@@ -223,9 +223,9 @@ func TestTieredPromotion(t *testing.T) {
 	c.Put("k", mixedTbl(5))
 	// Drop the RAM copy, keep disk.
 	mem.mu.Lock()
-	mem.ll.Init()
-	clear(mem.items)
-	mem.bytes = 0
+	for len(mem.items) > 0 {
+		mem.evictOldest()
+	}
 	mem.mu.Unlock()
 
 	got, ok := c.Get("k")
@@ -266,9 +266,9 @@ func TestTieredPromotionDoesNotInflatePuts(t *testing.T) {
 	}
 	// Drop the RAM copy, keep disk, then promote it back via Get.
 	mem.mu.Lock()
-	mem.ll.Init()
-	clear(mem.items)
-	mem.bytes = 0
+	for len(mem.items) > 0 {
+		mem.evictOldest()
+	}
 	mem.mu.Unlock()
 	if _, ok := c.Get("k"); !ok {
 		t.Fatal("disk tier lost the entry")

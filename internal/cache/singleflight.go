@@ -98,9 +98,12 @@ type FlightStats struct {
 
 // flightCall is one in-flight key.
 //
-// done is closed exactly once, on a clean publish, after tbl is set
-// and the call is removed from the map. token carries leadership after
-// a failure: the failed leader pushes into it (buffered, never blocks)
+// done and token exist only once somebody waits: the first follower to
+// arrive makes both under Flight.mu, so a leader nobody joins — every
+// chunk of a cold scan — allocates the call and nothing else. done is
+// closed exactly once, on a clean publish, after tbl is set and the
+// call is removed from the map. token carries leadership after a
+// failure: the failed leader pushes into it (buffered, never blocks)
 // and exactly one waiter receives it and leads the same call, so a
 // late-waking follower can never re-execute a key whose result was
 // already published. waiters is guarded by Flight.mu; when a failed
@@ -143,11 +146,14 @@ func (f *Flight) Do(key string, maxWait time.Duration, fn func() (*table.Table, 
 	f.mu.Lock()
 	c, ok := f.calls[key]
 	if !ok {
-		c = &flightCall{done: make(chan struct{}), token: make(chan struct{}, 1)}
+		c = &flightCall{}
 		f.calls[key] = c
 		f.mu.Unlock()
 		tbl, clean := f.lead(key, c, fn, false)
 		return tbl, clean, Led
+	}
+	if c.done == nil {
+		c.done, c.token = make(chan struct{}), make(chan struct{}, 1)
 	}
 	c.waiters++
 	f.mu.Unlock()
@@ -221,11 +227,15 @@ func (f *Flight) lead(key string, c *flightCall, fn func() (*table.Table, bool),
 			delete(f.calls, key)
 			c.waiters = 0
 			f.mu.Unlock()
-			close(c.done)
+			// Retired under the lock: no follower can arrive to make
+			// done after this read of it.
+			if c.done != nil {
+				close(c.done)
+			}
 			return
 		}
 		if c.waiters > 0 {
-			c.token <- struct{}{} // buffered: never blocks
+			c.token <- struct{}{} // a waiter made it; buffered: never blocks
 		} else {
 			delete(f.calls, key)
 		}

@@ -278,3 +278,83 @@ func TestFlightDistinctKeys(t *testing.T) {
 		t.Errorf("followers = %d, want 0", st.Followers)
 	}
 }
+
+// TestFlightLeaderAloneAllocatesNoChannels pins the lazy channels: a
+// leader nobody joins allocates its call and nothing else (the parent
+// made done and token up front: three allocations), and the channels
+// the first follower makes behave exactly as the eager ones did — a
+// late follower shares a clean result, a failed leader hands off, and a
+// follower that times out with a handoff token pending retires the call.
+func TestFlightLeaderAloneAllocatesNoChannels(t *testing.T) {
+	f := NewFlight()
+	want := flightTable(1)
+	clean := func() (*table.Table, bool) { return want, true }
+	if allocs := testing.AllocsPerRun(200, func() { f.Do("alone", time.Second, clean) }); allocs > 1 {
+		t.Errorf("uncontended Do allocates %v times, want 1 (the call)", allocs)
+	}
+
+	// lead starts a leader on key and returns once it is inside fn; the
+	// leader finishes with verdict when verdict is sent.
+	lead := func(key string) (verdict chan bool, done chan struct{}) {
+		verdict, done = make(chan bool), make(chan struct{})
+		entered := make(chan struct{})
+		go func() {
+			defer close(done)
+			f.Do(key, 0, func() (*table.Table, bool) {
+				close(entered)
+				return want, <-verdict
+			})
+		}()
+		<-entered
+		return verdict, done
+	}
+	follow := func(key string, maxWait time.Duration) chan Outcome {
+		out := make(chan Outcome, 1)
+		waiting := f.Stats().Waiting
+		go func() {
+			_, _, o := f.Do(key, maxWait, clean)
+			out <- o
+		}()
+		waitFor(t, "the follower to queue", func() bool { return f.Stats().Waiting == waiting+1 })
+		return out
+	}
+
+	verdict, done := lead("shared")
+	out := follow("shared", 0)
+	verdict <- true
+	if o := <-out; o != Shared {
+		t.Errorf("late follower of a clean leader: %v, want shared", o)
+	}
+	<-done
+
+	verdict, done = lead("handoff")
+	out = follow("handoff", 0)
+	verdict <- false
+	if o := <-out; o != Handoff {
+		t.Errorf("follower of a failed leader: %v, want handoff", o)
+	}
+	<-done
+
+	// The leader fails in the window between the follower's deadline
+	// firing and the follower taking the lock: holding the lock across
+	// the deadline and pushing the token by hand, as lead() would for a
+	// call with a waiter, builds that interleaving deterministically.
+	verdict, done = lead("pending")
+	const maxWait = 20 * time.Millisecond
+	out = follow("pending", maxWait)
+	f.mu.Lock()
+	time.Sleep(5 * maxWait)
+	f.calls["pending"].token <- struct{}{}
+	f.mu.Unlock()
+	if o := <-out; o != Abandoned {
+		t.Errorf("follower past its deadline: %v, want abandoned", o)
+	}
+	if _, ok := f.calls["pending"]; ok {
+		t.Error("the call survived its last waiter with a token pending")
+	}
+	verdict <- true
+	<-done
+	if st := f.Stats(); st.Waiting != 0 || f.InFlight() != 0 {
+		t.Errorf("leaked: %+v, %d in flight", st, f.InFlight())
+	}
+}

@@ -689,6 +689,26 @@ func implicitConsts(start time.Time, region string, hasRegion bool, camVal table
 	return consts
 }
 
+// stampedView is blk widened to the full execution schema without a
+// copy: blk's frozen columns are shared (the builder clips their
+// capacity) and each implicit column is a constant sized to the block.
+func stampedView(full table.Schema, blk *table.Table, consts []table.Value) *table.Table {
+	b, nb := table.NewBuilder(full, blk.Len()), len(blk.Schema.Cols)
+	for j, c := range full.Cols {
+		switch {
+		case j < nb && c.Type == table.DNumber:
+			b.SetNums(j, blk.Nums(j))
+		case j < nb:
+			b.SetStrsView(j, blk.Strs(j), blk.Nums(j), blk.Valid(j))
+		case c.Type == table.DNumber:
+			b.SetConstNum(j, consts[j-nb].Num())
+		default:
+			b.SetConstStr(j, consts[j-nb].Str())
+		}
+	}
+	return b.Build()
+}
+
 // fetchChunkBlock obtains one chunk's block in the declared schema —
 // from the table cache, a singleflight peer, or a sandbox execution —
 // and reports whether the block is clean (cache hits and shared
@@ -736,15 +756,12 @@ func (e *Engine) execChunk(chunk *video.Chunk, exec sandbox.Executor, tl *shardT
 	// ProcessFunc degrades to a bounded CPU leak instead of
 	// permanently wedging every analyst's queries.
 	e.procSem <- struct{}{}
-	var once sync.Once
 	var released atomic.Bool
-	release := func() {
-		once.Do(func() {
-			released.Store(true)
+	exec.Done = func() {
+		if released.CompareAndSwap(false, true) {
 			<-e.procSem
-		})
+		}
 	}
-	exec.Done = release
 	execStart := time.Now()
 	rows, clean := exec.RunChecked(chunk)
 	execDur := time.Since(execStart)
@@ -758,7 +775,7 @@ func (e *Engine) execChunk(chunk *video.Chunk, exec sandbox.Executor, tl *shardT
 	// the default for TIMEOUT-less programmatic statements), so
 	// the backstop can always arm.
 	if !clean && !released.Load() {
-		time.AfterFunc(slotGraceMultiple*exec.Timeout, release)
+		time.AfterFunc(slotGraceMultiple*exec.Timeout, exec.Done)
 	}
 	return table.FromRows(exec.Schema, rows), clean
 }
@@ -772,14 +789,14 @@ func (e *Engine) execChunk(chunk *video.Chunk, exec sandbox.Executor, tl *shardT
 // shard records one child span under the PROCESS span (concurrent
 // shards annotate sibling spans; Span is mutex-guarded).
 //
-// Under pushdown, chunks whose every plan state is in the partial-state
-// cache skip the sandbox and the fold entirely: the worker records the
-// cached bytes (shared, read-only) and the shard adds straight out of
-// them. The only error paths are a fold failure, which PlanPartial's
-// static checks make unreachable, and a cached state the worker
-// accepted failing to merge, which immutable cache payloads make
-// unreachable; both are propagated rather than swallowed so a bug turns
-// into a query error, never a wrong release.
+// Under pushdown every chunk leaves one encoded state per plan — the
+// cached bytes (shared, read-only) when every plan's state is cached,
+// which skips the sandbox and the fold, else the payload just folded —
+// and the shard adds straight out of them. The only error paths are a
+// fold failure, which PlanPartial's static checks make unreachable, and
+// a state the worker accepted or encoded failing to merge, which
+// immutable payloads make unreachable; both are propagated rather than
+// swallowed so a bug turns into a query error, never a wrong release.
 func (e *Engine) runShard(sh *splitShard, run *processRun, psp *obs.Span) (out shardOutput) {
 	camName := sh.cam.cfg.Name
 	camVal := table.S(camName)
@@ -810,41 +827,37 @@ func (e *Engine) runShard(sh *splitShard, run *processRun, psp *obs.Span) (out s
 		split, ords := &sh.splits[s], ordsBySplit[s]
 		// Each chunk produces one frozen columnar block in the declared
 		// PROCESS schema (the cacheable unit). The workers leave it in
-		// blocks, or under pushdown leave per chunk × plan either the
-		// cached encoded state or, on a miss, the freshly folded one;
-		// only the mode's own slots are allocated.
-		rowSlots, stateSlots := len(ords), 0
-		if np > 0 {
-			rowSlots, stateSlots = 0, len(ords)*np
+		// blocks, or under pushdown leave per chunk × plan the encoded
+		// state — the cached bytes, or on a miss the payload just folded
+		// (and, when clean, cached); only the mode's own slots are
+		// allocated.
+		var blocks []*table.Table
+		states := make([][]byte, len(ords)*np)
+		if np == 0 {
+			blocks = make([]*table.Table, len(ords))
 		}
-		blocks := make([]*table.Table, rowSlots)
-		cached := make([][]byte, stateSlots)
-		folded := make([]*rel.PartialState, stateSlots)
 		var foldErr atomic.Pointer[error]
-		var tableKeys string
-		var stateKeys []string
-		if e.chunkCache != nil {
-			tableKeys, stateKeys = sh.keyPrefixes(split.Region, run.st, run.exec.Schema, run.plans)
-		}
+		tableKeys, stateKeys := sh.keyPrefixes(split.Region, run.st, run.exec.Schema, run.plans)
 		clock := split.Source.Info().Clock()
 		forEachChunk(len(ords), run.par, func(i int) {
 			iv := split.IntervalAt(ords[i])
 			var tableKey string
+			var kb [2]string // the chunk's state keys: on the stack up to two plans
+			keys := kb[:0]
 			if e.chunkCache != nil {
-				// Warm path: every plan's state for this chunk is
-				// cached — no sandbox execution, no fold, no decode.
+				// Warm path: every plan's state is cached — no sandbox
+				// execution, no fold, no decode. An absent, bit-rotten or
+				// incompatible entry ends the lookups; the fold overwrites it.
 				warm := np > 0
 				for p, pp := range run.plans {
-					raw, ok := e.chunkCache.GetRaw(chunkKey(stateKeys[p], iv))
-					if !ok || !pp.CompatibleEncoded(raw) {
-						// Absent, bit-rotten or a stale incompatible
-						// entry; the fold path below overwrites it.
-						warm = false
-						break
+					keys = append(keys, chunkKey(stateKeys[p], iv))
+					if warm {
+						states[i*np+p], warm = e.chunkCache.GetRaw(keys[p])
+						warm = warm && pp.CompatibleEncoded(states[i*np+p])
 					}
-					cached[i*np+p] = raw
 				}
 				if warm {
+					tl.stateChunks.Add(1)
 					return
 				}
 				tableKey = chunkKey(tableKeys, iv)
@@ -854,13 +867,12 @@ func (e *Engine) runShard(sh *splitShard, run *processRun, psp *obs.Span) (out s
 				blocks[i] = blk
 				return
 			}
-			// Stamp the implicit columns onto a per-chunk mini-table so
-			// the fold sees exactly the rows this chunk contributes to
-			// the materialized table (same consts, same order).
-			mini := table.New(run.full)
-			mini.AppendBlock(blk, implicitConsts(clock.TimeOf(iv.Start), split.Region, run.hasRegion, camVal, run.multi)...)
+			// The fold sees exactly the rows this chunk contributes to
+			// the materialized table (same consts, same order), without
+			// copying the block.
+			view := stampedView(run.full, blk, implicitConsts(clock.TimeOf(iv.Start), split.Region, run.hasRegion, camVal, run.multi))
 			for p, pp := range run.plans {
-				ps, err := pp.Partial(mini, camName)
+				ps, err := pp.Partial(view, camName)
 				if err != nil {
 					err = fmt.Errorf("core: partial fold of chunk %d: %w", ords[i], err)
 					foldErr.CompareAndSwap(nil, &err)
@@ -868,12 +880,12 @@ func (e *Engine) runShard(sh *splitShard, run *processRun, psp *obs.Span) (out s
 				}
 				tl.folds.Add(1)
 				e.ppFolds.Add(1)
+				states[i*np+p] = ps.EncodeBinary()
 				if clean && e.chunkCache != nil {
 					// Memoize only clean executions' states, mirroring
 					// the table tier's fallback-row rule.
-					e.chunkCache.PutRaw(chunkKey(stateKeys[p], iv), ps.EncodeBinary())
+					e.chunkCache.PutRaw(keys[p], states[i*np+p])
 				}
-				folded[i*np+p] = ps
 			}
 		})
 		if err := foldErr.Load(); err != nil {
@@ -890,27 +902,15 @@ func (e *Engine) runShard(sh *splitShard, run *processRun, psp *obs.Span) (out s
 			start := clock.TimeOf(split.IntervalAt(ords[i]).Start)
 			out.rows.AppendBlock(blk, implicitConsts(start, split.Region, run.hasRegion, camVal, run.multi)...)
 		}
-		if np == 0 {
-			continue
-		}
-		var stateChunks int64
-		for i := range ords {
-			if folded[i*np] == nil {
-				stateChunks++
-			}
-			for p, pp := range run.plans {
-				if ps := folded[i*np+p]; ps != nil {
-					pp.Merge(out.states[p], ps)
-				} else if err := pp.MergeEncoded(out.states[p], cached[i*np+p]); err != nil {
-					out.err = fmt.Errorf("core: merge of cached state for chunk %d: %w", ords[i], err)
-					return out
-				}
+		for k, raw := range states {
+			if err := run.plans[k%np].MergeEncoded(out.states[k%np], raw); err != nil {
+				out.err = fmt.Errorf("core: merge of chunk %d's state: %w", ords[k/np], err)
+				return out
 			}
 		}
-		tl.stateChunks.Add(stateChunks)
-		e.ppCachedChunks.Add(uint64(stateChunks))
 		e.ppMerges.Add(uint64(len(ords) * np))
 	}
+	e.ppCachedChunks.Add(uint64(tl.stateChunks.Load()))
 	e.spanTallies(ssp, tl)
 	if ssp != nil {
 		if np == 0 {

@@ -56,6 +56,14 @@ func execSelect(rel *query.SelectExpr, env Env) (*table.Table, Constraints, erro
 	if err != nil {
 		return nil, Constraints{}, err
 	}
+	t, err := selectRows(rel, schema, in)
+	return t, out, err
+}
+
+// selectRows moves the rows of an inner SELECT that selectCons accepted
+// with output schema schema: WHERE, LIMIT, then the projection. It is
+// all of the statement a per-chunk fold repeats (PartialPlan.Partial).
+func selectRows(rel *query.SelectExpr, schema table.Schema, in *table.Table) (*table.Table, error) {
 	n := in.Len()
 	// WHERE filters on the input schema, producing a selection vector.
 	all := true // identity selection: every row kept, in order
@@ -63,7 +71,7 @@ func execSelect(rel *query.SelectExpr, env Env) (*table.Table, Constraints, erro
 	if rel.Where != nil && n > 0 {
 		cond, err := evalVec(rel.Where, in)
 		if err != nil {
-			return nil, Constraints{}, err
+			return nil, err
 		}
 		sel = selTrue(cond)
 		all = false
@@ -86,18 +94,18 @@ func execSelect(rel *query.SelectExpr, env Env) (*table.Table, Constraints, erro
 	}
 	if rel.Star {
 		if all {
-			return in, out, nil
+			return in, nil
 		}
-		return in.Gather(sel), out, nil
+		return in.Gather(sel), nil
 	}
 	if kept == 0 {
-		return table.New(schema), out, nil // no rows survive: nothing to evaluate
+		return table.New(schema), nil // no rows survive: nothing to evaluate
 	}
 	b := table.NewBuilder(schema, kept)
 	for i, it := range rel.Items {
 		v, err := evalVec(it.Expr, in)
 		if err != nil {
-			return nil, Constraints{}, err
+			return nil, err
 		}
 		if all {
 			setCol(b, i, v)
@@ -105,7 +113,7 @@ func execSelect(rel *query.SelectExpr, env Env) (*table.Table, Constraints, erro
 			setCol(b, i, gatherVec(v, sel))
 		}
 	}
-	return b.Build(), out, nil
+	return b.Build(), nil
 }
 
 // hashRowKey chains the key hash of row i over the idx columns.

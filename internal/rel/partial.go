@@ -3,6 +3,7 @@ package rel
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"privid/internal/query"
@@ -50,18 +51,16 @@ type PartialState struct {
 // everything Finalize needs, precomputed from trusted metadata so that
 // folding a chunk touches only its rows.
 type PartialPlan struct {
-	agg  query.AggExpr
-	from query.RelExpr
-
-	tableName string
-	metas     []TableMeta
+	agg query.AggExpr
+	// chain is the FROM chain's projections/filters, innermost first,
+	// each with the output schema the planner gave it — so a fold moves
+	// rows through them without planning anything again. Empty when the
+	// FROM chain is the table reference itself.
+	chain []chainStep
 	// cams interns the shards' camera names (name → the same string),
 	// so MergeEncoded can key CamRows from payload bytes without
 	// allocating.
 	cams map[string]string
-	// bare is true when the FROM chain is the table reference itself,
-	// letting Fold skip relational evaluation entirely.
-	bare bool
 
 	// rp is the statement's release skeleton: key slots, clamp range
 	// and the finished releases Finalize fills values into.
@@ -75,6 +74,13 @@ type PartialPlan struct {
 	argCol int
 
 	id string
+}
+
+// chainStep is one inner SELECT of a plan's FROM chain and its planned
+// output schema.
+type chainStep struct {
+	sel    *query.SelectExpr
+	schema table.Schema
 }
 
 // ReferencedTables lists the distinct table names a relational
@@ -124,7 +130,7 @@ func PlanPartial(st *query.SelectStmt, name string, full table.Schema, metas []T
 		return nil // AVG/VAR need count-coupled division; not exactly mergeable
 	}
 	// Unwrap the FROM chain: projections/filters over the single table.
-	var wrappers []*query.SelectExpr // outermost first
+	var chain []chainStep // outermost first until reversed below
 	cur := st.From
 unwrap:
 	for {
@@ -133,7 +139,7 @@ unwrap:
 			if f.Limit > 0 {
 				return nil // LIMIT truncates at full-table row order
 			}
-			wrappers = append(wrappers, f)
+			chain = append(chain, chainStep{sel: f})
 			cur = f.From
 		case *query.TableRef:
 			if f.Name != name {
@@ -147,11 +153,13 @@ unwrap:
 	// The planner's rules, innermost-out: the chain's output schema and
 	// constraints, then the release skeleton.
 	schema, cons := full, tableCons(metas, full)
-	for i := len(wrappers) - 1; i >= 0; i-- {
+	slices.Reverse(chain)
+	for i := range chain {
 		var err error
-		if schema, cons, err = selectCons(wrappers[i], schema, cons); err != nil {
+		if schema, cons, err = selectCons(chain[i].sel, schema, cons); err != nil {
 			return nil
 		}
+		chain[i].schema = schema
 	}
 	rp, err := planReleases(st, schema, cons)
 	if err != nil {
@@ -159,15 +167,12 @@ unwrap:
 	}
 
 	p := &PartialPlan{
-		agg:       st.Agg,
-		from:      st.From,
-		tableName: name,
-		metas:     metas,
-		cams:      make(map[string]string, len(metas)),
-		bare:      len(wrappers) == 0,
-		rp:        rp,
-		needSum:   st.Agg.Fun == query.AggSum,
-		argCol:    -1,
+		agg:     st.Agg,
+		chain:   chain,
+		cams:    make(map[string]string, len(metas)),
+		rp:      rp,
+		needSum: st.Agg.Fun == query.AggSum,
+		argCol:  -1,
 	}
 	for _, m := range metas {
 		p.cams[m.Camera] = m.Camera
@@ -307,12 +312,11 @@ func (p *PartialPlan) Compatible(s *PartialState) bool {
 func (p *PartialPlan) Partial(chunk *table.Table, camera string) (*PartialState, error) {
 	s := p.NewState()
 	tbl := chunk
-	if !p.bare {
-		t, _, err := execRel(p.from, Env{p.tableName: {Metas: p.metas, Data: chunk}})
-		if err != nil {
+	for _, st := range p.chain {
+		var err error
+		if tbl, err = selectRows(st.sel, st.schema, tbl); err != nil {
 			return nil, err // unreachable for a validated plan; stay defensive
 		}
-		tbl = t
 	}
 	n := tbl.Len()
 	s.Chunks = 1

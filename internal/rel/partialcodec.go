@@ -59,7 +59,7 @@ func (s *PartialState) EncodeBinary() []byte {
 	}
 	b = binary.LittleEndian.AppendUint64(b, uint64(s.Rows))
 	b = binary.LittleEndian.AppendUint64(b, uint64(s.Chunks))
-	cams := make([]string, 0, len(s.CamRows))
+	cams := make([]string, 0, 8) // on the stack for up to 8 cameras
 	for cam := range s.CamRows {
 		cams = append(cams, cam)
 	}

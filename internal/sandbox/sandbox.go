@@ -109,37 +109,38 @@ func (e *Executor) Run(chunk *video.Chunk) []table.Row {
 // (the engine's chunk cache) must not treat as the chunk's true
 // output.
 func (e *Executor) RunChecked(chunk *video.Chunk) (rows []table.Row, ok bool) {
-	type result struct {
-		rows []table.Row
-		ok   bool
-	}
-	ch := make(chan result, 1)
+	a := attempts.Get().(*attempt)
+	done := a.done
 	go func() {
 		if e.Done != nil {
 			defer e.Done()
 		}
 		defer func() {
 			if recover() != nil {
-				ch <- result{ok: false}
+				done <- result{ok: false}
 			}
 		}()
 		rows := e.Fn(chunk)
-		ch <- result{rows: rows, ok: true}
+		done <- result{rows: rows, ok: true}
 	}()
 
 	var res result
 	if e.Timeout > 0 {
-		timer := time.NewTimer(e.Timeout)
-		defer timer.Stop()
+		a.timer.Reset(e.Timeout)
 		select {
-		case res = <-ch:
-		case <-timer.C:
-			// Timed out: the goroutine may still be running; its
-			// buffered channel send will be dropped on the floor.
-			res = result{ok: false}
+		case res = <-done:
+			// go.mod's go 1.24 makes Stop synchronous: once it returns,
+			// no fire of this arming can reach the attempt's next user.
+			a.timer.Stop()
+			attempts.Put(a)
+		case <-a.timer.C:
+			// Timed out (res stays not-ok): the goroutine may still be
+			// running and its send is still to come, so the attempt is
+			// dropped, not reused.
 		}
 	} else {
-		res = <-ch
+		res = <-done
+		attempts.Put(a)
 	}
 
 	if !res.ok {
@@ -155,3 +156,25 @@ func (e *Executor) RunChecked(chunk *video.Chunk) (rows []table.Row, ok bool) {
 	}
 	return out, true
 }
+
+// result is what an execution's goroutine reports.
+type result struct {
+	rows []table.Row
+	ok   bool
+}
+
+// attempt is what one execution needs from the heap besides its
+// goroutine: the channel the goroutine reports on (buffered, so a send
+// after a timeout never blocks) and the TIMEOUT timer. An execution
+// whose report was received leaves both idle, so they are pooled — a
+// clean or panicking execution allocates neither.
+type attempt struct {
+	done  chan result
+	timer *time.Timer
+}
+
+var attempts = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &attempt{done: make(chan result, 1), timer: t}
+}}

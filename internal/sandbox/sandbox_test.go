@@ -1,6 +1,8 @@
 package sandbox
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -181,5 +183,53 @@ func TestRunStateSmugglingStillBounded(t *testing.T) {
 		if len(rows) > 5 {
 			t.Fatalf("iteration %d emitted %d rows", i, len(rows))
 		}
+	}
+}
+
+// TestRunCheckedTimerReuse drives the pooled channel+timer pairs through
+// every way an execution can end, interleaved so each kind inherits what
+// the others left behind: a clean run under a long TIMEOUT must never
+// see a stale fire of an earlier, shorter arming (a spurious timeout), a
+// timed-out or panicking run always yields the default row, and Done
+// runs exactly once per execution however it ended.
+func TestRunCheckedTimerReuse(t *testing.T) {
+	var exited sync.WaitGroup // a second Done for one execution panics it
+	var done atomic.Int64
+	release := make(chan struct{})
+	row := []table.Row{{table.N(7), table.S("ok")}}
+	mk := func(timeout time.Duration, fn ProcessFunc) *Executor {
+		return &Executor{Fn: fn, Timeout: timeout, MaxRows: 10, Schema: testSchema(),
+			Done: func() { done.Add(1); exited.Done() }}
+	}
+	const short = 50 * time.Microsecond
+	kinds := []struct {
+		name string
+		exec *Executor
+		want int // 1 clean, 0 default row, -1 either
+	}{
+		{"clean", mk(time.Minute, func(*video.Chunk) []table.Row { return row }), 1},
+		{"timeout", mk(short, func(*video.Chunk) []table.Row { <-release; return row }), 0},
+		{"panic", mk(time.Minute, func(*video.Chunk) []table.Row { panic("analyst bug") }), 0},
+		// Finishes about when its timer fires: either verdict is right, and
+		// whichever loses the select is what a reused pair must not leak.
+		{"photo finish", mk(short, func(*video.Chunk) []table.Row { time.Sleep(short); return row }), -1},
+	}
+	c := testChunk(t)
+	const n = 10000
+	for i := 0; i < n; i++ {
+		k := kinds[i%len(kinds)]
+		exited.Add(1)
+		rows, ok := k.exec.RunChecked(c)
+		if k.want >= 0 && ok != (k.want == 1) {
+			t.Fatalf("execution %d (%s): clean=%v", i, k.name, ok)
+		}
+		if want := map[bool]float64{true: 7, false: -1}[ok]; len(rows) != 1 || rows[0][0].Num() != want {
+			t.Fatalf("execution %d (%s): clean=%v with rows %v", i, k.name, ok, rows)
+		}
+	}
+	close(release)
+	exited.Wait()
+	if got := done.Load(); got != n {
+		t.Fatalf("Done ran %d times for %d executions", got, n)
 	}
 }

@@ -8,17 +8,18 @@ import "fmt"
 // capacity-clipped so a later Append on the built table can never write
 // into the source's backing array.
 type Builder struct {
-	t   *Table
-	set []bool
+	t *Table
 }
 
 // NewBuilder starts a table with schema s and exactly n rows.
 func NewBuilder(s Schema, n int) *Builder {
 	t := New(s)
 	t.n = n
-	return &Builder{t: t, set: make([]bool, len(s.Cols))}
+	return &Builder{t: t}
 }
 
+// mark checks column j before it is set. Set means it has numeric
+// storage (in a table of no rows an unset column is just the empty one).
 func (b *Builder) mark(j int, typ DType) {
 	if b.t == nil {
 		panic("table: Builder used after Build")
@@ -26,10 +27,9 @@ func (b *Builder) mark(j int, typ DType) {
 	if b.t.Schema.Cols[j].Type != typ {
 		panic(fmt.Sprintf("table: builder column %d is %v", j, b.t.Schema.Cols[j].Type))
 	}
-	if b.set[j] {
+	if b.t.cols[j].nums != nil {
 		panic(fmt.Sprintf("table: builder column %d set twice", j))
 	}
-	b.set[j] = true
 }
 
 // SetNums installs vals as NUMBER column j, taking ownership.
@@ -91,8 +91,8 @@ func (b *Builder) SetConstStr(j int, s string) {
 
 // Build finalizes the table. Every column must have been set.
 func (b *Builder) Build() *Table {
-	for j, ok := range b.set {
-		if !ok {
+	for j := range b.t.cols {
+		if b.t.n > 0 && b.t.cols[j].nums == nil {
 			panic(fmt.Sprintf("table: builder column %d (%s) never set", j, b.t.Schema.Cols[j].Name))
 		}
 	}

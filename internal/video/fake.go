@@ -1,7 +1,10 @@
 package video
 
 import (
+	"cmp"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"privid/internal/geom"
@@ -26,34 +29,34 @@ type FakeObject struct {
 // IntervalSource is a deterministic Source backed by interval-visible
 // objects. The zero box is fine for executables that only count.
 //
-// Frame materializes observations lazily (no per-frame storage), so a
-// 1000-camera fleet costs memory proportional to its event list, not
-// its frame count.
+// The visible set only changes where an object enters or exits, so the
+// source keeps one shared, read-only snapshot per such boundary rather
+// than per frame: a 1000-camera fleet costs memory proportional to its
+// event list (times the overlap depth), not its frame count, and only
+// for the cameras a query has actually read — the snapshots are built
+// on the first Frame call.
 type IntervalSource struct {
 	Camera string
 	W, H   float64
 	FPS    vtime.FrameRate
 	Start  time.Time
 	Frames int64
-	// Objects must be sorted by Enter (Sort below); Frame binary
-	// searches it.
+	// Objects may be in any order (Sort gives frames a canonical one)
+	// and must not change after the first Frame call.
 	Objects []FakeObject
 
-	// maxSpan caches the longest Exit-Enter, bounding the backward
-	// scan in Frame.
-	maxSpan int64
+	once sync.Once
+	// bounds holds every frame at which the visible set changes,
+	// ascending; snaps[k] is the set on [bounds[k], bounds[k+1]), in
+	// Objects order, and the last one is empty.
+	bounds []int64
+	snaps  [][]scene.Observation
 }
 
-// Sort orders Objects by Enter and computes the scan bound. Call it
-// once after assembling Objects (constructors in internal/sim do).
+// Sort orders Objects by Enter. Constructors in internal/sim call it
+// once after assembling Objects so that frames list objects by arrival.
 func (s *IntervalSource) Sort() {
 	sort.Slice(s.Objects, func(i, j int) bool { return s.Objects[i].Enter < s.Objects[j].Enter })
-	s.maxSpan = 0
-	for _, o := range s.Objects {
-		if span := o.Exit - o.Enter; span > s.maxSpan {
-			s.maxSpan = span
-		}
-	}
 }
 
 // Info implements Source.
@@ -61,20 +64,64 @@ func (s *IntervalSource) Info() Info {
 	return Info{Camera: s.Camera, W: s.W, H: s.H, FPS: s.FPS, Start: s.Start, Frames: s.Frames}
 }
 
-// Frame implements Source: all objects whose span covers i.
-func (s *IntervalSource) Frame(i int64) Frame {
-	// First object that could still cover i: Enter > i - maxSpan - 1.
-	lo := sort.Search(len(s.Objects), func(k int) bool {
-		return s.Objects[k].Enter > i-s.maxSpan-1
-	})
-	var obs []scene.Observation
-	for k := lo; k < len(s.Objects) && s.Objects[k].Enter <= i; k++ {
-		o := s.Objects[k]
-		if i < o.Exit {
-			obs = append(obs, scene.Observation{EntityID: o.ID, Class: o.Class, Box: o.Box})
+// snapBlock is the arena block snapshots are carved from, in
+// observations: what a source with a handful of objects pays at least.
+const snapBlock = 128
+
+// index builds bounds and snaps with one sweep over the boundaries,
+// keeping the visible objects' positions in Objects order.
+func (s *IntervalSource) index() {
+	var byEnter []int // positions in Objects of the objects ever visible
+	for p, o := range s.Objects {
+		if o.Enter < o.Exit { // zero-length and inverted spans never are
+			s.bounds = append(s.bounds, o.Enter, o.Exit)
+			byEnter = append(byEnter, p)
 		}
 	}
-	return Frame{Index: i, Objects: obs}
+	slices.Sort(s.bounds)
+	s.bounds = slices.Compact(s.bounds)
+	slices.SortStableFunc(byEnter, func(a, b int) int {
+		return cmp.Compare(s.Objects[a].Enter, s.Objects[b].Enter)
+	})
+	s.snaps = make([][]scene.Observation, len(s.bounds))
+	var visible []int
+	var arena []scene.Observation
+	for k, b := range s.bounds {
+		visible = slices.DeleteFunc(visible, func(p int) bool { return s.Objects[p].Exit <= b })
+		for ; len(byEnter) > 0 && s.Objects[byEnter[0]].Enter == b; byEnter = byEnter[1:] {
+			visible = append(visible, byEnter[0])
+		}
+		slices.Sort(visible)
+		if len(visible) > cap(arena)-len(arena) {
+			arena = make([]scene.Observation, 0, max(snapBlock, len(visible)))
+		}
+		lo := len(arena)
+		for _, p := range visible {
+			o := s.Objects[p]
+			arena = append(arena, scene.Observation{EntityID: o.ID, Class: o.Class, Box: o.Box})
+		}
+		if len(arena) > lo {
+			// Capacity-clipped: a consumer's append reallocates instead
+			// of writing into the next snapshot.
+			s.snaps[k] = arena[lo:len(arena):len(arena)]
+		}
+	}
+}
+
+// Frame implements Source: all objects whose span covers i, as a
+// snapshot shared between every frame of the same boundary interval —
+// read-only, like every Frame.Objects. It allocates nothing once the
+// index is built.
+func (s *IntervalSource) Frame(i int64) Frame {
+	s.once.Do(s.index)
+	k, found := slices.BinarySearch(s.bounds, i)
+	if !found {
+		k-- // the interval i falls in starts at the boundary before it
+	}
+	if k < 0 {
+		return Frame{Index: i}
+	}
+	return Frame{Index: i, Objects: s.snaps[k]}
 }
 
 // SparseIntervalSource is an IntervalSource that additionally
@@ -88,10 +135,11 @@ type SparseIntervalSource struct {
 }
 
 // ActiveIntervals implements SparseSource: the merged object spans
-// clipped to iv.
+// clipped to iv. It scans Objects, which must be Enter-sorted (Sort),
+// rather than read the snapshot index: enumerating a camera's chunks
+// must not be what builds it.
 func (s *SparseIntervalSource) ActiveIntervals(iv vtime.Interval) []vtime.Interval {
 	var out []vtime.Interval
-	// Objects are Enter-sorted, so merged spans build up in order.
 	for _, o := range s.Objects {
 		span := vtime.Interval{Start: o.Enter, End: o.Exit}.Intersect(iv)
 		if span.Empty() {
