@@ -367,36 +367,13 @@ func (e *Engine) RecoveredJobs() []store.JobRecord {
 	return e.wal.Jobs()
 }
 
-// StateInfo describes the engine's durable state layer, for the
-// serving layer's inspection endpoint.
+// StateInfo describes the engine's durable state layer; it is the wire
+// form of the serving layer's inspection endpoint.
 type StateInfo struct {
 	// Durable reports whether commits outlive the process.
-	Durable bool
-	// Dir is the state directory ("" for NullStore or injected
-	// stores).
-	Dir string
-	// Generation is the active WAL generation (advances on every
-	// compaction).
-	Generation int64
-	// WALBytes is the active log generation's size.
-	WALBytes int64
-	// RecordsSinceSnapshot counts WAL records the next compaction will
-	// fold into the snapshot.
-	RecordsSinceSnapshot int64
-	// Snapshots counts compactions taken by this process.
-	Snapshots int64
-	// LastSnapshot is the newest compaction's timestamp (zero when
-	// none yet).
-	LastSnapshot time.Time
-	// LastSnapshotError is the most recent automatic-compaction
-	// failure ("" when healthy); the commit that triggered it still
-	// succeeded.
-	LastSnapshotError string
-	// Cameras counts cameras with persisted charges.
-	Cameras int
-	// Jobs and AuditEntries count retained durable records.
-	Jobs         int
-	AuditEntries int
+	Durable bool `json:"durable"`
+	// Info is the WAL's status (zero for NullStore or injected stores).
+	store.Info
 }
 
 // StateInfo returns a snapshot of the durable state layer's status.
@@ -405,20 +382,7 @@ func (e *Engine) StateInfo() StateInfo {
 		_, isNull := e.store.(store.NullStore)
 		return StateInfo{Durable: !isNull}
 	}
-	wi := e.wal.Info()
-	return StateInfo{
-		Durable:              true,
-		Dir:                  wi.Dir,
-		Generation:           wi.Gen,
-		WALBytes:             wi.WALBytes,
-		RecordsSinceSnapshot: wi.RecordsSinceSnapshot,
-		Snapshots:            wi.Snapshots,
-		LastSnapshot:         wi.LastSnapshot,
-		LastSnapshotError:    wi.LastSnapshotError,
-		Cameras:              wi.Cameras,
-		Jobs:                 wi.Jobs,
-		AuditEntries:         wi.AuditEntries,
-	}
+	return StateInfo{Durable: true, Info: e.wal.Info()}
 }
 
 // CacheStats returns a snapshot of the chunk-result cache counters
@@ -534,13 +498,13 @@ func (e *Engine) Cameras() []CameraInfo {
 // for deployment dashboards (the serving layer's stats endpoint and the
 // per-camera metrics gauges report the same numbers). Unlike
 // CameraBudget it describes the camera's standing state, not one
-// query's charge.
+// query's charge. The json tags are the stats endpoint's wire names.
 type CameraBudgetStatus struct {
-	Name    string
-	Epsilon float64
+	Name    string  `json:"name"`
+	Epsilon float64 `json:"epsilon"`
 	// Remaining is the worst-case remaining per-frame budget over every
 	// frame any query has charged or reserved (Epsilon when untouched).
-	Remaining float64
+	Remaining float64 `json:"remaining"`
 }
 
 // CameraBudgets reports each camera's configured ε and worst-case

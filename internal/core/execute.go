@@ -138,8 +138,9 @@ func (e *Engine) Execute(prog *query.Program) (*Result, error) {
 // one child span per camera shard of each PROCESS (with cache hit/miss
 // counts and sandbox time), and admission/commit outcomes. The trace is
 // returned even when execution fails, so denials and errors are
-// diagnosable. Trace attributes carry only identifiers, counts,
-// durations and ε amounts — never released values or row contents.
+// diagnosable. Trace attributes carry only identifiers, chunk and cache
+// counts, durations and ε amounts — never released values, row contents
+// or row counts (an exact per-camera row count is an un-noised COUNT).
 func (e *Engine) ExecuteTraced(prog *query.Program, tag string) (*Result, *obs.Trace, error) {
 	tr := obs.NewTrace("query", nil)
 	res, err := e.execute(prog, tag, nil, tr.Root())
@@ -912,12 +913,5 @@ func (e *Engine) runShard(sh *splitShard, run *processRun, psp *obs.Span) (out s
 	}
 	e.ppCachedChunks.Add(uint64(tl.stateChunks.Load()))
 	e.spanTallies(ssp, tl)
-	if ssp != nil {
-		if np == 0 {
-			ssp.Set("rows", out.rows.Len())
-		} else {
-			ssp.Set("rows", int(out.states[0].Rows))
-		}
-	}
 	return out
 }

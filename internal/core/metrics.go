@@ -155,10 +155,12 @@ func storeMetrics(reg *obs.Registry) store.Metrics {
 // collector is one scrape-time family. Exactly one of read (an
 // unlabelled sample) and perCamera (one sample per camera, labelled
 // "camera") is set; when, if non-nil, says whether an engine of this
-// shape has the family at all.
+// shape has the family at all. group and key, when set, place the
+// sample in /v1/stats (see StatsGroups).
 type collector struct {
 	name, help string
 	typ        obs.MetricType
+	group, key string
 	when       func(e *Engine) bool
 	read       func(e *Engine) float64
 	perCamera  func(c *camera) float64
@@ -168,68 +170,75 @@ func hasCache(e *Engine) bool { return e.chunkCache != nil }
 func hasDisk(e *Engine) bool  { return e.opts.DiskCacheDir != "" }
 func hasWAL(e *Engine) bool   { return e.wal != nil }
 
-// collectors lists every scrape-time family in exposition order:
+// collectors lists every engine counter and gauge in exposition order:
 // sandbox pool occupancy, chunk-cache and pushdown counters,
 // singleflight, the disk tier, per-camera budget gauges, and WAL state.
-// Each reads state that already lives behind its own lock or atomic, so
-// nothing is mirrored into instruments on the hot path.
+// It is the only list of them: the exposition and /v1/stats both render
+// from it. Each reads state that already lives behind its own lock or
+// atomic, so nothing is mirrored into instruments on the hot path.
 var collectors = []collector{
 	{name: "privid_sandbox_inflight", help: "Sandbox executions currently holding a parallelism slot.", typ: obs.TypeGauge,
 		read: func(e *Engine) float64 { return float64(len(e.procSem)) }},
 
 	{name: "privid_chunk_cache_hits_total", help: "Chunk-result cache hits.", typ: obs.TypeCounter,
-		read: func(e *Engine) float64 { return float64(e.CacheStats().Hits) }},
+		group: "chunk_cache", key: "hits", read: func(e *Engine) float64 { return float64(e.CacheStats().Hits) }},
 	{name: "privid_chunk_cache_misses_total", help: "Chunk-result cache misses.", typ: obs.TypeCounter,
-		read: func(e *Engine) float64 { return float64(e.CacheStats().Misses) }},
+		group: "chunk_cache", key: "misses", read: func(e *Engine) float64 { return float64(e.CacheStats().Misses) }},
 	{name: "privid_chunk_cache_evictions_total", help: "Chunk-result cache evictions.", typ: obs.TypeCounter,
-		read: func(e *Engine) float64 { return float64(e.CacheStats().Evictions) }},
+		group: "chunk_cache", key: "evictions", read: func(e *Engine) float64 { return float64(e.CacheStats().Evictions) }},
 	{name: "privid_chunk_cache_entries", help: "Chunk-result cache resident entries.", typ: obs.TypeGauge,
-		read: func(e *Engine) float64 { return float64(e.CacheStats().Entries) }},
+		group: "chunk_cache", key: "entries", read: func(e *Engine) float64 { return float64(e.CacheStats().Entries) }},
 	{name: "privid_chunk_cache_puts_total", help: "Chunk-result cache write-through stores (disk→RAM promotions excluded).", typ: obs.TypeCounter,
-		read: func(e *Engine) float64 { return float64(e.CacheStats().Puts) }},
+		group: "chunk_cache", key: "puts", read: func(e *Engine) float64 { return float64(e.CacheStats().Puts) }},
 	{name: "privid_chunk_cache_bytes", help: "Chunk-result cache resident bytes.", typ: obs.TypeGauge,
-		read: func(e *Engine) float64 { return float64(e.CacheStats().Bytes) }},
+		group: "chunk_cache", key: "bytes", read: func(e *Engine) float64 { return float64(e.CacheStats().Bytes) }},
+	{name: "privid_chunk_cache_max_bytes", help: "Chunk-result cache RAM-tier byte bound.", typ: obs.TypeGauge,
+		group: "chunk_cache", key: "max_bytes", read: func(e *Engine) float64 { return float64(e.CacheStats().MaxBytes) }},
 
 	{name: "privid_partial_agg_plans_total", help: "Aggregation-pushdown plans built (one per mergeable SELECT per PROCESS execution).", typ: obs.TypeCounter,
-		read: func(e *Engine) float64 { return float64(e.PartialStats().Plans) }},
+		group: "partial_agg", key: "plans", read: func(e *Engine) float64 { return float64(e.PartialStats().Plans) }},
 	{name: "privid_partial_agg_declined_total", help: "PROCESS executions with pushdown candidates that fell back to full materialization.", typ: obs.TypeCounter,
-		read: func(e *Engine) float64 { return float64(e.PartialStats().Declined) }},
+		group: "partial_agg", key: "declined", read: func(e *Engine) float64 { return float64(e.PartialStats().Declined) }},
 	{name: "privid_partial_agg_folds_total", help: "Per-chunk folds of sandbox output into partial aggregate states.", typ: obs.TypeCounter,
-		read: func(e *Engine) float64 { return float64(e.PartialStats().Folds) }},
+		group: "partial_agg", key: "folds", read: func(e *Engine) float64 { return float64(e.PartialStats().Folds) }},
 	{name: "privid_partial_agg_merges_total", help: "Partial aggregate state merges.", typ: obs.TypeCounter,
-		read: func(e *Engine) float64 { return float64(e.PartialStats().Merges) }},
+		group: "partial_agg", key: "merges", read: func(e *Engine) float64 { return float64(e.PartialStats().Merges) }},
 	{name: "privid_partial_agg_chunks_cached_total", help: "Chunks answered entirely from the partial-state cache tier (no sandbox, no fold).", typ: obs.TypeCounter,
-		read: func(e *Engine) float64 { return float64(e.PartialStats().CachedChunks) }},
+		group: "partial_agg", key: "cached_chunks", read: func(e *Engine) float64 { return float64(e.PartialStats().CachedChunks) }},
 	{name: "privid_partial_agg_state_hits_total", help: "Partial-state cache hits (per plan × chunk lookups).", typ: obs.TypeCounter,
-		read: func(e *Engine) float64 { return float64(e.PartialStats().StateHits) }},
+		group: "partial_agg", key: "state_hits", read: func(e *Engine) float64 { return float64(e.PartialStats().StateHits) }},
 	{name: "privid_partial_agg_state_misses_total", help: "Partial-state cache misses.", typ: obs.TypeCounter,
-		read: func(e *Engine) float64 { return float64(e.PartialStats().StateMisses) }},
+		group: "partial_agg", key: "state_misses", read: func(e *Engine) float64 { return float64(e.PartialStats().StateMisses) }},
 	{name: "privid_partial_agg_state_puts_total", help: "Partial-state cache stores.", typ: obs.TypeCounter,
-		read: func(e *Engine) float64 { return float64(e.PartialStats().StatePuts) }},
+		group: "partial_agg", key: "state_puts", read: func(e *Engine) float64 { return float64(e.PartialStats().StatePuts) }},
 
 	{name: "privid_chunk_singleflight_leaders_total", help: "Chunk executions performed under singleflight leadership (initial leaders plus promoted followers).", typ: obs.TypeCounter,
-		when: hasCache, read: func(e *Engine) float64 { return float64(e.FlightStats().Leaders) }},
+		group: "singleflight", key: "leaders", when: hasCache, read: func(e *Engine) float64 { return float64(e.FlightStats().Leaders) }},
 	{name: "privid_chunk_singleflight_followers_total", help: "Chunk executions avoided by sharing a concurrent leader's result.", typ: obs.TypeCounter,
-		when: hasCache, read: func(e *Engine) float64 { return float64(e.FlightStats().Followers) }},
+		group: "singleflight", key: "followers", when: hasCache, read: func(e *Engine) float64 { return float64(e.FlightStats().Followers) }},
 	{name: "privid_chunk_singleflight_handoffs_total", help: "Followers promoted to leader after their leader's execution failed.", typ: obs.TypeCounter,
-		when: hasCache, read: func(e *Engine) float64 { return float64(e.FlightStats().Handoffs) }},
+		group: "singleflight", key: "handoffs", when: hasCache, read: func(e *Engine) float64 { return float64(e.FlightStats().Handoffs) }},
 	{name: "privid_chunk_singleflight_timeouts_total", help: "Followers that waited out their leader and executed alone.", typ: obs.TypeCounter,
-		when: hasCache, read: func(e *Engine) float64 { return float64(e.FlightStats().Timeouts) }},
+		group: "singleflight", key: "timeouts", when: hasCache, read: func(e *Engine) float64 { return float64(e.FlightStats().Timeouts) }},
 	{name: "privid_chunk_singleflight_waiting", help: "Followers currently blocked on a leader.", typ: obs.TypeGauge,
-		when: hasCache, read: func(e *Engine) float64 { return float64(e.FlightStats().Waiting) }},
+		group: "singleflight", key: "waiting", when: hasCache, read: func(e *Engine) float64 { return float64(e.FlightStats().Waiting) }},
 
 	{name: "privid_chunk_cache_disk_hits_total", help: "Chunk-result lookups served by the disk tier.", typ: obs.TypeCounter,
-		when: hasDisk, read: func(e *Engine) float64 { return float64(e.CacheStats().DiskHits) }},
+		group: "chunk_cache", key: "disk_hits", when: hasDisk, read: func(e *Engine) float64 { return float64(e.CacheStats().DiskHits) }},
 	{name: "privid_chunk_cache_disk_misses_total", help: "Chunk-result lookups that missed the disk tier.", typ: obs.TypeCounter,
-		when: hasDisk, read: func(e *Engine) float64 { return float64(e.CacheStats().DiskMisses) }},
+		group: "chunk_cache", key: "disk_misses", when: hasDisk, read: func(e *Engine) float64 { return float64(e.CacheStats().DiskMisses) }},
+	{name: "privid_chunk_cache_disk_puts_total", help: "Chunk-result entries appended to the disk tier.", typ: obs.TypeCounter,
+		group: "chunk_cache", key: "disk_puts", when: hasDisk, read: func(e *Engine) float64 { return float64(e.CacheStats().DiskPuts) }},
 	{name: "privid_chunk_cache_promotions_total", help: "Disk-tier hits promoted back into the RAM tier.", typ: obs.TypeCounter,
-		when: hasDisk, read: func(e *Engine) float64 { return float64(e.CacheStats().Promotions) }},
+		group: "chunk_cache", key: "promotions", when: hasDisk, read: func(e *Engine) float64 { return float64(e.CacheStats().Promotions) }},
 	{name: "privid_chunk_cache_disk_bytes", help: "Disk-tier resident bytes across segments.", typ: obs.TypeGauge,
-		when: hasDisk, read: func(e *Engine) float64 { return float64(e.CacheStats().DiskBytes) }},
+		group: "chunk_cache", key: "disk_bytes", when: hasDisk, read: func(e *Engine) float64 { return float64(e.CacheStats().DiskBytes) }},
+	{name: "privid_chunk_cache_disk_max_bytes", help: "Disk-tier byte bound.", typ: obs.TypeGauge,
+		group: "chunk_cache", key: "disk_max_bytes", when: hasDisk, read: func(e *Engine) float64 { return float64(e.CacheStats().DiskMaxBytes) }},
 	{name: "privid_chunk_cache_disk_segments", help: "Disk-tier segment-file count.", typ: obs.TypeGauge,
-		when: hasDisk, read: func(e *Engine) float64 { return float64(e.CacheStats().DiskSegments) }},
+		group: "chunk_cache", key: "disk_segments", when: hasDisk, read: func(e *Engine) float64 { return float64(e.CacheStats().DiskSegments) }},
 	{name: "privid_chunk_cache_disk_evictions_total", help: "Disk-tier segments deleted to respect the size bound.", typ: obs.TypeCounter,
-		when: hasDisk, read: func(e *Engine) float64 { return float64(e.CacheStats().DiskEvictions) }},
+		group: "chunk_cache", key: "disk_evictions", when: hasDisk, read: func(e *Engine) float64 { return float64(e.CacheStats().DiskEvictions) }},
 
 	{name: "privid_camera_epsilon_budget", help: "Configured per-frame privacy budget, per camera.", typ: obs.TypeGauge,
 		perCamera: func(c *camera) float64 { return c.cfg.Epsilon }},
@@ -244,6 +253,32 @@ var collectors = []collector{
 		when: hasWAL, read: func(e *Engine) float64 { return float64(e.wal.Info().RecordsSinceSnapshot) }},
 	{name: "privid_wal_snapshots_total", help: "WAL compactions taken by this process.", typ: obs.TypeCounter,
 		when: hasWAL, read: func(e *Engine) float64 { return float64(e.wal.Info().Snapshots) }},
+}
+
+// StatsGroups renders the chunk_cache, singleflight and partial_agg
+// groups of /v1/stats from the collectors table, so a wire field and
+// its family read one value. It walks the table, not the registry, so
+// it works with DisableMetrics, and it ignores when, so every group has
+// every key whatever the shape (an absent tier reads zero). hit_rate is
+// the one field without a family: hits/(hits+misses), 0 before any
+// lookup.
+func (e *Engine) StatsGroups() map[string]map[string]float64 {
+	out := map[string]map[string]float64{}
+	for _, c := range collectors {
+		if c.group == "" {
+			continue
+		}
+		if out[c.group] == nil {
+			out[c.group] = map[string]float64{}
+		}
+		out[c.group][c.key] = c.read(e)
+	}
+	cc := out["chunk_cache"]
+	cc["hit_rate"] = 0
+	if n := cc["hits"] + cc["misses"]; n > 0 {
+		cc["hit_rate"] = cc["hits"] / n
+	}
+	return out
 }
 
 // registerCollectors installs the collectors this engine's shape has.

@@ -393,17 +393,6 @@ type AuditEntry struct {
 	Reason       string   `json:"reason,omitempty"`
 }
 
-// StateInfo is the durable-store status as served over HTTP.
-type StateInfo struct {
-	Durable      bool   `json:"durable"`
-	Dir          string `json:"dir,omitempty"`
-	WALBytes     int64  `json:"wal_bytes,omitempty"`
-	Snapshots    int64  `json:"snapshots,omitempty"`
-	Cameras      int    `json:"cameras,omitempty"`
-	Jobs         int    `json:"jobs,omitempty"`
-	AuditEntries int    `json:"audit_entries,omitempty"`
-}
-
 // get decodes a GET endpoint into out, asserting the status code.
 func (h *H) get(path string, wantStatus int, out any) {
 	h.T.Helper()
@@ -525,9 +514,9 @@ func (h *H) Audit() []AuditEntry {
 }
 
 // State fetches the durable-store status over HTTP.
-func (h *H) State() StateInfo {
+func (h *H) State() core.StateInfo {
 	h.T.Helper()
-	var out StateInfo
+	var out core.StateInfo
 	h.get("/v1/state", http.StatusOK, &out)
 	return out
 }
@@ -559,44 +548,28 @@ func (h *H) Trace(id string) obs.SpanTree {
 	return out
 }
 
-// SchedStats is the scheduler's load snapshot as served in /v1/stats.
-type SchedStats struct {
-	Workers     int
-	Queued      int
-	Running     int
-	Done        int64
-	Failed      int64
-	Submitted   int64
-	Recovered   int64
-	SlowQueries int64
-}
-
-// StatsCamera is one camera's budget summary as served in /v1/stats.
-type StatsCamera struct {
-	Name      string  `json:"name"`
-	Epsilon   float64 `json:"epsilon"`
-	Remaining float64 `json:"remaining"`
-}
-
-// StatsRaw fetches the full stats payload as loosely-typed JSON. The
-// sim invariant checker cross-checks every counter group against the
-// engine's own snapshots, so it needs the wire form verbatim rather
-// than a typed slice of it.
-func (h *H) StatsRaw() map[string]any {
+// Stats fetches the stats endpoint: scheduler load, per-camera budget
+// standing, and the engine's counter groups by name.
+func (h *H) Stats() (sched server.Stats, cams []core.CameraBudgetStatus, groups map[string]map[string]float64) {
 	h.T.Helper()
-	out := map[string]any{}
-	h.get("/v1/stats", http.StatusOK, &out)
-	return out
-}
-
-// Stats fetches the stats endpoint: scheduler load and per-camera
-// budget standing.
-func (h *H) Stats() (SchedStats, []StatsCamera) {
-	h.T.Helper()
-	var out struct {
-		Scheduler SchedStats    `json:"scheduler"`
-		Cameras   []StatsCamera `json:"cameras"`
+	var raw map[string]json.RawMessage
+	h.get("/v1/stats", http.StatusOK, &raw)
+	groups = map[string]map[string]float64{}
+	for name, msg := range raw {
+		var err error
+		switch name {
+		case "scheduler":
+			err = json.Unmarshal(msg, &sched)
+		case "cameras":
+			err = json.Unmarshal(msg, &cams)
+		default:
+			var g map[string]float64
+			err = json.Unmarshal(msg, &g)
+			groups[name] = g
+		}
+		if err != nil {
+			h.T.Fatalf("GET /v1/stats: decode %q: %v", name, err)
+		}
 	}
-	h.get("/v1/stats", http.StatusOK, &out)
-	return out.Scheduler, out.Cameras
+	return sched, cams, groups
 }

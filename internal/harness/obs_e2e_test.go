@@ -122,7 +122,7 @@ func TestE2ETraceSurvivesRestart(t *testing.T) {
 	want := h.Trace(job.ID)
 
 	h.Restart()
-	sched, _ := h.Stats()
+	sched, _, _ := h.Stats()
 	if sched.Recovered == 0 {
 		t.Error("restart recovered no jobs")
 	}
@@ -167,7 +167,7 @@ func TestE2EMetricsScrape(t *testing.T) {
 		}
 	}
 
-	_, cams := h.Stats()
+	_, cams, _ := h.Stats()
 	if len(cams) != 2 {
 		t.Fatalf("stats cameras = %+v, want 2", cams)
 	}
@@ -209,7 +209,7 @@ func TestE2ESlowQueryLog(t *testing.T) {
 	if out := h.Metrics(); !strings.Contains(out, "privid_slow_queries_total 1") {
 		t.Error("slow-query counter not exported")
 	}
-	sched, _ := h.Stats()
+	sched, _, _ := h.Stats()
 	if sched.SlowQueries != 1 {
 		t.Errorf("stats slow queries = %d, want 1", sched.SlowQueries)
 	}
@@ -253,5 +253,35 @@ func TestE2ESlowQueryLog(t *testing.T) {
 	}
 	if !strings.Contains(after.String(), `privid_queries_total{outcome="ok"} 1`) {
 		t.Error("post-shutdown scrape lost counters")
+	}
+}
+
+// TestE2ETraceOmitsRowCounts pins that the trace never carries a
+// shard's exact row count: for a one-row-per-chunk COUNT(*) it is the
+// un-noised answer. The trace of a budget-denied job is served too, so
+// both an admitted and a denied COUNT are checked.
+func TestE2ETraceOmitsRowCounts(t *testing.T) {
+	t.Parallel() // stacks carry isolated obs registries — no cross-test bleed
+	h := harness.Start(t, harness.Config{Epsilon: 1})
+	ok := h.SubmitWait("alice", harness.CountQuery(0, 2, 0.8))
+	denied := h.SubmitWait("alice", harness.CountQuery(0, 2, 0.8))
+	if ok.State != "done" || denied.State != "failed" {
+		t.Fatalf("jobs = %+v, %+v; want one done, one denied", ok, denied)
+	}
+	var check func(s obs.SpanTree)
+	check = func(s obs.SpanTree) {
+		if _, leaked := s.Attrs["rows"]; leaked {
+			t.Errorf("span %q carries an exact row count: %+v", s.Name, s.Attrs)
+		}
+		for _, c := range s.Children {
+			check(c)
+		}
+	}
+	for _, job := range []harness.Job{ok, denied} {
+		tree := h.Trace(job.ID)
+		if len(findSpans(tree, "shard")) == 0 {
+			t.Fatalf("job %s: trace has no shard spans", job.ID)
+		}
+		check(tree)
 	}
 }

@@ -399,97 +399,19 @@ func (a *API) getAudit(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// stateJSON is the wire form of the engine's durable-store status.
-type stateJSON struct {
-	Durable              bool   `json:"durable"`
-	Dir                  string `json:"dir,omitempty"`
-	Generation           int64  `json:"generation,omitempty"`
-	WALBytes             int64  `json:"wal_bytes,omitempty"`
-	RecordsSinceSnapshot int64  `json:"records_since_snapshot,omitempty"`
-	Snapshots            int64  `json:"snapshots,omitempty"`
-	LastSnapshot         string `json:"last_snapshot,omitempty"`
-	LastSnapshotError    string `json:"last_snapshot_error,omitempty"`
-	Cameras              int    `json:"cameras,omitempty"`
-	Jobs                 int    `json:"jobs,omitempty"`
-	AuditEntries         int    `json:"audit_entries,omitempty"`
+// getState serves the durable-store status; core.StateInfo is its wire
+// form.
+func (a *API) getState(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, http.StatusOK, a.engine.StateInfo())
 }
 
-func (a *API) getState(w http.ResponseWriter, _ *http.Request) {
-	si := a.engine.StateInfo()
-	out := stateJSON{
-		Durable:              si.Durable,
-		Dir:                  si.Dir,
-		Generation:           si.Generation,
-		WALBytes:             si.WALBytes,
-		RecordsSinceSnapshot: si.RecordsSinceSnapshot,
-		Snapshots:            si.Snapshots,
-		LastSnapshotError:    si.LastSnapshotError,
-		Cameras:              si.Cameras,
-		Jobs:                 si.Jobs,
-		AuditEntries:         si.AuditEntries,
-	}
-	if !si.LastSnapshot.IsZero() {
-		out.LastSnapshot = si.LastSnapshot.Format(time.RFC3339Nano)
+// getStats serves scheduler load and per-camera budget standing beside
+// the engine's counter groups, which core renders from the same table
+// as their metric families.
+func (a *API) getStats(w http.ResponseWriter, _ *http.Request) {
+	out := map[string]any{"scheduler": a.sched.Stats(), "cameras": a.engine.CameraBudgets()}
+	for name, group := range a.engine.StatsGroups() {
+		out[name] = group
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-// statsCameraJSON is the wire form of one camera's budget summary in
-// the stats endpoint.
-type statsCameraJSON struct {
-	Name    string  `json:"name"`
-	Epsilon float64 `json:"epsilon"`
-	// Remaining is the worst-case remaining per-frame ε over every
-	// charged frame (epsilon when untouched).
-	Remaining float64 `json:"remaining"`
-}
-
-func (a *API) getStats(w http.ResponseWriter, _ *http.Request) {
-	cs := a.engine.CacheStats()
-	fs := a.engine.FlightStats()
-	ps := a.engine.PartialStats()
-	budgets := a.engine.CameraBudgets()
-	cams := make([]statsCameraJSON, len(budgets))
-	for i, cb := range budgets {
-		cams[i] = statsCameraJSON{Name: cb.Name, Epsilon: cb.Epsilon, Remaining: cb.Remaining}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"scheduler": a.sched.Stats(),
-		"cameras":   cams,
-		"singleflight": map[string]any{
-			"leaders":   fs.Leaders,
-			"followers": fs.Followers,
-			"handoffs":  fs.Handoffs,
-			"timeouts":  fs.Timeouts,
-			"waiting":   fs.Waiting,
-		},
-		"chunk_cache": map[string]any{
-			"hits":           cs.Hits,
-			"misses":         cs.Misses,
-			"hit_rate":       cs.HitRate(),
-			"puts":           cs.Puts,
-			"evictions":      cs.Evictions,
-			"entries":        cs.Entries,
-			"bytes":          cs.Bytes,
-			"max_bytes":      cs.MaxBytes,
-			"disk_hits":      cs.DiskHits,
-			"disk_misses":    cs.DiskMisses,
-			"disk_puts":      cs.DiskPuts,
-			"promotions":     cs.Promotions,
-			"disk_bytes":     cs.DiskBytes,
-			"disk_max_bytes": cs.DiskMaxBytes,
-			"disk_segments":  cs.DiskSegments,
-			"disk_evictions": cs.DiskEvictions,
-		},
-		"partial_agg": map[string]any{
-			"plans":         ps.Plans,
-			"declined":      ps.Declined,
-			"folds":         ps.Folds,
-			"merges":        ps.Merges,
-			"cached_chunks": ps.CachedChunks,
-			"state_hits":    ps.StateHits,
-			"state_misses":  ps.StateMisses,
-			"state_puts":    ps.StatePuts,
-		},
-	})
 }

@@ -50,40 +50,33 @@ func (m *schedMetrics) refused(reason string) {
 	m.refusals.With(reason).Inc()
 }
 
-// registerCollectors installs the scheduler's scrape-time collectors:
-// queue depth, running jobs, pool size, recovered-job and slow-query
-// counts. Called once from NewScheduler before the workers start and
-// never under s.mu, mirroring the engine's registration discipline (a
-// scrape runs collectors under the registry's read lock and may take
-// s.mu; registration must therefore never happen under s.mu).
+// schedCollectors lists the scheduler's scrape-time families. Each
+// reads one field of a Stats snapshot, so the exposition and /v1/stats
+// count from one place.
+var schedCollectors = []struct {
+	name, help string
+	typ        obs.MetricType
+	read       func(Stats) int64
+}{
+	{"privid_scheduler_queue_depth", "Jobs waiting for a worker.", obs.TypeGauge,
+		func(st Stats) int64 { return int64(st.Queued) }},
+	{"privid_scheduler_workers", "Worker-pool size (max concurrent query executions).", obs.TypeGauge,
+		func(st Stats) int64 { return int64(st.Workers) }},
+	{"privid_scheduler_running", "Jobs currently executing on the worker pool.", obs.TypeGauge,
+		func(st Stats) int64 { return int64(st.Running) }},
+	{"privid_scheduler_recovered_jobs_total", "Terminal jobs adopted from the durable store at startup.", obs.TypeCounter,
+		func(st Stats) int64 { return st.Recovered }},
+	{"privid_slow_queries_total", "Slow-query log entries written.", obs.TypeCounter,
+		func(st Stats) int64 { return st.SlowQueries }},
+}
+
+// registerCollectors installs schedCollectors. Called once from
+// NewScheduler before the workers start and never under s.mu,
+// mirroring the engine's registration discipline (a scrape runs
+// collectors under the registry's read lock and Stats takes s.mu;
+// registration must therefore never happen under s.mu).
 func (s *Scheduler) registerCollectors(reg *obs.Registry) {
-	reg.GaugeFunc("privid_scheduler_queue_depth",
-		"Jobs waiting for a worker.",
-		func() float64 { return float64(len(s.queue)) })
-	reg.GaugeFunc("privid_scheduler_workers",
-		"Worker-pool size (max concurrent query executions).",
-		func() float64 { return float64(s.opts.Workers) })
-	reg.GaugeFunc("privid_scheduler_running",
-		"Jobs currently executing on the worker pool.",
-		func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			n := 0
-			for _, j := range s.jobs {
-				if j.info.State == JobRunning {
-					n++
-				}
-			}
-			return float64(n)
-		})
-	reg.CollectFunc("privid_scheduler_recovered_jobs_total",
-		"Terminal jobs adopted from the durable store at startup.",
-		obs.TypeCounter, nil, func(emit obs.Emit) {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			emit(nil, float64(s.recovered))
-		})
-	reg.CollectFunc("privid_slow_queries_total",
-		"Slow-query log entries written.", obs.TypeCounter, nil,
-		func(emit obs.Emit) { emit(nil, float64(s.slow.Entries())) })
+	for _, c := range schedCollectors {
+		reg.CollectFunc(c.name, c.help, c.typ, nil, func(emit obs.Emit) { emit(nil, float64(c.read(s.Stats()))) })
+	}
 }

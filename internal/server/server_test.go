@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -319,38 +322,6 @@ func TestHTTPCamerasBudgetStats(t *testing.T) {
 		t.Fatalf("budget not consumed: %v", after["remaining"])
 	}
 
-	resp, err = http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := decode[map[string]any](t, resp)
-	schedStats := stats["scheduler"].(map[string]any)
-	if schedStats["Done"].(float64) < 1 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	if _, ok := stats["chunk_cache"].(map[string]any)["max_bytes"]; !ok {
-		t.Fatalf("stats missing chunk cache: %+v", stats)
-	}
-	pa, ok := stats["partial_agg"].(map[string]any)
-	if !ok {
-		t.Fatalf("stats missing partial_agg: %+v", stats)
-	}
-	for _, k := range []string{"plans", "declined", "folds", "merges", "cached_chunks",
-		"state_hits", "state_misses", "state_puts"} {
-		if _, ok := pa[k]; !ok {
-			t.Fatalf("partial_agg stats missing %q: %+v", k, pa)
-		}
-	}
-	sf, ok := stats["singleflight"].(map[string]any)
-	if !ok {
-		t.Fatalf("stats missing singleflight: %+v", stats)
-	}
-	for _, k := range []string{"leaders", "followers", "handoffs", "timeouts", "waiting"} {
-		if _, ok := sf[k]; !ok {
-			t.Fatalf("singleflight stats missing %q: %+v", k, sf)
-		}
-	}
-
 	resp, err = http.Get(ts.URL + "/v1/executables")
 	if err != nil {
 		t.Fatal(err)
@@ -358,6 +329,140 @@ func TestHTTPCamerasBudgetStats(t *testing.T) {
 	execs := decode[[]string](t, resp)
 	if len(execs) != 1 || execs[0] != "headcount" {
 		t.Fatalf("executables = %v", execs)
+	}
+}
+
+// samples parses an exposition's sample lines into "name{labels}" →
+// value.
+func samples(t *testing.T, url string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(string(body), "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if line == "" || line[0] == '#' || i < 0 {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
+// statsFamilyPrefix is the family-name prefix of each /v1/stats
+// counter group.
+var statsFamilyPrefix = map[string]string{
+	"chunk_cache":  "privid_chunk_cache_",
+	"singleflight": "privid_chunk_singleflight_",
+	"partial_agg":  "privid_partial_agg_",
+}
+
+// TestStatsMatchesExposition pins that /v1/stats and /v1/metrics are
+// one set of numbers for every engine shape: each counter field that
+// has a family equals that family's sample, the per-camera remaining
+// equals its gauge, and each scheduler family equals its Stats field.
+func TestStatsMatchesExposition(t *testing.T) {
+	for _, shape := range wireShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			_, sched, url := shapeStack(t, shape.opts(t.TempDir()), shape.cache)
+			resp, err := http.Get(url + "/v1/stats")
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw := decode[map[string]json.RawMessage](t, resp)
+			var wireSched Stats
+			var cams []core.CameraBudgetStatus
+			if err := json.Unmarshal(raw["scheduler"], &wireSched); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(raw["cameras"], &cams); err != nil {
+				t.Fatal(err)
+			}
+			groups := map[string]map[string]float64{}
+			for g := range statsFamilyPrefix {
+				var fields map[string]float64
+				if err := json.Unmarshal(raw[g], &fields); err != nil || len(fields) == 0 {
+					t.Fatalf("stats group %q: %v %s", g, err, raw[g])
+				}
+				groups[g] = fields
+			}
+			got := samples(t, url)
+
+			var unexported []string
+			for g, fields := range groups {
+				for k, v := range fields {
+					name := statsFamilyPrefix[g] + strings.Replace(k, "cached_chunks", "chunks_cached", 1)
+					want, ok := got[name]
+					if !ok {
+						want, ok = got[name+"_total"]
+					}
+					if !ok {
+						unexported = append(unexported, g+"."+k)
+						continue
+					}
+					if v != want {
+						t.Errorf("%s.%s = %v, family %s says %v", g, k, v, name, want)
+					}
+				}
+			}
+			if cc := groups["chunk_cache"]; cc["hits"]+cc["misses"] > 0 && cc["hit_rate"] != cc["hits"]/(cc["hits"]+cc["misses"]) {
+				t.Errorf("hit_rate %v != hits/(hits+misses) from %+v", cc["hit_rate"], cc)
+			}
+			// The disk shape registers every family, so only the derived
+			// hit_rate may lack one there.
+			if sort.Strings(unexported); shape.name == "ram_and_disk" && strings.Join(unexported, ",") != "chunk_cache.hit_rate" {
+				t.Errorf("stats fields without a family: %v", unexported)
+			}
+			if shape.name == "ram_and_disk" && groups["chunk_cache"]["disk_hits"] == 0 {
+				t.Error("workload produced no disk hit")
+			}
+			if shape.cache && groups["singleflight"]["followers"] == 0 {
+				t.Error("workload produced no singleflight follower")
+			}
+
+			for _, c := range cams {
+				if g := got[`privid_camera_epsilon_remaining{camera="`+c.Name+`"}`]; g != c.Remaining {
+					t.Errorf("camera %s remaining %v, gauge %v", c.Name, c.Remaining, g)
+				}
+			}
+			st := sched.Stats()
+			if wireSched != st {
+				t.Errorf("wire scheduler %+v, Stats() %+v", wireSched, st)
+			}
+			for name, want := range map[string]int64{
+				"privid_scheduler_queue_depth":          int64(st.Queued),
+				"privid_scheduler_workers":              int64(st.Workers),
+				"privid_scheduler_running":              int64(st.Running),
+				"privid_scheduler_recovered_jobs_total": st.Recovered,
+				"privid_slow_queries_total":             st.SlowQueries,
+			} {
+				if got[name] != float64(want) {
+					t.Errorf("%s = %v, Stats() says %v", name, got[name], want)
+				}
+			}
+		})
+	}
+
+	// The groups come from the engine's table, not its registry.
+	bare, full := core.New(core.Options{DisableMetrics: true}).StatsGroups(), core.New(core.Options{}).StatsGroups()
+	if len(bare) != len(full) {
+		t.Fatalf("DisableMetrics engine renders %d stats groups, want %d", len(bare), len(full))
+	}
+	for g, fields := range full {
+		if len(bare[g]) != len(fields) {
+			t.Errorf("DisableMetrics group %s has %d fields, want %d", g, len(bare[g]), len(fields))
+		}
 	}
 }
 

@@ -384,123 +384,39 @@ func checkedCameras(f *Fleet, spent map[int][]float64) []int {
 	return idxs
 }
 
-// checkStats cross-checks /v1/stats against the engine's own counter
-// snapshots (legal only at quiescence) plus the counters' structural
-// identities, and ties the per-camera worst-case remaining to the
-// acked ledger.
+// checkStats checks /v1/stats at quiescence: the counters' structural
+// identities, no waiting, queued or running work, and each camera's
+// worst-case remaining against the acked ledger. That every counter
+// field equals its metric family needs no check here: core renders
+// both from one table, and package server pins the agreement.
 func checkStats(r *runner, spent map[int][]float64) {
-	h := r.h
 	f := r.f
-	raw := h.StatsRaw()
-	cs := h.Engine.CacheStats()
-	fs := h.Engine.FlightStats()
-	ps := h.Engine.PartialStats()
-
-	group := func(name string) map[string]any {
-		g, _ := raw[name].(map[string]any)
-		if g == nil {
-			r.violatef("stats: missing %q group", name)
-			return map[string]any{}
-		}
-		return g
-	}
-	num := func(g map[string]any, key string) float64 {
-		v, ok := g[key].(float64)
-		if !ok {
-			r.violatef("stats: missing numeric field %q", key)
-		}
-		return v
-	}
-	wants := []struct {
-		group string
-		key   string
-		want  float64
-	}{
-		{"singleflight", "leaders", float64(fs.Leaders)},
-		{"singleflight", "followers", float64(fs.Followers)},
-		{"singleflight", "handoffs", float64(fs.Handoffs)},
-		{"singleflight", "timeouts", float64(fs.Timeouts)},
-		{"singleflight", "waiting", float64(fs.Waiting)},
-		{"chunk_cache", "hits", float64(cs.Hits)},
-		{"chunk_cache", "misses", float64(cs.Misses)},
-		{"chunk_cache", "puts", float64(cs.Puts)},
-		{"chunk_cache", "evictions", float64(cs.Evictions)},
-		{"chunk_cache", "entries", float64(cs.Entries)},
-		{"chunk_cache", "bytes", float64(cs.Bytes)},
-		{"chunk_cache", "max_bytes", float64(cs.MaxBytes)},
-		{"chunk_cache", "disk_hits", float64(cs.DiskHits)},
-		{"chunk_cache", "disk_misses", float64(cs.DiskMisses)},
-		{"chunk_cache", "disk_puts", float64(cs.DiskPuts)},
-		{"chunk_cache", "promotions", float64(cs.Promotions)},
-		{"chunk_cache", "disk_bytes", float64(cs.DiskBytes)},
-		{"chunk_cache", "disk_segments", float64(cs.DiskSegments)},
-		{"chunk_cache", "disk_evictions", float64(cs.DiskEvictions)},
-		{"partial_agg", "plans", float64(ps.Plans)},
-		{"partial_agg", "declined", float64(ps.Declined)},
-		{"partial_agg", "folds", float64(ps.Folds)},
-		{"partial_agg", "merges", float64(ps.Merges)},
-		{"partial_agg", "state_hits", float64(ps.StateHits)},
-		{"partial_agg", "state_misses", float64(ps.StateMisses)},
-		{"partial_agg", "state_puts", float64(ps.StatePuts)},
-	}
-	groups := map[string]map[string]any{}
-	for _, w := range wants {
-		g, ok := groups[w.group]
-		if !ok {
-			g = group(w.group)
-			groups[w.group] = g
-		}
-		if got := num(g, w.key); got != w.want {
-			r.violatef("stats: %s.%s = %v, engine says %v", w.group, w.key, got, w.want)
-		}
-	}
-
-	// Structural identities.
+	sched, cams, groups := r.h.Stats()
 	cc := groups["chunk_cache"]
-	if hr := num(cc, "hit_rate"); hr < 0 || hr > 1 {
+	if hr := cc["hit_rate"]; hr < 0 || hr > 1 {
 		r.violatef("stats: hit_rate %v outside [0,1]", hr)
 	}
-	if cs.MaxBytes > 0 && cs.Bytes > cs.MaxBytes {
-		r.violatef("stats: cache bytes %d > max %d", cs.Bytes, cs.MaxBytes)
+	if cc["max_bytes"] > 0 && cc["bytes"] > cc["max_bytes"] {
+		r.violatef("stats: cache bytes %v > max %v", cc["bytes"], cc["max_bytes"])
 	}
-	if cs.Puts > cs.Misses {
-		r.violatef("stats: cache puts %d > misses %d", cs.Puts, cs.Misses)
+	if cc["puts"] > cc["misses"] {
+		r.violatef("stats: cache puts %v > misses %v", cc["puts"], cc["misses"])
 	}
-	if fs.Waiting != 0 {
-		r.violatef("stats: %d singleflight waiters at quiescence", fs.Waiting)
+	if w := groups["singleflight"]["waiting"]; w != 0 {
+		r.violatef("stats: %v singleflight waiters at quiescence", w)
 	}
-	// SchedStats serializes without json tags, so the wire keys are
-	// the Go field names.
-	sched := group("scheduler")
-	if q := num(sched, "Queued"); q != 0 {
-		r.violatef("stats: %v queued jobs at quiescence", q)
-	}
-	if ru := num(sched, "Running"); ru != 0 {
-		r.violatef("stats: %v running jobs at quiescence", ru)
+	if sched.Queued != 0 || sched.Running != 0 {
+		r.violatef("stats: %d queued, %d running jobs at quiescence", sched.Queued, sched.Running)
 	}
 
-	// Per-camera worst-case remaining: the wire value must match the
-	// engine's budget report bit-for-bit, and relate to the acked
-	// ledger like the per-frame check does.
-	budgets := h.Engine.CameraBudgets()
+	// Per-camera worst-case remaining relates to the acked ledger like
+	// the per-frame check does.
+	if len(cams) != len(f.Cams) {
+		r.violatef("stats: %d cameras on the wire, fleet has %d", len(cams), len(f.Cams))
+	}
 	byName := map[string]float64{}
-	for _, b := range budgets {
-		byName[b.Name] = b.Remaining
-	}
-	camsRaw, _ := raw["cameras"].([]any)
-	if len(camsRaw) != len(budgets) {
-		r.violatef("stats: %d cameras on the wire, engine has %d", len(camsRaw), len(budgets))
-	}
-	for _, cr := range camsRaw {
-		m, _ := cr.(map[string]any)
-		if m == nil {
-			continue
-		}
-		name, _ := m["name"].(string)
-		rem, _ := m["remaining"].(float64)
-		if want, ok := byName[name]; !ok || rem != want {
-			r.violatef("stats: camera %s remaining %v, engine says %v", name, rem, want)
-		}
+	for _, c := range cams {
+		byName[c.Name] = c.Remaining
 	}
 	hadCrash := r.rep.Crashes > 0
 	for cam, curve := range spent {

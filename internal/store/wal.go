@@ -536,19 +536,19 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// Info is a point-in-time description of the store, for the server's
-// state-inspection endpoint.
+// Info is a point-in-time description of the store; its json tags are
+// the server's state-inspection endpoint's wire names.
 type Info struct {
-	Dir                  string
-	Gen                  int64
-	WALBytes             int64
-	RecordsSinceSnapshot int64
-	Snapshots            int64
-	LastSnapshot         time.Time
-	LastSnapshotError    string
-	Cameras              int
-	Jobs                 int
-	AuditEntries         int
+	Dir                  string    `json:"dir,omitempty"`
+	Gen                  int64     `json:"generation,omitempty"`             // advances on every compaction
+	WALBytes             int64     `json:"wal_bytes,omitempty"`              // active generation's size
+	RecordsSinceSnapshot int64     `json:"records_since_snapshot,omitempty"` // what the next compaction folds
+	Snapshots            int64     `json:"snapshots,omitempty"`              // compactions by this process
+	LastSnapshot         time.Time `json:"last_snapshot,omitzero"`           // newest compaction (zero: none yet)
+	LastSnapshotError    string    `json:"last_snapshot_error,omitempty"`    // last auto-compaction failure; its commit still succeeded
+	Cameras              int       `json:"cameras,omitempty"`                // cameras with persisted charges
+	Jobs                 int       `json:"jobs,omitempty"`                   // retained durable job records
+	AuditEntries         int       `json:"audit_entries,omitempty"`          // retained audit records
 }
 
 // Info returns a snapshot of the store's status.
