@@ -36,22 +36,32 @@ func (a AuditEntry) String() string {
 		a.At.Format(time.RFC3339), strings.Join(a.Cameras, ","), status)
 }
 
-// AuditLog returns a copy of the engine's audit entries in execution
-// order.
+// maxAudit bounds the audit log to its newest entries, as the durable
+// store's default retention does (a variable so tests can lower it).
+var maxAudit = 10000
+
+// AuditLog returns a copy of the engine's newest audit entries (at
+// most maxAudit) in execution order.
 func (e *Engine) AuditLog() []AuditEntry {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return append([]AuditEntry(nil), e.audit...)
+	return append([]AuditEntry(nil), e.audit[max(0, len(e.audit)-maxAudit):]...)
 }
 
 // recordAudit appends an entry, stamping At when the caller has not
-// already (so the in-memory entry matches its durable WAL twin).
-// Caller holds e.mu.
+// already (so the in-memory entry matches its durable WAL twin). As in
+// store.appendBounded, the log grows to 2×maxAudit, then is cut back to
+// the newest maxAudit in one move. Caller holds e.mu.
 func (e *Engine) recordAudit(entry AuditEntry) {
 	if entry.At.IsZero() {
 		entry.At = e.clock()
 	}
 	e.audit = append(e.audit, entry)
+	if len(e.audit) >= 2*maxAudit {
+		n := copy(e.audit, e.audit[len(e.audit)-maxAudit:])
+		clear(e.audit[n:])
+		e.audit = e.audit[:n]
+	}
 }
 
 // clock returns the current time; tests may override it via Options.

@@ -26,7 +26,7 @@ func findSpans(t obs.SpanTree, name string) []obs.SpanTree {
 }
 
 // attrNum reads a numeric span attribute whatever its concrete type
-// (Set stores ints, Add stores float64s).
+// (spans store numbers as float64s; decoded JSON may carry others).
 func attrNum(t *testing.T, s obs.SpanTree, key string) float64 {
 	t.Helper()
 	switch v := s.Attrs[key].(type) {

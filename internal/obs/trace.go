@@ -1,7 +1,10 @@
 package obs
 
 import (
-	"encoding/json"
+	"bytes"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -19,7 +22,7 @@ type Span struct {
 	name     string
 	start    time.Time
 	end      time.Time
-	attrs    map[string]any
+	attrs    []attr // sorted by key
 	children []*Span
 	clock    func() time.Time
 }
@@ -70,17 +73,25 @@ func (s *Span) End() {
 	s.mu.Unlock()
 }
 
-// Set stores an attribute. Values must be JSON-encodable scalars
-// (string, float64, int, bool).
+// Set stores an attribute: a string, or a number given as an int or a
+// float64 (anything else panics — a programming error at the call site).
 func (s *Span) Set(key string, v any) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	if s.attrs == nil {
-		s.attrs = map[string]any{}
+	a := attr{key: key}
+	switch v := v.(type) {
+	case string:
+		a.str, a.isStr = v, true
+	case int:
+		a.num = float64(v)
+	case float64:
+		a.num = v
+	default:
+		panic("obs: span attribute must be a string, int or float64")
 	}
-	s.attrs[key] = v
+	s.mu.Lock()
+	*s.attrLocked(key) = a
 	s.mu.Unlock()
 }
 
@@ -92,15 +103,30 @@ func (s *Span) Add(key string, delta float64) {
 		return
 	}
 	s.mu.Lock()
-	if s.attrs == nil {
-		s.attrs = map[string]any{}
+	a := s.attrLocked(key)
+	if a.isStr {
+		*a = attr{key: key}
 	}
-	if cur, ok := s.attrs[key].(float64); ok {
-		s.attrs[key] = cur + delta
-	} else {
-		s.attrs[key] = delta
-	}
+	a.num += delta
 	s.mu.Unlock()
+}
+
+// attr is one span attribute, typed so that storing it boxes nothing
+// and rendering it needs no reflection.
+type attr struct {
+	key, str string
+	num      float64
+	isStr    bool
+}
+
+// attrLocked returns key's slot, inserting it if absent, in key order
+// (encoding/json's map order). Caller holds s.mu.
+func (s *Span) attrLocked(key string) *attr {
+	i, found := slices.BinarySearchFunc(s.attrs, key, func(a attr, k string) int { return strings.Compare(a.key, k) })
+	if !found {
+		s.attrs = slices.Insert(s.attrs, i, attr{key: key})
+	}
+	return &s.attrs[i]
 }
 
 // Duration returns the span's length (zero until End; 0 on nil).
@@ -140,8 +166,11 @@ func (s *Span) Tree() SpanTree {
 	}
 	if len(s.attrs) > 0 {
 		t.Attrs = make(map[string]any, len(s.attrs))
-		for k, v := range s.attrs {
-			t.Attrs[k] = v
+		for _, a := range s.attrs {
+			t.Attrs[a.key] = a.num
+			if a.isStr {
+				t.Attrs[a.key] = a.str
+			}
 		}
 	}
 	children := append([]*Span(nil), s.children...)
@@ -206,10 +235,57 @@ func (t *Trace) Tree() SpanTree {
 	return t.root.Tree()
 }
 
-// JSON renders the trace's span tree (nil on a nil trace).
+// JSON renders the span tree (nil on a nil trace): the bytes, and the
+// errors, of json.Marshal(t.Tree()), appended straight from the spans.
 func (t *Trace) JSON() ([]byte, error) {
 	if t == nil {
 		return nil, nil
 	}
-	return json.Marshal(t.Tree())
+	scratch := jsonScratch.Get().(*[]byte)
+	defer jsonScratch.Put(scratch)
+	b, err := t.root.appendJSON((*scratch)[:0])
+	if err != nil {
+		return nil, err
+	}
+	*scratch = b
+	return bytes.Clone(b), nil
+}
+
+// jsonScratch recycles render buffers: JSON allocates only its result.
+var jsonScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendJSON appends the span's SpanTree encoding to b.
+func (s *Span) appendJSON(b []byte) ([]byte, error) {
+	s.mu.Lock()
+	b = AppendJSONString(append(b, `{"name":`...), s.name)
+	b, err := AppendJSONTime(append(b, `,"start":`...), s.start)
+	var d int64
+	if !s.end.IsZero() {
+		d = s.end.Sub(s.start).Nanoseconds()
+	}
+	b = strconv.AppendInt(append(b, `,"duration_ns":`...), d, 10)
+	key := `,"attrs":{`
+	for _, a := range s.attrs {
+		b = append(AppendJSONString(append(b, key...), a.key), ':')
+		key = ","
+		if a.isStr {
+			b = AppendJSONString(b, a.str)
+		} else if err == nil {
+			b, err = AppendJSONFloat(b, a.num)
+		}
+	}
+	if len(s.attrs) > 0 {
+		b = append(b, '}')
+	}
+	children := s.children // only ever appended to: this prefix stays valid
+	s.mu.Unlock()
+	key = `,"children":[`
+	for i := 0; i < len(children) && err == nil; i++ {
+		b, err = children[i].appendJSON(append(b, key...))
+		key = ","
+	}
+	if len(children) > 0 {
+		b = append(b, ']')
+	}
+	return append(b, '}'), err // on error JSON discards b
 }

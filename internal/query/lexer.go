@@ -10,7 +10,8 @@ import (
 // line) are skipped.
 func Lex(src string) ([]Token, error) {
 	l := &lexer{src: src, line: 1, col: 1}
-	var out []Token
+	// About five source bytes per token: size once, not doubling from nil.
+	out := make([]Token, 0, len(src)/4+2)
 	for {
 		tok, err := l.next()
 		if err != nil {
@@ -134,7 +135,7 @@ func (l *lexer) next() (Token, error) {
 		switch c {
 		case '(', ')', '[', ']', ',', ';', ':', '=', '*', '+', '/', '<', '>', '-':
 			l.advance()
-			return Token{Kind: PUNCT, Text: string(c), Pos: pos}, nil
+			return Token{Kind: PUNCT, Text: l.src[l.pos-1 : l.pos], Pos: pos}, nil
 		}
 		return Token{}, errf(pos, "unexpected character %q", string(c))
 	}
@@ -192,12 +193,10 @@ func (l *lexer) lexNumberish(pos Pos) (Token, error) {
 	}
 	// Unit suffix directly attached -> duration token.
 	if l.pos < len(l.src) && isIdentStart(l.peek()) {
-		us := l.pos
 		for l.pos < len(l.src) && isIdentPart(l.peek()) {
 			l.advance()
 		}
-		unit := l.src[us:l.pos]
-		return Token{Kind: DURATION, Text: numText + unit, Num: num, Pos: pos}, nil
+		return Token{Kind: DURATION, Text: l.src[start:l.pos], Num: num, Pos: pos}, nil
 	}
 	return Token{Kind: NUMBER, Text: numText, Num: num, Pos: pos}, nil
 }

@@ -427,15 +427,17 @@ func (s *Scheduler) worker() {
 		}
 		s.finished++
 		s.pruneLocked()
-		rec := terminalRecord(j.info)
 		info := j.info
 		s.mu.Unlock()
 
-		// Persist the terminal job outside the lock so polls are not
-		// blocked on an fsync. Best-effort: the privacy-critical
-		// charge was already fsynced inside Execute; losing the job
-		// record merely means a post-restart poll cannot resolve it.
-		_ = s.store.Commit(rec)
+		// Build and persist the terminal job (unless the store discards
+		// it) outside the lock, so polls wait on neither its encoding nor
+		// an fsync. Best-effort: the privacy-critical charge was fsynced
+		// inside Execute; a lost job record only leaves a post-restart
+		// poll unresolved.
+		if _, discard := s.store.(store.NullStore); !discard {
+			_ = s.store.Commit(terminalRecord(info))
+		}
 		s.recordSlow(info, tr, res, queueWait)
 	}
 }
@@ -469,7 +471,7 @@ func (s *Scheduler) recordSlow(info JobInfo, tr *obs.Trace, res *core.Result, qu
 }
 
 // terminalRecord converts a terminal job snapshot into its durable
-// form. Caller holds s.mu (reads the stable terminal state).
+// form.
 func terminalRecord(info JobInfo) store.Record {
 	jr := store.JobRecord{
 		ID:          info.ID,

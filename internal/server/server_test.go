@@ -24,9 +24,14 @@ import (
 // newTestEngine registers one synthetic campus camera (10 minutes at
 // 10 fps, stream anchored at 2021-03-15 6:00am) and a cheap headcount
 // executable.
-func newTestEngine(t *testing.T) *core.Engine {
+func newTestEngine(t testing.TB) *core.Engine {
+	return newTestEngineWith(t, core.Options{Seed: 1})
+}
+
+// newTestEngineWith is newTestEngine over an engine built from opts.
+func newTestEngineWith(t testing.TB, opts core.Options) *core.Engine {
 	t.Helper()
-	e := core.New(core.Options{Seed: 1})
+	e := core.New(opts)
 	s := scene.Generate(scene.Campus(), 1, 10*time.Minute)
 	if err := e.RegisterCamera(core.CameraConfig{
 		Name:    "campus",

@@ -1,10 +1,17 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"strconv"
+	"sync"
+	"time"
+
+	"privid/internal/obs"
 )
 
 // walMagic heads every WAL file; a file without it is not a Privid WAL.
@@ -37,31 +44,133 @@ func (e *CorruptError) Error() string {
 
 // appendFrame encodes rec and appends its framed bytes to buf.
 func appendFrame(buf []byte, rec Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
+	start := len(buf)
+	buf = append(buf, make([]byte, frameHeaderLen)...)
+	buf, err := appendRecord(buf, rec)
 	if err != nil {
 		return nil, fmt.Errorf("store: encode record: %w", err)
 	}
+	payload := buf[start+frameHeaderLen:]
 	if len(payload) > maxRecordBytes {
 		return nil, fmt.Errorf("store: record payload %d bytes exceeds limit %d", len(payload), maxRecordBytes)
 	}
-	var hdr [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	return append(append(buf, hdr[:]...), payload...), nil
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+	return buf, nil
 }
 
-// encodeRecords frames a batch of records into one contiguous buffer
-// (one Commit's append unit).
+// encodeRecords frames a batch of records into one exactly sized buffer
+// (one Commit's append unit; retained entries are sub-slices of it).
 func encodeRecords(recs []Record) ([]byte, error) {
-	var buf []byte
+	scratch := encodeScratch.Get().(*[]byte)
+	defer encodeScratch.Put(scratch)
+	buf := (*scratch)[:0]
 	for _, rec := range recs {
 		var err error
-		buf, err = appendFrame(buf, rec)
-		if err != nil {
+		if buf, err = appendFrame(buf, rec); err != nil {
 			return nil, err
 		}
 	}
-	return buf, nil
+	*scratch = buf
+	return bytes.Clone(buf), nil
+}
+
+var encodeScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// recordKeyLen is the length of the {"a": or {"j": before an entry.
+const recordKeyLen = len(`{"a":`)
+
+// appendRecord appends json.Marshal(rec)'s bytes to b (FuzzRecordEncode).
+// A job's Result and Trace, json.Marshal or obs.Trace.JSON output, are
+// copied verbatim once checked: no record DecodeAll refuses is logged.
+func appendRecord(b []byte, rec Record) ([]byte, error) {
+	if countSet(rec) != 1 {
+		return nil, errors.New("record must set exactly one field")
+	}
+	w := jsonw{b: b}
+	switch {
+	case rec.Charge != nil:
+		c := rec.Charge
+		w.str(`{"c":{"cam":`, c.Camera)
+		w.segment(`,"s":`, c.Start, c.End, c.Eps)
+		if c.Query != "" {
+			w.str(`,"q":`, c.Query)
+		}
+	case rec.Audit != nil:
+		a := rec.Audit
+		w.time(`{"a":{"at":`, a.At)
+		key := `,"cams":[`
+		for _, cam := range a.Cameras {
+			w.str(key, cam)
+			key = ","
+		}
+		if len(a.Cameras) > 0 {
+			w.b = append(w.b, ']')
+		}
+		if a.Releases != 0 {
+			w.int(`,"rel":`, int64(a.Releases))
+		}
+		if a.EpsilonSpent != 0 {
+			w.float(`,"eps":`, a.EpsilonSpent)
+		}
+		if a.Denied {
+			w.b = append(w.b, `,"denied":true`...)
+		}
+		if a.Reason != "" {
+			w.str(`,"reason":`, a.Reason)
+		}
+	default:
+		j := rec.Job
+		w.str(`{"j":{"id":`, j.ID)
+		w.str(`,"analyst":`, j.Analyst)
+		w.str(`,"query":`, j.Query)
+		w.str(`,"state":`, j.State)
+		if j.Error != "" {
+			w.str(`,"error":`, j.Error)
+		}
+		w.time(`,"submitted_at":`, j.SubmittedAt)
+		w.time(`,"started_at":`, j.StartedAt)
+		w.time(`,"finished_at":`, j.FinishedAt)
+		w.raw(`,"result":`, j.Result)
+		w.raw(`,"trace":`, j.Trace)
+	}
+	w.b = append(w.b, '}', '}')
+	return w.b, w.err
+}
+
+// jsonw appends key/value pairs to b through the obs appenders, keeping
+// the first error (where json.Marshal would have stopped).
+type jsonw struct {
+	b   []byte
+	err error
+}
+
+func (w *jsonw) str(key, s string)            { w.b = obs.AppendJSONString(append(w.b, key...), s) }
+func (w *jsonw) int(key string, n int64)      { w.b = strconv.AppendInt(append(w.b, key...), n, 10) }
+func (w *jsonw) float(key string, f float64)  { w.keep(obs.AppendJSONFloat(append(w.b, key...), f)) }
+func (w *jsonw) time(key string, t time.Time) { w.keep(obs.AppendJSONTime(append(w.b, key...), t)) }
+
+func (w *jsonw) keep(b []byte, err error) {
+	if w.b = b; w.err == nil {
+		w.err = err
+	}
+}
+
+// segment appends the fields a charge shares with a snapshot Segment.
+func (w *jsonw) segment(key string, start, end int64, eps float64) {
+	w.int(key, start)
+	w.int(`,"e":`, end)
+	w.float(`,"eps":`, eps)
+}
+
+// raw appends an omitempty json.RawMessage field verbatim.
+func (w *jsonw) raw(key string, msg json.RawMessage) {
+	if len(msg) > 0 {
+		if !json.Valid(msg) && w.err == nil {
+			w.err = fmt.Errorf("%s is not valid JSON", key[2:len(key)-2])
+		}
+		w.b = append(append(w.b, key...), msg...)
+	}
 }
 
 // DecodeAll decodes a WAL image (magic header plus framed records). It

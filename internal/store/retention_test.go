@@ -87,12 +87,16 @@ func BenchmarkStateApply_AtCap(b *testing.B) {
 	s := NewState()
 	s.maxAudit = maxAudit
 	rec := Record{Audit: &AuditRecord{Cameras: []string{"cam"}, Releases: 1, EpsilonSpent: 0.001}}
+	payload, err := appendRecord(nil, rec)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < maxAudit; i++ {
-		s.apply(rec)
+		s.apply(rec, payload)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.apply(rec)
+		s.apply(rec, payload)
 	}
 }

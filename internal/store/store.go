@@ -119,10 +119,10 @@ type Segment struct {
 // and what recovery rebuilds from snapshot + WAL replay.
 type State struct {
 	spent map[string]*intervalmap.Map
-	// audit and jobs hold at least the retained records; only the last
-	// maxAudit/maxJobs of them are state (see retained).
-	audit   []AuditRecord
-	jobs    []JobRecord
+	// audit and jobs hold at least the retained entries, each as its JSON
+	// encoding (see apply); only the last maxAudit/maxJobs are state.
+	audit   [][]byte
+	jobs    [][]byte
 	charges int64 // charge records applied since the last snapshot base
 	// maxJobs and maxAudit bound the retained terminal jobs and audit
 	// entries (oldest dropped); <= 0 keeps all. Spent budget is never
@@ -135,10 +135,11 @@ func NewState() *State {
 	return &State{spent: map[string]*intervalmap.Map{}}
 }
 
-// apply folds one record into the state.
-func (s *State) apply(rec Record) {
-	switch {
-	case rec.Charge != nil:
+// apply folds one record into the state. An audit or job entry keeps
+// its bytes out of payload, the record's encoding (appendRecord),
+// capacity-clipped so nothing appends into the buffer it shares.
+func (s *State) apply(rec Record, payload []byte) {
+	if rec.Charge != nil {
 		c := rec.Charge
 		m := s.spent[c.Camera]
 		if m == nil {
@@ -147,11 +148,25 @@ func (s *State) apply(rec Record) {
 		}
 		m.AddRange(c.Start, c.End, c.Eps)
 		s.charges++
-	case rec.Audit != nil:
-		s.audit = appendBounded(s.audit, *rec.Audit, s.maxAudit)
-	case rec.Job != nil:
-		s.jobs = appendBounded(s.jobs, *rec.Job, s.maxJobs)
+		return
 	}
+	end := len(payload) - 1
+	entry := payload[recordKeyLen:end:end]
+	if rec.Audit != nil {
+		s.audit = appendBounded(s.audit, entry, s.maxAudit)
+	} else {
+		s.jobs = appendBounded(s.jobs, entry, s.maxJobs)
+	}
+}
+
+// replay folds a record read back from disk (snapshot or WAL), encoding
+// it once so the state holds its bytes.
+func (s *State) replay(rec Record) error {
+	payload, err := appendRecord(nil, rec)
+	if err == nil {
+		s.apply(rec, payload)
+	}
+	return err
 }
 
 // appendBounded appends rec to a log of which the last max entries are
@@ -210,12 +225,21 @@ func (s *State) Spent(camera string, frame int64) float64 {
 
 // Audit returns the recovered audit entries in commit order.
 func (s *State) Audit() []AuditRecord {
-	return append([]AuditRecord(nil), retained(s.audit, s.maxAudit)...)
+	return decodeEntries[AuditRecord](retained(s.audit, s.maxAudit))
 }
 
 // Jobs returns the retained terminal jobs in commit order.
 func (s *State) Jobs() []JobRecord {
-	return append([]JobRecord(nil), retained(s.jobs, s.maxJobs)...)
+	return decodeEntries[JobRecord](retained(s.jobs, s.maxJobs))
+}
+
+// decodeEntries decodes entries; appendRecord wrote them, so it cannot fail.
+func decodeEntries[T any](entries [][]byte) []T {
+	out := make([]T, len(entries))
+	for i, e := range entries {
+		_ = json.Unmarshal(e, &out[i])
+	}
+	return out
 }
 
 // Charges returns the number of charge records folded into the state

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -81,6 +83,58 @@ type snapshotFile struct {
 
 const snapshotName = "snapshot.json"
 
+// writeSnapshot streams json.Marshal(snapshotFile{…})'s bytes to f with
+// no whole-file buffer: retained entries go out as committed.
+func (s *State) writeSnapshot(f io.Writer, gen int64, takenAt time.Time) error {
+	bw := bufio.NewWriterSize(f, 64<<10)
+	w := jsonw{b: make([]byte, 0, 1024)}
+	w.int(`{"version":1,"gen":`, gen)
+	w.time(`,"taken_at":`, takenAt)
+	w.b = append(w.b, `,"spent":{`...)
+	sep := ""
+	for _, cam := range s.Cameras() { // json.Marshal's map-key order
+		segs := segmentsOf(s.spent[cam])
+		if len(segs) == 0 {
+			continue
+		}
+		w.str(sep, cam)
+		sep = ","
+		key := `:[{"s":`
+		for _, seg := range segs {
+			w.segment(key, seg.Start, seg.End, seg.Eps)
+			key = `},{"s":`
+		}
+		bw.Write(append(w.b, '}', ']'))
+		w.b = w.b[:0]
+	}
+	bw.Write(append(w.b, '}'))
+	writeEntries(bw, `,"audit":[`, retained(s.audit, s.maxAudit))
+	writeEntries(bw, `,"jobs":[`, retained(s.jobs, s.maxJobs))
+	bw.WriteByte('}')
+	if w.err != nil {
+		return fmt.Errorf("encode snapshot: %w", w.err)
+	}
+	return bw.Flush()
+}
+
+// writeEntries writes entries as the omitempty array field key.
+func writeEntries(bw *bufio.Writer, key string, entries [][]byte) {
+	for _, e := range entries {
+		bw.WriteString(key)
+		bw.Write(e)
+		key = ","
+	}
+	if len(entries) > 0 {
+		bw.WriteByte(']')
+	}
+}
+
+// writeMagic fills a new WAL generation: the header alone.
+func writeMagic(f io.Writer) error {
+	_, err := io.WriteString(f, walMagic)
+	return err
+}
+
 func walName(gen int64) string { return fmt.Sprintf("wal-%08d.log", gen) }
 
 // commitReq is one Commit call waiting for the group committer.
@@ -134,7 +188,7 @@ func Open(dir string, opts Options) (*WAL, error) {
 	path := filepath.Join(dir, walName(gen))
 	if size == 0 {
 		// No log yet for this generation: create it with the header.
-		if err := writeFileSync(path, []byte(walMagic)); err != nil {
+		if err := writeFileSync(path, writeMagic); err != nil {
 			return nil, err
 		}
 		if err := syncDir(dir); err != nil {
@@ -195,12 +249,20 @@ func loadState(dir string, maxJobs, maxAudit int) (*State, int64, int64, int64, 
 			for _, seg := range segs {
 				state.apply(Record{Charge: &ChargeRecord{
 					Camera: cam, Start: seg.Start, End: seg.End, Eps: seg.Eps,
-				}})
+				}}, nil)
 			}
 		}
 		state.charges = 0 // snapshot segments are the base, not new records
-		state.audit = append(state.audit, sf.Audit...)
-		state.jobs = append(state.jobs, sf.Jobs...)
+		for i := range sf.Audit {
+			if err := state.replay(Record{Audit: &sf.Audit[i]}); err != nil {
+				return nil, 0, 0, 0, fmt.Errorf("store: corrupt snapshot %s: %w", snapPath, err)
+			}
+		}
+		for i := range sf.Jobs {
+			if err := state.replay(Record{Job: &sf.Jobs[i]}); err != nil {
+				return nil, 0, 0, 0, fmt.Errorf("store: corrupt snapshot %s: %w", snapPath, err)
+			}
+		}
 	} else if !os.IsNotExist(err) {
 		return nil, 0, 0, 0, fmt.Errorf("store: %w", err)
 	}
@@ -222,7 +284,9 @@ func loadState(dir string, maxJobs, maxAudit int) (*State, int64, int64, int64, 
 		return nil, 0, 0, 0, derr
 	}
 	for _, rec := range recs {
-		state.apply(rec)
+		if err := state.replay(rec); err != nil {
+			return nil, 0, 0, 0, fmt.Errorf("store: replay %s: %w", path, err)
+		}
 	}
 	return state, gen, off, int64(len(recs)), nil
 }
@@ -263,7 +327,7 @@ func Repair(dir string) (dropped int64, err error) {
 	}
 	if off < int64(len(walMagic)) {
 		// Even the header is bad: reset to an empty log.
-		if err := writeFileSync(path, []byte(walMagic)); err != nil {
+		if err := writeFileSync(path, writeMagic); err != nil {
 			return 0, err
 		}
 		return int64(len(data)) - int64(len(walMagic)), nil
@@ -295,7 +359,7 @@ func (w *WAL) Commit(recs ...Record) error {
 		if w.closing {
 			return ErrClosed
 		}
-		return w.appendLocked(buf, recs)
+		return w.appendLocked(buf, []*commitReq{{buf: buf, recs: recs}})
 	}
 	w.mu.Lock()
 	if w.closing {
@@ -352,17 +416,8 @@ func (w *WAL) commitLoop() {
 				runtime.Gosched()
 			}
 		}
-		var recs []Record
-		if len(batch) == 1 {
-			recs = req.recs
-		} else {
-			recs = make([]Record, 0, n)
-			for _, b := range batch {
-				recs = append(recs, b.recs...)
-			}
-		}
 		w.mu.Lock()
-		err := w.appendLocked(buf, recs)
+		err := w.appendLocked(buf, batch)
 		w.mu.Unlock()
 		for _, b := range batch {
 			b.done <- err
@@ -370,11 +425,11 @@ func (w *WAL) commitLoop() {
 	}
 }
 
-// appendLocked writes one framed buffer, fsyncs it, and folds the
-// records into the mirror state. On a failed or short write it rolls
-// the file back to the last acked offset so later commits cannot
-// interleave with a torn record. Caller holds w.mu.
-func (w *WAL) appendLocked(buf []byte, recs []Record) error {
+// appendLocked writes one framed buffer (the batch's commits), fsyncs
+// it, and folds the records into the mirror state. On a failed or short
+// write it rolls the file back to the last acked offset so later commits
+// cannot interleave with a torn record. Caller holds w.mu.
+func (w *WAL) appendLocked(buf []byte, batch []*commitReq) error {
 	if !w.fileOpen {
 		return ErrClosed
 	}
@@ -404,12 +459,20 @@ func (w *WAL) appendLocked(buf []byte, recs []Record) error {
 	now := time.Now()
 	w.opts.Metrics.FsyncSeconds.Observe(now.Sub(syncStart).Seconds())
 	w.opts.Metrics.AppendSeconds.Observe(now.Sub(start).Seconds())
-	w.opts.Metrics.CommitRecords.Observe(float64(len(recs)))
 	w.size += int64(len(buf))
-	for _, rec := range recs {
-		w.state.apply(rec)
+	recs := 0
+	for _, req := range batch {
+		// Each commit's own frames: entries pin only their commit's buffer.
+		frames := req.buf
+		for _, rec := range req.recs {
+			end := frameHeaderLen + int(binary.LittleEndian.Uint32(frames))
+			w.state.apply(rec, frames[frameHeaderLen:end])
+			frames = frames[end:]
+		}
+		recs += len(req.recs)
 	}
-	w.recsSinceSnap += int64(len(recs))
+	w.opts.Metrics.CommitRecords.Observe(float64(recs))
+	w.recsSinceSnap += int64(recs)
 	if w.opts.SnapshotEvery > 0 && w.recsSinceSnap >= int64(w.opts.SnapshotEvery) {
 		// The commit is already durable; a failed compaction must not
 		// fail it. Remember the error for Info and retry next time.
@@ -440,28 +503,15 @@ func (w *WAL) Snapshot() error {
 func (w *WAL) snapshotLocked() error {
 	newGen := w.gen + 1
 	newPath := filepath.Join(w.dir, walName(newGen))
-	if err := writeFileSync(newPath, []byte(walMagic)); err != nil {
+	if err := writeFileSync(newPath, writeMagic); err != nil {
 		return err
 	}
-	sf := snapshotFile{
-		Version: 1,
-		Gen:     newGen,
-		TakenAt: time.Now(),
-		Spent:   map[string][]Segment{},
-		Audit:   retained(w.state.audit, w.state.maxAudit),
-		Jobs:    retained(w.state.jobs, w.state.maxJobs),
-	}
-	for cam, m := range w.state.spent {
-		if segs := segmentsOf(m); len(segs) > 0 {
-			sf.Spent[cam] = segs
-		}
-	}
-	b, err := json.Marshal(sf)
-	if err != nil {
-		return fmt.Errorf("store: encode snapshot: %w", err)
-	}
+	takenAt := time.Now()
 	tmp := filepath.Join(w.dir, snapshotName+".tmp")
-	if err := writeFileSync(tmp, b); err != nil {
+	if err := writeFileSync(tmp, func(f io.Writer) error {
+		return w.state.writeSnapshot(f, newGen, takenAt)
+	}); err != nil {
+		os.Remove(tmp)
 		os.Remove(newPath)
 		return err
 	}
@@ -498,7 +548,7 @@ func (w *WAL) snapshotLocked() error {
 	w.poisoned = nil
 	os.Remove(oldPath)
 	w.snapshots++
-	w.lastSnapshot = sf.TakenAt
+	w.lastSnapshot = takenAt
 	w.lastSnapErr = nil
 	return nil
 }
@@ -601,15 +651,15 @@ func (w *WAL) Jobs() []JobRecord {
 	return w.state.Jobs()
 }
 
-// writeFileSync writes path atomically enough for our needs: full
-// write then fsync. Callers needing atomic replacement write to a tmp
-// name and rename.
-func writeFileSync(path string, b []byte) error {
+// writeFileSync writes path atomically enough for our needs: write
+// fills the truncated file, then it is fsynced. Callers needing atomic
+// replacement write to a tmp name and rename.
+func writeFileSync(path string, write func(io.Writer) error) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if _, err := f.Write(b); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return fmt.Errorf("store: %w", err)
 	}
