@@ -36,7 +36,7 @@ var wireShapes = []struct {
 	}},
 	{"cache_disabled", false, func(string) core.Options { return core.Options{ChunkCacheBytes: -1} }},
 	{"durable", true, func(dir string) core.Options {
-		return core.Options{StateDir: filepath.Join(dir, "state"), SnapshotEvery: 5}
+		return core.Options{StateDir: filepath.Join(dir, "state"), SnapshotEvery: 8}
 	}},
 }
 
