@@ -112,8 +112,9 @@ type LRU struct {
 // lruEntry is one cached value: a frozen table (tbl non-nil) or a raw
 // partial-state payload (tbl nil, raw set). The two kinds share the
 // recency list and byte bound — a hot table can evict a cold state and
-// vice versa. The list is intrusive (an entry is its own node), so a
-// store is one allocation.
+// vice versa. The list is intrusive (an entry is its own node), and a
+// store at capacity reuses the node it evicts, so fields are read only
+// under LRU.mu: a node may carry another key once the lock is released.
 type lruEntry struct {
 	prev, next *lruEntry
 	key        string
@@ -121,6 +122,11 @@ type lruEntry struct {
 	raw        []byte
 	cost       int64
 }
+
+// cacheKey is a key as a caller holds it: a string, or bytes on a chunk
+// worker's stack. Lookups index m[string(key)], which allocates nothing;
+// stores take a string, which only a caller keeping an entry makes.
+type cacheKey interface{ string | []byte }
 
 // unlink takes e out of the recency ring.
 func (e *lruEntry) unlink() {
@@ -150,45 +156,42 @@ func tableCost(key string, t *table.Table) int64 {
 // Get returns the frozen table stored under key (shared, not copied)
 // and marks the entry most recently used.
 func (c *LRU) Get(key string) (*table.Table, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ent, ok := c.items[key]
-	if !ok || ent.tbl == nil {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	ent.unlink()
-	c.toFront(ent)
-	return ent.tbl, true
+	tbl, _, ok := lruGet(c, key, false, true)
+	return tbl, ok
 }
 
 // GetRaw returns the raw partial-state payload stored under key
 // (shared, not copied) and marks the entry most recently used.
 func (c *LRU) GetRaw(key string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ent, ok := c.items[key]
-	if !ok || ent.tbl != nil {
-		c.stateMisses++
-		return nil, false
-	}
-	c.stateHits++
-	ent.unlink()
-	c.toFront(ent)
-	return ent.raw, true
+	_, raw, ok := lruGet(c, key, true, true)
+	return raw, ok
 }
 
-// peek returns the stored table without counting a hit or miss and
-// without touching the entry's recency.
-func (c *LRU) peek(key string) (*table.Table, bool) {
+// lruGet is the one lookup body: the table (raw false) or the raw
+// payload (raw true) stored under key. A counted lookup bumps the
+// kind's hit or miss counter and marks a hit most recently used; an
+// uncounted one (the flight leader's re-check) touches neither.
+func lruGet[K cacheKey](c *LRU, key K, raw, count bool) (*table.Table, []byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ent, ok := c.items[key]
-	if !ok || ent.tbl == nil {
-		return nil, false
+	ent, ok := c.items[string(key)]
+	ok = ok && (ent.tbl == nil) == raw
+	hits, misses := &c.hits, &c.misses
+	if raw {
+		hits, misses = &c.stateHits, &c.stateMisses
 	}
-	return ent.tbl, true
+	switch {
+	case !ok:
+		if count {
+			*misses++
+		}
+		return nil, nil, false
+	case count:
+		*hits++
+		ent.unlink()
+		c.toFront(ent)
+	}
+	return ent.tbl, ent.raw, true
 }
 
 // Put freezes t and stores it under key, evicting least-recently-used
@@ -208,11 +211,15 @@ func (c *LRU) PutRaw(key string, raw []byte) { c.store(key, nil, raw, true) }
 // already written through, not new write traffic, and conflating the
 // two hides the real write-through rate from operators (the composite
 // cache counts promotions separately in Stats.Promotions).
+//
+// It evicts before it inserts, and a new key takes over the node the
+// last eviction freed. The entry being stored is out of the ring while
+// the oldest are dropped, so the victims are exactly those that
+// inserting first and then evicting down to the bound would drop.
 func (c *LRU) store(key string, t *table.Table, raw []byte, countPut bool) {
 	cost := int64(entryOverhead + len(key) + len(raw))
 	if t != nil {
-		t.Freeze()
-		cost = tableCost(key, t)
+		cost = tableCost(key, t.Freeze())
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -229,28 +236,32 @@ func (c *LRU) store(key string, t *table.Table, raw []byte, countPut bool) {
 	if ok {
 		c.bytes -= ent.cost
 		ent.unlink()
-	} else {
-		ent = &lruEntry{key: key}
+	}
+	var freed *lruEntry
+	for c.bytes+cost > c.maxBytes {
+		freed = c.evictOldest()
+	}
+	if !ok {
+		if ent = freed; ent == nil {
+			ent = &lruEntry{}
+		}
+		ent.key = key
 		c.items[key] = ent
 	}
 	ent.tbl, ent.raw, ent.cost = t, raw, cost
 	c.toFront(ent)
 	c.bytes += cost
-	for c.bytes > c.maxBytes {
-		c.evictOldest()
-	}
 }
 
-// evictOldest drops the least-recently-used entry. Caller holds c.mu.
-func (c *LRU) evictOldest() {
+// evictOldest drops the least-recently-used entry and returns its node
+// for reuse. Caller holds c.mu, and the ring is not empty.
+func (c *LRU) evictOldest() *lruEntry {
 	ent := c.root.prev
-	if ent == &c.root {
-		return
-	}
 	ent.unlink()
 	delete(c.items, ent.key)
 	c.bytes -= ent.cost
 	c.evictions++
+	return ent
 }
 
 // Len returns the current entry count.

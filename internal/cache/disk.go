@@ -45,11 +45,13 @@ const (
 	maxFrameBytes = 64 << 20
 )
 
-// diskEntry locates one live entry inside a segment.
+// diskEntry locates one live entry inside a segment. key is the
+// index's own key string, which a disk→RAM promotion hands to the RAM
+// tier, so a promotion makes no key string. Entries are immutable.
 type diskEntry struct {
 	seg  int64 // segment id
 	off  int64 // offset of the frame start
-	kLen uint32
+	key  string
 	pLen uint32
 }
 
@@ -79,12 +81,13 @@ type Disk struct {
 	stateHits, stateMisses, statePuts uint64
 }
 
-// readBufPool recycles segment read buffers. The disk tier's warm path
-// is otherwise dominated by one payload-sized allocation per lookup;
-// pooling it makes a warm Get's allocations proportional to the decoded
-// table, not the decoded table plus its encoded form. Buffers larger
-// than maxPooledReadBuf are dropped instead of pooled so one giant
-// entry cannot pin memory indefinitely.
+// readBufPool recycles the buffers table payloads are decoded from. The
+// disk tier's warm table path is otherwise dominated by one
+// payload-sized allocation per lookup; pooling it makes a warm Get's
+// allocations proportional to the decoded table, not the decoded table
+// plus its encoded form. Buffers larger than maxPooledReadBuf are
+// dropped instead of pooled so one giant entry cannot pin memory
+// indefinitely.
 var readBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
 const maxPooledReadBuf = 4 << 20
@@ -206,7 +209,7 @@ func (d *Disk) loadSegment(id int64) error {
 				oseg.live--
 			}
 		}
-		d.index[key] = &diskEntry{seg: id, off: off, kLen: kLen, pLen: pLen}
+		d.index[key] = &diskEntry{seg: id, off: off, key: key, pLen: pLen}
 		seg.live++
 		off = frameEnd
 	}
@@ -261,67 +264,95 @@ func (d *Disk) active() (*segment, error) {
 	return seg, nil
 }
 
-// readFrame returns the payload bytes of one indexed entry in a pooled
-// buffer. The caller must hand the second return back to putReadBuf
-// once it no longer references the payload (table.DecodeBinary copies
-// everything out, so decoding then releasing is safe). Caller holds
-// d.mu.
-func (d *Disk) readFrame(e *diskEntry) ([]byte, *[]byte, bool) {
+// readFrame copies the payload of one indexed entry into dst, which
+// holds exactly its bytes. It copies out of the mapping so a later
+// munmap cannot invalidate the payload while the caller still holds it.
+// Caller holds d.mu.
+func (d *Disk) readFrame(e *diskEntry, dst []byte) bool {
 	seg, ok := d.segs[e.seg]
 	if !ok {
-		return nil, nil, false
+		return false
 	}
-	start := e.off + segHeaderBytes + int64(e.kLen)
-	end := start + int64(e.pLen)
+	start := e.off + segHeaderBytes + int64(len(e.key))
+	end := start + int64(len(dst))
 	if seg.mm != nil {
 		if end > int64(len(seg.mm)) {
-			return nil, nil, false
+			return false
 		}
-		// Copy out of the mapping so a later munmap cannot invalidate
-		// the payload while the caller still holds it.
-		bp := getReadBuf(int(e.pLen))
-		copy(*bp, seg.mm[start:end])
-		return *bp, bp, true
+		copy(dst, seg.mm[start:end])
+		return true
 	}
 	if seg.f == nil {
-		return nil, nil, false
+		return false
 	}
-	bp := getReadBuf(int(e.pLen))
-	if _, err := seg.f.ReadAt(*bp, start); err != nil {
-		putReadBuf(bp)
-		return nil, nil, false
-	}
-	return *bp, bp, true
+	_, err := seg.f.ReadAt(dst, start)
+	return err == nil
 }
 
 // Get decodes and returns the table stored under key. The returned
 // table is frozen.
 func (d *Disk) Get(key string) (*table.Table, bool) {
+	tbl, _, e := diskGet(d, key, false, true)
+	return tbl, e != nil
+}
+
+// GetRaw returns the raw partial-state payload stored under key. The
+// returned slice is a private copy.
+func (d *Disk) GetRaw(key string) ([]byte, bool) {
+	_, raw, e := diskGet(d, key, true, true)
+	return raw, e != nil
+}
+
+// diskGet is the one lookup body: the table (raw false) or a private
+// copy of the raw payload (raw true) stored under key, and the entry it
+// came from (nil on a miss). A raw payload is read straight into the
+// slice returned; a table's encoded form goes through a pooled buffer,
+// since DecodeBinary copies everything out of it. An uncounted lookup
+// (the flight leader's re-check) bumps no counter and leaves a corrupt
+// frame indexed for the next counted one to collect.
+func diskGet[K cacheKey](d *Disk, key K, raw, count bool) (*table.Table, []byte, *diskEntry) {
 	d.mu.Lock()
-	e, ok := d.index[key]
+	e, ok := d.index[string(key)]
 	var payload []byte
 	var bp *[]byte
-	if ok {
-		payload, bp, ok = d.readFrame(e)
+	if ok && raw {
+		payload = make([]byte, e.pLen)
+		ok = d.readFrame(e, payload)
+	} else if ok {
+		bp = getReadBuf(int(e.pLen))
+		ok = d.readFrame(e, *bp)
 	}
-	if !ok {
-		d.misses++
-		d.mu.Unlock()
-		return nil, false
+	hits, misses := &d.hits, &d.misses
+	if raw {
+		hits, misses = &d.stateHits, &d.stateMisses
 	}
-	d.hits++
+	if count && ok {
+		*hits++
+	} else if count {
+		*misses++
+	}
 	d.mu.Unlock()
+	if !ok {
+		if bp != nil {
+			putReadBuf(bp)
+		}
+		return nil, nil, nil
+	}
+	if raw {
+		return nil, payload, e
+	}
 	// Decode outside the lock: it allocates proportionally to the
-	// entry and must not serialize other lookups. DecodeBinary copies
-	// everything out of the payload, so the read buffer goes back to
-	// the pool immediately after.
-	t, err := table.DecodeBinary(payload)
+	// entry and must not serialize other lookups.
+	t, err := table.DecodeBinary(*bp)
 	putReadBuf(bp)
-	if err != nil {
+	if err == nil {
+		return t.Freeze(), nil, e
+	}
+	if count {
 		// Bit rot after indexing; treat as a miss.
 		d.mu.Lock()
-		if cur, ok := d.index[key]; ok && cur == e {
-			delete(d.index, key)
+		if cur, ok := d.index[e.key]; ok && cur == e {
+			delete(d.index, e.key)
 			if seg, ok := d.segs[e.seg]; ok {
 				seg.live--
 			}
@@ -329,54 +360,8 @@ func (d *Disk) Get(key string) (*table.Table, bool) {
 		d.hits--
 		d.misses++
 		d.mu.Unlock()
-		return nil, false
 	}
-	return t.Freeze(), true
-}
-
-// peek returns the stored table without touching the hit/miss
-// counters. Unlike Get it leaves a corrupt frame in the index (the
-// next Get will collect it).
-func (d *Disk) peek(key string) (*table.Table, bool) {
-	d.mu.Lock()
-	e, ok := d.index[key]
-	var payload []byte
-	var bp *[]byte
-	if ok {
-		payload, bp, ok = d.readFrame(e)
-	}
-	d.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	t, err := table.DecodeBinary(payload)
-	putReadBuf(bp)
-	if err != nil {
-		return nil, false
-	}
-	return t.Freeze(), true
-}
-
-// GetRaw returns the raw partial-state payload stored under key. The
-// returned slice is a private copy.
-func (d *Disk) GetRaw(key string) ([]byte, bool) {
-	d.mu.Lock()
-	e, ok := d.index[key]
-	var payload []byte
-	var bp *[]byte
-	if ok {
-		payload, bp, ok = d.readFrame(e)
-	}
-	if !ok {
-		d.stateMisses++
-		d.mu.Unlock()
-		return nil, false
-	}
-	d.stateHits++
-	d.mu.Unlock()
-	out := append([]byte(nil), payload...)
-	putReadBuf(bp)
-	return out, true
+	return nil, nil, nil
 }
 
 // Put appends the table under key. Oversized entries and encode-free
@@ -433,7 +418,7 @@ func (d *Disk) putFrame(key string, payload []byte, counter *uint64) {
 			oseg.live--
 		}
 	}
-	d.index[key] = &diskEntry{seg: seg.id, off: off, kLen: uint32(len(key)), pLen: uint32(len(payload))}
+	d.index[key] = &diskEntry{seg: seg.id, off: off, key: key, pLen: uint32(len(payload))}
 	seg.live++
 	if seg.size >= segmentTarget {
 		d.seal(seg)

@@ -220,7 +220,7 @@ func TestTieredPromotion(t *testing.T) {
 	c := NewTiered(mem, disk)
 	defer c.Close()
 
-	c.Put("k", mixedTbl(5))
+	c.put("k", mixedTbl(5))
 	// Drop the RAM copy, keep disk.
 	mem.mu.Lock()
 	for len(mem.items) > 0 {
@@ -228,7 +228,7 @@ func TestTieredPromotion(t *testing.T) {
 	}
 	mem.mu.Unlock()
 
-	got, ok := c.Get("k")
+	got, ok := c.get("k")
 	if !ok || got.Len() != 5 {
 		t.Fatalf("tiered get after RAM flush: ok=%v", ok)
 	}
@@ -238,7 +238,7 @@ func TestTieredPromotion(t *testing.T) {
 	}
 	// Now it's back in RAM: the next Get must not touch disk.
 	before := c.Stats().DiskHits
-	if _, ok := c.Get("k"); !ok {
+	if _, ok := c.get("k"); !ok {
 		t.Fatal("promoted entry missing from RAM")
 	}
 	if c.Stats().DiskHits != before {
@@ -260,7 +260,7 @@ func TestTieredPromotionDoesNotInflatePuts(t *testing.T) {
 	c := NewTiered(mem, disk)
 	defer c.Close()
 
-	c.Put("k", mixedTbl(3))
+	c.put("k", mixedTbl(3))
 	if st := c.Stats(); st.Puts != 1 || st.DiskPuts != 1 {
 		t.Fatalf("after write-through: Puts=%d DiskPuts=%d, want 1/1", st.Puts, st.DiskPuts)
 	}
@@ -270,7 +270,7 @@ func TestTieredPromotionDoesNotInflatePuts(t *testing.T) {
 		mem.evictOldest()
 	}
 	mem.mu.Unlock()
-	if _, ok := c.Get("k"); !ok {
+	if _, ok := c.get("k"); !ok {
 		t.Fatal("disk tier lost the entry")
 	}
 	st := c.Stats()
@@ -295,7 +295,7 @@ func TestTieredWriteThroughSurvivesRestart(t *testing.T) {
 	}
 	c := NewTiered(New(1<<20), disk)
 	want := mixedTbl(7)
-	c.Put("k", want)
+	c.put("k", want)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestTieredWriteThroughSurvivesRestart(t *testing.T) {
 	}
 	c2 := NewTiered(New(1<<20), disk2)
 	defer c2.Close()
-	got, ok := c2.Get("k")
+	got, ok := c2.get("k")
 	if !ok || got.String() != want.String() {
 		t.Fatalf("entry lost across restart: ok=%v", ok)
 	}

@@ -1,11 +1,11 @@
 package cache
 
-// Flight coalesces concurrent executions of the same chunk key onto
+// flight coalesces concurrent executions of the same chunk key onto
 // one sandbox run (singleflight). The cold path is the one cost the
 // aggregate/noise pipeline can never hide: every cache-miss chunk pays
 // a full sandboxed PROCESS execution, so N analysts submitting the
 // same popular window concurrently would pay that cost N times over.
-// With a Flight in front, the first miss on a key becomes the
+// With a flight in front, the first miss on a key becomes the
 // *leader* and executes; every concurrent miss on the same key becomes
 // a *follower* that waits and shares the leader's frozen result by
 // pointer.
@@ -27,7 +27,7 @@ package cache
 // behind a pathological executable at one extra execution per waiter,
 // instead of an unbounded convoy.
 //
-// Privacy: a Flight sits strictly on the cost side of the engine,
+// Privacy: a flight sits strictly on the cost side of the engine,
 // exactly like the chunk cache it fronts (see the package comment).
 // Sharing a frozen table between concurrent queries changes how fast
 // each query's intermediate table materializes — never which releases
@@ -78,7 +78,7 @@ func (o Outcome) String() string {
 	}
 }
 
-// FlightStats is a snapshot of a Flight's counters.
+// FlightStats is a snapshot of a flight's counters.
 type FlightStats struct {
 	// Leaders counts executions performed under key leadership —
 	// initial leaders plus promoted followers (Handoffs ⊆ Leaders).
@@ -96,31 +96,33 @@ type FlightStats struct {
 	Waiting int64
 }
 
-// flightCall is one in-flight key.
+// flightCall is one in-flight key, under the string the leader made,
+// which every path that runs fn hands it so a stored result shares it.
 //
 // done and token exist only once somebody waits: the first follower to
-// arrive makes both under Flight.mu, so a leader nobody joins — every
+// arrive makes both under flight.mu, so a leader nobody joins — every
 // chunk of a cold scan — allocates the call and nothing else. done is
 // closed exactly once, on a clean publish, after tbl is set and the
 // call is removed from the map. token carries leadership after a
 // failure: the failed leader pushes into it (buffered, never blocks)
 // and exactly one waiter receives it and leads the same call, so a
 // late-waking follower can never re-execute a key whose result was
-// already published. waiters is guarded by Flight.mu; when a failed
+// already published. waiters is guarded by flight.mu; when a failed
 // leader finds no waiters — or the last waiter times out with a
 // handoff token pending — the call is retired from the map instead. A
 // clean publish zeroes waiters while retiring the call, so followers
 // woken by the done broadcast return without reacquiring the lock.
 type flightCall struct {
+	key     string
 	done    chan struct{}
 	token   chan struct{}
 	tbl     *table.Table
 	waiters int
 }
 
-// Flight deduplicates concurrent executions per key. The zero value is
-// not usable; use NewFlight. Safe for concurrent use.
-type Flight struct {
+// flight deduplicates concurrent executions per key. The zero value is
+// not usable; use newFlight. Safe for concurrent use.
+type flight struct {
 	mu    sync.Mutex
 	calls map[string]*flightCall
 
@@ -128,28 +130,30 @@ type Flight struct {
 	waiting                                atomic.Int64
 }
 
-// NewFlight returns an empty Flight.
-func NewFlight() *Flight {
-	return &Flight{calls: map[string]*flightCall{}}
+// newFlight returns an empty flight.
+func newFlight() *flight {
+	return &flight{calls: map[string]*flightCall{}}
 }
 
-// Do executes fn under singleflight semantics for key. fn returns the
-// chunk's result table and whether the execution completed cleanly;
-// only clean results are published to followers (Tiered.Do's fn
-// freezes and stores a clean result before returning, so arrivals after
-// the flight dissolves hit the cache instead).
+// do executes fn under singleflight semantics for key. fn receives the
+// key as the string the call holds and returns the chunk's result table
+// and whether the execution completed cleanly; only clean results are
+// published to followers (Tiered.Do's fn freezes and stores a clean
+// result before returning, so arrivals after the flight dissolves hit
+// the cache instead). key is not retained: only a new leader makes a
+// string of it.
 //
 // maxWait bounds a follower's wait for its leader; <= 0 waits forever.
 // The returned table is the leader's table itself for Shared outcomes
 // (frozen, shared by pointer — callers must not mutate it).
-func (f *Flight) Do(key string, maxWait time.Duration, fn func() (*table.Table, bool)) (*table.Table, bool, Outcome) {
+func (f *flight) do(key []byte, maxWait time.Duration, fn func(key string) (*table.Table, bool)) (*table.Table, bool, Outcome) {
 	f.mu.Lock()
-	c, ok := f.calls[key]
+	c, ok := f.calls[string(key)]
 	if !ok {
-		c = &flightCall{}
-		f.calls[key] = c
+		c = &flightCall{key: string(key)}
+		f.calls[c.key] = c
 		f.mu.Unlock()
-		tbl, clean := f.lead(key, c, fn, false)
+		tbl, clean := f.lead(c, fn, false)
 		return tbl, clean, Led
 	}
 	if c.done == nil {
@@ -180,7 +184,7 @@ func (f *Flight) Do(key string, maxWait time.Duration, fn func() (*table.Table, 
 		f.mu.Lock()
 		c.waiters--
 		f.mu.Unlock()
-		tbl, clean := f.lead(key, c, fn, true)
+		tbl, clean := f.lead(c, fn, true)
 		return tbl, clean, Handoff
 	case <-deadline:
 		f.waiting.Add(-1)
@@ -195,25 +199,25 @@ func (f *Flight) Do(key string, maxWait time.Duration, fn func() (*table.Table, 
 			// audience, retire the call so the key starts fresh.
 			select {
 			case <-c.token:
-				delete(f.calls, key)
+				delete(f.calls, c.key)
 			default:
 			}
 		}
 		f.mu.Unlock()
 		f.timeouts.Add(1)
-		tbl, clean := fn()
+		tbl, clean := fn(c.key)
 		return tbl, clean, Abandoned
 	}
 }
 
-// lead runs fn as key's leader and publishes the verdict. On a clean
+// lead runs fn as c's leader and publishes the verdict. On a clean
 // result the call is removed from the map *before* done is closed (the
 // result is already in the chunk cache by then — fn caches before
 // returning — so arrivals in the gap hit the cache). On a failure
 // leadership is handed to one waiter via the call's token, or the call
 // is retired when nobody is waiting. A panic out of fn takes the
 // failure path (handoff, never a wedge), then propagates.
-func (f *Flight) lead(key string, c *flightCall, fn func() (*table.Table, bool), promoted bool) (tbl *table.Table, clean bool) {
+func (f *flight) lead(c *flightCall, fn func(key string) (*table.Table, bool), promoted bool) (tbl *table.Table, clean bool) {
 	f.leaders.Add(1)
 	if promoted {
 		f.handoffs.Add(1)
@@ -224,7 +228,7 @@ func (f *Flight) lead(key string, c *flightCall, fn func() (*table.Table, bool),
 			// Retire the call and settle every waiter's bookkeeping in
 			// this one critical section; the close below then wakes all
 			// followers at once and they return without touching f.mu.
-			delete(f.calls, key)
+			delete(f.calls, c.key)
 			c.waiters = 0
 			f.mu.Unlock()
 			// Retired under the lock: no follower can arrive to make
@@ -237,17 +241,17 @@ func (f *Flight) lead(key string, c *flightCall, fn func() (*table.Table, bool),
 		if c.waiters > 0 {
 			c.token <- struct{}{} // a waiter made it; buffered: never blocks
 		} else {
-			delete(f.calls, key)
+			delete(f.calls, c.key)
 		}
 		f.mu.Unlock()
 	}()
-	tbl, clean = fn()
+	tbl, clean = fn(c.key)
 	c.tbl = tbl
 	return tbl, clean
 }
 
-// Stats returns a snapshot of the Flight's counters.
-func (f *Flight) Stats() FlightStats {
+// stats returns a snapshot of the flight's counters.
+func (f *flight) stats() FlightStats {
 	return FlightStats{
 		Leaders:   f.leaders.Load(),
 		Followers: f.followers.Load(),
@@ -255,12 +259,4 @@ func (f *Flight) Stats() FlightStats {
 		Timeouts:  f.timeouts.Load(),
 		Waiting:   f.waiting.Load(),
 	}
-}
-
-// InFlight returns the number of keys currently executing (tests and
-// debugging).
-func (f *Flight) InFlight() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.calls)
 }

@@ -9,6 +9,13 @@ import (
 	"privid/internal/table"
 )
 
+// inFlight returns the number of keys currently executing.
+func (f *flight) inFlight() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.calls)
+}
+
 func flightTable(n float64) *table.Table {
 	s := table.MustSchema(table.Column{Name: "n", Type: table.DNumber})
 	return table.FromRows(s, []table.Row{{table.N(n)}}).Freeze()
@@ -29,12 +36,12 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // TestFlightDedup: N concurrent Do calls on one key execute fn once;
 // every follower shares the leader's table by pointer.
 func TestFlightDedup(t *testing.T) {
-	f := NewFlight()
+	f := newFlight()
 	var execs atomic.Int64
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	want := flightTable(7)
-	fn := func() (*table.Table, bool) {
+	fn := func(string) (*table.Table, bool) {
 		execs.Add(1)
 		close(entered)
 		<-release
@@ -48,17 +55,17 @@ func TestFlightDedup(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		results[0], _, outcomes[0] = f.Do("k", 0, fn)
+		results[0], _, outcomes[0] = f.do([]byte("k"), 0, fn)
 	}()
 	<-entered // leader is inside fn; everyone else must follow
 	for i := 1; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], _, outcomes[i] = f.Do("k", 0, fn)
+			results[i], _, outcomes[i] = f.do([]byte("k"), 0, fn)
 		}(i)
 	}
-	waitFor(t, "followers to queue", func() bool { return f.Stats().Waiting == n-1 })
+	waitFor(t, "followers to queue", func() bool { return f.stats().Waiting == n-1 })
 	close(release)
 	wg.Wait()
 
@@ -82,12 +89,12 @@ func TestFlightDedup(t *testing.T) {
 	if leaders != 1 || followers != n-1 {
 		t.Errorf("leaders=%d followers=%d, want 1/%d", leaders, followers, n-1)
 	}
-	st := f.Stats()
+	st := f.stats()
 	if st.Leaders != 1 || st.Followers != n-1 || st.Handoffs != 0 || st.Timeouts != 0 {
 		t.Errorf("stats = %+v", st)
 	}
-	if f.InFlight() != 0 {
-		t.Errorf("call leaked: %d in flight", f.InFlight())
+	if f.inFlight() != 0 {
+		t.Errorf("call leaked: %d in flight", f.inFlight())
 	}
 }
 
@@ -96,12 +103,12 @@ func TestFlightDedup(t *testing.T) {
 // share the new leader's clean result. The failed leader never wedges
 // anyone.
 func TestFlightHandoff(t *testing.T) {
-	f := NewFlight()
+	f := newFlight()
 	var execs atomic.Int64
 	entered := make(chan struct{})
 	fail := make(chan struct{})
 	want := flightTable(1)
-	fn := func() (*table.Table, bool) {
+	fn := func(string) (*table.Table, bool) {
 		if execs.Add(1) == 1 {
 			close(entered)
 			<-fail
@@ -115,7 +122,7 @@ func TestFlightHandoff(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		leaderTbl, leaderClean, _ = f.Do("k", 0, fn)
+		leaderTbl, leaderClean, _ = f.do([]byte("k"), 0, fn)
 	}()
 	<-entered
 
@@ -127,10 +134,10 @@ func TestFlightHandoff(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], _, outcomes[i] = f.Do("k", 0, fn)
+			results[i], _, outcomes[i] = f.do([]byte("k"), 0, fn)
 		}(i)
 	}
-	waitFor(t, "followers to queue", func() bool { return f.Stats().Waiting == n })
+	waitFor(t, "followers to queue", func() bool { return f.stats().Waiting == n })
 	close(fail)
 	wg.Wait()
 	<-done
@@ -161,7 +168,7 @@ func TestFlightHandoff(t *testing.T) {
 	if handoffs != 1 || shared != n-1 {
 		t.Errorf("handoffs=%d shared=%d, want 1/%d", handoffs, shared, n-1)
 	}
-	st := f.Stats()
+	st := f.stats()
 	if st.Leaders != 2 || st.Handoffs != 1 || st.Followers != uint64(n-1) {
 		t.Errorf("stats = %+v", st)
 	}
@@ -170,12 +177,12 @@ func TestFlightHandoff(t *testing.T) {
 // TestFlightLeaderPanic: a panicking execution function still wakes
 // followers (handoff) and propagates the panic to the leader only.
 func TestFlightLeaderPanic(t *testing.T) {
-	f := NewFlight()
+	f := newFlight()
 	entered := make(chan struct{})
 	boom := make(chan struct{})
 	want := flightTable(2)
 	var calls atomic.Int64
-	fn := func() (*table.Table, bool) {
+	fn := func(string) (*table.Table, bool) {
 		if calls.Add(1) == 1 {
 			close(entered)
 			<-boom
@@ -187,16 +194,16 @@ func TestFlightLeaderPanic(t *testing.T) {
 	panicked := make(chan any, 1)
 	go func() {
 		defer func() { panicked <- recover() }()
-		f.Do("k", 0, fn)
+		f.do([]byte("k"), 0, fn)
 	}()
 	<-entered
 
 	followerDone := make(chan *table.Table, 1)
 	go func() {
-		tbl, _, _ := f.Do("k", 0, fn)
+		tbl, _, _ := f.do([]byte("k"), 0, fn)
 		followerDone <- tbl
 	}()
-	waitFor(t, "follower to queue", func() bool { return f.Stats().Waiting == 1 })
+	waitFor(t, "follower to queue", func() bool { return f.stats().Waiting == 1 })
 	close(boom)
 
 	if r := <-panicked; r == nil {
@@ -210,20 +217,20 @@ func TestFlightLeaderPanic(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("follower wedged by panicking leader")
 	}
-	if f.Stats().Handoffs != 1 {
-		t.Errorf("handoffs = %d, want 1", f.Stats().Handoffs)
+	if f.stats().Handoffs != 1 {
+		t.Errorf("handoffs = %d, want 1", f.stats().Handoffs)
 	}
 }
 
 // TestFlightFollowerTimeout: a follower that waits maxWait without a
 // leader verdict executes on its own instead of blocking forever.
 func TestFlightFollowerTimeout(t *testing.T) {
-	f := NewFlight()
+	f := newFlight()
 	entered := make(chan struct{})
 	stall := make(chan struct{})
 	var execs atomic.Int64
 	want := flightTable(3)
-	fn := func() (*table.Table, bool) {
+	fn := func(string) (*table.Table, bool) {
 		if execs.Add(1) == 1 {
 			close(entered)
 			<-stall // leader stuck behind a pathological executable
@@ -231,11 +238,11 @@ func TestFlightFollowerTimeout(t *testing.T) {
 		return want, true
 	}
 
-	go f.Do("k", 0, fn)
+	go f.do([]byte("k"), 0, fn)
 	<-entered
 
 	start := time.Now()
-	tbl, clean, outcome := f.Do("k", 30*time.Millisecond, fn)
+	tbl, clean, outcome := f.do([]byte("k"), 30*time.Millisecond, fn)
 	if outcome != Abandoned {
 		t.Fatalf("outcome = %v, want Abandoned", outcome)
 	}
@@ -248,23 +255,23 @@ func TestFlightFollowerTimeout(t *testing.T) {
 	if got := execs.Load(); got != 2 {
 		t.Errorf("fn executed %d times, want 2", got)
 	}
-	if f.Stats().Timeouts != 1 {
-		t.Errorf("timeouts = %d, want 1", f.Stats().Timeouts)
+	if f.stats().Timeouts != 1 {
+		t.Errorf("timeouts = %d, want 1", f.stats().Timeouts)
 	}
 	close(stall)
-	waitFor(t, "leader to drain", func() bool { return f.InFlight() == 0 })
+	waitFor(t, "leader to drain", func() bool { return f.inFlight() == 0 })
 }
 
 // TestFlightDistinctKeys: different keys never coalesce.
 func TestFlightDistinctKeys(t *testing.T) {
-	f := NewFlight()
+	f := newFlight()
 	var execs atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			f.Do(string(rune('a'+i)), 0, func() (*table.Table, bool) {
+			f.do([]byte{byte('a' + i)}, 0, func(string) (*table.Table, bool) {
 				execs.Add(1)
 				return flightTable(float64(i)), true
 			})
@@ -274,23 +281,24 @@ func TestFlightDistinctKeys(t *testing.T) {
 	if got := execs.Load(); got != 4 {
 		t.Errorf("fn executed %d times, want 4", got)
 	}
-	if st := f.Stats(); st.Followers != 0 {
+	if st := f.stats(); st.Followers != 0 {
 		t.Errorf("followers = %d, want 0", st.Followers)
 	}
 }
 
 // TestFlightLeaderAloneAllocatesNoChannels pins the lazy channels: a
-// leader nobody joins allocates its call and nothing else (the parent
-// made done and token up front: three allocations), and the channels
-// the first follower makes behave exactly as the eager ones did — a
-// late follower shares a clean result, a failed leader hands off, and a
-// follower that times out with a handoff token pending retires the call.
+// leader nobody joins allocates its call and the key string the call
+// and the stored entry share, and nothing else (eager done and token
+// channels made two more), and the channels the first follower makes
+// behave exactly as the eager ones did — a late follower shares a clean
+// result, a failed leader hands off, and a follower that times out with
+// a handoff token pending retires the call.
 func TestFlightLeaderAloneAllocatesNoChannels(t *testing.T) {
-	f := NewFlight()
+	f := newFlight()
 	want := flightTable(1)
-	clean := func() (*table.Table, bool) { return want, true }
-	if allocs := testing.AllocsPerRun(200, func() { f.Do("alone", time.Second, clean) }); allocs > 1 {
-		t.Errorf("uncontended Do allocates %v times, want 1 (the call)", allocs)
+	clean := func(string) (*table.Table, bool) { return want, true }
+	if allocs := testing.AllocsPerRun(200, func() { f.do([]byte("alone"), time.Second, clean) }); allocs > 2 {
+		t.Errorf("uncontended do allocates %v times, want 2 (the call and its key)", allocs)
 	}
 
 	// lead starts a leader on key and returns once it is inside fn; the
@@ -300,7 +308,7 @@ func TestFlightLeaderAloneAllocatesNoChannels(t *testing.T) {
 		entered := make(chan struct{})
 		go func() {
 			defer close(done)
-			f.Do(key, 0, func() (*table.Table, bool) {
+			f.do([]byte(key), 0, func(string) (*table.Table, bool) {
 				close(entered)
 				return want, <-verdict
 			})
@@ -310,12 +318,12 @@ func TestFlightLeaderAloneAllocatesNoChannels(t *testing.T) {
 	}
 	follow := func(key string, maxWait time.Duration) chan Outcome {
 		out := make(chan Outcome, 1)
-		waiting := f.Stats().Waiting
+		waiting := f.stats().Waiting
 		go func() {
-			_, _, o := f.Do(key, maxWait, clean)
+			_, _, o := f.do([]byte(key), maxWait, clean)
 			out <- o
 		}()
-		waitFor(t, "the follower to queue", func() bool { return f.Stats().Waiting == waiting+1 })
+		waitFor(t, "the follower to queue", func() bool { return f.stats().Waiting == waiting+1 })
 		return out
 	}
 
@@ -354,7 +362,7 @@ func TestFlightLeaderAloneAllocatesNoChannels(t *testing.T) {
 	}
 	verdict <- true
 	<-done
-	if st := f.Stats(); st.Waiting != 0 || f.InFlight() != 0 {
-		t.Errorf("leaked: %+v, %d in flight", st, f.InFlight())
+	if st := f.stats(); st.Waiting != 0 || f.inFlight() != 0 {
+		t.Errorf("leaked: %+v, %d in flight", st, f.inFlight())
 	}
 }

@@ -7,10 +7,11 @@ package cache
 // Puts are write-through: the entry lands in both tiers, so it both
 // serves hot repeats at RAM speed and survives a process restart.
 //
-// One store serves two kinds of entry: frozen tables (Do/Get/Put) and
-// opaque byte payloads — encoded partial aggregate states — under
-// their own counters (GetRaw/PutRaw). The engine tags keys by kind, so
-// raw keys and table keys can never collide.
+// One store serves two kinds of entry: frozen tables (Do) and opaque
+// byte payloads — encoded partial aggregate states — under their own
+// counters (GetState/PutState, and the string-keyed GetRaw/PutRaw). The
+// engine tags keys by kind, so raw keys and table keys can never
+// collide.
 
 import (
 	"sync/atomic"
@@ -26,43 +27,45 @@ import (
 type Tiered struct {
 	mem    *LRU
 	disk   *Disk
-	flight *Flight
+	flight *flight
 
 	promotions atomic.Uint64
 }
 
 // NewTiered composes the two tiers.
 func NewTiered(mem *LRU, disk *Disk) *Tiered {
-	return &Tiered{mem: mem, disk: disk, flight: NewFlight()}
+	return &Tiered{mem: mem, disk: disk, flight: newFlight()}
 }
 
 // Do returns the table stored under key, or on a miss obtains it from
 // compute — which reports whether its result is clean — so that
 // concurrent misses on one key cost one compute: the first becomes the
 // leader, the rest wait up to maxWait (<= 0 waits forever) and share
-// its frozen table by pointer (see Flight for the handoff and timeout
+// its frozen table by pointer (see flight for the handoff and timeout
 // rules). Only clean results are stored or shared: an unclean one —
 // sandbox fallback rows, which depend on machine load, not on the
 // chunk — would poison every later query over this chunk, so it goes
 // to its own caller alone. The returned bool is compute's verdict
-// (always true for a Hit or Shared outcome).
-func (t *Tiered) Do(key string, maxWait time.Duration, compute func() (*table.Table, bool)) (*table.Table, bool, Outcome) {
-	if tbl, ok := t.Get(key); ok {
+// (always true for a Hit or Shared outcome). key is not retained: a
+// hit makes no key string, and a leader makes the one its flight and
+// stored entry share.
+func (t *Tiered) Do(key []byte, maxWait time.Duration, compute func() (*table.Table, bool)) (*table.Table, bool, Outcome) {
+	if tbl, _, ok := tieredGet(t, key, false, true); ok {
 		return tbl, true, Hit
 	}
-	return t.flight.Do(key, maxWait, func() (*table.Table, bool) {
+	return t.flight.do(key, maxWait, func(key string) (*table.Table, bool) {
 		// Re-check under flight leadership: a clean result published
 		// between this caller's miss and its turn to lead is stored by
 		// now (leaders store before dissolving the flight) and must not
-		// be recomputed. peek, not Get — the miss was already counted,
-		// and this internal re-check must not distort the
-		// analyst-visible hit rate, recency or promotions.
-		if tbl, ok := t.peek(key); ok {
+		// be recomputed. Uncounted — the miss was already counted, and
+		// this internal re-check must not distort the analyst-visible
+		// hit rate, recency or promotions.
+		if tbl, _, ok := tieredGet(t, key, false, false); ok {
 			return tbl, true
 		}
 		tbl, clean := compute()
 		if clean {
-			t.Put(key, tbl) // freezes tbl
+			t.put(key, tbl) // freezes tbl
 		}
 		return tbl, clean
 	})
@@ -70,67 +73,52 @@ func (t *Tiered) Do(key string, maxWait time.Duration, compute func() (*table.Ta
 
 // FlightStats returns a snapshot of the singleflight counters behind
 // Do.
-func (t *Tiered) FlightStats() FlightStats { return t.flight.Stats() }
+func (t *Tiered) FlightStats() FlightStats { return t.flight.stats() }
 
-// Get tries RAM, then disk. Disk hits are promoted into RAM.
-func (t *Tiered) Get(key string) (*table.Table, bool) {
+// tieredGet is the one lookup body of both kinds: RAM, then disk, for a
+// table (raw false) or a raw partial-state payload (raw true). A
+// counted lookup promotes a disk hit into RAM; an uncounted one (the
+// leader's re-check) counts no hit or miss, touches no recency and
+// promotes nothing. A returned payload is shared; callers must not
+// mutate it.
+func tieredGet[K cacheKey](t *Tiered, key K, raw, count bool) (*table.Table, []byte, bool) {
 	if t.mem != nil {
-		if tbl, ok := t.mem.Get(key); ok {
-			return tbl, true
+		if tbl, payload, ok := lruGet(t.mem, key, raw, count); ok {
+			return tbl, payload, true
 		}
 	}
 	if t.disk == nil {
-		return nil, false
+		return nil, nil, false
 	}
-	tbl, ok := t.disk.Get(key)
-	if !ok {
-		return nil, false
-	}
-	if t.mem != nil {
-		// Internal promote path: the entry migrates to the fast tier
-		// without inflating the RAM tier's Puts counter, so operators
-		// can tell real write-through traffic from promotions.
-		t.mem.store(key, tbl, nil, false)
+	tbl, payload, e := diskGet(t.disk, key, raw, count)
+	if e != nil && count && t.mem != nil {
+		// Internal promote path: the entry migrates to the fast tier,
+		// under the disk index's key string, without inflating the RAM
+		// tier's Puts counter, so operators can tell real write-through
+		// traffic from promotions.
+		t.mem.store(e.key, tbl, payload, false)
 		t.promotions.Add(1)
 	}
-	return tbl, true
-}
-
-// peek checks RAM then disk without counting hits or misses and
-// without promoting a disk hit.
-func (t *Tiered) peek(key string) (*table.Table, bool) {
-	if t.mem != nil {
-		if tbl, ok := t.mem.peek(key); ok {
-			return tbl, true
-		}
-	}
-	if t.disk == nil {
-		return nil, false
-	}
-	return t.disk.peek(key)
+	return tbl, payload, e != nil
 }
 
 // GetRaw tries RAM, then disk, for a raw partial-state payload. Disk
 // hits are promoted into RAM like table entries. The returned slice is
 // shared; callers must not mutate it.
 func (t *Tiered) GetRaw(key string) ([]byte, bool) {
-	if t.mem != nil {
-		if raw, ok := t.mem.GetRaw(key); ok {
-			return raw, true
-		}
-	}
-	if t.disk == nil {
-		return nil, false
-	}
-	raw, ok := t.disk.GetRaw(key)
-	if !ok {
-		return nil, false
-	}
-	if t.mem != nil {
-		t.mem.store(key, nil, raw, false)
-		t.promotions.Add(1)
-	}
-	return raw, true
+	_, raw, ok := tieredGet(t, key, true, true)
+	return raw, ok
+}
+
+// GetState is GetRaw for a key the caller holds as bytes; key is not
+// retained. It stays out of line: inlined, it would instantiate
+// tieredGet in the caller's package, where escape analysis loses that
+// the key is not kept and moves the caller's stack key to the heap.
+//
+//go:noinline
+func (t *Tiered) GetState(key []byte) ([]byte, bool) {
+	_, raw, ok := tieredGet(t, key, true, true)
+	return raw, ok
 }
 
 // PutRaw stores a raw partial-state payload in both tiers. The caller
@@ -144,8 +132,12 @@ func (t *Tiered) PutRaw(key string, raw []byte) {
 	}
 }
 
-// Put stores the (frozen) table in both tiers.
-func (t *Tiered) Put(key string, tbl *table.Table) {
+// PutState is PutRaw for a key the caller holds as bytes: both tiers
+// keep the one string it makes.
+func (t *Tiered) PutState(key, raw []byte) { t.PutRaw(string(key), raw) }
+
+// put stores the (frozen) table in both tiers.
+func (t *Tiered) put(key string, tbl *table.Table) {
 	tbl.Freeze()
 	if t.mem != nil {
 		t.mem.Put(key, tbl)

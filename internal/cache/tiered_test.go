@@ -39,6 +39,13 @@ func eachTiering(t *testing.T, fn func(t *testing.T, c *Tiered)) {
 	}
 }
 
+// get tries RAM, then disk, for a table, promoting a disk hit: the
+// string-keyed table lookup the tests read entries back with.
+func (t *Tiered) get(key string) (*table.Table, bool) {
+	tbl, _, ok := tieredGet(t, key, false, true)
+	return tbl, ok
+}
+
 // mustNotCompute is a compute that fails the test when called.
 func mustNotCompute(t *testing.T) func() (*table.Table, bool) {
 	return func() (*table.Table, bool) {
@@ -61,8 +68,8 @@ func waitFollowers(t *testing.T, c *Tiered, n int64) {
 
 func TestTieredDoHitSkipsCompute(t *testing.T) {
 	eachTiering(t, func(t *testing.T, c *Tiered) {
-		c.Put("k", tbl(1, 2))
-		got, clean, outcome := c.Do("k", 0, mustNotCompute(t))
+		c.put("k", tbl(1, 2))
+		got, clean, outcome := c.Do([]byte("k"), 0, mustNotCompute(t))
 		if outcome != Hit || !clean || got.Len() != 2 {
 			t.Fatalf("Do on a stored key = (%d rows, clean=%v, %v), want a clean 2-row Hit", got.Len(), clean, outcome)
 		}
@@ -87,7 +94,7 @@ func TestTieredDoCoalescesConcurrentMisses(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				tables[i], _, outcomes[i] = c.Do("k", 0, func() (*table.Table, bool) {
+				tables[i], _, outcomes[i] = c.Do([]byte("k"), 0, func() (*table.Table, bool) {
 					computes.Add(1)
 					<-release
 					return tbl(7), true
@@ -116,7 +123,7 @@ func TestTieredDoCoalescesConcurrentMisses(t *testing.T) {
 			t.Fatalf("outcomes %v: want 1 led, %d shared", outcomes, callers-1)
 		}
 		// The clean result was stored: the next caller hits.
-		if _, _, outcome := c.Do("k", 0, mustNotCompute(t)); outcome != Hit {
+		if _, _, outcome := c.Do([]byte("k"), 0, mustNotCompute(t)); outcome != Hit {
 			t.Fatalf("after a clean publish Do = %v, want Hit", outcome)
 		}
 		if st := c.Stats(); st.Misses != callers || st.Hits != 1 {
@@ -139,16 +146,16 @@ func TestTieredDoUncleanNeitherStoredNorShared(t *testing.T) {
 		go func() {
 			defer close(done)
 			<-leaderIn
-			followerTbl, followerClean, followerOutcome = c.Do("k", 0, func() (*table.Table, bool) {
+			followerTbl, followerClean, followerOutcome = c.Do([]byte("k"), 0, func() (*table.Table, bool) {
 				// Running at all proves the leader's rows were not
 				// shared; nothing may have been stored either.
-				if _, ok := c.peek("k"); ok {
+				if _, _, ok := tieredGet(c, "k", false, false); ok {
 					t.Error("unclean result was stored")
 				}
 				return fresh, true
 			})
 		}()
-		got, clean, outcome := c.Do("k", 0, func() (*table.Table, bool) {
+		got, clean, outcome := c.Do([]byte("k"), 0, func() (*table.Table, bool) {
 			close(leaderIn)
 			waitFollowers(t, c, 1)
 			return fallback, false
@@ -183,12 +190,12 @@ func TestTieredDoRecheckIsInvisible(t *testing.T) {
 		go func() {
 			defer close(done)
 			<-leaderIn
-			got, _, outcome = c.Do("k", 0, mustNotCompute(t))
+			got, _, outcome = c.Do([]byte("k"), 0, mustNotCompute(t))
 		}()
-		c.Do("k", 0, func() (*table.Table, bool) {
+		c.Do([]byte("k"), 0, func() (*table.Table, bool) {
 			close(leaderIn)
 			waitFollowers(t, c, 1)
-			c.Put("k", published)
+			c.put("k", published)
 			return tbl(0), false
 		})
 		<-done

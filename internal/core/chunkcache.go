@@ -7,8 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"privid/internal/query"
-	"privid/internal/rel"
 	"privid/internal/table"
 	"privid/internal/vtime"
 )
@@ -48,12 +46,12 @@ func chunkIdentity(camera, maskID, schemeName, region, using string,
 
 // Cache keys are compact and exact: a kind tag, the SHA-256 of the
 // rendered identity, and the chunk's fixed-width frame interval. The
-// digest is computed once per shard × region split (× plan for states),
-// so the per-chunk cost is one 49-byte string however long the camera
-// name, schema or plan text is — the cache hashes and compares that,
-// not the ~330-byte rendering. The tag keeps the two kinds the chunk
-// cache stores in disjoint namespaces by construction: a table key can
-// never equal a state key.
+// digest is computed once per shard × region split (× plan for states)
+// when the cache is on; per chunk the worker fills 49 bytes on its own
+// stack, which the cache hashes and compares (a warm chunk makes no key
+// string; a stored entry makes one). The tag keeps the two kinds the
+// chunk cache stores in disjoint namespaces by construction: a table
+// key can never equal a state key.
 const (
 	tableKeyKind = 'T' // digest of chunkIdentity
 	stateKeyKind = 'S' // digest of rel.PartialPlan.ID + chunkIdentity
@@ -77,22 +75,25 @@ func keyPrefix(kind byte, planID, identity string) string {
 }
 
 // chunkKey completes a key prefix with one chunk's absolute frame
-// interval. The string is its only allocation.
-func chunkKey(prefix string, iv vtime.Interval) string {
-	var b [chunkKeyLen]byte
-	copy(b[:], prefix)
-	binary.BigEndian.PutUint64(b[keyPrefixLen:], uint64(iv.Start))
-	binary.BigEndian.PutUint64(b[keyPrefixLen+8:], uint64(iv.End))
-	return string(b[:])
+// interval, in the caller's frame: it allocates nothing.
+func chunkKey(prefix string, iv vtime.Interval) (k [chunkKeyLen]byte) {
+	copy(k[:], prefix)
+	binary.BigEndian.PutUint64(k[keyPrefixLen:], uint64(iv.Start))
+	binary.BigEndian.PutUint64(k[keyPrefixLen+8:], uint64(iv.End))
+	return k
 }
 
 // keyPrefixes derives the table-key prefix and one state-key prefix per
-// pushdown plan for one region split of the shard.
-func (sh *splitShard) keyPrefixes(region string, st *query.ProcessStmt, schema table.Schema, plans []*rel.PartialPlan) (tbl string, states []string) {
+// pushdown plan for one region split of the shard, or nothing when the
+// chunk cache is off.
+func (e *Engine) keyPrefixes(sh *splitShard, region string, run *processRun) (tbl string, states []string) {
+	if e.chunkCache == nil {
+		return "", nil
+	}
 	identity := chunkIdentity(sh.cam.cfg.Name, sh.maskID, sh.schemeName, region,
-		st.Using, st.Timeout, st.MaxRows, schema, sh.chunkF, sh.strideF)
-	states = make([]string, len(plans))
-	for p, pp := range plans {
+		run.st.Using, run.st.Timeout, run.st.MaxRows, run.exec.Schema, sh.chunkF, sh.strideF)
+	states = make([]string, len(run.plans))
+	for p, pp := range run.plans {
 		states[p] = keyPrefix(stateKeyKind, pp.ID(), identity)
 	}
 	return keyPrefix(tableKeyKind, "", identity), states

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -558,10 +559,25 @@ func (e *Engine) runProcess(st *query.ProcessStmt, plan *splitPlan, cands []*que
 	}
 	data := table.New(run.full)
 	if run.plans == nil {
-		// Columnar appends in shard order (dedup picks the same
-		// representative rows regardless of shard timing).
+		// One table, reserved once and filled in shard, split and chunk
+		// order (dedup picks the same representative rows regardless of
+		// shard timing), each block stamped with its implicit columns.
+		n := 0
 		for _, out := range outs {
-			data.AppendTable(out.rows)
+			n += out.rows
+		}
+		data.Grow(n)
+		for i, out := range outs {
+			sh := plan.shards[i]
+			for s, sc := range out.parts {
+				split, camVal := &sh.splits[s], table.S(sh.cam.cfg.Name)
+				clock := split.Source.Info().Clock()
+				for k, blk := range sc.blocks {
+					start := clock.TimeOf(split.IntervalAt(sc.ords[k]).Start)
+					data.AppendBlock(blk, implicitConsts(start, split.Region, run.hasRegion, camVal, run.multi)...)
+				}
+				sc.release()
+			}
 		}
 		return rel.NewInstance(data, metas...), nil, nil
 	}
@@ -596,13 +612,34 @@ type processRun struct {
 	plans            []*rel.PartialPlan
 }
 
-// shardOutput is one shard's result: its stamped rows in deterministic
-// chunk order, or under pushdown its merged state per plan (index-
-// aligned with processRun.plans).
+// shardOutput is one shard's result: per region split its scratch, whose
+// blocks (rows in all) runProcess stamps and releases, or under
+// pushdown its merged state per plan (index-aligned with run.plans).
 type shardOutput struct {
-	rows   *table.Table
+	parts  []*splitScratch
+	rows   int
 	states []*rel.PartialState
 	err    error
+}
+
+// splitScratch is one region split's per-chunk working set, pooled so a
+// warm query allocates nothing per chunk. release clears the slots
+// first: a pooled slot never pins a cached table or payload, and slots
+// past a slice's length are always nil.
+type splitScratch struct {
+	ords   []int64
+	ivs    []vtime.Interval
+	states [][]byte
+	blocks []*table.Table
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(splitScratch) }}
+
+func (sc *splitScratch) release() {
+	clear(sc.states)
+	clear(sc.blocks)
+	sc.states, sc.blocks = sc.states[:0], sc.blocks[:0]
+	scratchPool.Put(sc)
 }
 
 // shardTallies accumulates one shard's per-chunk counters in atomics
@@ -715,10 +752,10 @@ func stampedView(full table.Schema, blk *table.Table, consts []table.Value) *tab
 // and reports whether the block is clean (cache hits and shared
 // results always are; an execution is clean unless the sandbox
 // substituted fallback rows, which the cache then neither stores nor
-// shares). key is empty exactly when the chunk cache is disabled. The
+// shares). key is nil exactly when the chunk cache is disabled. The
 // video.Chunk is built only when the executable has to run: a hit costs
 // the lookup and nothing else.
-func (e *Engine) fetchChunkBlock(key string, split *video.Split, ord int64, exec sandbox.Executor, tl *shardTallies) (*table.Table, bool) {
+func (e *Engine) fetchChunkBlock(key []byte, split *video.Split, ord int64, exec sandbox.Executor, tl *shardTallies) (*table.Table, bool) {
 	run := func() (*table.Table, bool) { return e.execChunk(split.ChunkAt(ord), exec, tl) }
 	if e.chunkCache == nil {
 		return run()
@@ -782,13 +819,13 @@ func (e *Engine) execChunk(chunk *video.Chunk, exec sandbox.Executor, tl *shardT
 }
 
 // runShard executes the analyst's executable over every chunk of one
-// camera shard and returns either the stamped rows in deterministic
-// chunk order or, under pushdown (run.plans), the shard's merged state
-// per plan. run.par bounds the shard's concurrent sandbox executions
-// (the per-camera bound of the sharded executor); the engine-wide
-// procSem still bounds the total across all shards and queries. Each
-// shard records one child span under the PROCESS span (concurrent
-// shards annotate sibling spans; Span is mutex-guarded).
+// camera shard and returns either each region split's blocks in
+// deterministic chunk order or, under pushdown (run.plans), the shard's
+// merged state per plan. run.par bounds the shard's concurrent sandbox
+// executions (the per-camera bound of the sharded executor); the
+// engine-wide procSem still bounds the total across all shards and
+// queries. Each shard records one child span under the PROCESS span
+// (concurrent shards annotate sibling spans; Span is mutex-guarded).
 //
 // Under pushdown every chunk leaves one encoded state per plan — the
 // cached bytes (shared, read-only) when every plan's state is cached,
@@ -804,64 +841,49 @@ func (e *Engine) runShard(sh *splitShard, run *processRun, psp *obs.Span) (out s
 	tl := &shardTallies{}
 	ssp := psp.Child("shard")
 	defer ssp.End()
-	// Each region split's active chunk ordinals, enumerated once.
-	ordsBySplit, chunks := make([][]int64, len(sh.splits)), 0
-	for s, split := range sh.splits {
-		ordsBySplit[s] = split.ActiveChunks()
-		chunks += len(ordsBySplit[s])
-	}
-	np := len(run.plans)
+	np, chunks := len(run.plans), 0
 	if ssp != nil {
 		ssp.Set("camera", camName)
 		if np > 0 {
 			ssp.Set("mode", "pushdown")
 		}
-		ssp.Set("chunks", chunks)
-	}
-	if np == 0 {
-		out.rows = table.New(run.full)
+		defer func() { ssp.Set("chunks", chunks) }()
 	}
 	for _, pp := range run.plans {
 		out.states = append(out.states, pp.NewState())
 	}
 	for s := range sh.splits {
-		split, ords := &sh.splits[s], ordsBySplit[s]
-		// Each chunk produces one frozen columnar block in the declared
-		// PROCESS schema (the cacheable unit). The workers leave it in
-		// blocks, or under pushdown leave per chunk × plan the encoded
-		// state — the cached bytes, or on a miss the payload just folded
-		// (and, when clean, cached); only the mode's own slots are
-		// allocated.
-		var blocks []*table.Table
-		states := make([][]byte, len(ords)*np)
-		if np == 0 {
-			blocks = make([]*table.Table, len(ords))
-		}
+		// The split's active chunk ordinals, enumerated once into a pooled
+		// scratch with a slot per chunk for its block, or under pushdown
+		// per chunk × plan for its encoded state — the cached bytes, or on
+		// a miss the payload just folded (and, when clean, cached).
+		split, sc := &sh.splits[s], scratchPool.Get().(*splitScratch)
+		sc.ords = split.AppendActiveChunks(sc.ords[:0], &sc.ivs)
+		ords, n := sc.ords, len(sc.ords)
+		blocks, states := slices.Grow(sc.blocks, n)[:n], slices.Grow(sc.states, n*np)[:n*np]
+		sc.blocks, sc.states, chunks = blocks, states, chunks+n
 		var foldErr atomic.Pointer[error]
-		tableKeys, stateKeys := sh.keyPrefixes(split.Region, run.st, run.exec.Schema, run.plans)
+		tablePrefix, statePrefixes := e.keyPrefixes(sh, split.Region, run)
 		clock := split.Source.Info().Clock()
 		forEachChunk(len(ords), run.par, func(i int) {
 			iv := split.IntervalAt(ords[i])
-			var tableKey string
-			var kb [2]string // the chunk's state keys: on the stack up to two plans
-			keys := kb[:0]
+			var tableKey []byte
 			if e.chunkCache != nil {
 				// Warm path: every plan's state is cached — no sandbox
 				// execution, no fold, no decode. An absent, bit-rotten or
 				// incompatible entry ends the lookups; the fold overwrites it.
 				warm := np > 0
-				for p, pp := range run.plans {
-					keys = append(keys, chunkKey(stateKeys[p], iv))
-					if warm {
-						states[i*np+p], warm = e.chunkCache.GetRaw(keys[p])
-						warm = warm && pp.CompatibleEncoded(states[i*np+p])
-					}
+				for p := 0; warm && p < np; p++ {
+					k := chunkKey(statePrefixes[p], iv)
+					states[i*np+p], warm = e.chunkCache.GetState(k[:])
+					warm = warm && run.plans[p].CompatibleEncoded(states[i*np+p])
 				}
 				if warm {
 					tl.stateChunks.Add(1)
 					return
 				}
-				tableKey = chunkKey(tableKeys, iv)
+				k := chunkKey(tablePrefix, iv)
+				tableKey = k[:]
 			}
 			blk, clean := e.fetchChunkBlock(tableKey, split, ords[i], run.exec, tl)
 			if np == 0 {
@@ -885,7 +907,8 @@ func (e *Engine) runShard(sh *splitShard, run *processRun, psp *obs.Span) (out s
 				if clean && e.chunkCache != nil {
 					// Memoize only clean executions' states, mirroring
 					// the table tier's fallback-row rule.
-					e.chunkCache.PutRaw(keys[p], states[i*np+p])
+					k := chunkKey(statePrefixes[p], iv)
+					e.chunkCache.PutState(k[:], states[i*np+p])
 				}
 			}
 		})
@@ -893,16 +916,9 @@ func (e *Engine) runShard(sh *splitShard, run *processRun, psp *obs.Span) (out s
 			out.err = *err
 			return out
 		}
-		// Combine serially in chunk order. Rows: stamp the implicit
-		// columns as per-block constants — column-wise copies, no row
-		// materialization (stamping here, not in the workers, keeps the
-		// constants off the heap). States: float sums are not
-		// associative, and the differential tests pin the release to
-		// the row-major oracle bit for bit.
-		for i, blk := range blocks {
-			start := clock.TimeOf(split.IntervalAt(ords[i]).Start)
-			out.rows.AppendBlock(blk, implicitConsts(start, split.Region, run.hasRegion, camVal, run.multi)...)
-		}
+		// Merge serially in chunk order: float sums are not associative,
+		// and the differential tests pin the release to the row-major
+		// oracle bit for bit.
 		for k, raw := range states {
 			if err := run.plans[k%np].MergeEncoded(out.states[k%np], raw); err != nil {
 				out.err = fmt.Errorf("core: merge of chunk %d's state: %w", ords[k/np], err)
@@ -910,6 +926,14 @@ func (e *Engine) runShard(sh *splitShard, run *processRun, psp *obs.Span) (out s
 			}
 		}
 		e.ppMerges.Add(uint64(len(ords) * np))
+		if np > 0 {
+			sc.release()
+			continue
+		}
+		for _, blk := range blocks {
+			out.rows += blk.Len()
+		}
+		out.parts = append(out.parts, sc)
 	}
 	e.ppCachedChunks.Add(uint64(tl.stateChunks.Load()))
 	e.spanTallies(ssp, tl)

@@ -167,7 +167,7 @@ SELECT COUNT(*) FROM t CONSUMING 0.2;`)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantTable.AppendTable(inst.Data)
+		wantTable.AppendBlock(inst.Data)
 		_, rels, err := ref.runProcess(proc, one, prog.Selects, nil)
 		if err != nil {
 			t.Fatal(err)

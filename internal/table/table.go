@@ -524,18 +524,22 @@ func (t *Table) appendCell(j int, v Value) {
 	c.valid = append(c.valid, ok)
 }
 
-// AppendTable appends every row of src. Schemas must have identical
-// column types (names may differ — callers align positionally).
-func (t *Table) AppendTable(src *Table) {
-	t.AppendBlock(src)
+// Grow reserves capacity for n more rows in every column, so appending
+// that many allocates nothing: a caller that knows the final size (the
+// engine materialising cached blocks) builds the table once, with no
+// doubling and no second copy.
+func (t *Table) Grow(n int) {
+	t.mutable()
+	t.grow(n)
 }
 
 // AppendBlock appends src's rows column-wise, then fills t's trailing
 // columns (beyond src's width) with the given constants, one per extra
-// column. This is the engine's stamping path: a cached chunk block in
-// the base schema lands in the full execution schema without any row
-// materialization or re-parsing, and the shared (possibly frozen) src
-// is never touched.
+// column. Schemas must have identical column types up to src's width
+// (names may differ — callers align positionally). This is the
+// engine's stamping path: a cached chunk block in the base schema lands
+// in the full execution schema without any row materialization or
+// re-parsing, and the shared (possibly frozen) src is never touched.
 func (t *Table) AppendBlock(src *Table, consts ...Value) {
 	t.mutable()
 	if len(src.Schema.Cols)+len(consts) != len(t.Schema.Cols) {

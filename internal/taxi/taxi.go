@@ -249,9 +249,9 @@ func (s *camSource) Frame(i int64) video.Frame {
 }
 
 // ActiveIntervals implements video.SparseSource.
-func (s *camSource) ActiveIntervals(iv vtime.Interval) []vtime.Interval {
+func (s *camSource) ActiveIntervals(out []vtime.Interval, iv vtime.Interval) []vtime.Interval {
 	fps := int64(s.fleet.Cfg.FPS)
-	var out []vtime.Interval
+	base := len(out)
 	d0 := int(iv.Start / fps / 86400)
 	d1 := int((iv.End - 1) / fps / 86400)
 	if d0 < 0 {
@@ -268,7 +268,7 @@ func (s *camSource) ActiveIntervals(iv vtime.Interval) []vtime.Interval {
 			}
 			// Merge with the previous interval when overlapping or
 			// adjacent (visits are sorted by start within a day).
-			if n := len(out); n > 0 && x.Start <= out[n-1].End {
+			if n := len(out); n > base && x.Start <= out[n-1].End {
 				if x.End > out[n-1].End {
 					out[n-1].End = x.End
 				}

@@ -141,10 +141,10 @@ func TestSourceFrames(t *testing.T) {
 func TestActiveIntervalsCoverVisits(t *testing.T) {
 	f := NewFleet(smallConfig())
 	src := f.Source(10).(interface {
-		ActiveIntervals(vtime.Interval) []vtime.Interval
+		ActiveIntervals([]vtime.Interval, vtime.Interval) []vtime.Interval
 	})
 	iv := vtime.NewInterval(0, 2*86400)
-	actives := src.ActiveIntervals(iv)
+	actives := src.ActiveIntervals(nil, iv)
 	// Sorted and disjoint.
 	for i := 1; i < len(actives); i++ {
 		if actives[i].Start < actives[i-1].End {

@@ -125,8 +125,8 @@ func (s *IntervalSource) Frame(i int64) Frame {
 }
 
 // SparseIntervalSource is an IntervalSource that additionally
-// implements SparseSource, letting Split.ActiveChunks skip chunks in
-// which nothing is ever visible. Use it only with executables whose
+// implements SparseSource, letting Split.AppendActiveChunks skip chunks
+// in which nothing is ever visible. Use it only with executables whose
 // output is empty on empty chunks — skipping must be invisible in
 // query results (the cache-invisibility rule applies to sparse
 // skipping too).
@@ -138,20 +138,20 @@ type SparseIntervalSource struct {
 // clipped to iv. It scans Objects, which must be Enter-sorted (Sort),
 // rather than read the snapshot index: enumerating a camera's chunks
 // must not be what builds it.
-func (s *SparseIntervalSource) ActiveIntervals(iv vtime.Interval) []vtime.Interval {
-	var out []vtime.Interval
+func (s *SparseIntervalSource) ActiveIntervals(dst []vtime.Interval, iv vtime.Interval) []vtime.Interval {
+	base := len(dst)
 	for _, o := range s.Objects {
 		span := vtime.Interval{Start: o.Enter, End: o.Exit}.Intersect(iv)
 		if span.Empty() {
 			continue
 		}
-		if n := len(out); n > 0 && span.Start <= out[n-1].End {
-			if span.End > out[n-1].End {
-				out[n-1].End = span.End
+		if n := len(dst); n > base && span.Start <= dst[n-1].End {
+			if span.End > dst[n-1].End {
+				dst[n-1].End = span.End
 			}
 			continue
 		}
-		out = append(out, span)
+		dst = append(dst, span)
 	}
-	return out
+	return dst
 }

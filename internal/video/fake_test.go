@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"privid/internal/geom"
 	"privid/internal/scene"
 	"privid/internal/vtime"
 )
@@ -146,7 +147,7 @@ func BenchmarkIntervalSource_Frame(b *testing.B) {
 func TestSparseIntervalSourceActiveIntervals(t *testing.T) {
 	const frames = 500
 	s, visible := randomFake(11, frames, 20)
-	ivs := s.ActiveIntervals(vtime.Interval{Start: 0, End: frames})
+	ivs := s.ActiveIntervals(nil, vtime.Interval{Start: 0, End: frames})
 	// Disjoint, sorted, and exactly covering the frames with objects.
 	covered := map[int64]bool{}
 	last := int64(-1)
@@ -189,5 +190,36 @@ func TestSparseIntervalSourceSkipsEmptyChunks(t *testing.T) {
 	ords := split.ActiveChunks()
 	if len(ords) != 2 || ords[0] != 0 || ords[1] != 4 {
 		t.Fatalf("active chunk ordinals = %v, want [0 4]", ords)
+	}
+}
+
+// The append forms honour the caller's buffers: ActiveIntervals appends
+// after dst's elements without merging into them, and
+// AppendActiveChunks appends after dst and reuses a dirty interval
+// buffer — matching a fresh ActiveChunks, through a mask and a crop
+// too, and allocating nothing once the buffers have grown.
+func TestAppendActiveChunksReusesBuffers(t *testing.T) {
+	s, _ := randomFake(5, 3000, 60)
+	full := vtime.Interval{Start: 0, End: 3000}
+	prior := vtime.Interval{Start: 0, End: 3000} // would absorb every span if merged into
+	if got := s.ActiveIntervals([]vtime.Interval{prior}, full); got[0] != prior || !slices.Equal(got[1:], s.ActiveIntervals(nil, full)) {
+		t.Fatalf("ActiveIntervals merged into or dropped the caller's elements: %v", got[:2])
+	}
+	for _, src := range []Source{s, Masked(s, rectOccluder{geom.Rect{X1: 50, Y1: 50}}), Cropped(s, geom.Rect{X1: 50, Y1: 50})} {
+		split := Split{Source: src, Interval: vtime.NewInterval(7, 2900), ChunkFrames: 30, StrideFrames: 5}
+		want := split.ActiveChunks()
+		ivs := []vtime.Interval{{Start: 1, End: 2}, {Start: 9, End: 4}} // stale contents
+		ords := []int64{-1}
+		var got []int64
+		allocs := testing.AllocsPerRun(20, func() {
+			got = split.AppendActiveChunks(ords[:1], &ivs)
+			ords = got
+		})
+		if got[0] != -1 || !slices.Equal(got[1:], want) || len(want) == 0 {
+			t.Fatalf("AppendActiveChunks = %v, want [-1] + %v", got, want)
+		}
+		if allocs != 0 {
+			t.Errorf("AppendActiveChunks with grown buffers allocates %v times", allocs)
+		}
 	}
 }

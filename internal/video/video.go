@@ -5,6 +5,7 @@
 package video
 
 import (
+	"slices"
 	"time"
 
 	"privid/internal/geom"
@@ -51,9 +52,13 @@ type Source interface {
 // report the full range.
 type SparseSource interface {
 	Source
-	// ActiveIntervals returns sorted, disjoint frame intervals within
-	// iv outside of which no observation is visible.
-	ActiveIntervals(iv vtime.Interval) []vtime.Interval
+	// ActiveIntervals appends to dst the sorted, disjoint frame
+	// intervals within iv outside of which no observation is visible,
+	// and returns the extended slice. It must not read dst's existing
+	// elements, and may merge only intervals it appended itself: the
+	// engine passes a reused buffer (dst[:0]), so a warm enumeration
+	// allocates nothing.
+	ActiveIntervals(dst []vtime.Interval, iv vtime.Interval) []vtime.Interval
 }
 
 // SceneSource adapts a synthetic scene to the Source interface.
@@ -148,11 +153,17 @@ func filterObjects(objs []scene.Observation, keep func(*scene.Observation) bool)
 	return out
 }
 
-func (m *maskedSource) ActiveIntervals(iv vtime.Interval) []vtime.Interval {
-	if ss, ok := m.src.(SparseSource); ok {
-		return ss.ActiveIntervals(iv)
+func (m *maskedSource) ActiveIntervals(dst []vtime.Interval, iv vtime.Interval) []vtime.Interval {
+	return activeIntervals(m.src, dst, iv)
+}
+
+// activeIntervals asks src for its active intervals within iv when it
+// is sparse, and otherwise reports all of iv.
+func activeIntervals(src Source, dst []vtime.Interval, iv vtime.Interval) []vtime.Interval {
+	if ss, ok := src.(SparseSource); ok {
+		return ss.ActiveIntervals(dst, iv)
 	}
-	return []vtime.Interval{iv}
+	return append(dst, iv)
 }
 
 // Cropped returns a source restricted to a spatial region: only
@@ -179,11 +190,8 @@ func (c *croppedSource) Frame(i int64) Frame {
 	return f
 }
 
-func (c *croppedSource) ActiveIntervals(iv vtime.Interval) []vtime.Interval {
-	if ss, ok := c.src.(SparseSource); ok {
-		return ss.ActiveIntervals(iv)
-	}
-	return []vtime.Interval{iv}
+func (c *croppedSource) ActiveIntervals(dst []vtime.Interval, iv vtime.Interval) []vtime.Interval {
+	return activeIntervals(c.src, dst, iv)
 }
 
 // Chunk is one temporal chunk handed to an instance of the analyst's
@@ -273,20 +281,33 @@ func (s Split) ChunkAt(i int64) *Chunk {
 // ActiveChunks returns the ordinals of chunks that can contain
 // observations. When the source is sparse it skips empty chunks;
 // otherwise it returns every ordinal.
-func (s Split) ActiveChunks() []int64 {
+func (s Split) ActiveChunks() []int64 { return s.AppendActiveChunks(nil, nil) }
+
+// AppendActiveChunks appends ActiveChunks' ordinals to dst and returns
+// the extended slice. A sparse source lists its active intervals into
+// *ivs (reset first; the grown buffer is left there for the next call),
+// or into a buffer of its own when ivs is nil.
+func (s Split) AppendActiveChunks(dst []int64, ivs *[]vtime.Interval) []int64 {
 	n := s.NumChunks()
 	ss, ok := s.Source.(SparseSource)
 	if !ok {
-		out := make([]int64, n)
-		for i := range out {
-			out[i] = int64(i)
+		dst = slices.Grow(dst, int(n))
+		for i := int64(0); i < n; i++ {
+			dst = append(dst, i)
 		}
-		return out
+		return dst
+	}
+	var buf []vtime.Interval
+	if ivs != nil {
+		buf = (*ivs)[:0]
+	}
+	buf = ss.ActiveIntervals(buf, s.Interval)
+	if ivs != nil {
+		*ivs = buf
 	}
 	p := s.period()
-	var out []int64
 	last := int64(-1)
-	for _, iv := range ss.ActiveIntervals(s.Interval) {
+	for _, iv := range buf {
 		iv = iv.Intersect(s.Interval)
 		if iv.Empty() {
 			continue
@@ -305,12 +326,10 @@ func (s Split) ActiveChunks() []int64 {
 		if hi >= n {
 			hi = n - 1
 		}
-		for i := lo; i <= hi; i++ {
-			if i > last {
-				out = append(out, i)
-				last = i
-			}
+		for i := max(lo, last+1); i <= hi; i++ {
+			dst = append(dst, i)
+			last = i
 		}
 	}
-	return out
+	return dst
 }

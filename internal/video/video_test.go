@@ -287,8 +287,7 @@ type sparseSrc struct {
 	active []vtime.Interval
 }
 
-func (s *sparseSrc) ActiveIntervals(iv vtime.Interval) []vtime.Interval {
-	var out []vtime.Interval
+func (s *sparseSrc) ActiveIntervals(out []vtime.Interval, iv vtime.Interval) []vtime.Interval {
 	for _, a := range s.active {
 		if x := a.Intersect(iv); !x.Empty() {
 			out = append(out, x)

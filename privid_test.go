@@ -1,11 +1,13 @@
 package privid_test
 
 import (
+	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"privid"
+	"privid/internal/query"
 )
 
 // TestFacadeEndToEnd exercises the public API exactly as the README
@@ -105,4 +107,36 @@ func TestFacadeOwnerTooling(t *testing.T) {
 	if _, ok := schemes["directions"]; !ok {
 		t.Errorf("highway schemes missing directions: %v", schemes)
 	}
+}
+
+// TestDocProgramsParse keeps the documented queries honest: every fenced
+// block of README.md and docs/QUERY_LANGUAGE.md that holds a complete
+// program — first token SPLIT, last character ';' — parses. A block
+// that does not is a doc bug: fix the doc.
+func TestDocProgramsParse(t *testing.T) {
+	programs := 0
+	for _, path := range []string{"README.md", "docs/QUERY_LANGUAGE.md"} {
+		doc, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Odd-numbered pieces are the fenced blocks' bodies (the rest of
+		// each fence line is its info string).
+		blocks := strings.Split(string(doc), "\n```")
+		for i := 1; i < len(blocks); i += 2 {
+			_, body, _ := strings.Cut(blocks[i], "\n")
+			body = strings.TrimSpace(body)
+			if f := strings.Fields(body); len(f) == 0 || f[0] != "SPLIT" || !strings.HasSuffix(body, ";") {
+				continue
+			}
+			programs++
+			if _, err := query.Parse(body); err != nil {
+				t.Errorf("%s, fenced block %d: %v\n%s", path, i/2+1, err, body)
+			}
+		}
+	}
+	if programs == 0 {
+		t.Fatal("found no documented programs")
+	}
+	t.Logf("%d documented programs parse", programs)
 }
