@@ -4,9 +4,12 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
+	"privid/internal/query"
+	"privid/internal/rel"
 	"privid/internal/table"
 	"privid/internal/vtime"
 )
@@ -47,11 +50,11 @@ func chunkIdentity(camera, maskID, schemeName, region, using string,
 // Cache keys are compact and exact: a kind tag, the SHA-256 of the
 // rendered identity, and the chunk's fixed-width frame interval. The
 // digest is computed once per shard × region split (× plan for states)
-// when the cache is on; per chunk the worker fills 49 bytes on its own
-// stack, which the cache hashes and compares (a warm chunk makes no key
-// string; a stored entry makes one). The tag keeps the two kinds the
-// chunk cache stores in disjoint namespaces by construction: a table
-// key can never equal a state key.
+// when a statement is planned (planFor); per chunk the worker fills 49
+// bytes on its own stack, which the cache hashes and compares (a warm
+// chunk makes no key string; a stored entry makes one). The tag keeps
+// the two kinds the chunk cache stores in disjoint namespaces by
+// construction: a table key can never equal a state key.
 const (
 	tableKeyKind = 'T' // digest of chunkIdentity
 	stateKeyKind = 'S' // digest of rel.PartialPlan.ID + chunkIdentity
@@ -66,12 +69,8 @@ const (
 // content would feed the same fold — same executable/contract (the
 // identity) and same canonical aggregation chain (the plan ID).
 func keyPrefix(kind byte, planID, identity string) string {
-	h := sha256.New()
-	h.Write([]byte(planID))
-	h.Write([]byte(identity))
-	b := make([]byte, 1, keyPrefixLen)
-	b[0] = kind
-	return string(h.Sum(b))
+	sum := sha256.Sum256([]byte(planID + identity))
+	return string(append([]byte{kind}, sum[:]...))
 }
 
 // chunkKey completes a key prefix with one chunk's absolute frame
@@ -83,18 +82,52 @@ func chunkKey(prefix string, iv vtime.Interval) (k [chunkKeyLen]byte) {
 	return k
 }
 
-// keyPrefixes derives the table-key prefix and one state-key prefix per
-// pushdown plan for one region split of the shard, or nothing when the
-// chunk cache is off.
-func (e *Engine) keyPrefixes(sh *splitShard, region string, run *processRun) (tbl string, states []string) {
-	if e.chunkCache == nil {
-		return "", nil
-	}
-	identity := chunkIdentity(sh.cam.cfg.Name, sh.maskID, sh.schemeName, region,
-		run.st.Using, run.st.Timeout, run.st.MaxRows, run.exec.Schema, sh.chunkF, sh.strideF)
-	states = make([]string, len(run.plans))
-	for p, pp := range run.plans {
-		states[p] = keyPrefix(stateKeyKind, pp.ID(), identity)
-	}
-	return keyPrefix(tableKeyKind, "", identity), states
+// planMemo is a PROCESS statement's pushdown plans (nil when
+// materialised) and its key prefixes per shard and region split (table,
+// then one per plan), beside the inputs they were derived from.
+type planMemo struct {
+	full  table.Schema
+	cands []*query.SelectStmt
+	metas []rel.TableMeta
+	views [][2]string // per shard: mask id, scheme name
+	plans []*rel.PartialPlan
+	keys  [][][]string
+}
+
+// planFor sets run's plans and key prefixes, memoised by statement
+// (a resubmitted text shares its program via the parse cache; a standing
+// query re-runs one). A hit must match every other planner input —
+// candidates, stamped schema, each shard's metadata, mask and scheme —
+// else, say when a source's bounds grew, it re-plans in place.
+func (e *Engine) planFor(run *processRun, plan *splitPlan, cands []*query.SelectStmt, metas []rel.TableMeta) {
+	sameView := func(v [2]string, sh *splitShard) bool { return v == [2]string{sh.maskID, sh.schemeName} }
+	m, _ := e.memo.Load(run.st, func(m *planMemo) bool {
+		return slices.Equal(m.cands, cands) && slices.Equal(m.full.Cols, run.full.Cols) &&
+			slices.EqualFunc(m.metas, metas, rel.TableMeta.Equal) && slices.EqualFunc(m.views, plan.shards, sameView)
+	}, func() (*planMemo, int, error) {
+		m := &planMemo{full: run.full, cands: cands, metas: metas}
+		for _, sel := range cands {
+			pp := rel.PlanPartial(sel, run.st.Into, run.full, metas)
+			if pp == nil {
+				m.plans = nil
+				break
+			}
+			m.plans = append(m.plans, pp)
+		}
+		for _, sh := range plan.shards {
+			m.views = append(m.views, [2]string{sh.maskID, sh.schemeName})
+			keys := make([][]string, len(sh.splits)) // splits follow the scheme's region order
+			for s, split := range sh.splits {
+				identity := chunkIdentity(sh.cam.cfg.Name, sh.maskID, sh.schemeName, split.Region,
+					run.st.Using, run.st.Timeout, run.st.MaxRows, run.exec.Schema, sh.chunkF, sh.strideF)
+				keys[s] = append(make([]string, 0, 1+len(m.plans)), keyPrefix(tableKeyKind, "", identity))
+				for _, pp := range m.plans {
+					keys[s] = append(keys[s], keyPrefix(stateKeyKind, pp.ID(), identity))
+				}
+			}
+			m.keys = append(m.keys, keys)
+		}
+		return m, len(metas), nil
+	})
+	run.planMemo = m
 }

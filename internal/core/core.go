@@ -22,6 +22,7 @@ import (
 	"privid/internal/mask"
 	"privid/internal/obs"
 	"privid/internal/policy"
+	"privid/internal/query"
 	"privid/internal/region"
 	"privid/internal/sandbox"
 	"privid/internal/store"
@@ -193,6 +194,10 @@ type Engine struct {
 	// workers bump them concurrently). See PartialAggStats.
 	ppPlans, ppDeclined, ppFolds, ppMerges, ppCachedChunks atomic.Uint64
 
+	// memo holds planFor's outcomes: as many statements as the parse
+	// cache holds programs, and at most 65,536 shards' metas and keys.
+	memo cache.Memo[*query.ProcessStmt, *planMemo]
+
 	mu      sync.Mutex
 	cameras map[string]*camera
 	noise   *dp.Noise
@@ -302,6 +307,7 @@ func Open(opts Options) (*Engine, error) {
 		met:        newEngineMetrics(reg),
 		cameras:    map[string]*camera{},
 		noise:      dp.NewNoise(opts.Seed),
+		memo:       cache.Memo[*query.ProcessStmt, *planMemo]{MaxEntries: 1024, MaxSize: 1 << 16},
 	}
 	if wal != nil {
 		// Restore the owner's audit log so accountability spans

@@ -417,13 +417,14 @@ func (e *Engine) resolveShard(st *query.SplitStmt, camName string) (*splitShard,
 			sch = g.Scheme()
 			sh.regionsPerEvent = g.RegionsPerChunk(chunkF, info.FPS)
 		}
-		for name, rsrc := range sch.Sources(src) {
+		// In scheme order: row and merge order must not vary by run.
+		for i, rsrc := range sch.Sources(src) {
 			sh.splits = append(sh.splits, video.Split{
 				Source:       rsrc,
 				Interval:     iv,
 				ChunkFrames:  chunkF,
 				StrideFrames: strideF,
-				Region:       name,
+				Region:       sch.Regions[i].Name,
 			})
 		}
 		sh.regions = len(sch.Regions)
@@ -530,18 +531,13 @@ func (e *Engine) runProcess(st *query.ProcessStmt, plan *splitPlan, cands []*que
 	// Pushdown decision: every candidate SELECT must plan as a mergeable
 	// aggregation, else the whole table falls back to materialization
 	// (a single table cannot be both streamed and materialized).
-	for _, sel := range cands {
-		pp := rel.PlanPartial(sel, st.Into, run.full, metas)
-		if pp == nil {
-			run.plans = nil
-			e.ppDeclined.Add(1)
-			break
-		}
-		run.plans = append(run.plans, pp)
-	}
-	if run.plans != nil {
+	e.planFor(run, plan, cands, metas)
+	switch {
+	case run.plans != nil:
 		e.ppPlans.Add(uint64(len(run.plans)))
 		sp.Set("pushdown_plans", len(run.plans))
+	case len(cands) > 0:
+		e.ppDeclined.Add(1)
 	}
 
 	// The one shard fan-out: every shard runs concurrently (a single
@@ -550,7 +546,7 @@ func (e *Engine) runProcess(st *query.ProcessStmt, plan *splitPlan, cands []*que
 	// shards' completions interleave.
 	outs := make([]shardOutput, len(plan.shards))
 	forEachChunk(len(outs), len(outs), func(i int) {
-		outs[i] = e.runShard(plan.shards[i], run, sp)
+		outs[i] = e.runShard(i, plan.shards[i], run, sp)
 	})
 	for _, out := range outs {
 		if out.err != nil {
@@ -602,14 +598,15 @@ func (e *Engine) runProcess(st *query.ProcessStmt, plan *splitPlan, cands []*que
 // statement, its sandbox contract (with the declared schema), the
 // stamped full schema, the per-shard bound on concurrent chunks, and —
 // when the table is answered by pushdown — the mergeable plan per
-// candidate SELECT. plans is nil on the materialized path.
+// candidate SELECT, and the key prefixes (planMemo). plans is nil on
+// the materialized path.
 type processRun struct {
 	st               *query.ProcessStmt
 	exec             sandbox.Executor
 	full             table.Schema
 	hasRegion, multi bool
 	par              int
-	plans            []*rel.PartialPlan
+	*planMemo
 }
 
 // shardOutput is one shard's result: per region split its scratch, whose
@@ -835,7 +832,7 @@ func (e *Engine) execChunk(chunk *video.Chunk, exec sandbox.Executor, tl *shardT
 // a state the worker accepted or encoded failing to merge, which
 // immutable payloads make unreachable; both are propagated rather than
 // swallowed so a bug turns into a query error, never a wrong release.
-func (e *Engine) runShard(sh *splitShard, run *processRun, psp *obs.Span) (out shardOutput) {
+func (e *Engine) runShard(shard int, sh *splitShard, run *processRun, psp *obs.Span) (out shardOutput) {
 	camName := sh.cam.cfg.Name
 	camVal := table.S(camName)
 	tl := &shardTallies{}
@@ -863,7 +860,7 @@ func (e *Engine) runShard(sh *splitShard, run *processRun, psp *obs.Span) (out s
 		blocks, states := slices.Grow(sc.blocks, n)[:n], slices.Grow(sc.states, n*np)[:n*np]
 		sc.blocks, sc.states, chunks = blocks, states, chunks+n
 		var foldErr atomic.Pointer[error]
-		tablePrefix, statePrefixes := e.keyPrefixes(sh, split.Region, run)
+		prefixes := run.keys[shard][s]
 		clock := split.Source.Info().Clock()
 		forEachChunk(len(ords), run.par, func(i int) {
 			iv := split.IntervalAt(ords[i])
@@ -874,7 +871,7 @@ func (e *Engine) runShard(sh *splitShard, run *processRun, psp *obs.Span) (out s
 				// incompatible entry ends the lookups; the fold overwrites it.
 				warm := np > 0
 				for p := 0; warm && p < np; p++ {
-					k := chunkKey(statePrefixes[p], iv)
+					k := chunkKey(prefixes[1+p], iv)
 					states[i*np+p], warm = e.chunkCache.GetState(k[:])
 					warm = warm && run.plans[p].CompatibleEncoded(states[i*np+p])
 				}
@@ -882,7 +879,7 @@ func (e *Engine) runShard(sh *splitShard, run *processRun, psp *obs.Span) (out s
 					tl.stateChunks.Add(1)
 					return
 				}
-				k := chunkKey(tablePrefix, iv)
+				k := chunkKey(prefixes[0], iv)
 				tableKey = k[:]
 			}
 			blk, clean := e.fetchChunkBlock(tableKey, split, ords[i], run.exec, tl)
@@ -907,7 +904,7 @@ func (e *Engine) runShard(sh *splitShard, run *processRun, psp *obs.Span) (out s
 				if clean && e.chunkCache != nil {
 					// Memoize only clean executions' states, mirroring
 					// the table tier's fallback-row rule.
-					k := chunkKey(statePrefixes[p], iv)
+					k := chunkKey(prefixes[1+p], iv)
 					e.chunkCache.PutState(k[:], states[i*np+p])
 				}
 			}

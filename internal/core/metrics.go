@@ -212,6 +212,11 @@ var collectors = []collector{
 	{name: "privid_partial_agg_state_puts_total", help: "Partial-state cache stores.", typ: obs.TypeCounter,
 		group: "partial_agg", key: "state_puts", read: func(e *Engine) float64 { return float64(e.PartialStats().StatePuts) }},
 
+	{name: "privid_plan_memo_hits_total", help: "PROCESS executions whose pushdown decision and cache-key prefixes came from the planner memo.", typ: obs.TypeCounter,
+		group: "plan_memo", key: "hits", read: func(e *Engine) float64 { return float64(e.memo.Hits.Load()) }},
+	{name: "privid_plan_memo_misses_total", help: "PROCESS executions planned afresh (a statement not in the memo, or one whose planner inputs changed).", typ: obs.TypeCounter,
+		group: "plan_memo", key: "misses", read: func(e *Engine) float64 { return float64(e.memo.Misses.Load()) }},
+
 	{name: "privid_chunk_singleflight_leaders_total", help: "Chunk executions performed under singleflight leadership (initial leaders plus promoted followers).", typ: obs.TypeCounter,
 		group: "singleflight", key: "leaders", when: hasCache, read: func(e *Engine) float64 { return float64(e.FlightStats().Leaders) }},
 	{name: "privid_chunk_singleflight_followers_total", help: "Chunk executions avoided by sharing a concurrent leader's result.", typ: obs.TypeCounter,
@@ -255,13 +260,12 @@ var collectors = []collector{
 		when: hasWAL, read: func(e *Engine) float64 { return float64(e.wal.Info().Snapshots) }},
 }
 
-// StatsGroups renders the chunk_cache, singleflight and partial_agg
-// groups of /v1/stats from the collectors table, so a wire field and
-// its family read one value. It walks the table, not the registry, so
-// it works with DisableMetrics, and it ignores when, so every group has
-// every key whatever the shape (an absent tier reads zero). hit_rate is
-// the one field without a family: hits/(hits+misses), 0 before any
-// lookup.
+// StatsGroups renders the counter groups of /v1/stats from the
+// collectors table, so a wire field and its family read one value. It
+// walks the table, not the registry, so it works with DisableMetrics,
+// and it ignores when, so every group has every key whatever the shape
+// (an absent tier reads zero). hit_rate is the one field without a
+// family: hits/(hits+misses), 0 before any lookup.
 func (e *Engine) StatsGroups() map[string]map[string]float64 {
 	out := map[string]map[string]float64{}
 	for _, c := range collectors {

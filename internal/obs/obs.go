@@ -150,10 +150,10 @@ type Histogram struct {
 	count  atomic.Uint64
 }
 
-// NewHistogram returns a histogram over the given upper bounds (sorted
+// newHistogram returns a histogram over the given upper bounds (sorted
 // copies are taken; an explicit trailing +Inf is dropped). Used
 // directly only in tests; production instruments come from a Registry.
-func NewHistogram(bounds []float64) *Histogram {
+func newHistogram(bounds []float64) *Histogram {
 	bs := append([]float64(nil), bounds...)
 	sort.Float64s(bs)
 	for len(bs) > 0 && math.IsInf(bs[len(bs)-1], 1) {
@@ -243,7 +243,7 @@ func (v *HistogramVec) With(labelVals ...string) *Histogram {
 	if v == nil {
 		return nil
 	}
-	h := v.fam.child(labelVals, func() any { return NewHistogram(v.fam.buckets) })
+	h := v.fam.child(labelVals, func() any { return newHistogram(v.fam.buckets) })
 	return h.(*Histogram)
 }
 
@@ -376,7 +376,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 		buckets = DurationBuckets
 	}
 	f := r.register(name, help, TypeHistogram, nil, buckets)
-	return f.child(nil, func() any { return NewHistogram(f.buckets) }).(*Histogram)
+	return f.child(nil, func() any { return newHistogram(f.buckets) }).(*Histogram)
 }
 
 // HistogramVec registers (or finds) a labelled histogram family with

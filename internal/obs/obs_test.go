@@ -12,7 +12,7 @@ import (
 // le-inclusive), a value just above it lands in the next, and values
 // above every bound land in +Inf.
 func TestHistogramBucketBoundaries(t *testing.T) {
-	h := NewHistogram([]float64{1, 2.5, 10})
+	h := newHistogram([]float64{1, 2.5, 10})
 	for _, v := range []float64{0, 1, 1.0000001, 2.5, 9.999, 10, 10.001, 1e9} {
 		h.Observe(v)
 	}
@@ -43,7 +43,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 // TestHistogramUnsortedAndInfBounds ensures constructor normalization:
 // bounds are sorted and a trailing +Inf is dropped (it is implicit).
 func TestHistogramUnsortedAndInfBounds(t *testing.T) {
-	h := NewHistogram([]float64{10, math.Inf(1), 1})
+	h := newHistogram([]float64{10, math.Inf(1), 1})
 	h.Observe(5)
 	got := h.BucketCounts()
 	if len(got) != 3 { // le=1, le=10, +Inf

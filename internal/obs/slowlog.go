@@ -50,14 +50,6 @@ func NewSlowLog(w io.Writer, threshold time.Duration) *SlowLog {
 	return &SlowLog{w: w, threshold: threshold}
 }
 
-// Threshold returns the configured threshold (0 on nil).
-func (l *SlowLog) Threshold() time.Duration {
-	if l == nil {
-		return 0
-	}
-	return l.threshold
-}
-
 // Entries returns how many entries have been written (0 on nil).
 func (l *SlowLog) Entries() uint64 {
 	if l == nil {

@@ -65,12 +65,13 @@ func (s Scheme) Validate() error {
 	return nil
 }
 
-// Sources returns one cropped view of src per region, keyed by region
-// name.
-func (s Scheme) Sources(src video.Source) map[string]video.Source {
-	out := make(map[string]video.Source, len(s.Regions))
-	for _, r := range s.Regions {
-		out[r.Name] = video.Cropped(src, r.Rect)
+// Sources returns one cropped view of src per region, in scheme order
+// (index-aligned with Regions), so whatever is built from them comes
+// out in the same order on every run.
+func (s Scheme) Sources(src video.Source) []video.Source {
+	out := make([]video.Source, len(s.Regions))
+	for i, r := range s.Regions {
+		out[i] = video.Cropped(src, r.Rect)
 	}
 	return out
 }

@@ -113,10 +113,10 @@ func TestSchemeSources(t *testing.T) {
 	if len(srcs) != 2 {
 		t.Fatalf("%d sources", len(srcs))
 	}
-	if got := len(srcs["top"].Frame(500).Objects); got != 2 {
+	if got := len(srcs[0].Frame(500).Objects); got != 2 {
 		t.Errorf("top objects=%d, want 2", got)
 	}
-	if got := len(srcs["bottom"].Frame(500).Objects); got != 3 {
+	if got := len(srcs[1].Frame(500).Objects); got != 3 {
 		t.Errorf("bottom objects=%d, want 3", got)
 	}
 }

@@ -42,6 +42,14 @@ type TableMeta struct {
 	RegionsPerEvent int
 }
 
+// Equal reports whether m and o are the same metadata, with the
+// window's times compared by time.Time.Equal.
+func (m TableMeta) Equal(o TableMeta) bool {
+	same := m.Begin.Equal(o.Begin) && m.End.Equal(o.End)
+	m.Begin, m.End = o.Begin, o.End
+	return same && m == o
+}
+
 // Delta returns ΔP(t) for this table per Eq. 6.2:
 // max_rows · K · max_chunks(ρ), with max_chunks generalized to the
 // split's stride and multiplied by the per-event region count under

@@ -1,13 +1,16 @@
 package server
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"privid/internal/core"
+	"privid/internal/obs"
 	"privid/internal/table"
 )
 
@@ -56,138 +59,152 @@ func NewAPI(engine *core.Engine, sched *Scheduler) *API {
 // ServeHTTP implements http.Handler.
 func (a *API) ServeHTTP(w http.ResponseWriter, r *http.Request) { a.mux.ServeHTTP(w, r) }
 
+// jsonContentType is every JSON response's Content-Type, shared so
+// setting it allocates nothing.
+var jsonContentType = []string{"application/json"}
+
+// writeJSON writes v as compact JSON.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// valueJSON is the wire form of a table.Value.
-type valueJSON struct {
-	Type string  `json:"type"`
-	Str  string  `json:"str"`
-	Num  float64 `json:"num,omitempty"`
+// jsonBuf appends the job and result bodies with the obs.AppendJSON*
+// appenders, keeping the first error. The bytes are exactly what
+// encoding/json's Encoder writes for the wire structs the tests keep as
+// the reference, field order, omitempty and omitzero included.
+type jsonBuf struct {
+	b   []byte
+	err error
 }
 
-func toValueJSON(v table.Value) *valueJSON {
-	return &valueJSON{Type: v.Type().String(), Str: v.Str(), Num: v.Num()}
-}
+// maxPooledBody caps the buffers bodyPool keeps, so one long job
+// listing does not stay pinned.
+const maxPooledBody = 64 << 10
 
-// releaseJSON is the wire form of one noised data release.
-type releaseJSON struct {
-	Desc        string     `json:"desc"`
-	Key         *valueJSON `json:"key,omitempty"`
-	Value       float64    `json:"value"`
-	ArgmaxKey   *valueJSON `json:"argmax_key,omitempty"`
-	IsArgmax    bool       `json:"is_argmax,omitempty"`
-	Epsilon     float64    `json:"epsilon"`
-	Sensitivity float64    `json:"sensitivity"`
-	NoiseScale  float64    `json:"noise_scale"`
-	// Raw is the pre-noise value, present only when the engine runs
-	// in Evaluation mode (accuracy studies and the sim harness's
-	// ground-truth invariant); never populated in a real deployment.
-	Raw    float64 `json:"raw,omitempty"`
-	RawSet bool    `json:"raw_set,omitempty"`
-	// Begin/End are the release's wall-clock span (the query window
-	// for whole-table aggregates, the bucket span for time-bucketed
-	// GROUP BY); each touched camera was charged over its queried
-	// span clipped to it.
-	Begin time.Time `json:"begin,omitzero"`
-	End   time.Time `json:"end,omitzero"`
-}
+var bodyPool = sync.Pool{New: func() any { return new(jsonBuf) }}
 
-// cameraBudgetJSON is the wire form of one camera's share of a query's
-// privacy cost.
-type cameraBudgetJSON struct {
-	Camera string `json:"camera"`
-	// EpsilonSpent is what this query charged the camera's ledger.
-	EpsilonSpent float64 `json:"epsilon_spent"`
-	// Remaining is the minimum budget left on any charged frame, after
-	// the charge.
-	Remaining float64 `json:"remaining"`
-}
-
-// resultJSON is the wire form of a finished query's outcome.
-type resultJSON struct {
-	Releases     []releaseJSON `json:"releases"`
-	EpsilonSpent float64       `json:"epsilon_spent"`
-	// Cameras reports per-camera budget impact for cross-camera
-	// queries (also present, with one entry, for single-camera ones).
-	Cameras []cameraBudgetJSON `json:"cameras,omitempty"`
-}
-
-func toResultJSON(res *core.Result) *resultJSON {
-	out := &resultJSON{EpsilonSpent: res.EpsilonSpent, Releases: []releaseJSON{}}
-	for _, cb := range res.Cameras {
-		out.Cameras = append(out.Cameras, cameraBudgetJSON{
-			Camera:       cb.Camera,
-			EpsilonSpent: cb.EpsilonSpent,
-			Remaining:    cb.Remaining,
-		})
+// writeBody writes the body fill appends into a pooled buffer. An
+// unencodable value (NaN, ±Inf, a time RFC 3339 cannot hold) leaves the
+// body empty after the status line, as the Encoder does.
+func writeBody(w http.ResponseWriter, status int, fill func(j *jsonBuf)) {
+	j := bodyPool.Get().(*jsonBuf)
+	j.b, j.err = j.b[:0], nil
+	fill(j)
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(status)
+	if j.err == nil {
+		j.b = append(j.b, '\n')
+		_, _ = w.Write(j.b)
 	}
-	for _, r := range res.Releases {
-		rj := releaseJSON{
-			Desc:        r.Desc,
-			Value:       r.Value,
-			IsArgmax:    r.IsArgmax,
-			Epsilon:     r.Epsilon,
-			Sensitivity: r.Sensitivity,
-			NoiseScale:  r.NoiseScale,
-			Raw:         r.Raw,
-			RawSet:      r.RawSet,
-			Begin:       r.Begin,
-			End:         r.End,
+	if cap(j.b) <= maxPooledBody {
+		bodyPool.Put(j)
+	}
+}
+
+func (j *jsonBuf) str(key, s string) { j.b = obs.AppendJSONString(append(j.b, key...), s) }
+
+func (j *jsonBuf) num(key string, f float64) {
+	var err error
+	j.b, err = obs.AppendJSONFloat(append(j.b, key...), f)
+	j.err = cmp.Or(j.err, err)
+}
+
+func (j *jsonBuf) time(key string, t time.Time) {
+	var err error
+	j.b, err = obs.AppendJSONTime(append(j.b, key...), t)
+	j.err = cmp.Or(j.err, err)
+}
+
+// value appends a table.Value as {type, str, num}.
+func (j *jsonBuf) value(key string, v table.Value) {
+	j.b = append(j.b, key...)
+	j.str(`{"type":`, v.Type().String())
+	j.str(`,"str":`, v.Str())
+	if n := v.Num(); n != 0 {
+		j.num(`,"num":`, n)
+	}
+	j.b = append(j.b, '}')
+}
+
+// result appends a finished query's outcome: every noised release, the
+// ε spent and each camera's share of it. Raw and RawSet are set only in
+// Evaluation mode, never in a real deployment.
+func (j *jsonBuf) result(res *core.Result) {
+	j.b = append(j.b, `{"releases":[`...)
+	for i, r := range res.Releases {
+		if i > 0 {
+			j.b = append(j.b, ',')
 		}
+		j.str(`{"desc":`, r.Desc)
 		if r.HasKey {
-			rj.Key = toValueJSON(r.Key)
+			j.value(`,"key":`, r.Key)
 		}
+		j.num(`,"value":`, r.Value)
 		if r.IsArgmax {
-			rj.ArgmaxKey = toValueJSON(r.ArgmaxKey)
+			j.value(`,"argmax_key":`, r.ArgmaxKey)
+			j.b = append(j.b, `,"is_argmax":true`...)
 		}
-		out.Releases = append(out.Releases, rj)
+		j.num(`,"epsilon":`, r.Epsilon)
+		j.num(`,"sensitivity":`, r.Sensitivity)
+		j.num(`,"noise_scale":`, r.NoiseScale)
+		if r.Raw != 0 {
+			j.num(`,"raw":`, r.Raw)
+		}
+		if r.RawSet {
+			j.b = append(j.b, `,"raw_set":true`...)
+		}
+		if !r.Begin.IsZero() {
+			j.time(`,"begin":`, r.Begin)
+		}
+		if !r.End.IsZero() {
+			j.time(`,"end":`, r.End)
+		}
+		j.b = append(j.b, '}')
 	}
-	return out
+	j.num(`],"epsilon_spent":`, res.EpsilonSpent)
+	if len(res.Cameras) > 0 {
+		j.b = append(j.b, `,"cameras":[`...)
+		for i, cb := range res.Cameras {
+			if i > 0 {
+				j.b = append(j.b, ',')
+			}
+			j.str(`{"camera":`, cb.Camera)
+			j.num(`,"epsilon_spent":`, cb.EpsilonSpent)
+			j.num(`,"remaining":`, cb.Remaining)
+			j.b = append(j.b, '}')
+		}
+		j.b = append(j.b, ']')
+	}
+	j.b = append(j.b, '}')
 }
 
-// jobJSON is the wire form of a job snapshot. Result is present only
-// once the job is done.
-type jobJSON struct {
-	ID          string      `json:"id"`
-	Analyst     string      `json:"analyst"`
-	State       JobState    `json:"state"`
-	Error       string      `json:"error,omitempty"`
-	SubmittedAt time.Time   `json:"submitted_at"`
-	StartedAt   *time.Time  `json:"started_at,omitempty"`
-	FinishedAt  *time.Time  `json:"finished_at,omitempty"`
-	Result      *resultJSON `json:"result,omitempty"`
-}
-
-func toJobJSON(info JobInfo, withResult bool) jobJSON {
-	j := jobJSON{
-		ID:          info.ID,
-		Analyst:     info.Analyst,
-		State:       info.State,
-		Error:       info.Error,
-		SubmittedAt: info.SubmittedAt,
+// job appends a job snapshot; the result only once the job is done and
+// when withResult asks for it.
+func (j *jsonBuf) job(info JobInfo, withResult bool) {
+	j.str(`{"id":`, info.ID)
+	j.str(`,"analyst":`, info.Analyst)
+	j.str(`,"state":`, string(info.State))
+	if info.Error != "" {
+		j.str(`,"error":`, info.Error)
 	}
+	j.time(`,"submitted_at":`, info.SubmittedAt)
 	if !info.StartedAt.IsZero() {
-		t := info.StartedAt
-		j.StartedAt = &t
+		j.time(`,"started_at":`, info.StartedAt)
 	}
 	if !info.FinishedAt.IsZero() {
-		t := info.FinishedAt
-		j.FinishedAt = &t
+		j.time(`,"finished_at":`, info.FinishedAt)
 	}
 	if withResult && info.Result != nil {
-		j.Result = toResultJSON(info.Result)
+		j.b = append(j.b, `,"result":`...)
+		j.result(info.Result)
 	}
-	return j
+	j.b = append(j.b, '}')
 }
 
 func (a *API) health(w http.ResponseWriter, _ *http.Request) {
@@ -223,16 +240,21 @@ func (a *API) submit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	info, _ := a.sched.Job(id)
-	writeJSON(w, http.StatusAccepted, toJobJSON(info, false))
+	writeBody(w, http.StatusAccepted, func(j *jsonBuf) { j.job(info, false) })
 }
 
 func (a *API) listJobs(w http.ResponseWriter, r *http.Request) {
 	infos := a.sched.Jobs(r.URL.Query().Get("analyst"))
-	out := make([]jobJSON, len(infos))
-	for i, info := range infos {
-		out[i] = toJobJSON(info, false)
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeBody(w, http.StatusOK, func(j *jsonBuf) {
+		j.b = append(j.b, '[')
+		for i, info := range infos {
+			if i > 0 {
+				j.b = append(j.b, ',')
+			}
+			j.job(info, false)
+		}
+		j.b = append(j.b, ']')
+	})
 }
 
 var errUnknownJob = errors.New("server: unknown job id")
@@ -243,7 +265,7 @@ func (a *API) getJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errUnknownJob)
 		return
 	}
-	writeJSON(w, http.StatusOK, toJobJSON(info, true))
+	writeBody(w, http.StatusOK, func(j *jsonBuf) { j.job(info, true) })
 }
 
 func (a *API) getResult(w http.ResponseWriter, r *http.Request) {
@@ -260,7 +282,7 @@ func (a *API) getResult(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusInternalServerError, errors.New("server: result unavailable"))
 			return
 		}
-		writeJSON(w, http.StatusOK, toResultJSON(info.Result))
+		writeBody(w, http.StatusOK, func(j *jsonBuf) { j.result(info.Result) })
 	case JobFailed:
 		writeJSON(w, http.StatusUnprocessableEntity, map[string]string{
 			"state": string(JobFailed), "error": info.Error,
@@ -291,7 +313,7 @@ func (a *API) getTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errors.New("server: no trace recorded for job"))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(info.Trace)
 }

@@ -68,6 +68,10 @@ var schedCollectors = []struct {
 		func(st Stats) int64 { return st.Recovered }},
 	{"privid_slow_queries_total", "Slow-query log entries written.", obs.TypeCounter,
 		func(st Stats) int64 { return st.SlowQueries }},
+	{"privid_parse_cache_hits_total", "Submissions whose parsed program came from the parse cache.", obs.TypeCounter,
+		func(st Stats) int64 { return st.ParseCacheHits }},
+	{"privid_parse_cache_misses_total", "Submissions parsed afresh (a text not in the parse cache, or one that failed to parse).", obs.TypeCounter,
+		func(st Stats) int64 { return st.ParseCacheMisses }},
 }
 
 // registerCollectors installs schedCollectors. Called once from

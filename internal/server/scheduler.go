@@ -23,6 +23,7 @@ package server
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -33,6 +34,7 @@ import (
 	"sync"
 	"time"
 
+	"privid/internal/cache"
 	"privid/internal/core"
 	"privid/internal/obs"
 	"privid/internal/query"
@@ -143,8 +145,26 @@ type job struct {
 // queryHash derives the WAL tag for a query source.
 func queryHash(src string) string {
 	sum := sha256.Sum256([]byte(src))
-	return fmt.Sprintf("%x", sum[:8])
+	return hex.EncodeToString(sum[:8])
 }
+
+// prepared is a parsed program and its WAL tag, shared read-only by
+// every job submitted with the same source text (the engine never
+// writes a program it executes).
+type prepared struct {
+	prog  *query.Program
+	qhash string
+}
+
+// Parse-cache bounds. Analysts resubmit a small working set — a
+// dashboard's panels, the standing queries of the paper's Appendix D —
+// that a thousand programs hold with room to spare, and 1 MiB of source
+// (one submission's cap) keeps what the cache pins, ASTs included, to a
+// few MiB however long the texts are.
+const (
+	maxPrepared      = 1024
+	maxPreparedBytes = 1 << 20
+)
 
 // Scheduler runs analyst queries asynchronously on a worker pool over
 // one engine. It is safe for concurrent use.
@@ -162,6 +182,9 @@ type Scheduler struct {
 	// when unconfigured).
 	met  *schedMetrics
 	slow *obs.SlowLog
+	// parsed caches successful parses by source text; failures are
+	// never stored, so a parse error is reported the same every time.
+	parsed cache.Memo[string, prepared]
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -229,6 +252,7 @@ func NewScheduler(engine *core.Engine, opts SchedulerOptions) *Scheduler {
 		inflight: map[string]int{},
 		met:      newSchedMetrics(engine.Metrics()),
 		slow:     obs.NewSlowLog(opts.SlowQueryLog, opts.SlowQueryThreshold),
+		parsed:   cache.Memo[string, prepared]{MaxEntries: maxPrepared, MaxSize: maxPreparedBytes},
 	}
 	for _, jr := range engine.RecoveredJobs() {
 		s.adoptRecovered(jr)
@@ -335,7 +359,13 @@ func (s *Scheduler) Submit(analyst, src string) (string, error) {
 	// becomes a span on the execution trace, and traces always use real
 	// time (see core.ExecuteTraced).
 	parseStart := time.Now()
-	prog, err := query.Parse(src)
+	pr, err := s.parsed.Load(src, nil, func() (prepared, int, error) {
+		prog, err := query.Parse(src)
+		if err != nil {
+			return prepared{}, 0, err
+		}
+		return prepared{prog, queryHash(src)}, len(src), nil
+	})
 	parseDur := time.Since(parseStart)
 	s.met.stage("parse", parseDur)
 	if err != nil {
@@ -372,8 +402,8 @@ func (s *Scheduler) Submit(analyst, src string) (string, error) {
 			State:       JobQueued,
 			SubmittedAt: s.now(),
 		},
-		prog:       prog,
-		qhash:      queryHash(src),
+		prog:       pr.prog,
+		qhash:      pr.qhash,
 		parseStart: parseStart,
 		parseDur:   parseDur,
 	}
@@ -383,8 +413,18 @@ func (s *Scheduler) Submit(analyst, src string) (string, error) {
 	// Reserve the slot under the lock; the buffered send cannot block
 	// because queue length was checked above and only Submit sends.
 	s.queue <- j
+	handed := len(s.queue) == 0 // an idle worker received it
 	s.mu.Unlock()
 	s.met.submissions.Inc()
+	if handed {
+		// The worker is runnable on this P but does not run until the
+		// caller blocks, so the job would start only after the caller
+		// has answered. Yield so it starts first: a client polls right
+		// after the answer, and a job shorter than that round trip is
+		// then already done instead of costing the client a poll
+		// interval.
+		runtime.Gosched()
+	}
 	return j.info.ID, nil
 }
 
@@ -561,6 +601,9 @@ type Stats struct {
 	// SlowQueries counts slow-query log entries written (0 when the log
 	// is unconfigured).
 	SlowQueries int64
+	// ParseCacheHits and ParseCacheMisses count submissions whose
+	// program came from the parse cache, and those parsed afresh.
+	ParseCacheHits, ParseCacheMisses int64
 }
 
 // Stats returns a snapshot of scheduler load.
@@ -574,6 +617,9 @@ func (s *Scheduler) Stats() Stats {
 		Failed:      s.failedTotal,
 		Recovered:   s.recovered,
 		SlowQueries: int64(s.slow.Entries()),
+
+		ParseCacheHits:   int64(s.parsed.Hits.Load()),
+		ParseCacheMisses: int64(s.parsed.Misses.Load()),
 	}
 	for _, j := range s.jobs {
 		switch j.info.State {

@@ -371,6 +371,7 @@ var statsFamilyPrefix = map[string]string{
 	"chunk_cache":  "privid_chunk_cache_",
 	"singleflight": "privid_chunk_singleflight_",
 	"partial_agg":  "privid_partial_agg_",
+	"plan_memo":    "privid_plan_memo_",
 }
 
 // TestStatsMatchesExposition pins that /v1/stats and /v1/metrics are
@@ -451,6 +452,8 @@ func TestStatsMatchesExposition(t *testing.T) {
 				"privid_scheduler_running":              int64(st.Running),
 				"privid_scheduler_recovered_jobs_total": st.Recovered,
 				"privid_slow_queries_total":             st.SlowQueries,
+				"privid_parse_cache_hits_total":         st.ParseCacheHits,
+				"privid_parse_cache_misses_total":       st.ParseCacheMisses,
 			} {
 				if got[name] != float64(want) {
 					t.Errorf("%s = %v, Stats() says %v", name, got[name], want)

@@ -1,7 +1,10 @@
 package privid_test
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -110,12 +113,21 @@ func TestFacadeOwnerTooling(t *testing.T) {
 }
 
 // TestDocProgramsParse keeps the documented queries honest: every fenced
-// block of README.md and docs/QUERY_LANGUAGE.md that holds a complete
-// program — first token SPLIT, last character ';' — parses. A block
-// that does not is a doc bug: fix the doc.
+// block of README.md, docs/QUERY_LANGUAGE.md and DESIGN.md that holds a
+// complete program — first token SPLIT, last character ';' — parses, and
+// so does every program a `curl -d '{...}'` body of docs/OPERATIONS.md
+// submits as its "query". A program that does not is a doc bug: fix the
+// doc.
 func TestDocProgramsParse(t *testing.T) {
 	programs := 0
-	for _, path := range []string{"README.md", "docs/QUERY_LANGUAGE.md"} {
+	check := func(where, body string) {
+		t.Helper()
+		programs++
+		if _, err := query.Parse(body); err != nil {
+			t.Errorf("%s: %v\n%s", where, err, body)
+		}
+	}
+	for _, path := range []string{"README.md", "docs/QUERY_LANGUAGE.md", "DESIGN.md"} {
 		doc, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -129,11 +141,27 @@ func TestDocProgramsParse(t *testing.T) {
 			if f := strings.Fields(body); len(f) == 0 || f[0] != "SPLIT" || !strings.HasSuffix(body, ";") {
 				continue
 			}
-			programs++
-			if _, err := query.Parse(body); err != nil {
-				t.Errorf("%s, fenced block %d: %v\n%s", path, i/2+1, err, body)
-			}
+			check(fmt.Sprintf("%s, fenced block %d", path, i/2+1), body)
 		}
+	}
+	ops, err := os.ReadFile("docs/OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	curlBodies := 0
+	for _, m := range regexp.MustCompile(`(?s)curl [^\n]*-d '(\{.*?\})'`).FindAllStringSubmatch(string(ops), -1) {
+		var req struct{ Query string }
+		if err := json.Unmarshal([]byte(m[1]), &req); err != nil {
+			t.Errorf("docs/OPERATIONS.md: curl body is not JSON: %v\n%s", err, m[1])
+			continue
+		}
+		if req.Query != "" {
+			curlBodies++
+			check("docs/OPERATIONS.md, curl body", req.Query)
+		}
+	}
+	if curlBodies == 0 {
+		t.Error("found no program in docs/OPERATIONS.md's curl bodies")
 	}
 	if programs == 0 {
 		t.Fatal("found no documented programs")
