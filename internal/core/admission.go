@@ -20,8 +20,7 @@ import (
 
 // admission is what a successful reserve hands to persist and release:
 // the touched cameras (sorted), the audit timestamp, and the held
-// reservations. The per-camera charges travel beside it (see
-// executeStages).
+// reservations. The per-camera charges travel beside it (see execute).
 type admission struct {
 	camNames []string
 	at       time.Time
@@ -58,14 +57,15 @@ func (e *Engine) buildCharges(charges map[string][]dp.Charge, rels []rel.Release
 }
 
 // admit builds the charges and runs phase 1 of admission (Algorithm 1
-// lines 1–5, atomic across cameras). Admission has three phases so the
-// durable fsync happens outside the engine lock and concurrent queries'
-// charges share group commits:
+// lines 1–5, atomic across cameras) before any chunk is touched.
+// Admission has three phases so the durable fsync happens outside the
+// engine lock and concurrent queries' charges share group commits:
 //
 //  1. Reserve (admit): under the lock, dp.ReserveAll checks every
 //     touched camera's ledger and holds the charges as reservations
-//     (they block competing queries); if any single camera denies,
-//     every reservation is dropped and no camera is charged anything.
+//     (they count against competing queries); if any single camera
+//     denies, every reservation is dropped and no camera is charged
+//     anything. The program then runs; a failure returns them exactly.
 //  2. Persist: outside the lock, append every charge plus the audit
 //     entry to the WAL and fsync. A failure releases the reservations
 //     exactly and denies the query — the analyst never sees a noised

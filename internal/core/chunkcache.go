@@ -4,12 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"strings"
 	"time"
 
-	"privid/internal/query"
-	"privid/internal/rel"
 	"privid/internal/table"
 	"privid/internal/vtime"
 )
@@ -50,7 +47,7 @@ func chunkIdentity(camera, maskID, schemeName, region, using string,
 // Cache keys are compact and exact: a kind tag, the SHA-256 of the
 // rendered identity, and the chunk's fixed-width frame interval. The
 // digest is computed once per shard × region split (× plan for states)
-// when a statement is planned (planFor); per chunk the worker fills 49
+// when a program is planned (keyPrefixes); per chunk the worker fills 49
 // bytes on its own stack, which the cache hashes and compares (a warm
 // chunk makes no key string; a stored entry makes one). The tag keeps
 // the two kinds the chunk cache stores in disjoint namespaces by
@@ -80,54 +77,4 @@ func chunkKey(prefix string, iv vtime.Interval) (k [chunkKeyLen]byte) {
 	binary.BigEndian.PutUint64(k[keyPrefixLen:], uint64(iv.Start))
 	binary.BigEndian.PutUint64(k[keyPrefixLen+8:], uint64(iv.End))
 	return k
-}
-
-// planMemo is a PROCESS statement's pushdown plans (nil when
-// materialised) and its key prefixes per shard and region split (table,
-// then one per plan), beside the inputs they were derived from.
-type planMemo struct {
-	full  table.Schema
-	cands []*query.SelectStmt
-	metas []rel.TableMeta
-	views [][2]string // per shard: mask id, scheme name
-	plans []*rel.PartialPlan
-	keys  [][][]string
-}
-
-// planFor sets run's plans and key prefixes, memoised by statement
-// (a resubmitted text shares its program via the parse cache; a standing
-// query re-runs one). A hit must match every other planner input —
-// candidates, stamped schema, each shard's metadata, mask and scheme —
-// else, say when a source's bounds grew, it re-plans in place.
-func (e *Engine) planFor(run *processRun, plan *splitPlan, cands []*query.SelectStmt, metas []rel.TableMeta) {
-	sameView := func(v [2]string, sh *splitShard) bool { return v == [2]string{sh.maskID, sh.schemeName} }
-	m, _ := e.memo.Load(run.st, func(m *planMemo) bool {
-		return slices.Equal(m.cands, cands) && slices.Equal(m.full.Cols, run.full.Cols) &&
-			slices.EqualFunc(m.metas, metas, rel.TableMeta.Equal) && slices.EqualFunc(m.views, plan.shards, sameView)
-	}, func() (*planMemo, int, error) {
-		m := &planMemo{full: run.full, cands: cands, metas: metas}
-		for _, sel := range cands {
-			pp := rel.PlanPartial(sel, run.st.Into, run.full, metas)
-			if pp == nil {
-				m.plans = nil
-				break
-			}
-			m.plans = append(m.plans, pp)
-		}
-		for _, sh := range plan.shards {
-			m.views = append(m.views, [2]string{sh.maskID, sh.schemeName})
-			keys := make([][]string, len(sh.splits)) // splits follow the scheme's region order
-			for s, split := range sh.splits {
-				identity := chunkIdentity(sh.cam.cfg.Name, sh.maskID, sh.schemeName, split.Region,
-					run.st.Using, run.st.Timeout, run.st.MaxRows, run.exec.Schema, sh.chunkF, sh.strideF)
-				keys[s] = append(make([]string, 0, 1+len(m.plans)), keyPrefix(tableKeyKind, "", identity))
-				for _, pp := range m.plans {
-					keys[s] = append(keys[s], keyPrefix(stateKeyKind, pp.ID(), identity))
-				}
-			}
-			m.keys = append(m.keys, keys)
-		}
-		return m, len(metas), nil
-	})
-	run.planMemo = m
 }

@@ -89,14 +89,8 @@ func TestConcurrentExecuteBudgetAtomicity(t *testing.T) {
 // single SPLIT/PROCESS pair.
 func runProcessTable(t *testing.T, e *Engine, prog *query.Program) string {
 	t.Helper()
-	plan, err := e.resolveSplit(prog.Splits[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, _, err := e.runProcess(prog.Processes[0], plan, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := resolveSet(t, e, prog)
+	inst, _ := runProcessFor(t, e, prog.Processes[0], plan, nil)
 	return inst.Data.String()
 }
 

@@ -194,9 +194,9 @@ type Engine struct {
 	// workers bump them concurrently). See PartialAggStats.
 	ppPlans, ppDeclined, ppFolds, ppMerges, ppCachedChunks atomic.Uint64
 
-	// memo holds planFor's outcomes: as many statements as the parse
-	// cache holds programs, and at most 65,536 shards' metas and keys.
-	memo cache.Memo[*query.ProcessStmt, *planMemo]
+	// memo holds each program's plan: as many programs as the parse
+	// cache holds, and at most 65,536 shards' metas and keys.
+	memo cache.Memo[*query.Program, *programPlan]
 
 	mu      sync.Mutex
 	cameras map[string]*camera
@@ -307,7 +307,7 @@ func Open(opts Options) (*Engine, error) {
 		met:        newEngineMetrics(reg),
 		cameras:    map[string]*camera{},
 		noise:      dp.NewNoise(opts.Seed),
-		memo:       cache.Memo[*query.ProcessStmt, *planMemo]{MaxEntries: 1024, MaxSize: 1 << 16},
+		memo:       cache.Memo[*query.Program, *programPlan]{MaxEntries: 1024, MaxSize: 1 << 16},
 	}
 	if wal != nil {
 		// Restore the owner's audit log so accountability spans

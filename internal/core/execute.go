@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -10,7 +11,6 @@ import (
 	"privid/internal/cache"
 	"privid/internal/dp"
 	"privid/internal/obs"
-	"privid/internal/policy"
 	"privid/internal/query"
 	"privid/internal/rel"
 	"privid/internal/sandbox"
@@ -97,33 +97,6 @@ const slotGraceMultiple = 4
 // than paying the duplicate execution.
 const flightWaitMultiple = 4
 
-// splitShard is one camera's slice of a resolved chunk set: the
-// concrete chunking plan for that camera (one video.Split per region;
-// a single entry with empty region name when unsplit).
-type splitShard struct {
-	cam        *camera
-	pol        policy.Policy // effective (mask-adjusted) policy
-	maskID     string        // WITH MASK id ("" when unmasked)
-	schemeName string        // BY REGION scheme name ("" when unsplit)
-	interval   vtime.Interval
-	chunkF     int64
-	strideF    int64
-	splits     []video.Split // one per region
-	regions    int           // 0 when not region-split
-	// regionsPerEvent is the max region-chunks one individual can
-	// influence per temporal chunk (>1 only under Grid Split).
-	regionsPerEvent int
-}
-
-// splitPlan is a resolved SPLIT or MERGE statement: one shard per
-// contributing camera. multi marks chunk sets whose PROCESS rows carry
-// the trusted camera provenance column (multi-camera SPLIT and every
-// MERGE output).
-type splitPlan struct {
-	shards []*splitShard
-	multi  bool
-}
-
 // Execute runs a parsed program end to end and returns its noised
 // releases. On budget exhaustion the query is denied as a whole and
 // nothing is consumed on any camera.
@@ -132,16 +105,13 @@ func (e *Engine) Execute(prog *query.Program) (*Result, error) {
 }
 
 // ExecuteTraced runs prog like Execute, tagging its WAL charge records
-// with tag — typically a hash of the query source — so the durable
-// ledger ties every ε debit to the query that caused it (an empty tag
-// falls back to a fingerprint of the charge set), and additionally
-// records a span tree of the execution: one span per pipeline stage,
-// one child span per camera shard of each PROCESS (with cache hit/miss
-// counts and sandbox time), and admission/commit outcomes. The trace is
-// returned even when execution fails, so denials and errors are
-// diagnosable. Trace attributes carry only identifiers, chunk and cache
-// counts, durations and ε amounts — never released values, row contents
-// or row counts (an exact per-camera row count is an un-noised COUNT).
+// with tag (typically a hash of the query source; empty falls back to a
+// fingerprint of the charge set), and records a span tree: one span per
+// pipeline stage, one per camera shard of each PROCESS, and the
+// admission and commit outcomes. The trace is returned even when
+// execution fails. Its attributes carry only identifiers, chunk and
+// cache counts, durations and ε amounts — never released values, row
+// contents or row counts (an exact row count is an un-noised COUNT).
 func (e *Engine) ExecuteTraced(prog *query.Program, tag string) (*Result, *obs.Trace, error) {
 	tr := obs.NewTrace("query", nil)
 	res, err := e.execute(prog, tag, nil, tr.Root())
@@ -152,40 +122,35 @@ func (e *Engine) ExecuteTraced(prog *query.Program, tag string) (*Result, *obs.T
 	return res, tr, err
 }
 
-// execute is the pipeline (Algorithm 1): resolve the chunk sets, run
-// every PROCESS, execute every SELECT to releases, then admit the whole
-// program's budget atomically, persist the charges, and only then add
-// noise and release. See Execute for semantics and admit for the
-// crash-safety ordering. keep optionally filters which releases are
-// emitted (and paid for); a nil filter keeps everything. Standing
-// queries use it to release only newly completed buckets (Appendix D's
-// streaming semantics). sp, when non-nil, receives one child span per
-// pipeline stage.
-//
-// The stages fill maps that are made here: a map that never leaves
-// this frame stays on the stack, and a warm query is small enough for
-// four heap-allocated maps to show in its bytes per op.
+// execute is the pipeline (Algorithm 1): plan, reserve the budget from
+// the release skeleton, run every PROCESS and SELECT to fill the values
+// in, persist the charges (see admit), then noise and release. keep, when
+// non-nil, filters the releases emitted and paid for (a standing query's
+// newly completed buckets, Appendix D); when it keeps none, no chunk is
+// touched. A failure after the reservation returns it exactly. sp, when
+// non-nil, receives one child span per stage. The maps are made here so
+// they stay on the stack.
 func (e *Engine) execute(prog *query.Program, tag string, keep func(rel.Release) bool, sp *obs.Span) (res *Result, err error) {
 	start := time.Now()
 	defer func() { e.met.queryDone(res, err, time.Since(start)) }()
-	plans := map[string]*splitPlan{}
-	if err := e.resolvePlans(prog, plans, sp); err != nil {
-		return nil, err
-	}
-	cands := map[string][]*query.SelectStmt{}
-	pushdownCandidates(prog, cands)
-	env, pushed := rel.Env{}, map[*query.SelectStmt][]rel.Release{}
-	if err := e.runProcesses(prog, plans, cands, env, pushed, sp); err != nil {
-		return nil, err
-	}
-	rels, err := e.aggregate(prog, env, pushed, keep, sp)
+	sets := map[string]*splitPlan{}
+	pp, err := e.plan(prog, sets, sp)
 	if err != nil {
 		return nil, err
 	}
+	rels, kept := pp.skeleton(keep)
 	charges := map[string][]dp.Charge{}
 	adm, err := e.admit(charges, rels, sp)
 	if err != nil {
 		return nil, err
+	}
+	if len(rels) > 0 {
+		if err := e.run(pp, sets, rels, kept, sp); err != nil {
+			e.mu.Lock()
+			adm.resv.Release()
+			e.mu.Unlock()
+			return nil, err
+		}
 	}
 	if err := e.persist(adm, charges, tag, rels, sp); err != nil {
 		return nil, err
@@ -209,334 +174,66 @@ func (e *Engine) stage(parent *obs.Span, name string, fn func(sp *obs.Span) erro
 	return nil
 }
 
-// resolvePlans resolves every SPLIT, then every MERGE, into the chunk
-// set it names.
-func (e *Engine) resolvePlans(prog *query.Program, plans map[string]*splitPlan, sp *obs.Span) error {
-	return e.stage(sp, "split", func(sp *obs.Span) error {
-		for _, st := range prog.Splits {
-			p, err := e.resolveSplit(st)
-			if err != nil {
-				return err
-			}
-			plans[st.Into] = p
-		}
-		// MERGE unions previously resolved chunk sets; validation already
-		// guaranteed the inputs exist, are distinct, and share a region
-		// scheme. The merged set always stamps camera provenance, even
-		// when the inputs happen to cover a single camera: its sensitivity
-		// composes per shard either way.
-		for _, m := range prog.Merges {
-			merged := &splitPlan{multi: true}
-			for _, in := range m.Inputs {
-				p, ok := plans[in]
-				if !ok {
-					return fmt.Errorf("core: MERGE input %q is not a defined chunk set", in)
-				}
-				merged.shards = append(merged.shards, p.shards...)
-			}
-			plans[m.Into] = merged
-		}
-		sp.Set("chunk_sets", len(plans))
-		return nil
-	})
-}
-
-// pushdownCandidates groups the SELECTs by the one PROCESS table they
-// reference, for partial-aggregation pushdown. A table qualifies when
-// every SELECT touching it touches nothing else (a JOIN or UNION
-// partner forces the full materialized path for all tables involved);
-// whether each candidate SELECT is actually mergeable is decided in
-// runProcess, once the stamped schema and shard metadata exist.
-func pushdownCandidates(prog *query.Program, cands map[string][]*query.SelectStmt) {
-	excluded := map[string]bool{}
-	for _, sel := range prog.Selects {
-		refs := rel.ReferencedTables(sel.From)
-		if len(refs) == 1 {
-			cands[refs[0]] = append(cands[refs[0]], sel)
-			continue
-		}
-		for _, r := range refs {
-			excluded[r] = true
-		}
-	}
-	for name := range excluded {
-		delete(cands, name)
-	}
-}
-
-// runProcesses executes every PROCESS statement in program order into
-// env. pushed receives the releases computed on the pushdown path,
-// keyed by statement; aggregate consumes them in place of
-// ExecuteSelect. A later PROCESS into the same table overwrites both
-// the env entry and its statements' releases, matching the
-// last-write-wins semantics the env always had.
-func (e *Engine) runProcesses(prog *query.Program, plans map[string]*splitPlan, cands map[string][]*query.SelectStmt,
-	env rel.Env, pushed map[*query.SelectStmt][]rel.Release, sp *obs.Span) error {
+// run executes every PROCESS in program order (a later one into a table
+// replaces the earlier), then fills in the values of rels, the releases
+// skeleton kept: from the fold states of a pushed-down table, else by
+// executing the planned SELECT over the materialized tables.
+func (e *Engine) run(pp *programPlan, sets map[string]*splitPlan, rels []rel.Release, kept []bool, sp *obs.Span) error {
 	start := time.Now()
-	for _, st := range prog.Processes {
+	env, vals := rel.Env{}, make([][]rel.Release, len(pp.sels))
+	for i := range pp.procs {
+		pr := &pp.procs[i]
 		procSp := sp.Child("process")
-		procSp.Set("table", st.Into)
-		inst, rels, err := e.runProcess(st, plans[st.Input], cands[st.Into], procSp)
+		procSp.Set("table", pr.st.Into)
+		inst, err := e.runProcess(sets[pr.st.Input], pr, vals, procSp)
 		procSp.End()
 		if err != nil {
 			return err
 		}
-		env[st.Into] = inst
-		for sel, rs := range rels {
-			pushed[sel] = rs
-		}
+		env[pr.st.Into] = inst
 	}
 	e.met.stage("process", time.Since(start))
-	return nil
-}
-
-// aggregate executes every SELECT to its raw releases — from the
-// pushdown states where runProcesses produced them, else over the
-// materialized tables — and assigns each release its ε. keep, when
-// non-nil, drops releases before they are paid for.
-func (e *Engine) aggregate(prog *query.Program, env rel.Env, pushed map[*query.SelectStmt][]rel.Release, keep func(rel.Release) bool, sp *obs.Span) ([]rel.Release, error) {
-	var out []rel.Release
-	err := e.stage(sp, "aggregate", func(sp *obs.Span) error {
-		for _, st := range prog.Selects {
-			rels, ok := pushed[st]
-			if !ok {
-				var err error
-				rels, err = rel.ExecuteSelect(st, env)
-				if err != nil {
+	return e.stage(sp, "aggregate", func(sp *obs.Span) error {
+		i, flat := 0, 0
+		for j, p := range pp.sels {
+			var err error
+			if !pp.folded[j] {
+				if vals[j], err = p.Execute(env); err != nil {
 					return err
 				}
 			}
-			epsDefault := e.opts.DefaultQueryEpsilon / float64(len(rels))
-			for _, r := range rels {
-				if st.Consuming > 0 {
-					r.Epsilon = st.Consuming
-				} else {
-					r.Epsilon = epsDefault
+			for _, r := range vals[j] {
+				if kept == nil || kept[flat] {
+					rels[i].Raw, rels[i].Scores = r.Raw, r.Scores
+					i++
 				}
-				if keep != nil && !keep(r) {
-					continue
-				}
-				out = append(out, r)
+				flat++
 			}
 		}
-		sp.Set("releases", len(out))
+		sp.Set("releases", len(rels))
 		return nil
 	})
-	return out, err
-}
-
-// resolveSplit turns a SPLIT statement into one concrete chunking
-// shard per listed camera.
-func (e *Engine) resolveSplit(st *query.SplitStmt) (*splitPlan, error) {
-	plan := &splitPlan{multi: len(st.Cameras) > 1}
-	for _, camName := range st.Cameras {
-		sh, err := e.resolveShard(st, camName)
-		if err != nil {
-			return nil, err
-		}
-		plan.shards = append(plan.shards, sh)
-	}
-	return plan, nil
-}
-
-// resolveShard resolves one camera of a SPLIT statement: window
-// intersection, chunk/stride frame conversion at the camera's FPS,
-// mask policy lookup, and region scheme resolution.
-func (e *Engine) resolveShard(st *query.SplitStmt, camName string) (*splitShard, error) {
-	cam, err := e.lookupCamera(camName)
-	if err != nil {
-		return nil, err
-	}
-	info := cam.cfg.Source.Info()
-	clock := info.Clock()
-
-	iv := vtime.NewInterval(clock.FrameAt(st.Begin), clock.FrameAt(st.End))
-	iv = iv.Intersect(info.Bounds())
-	if iv.Empty() {
-		return nil, fmt.Errorf("core: SPLIT window %v–%v is outside camera %q's stream", st.Begin, st.End, camName)
-	}
-
-	toFrames := func(d query.Dur) (int64, error) {
-		if d.IsFrames {
-			return d.Frames, nil
-		}
-		return info.FPS.Frames(time.Duration(d.Seconds * float64(time.Second)))
-	}
-	chunkF, err := toFrames(st.Chunk)
-	if err != nil {
-		return nil, fmt.Errorf("core: chunk duration: %w", err)
-	}
-	if chunkF <= 0 {
-		return nil, fmt.Errorf("core: chunk duration must be at least one frame")
-	}
-	strideF, err := toFrames(st.Stride)
-	if err != nil {
-		return nil, fmt.Errorf("core: stride: %w", err)
-	}
-
-	// Resolve the mask: the effective policy comes from the published
-	// policy map entry; no mask means the camera default. Every camera
-	// of a multi-camera SPLIT must publish the mask itself.
-	src := cam.cfg.Source
-	pol := cam.cfg.Policy
-	if st.Mask != "" {
-		if cam.cfg.Policies == nil {
-			return nil, fmt.Errorf("core: camera %q publishes no masks", camName)
-		}
-		entry, ok := cam.cfg.Policies.Lookup(st.Mask)
-		if !ok {
-			return nil, fmt.Errorf("core: camera %q has no mask %q", camName, st.Mask)
-		}
-		src = video.Masked(src, entry.Mask)
-		pol = entry.Policy
-	}
-
-	sh := &splitShard{
-		cam: cam, pol: pol, maskID: st.Mask, schemeName: st.Region,
-		interval: iv, chunkF: chunkF, strideF: strideF,
-	}
-
-	if st.Region != "" {
-		sch, ok := cam.cfg.Schemes[st.Region]
-		switch {
-		case ok:
-			// Soft boundaries require chunk size 1 so an individual
-			// can be in at most one chunk at a time (§7.2).
-			if !sch.Hard && chunkF != 1 {
-				return nil, fmt.Errorf("core: scheme %q has soft boundaries; BY REGION requires BY TIME 1frame", st.Region)
-			}
-			sh.regionsPerEvent = 1
-		default:
-			// Grid Split (§7.2 extension): any chunk size, with the
-			// per-event region count derived from the owner's
-			// object-size and speed bounds.
-			g, gok := cam.cfg.GridSchemes[st.Region]
-			if !gok {
-				return nil, fmt.Errorf("core: camera %q has no region scheme %q", camName, st.Region)
-			}
-			sch = g.Scheme()
-			sh.regionsPerEvent = g.RegionsPerChunk(chunkF, info.FPS)
-		}
-		// In scheme order: row and merge order must not vary by run.
-		for i, rsrc := range sch.Sources(src) {
-			sh.splits = append(sh.splits, video.Split{
-				Source:       rsrc,
-				Interval:     iv,
-				ChunkFrames:  chunkF,
-				StrideFrames: strideF,
-				Region:       sch.Regions[i].Name,
-			})
-		}
-		sh.regions = len(sch.Regions)
-	} else {
-		sh.splits = []video.Split{{
-			Source:       src,
-			Interval:     iv,
-			ChunkFrames:  chunkF,
-			StrideFrames: strideF,
-		}}
-	}
-	return sh, nil
 }
 
 // runProcess executes the analyst's executable over every chunk of the
-// plan, one shard per camera. Multi-camera plans fan the shards out
-// concurrently (each bounded by PerCameraParallelism, all of them by
-// the engine-wide pool) and hit the chunk cache independently per
-// camera — an N-camera query costs about the slowest shard's
-// wall-clock, not the sum. Rows of multi-camera tables carry the
-// trusted implicit camera column.
-//
-// Chunk results are memoized in the engine's chunk cache (when
-// enabled): a chunk whose (content identity, executable, contract
-// limits) key is already cached skips sandbox execution entirely.
-// Caching affects only how fast the table materializes — admission and
-// noise downstream never observe whether a row came from the sandbox
-// or the cache.
-//
-// The shards produce one of two outputs. By default each returns its
-// stamped rows and runProcess materializes the intermediate table. When
-// every consuming SELECT of the table is a mergeable aggregation
-// (cands, pre-grouped by pushdownCandidates; rel.PlanPartial accepts
-// each), each shard instead folds chunk blocks into per-plan partial
-// states and the full intermediate table is never materialized — peak
-// memory scales with groups × cameras, not rows. The finalized releases
-// are returned alongside an empty (schema- and metadata-correct)
-// instance; they are differentially tested to match ExecuteSelect over
-// the materialized table exactly. Per-chunk states are additionally
-// memoized in the chunk cache's partial-state tier keyed on chunk
-// content × plan identity, so a warm repeated or overlapping-window
-// query skips both the sandbox and the per-chunk fold.
-func (e *Engine) runProcess(st *query.ProcessStmt, plan *splitPlan, cands []*query.SelectStmt, sp *obs.Span) (*rel.Instance, map[*query.SelectStmt][]rel.Release, error) {
-	if plan == nil || len(plan.shards) == 0 {
-		return nil, nil, fmt.Errorf("core: PROCESS input %q has no SPLIT", st.Input)
+// chunk set, one shard per camera, fanned out concurrently (each bounded
+// by PerCameraParallelism, all by the engine-wide pool), so an N-camera
+// query costs about the slowest shard's wall-clock. A cached chunk skips
+// the sandbox. By default it materializes the intermediate table. When
+// the plan folds the table (pr.plans), the shards fold chunk blocks into
+// per-plan partial states instead, cached per chunk × plan, and each
+// SELECT's finalized releases land in folded: peak memory scales with
+// groups × cameras, not rows.
+func (e *Engine) runProcess(set *splitPlan, pr *procPlan, folded [][]rel.Release, sp *obs.Span) (*rel.Instance, error) {
+	par := e.opts.Parallelism
+	if len(set.shards) > 1 {
+		par = e.opts.PerCameraParallelism
 	}
-	fn, ok := e.registry.Lookup(st.Using)
-	if !ok {
-		return nil, nil, fmt.Errorf("core: executable %q not registered", st.Using)
-	}
-	cols := make([]table.Column, len(st.Schema))
-	for i, c := range st.Schema {
-		cols[i] = table.Column{Name: c.Name, Type: c.Type, Default: c.Default}
-	}
-	schema, err := table.NewSchema(cols...)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: PROCESS schema: %w", err)
-	}
-	// The executor always runs with a positive timeout. The parser
-	// guarantees st.Timeout > 0 for parsed programs; programmatically
-	// built Programs may leave it zero, which without the default would
-	// make RunChecked block forever on a hung ProcessFunc — and, since
-	// the slot-grace backstop scales off the timeout, leak that
-	// execution's Parallelism slot permanently.
-	effTimeout := st.Timeout
-	if effTimeout <= 0 {
-		effTimeout = e.opts.DefaultProcessTimeout
-	}
-	run := &processRun{
-		st:        st,
-		exec:      sandbox.Executor{Fn: fn, Timeout: effTimeout, MaxRows: st.MaxRows, Schema: schema},
-		hasRegion: plan.shards[0].regions > 0,
-		multi:     plan.multi,
-		par:       e.opts.Parallelism,
-	}
-	run.full = schema.WithImplicitCols(run.hasRegion, run.multi)
-	if len(plan.shards) > 1 {
-		run.par = e.opts.PerCameraParallelism
-	}
-
-	// Shard metadata is derived entirely from the resolved plan — build
-	// it up front so pushdown planning can see the same sensitivity
-	// inputs ExecuteSelect would.
-	metas := make([]rel.TableMeta, len(plan.shards))
-	for i, sh := range plan.shards {
-		info := sh.cam.cfg.Source.Info()
-		clock := info.Clock()
-		metas[i] = rel.TableMeta{
-			Name:            st.Into,
-			Camera:          sh.cam.cfg.Name,
-			MaxRows:         st.MaxRows,
-			ChunkFrames:     sh.chunkF,
-			StrideFrames:    sh.strideF,
-			FPS:             info.FPS,
-			NumChunks:       sh.splits[0].NumChunks(),
-			Begin:           clock.TimeOf(sh.interval.Start),
-			End:             clock.TimeOf(sh.interval.End),
-			Policy:          sh.pol,
-			Regions:         sh.regions,
-			RegionsPerEvent: sh.regionsPerEvent,
-		}
-	}
-
-	// Pushdown decision: every candidate SELECT must plan as a mergeable
-	// aggregation, else the whole table falls back to materialization
-	// (a single table cannot be both streamed and materialized).
-	e.planFor(run, plan, cands, metas)
 	switch {
-	case run.plans != nil:
-		e.ppPlans.Add(uint64(len(run.plans)))
-		sp.Set("pushdown_plans", len(run.plans))
-	case len(cands) > 0:
+	case pr.plans != nil:
+		e.ppPlans.Add(uint64(len(pr.plans)))
+		sp.Set("pushdown_plans", len(pr.plans))
+	case pr.declined:
 		e.ppDeclined.Add(1)
 	}
 
@@ -544,74 +241,54 @@ func (e *Engine) runProcess(st *query.ProcessStmt, plan *splitPlan, cands []*que
 	// shard inline) into its own slot, and the slots are combined in
 	// shard order below, so the output is deterministic however the
 	// shards' completions interleave.
-	outs := make([]shardOutput, len(plan.shards))
+	outs := make([]shardOutput, len(set.shards))
 	forEachChunk(len(outs), len(outs), func(i int) {
-		outs[i] = e.runShard(i, plan.shards[i], run, sp)
+		outs[i] = e.runShard(i, set.shards[i], pr, par, sp)
 	})
 	for _, out := range outs {
 		if out.err != nil {
-			return nil, nil, out.err
+			return nil, out.err
 		}
 	}
-	data := table.New(run.full)
-	if run.plans == nil {
+	if pr.plans == nil {
 		// One table, reserved once and filled in shard, split and chunk
 		// order (dedup picks the same representative rows regardless of
 		// shard timing), each block stamped with its implicit columns.
-		n := 0
+		data, n := table.New(pr.full), 0
 		for _, out := range outs {
 			n += out.rows
 		}
 		data.Grow(n)
 		for i, out := range outs {
-			sh := plan.shards[i]
+			sh := set.shards[i]
 			for s, sc := range out.parts {
 				split, camVal := &sh.splits[s], table.S(sh.cam.cfg.Name)
 				clock := split.Source.Info().Clock()
 				for k, blk := range sc.blocks {
 					start := clock.TimeOf(split.IntervalAt(sc.ords[k]).Start)
-					data.AppendBlock(blk, implicitConsts(start, split.Region, run.hasRegion, camVal, run.multi)...)
+					data.AppendBlock(blk, implicitConsts(start, split.Region, pr.hasRegion, camVal, pr.multi)...)
 				}
 				sc.release()
 			}
 		}
-		return rel.NewInstance(data, metas...), nil, nil
+		return rel.NewInstance(data, pr.metas...), nil
 	}
 	// Merge the shard states in shard order (merge order cannot matter —
-	// the property tests pin that — but determinism costs nothing). The
-	// env still gets an instance with the right schema and shard
-	// metadata, but no rows: every SELECT over this table is answered
-	// from the merged states.
-	rels := make(map[*query.SelectStmt][]rel.Release, len(cands))
-	for p, pp := range run.plans {
+	// the property tests pin that — but determinism costs nothing).
+	for p, pp := range pr.plans {
 		agg := pp.NewState()
 		for _, out := range outs {
 			pp.Merge(agg, out.states[p])
 		}
-		rels[cands[p]] = pp.Finalize(agg)
+		folded[pr.sels[p]] = pp.Finalize(agg)
 	}
-	e.ppMerges.Add(uint64(len(outs) * len(run.plans)))
-	return rel.NewInstance(data, metas...), rels, nil
-}
-
-// processRun is what every shard of one PROCESS execution shares: the
-// statement, its sandbox contract (with the declared schema), the
-// stamped full schema, the per-shard bound on concurrent chunks, and —
-// when the table is answered by pushdown — the mergeable plan per
-// candidate SELECT, and the key prefixes (planMemo). plans is nil on
-// the materialized path.
-type processRun struct {
-	st               *query.ProcessStmt
-	exec             sandbox.Executor
-	full             table.Schema
-	hasRegion, multi bool
-	par              int
-	*planMemo
+	e.ppMerges.Add(uint64(len(outs) * len(pr.plans)))
+	return nil, nil
 }
 
 // shardOutput is one shard's result: per region split its scratch, whose
 // blocks (rows in all) runProcess stamps and releases, or under
-// pushdown its merged state per plan (index-aligned with run.plans).
+// pushdown its merged state per plan (index-aligned with pr.plans).
 type shardOutput struct {
 	parts  []*splitScratch
 	rows   int
@@ -777,19 +454,17 @@ func (e *Engine) fetchChunkBlock(key []byte, split *video.Split, ord int64, exec
 // executable, return the chunk's block in the declared schema and
 // whether it completed cleanly.
 func (e *Engine) execChunk(chunk *video.Chunk, exec sandbox.Executor, tl *shardTallies) (*table.Table, bool) {
-	// The engine-wide semaphore keeps the total number of
-	// in-flight sandbox executions — across every query
-	// running concurrently — at Parallelism, so serving
-	// many analysts cannot oversubscribe the CPU and push
-	// executables past their wall-clock TIMEOUT.
+	// The engine-wide semaphore keeps the total number of in-flight
+	// sandbox executions — across every query running concurrently — at
+	// Parallelism, so serving many analysts cannot oversubscribe the CPU
+	// and push executables past their wall-clock TIMEOUT.
 	//
-	// The slot is released when the executable goroutine
-	// exits (on a timeout that is later than RunChecked's
-	// return, so a slow executable cannot be double-booked)
-	// — except that a hung executable forfeits its slot
-	// after a grace period, so one non-terminating
-	// ProcessFunc degrades to a bounded CPU leak instead of
-	// permanently wedging every analyst's queries.
+	// The slot is released when the executable goroutine exits (on a
+	// timeout that is later than RunChecked's return, so a slow
+	// executable cannot be double-booked) — except that a hung executable
+	// forfeits its slot after a grace period, so one non-terminating
+	// ProcessFunc degrades to a bounded CPU leak instead of permanently
+	// wedging every analyst's queries.
 	e.procSem <- struct{}{}
 	var released atomic.Bool
 	exec.Done = func() {
@@ -802,13 +477,12 @@ func (e *Engine) execChunk(chunk *video.Chunk, exec sandbox.Executor, tl *shardT
 	execDur := time.Since(execStart)
 	e.met.sandbox(execDur, clean)
 	tl.sandboxNanos.Add(int64(execDur))
-	// Arm the grace backstop only when the slot is still
-	// held — a panic's goroutine has already exited and
-	// released, so it needs no timer. (A release racing
-	// this check just leaves one harmless no-op timer.)
-	// exec.Timeout is always positive (runProcess substitutes
-	// the default for TIMEOUT-less programmatic statements), so
-	// the backstop can always arm.
+	// Arm the grace backstop only when the slot is still held — a panic's
+	// goroutine has already exited and released, so it needs no timer. (A
+	// release racing this check just leaves one harmless no-op timer.)
+	// exec.Timeout is always positive (prepareProcess substitutes the
+	// default for TIMEOUT-less programmatic statements), so the backstop
+	// can always arm.
 	if !clean && !released.Load() {
 		time.AfterFunc(slotGraceMultiple*exec.Timeout, exec.Done)
 	}
@@ -816,29 +490,21 @@ func (e *Engine) execChunk(chunk *video.Chunk, exec sandbox.Executor, tl *shardT
 }
 
 // runShard executes the analyst's executable over every chunk of one
-// camera shard and returns either each region split's blocks in
-// deterministic chunk order or, under pushdown (run.plans), the shard's
-// merged state per plan. run.par bounds the shard's concurrent sandbox
-// executions (the per-camera bound of the sharded executor); the
-// engine-wide procSem still bounds the total across all shards and
-// queries. Each shard records one child span under the PROCESS span
-// (concurrent shards annotate sibling spans; Span is mutex-guarded).
-//
-// Under pushdown every chunk leaves one encoded state per plan — the
-// cached bytes (shared, read-only) when every plan's state is cached,
-// which skips the sandbox and the fold, else the payload just folded —
-// and the shard adds straight out of them. The only error paths are a
-// fold failure, which PlanPartial's static checks make unreachable, and
-// a state the worker accepted or encoded failing to merge, which
-// immutable payloads make unreachable; both are propagated rather than
-// swallowed so a bug turns into a query error, never a wrong release.
-func (e *Engine) runShard(shard int, sh *splitShard, run *processRun, psp *obs.Span) (out shardOutput) {
+// camera shard, at most par at a time, and returns each region split's
+// blocks in chunk order or, under pushdown, its merged state per plan.
+// There every chunk leaves one encoded state per plan — the cached bytes
+// when every plan's is cached, skipping sandbox and fold, else the
+// payload just folded. A fold cannot fail (a planned statement executes
+// totally), nor can a payload the worker accepted or encoded fail to
+// merge; both errors still propagate, with texts that depend on nothing
+// but the program, so a bug becomes a query error, never a wrong release.
+func (e *Engine) runShard(shard int, sh *splitShard, pr *procPlan, par int, psp *obs.Span) (out shardOutput) {
 	camName := sh.cam.cfg.Name
 	camVal := table.S(camName)
 	tl := &shardTallies{}
 	ssp := psp.Child("shard")
 	defer ssp.End()
-	np, chunks := len(run.plans), 0
+	np, chunks := len(pr.plans), 0
 	if ssp != nil {
 		ssp.Set("camera", camName)
 		if np > 0 {
@@ -846,7 +512,7 @@ func (e *Engine) runShard(shard int, sh *splitShard, run *processRun, psp *obs.S
 		}
 		defer func() { ssp.Set("chunks", chunks) }()
 	}
-	for _, pp := range run.plans {
+	for _, pp := range pr.plans {
 		out.states = append(out.states, pp.NewState())
 	}
 	for s := range sh.splits {
@@ -860,9 +526,9 @@ func (e *Engine) runShard(shard int, sh *splitShard, run *processRun, psp *obs.S
 		blocks, states := slices.Grow(sc.blocks, n)[:n], slices.Grow(sc.states, n*np)[:n*np]
 		sc.blocks, sc.states, chunks = blocks, states, chunks+n
 		var foldErr atomic.Pointer[error]
-		prefixes := run.keys[shard][s]
+		prefixes := pr.keys[shard][s]
 		clock := split.Source.Info().Clock()
-		forEachChunk(len(ords), run.par, func(i int) {
+		forEachChunk(len(ords), par, func(i int) {
 			iv := split.IntervalAt(ords[i])
 			var tableKey []byte
 			if e.chunkCache != nil {
@@ -873,7 +539,7 @@ func (e *Engine) runShard(shard int, sh *splitShard, run *processRun, psp *obs.S
 				for p := 0; warm && p < np; p++ {
 					k := chunkKey(prefixes[1+p], iv)
 					states[i*np+p], warm = e.chunkCache.GetState(k[:])
-					warm = warm && run.plans[p].CompatibleEncoded(states[i*np+p])
+					warm = warm && pr.plans[p].CompatibleEncoded(states[i*np+p])
 				}
 				if warm {
 					tl.stateChunks.Add(1)
@@ -882,7 +548,7 @@ func (e *Engine) runShard(shard int, sh *splitShard, run *processRun, psp *obs.S
 				k := chunkKey(prefixes[0], iv)
 				tableKey = k[:]
 			}
-			blk, clean := e.fetchChunkBlock(tableKey, split, ords[i], run.exec, tl)
+			blk, clean := e.fetchChunkBlock(tableKey, split, ords[i], pr.exec, tl)
 			if np == 0 {
 				blocks[i] = blk
 				return
@@ -890,11 +556,11 @@ func (e *Engine) runShard(shard int, sh *splitShard, run *processRun, psp *obs.S
 			// The fold sees exactly the rows this chunk contributes to
 			// the materialized table (same consts, same order), without
 			// copying the block.
-			view := stampedView(run.full, blk, implicitConsts(clock.TimeOf(iv.Start), split.Region, run.hasRegion, camVal, run.multi))
-			for p, pp := range run.plans {
+			view := stampedView(pr.full, blk, implicitConsts(clock.TimeOf(iv.Start), split.Region, pr.hasRegion, camVal, pr.multi))
+			for p, pp := range pr.plans {
 				ps, err := pp.Partial(view, camName)
 				if err != nil {
-					err = fmt.Errorf("core: partial fold of chunk %d: %w", ords[i], err)
+					err = fmt.Errorf("core: partial fold of a chunk: %w", err)
 					foldErr.CompareAndSwap(nil, &err)
 					return
 				}
@@ -917,8 +583,10 @@ func (e *Engine) runShard(shard int, sh *splitShard, run *processRun, psp *obs.S
 		// and the differential tests pin the release to the row-major
 		// oracle bit for bit.
 		for k, raw := range states {
-			if err := run.plans[k%np].MergeEncoded(out.states[k%np], raw); err != nil {
-				out.err = fmt.Errorf("core: merge of chunk %d's state: %w", ords[k/np], err)
+			// The payload's own complaint is left out: the text an analyst
+			// may see depends on nothing but the program.
+			if err := pr.plans[k%np].MergeEncoded(out.states[k%np], raw); err != nil {
+				out.err = errors.New("core: merge of a chunk's state failed")
 				return out
 			}
 		}

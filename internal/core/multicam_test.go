@@ -12,6 +12,7 @@ import (
 	"privid/internal/dp"
 	"privid/internal/policy"
 	"privid/internal/query"
+	"privid/internal/rel"
 	"privid/internal/scene"
 	"privid/internal/table"
 	"privid/internal/video"
@@ -47,6 +48,34 @@ PROCESS fleet USING counter TIMEOUT 5sec PRODUCING 20 ROWS
   WITH SCHEMA (one:NUMBER=0) INTO t;
 SELECT COUNT(*) FROM t CONSUMING 0.2;`
 
+// resolveSet resolves prog's chunk sets and returns its first SPLIT's.
+func resolveSet(t *testing.T, e *Engine, prog *query.Program) *splitPlan {
+	t.Helper()
+	sets := map[string]*splitPlan{}
+	if err := e.resolvePlans(prog, sets); err != nil {
+		t.Fatal(err)
+	}
+	return sets[prog.Splits[0].Into]
+}
+
+// runProcessFor prepares st over set as the plan step does for a program
+// whose SELECTs are sels, and runs it: it returns the materialized table
+// unless every SELECT folds (never for nil sels), else each SELECT's
+// releases in order.
+func runProcessFor(t *testing.T, e *Engine, st *query.ProcessStmt, set *splitPlan, sels []*query.SelectStmt) (*rel.Instance, [][]rel.Release) {
+	t.Helper()
+	pp, _, err := e.prepare(&query.Program{Processes: []*query.ProcessStmt{st}, Selects: sels}, map[string]*splitPlan{st.Input: set})
+	if err != nil {
+		t.Fatal(err)
+	}
+	folded := make([][]rel.Release, len(sels))
+	inst, err := e.runProcess(set, &pp.procs[0], folded, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst, folded
+}
+
 // A multi-camera PROCESS table must carry the trusted camera column,
 // with each row attributed to its shard.
 func TestMultiCameraProvenanceColumn(t *testing.T) {
@@ -55,14 +84,8 @@ func TestMultiCameraProvenanceColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := e.resolveSplit(prog.Splits[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, _, err := e.runProcess(prog.Processes[0], plan, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := resolveSet(t, e, prog)
+	inst, _ := runProcessFor(t, e, prog.Processes[0], plan, nil)
 	ci := inst.Data.Schema.Index(table.CameraColumn)
 	if ci < 0 {
 		t.Fatalf("multi-camera table lacks the %q column: %v", table.CameraColumn, inst.Data.Schema.Names())
@@ -84,14 +107,8 @@ func TestMultiCameraProvenanceColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sPlan, err := e.resolveSplit(single.Splits[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	sInst, _, err := e.runProcess(single.Processes[0], sPlan, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sPlan := resolveSet(t, e, single)
+	sInst, _ := runProcessFor(t, e, single.Processes[0], sPlan, nil)
 	if sInst.Data.Schema.Has(table.CameraColumn) {
 		t.Errorf("single-camera table grew a %q column", table.CameraColumn)
 	}
@@ -147,10 +164,7 @@ SELECT COUNT(*) FROM t CONSUMING 0.2;`)
 		}); err != nil {
 			t.Fatal(err)
 		}
-		plan, err := e.resolveSplit(prog.Splits[0])
-		if err != nil {
-			t.Fatal(err)
-		}
+		plan := resolveSet(t, e, prog)
 		return e, plan
 	}
 
@@ -163,18 +177,12 @@ SELECT COUNT(*) FROM t CONSUMING 0.2;`)
 	var wantSum, wantCount float64
 	for i := range refPlan.shards {
 		one := &splitPlan{multi: true, shards: refPlan.shards[i : i+1]}
-		inst, _, err := ref.runProcess(proc, one, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		inst, _ := runProcessFor(t, ref, proc, one, nil)
 		wantTable.AppendBlock(inst.Data)
-		_, rels, err := ref.runProcess(proc, one, prog.Selects, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		camSums = append(camSums, rels[prog.Selects[0]][0].Raw)
+		_, rels := runProcessFor(t, ref, proc, one, prog.Selects)
+		camSums = append(camSums, rels[0][0].Raw)
 		wantSum += camSums[i]
-		wantCount += rels[prog.Selects[1]][0].Raw
+		wantCount += rels[1][0].Raw
 	}
 	if wantCount != 3*chunksPerCam {
 		t.Fatalf("fixture holds %v chunks, want %d", wantCount, 3*chunksPerCam)
@@ -192,22 +200,16 @@ SELECT COUNT(*) FROM t CONSUMING 0.2;`)
 		{"parallelism 8, shards finish in reverse", Options{Parallelism: 8, PerCameraParallelism: 2}, true},
 	} {
 		e, plan := newEngine(tc.opts, tc.gated)
-		inst, _, err := e.runProcess(proc, plan, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		inst, _ := runProcessFor(t, e, proc, plan, nil)
 		if !bytes.Equal(inst.Data.EncodeBinary(), wantTable.EncodeBinary()) {
 			t.Errorf("%s: sharded table differs from the shards in order:\nwant:\n%s\ngot:\n%s", tc.name, wantTable, inst.Data)
 		}
 		e, plan = newEngine(tc.opts, tc.gated) // fresh gates
-		_, rels, err := e.runProcess(proc, plan, prog.Selects, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := rels[prog.Selects[0]][0].Raw; math.Float64bits(got) != math.Float64bits(wantSum) {
+		_, rels := runProcessFor(t, e, proc, plan, prog.Selects)
+		if got := rels[0][0].Raw; math.Float64bits(got) != math.Float64bits(wantSum) {
 			t.Errorf("%s: pushdown SUM = %v, want %v (shard states merged out of order)", tc.name, got, wantSum)
 		}
-		if got := rels[prog.Selects[1]][0].Raw; got != wantCount {
+		if got := rels[1][0].Raw; got != wantCount {
 			t.Errorf("%s: pushdown COUNT = %v, want %v", tc.name, got, wantCount)
 		}
 	}

@@ -63,10 +63,7 @@ SELECT COUNT(*) FROM t;`)
 		want = append(want, r.Name)
 	}
 	for range 20 {
-		plan, err := e.resolveSplit(prog.Splits[0])
-		if err != nil {
-			t.Fatal(err)
-		}
+		plan := resolveSet(t, e, prog)
 		var got []string
 		for _, sp := range plan.shards[0].splits {
 			got = append(got, sp.Region)
@@ -213,9 +210,9 @@ func TestPlanMemoReplansWhenBoundsGrow(t *testing.T) {
 
 // The memo checks each shard's mask and region scheme: the cache-key
 // prefixes depend on them, and the shard metadata alone cannot tell two
-// schemes with the same region count apart. One PROCESS and one SELECT
-// statement, shared by two programs whose SPLITs name different schemes,
-// must give each program the releases a fresh engine gives it.
+// schemes with the same region count apart. A program whose SPLIT is
+// swapped, between two executions, for one naming another scheme must
+// get the releases a fresh engine gives the new program.
 func TestPlanMemoChecksMaskAndScheme(t *testing.T) {
 	s := countScene(20)
 	schemes := map[string]region.Scheme{
@@ -251,8 +248,6 @@ SELECT region, COUNT(*) FROM t GROUP BY region WITH KEYS ["top", "bottom", "left
 		}
 		return prog
 	}
-	rows, cols := parse("rows"), parse("cols")
-	shared := &query.Program{Splits: cols.Splits, Processes: rows.Processes, Selects: rows.Selects}
 	raws := func(e *Engine, prog *query.Program) []float64 {
 		res, err := e.Execute(prog)
 		if err != nil {
@@ -264,9 +259,10 @@ SELECT region, COUNT(*) FROM t GROUP BY region WITH KEYS ["top", "bottom", "left
 		}
 		return out
 	}
-	e := engine()
-	raws(e, rows)
-	if got, want := raws(e, shared), raws(engine(), parse("cols")); !slices.Equal(got, want) {
-		t.Fatalf("the shared statements under another scheme released %v, a fresh engine %v", got, want)
+	e, prog := engine(), parse("rows")
+	raws(e, prog)
+	prog.Splits = parse("cols").Splits
+	if got, want := raws(e, prog), raws(engine(), parse("cols")); !slices.Equal(got, want) {
+		t.Fatalf("the program under another scheme released %v, a fresh engine %v", got, want)
 	}
 }

@@ -259,7 +259,9 @@ func TestE2ESlowQueryLog(t *testing.T) {
 // TestE2ETraceOmitsRowCounts pins that the trace never carries a
 // shard's exact row count: for a one-row-per-chunk COUNT(*) it is the
 // un-noised answer. The trace of a budget-denied job is served too, so
-// both an admitted and a denied COUNT are checked.
+// both an admitted and a denied COUNT are checked. Admission comes
+// before execution, so the denied job touched no chunk and its trace
+// has no shard span at all.
 func TestE2ETraceOmitsRowCounts(t *testing.T) {
 	t.Parallel() // stacks carry isolated obs registries — no cross-test bleed
 	h := harness.Start(t, harness.Config{Epsilon: 1})
@@ -279,8 +281,8 @@ func TestE2ETraceOmitsRowCounts(t *testing.T) {
 	}
 	for _, job := range []harness.Job{ok, denied} {
 		tree := h.Trace(job.ID)
-		if len(findSpans(tree, "shard")) == 0 {
-			t.Fatalf("job %s: trace has no shard spans", job.ID)
+		if shards := len(findSpans(tree, "shard")); (shards > 0) != (job.ID == ok.ID) {
+			t.Fatalf("job %s (%s): trace has %d shard spans", job.ID, job.State, shards)
 		}
 		check(tree)
 	}

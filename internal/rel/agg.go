@@ -54,19 +54,35 @@ type Release struct {
 	Epsilon float64
 }
 
-// ExecuteSelect runs one SELECT statement over the environment and
-// returns its data releases with sensitivities attached. The release
-// skeleton comes from the planner; this function only fills in values.
+// ExecuteSelect plans one SELECT statement over the environment's
+// tables and executes it: PlanSelect then Plan.Execute.
 func ExecuteSelect(st *query.SelectStmt, env Env) ([]Release, error) {
-	tbl, cons, err := execRel(st.From, env)
+	p, err := PlanSelect(st, catalogOf(env))
 	if err != nil {
 		return nil, err
 	}
-	rp, err := planReleases(st, tbl.Schema, cons)
+	return p.Execute(env)
+}
+
+// catalogOf is env's table-blind half: what the planner may read.
+func catalogOf(env Env) Catalog {
+	cat := make(Catalog, len(env))
+	for name, inst := range env {
+		cat[name] = Shape{Schema: inst.Data.Schema, Metas: inst.Metas}
+	}
+	return cat
+}
+
+// Execute fills a copy of the plan's releases with values computed over
+// the materialized tables of env, which must hold every table the plan
+// read with the schema it was planned against. It plans nothing.
+func (p *Plan) Execute(env Env) ([]Release, error) {
+	tbl, err := p.root.rows(env)
 	if err != nil {
 		return nil, err
 	}
-	out := rp.releases // this call's own plan: filled in place
+	st, rp := p.st, p.rp
+	out := append([]Release(nil), rp.releases...)
 
 	// The aggregate argument is evaluated columnar, once, shared across
 	// every group — and lazily, so a statement whose groups are all

@@ -8,56 +8,38 @@ import (
 	"privid/internal/table"
 )
 
-// execRel evaluates a relational expression, returning its rows and
-// the propagated privacy constraints. Each operator asks the planner
-// (plan.go) for its accept/reject decision, output layout and output
-// constraints, then moves rows. Operators work directly on the
+// rows moves the rows of a planned relational expression: its inputs'
+// rows first, then its own operator, following the layout PlanSelect
+// recorded on n. It plans nothing. Operators work directly on the
 // tables' columnar backing: selections produce index vectors, group and
-// join keys are hashed (with exact-equality collision checks) instead
-// of concatenated into strings, and output columns are preallocated
-// from the input cardinality.
-func execRel(r query.RelExpr, env Env) (*table.Table, Constraints, error) {
-	switch rel := r.(type) {
+// join keys are hashed (with exact-equality collision checks) instead of
+// concatenated into strings, and output columns are preallocated from
+// the input cardinality. env must hold every table the plan read, with
+// the schema it was planned against.
+func (n *node) rows(env Env) (*table.Table, error) {
+	var in [2]*table.Table
+	for i, c := range n.in {
+		var err error
+		if in[i], err = c.rows(env); err != nil {
+			return nil, err
+		}
+	}
+	switch rel := n.rel.(type) {
 	case *query.TableRef:
-		return execTableRef(rel, env)
+		inst, ok := env[rel.Name]
+		if !ok {
+			return nil, fmt.Errorf("rel: unknown table %q", rel.Name)
+		}
+		return inst.Data, nil
 	case *query.SelectExpr:
-		return execSelect(rel, env)
+		return selectRows(rel, n.schema, in[0])
 	case *query.GroupExpr:
-		return execGroup(rel, env)
+		return groupRows(rel, n.idx, in[0]), nil
 	case *query.JoinExpr:
-		return execJoin(rel, env)
-	case *query.UnionExpr:
-		return execUnion(rel, env)
-	default:
-		return nil, Constraints{}, fmt.Errorf("rel: unsupported expression %T", r)
+		return joinRows(rel, n.join, in[0], in[1]), nil
+	default: // *query.UnionExpr: PlanSelect plans nothing else
+		return unionRows(n.idx, in[0], in[1]), nil
 	}
-}
-
-func execTableRef(rel *query.TableRef, env Env) (*table.Table, Constraints, error) {
-	inst, ok := env[rel.Name]
-	if !ok {
-		return nil, Constraints{}, fmt.Errorf("rel: unknown table %q", rel.Name)
-	}
-	if len(inst.Metas) == 0 {
-		return nil, Constraints{}, fmt.Errorf("rel: table %q has no shard metadata", rel.Name)
-	}
-	return inst.Data, tableCons(inst.Metas, inst.Data.Schema), nil
-}
-
-func execSelect(rel *query.SelectExpr, env Env) (*table.Table, Constraints, error) {
-	in, cons, err := execRel(rel.From, env)
-	if err != nil {
-		return nil, Constraints{}, err
-	}
-	// Accept/reject, the output schema and the output constraints are
-	// settled before any row is looked at, so a static error keeps its
-	// precedence over anything the rows could cause.
-	schema, out, err := selectCons(rel, in.Schema, cons)
-	if err != nil {
-		return nil, Constraints{}, err
-	}
-	t, err := selectRows(rel, schema, in)
-	return t, out, err
 }
 
 // selectRows moves the rows of an inner SELECT that selectCons accepted
@@ -136,15 +118,9 @@ func rowKeysEqual(a *table.Table, ai int, aIdx []int, b *table.Table, bi int, bI
 	return true
 }
 
-func execGroup(rel *query.GroupExpr, env Env) (*table.Table, Constraints, error) {
-	in, cons, err := execRel(rel.From, env)
-	if err != nil {
-		return nil, Constraints{}, err
-	}
-	idx, oc, err := groupCons(rel, in.Schema, cons)
-	if err != nil {
-		return nil, Constraints{}, err
-	}
+// groupRows deduplicates in on the key columns idx: one representative
+// row (the first) per key tuple, restricted to WITH KEYS when given.
+func groupRows(rel *query.GroupExpr, idx []int, in *table.Table) *table.Table {
 	var allow map[uint64][]table.Value
 	if len(rel.WithKeys) > 0 {
 		allow = make(map[uint64][]table.Value, len(rel.WithKeys))
@@ -183,7 +159,7 @@ func execGroup(rel *query.GroupExpr, env Env) (*table.Table, Constraints, error)
 		seen[h] = append(seen[h], i)
 		sel = append(sel, i)
 	}
-	return in.Gather(sel), oc, nil
+	return in.Gather(sel)
 }
 
 // firstPerKey returns, for each distinct key tuple in row order, the
@@ -220,19 +196,9 @@ func lookupKey(byHash map[uint64][]int, in *table.Table, inIdx []int, probe *tab
 	return -1
 }
 
-func execJoin(rel *query.JoinExpr, env Env) (*table.Table, Constraints, error) {
-	lt, lc, err := execRel(rel.Left, env)
-	if err != nil {
-		return nil, Constraints{}, err
-	}
-	rt, rc, err := execRel(rel.Right, env)
-	if err != nil {
-		return nil, Constraints{}, err
-	}
-	js, oc, err := joinCons(rel, lt.Schema, rt.Schema, lc, rc)
-	if err != nil {
-		return nil, Constraints{}, err
-	}
+// joinRows matches the deduplicated rows of lt and rt on their key
+// columns into the layout js.
+func joinRows(rel *query.JoinExpr, js joinShape, lt, rt *table.Table) *table.Table {
 	lIdx, rIdx, cols := js.lIdx, js.rIdx, js.schema.Cols
 
 	// First row per key on each side (inputs are deduped, but stay
@@ -294,7 +260,7 @@ func execJoin(rel *query.JoinExpr, env Env) (*table.Table, Constraints, error) {
 			return nil, 0, 0
 		})
 	}
-	return b.Build(), oc, nil
+	return b.Build()
 }
 
 // fillJoinCol writes one join output column. src yields the source
@@ -335,19 +301,8 @@ func fillJoinCol(b *table.Builder, jout int, typ table.DType, nout int, src func
 	b.SetStrsView(jout, strs, nums, valid)
 }
 
-func execUnion(rel *query.UnionExpr, env Env) (*table.Table, Constraints, error) {
-	lt, lc, err := execRel(rel.Left, env)
-	if err != nil {
-		return nil, Constraints{}, err
-	}
-	rt, rc, err := execRel(rel.Right, env)
-	if err != nil {
-		return nil, Constraints{}, err
-	}
-	remap, oc, err := unionCons(lt.Schema, rt.Schema, lc, rc)
-	if err != nil {
-		return nil, Constraints{}, err
-	}
+// unionRows appends rt's rows, reordered by remap, to lt's.
+func unionRows(remap []int, lt, rt *table.Table) *table.Table {
 	nl, nr := lt.Len(), rt.Len()
 	b := table.NewBuilder(lt.Schema, nl+nr)
 	for i, c := range lt.Schema.Cols {
@@ -381,5 +336,5 @@ func execUnion(rel *query.UnionExpr, env Env) (*table.Table, Constraints, error)
 		}
 		b.SetStrsView(i, strs, nums, valid)
 	}
-	return b.Build(), oc, nil
+	return b.Build()
 }

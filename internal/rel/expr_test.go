@@ -132,7 +132,7 @@ func TestRangeWidth(t *testing.T) {
 		{Range{5, 5}, 5},
 	}
 	for _, c := range cases {
-		if got := c.r.Width(); got != c.want {
+		if got := c.r.width(); got != c.want {
 			t.Errorf("Width(%v)=%v, want %v", c.r, got, c.want)
 		}
 	}

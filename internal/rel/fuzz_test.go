@@ -13,7 +13,7 @@ import (
 // re-encode to itself (the encoding is canonical).
 func FuzzPartialStateDecode(f *testing.F) {
 	count, sum := encodedTestPlans(f)
-	slots := sum.Slots()
+	slots := sum.slots()
 	f.Add((&PartialState{Counts: []int64{3}, Rows: 3, Chunks: 1, CamRows: map[string]int64{"camA": 3}}).EncodeBinary())
 	f.Add((&PartialState{Counts: []int64{0}, Chunks: 1}).EncodeBinary())
 	f.Add((&PartialState{

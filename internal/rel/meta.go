@@ -97,10 +97,10 @@ type Range struct {
 	Lo, Hi float64
 }
 
-// Width returns the conservative per-row contribution bound: the
+// width returns the conservative per-row contribution bound: the
 // maximum of |Lo|, |Hi| and Hi−Lo, so that both changing a row's value
 // within the range and adding/removing the row entirely are covered.
-func (r Range) Width() float64 {
+func (r Range) width() float64 {
 	w := r.Hi - r.Lo
 	if a := math.Abs(r.Lo); a > w {
 		w = a
@@ -170,48 +170,9 @@ type Constraints struct {
 	KeyCams map[string]map[string][]string
 }
 
-func (c Constraints) clone() Constraints {
-	out := c
-	out.Ranges = make(map[string]Range, len(c.Ranges))
-	for k, v := range c.Ranges {
-		out.Ranges[k] = v
-	}
-	out.Trusted = make(map[string]bool, len(c.Trusted))
-	for k, v := range c.Trusted {
-		out.Trusted[k] = v
-	}
-	out.Buckets = make(map[string]BucketSpec, len(c.Buckets))
-	for k, v := range c.Buckets {
-		out.Buckets[k] = v
-	}
-	out.Metas = append([]TableMeta(nil), c.Metas...)
-	out.DedupKeys = append([]string(nil), c.DedupKeys...)
-	out.LiteralCols = make(map[string]string, len(c.LiteralCols))
-	for k, v := range c.LiteralCols {
-		out.LiteralCols[k] = v
-	}
-	out.KeyDeltas = make(map[string]map[string]float64, len(c.KeyDeltas))
-	for k, m := range c.KeyDeltas {
-		inner := make(map[string]float64, len(m))
-		for kk, vv := range m {
-			inner[kk] = vv
-		}
-		out.KeyDeltas[k] = inner
-	}
-	out.KeyCams = make(map[string]map[string][]string, len(c.KeyCams))
-	for k, m := range c.KeyCams {
-		inner := make(map[string][]string, len(m))
-		for kk, vv := range m {
-			inner[kk] = append([]string(nil), vv...)
-		}
-		out.KeyCams[k] = inner
-	}
-	return out
-}
-
-// Window returns the earliest begin and latest end over the
+// window returns the earliest begin and latest end over the
 // contributing tables.
-func (c Constraints) Window() (time.Time, time.Time) {
+func (c Constraints) window() (time.Time, time.Time) {
 	var begin, end time.Time
 	for i, m := range c.Metas {
 		if i == 0 || m.Begin.Before(begin) {

@@ -153,7 +153,7 @@ func evalCall(ex *query.CallExpr, schema table.Schema, row table.Row) (table.Val
 func oracleExecRel(r query.RelExpr, env Env) (*oracleTable, Constraints, error) {
 	switch rel := r.(type) {
 	case *query.TableRef:
-		t, cons, err := execTableRef(rel, env)
+		t, cons, err := execRel(rel, env)
 		if err != nil {
 			return nil, Constraints{}, err
 		}
@@ -596,7 +596,7 @@ func oracleAggregate(agg query.AggExpr, schema table.Schema, rows []table.Row, c
 	if !ok {
 		return 0, 0, fmt.Errorf("rel: %s requires a range constraint on its argument (use range(col, lo, hi))", agg.Fun)
 	}
-	width := rg.Width()
+	width := rg.width()
 	var vals []float64
 	for _, row := range rows {
 		v, err := evalExpr(agg.Arg, schema, row)
@@ -662,7 +662,7 @@ func oracleExecuteSelect(st *query.SelectStmt, env Env) ([]Release, error) {
 	if err != nil {
 		return nil, err
 	}
-	begin, end := cons.Window()
+	begin, end := cons.window()
 	spans := cameraSpans(cons)
 
 	base := Release{Fun: st.Agg.Fun, Begin: begin, End: end}
@@ -782,4 +782,45 @@ func sortReleases(rs []Release) {
 	sort.SliceStable(rs, func(i, j int) bool {
 		return releaseKeyLess(rs[i].Key, rs[j].Key)
 	})
+}
+
+// clone deep-copies the constraints, as the planner once did before
+// every derivation; the oracle keeps the historical copy.
+func (c Constraints) clone() Constraints {
+	out := c
+	out.Ranges = make(map[string]Range, len(c.Ranges))
+	for k, v := range c.Ranges {
+		out.Ranges[k] = v
+	}
+	out.Trusted = make(map[string]bool, len(c.Trusted))
+	for k, v := range c.Trusted {
+		out.Trusted[k] = v
+	}
+	out.Buckets = make(map[string]BucketSpec, len(c.Buckets))
+	for k, v := range c.Buckets {
+		out.Buckets[k] = v
+	}
+	out.Metas = append([]TableMeta(nil), c.Metas...)
+	out.DedupKeys = append([]string(nil), c.DedupKeys...)
+	out.LiteralCols = make(map[string]string, len(c.LiteralCols))
+	for k, v := range c.LiteralCols {
+		out.LiteralCols[k] = v
+	}
+	out.KeyDeltas = make(map[string]map[string]float64, len(c.KeyDeltas))
+	for k, m := range c.KeyDeltas {
+		inner := make(map[string]float64, len(m))
+		for kk, vv := range m {
+			inner[kk] = vv
+		}
+		out.KeyDeltas[k] = inner
+	}
+	out.KeyCams = make(map[string]map[string][]string, len(c.KeyCams))
+	for k, m := range c.KeyCams {
+		inner := make(map[string][]string, len(m))
+		for kk, vv := range m {
+			inner[kk] = append([]string(nil), vv...)
+		}
+		out.KeyCams[k] = inner
+	}
+	return out
 }

@@ -83,113 +83,68 @@ type chainStep struct {
 	schema table.Schema
 }
 
-// ReferencedTables lists the distinct table names a relational
-// expression reads, in first-reference order.
-func ReferencedTables(r query.RelExpr) []string {
-	var out []string
-	seen := map[string]bool{}
-	var walk func(query.RelExpr)
-	walk = func(r query.RelExpr) {
-		switch rel := r.(type) {
-		case *query.TableRef:
-			if !seen[rel.Name] {
-				seen[rel.Name] = true
-				out = append(out, rel.Name)
-			}
-		case *query.SelectExpr:
-			walk(rel.From)
-		case *query.GroupExpr:
-			walk(rel.From)
-		case *query.JoinExpr:
-			walk(rel.Left)
-			walk(rel.Right)
-		case *query.UnionExpr:
-			walk(rel.Left)
-			walk(rel.Right)
-		}
-	}
-	walk(r)
-	return out
-}
-
-// PlanPartial decides whether st can be evaluated by per-chunk folding
-// over the named table (whose full execution schema and trusted shard
-// metadata are given) and, if so, returns the plan. A nil result means
-// the statement must take the full materialization path — because it
-// touches other tables, uses an operator that is not distributive over
-// chunks (LIMIT, inner GROUP BY, JOIN, UNION), aggregates with AVG/VAR
-// (not exactly mergeable), or is one the planner rejects (the full path
-// then reports the error).
+// PlanPartial returns st's fold plan over the one table name, whose full
+// execution schema and shard metadata are given: PlanSelect's Partial,
+// or nil when the statement must take the materialization path (or is
+// rejected, which that path then reports).
 func PlanPartial(st *query.SelectStmt, name string, full table.Schema, metas []TableMeta) *PartialPlan {
-	if len(metas) == 0 {
+	p, err := PlanSelect(st, Catalog{name: {Schema: full, Metas: metas}})
+	if err != nil {
 		return nil
 	}
+	return p.Partial
+}
+
+// partialOf derives the fold plan of st, planned as root and rp, or nil
+// when the statement is not eligible. It reads the planned FROM chain:
+// each projection or filter with the output schema the planner gave it,
+// down to the table reference.
+func partialOf(st *query.SelectStmt, root *node, rp *releasePlan) *PartialPlan {
 	switch st.Agg.Fun {
 	case query.AggCount, query.AggSum, query.AggArgmax:
 	default:
 		return nil // AVG/VAR need count-coupled division; not exactly mergeable
 	}
-	// Unwrap the FROM chain: projections/filters over the single table.
 	var chain []chainStep // outermost first until reversed below
-	cur := st.From
-unwrap:
-	for {
-		switch f := cur.(type) {
-		case *query.SelectExpr:
-			if f.Limit > 0 {
-				return nil // LIMIT truncates at full-table row order
-			}
-			chain = append(chain, chainStep{sel: f})
-			cur = f.From
-		case *query.TableRef:
-			if f.Name != name {
-				return nil
-			}
-			break unwrap
-		default:
-			return nil
+	n := root
+	for ; ; n = n.in[0] {
+		sel, ok := n.rel.(*query.SelectExpr)
+		if !ok {
+			break
 		}
-	}
-	// The planner's rules, innermost-out: the chain's output schema and
-	// constraints, then the release skeleton.
-	schema, cons := full, tableCons(metas, full)
-	slices.Reverse(chain)
-	for i := range chain {
-		var err error
-		if schema, cons, err = selectCons(chain[i].sel, schema, cons); err != nil {
-			return nil
+		if sel.Limit > 0 {
+			return nil // LIMIT truncates at full-table row order
 		}
-		chain[i].schema = schema
+		chain = append(chain, chainStep{sel: sel, schema: n.schema})
 	}
-	rp, err := planReleases(st, schema, cons)
-	if err != nil {
+	if _, ok := n.rel.(*query.TableRef); !ok {
 		return nil
 	}
-
+	slices.Reverse(chain)
 	p := &PartialPlan{
 		agg:     st.Agg,
 		chain:   chain,
-		cams:    make(map[string]string, len(metas)),
+		cams:    make(map[string]string, len(n.cons.Metas)),
 		rp:      rp,
 		needSum: st.Agg.Fun == query.AggSum,
 		argCol:  -1,
 	}
-	for _, m := range metas {
+	for _, m := range n.cons.Metas {
 		p.cams[m.Camera] = m.Camera
 	}
 	if p.needSum {
 		switch arg := st.Agg.Arg.(type) {
 		case *query.ColRef:
-			p.argCol = schema.Index(arg.Name)
+			p.argCol = root.schema.Index(arg.Name)
 		case *query.CallExpr:
 			if arg.Name == "range" {
 				if c, ok := arg.Args[0].(*query.ColRef); ok {
-					p.argCol = schema.Index(c.Name)
+					p.argCol = root.schema.Index(c.Name)
 				}
 			}
 		}
 	}
-	p.id = p.renderID(st, full)
+	p.id = p.renderID(st, n.schema)
 	return p
 }
 
@@ -277,8 +232,8 @@ func renderExpr(b *strings.Builder, e query.Expr) {
 // ID returns the plan identity string (see renderID).
 func (p *PartialPlan) ID() string { return p.id }
 
-// Slots returns the number of key slots (1 for ungrouped aggregates).
-func (p *PartialPlan) Slots() int {
+// slots returns the number of key slots (1 for ungrouped aggregates).
+func (p *PartialPlan) slots() int {
 	if p.rp.ci >= 0 {
 		return len(p.rp.keys)
 	}
@@ -287,20 +242,20 @@ func (p *PartialPlan) Slots() int {
 
 // NewState returns an empty state shaped for this plan.
 func (p *PartialPlan) NewState() *PartialState {
-	s := &PartialState{Counts: make([]int64, p.Slots())}
+	s := &PartialState{Counts: make([]int64, p.slots())}
 	if p.needSum {
-		s.Sums = make([]float64, p.Slots())
+		s.Sums = make([]float64, p.slots())
 	}
 	return s
 }
 
-// Compatible reports whether a (possibly decoded) state matches this
+// compatible reports whether a (possibly decoded) state matches this
 // plan's shape.
-func (p *PartialPlan) Compatible(s *PartialState) bool {
-	if s == nil || len(s.Counts) != p.Slots() {
+func (p *PartialPlan) compatible(s *PartialState) bool {
+	if s == nil || len(s.Counts) != p.slots() {
 		return false
 	}
-	if p.needSum != (s.Sums != nil) || (s.Sums != nil && len(s.Sums) != p.Slots()) {
+	if p.needSum != (s.Sums != nil) || (s.Sums != nil && len(s.Sums) != p.slots()) {
 		return false
 	}
 	return true

@@ -147,7 +147,7 @@ func TestDifferentialStreamingMerge(t *testing.T) {
 		from, cols := diffSchemaPreserving(rng, rng.Intn(3))
 		st := diffSelectStmt(rng, from, cols)
 
-		refs := ReferencedTables(st.From)
+		refs := referencedTables(st.From)
 		if len(refs) != 1 {
 			t.Fatalf("seed %d: generator produced %d table refs", seed, len(refs))
 		}
@@ -178,7 +178,7 @@ func TestDifferentialStreamingMerge(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: codec round-trip chunk %d: %v", seed, i, err)
 				}
-				if !plan.Compatible(dec) || !plan.CompatibleEncoded(raws[i]) {
+				if !plan.compatible(dec) || !plan.CompatibleEncoded(raws[i]) {
 					t.Fatalf("seed %d: decoded state incompatible with plan", seed)
 				}
 				states[i] = dec
@@ -399,15 +399,15 @@ func encodedTestPlans(tb testing.TB) (count, sum *PartialPlan) {
 
 // checkEncodedAgreesWithDecode is the contract between the two ways of
 // consuming a payload, on any input: CompatibleEncoded and MergeEncoded
-// accept raw exactly when DecodePartialState does and Compatible
+// accept raw exactly when DecodePartialState does and compatible
 // accepts the result; an accepted merge equals Merge∘Decode bit for
 // bit; a rejected one leaves dst untouched.
 func checkEncodedAgreesWithDecode(tb testing.TB, plan *PartialPlan, raw []byte) {
 	tb.Helper()
 	dec, derr := DecodePartialState(raw)
-	want := derr == nil && plan.Compatible(dec)
+	want := derr == nil && plan.compatible(dec)
 	if got := plan.CompatibleEncoded(raw); got != want {
-		tb.Fatalf("CompatibleEncoded = %v, Decode+Compatible = %v (decode error: %v) on %x", got, want, derr, raw)
+		tb.Fatalf("CompatibleEncoded = %v, Decode+compatible = %v (decode error: %v) on %x", got, want, derr, raw)
 	}
 	// A non-trivial accumulator: a rejected merge must not move it.
 	dst := plan.NewState()
@@ -421,7 +421,7 @@ func checkEncodedAgreesWithDecode(tb testing.TB, plan *PartialPlan, raw []byte) 
 	before := cloneState(dst)
 	err := plan.MergeEncoded(dst, raw)
 	if (err == nil) != want {
-		tb.Fatalf("MergeEncoded error %v, Decode+Compatible = %v on %x", err, want, raw)
+		tb.Fatalf("MergeEncoded error %v, Decode+compatible = %v on %x", err, want, raw)
 	}
 	if err == nil {
 		plan.Merge(before, dec)
@@ -435,11 +435,11 @@ func checkEncodedAgreesWithDecode(tb testing.TB, plan *PartialPlan, raw []byte) 
 // validation: every truncation, trailing bytes, bad magic, unknown
 // flags, oversized slot counts, out-of-order or duplicate cameras and
 // every shape mismatch is rejected by CompatibleEncoded and
-// MergeEncoded exactly as by DecodePartialState + Compatible, with dst
+// MergeEncoded exactly as by DecodePartialState + compatible, with dst
 // untouched — and none of it panics.
 func TestMergeEncodedRejects(t *testing.T) {
 	count, sum := encodedTestPlans(t)
-	slots := sum.Slots()
+	slots := sum.slots()
 	full := &PartialState{
 		Counts: make([]int64, slots), Sums: make([]float64, slots),
 		Rows: 9, Chunks: 3,

@@ -210,14 +210,14 @@ func DecodePartialState(raw []byte) (*PartialState, error) {
 }
 
 // fits reports whether the payload has this plan's shape — the encoded
-// counterpart of Compatible.
+// counterpart of compatible.
 func (p *PartialPlan) fits(e encodedState) bool {
-	return e.nslots == p.Slots() && e.sums == p.needSum
+	return e.nslots == p.slots() && e.sums == p.needSum
 }
 
 // CompatibleEncoded reports whether raw is a well-formed encoded state
 // of this plan's shape: exactly when DecodePartialState succeeds on it
-// and Compatible accepts the result. It does not allocate on success.
+// and compatible accepts the result. It does not allocate on success.
 func (p *PartialPlan) CompatibleEncoded(raw []byte) bool {
 	e, err := parseEncodedState(raw)
 	return err == nil && p.fits(e)
@@ -226,7 +226,7 @@ func (p *PartialPlan) CompatibleEncoded(raw []byte) bool {
 // MergeEncoded folds an encoded state into dst without decoding it:
 // the result is bit-identical to Merge(dst, DecodePartialState(raw)).
 // The whole payload is validated (every DecodePartialState and
-// Compatible check) before anything is added, so on error dst is
+// compatible check) before anything is added, so on error dst is
 // untouched. dst must be shaped by this plan (NewState). It does not
 // allocate beyond dst's camera map growing.
 func (p *PartialPlan) MergeEncoded(dst *PartialState, raw []byte) error {
@@ -234,9 +234,9 @@ func (p *PartialPlan) MergeEncoded(dst *PartialState, raw []byte) error {
 	if err != nil {
 		return err
 	}
-	if !p.fits(e) || !p.Compatible(dst) {
+	if !p.fits(e) || !p.compatible(dst) {
 		return fmt.Errorf("rel: encoded state (%d slots, sums=%v) does not fit plan (%d slots, sums=%v)",
-			e.nslots, e.sums, p.Slots(), p.needSum)
+			e.nslots, e.sums, p.slots(), p.needSum)
 	}
 	for i := range dst.Counts {
 		dst.Counts[i] += e.count(i)

@@ -3,6 +3,7 @@ package rel
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -17,10 +18,120 @@ import (
 // metadata (§6, Fig. 10, Thm. 6.1). Nothing here can see a row: the file
 // never names the row container, and it is the only non-test file of the
 // package that builds a Constraints or assigns a Sensitivity, ΔP or C̃s
-// (plan_test.go checks both on the AST). exec.go, agg.go and partial.go
-// call these functions next to their row work and otherwise only move
-// rows, so the materialized path, the pushdown path and a statement over
-// an empty table cannot disagree about any of it.
+// (plan_test.go checks both on the AST). PlanSelect is the one caller of
+// the rules: it walks a statement once, from a catalog that holds no
+// rows, and exec.go, agg.go and partial.go read the layout it recorded
+// and otherwise only move rows, so the materialized path, the pushdown
+// path and a statement over an empty table cannot disagree about any of
+// it.
+
+// Shape is what the planner may know of a table: its stamped schema and
+// one trusted meta per camera shard, never its rows.
+type Shape struct {
+	Schema table.Schema
+	Metas  []TableMeta
+}
+
+// Catalog resolves table names for the planner.
+type Catalog map[string]Shape
+
+// node is one planned relational operator: the output schema and
+// constraints its Fig. 10 rule derived, its planned inputs, and the
+// layout its row operator follows (idx: a GROUP BY's key columns or a
+// UNION's right-side index of each left column; join: a JOIN's).
+type node struct {
+	rel    query.RelExpr
+	in     []*node
+	schema table.Schema
+	cons   Constraints
+	idx    []int
+	join   joinShape
+}
+
+// Plan is one SELECT statement planned against a catalog: everything
+// about its output but the values. It is read-only, so one may serve
+// concurrent executions. Releases is the skeleton in final order, every
+// field but Raw, Scores and Epsilon set (Execute and Finalize return
+// filled copies); Tables lists the tables read, in first-reference
+// order; Partial is the per-chunk fold plan, nil unless the statement
+// is a mergeable aggregation over projections and filters of one table.
+type Plan struct {
+	Releases []Release
+	Tables   []string
+	Partial  *PartialPlan
+
+	st   *query.SelectStmt
+	root *node
+	rp   *releasePlan
+}
+
+// PlanSelect accepts or rejects st over the tables of cat and, when it
+// accepts, plans it: one walk of the FROM expression through Fig. 10's
+// rules, innermost first (a JOIN's or UNION's left side before its
+// right), then the outer aggregation's release skeleton.
+func PlanSelect(st *query.SelectStmt, cat Catalog) (*Plan, error) {
+	p := &Plan{st: st}
+	var walk func(r query.RelExpr) (*node, error)
+	walk = func(r query.RelExpr) (*node, error) {
+		n := &node{rel: r}
+		var ins []query.RelExpr
+		switch rel := r.(type) {
+		case *query.SelectExpr:
+			ins = []query.RelExpr{rel.From}
+		case *query.GroupExpr:
+			ins = []query.RelExpr{rel.From}
+		case *query.JoinExpr:
+			ins = []query.RelExpr{rel.Left, rel.Right}
+		case *query.UnionExpr:
+			ins = []query.RelExpr{rel.Left, rel.Right}
+		}
+		for _, in := range ins {
+			c, err := walk(in)
+			if err != nil {
+				return nil, err
+			}
+			n.in = append(n.in, c)
+		}
+		var err error
+		switch rel := r.(type) {
+		case *query.TableRef:
+			sh, ok := cat[rel.Name]
+			switch {
+			case !ok:
+				return nil, fmt.Errorf("rel: unknown table %q", rel.Name)
+			case len(sh.Metas) == 0:
+				return nil, fmt.Errorf("rel: table %q has no shard metadata", rel.Name)
+			case !slices.Contains(p.Tables, rel.Name):
+				p.Tables = append(p.Tables, rel.Name)
+			}
+			n.schema, n.cons = sh.Schema, tableCons(sh.Metas, sh.Schema)
+		case *query.SelectExpr:
+			n.schema, n.cons, err = selectCons(rel, n.in[0].schema, n.in[0].cons)
+		case *query.GroupExpr:
+			n.schema = n.in[0].schema
+			n.idx, n.cons, err = groupCons(rel, n.schema, n.in[0].cons)
+		case *query.JoinExpr:
+			n.join, n.cons, err = joinCons(rel, n.in[0].schema, n.in[1].schema, n.in[0].cons, n.in[1].cons)
+			n.schema = n.join.schema
+		case *query.UnionExpr:
+			n.schema = n.in[0].schema
+			n.idx, n.cons, err = unionCons(n.schema, n.in[1].schema, n.in[0].cons, n.in[1].cons)
+		default:
+			err = fmt.Errorf("rel: unsupported expression %T", r)
+		}
+		return n, err
+	}
+	var err error
+	if p.root, err = walk(st.From); err != nil {
+		return nil, err
+	}
+	if p.rp, err = planReleases(st, p.root.schema, p.root.cons); err != nil {
+		return nil, err
+	}
+	p.Releases = p.rp.releases
+	p.Partial = partialOf(st, p.root, p.rp)
+	return p, nil
+}
 
 // checkExpr statically verifies that evaluating e over any table with
 // the given schema cannot fail: it mirrors every error and panic branch
@@ -159,7 +270,7 @@ func selectCons(rel *query.SelectExpr, in table.Schema, cons Constraints) (table
 			return table.Schema{}, Constraints{}, err
 		}
 	}
-	out := cons.clone()
+	out := cons // a plan is read-only: derivations replace maps, never write them
 	// LIMIT binds C̃s (Fig. 10's σ_limit rule).
 	if rel.Limit > 0 {
 		out.Size = math.Min(out.Size, float64(rel.Limit))
@@ -230,7 +341,7 @@ func groupCons(rel *query.GroupExpr, in table.Schema, cons Constraints) ([]int, 
 	if len(rel.WithKeys) > 0 && len(rel.Keys) != 1 {
 		return nil, Constraints{}, fmt.Errorf("rel: WITH KEYS requires a single group column")
 	}
-	out := cons.clone()
+	out := cons
 	// Dedup can only shrink the relation; without explicit keys the
 	// bound carries over unchanged.
 	if len(rel.WithKeys) > 0 {
@@ -488,9 +599,9 @@ type releasePlan struct {
 	// releases is the statement's output in final order with every
 	// field but Raw and Scores set; releases[i] reads its value from
 	// slot slotOf[i]. An ARGMAX plan has one release scoring every slot.
-	// A plan that outlives one call (PartialPlan's) is read-only:
-	// Finalize copies the slice and fills in the copy, whose elements
-	// still share Cameras and CamWindows with every other copy.
+	// The plan is read-only: Execute and Finalize copy the slice and fill
+	// in the copy, whose elements still share Cameras and CamWindows with
+	// every other copy.
 	releases []Release
 	slotOf   []int
 }
@@ -499,7 +610,7 @@ type releasePlan struct {
 // FROM relation with the given schema and constraints and, when it
 // accepts, lays out the complete release skeleton.
 func planReleases(st *query.SelectStmt, schema table.Schema, cons Constraints) (*releasePlan, error) {
-	begin, end := cons.Window()
+	begin, end := cons.window()
 	spans := cameraSpans(cons)
 	rp := &releasePlan{ci: -1}
 	var windows [][2]time.Time // per-slot bucket spans of a trusted time column
@@ -580,7 +691,7 @@ func planReleases(st *query.SelectStmt, schema table.Schema, cons Constraints) (
 		if err := checkExpr(st.Agg.Arg, schema); err != nil {
 			return nil, err
 		}
-		rp.rg, width = rg, rg.Width()
+		rp.rg, width = rg, rg.width()
 	}
 
 	// Release order is part of the engine's determinism contract: the

@@ -10,6 +10,7 @@ import (
 	"go/token"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -21,8 +22,7 @@ import (
 // TestPlannerOwnsConstraintsAndSensitivity enforces the file-level rule
 // on the AST of the package's non-test sources: plan.go never names the
 // row container, and it is the only file that builds a non-empty
-// Constraints literal or writes a Sensitivity, Delta or Size field
-// (meta.go's clone copies a whole value and is exempt).
+// Constraints literal or writes a Sensitivity, Delta or Size field.
 func TestPlannerOwnsConstraintsAndSensitivity(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -179,9 +179,31 @@ func errText(err error) string {
 // diverge), a relational expression or a full SELECT is rejected over a
 // populated environment exactly when — and with exactly the text with
 // which — it is rejected over the same environment with every table
-// emptied.
+// emptied. Its other half makes a failure after admission
+// data-independent: execution is total once planned, so every statement
+// PlanSelect accepts executes without error over both environments, on
+// the materialized path and, where it has a fold plan, on the fold.
 func TestRejectionIsStatic(t *testing.T) {
-	rejected := 0
+	rejected, accepted := 0, 0
+	total := func(seed int64, st *query.SelectStmt, env Env) {
+		p, err := PlanSelect(st, catalogOf(env))
+		if err != nil {
+			return
+		}
+		accepted++
+		for _, env := range []Env{env, emptied(env)} {
+			if _, err := p.Execute(env); err != nil {
+				t.Fatalf("seed %d: planned statement fails to execute: %v", seed, err)
+			}
+			if p.Partial == nil {
+				continue
+			}
+			inst := env[p.Tables[0]]
+			if _, err := p.Partial.Partial(inst.Data, inst.Metas[0].Camera); err != nil {
+				t.Fatalf("seed %d: planned statement fails to fold: %v", seed, err)
+			}
+		}
+	}
 	for seed := int64(0); seed < 1200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		env := diffEnv(rng)
@@ -191,6 +213,7 @@ func TestRejectionIsStatic(t *testing.T) {
 		if errText(full) != errText(none) {
 			t.Fatalf("operator seed %d: populated %q, emptied %q", seed, errText(full), errText(none))
 		}
+		total(seed, &query.SelectStmt{From: rel, Agg: query.AggExpr{Fun: query.AggCount, Star: true}}, env)
 
 		rng = rand.New(rand.NewSource(seed ^ 0x5eed))
 		env = diffEnv(rng)
@@ -204,10 +227,74 @@ func TestRejectionIsStatic(t *testing.T) {
 		if full != nil {
 			rejected++
 		}
+		total(seed, st, env)
 	}
-	if rejected == 0 {
-		t.Fatal("no generated statement was rejected; the generators drifted")
+	if rejected == 0 || accepted == 0 {
+		t.Fatalf("%d statements rejected, %d accepted; the generators drifted", rejected, accepted)
 	}
+}
+
+// TestPlanningIsOneWalk pins the plan step's shape on the AST. In this
+// package only PlanSelect calls Fig. 10's rules and planReleases, each
+// once: the row operators, ExecuteSelect and PlanPartial read the layout
+// it recorded and plan nothing. And the engine's plan step
+// (internal/core/plan.go) never names the row container.
+func TestPlanningIsOneWalk(t *testing.T) {
+	rules := map[string]int{"tableCons": 0, "selectCons": 0, "groupCons": 0, "joinCons": 0, "unionCons": 0, "planReleases": 0}
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if id, ok := call.Fun.(*ast.Ident); ok {
+					if _, rule := rules[id.Name]; rule {
+						rules[id.Name]++
+						if fd.Name.Name != "PlanSelect" {
+							t.Errorf("%s: %s calls %s; only PlanSelect plans", fset.Position(call.Pos()), fd.Name.Name, id.Name)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	for rule, n := range rules {
+		if n != 1 {
+			t.Errorf("%s is called %d times, want once (from PlanSelect)", rule, n)
+		}
+	}
+
+	const core = "../core/plan.go"
+	f, err := parser.ParseFile(fset, core, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if x, ok := n.(*ast.SelectorExpr); ok {
+			if pkg, ok := x.X.(*ast.Ident); ok && pkg.Name == "table" && x.Sel.Name == "Table" {
+				t.Errorf("%s: the engine's plan step names table.Table", fset.Position(x.Pos()))
+			}
+		}
+		return true
+	})
 }
 
 // skeleton renders everything about a statement's releases that must be
@@ -237,7 +324,7 @@ func skeleton(rels []Release) string {
 // statement is not eligible.
 func pushdownSkeleton(t *testing.T, st *query.SelectStmt, env Env) (string, bool) {
 	t.Helper()
-	refs := ReferencedTables(st.From)
+	refs := referencedTables(st.From)
 	if len(refs) != 1 {
 		return "", false
 	}
@@ -251,4 +338,44 @@ func pushdownSkeleton(t *testing.T, st *query.SelectStmt, env Env) (string, bool
 		t.Fatalf("fold: %v", err)
 	}
 	return skeleton(plan.Finalize(s)), true
+}
+
+// execRel plans r as the FROM of an ungrouped COUNT(*), which rejects
+// nothing of its own, and returns the planned relation's rows and
+// constraints.
+func execRel(r query.RelExpr, env Env) (*table.Table, Constraints, error) {
+	p, err := PlanSelect(&query.SelectStmt{From: r, Agg: query.AggExpr{Fun: query.AggCount, Star: true}}, catalogOf(env))
+	if err != nil {
+		return nil, Constraints{}, err
+	}
+	tbl, err := p.root.rows(env)
+	return tbl, p.root.cons, err
+}
+
+// referencedTables lists the distinct table names a relational
+// expression reads, in first-reference order, whether or not the
+// planner accepts it.
+func referencedTables(r query.RelExpr) []string {
+	var out []string
+	var walk func(query.RelExpr)
+	walk = func(r query.RelExpr) {
+		switch rel := r.(type) {
+		case *query.TableRef:
+			if !slices.Contains(out, rel.Name) {
+				out = append(out, rel.Name)
+			}
+		case *query.SelectExpr:
+			walk(rel.From)
+		case *query.GroupExpr:
+			walk(rel.From)
+		case *query.JoinExpr:
+			walk(rel.Left)
+			walk(rel.Right)
+		case *query.UnionExpr:
+			walk(rel.Left)
+			walk(rel.Right)
+		}
+	}
+	walk(r)
+	return out
 }
