@@ -285,7 +285,6 @@ func Open(opts Options) (*Engine, error) {
 			}
 		}
 		w, err := store.Open(opts.StateDir, store.Options{
-			GroupCommit:   true,
 			SnapshotEvery: opts.SnapshotEvery,
 			WrapFile:      opts.WrapWALFile,
 			Metrics:       storeMetrics(reg),

@@ -11,8 +11,8 @@ import (
 )
 
 // commitRecordBuckets is the bucket layout of the WAL batch-size
-// histogram (records per durable append, powers of two up to the group
-// committer's maxGroupBatch).
+// histogram (records per durable append, powers of two up to the WAL's
+// largest group-commit batch, 512 records).
 var commitRecordBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
 
 // engineMetrics holds the engine's hot-path instruments. All fields

@@ -299,10 +299,10 @@ func (h *H) Crash() {
 	if !h.stopped {
 		h.Srv.Close()
 		h.Sched.Close()
-		// The abandoned engine's group-commit goroutine and file
-		// handles leak until process exit, as they would in a real
-		// crash. The drained scheduler guarantees it never writes
-		// again, so the reopened WAL owns the tail.
+		// The abandoned engine's file handles leak until process
+		// exit, as they would in a real crash. The drained scheduler
+		// guarantees it never writes again, so the reopened WAL owns
+		// the tail.
 		h.stopped = true
 	}
 	if h.Cfg.StateDir != "" {

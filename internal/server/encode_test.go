@@ -188,10 +188,13 @@ func randJob(rng *rand.Rand, s string, f float64, tm time.Time) JobInfo {
 		return info
 	}
 	res := &core.Result{EpsilonSpent: num()}
+	if rng.Intn(4) == 0 { // empty, not nil: [] where nil writes null
+		res.Releases, res.Cameras = []core.ReleaseResult{}, []core.CameraBudget{}
+	}
 	for range rng.Intn(3) {
 		res.Releases = append(res.Releases, core.ReleaseResult{
 			Desc: str(), Key: val(), HasKey: rng.Intn(2) == 0, Value: num(),
-			ArgmaxKey: val(), IsArgmax: rng.Intn(3) == 0, NoiseScale: num(), Epsilon: num(),
+			ArgmaxKey: val(), RawArgmaxKey: val(), IsArgmax: rng.Intn(3) == 0, NoiseScale: num(), Epsilon: num(),
 			Sensitivity: num(), Raw: num(), RawSet: rng.Intn(2) == 0, Begin: at(), End: at(),
 		})
 	}
@@ -205,7 +208,8 @@ func randJob(rng *rand.Rand, s string, f float64, tm time.Time) JobInfo {
 // checkWire requires every body built from info — the job with and
 // without its result, the result alone, a two-job listing — to be
 // exactly what encoding/json's Encoder writes for the reference struct,
-// and to be empty when the Encoder refuses it.
+// and to be empty when the Encoder refuses it; and the durable job
+// record's result to be json.Marshal's bytes of the *core.Result.
 func checkWire(t *testing.T, info JobInfo) {
 	t.Helper()
 	check := func(what string, fill func(*jsonBuf), ref any) {
@@ -232,6 +236,15 @@ func checkWire(t *testing.T, info JobInfo) {
 	}, []jobJSON{toJobJSON(info, false), toJobJSON(info, false)})
 	if info.Result != nil {
 		check("result", func(j *jsonBuf) { j.result(info.Result) }, toResultJSON(info.Result))
+	}
+	// The terminal job record holds json.Marshal's bytes of the result,
+	// and no result where json.Marshal refuses it.
+	var want []byte
+	if info.Result != nil {
+		want, _ = json.Marshal(info.Result) // nil on error
+	}
+	if got := terminalRecord(info).Job.Result; !bytes.Equal(got, want) {
+		t.Fatalf("terminal record of %+v:\n got %q\nwant %q", info, got, want)
 	}
 }
 

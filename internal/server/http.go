@@ -184,6 +184,78 @@ func (j *jsonBuf) result(res *core.Result) {
 	j.b = append(j.b, '}')
 }
 
+// storedResult appends res as json.Marshal writes a *core.Result — Go
+// field names, every field, null for a nil slice — the form a terminal
+// job record persists and recovery decodes.
+func (j *jsonBuf) storedResult(res *core.Result) {
+	j.b = append(j.b, `{"Releases":`...)
+	j.array(res.Releases == nil, len(res.Releases), func(i int) {
+		r := &res.Releases[i]
+		j.str(`{"Desc":`, r.Desc)
+		j.storedValue(`,"Key":`, r.Key)
+		j.bool(`,"HasKey":`, r.HasKey)
+		j.num(`,"Value":`, r.Value)
+		j.storedValue(`,"ArgmaxKey":`, r.ArgmaxKey)
+		j.storedValue(`,"RawArgmaxKey":`, r.RawArgmaxKey)
+		j.bool(`,"IsArgmax":`, r.IsArgmax)
+		j.num(`,"NoiseScale":`, r.NoiseScale)
+		j.num(`,"Epsilon":`, r.Epsilon)
+		j.num(`,"Sensitivity":`, r.Sensitivity)
+		j.num(`,"Raw":`, r.Raw)
+		j.bool(`,"RawSet":`, r.RawSet)
+		j.time(`,"Begin":`, r.Begin)
+		j.time(`,"End":`, r.End)
+		j.b = append(j.b, '}')
+	})
+	j.num(`,"EpsilonSpent":`, res.EpsilonSpent)
+	j.b = append(j.b, `,"Cameras":`...)
+	j.array(res.Cameras == nil, len(res.Cameras), func(i int) {
+		cb := &res.Cameras[i]
+		j.str(`{"Camera":`, cb.Camera)
+		j.num(`,"EpsilonSpent":`, cb.EpsilonSpent)
+		j.num(`,"Remaining":`, cb.Remaining)
+		j.b = append(j.b, '}')
+	})
+	j.b = append(j.b, '}')
+}
+
+// array appends n elements, each by elem, as a JSON array; null when
+// isNil, as json.Marshal writes a nil slice.
+func (j *jsonBuf) array(isNil bool, n int, elem func(i int)) {
+	if isNil {
+		j.b = append(j.b, "null"...)
+		return
+	}
+	j.b = append(j.b, '[')
+	for i := range n {
+		if i > 0 {
+			j.b = append(j.b, ',')
+		}
+		elem(i)
+	}
+	j.b = append(j.b, ']')
+}
+
+// storedValue appends v as table.Value.MarshalJSON writes it.
+func (j *jsonBuf) storedValue(key string, v table.Value) {
+	if v.Type() == table.DNumber {
+		j.b = append(append(j.b, key...), `{"t":"n"`...)
+		if n := v.Num(); n != 0 {
+			j.num(`,"n":`, n)
+		}
+	} else {
+		j.b = append(append(j.b, key...), `{"t":"s"`...)
+		if s := v.Str(); s != "" {
+			j.str(`,"s":`, s)
+		}
+	}
+	j.b = append(j.b, '}')
+}
+
+func (j *jsonBuf) bool(key string, v bool) {
+	j.b = strconv.AppendBool(append(j.b, key...), v)
+}
+
 // job appends a job snapshot; the result only once the job is done and
 // when withResult asks for it.
 func (j *jsonBuf) job(info JobInfo, withResult bool) {

@@ -511,7 +511,9 @@ func (s *Scheduler) recordSlow(info JobInfo, tr *obs.Trace, res *core.Result, qu
 }
 
 // terminalRecord converts a terminal job snapshot into its durable
-// form.
+// form. The result goes in as json.Marshal would write it, and is left
+// out where json.Marshal refuses it (NaN, ±Inf, a time RFC 3339 cannot
+// hold).
 func terminalRecord(info JobInfo) store.Record {
 	jr := store.JobRecord{
 		ID:          info.ID,
@@ -525,8 +527,10 @@ func terminalRecord(info JobInfo) store.Record {
 		FinishedAt:  info.FinishedAt,
 	}
 	if info.Result != nil {
-		if b, err := json.Marshal(info.Result); err == nil {
-			jr.Result = b
+		j := jsonBuf{b: make([]byte, 0, 512)}
+		j.storedResult(info.Result)
+		if j.err == nil {
+			jr.Result = j.b
 		}
 	}
 	return store.Record{Job: &jr}
@@ -534,23 +538,23 @@ func terminalRecord(info JobInfo) store.Record {
 
 // pruneLocked drops the oldest terminal jobs beyond MaxFinishedJobs so
 // retained history (query text + results) stays bounded. Queued and
-// running jobs are never dropped. Caller holds s.mu.
+// running jobs are never dropped. Only the live jobs submitted before
+// the dropped one move, one slot up over it; the rest of the order is
+// resliced in place. Caller holds s.mu.
 func (s *Scheduler) pruneLocked() {
 	for s.finished > s.opts.MaxFinishedJobs {
-		dropped := false
-		for i, id := range s.order {
-			if !s.jobs[id].info.Finished() {
-				continue
-			}
-			delete(s.jobs, id)
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			s.finished--
-			dropped = true
-			break
+		i := 0
+		for i < len(s.order) && !s.jobs[s.order[i]].info.Finished() {
+			i++
 		}
-		if !dropped {
+		if i == len(s.order) {
 			return
 		}
+		delete(s.jobs, s.order[i])
+		copy(s.order[1:i+1], s.order[:i])
+		s.order[0] = ""
+		s.order = s.order[1:]
+		s.finished--
 	}
 }
 

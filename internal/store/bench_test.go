@@ -19,10 +19,10 @@ import (
 // worker-pool scale), each owning one camera's ledger with a commit
 // hook into a shared store, admitting one charge per iteration.
 //
-//	Null       — store.NullStore: the pre-durability in-memory cost.
-//	WAL        — WAL with one fsync per charge (naive durability).
-//	WALGrouped — WAL with group commit: concurrent charges batch into
-//	             shared fsyncs, amortizing the sync across submitters.
+//	Null — store.NullStore: the pre-durability in-memory cost.
+//	WAL  — the WAL with real fsyncs: charges that arrive while one
+//	       fsync is in flight share the next, so the sync is amortized
+//	       across submitters.
 
 const benchSubmitters = 16
 
@@ -150,14 +150,4 @@ func BenchmarkSnapshot_AtRetention(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkLedgerCommit_WALGrouped(b *testing.B) {
-	benchLedgerCommit(b, func(b *testing.B) store.Store {
-		w, err := store.Open(b.TempDir(), store.Options{GroupCommit: true, SnapshotEvery: -1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return w
-	})
 }

@@ -17,7 +17,7 @@ type Metrics struct {
 	// FsyncSeconds observes just the fsync portion of an append — the
 	// part group commit amortizes across batched records.
 	FsyncSeconds *obs.Histogram
-	// CommitRecords observes how many records shared one durable append
-	// (1 without group commit; the batch size with it).
+	// CommitRecords observes how many records shared one durable append:
+	// the records of every commit in its group-commit batch.
 	CommitRecords *obs.Histogram
 }

@@ -3,6 +3,7 @@ package store_test
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"privid/internal/store"
@@ -22,6 +23,9 @@ func chargeRec(cam string, s, e int64, eps float64) store.Record {
 // tail is torn), and assert the charge-at-least-once invariant — the
 // recovered remaining budget of every frame never *exceeds* what the
 // pre-crash process acknowledged, i.e. recovered spent >= acked spent.
+// Under group=false the fault hits one lone commit; under group=true it
+// hits four concurrent commits, which the WAL may batch, and every one
+// of them must fail.
 func TestCrashRecoveryMatrix(t *testing.T) {
 	const eps = 10.0
 	cases := []struct {
@@ -48,7 +52,6 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 				dir := t.TempDir()
 				var ff *storetest.FaultyFile
 				w, err := store.Open(dir, store.Options{
-					GroupCommit: group,
 					WrapFile: func(f store.File) store.File {
 						ff = storetest.Wrap(f)
 						return ff
@@ -75,8 +78,25 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 					}
 				}
 				tc.fault(ff)
-				if commit(0, 100, 1.0) {
-					t.Fatal("faulty commit unexpectedly acked")
+				faulty := 1
+				if group {
+					faulty = 4
+				}
+				errs := make(chan error, faulty)
+				var wg sync.WaitGroup
+				for range faulty {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						errs <- w.Commit(chargeRec("camA", 0, 100, 1.0))
+					}()
+				}
+				wg.Wait()
+				close(errs)
+				for err := range errs {
+					if err == nil {
+						t.Fatal("faulty commit unexpectedly acked")
+					}
 				}
 
 				// Crash: abandon w. Restart, repairing a torn tail if

@@ -15,9 +15,9 @@
 //	})
 //	ff.TearNextWrite(13) // next commit tears after 13 bytes
 //
-// The injector is safe for concurrent use: the engine's group-commit
-// goroutine writes from its own goroutine while a chaos controller
-// flips fault modes.
+// The injector is safe for concurrent use: each group-commit batch is
+// written from whichever committing goroutine leads it, while a chaos
+// controller flips fault modes.
 package storetest
 
 import (

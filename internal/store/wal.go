@@ -9,7 +9,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"time"
 )
@@ -29,12 +28,9 @@ type File interface {
 
 // Options configure a WAL store.
 type Options struct {
-	// GroupCommit batches concurrent Commit calls into shared fsyncs:
-	// a dedicated committer goroutine drains all pending batches,
-	// appends them with one write and one fsync, and wakes every
-	// waiter. Latency per commit is unchanged (one fsync away) but
-	// throughput under N concurrent committers approaches N commits
-	// per fsync. Off, every Commit pays its own fsync.
+	// Deprecated: GroupCommit is ignored. Every WAL groups concurrent
+	// commits into shared writes and fsyncs (see Commit); the field
+	// remains only so existing callers compile.
 	GroupCommit bool
 	// SnapshotEvery compacts the log automatically after this many
 	// records since the last snapshot: the aggregate state is written
@@ -137,11 +133,13 @@ func writeMagic(f io.Writer) error {
 
 func walName(gen int64) string { return fmt.Sprintf("wal-%08d.log", gen) }
 
-// commitReq is one Commit call waiting for the group committer.
+// commitReq is one Commit call: its encoded frames and records, and
+// the outcome its batch's leader acks it with.
 type commitReq struct {
 	buf  []byte
 	recs []Record
-	done chan error
+	err  error
+	done bool
 }
 
 // WAL is the durable store: an append-only, CRC-framed, fsynced log
@@ -151,12 +149,22 @@ type WAL struct {
 	dir  string
 	opts Options
 
+	// Group commit. qmu guards the queue of commits not yet written;
+	// committers wait on queued until a leader acks them or the write
+	// in flight ends and one of them can lead the next batch. qmu is
+	// never held while mu is taken.
+	qmu     sync.Mutex
+	queued  sync.Cond
+	pending []*commitReq
+	batch   []*commitReq // the leader's scratch
+	leading bool         // a leader is writing a batch
+	closing bool
+
 	mu       sync.Mutex
 	f        File
 	gen      int64
 	size     int64 // bytes of valid log (header + acked records)
 	state    *State
-	closing  bool
 	fileOpen bool
 	poisoned error // set after an unrecoverable I/O failure
 
@@ -164,11 +172,6 @@ type WAL struct {
 	snapshots     int64
 	lastSnapshot  time.Time
 	lastSnapErr   error
-
-	// Group commit plumbing.
-	reqCh    chan *commitReq
-	inflight sync.WaitGroup // Commit calls between admission and send
-	loopDone sync.WaitGroup
 }
 
 // Open opens (creating if needed) the durable store in dir and
@@ -222,11 +225,7 @@ func Open(dir string, opts Options) (*WAL, error) {
 		// the log without bound.
 		recsSinceSnap: replayed,
 	}
-	if opts.GroupCommit {
-		w.reqCh = make(chan *commitReq, 256)
-		w.loopDone.Add(1)
-		go w.commitLoop()
-	}
+	w.queued.L = &w.qmu
 	return w, nil
 }
 
@@ -343,8 +342,11 @@ func Repair(dir string) (dropped int64, err error) {
 }
 
 // Commit implements Store: it durably appends records as one unit and
-// returns once they are fsynced. With GroupCommit, concurrent commits
-// share write+fsync batches.
+// returns once they are fsynced. Concurrent commits share writes and
+// fsyncs with no timer and no goroutine of their own: a commit that
+// finds no write in flight leads, writing every pending commit as one
+// batch; commits arriving meanwhile queue behind it and form the next
+// batch, so the batch grows with the time the fsync takes.
 func (w *WAL) Commit(recs ...Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -353,76 +355,62 @@ func (w *WAL) Commit(recs ...Record) error {
 	if err != nil {
 		return err
 	}
-	if w.reqCh == nil {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		if w.closing {
-			return ErrClosed
-		}
-		return w.appendLocked(buf, []*commitReq{{buf: buf, recs: recs}})
-	}
-	w.mu.Lock()
+	req := &commitReq{buf: buf, recs: recs}
+	w.qmu.Lock()
+	defer w.qmu.Unlock()
 	if w.closing {
-		w.mu.Unlock()
 		return ErrClosed
 	}
-	w.inflight.Add(1)
-	w.mu.Unlock()
-	req := &commitReq{buf: buf, recs: recs, done: make(chan error, 1)}
-	w.reqCh <- req
-	w.inflight.Done()
-	return <-req.done
+	w.pending = append(w.pending, req)
+	for !req.done {
+		if w.leading {
+			w.queued.Wait()
+		} else {
+			w.lead()
+		}
+	}
+	return req.err
 }
 
 // maxGroupBatch bounds records merged into one group-commit write so a
 // burst cannot build an unboundedly large buffer.
 const maxGroupBatch = 512
 
-// maxBatchYields bounds how many scheduler yields the committer spends
-// waiting for follower commits before fsyncing a batch.
-const maxBatchYields = 4
-
-// commitLoop is the group committer: it drains every pending commit,
-// appends them with one write and one fsync, and wakes all waiters.
-func (w *WAL) commitLoop() {
-	defer w.loopDone.Done()
-	for req := range w.reqCh {
-		batch := []*commitReq{req}
-		buf := req.buf
-		n := len(req.recs)
-		// Collect followers. Concurrent committers woken by the
-		// previous batch's ack need a few scheduler quanta to
-		// re-enqueue, so an empty channel doesn't end the batch
-		// immediately: yield a bounded number of times first. The
-		// yields cost ~a microsecond against the fsync's hundreds,
-		// and turn lockstep submitters into full batches.
-		yields := 0
-	drain:
-		for n < maxGroupBatch {
-			select {
-			case more, ok := <-w.reqCh:
-				if !ok {
-					break drain
-				}
-				batch = append(batch, more)
-				buf = append(buf, more.buf...)
-				n += len(more.recs)
-				yields = 0
-			default:
-				if yields >= maxBatchYields {
-					break drain
-				}
-				yields++
-				runtime.Gosched()
-			}
+// lead writes one batch: the oldest pending commits, up to
+// maxGroupBatch records, appended with one write and one fsync. It acks
+// every member with the outcome and wakes all waiters. Caller holds
+// w.qmu, which lead releases for the write.
+func (w *WAL) lead() {
+	w.leading = true
+	batch, n := w.batch[:0], 0
+	for _, req := range w.pending {
+		if n > 0 && n+len(req.recs) > maxGroupBatch {
+			break
 		}
-		w.mu.Lock()
-		err := w.appendLocked(buf, batch)
-		w.mu.Unlock()
-		for _, b := range batch {
-			b.done <- err
-		}
+		batch = append(batch, req)
+		n += len(req.recs)
 	}
+	rest := copy(w.pending, w.pending[len(batch):])
+	clear(w.pending[rest:])
+	w.pending = w.pending[:rest]
+	w.qmu.Unlock()
+
+	buf := batch[0].buf
+	for _, req := range batch[1:] {
+		buf = append(buf, req.buf...) // past the first commit's frames: nothing else reads there
+	}
+	w.mu.Lock()
+	err := w.appendLocked(buf, batch)
+	w.mu.Unlock()
+
+	w.qmu.Lock()
+	for _, req := range batch {
+		req.err, req.done = err, true
+	}
+	clear(batch)
+	w.batch = batch[:0]
+	w.leading = false
+	w.queued.Broadcast()
 }
 
 // appendLocked writes one framed buffer (the batch's commits), fsyncs
@@ -553,23 +541,20 @@ func (w *WAL) snapshotLocked() error {
 	return nil
 }
 
-// Close drains in-flight commits, takes a final snapshot (graceful-
+// Close drains pending commits, takes a final snapshot (graceful-
 // shutdown compaction, so the next open recovers instantly), and
 // closes the log. Commits submitted after Close starts fail with
 // ErrClosed.
 func (w *WAL) Close() error {
-	w.mu.Lock()
-	if w.closing {
-		w.mu.Unlock()
-		w.loopDone.Wait()
-		return nil
-	}
+	w.qmu.Lock()
+	already := w.closing
 	w.closing = true
-	w.mu.Unlock()
-	if w.reqCh != nil {
-		w.inflight.Wait() // every admitted Commit has sent its request
-		close(w.reqCh)
-		w.loopDone.Wait() // committer drained and acked everything
+	for w.leading || len(w.pending) > 0 {
+		w.queued.Wait()
+	}
+	w.qmu.Unlock()
+	if already {
+		return nil
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()

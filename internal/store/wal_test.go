@@ -226,7 +226,7 @@ func TestCorruptedRecordDetected(t *testing.T) {
 
 func TestGroupCommitConcurrent(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{GroupCommit: true})
+	w, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,21 +266,18 @@ func TestGroupCommitConcurrent(t *testing.T) {
 }
 
 func TestCommitAfterCloseFails(t *testing.T) {
-	for _, group := range []bool{false, true} {
-		dir := t.TempDir()
-		w, err := Open(dir, Options{GroupCommit: group})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Commit(charge("camA", 0, 1, 0.1)); !errors.Is(err, ErrClosed) {
-			t.Errorf("group=%v: commit after close: %v, want ErrClosed", group, err)
-		}
-		if err := w.Close(); err != nil {
-			t.Errorf("group=%v: second close: %v", group, err)
-		}
+	w, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(charge("camA", 0, 1, 0.1)); !errors.Is(err, ErrClosed) {
+		t.Errorf("commit after close: %v, want ErrClosed", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Errorf("second close: %v", err)
 	}
 }
 
