@@ -572,7 +572,7 @@ SELECT AVG(range(n, 0, 30)) FROM t CONSUMING 0.0001;`)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if level == obsTraced {
-			if _, _, err := engine.ExecuteTraced(prog, "bench"); err != nil {
+			if _, _, err := engine.ExecuteTraced(prog, "bench", nil); err != nil {
 				b.Fatal(err)
 			}
 		} else {

@@ -1,7 +1,7 @@
 package core
 
-// The privacy-critical tail of the pipeline: reserve, persist,
-// finalize, noise — in that order (see admit).
+// The privacy-critical tail of the pipeline: reserve, noise, commit,
+// finalize — in that order (see admit).
 
 import (
 	"errors"
@@ -18,7 +18,7 @@ import (
 	"privid/internal/vtime"
 )
 
-// admission is what a successful reserve hands to persist and release:
+// admission is what a successful reserve hands to noise and commit:
 // the touched cameras (sorted), the audit timestamp, and the held
 // reservations. The per-camera charges travel beside it (see execute).
 type admission struct {
@@ -57,25 +57,28 @@ func (e *Engine) buildCharges(charges map[string][]dp.Charge, rels []rel.Release
 }
 
 // admit builds the charges and runs phase 1 of admission (Algorithm 1
-// lines 1–5, atomic across cameras) before any chunk is touched.
-// Admission has three phases so the durable fsync happens outside the
-// engine lock and concurrent queries' charges share group commits:
+// lines 1–5, atomic across cameras) before any chunk is touched. The
+// output-commit rule — no value leaves before the charge behind it is
+// durable — shapes three phases, so the fsync happens outside the
+// engine lock and concurrent queries' commits share it:
 //
 //  1. Reserve (admit): under the lock, dp.ReserveAll checks every
 //     touched camera's ledger and holds the charges as reservations
 //     (they count against competing queries); if any single camera
 //     denies, every reservation is dropped and no camera is charged
 //     anything. The program then runs; a failure returns them exactly.
-//  2. Persist: outside the lock, append every charge plus the audit
-//     entry to the WAL and fsync. A failure releases the reservations
-//     exactly and denies the query — the analyst never sees a noised
-//     result whose charge is not on disk.
-//  3. Finalize (release): under the lock, move reservations into the
-//     spent ledgers, then noise and release.
+//  2. Noise (draw): under the lock, with the reservations held, draw
+//     every release's noise and read each camera's remaining budget.
+//  3. Commit (commit): outside the lock, one WAL commit carries the
+//     charges, the audit entry and — for a scheduled job — the
+//     terminal job record holding the noised result, in that order.
+//     Success finalizes the reservations; failure releases them exactly
+//     and drops the drawn values, so the analyst never sees a result
+//     whose charge is not on disk.
 //
-// A crash between 2 and 3 leaves charges on disk for a result nobody
-// received: recovery over-charges (at-least-once), never
-// under-charges.
+// A torn commit recovers a prefix of those records: charges without
+// their job (over-charged, at-least-once), never a job without its
+// charges.
 func (e *Engine) admit(charges map[string][]dp.Charge, rels []rel.Release, sp *obs.Span) (adm admission, err error) {
 	adm.camNames, err = e.buildCharges(charges, rels)
 	if err != nil {
@@ -111,9 +114,8 @@ func (e *Engine) admit(charges map[string][]dp.Charge, rels []rel.Release, sp *o
 			// Best-effort: the denial consumed no budget, so accountability
 			// — unlike charges — may tolerate a lost entry when the store
 			// itself is failing.
-			_ = e.store.Commit(store.Record{Audit: &store.AuditRecord{
-				At: denied.At, Cameras: denied.Cameras, Denied: true, Reason: denied.Reason,
-			}})
+			rec := store.AuditRecord(denied)
+			_ = e.store.Commit(store.Record{Audit: &rec})
 			sp.Set("outcome", "denied")
 			sp.Set("reason", err.Error())
 			var exhausted *dp.ErrBudgetExhausted
@@ -133,59 +135,14 @@ func (e *Engine) admit(charges map[string][]dp.Charge, rels []rel.Release, sp *o
 	return adm, err
 }
 
-// persist is phase 2 of admission: every charge plus the audit entry go
-// to the durable store in one commit. On failure the reservations are
-// released and the result is withheld.
-func (e *Engine) persist(adm admission, charges map[string][]dp.Charge, tag string, rels []rel.Release, sp *obs.Span) error {
-	if tag == "" {
-		tag = chargeFingerprint(adm.camNames, charges)
-	}
-	var totalEps float64
-	for _, r := range rels {
-		totalEps += r.Epsilon
-	}
-	recs := make([]store.Record, 0, len(rels)+1)
-	for _, camName := range adm.camNames {
-		for _, c := range charges[camName] {
-			recs = append(recs, store.Record{Charge: &store.ChargeRecord{
-				Camera: camName,
-				Start:  c.Interval.Start,
-				End:    c.Interval.End,
-				Eps:    c.Eps,
-				Query:  tag,
-			}})
-		}
-	}
-	recs = append(recs, store.Record{Audit: &store.AuditRecord{
-		At:           adm.at,
-		Cameras:      adm.camNames,
-		Releases:     len(rels),
-		EpsilonSpent: totalEps,
-	}})
-	return e.stage(sp, "wal_commit", func(sp *obs.Span) error {
-		sp.Set("records", len(recs))
-		if err := e.store.Commit(recs...); err != nil {
-			e.mu.Lock()
-			adm.resv.Release()
-			e.recordAudit(AuditEntry{
-				Cameras: adm.camNames, Denied: true,
-				Reason: "charge not persisted: " + err.Error(),
-			})
-			e.mu.Unlock()
-			sp.Set("outcome", "failed")
-			return fmt.Errorf("core: charge not persisted, result withheld: %w", err)
-		}
-		return nil
-	})
-}
-
-// release is phase 3 of admission: finalize the reservations, then
-// noise every release and report each camera's budget impact.
-func (e *Engine) release(adm admission, charges map[string][]dp.Charge, rels []rel.Release, sp *obs.Span) *Result {
+// draw is phase 2 of admission: it draws every release's noise and
+// reports each camera's budget impact. The reservations are still held,
+// and RemainingOver counts them as spent, so Remaining reads what it
+// will once commit finalizes them.
+func (e *Engine) draw(adm admission, charges map[string][]dp.Charge, rels []rel.Release, sp *obs.Span) *Result {
 	res := &Result{}
 	_ = e.stage(sp, "noise", func(sp *obs.Span) error { // never fails
 		e.mu.Lock()
-		adm.resv.Finalize()
 		for _, r := range rels {
 			res.Releases = append(res.Releases, e.noiseRelease(r))
 			res.EpsilonSpent += r.Epsilon
@@ -201,18 +158,53 @@ func (e *Engine) release(adm admission, charges map[string][]dp.Charge, rels []r
 			}
 			res.Cameras = append(res.Cameras, cb)
 		}
-		e.recordAudit(AuditEntry{
-			At:           adm.at,
-			Cameras:      adm.camNames,
-			Releases:     len(res.Releases),
-			EpsilonSpent: res.EpsilonSpent,
-		})
 		e.mu.Unlock()
 		sp.Set("releases", len(res.Releases))
 		sp.Set("epsilon", res.EpsilonSpent)
 		return nil
 	})
 	return res
+}
+
+// commit is phase 3 of admission: every charge, the audit entry and,
+// when job is non-nil, the job record it builds from res go to the
+// durable store in one commit. Success finalizes the reservations;
+// failure releases them and withholds res.
+func (e *Engine) commit(adm admission, charges map[string][]dp.Charge, tag string, res *Result, job func(*Result) *store.JobRecord, sp *obs.Span) error {
+	return e.stage(sp, "wal_commit", func(sp *obs.Span) error {
+		if tag == "" {
+			tag = chargeFingerprint(adm.camNames, charges)
+		}
+		recs := make([]store.Record, 0, len(res.Releases)+2)
+		for _, camName := range adm.camNames {
+			for _, c := range charges[camName] {
+				iv := c.Interval
+				recs = append(recs, store.Record{Charge: &store.ChargeRecord{Camera: camName, Start: iv.Start, End: iv.End, Eps: c.Eps, Query: tag}})
+			}
+		}
+		audit := AuditEntry{At: adm.at, Cameras: adm.camNames, Releases: len(res.Releases), EpsilonSpent: res.EpsilonSpent}
+		rec := store.AuditRecord(audit)
+		recs = append(recs, store.Record{Audit: &rec})
+		if job != nil {
+			recs = append(recs, store.Record{Job: job(res)})
+		}
+		sp.Set("records", len(recs))
+		err := e.store.Commit(recs...)
+		e.mu.Lock()
+		if err != nil {
+			adm.resv.Release()
+			audit = AuditEntry{Cameras: adm.camNames, Denied: true, Reason: "charge not persisted: " + err.Error()}
+		} else {
+			adm.resv.Finalize()
+		}
+		e.recordAudit(audit)
+		e.mu.Unlock()
+		if err != nil {
+			sp.Set("outcome", "failed")
+			return fmt.Errorf("core: charge not persisted, result withheld: %w", err)
+		}
+		return nil
+	})
 }
 
 // chargeFingerprint derives a stable tag for untagged executions from

@@ -10,20 +10,21 @@ import (
 // video owner's accountability record: it shows exactly how much
 // budget each analyst interaction consumed (or why it was denied)
 // without revealing anything about the video content beyond what the
-// releases themselves already did.
+// releases themselves already did. Its json tags are the wire names of
+// the serving layer's audit endpoint.
 type AuditEntry struct {
 	// At is when the engine finished handling the query.
-	At time.Time
+	At time.Time `json:"at"`
 	// Cameras lists the cameras the query touched.
-	Cameras []string
+	Cameras []string `json:"cameras"`
 	// Releases is the number of data releases produced (0 on denial).
-	Releases int
+	Releases int `json:"releases"`
 	// EpsilonSpent is the total budget consumed (0 on denial).
-	EpsilonSpent float64
+	EpsilonSpent float64 `json:"epsilon_spent"`
 	// Denied reports whether admission failed.
-	Denied bool
+	Denied bool `json:"denied,omitempty"`
 	// Reason holds the denial reason (empty on success).
-	Reason string
+	Reason string `json:"reason,omitempty"`
 }
 
 // String renders the entry as a log line.
@@ -45,7 +46,7 @@ var maxAudit = 10000
 func (e *Engine) AuditLog() []AuditEntry {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return append([]AuditEntry(nil), e.audit[max(0, len(e.audit)-maxAudit):]...)
+	return append([]AuditEntry{}, e.audit[max(0, len(e.audit)-maxAudit):]...)
 }
 
 // recordAudit appends an entry, stamping At when the caller has not

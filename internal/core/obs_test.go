@@ -3,6 +3,7 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -55,7 +56,7 @@ func TestExecuteTracedSpanTree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, tr, err := e.ExecuteTraced(prog, "qhash-1")
+	res, tr, err := e.ExecuteTraced(prog, "qhash-1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +67,14 @@ func TestExecuteTracedSpanTree(t *testing.T) {
 	if tree.Name != "query" || tree.DurationNS <= 0 {
 		t.Fatalf("root span: %+v", tree)
 	}
-	for _, stage := range []string{"split", "process", "aggregate", "admit", "wal_commit", "noise"} {
-		if len(findSpans(tree, stage)) != 1 {
-			t.Errorf("stage %q: %d spans, want 1", stage, len(findSpans(tree, stage)))
-		}
+	// The stages run in Algorithm 1's order, and the noise is drawn
+	// before the one commit that carries the charges with the answer.
+	var stages []string
+	for _, c := range tree.Children {
+		stages = append(stages, c.Name)
+	}
+	if want := []string{"split", "admit", "process", "aggregate", "noise", "wal_commit"}; !slices.Equal(stages, want) {
+		t.Errorf("stages %v, want %v", stages, want)
 	}
 
 	shards := findSpans(tree, "shard")
@@ -116,7 +121,7 @@ func TestExecuteTracedSpanTree(t *testing.T) {
 	// Warm run: every chunk should come from the cache, and the shard
 	// spans must say so in agreement with the cache counters.
 	preHits := e.CacheStats().Hits
-	_, tr2, err := e.ExecuteTraced(prog, "qhash-2")
+	_, tr2, err := e.ExecuteTraced(prog, "qhash-2", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +145,7 @@ func TestTracedDenialStillReturnsTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, tr, err := e.ExecuteTraced(prog, "")
+	_, tr, err := e.ExecuteTraced(prog, "", nil)
 	if err == nil {
 		t.Fatal("expected budget denial")
 	}
@@ -228,7 +233,7 @@ func TestMetricsDenialAndDisable(t *testing.T) {
 	if _, err := d.Execute(prog); err != nil {
 		t.Fatalf("uninstrumented execute: %v", err)
 	}
-	if _, _, err := d.ExecuteTraced(prog, ""); err != nil {
+	if _, _, err := d.ExecuteTraced(prog, "", nil); err != nil {
 		t.Fatalf("traced execute without metrics: %v", err)
 	}
 }

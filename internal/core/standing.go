@@ -79,7 +79,7 @@ func (sq *StandingQuery) Advance(now time.Time) (*Result, error) {
 		}
 		newly = append(newly, k)
 		return true
-	}, nil)
+	}, nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -102,6 +102,10 @@ type Ledger struct {
 	// ledger bit-for-bit (no floating-point cancellation residue).
 	reserved []reservation
 	resSeq   int64
+	// pend overlays the reservations' charges, sized by the in-flight
+	// charges, never the ledger's history; rebuilt once they change.
+	pend   intervalmap.Map
+	pendOK bool
 }
 
 type reservation struct {
@@ -124,15 +128,20 @@ func (l *Ledger) SetCommitHook(h CommitHook) { l.hook = h }
 // Remaining returns the unspent budget at one frame, counting
 // outstanding reservations as spent.
 func (l *Ledger) Remaining(frame int64) float64 {
-	r := l.epsilon - l.spent.Get(frame)
-	for _, res := range l.reserved {
-		for _, c := range res.charges {
-			if c.Interval.Contains(frame) {
-				r -= c.Eps
+	return l.epsilon - l.spent.Get(frame) - l.pending().Get(frame)
+}
+
+// pending returns the outstanding reservations as one overlay map.
+func (l *Ledger) pending() *intervalmap.Map {
+	if !l.pendOK {
+		l.pend, l.pendOK = intervalmap.Map{}, true
+		for _, res := range l.reserved {
+			for _, c := range res.charges {
+				l.pend.AddRange(c.Interval.Start, c.Interval.End, c.Eps)
 			}
 		}
 	}
-	return r
+	return &l.pend
 }
 
 // Charge is one release's demand on the ledger: eps over the frame
@@ -181,7 +190,7 @@ func (l *Ledger) Reserve(charges []Charge, rhoFrames int64) (int64, error) {
 	if err := l.Check(charges, rhoFrames); err != nil {
 		return 0, err
 	}
-	l.resSeq++
+	l.resSeq, l.pendOK = l.resSeq+1, false
 	l.reserved = append(l.reserved, reservation{
 		id:      l.resSeq,
 		charges: append([]Charge(nil), charges...),
@@ -191,27 +200,23 @@ func (l *Ledger) Reserve(charges []Charge, rhoFrames int64) (int64, error) {
 
 // Finalize moves a reservation into the spent ledger. Call only after
 // the charges are durably persisted. Unknown handles are no-ops.
-func (l *Ledger) Finalize(id int64) {
-	for i, res := range l.reserved {
-		if res.id == id {
-			l.Spend(res.charges)
-			l.reserved = append(l.reserved[:i], l.reserved[i+1:]...)
-			return
-		}
-	}
-}
+func (l *Ledger) Finalize(id int64) { l.Spend(l.take(id)) }
 
 // Release drops a reservation without spending: the budget becomes
 // available again, exactly (the reservation is removed wholesale, so
 // no floating-point residue is left behind). Unknown handles are
 // no-ops.
-func (l *Ledger) Release(id int64) {
+func (l *Ledger) Release(id int64) { l.take(id) }
+
+// take removes a reservation and returns its charges (nil if unknown).
+func (l *Ledger) take(id int64) []Charge {
 	for i, res := range l.reserved {
 		if res.id == id {
-			l.reserved = append(l.reserved[:i], l.reserved[i+1:]...)
-			return
+			l.reserved, l.pendOK = append(l.reserved[:i], l.reserved[i+1:]...), false
+			return res.charges
 		}
 	}
+	return nil
 }
 
 // RestoreSpent adds a recovered spent-budget segment during crash
@@ -239,19 +244,9 @@ func (l *Ledger) Check(charges []Charge, rhoFrames int64) error {
 	}
 	// Outstanding reservations count as spent: an admitted-but-not-
 	// yet-committed charge must block a competing query just like a
-	// committed one. They are folded into a small overlay map — sized
-	// by the in-flight charges, independent of the ledger's lifetime
-	// history — rather than cloning the whole spent map on the
-	// admission hot path.
-	var pend *intervalmap.Map
-	if len(l.reserved) > 0 {
-		pend = &intervalmap.Map{}
-		for _, res := range l.reserved {
-			for _, c := range res.charges {
-				pend.AddRange(c.Interval.Start, c.Interval.End, c.Eps)
-			}
-		}
-	}
+	// committed one. They are read from the overlay, not folded into a
+	// clone of the whole spent map on the admission hot path.
+	pend := l.pending()
 	// spentMax returns the maximum of spent+reserved over [s, e) and a
 	// real frame attaining it (so denials report a concrete frame).
 	spentMax := func(s, e int64) (float64, int64) {
@@ -269,11 +264,7 @@ func (l *Ledger) Check(charges []Charge, rhoFrames int64) error {
 				})
 			}
 		}
-		if pend == nil {
-			scan(s, e, 0)
-		} else {
-			pend.Segments(s, e, scan)
-		}
+		pend.Segments(s, e, scan)
 		return best, frame
 	}
 	// Check: spent + reserved + demand <= epsilon everywhere.
@@ -296,14 +287,10 @@ func (l *Ledger) Check(charges []Charge, rhoFrames int64) error {
 		}
 	})
 	if !ok {
-		pendAt := 0.0
-		if pend != nil {
-			pendAt = pend.Get(worstFrame)
-		}
 		return &ErrBudgetExhausted{
 			Camera:    l.camera,
 			Frame:     worstFrame,
-			Remaining: l.epsilon - l.spent.Get(worstFrame) - pendAt,
+			Remaining: l.epsilon - l.spent.Get(worstFrame) - pend.Get(worstFrame),
 			Requested: demand.Get(worstFrame),
 		}
 	}

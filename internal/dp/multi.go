@@ -3,7 +3,6 @@ package dp
 import (
 	"math"
 
-	"privid/internal/intervalmap"
 	"privid/internal/vtime"
 )
 
@@ -113,22 +112,11 @@ func (l *Ledger) RemainingOver(iv vtime.Interval) float64 {
 	if iv.Empty() {
 		return l.epsilon
 	}
-	worst := l.spent.Max(iv.Start, iv.End)
 	// Reservations overlay the spent map; fold them in per segment so
 	// the result is the maximum of the sum, not the sum of maxima.
-	if len(l.reserved) > 0 {
-		pend := &intervalmap.Map{}
-		for _, res := range l.reserved {
-			for _, c := range res.charges {
-				pend.AddRange(c.Interval.Start, c.Interval.End, c.Eps)
-			}
-		}
-		worst = math.Inf(-1)
-		pend.Segments(iv.Start, iv.End, func(s, e int64, pv float64) {
-			if v := l.spent.Max(s, e) + pv; v > worst {
-				worst = v
-			}
-		})
-	}
+	worst := math.Inf(-1)
+	l.pending().Segments(iv.Start, iv.End, func(s, e int64, pv float64) {
+		worst = max(worst, l.spent.Max(s, e)+pv)
+	})
 	return l.epsilon - worst
 }

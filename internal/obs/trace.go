@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"slices"
 	"strconv"
 	"strings"
@@ -120,31 +119,33 @@ type attr struct {
 }
 
 // attrLocked returns key's slot, inserting it if absent, in key order
-// (encoding/json's map order). Caller holds s.mu.
+// (encoding/json's map order). The first insert sizes the slice for as
+// many attributes as a span of this name has held. Caller holds s.mu.
 func (s *Span) attrLocked(key string) *attr {
 	i, found := slices.BinarySearchFunc(s.attrs, key, func(a attr, k string) int { return strings.Compare(a.key, k) })
 	if !found {
+		if n := len(s.attrs); n == cap(s.attrs) {
+			s.attrs = slices.Grow(s.attrs, attrHint(s.name, n+1)-n)
+		}
 		s.attrs = slices.Insert(s.attrs, i, attr{key: key})
 	}
 	return &s.attrs[i]
 }
 
-// Duration returns the span's length (zero until End; 0 on nil).
-func (s *Span) Duration() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.end.IsZero() {
-		return 0
-	}
-	return s.end.Sub(s.start)
+// attrHints maps each span name, a constant at every call site, to the
+// most attributes a span of that name has held. It only sizes slices.
+var attrHints, attrHintsMu = map[string]int{}, sync.Mutex{}
+
+// attrHint raises name's hint to at least n and returns it.
+func attrHint(name string, n int) int {
+	attrHintsMu.Lock()
+	defer attrHintsMu.Unlock()
+	attrHints[name] = max(n, attrHints[name])
+	return attrHints[name]
 }
 
 // SpanTree is the serialized form of a span: the wire format of
-// GET /v1/queries/{id}/trace and the shape persisted on terminal job
-// records. Durations are nanoseconds.
+// GET /v1/queries/{id}/trace. Durations are nanoseconds.
 type SpanTree struct {
 	Name       string         `json:"name"`
 	Start      time.Time      `json:"start"`
@@ -241,18 +242,12 @@ func (t *Trace) JSON() ([]byte, error) {
 	if t == nil {
 		return nil, nil
 	}
-	scratch := jsonScratch.Get().(*[]byte)
-	defer jsonScratch.Put(scratch)
-	b, err := t.root.appendJSON((*scratch)[:0])
+	b, err := t.root.appendJSON(nil)
 	if err != nil {
 		return nil, err
 	}
-	*scratch = b
-	return bytes.Clone(b), nil
+	return b, nil
 }
-
-// jsonScratch recycles render buffers: JSON allocates only its result.
-var jsonScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // appendJSON appends the span's SpanTree encoding to b.
 func (s *Span) appendJSON(b []byte) ([]byte, error) {

@@ -243,7 +243,7 @@ func checkWire(t *testing.T, info JobInfo) {
 	if info.Result != nil {
 		want, _ = json.Marshal(info.Result) // nil on error
 	}
-	if got := terminalRecord(info).Job.Result; !bytes.Equal(got, want) {
+	if got := terminalRecord(info).Result; !bytes.Equal(got, want) {
 		t.Fatalf("terminal record of %+v:\n got %q\nwant %q", info, got, want)
 	}
 }

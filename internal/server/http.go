@@ -23,7 +23,7 @@ import (
 //	GET  /v1/queries?analyst=A         list jobs (newest last)
 //	GET  /v1/queries/{id}              job status (+result when done)
 //	GET  /v1/queries/{id}/result       result only; 409 while pending
-//	GET  /v1/queries/{id}/trace        span tree (409 pending, 404 none)
+//	GET  /v1/queries/{id}/trace        span tree (409 pending, 404 recovered)
 //	GET  /v1/cameras                   registered cameras
 //	GET  /v1/cameras/{name}/budget     remaining ε at ?frame=N (default 0)
 //	GET  /v1/executables               registered PROCESS executables
@@ -366,9 +366,9 @@ func (a *API) getResult(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// getTrace serves the span tree recorded for a terminal job: the raw
-// JSON persisted on the job record (obs.SpanTree), so it resolves for
-// recovered jobs across restarts too.
+// getTrace renders the span tree recorded for a terminal job
+// (obs.SpanTree) on request. Traces are not persisted: a job recovered
+// after a restart has none and answers 404.
 func (a *API) getTrace(w http.ResponseWriter, r *http.Request) {
 	info, ok := a.sched.Job(r.PathValue("id"))
 	if !ok {
@@ -381,13 +381,14 @@ func (a *API) getTrace(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	if len(info.Trace) == 0 {
-		writeError(w, http.StatusNotFound, errors.New("server: no trace recorded for job"))
+	body, err := info.Trace.JSON()
+	if body == nil {
+		writeError(w, http.StatusNotFound, cmp.Or(err, errors.New("server: no trace recorded for job")))
 		return
 	}
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(info.Trace)
+	_, _ = w.Write(body)
 }
 
 // metricsContentType is the Prometheus text exposition content type.
@@ -467,30 +468,8 @@ func (a *API) listExecutables(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, a.engine.Registry().Names())
 }
 
-// auditJSON is the wire form of one audit-log entry.
-type auditJSON struct {
-	At           time.Time `json:"at"`
-	Cameras      []string  `json:"cameras"`
-	Releases     int       `json:"releases"`
-	EpsilonSpent float64   `json:"epsilon_spent"`
-	Denied       bool      `json:"denied,omitempty"`
-	Reason       string    `json:"reason,omitempty"`
-}
-
 func (a *API) getAudit(w http.ResponseWriter, _ *http.Request) {
-	log := a.engine.AuditLog()
-	out := make([]auditJSON, len(log))
-	for i, e := range log {
-		out[i] = auditJSON{
-			At:           e.At,
-			Cameras:      e.Cameras,
-			Releases:     e.Releases,
-			EpsilonSpent: e.EpsilonSpent,
-			Denied:       e.Denied,
-			Reason:       e.Reason,
-		}
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, a.engine.AuditLog())
 }
 
 // getState serves the durable-store status; core.StateInfo is its wire

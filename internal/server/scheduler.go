@@ -108,10 +108,10 @@ type JobInfo struct {
 	Error string
 	// Result is the query outcome (JobDone only).
 	Result *core.Result
-	// Trace is the execution's span tree (JSON-encoded obs.SpanTree),
-	// set when the job reaches a terminal state and persisted with it,
-	// so GET /v1/queries/{id}/trace resolves across restarts.
-	Trace       json.RawMessage
+	// Trace is the execution's span tree, set when the job reaches a
+	// terminal state. It is kept in memory only: a job recovered after a
+	// restart has none.
+	Trace       *obs.Trace
 	SubmittedAt time.Time
 	StartedAt   time.Time // zero until running
 	FinishedAt  time.Time // zero until done/failed
@@ -284,7 +284,6 @@ func (s *Scheduler) adoptRecovered(jr store.JobRecord) {
 		Query:       jr.Query,
 		State:       state,
 		Error:       jr.Error,
-		Trace:       jr.Trace,
 		SubmittedAt: jr.SubmittedAt,
 		StartedAt:   jr.StartedAt,
 		FinishedAt:  jr.FinishedAt,
@@ -439,7 +438,22 @@ func (s *Scheduler) worker() {
 		s.mu.Unlock()
 		s.met.stage("queue_wait", queueWait)
 
-		res, tr, err := s.engine.ExecuteTraced(j.prog, j.qhash)
+		// A durable job's terminal record rides the engine's one commit,
+		// after its charges: the job turns done only once the answer
+		// and its charge are on disk together.
+		var finished time.Time
+		var record func(*core.Result) *store.JobRecord
+		if _, discard := s.store.(store.NullStore); !discard {
+			record = func(res *core.Result) *store.JobRecord {
+				s.mu.Lock()
+				finished = s.now()
+				s.mu.Unlock()
+				info := j.info // only this worker writes it
+				info.State, info.Result, info.FinishedAt = JobDone, res, finished
+				return terminalRecord(info)
+			}
+		}
+		res, tr, err := s.engine.ExecuteTraced(j.prog, j.qhash, record)
 
 		// Annotate the finished trace with serving-layer context: the
 		// job identity and the submit-side parse as a pre-measured span.
@@ -447,11 +461,13 @@ func (s *Scheduler) worker() {
 		tr.Root().Set("job_id", j.info.ID)
 		tr.Root().Set("analyst", j.info.Analyst)
 		tr.Root().ChildSpanning("parse", j.parseStart, j.parseDur)
-		traceJSON, _ := tr.JSON()
 
 		s.mu.Lock()
-		j.info.FinishedAt = s.now()
-		j.info.Trace = traceJSON
+		if err != nil || finished.IsZero() {
+			finished = s.now()
+		}
+		j.info.FinishedAt = finished
+		j.info.Trace = tr
 		if err != nil {
 			j.info.State = JobFailed
 			j.info.Error = err.Error()
@@ -470,13 +486,13 @@ func (s *Scheduler) worker() {
 		info := j.info
 		s.mu.Unlock()
 
-		// Build and persist the terminal job (unless the store discards
-		// it) outside the lock, so polls wait on neither its encoding nor
-		// an fsync. Best-effort: the privacy-critical charge was fsynced
-		// inside Execute; a lost job record only leaves a post-restart
-		// poll unresolved.
-		if _, discard := s.store.(store.NullStore); !discard {
-			_ = s.store.Commit(terminalRecord(info))
+		// A job whose engine call committed nothing of its own — a plan
+		// error, a denial, a failed run or a failed commit — is
+		// persisted here, outside the lock. Best-effort: no charge
+		// rides on it; a lost record only leaves a post-restart poll
+		// unresolved.
+		if err != nil && record != nil {
+			_ = s.store.Commit(store.Record{Job: terminalRecord(info)})
 		}
 		s.recordSlow(info, tr, res, queueWait)
 	}
@@ -514,14 +530,13 @@ func (s *Scheduler) recordSlow(info JobInfo, tr *obs.Trace, res *core.Result, qu
 // form. The result goes in as json.Marshal would write it, and is left
 // out where json.Marshal refuses it (NaN, ±Inf, a time RFC 3339 cannot
 // hold).
-func terminalRecord(info JobInfo) store.Record {
+func terminalRecord(info JobInfo) *store.JobRecord {
 	jr := store.JobRecord{
 		ID:          info.ID,
 		Analyst:     info.Analyst,
 		Query:       info.Query,
 		State:       string(info.State),
 		Error:       info.Error,
-		Trace:       info.Trace,
 		SubmittedAt: info.SubmittedAt,
 		StartedAt:   info.StartedAt,
 		FinishedAt:  info.FinishedAt,
@@ -533,7 +548,7 @@ func terminalRecord(info JobInfo) store.Record {
 			jr.Result = j.b
 		}
 	}
-	return store.Record{Job: &jr}
+	return &jr
 }
 
 // pruneLocked drops the oldest terminal jobs beyond MaxFinishedJobs so

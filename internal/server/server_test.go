@@ -190,7 +190,7 @@ func TestHTTPConcurrentAnalysts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	audit := decode[[]auditJSON](t, resp)
+	audit := decode[[]core.AuditEntry](t, resp)
 	if len(audit) != analysts*perAnalyst {
 		t.Fatalf("audit has %d entries, want %d", len(audit), analysts*perAnalyst)
 	}

@@ -152,17 +152,17 @@ func checkInvariants(r *runner) {
 
 	// Terminal results must be immutable across the restarts that
 	// already happened: re-poll each recorded job and demand a
-	// bit-identical answer (or a 404, legal only when a durability-
-	// loss epoch — crash, or restart over a torn WAL — postdates the
-	// submit).
+	// bit-identical answer. A done job commits with its charges, so no
+	// restart may lose it; a failed job may 404 once a durability-loss
+	// epoch — crash, or restart over a torn WAL — postdates the submit.
 	for _, rec := range recs {
 		if rec.State != "done" && rec.State != "failed" {
 			continue
 		}
 		j2, ok := h.Job(rec.JobID)
 		if !ok {
-			if rec.SubmitLossy == totalLossy {
-				r.violatef("terminal job %s vanished without a durability fault", rec.JobID)
+			if rec.State == "done" || rec.SubmitLossy == totalLossy {
+				r.violatef("%s job %s vanished (durability-loss epochs since submit: %d)", rec.State, rec.JobID, totalLossy-rec.SubmitLossy)
 			}
 			continue
 		}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"privid/internal/dp"
-	"privid/internal/obs"
 	"privid/internal/store"
 	"privid/internal/vtime"
 )
@@ -77,27 +76,8 @@ func BenchmarkLedgerCommit_WAL(b *testing.B) {
 }
 
 // retentionJob is a terminal job record shaped like the durable_small
-// service workload's (~2.1 KB encoded): a three-statement query, a
-// one-release result and the execution's span tree.
+// service workload's: a three-statement query and a one-release result.
 func retentionJob(i int) store.JobRecord {
-	tr := obs.NewTrace("query", nil)
-	tr.Root().Set("job_id", fmt.Sprintf("q-%06d", i))
-	tr.Root().Set("analyst", "client-1")
-	for k, stage := range []string{"parse", "split", "process", "select", "admit", "wal_commit", "noise"} {
-		sp := tr.Root().Child(stage)
-		sp.Set("camera", "cam07")
-		sp.Set("chunks", 20)
-		sp.Set("epsilon", 0.05)
-		if k%2 == 0 {
-			sp.Child("shard").End()
-		}
-		sp.End()
-	}
-	tr.Finish()
-	trace, err := tr.JSON()
-	if err != nil {
-		panic(err)
-	}
 	at := time.Date(2026, 10, 16, 6, 0, 0, 0, time.UTC).Add(time.Duration(i) * time.Millisecond)
 	return store.JobRecord{
 		ID: fmt.Sprintf("q-%06d", i), Analyst: "client-1", State: "done",
@@ -107,7 +87,6 @@ SELECT COUNT(*) FROM t CONSUMING 0.05;`,
 		SubmittedAt: at, StartedAt: at, FinishedAt: at.Add(300 * time.Microsecond),
 		Result: json.RawMessage(`{"Releases":[{"Columns":["COUNT(*)"],"Rows":[[{"Kind":1,"Num":41.83127614}]],"Epsilon":0.05,"Sensitivity":4,"NoiseScale":80}],` +
 			`"EpsilonSpent":0.05,"Cameras":[{"Camera":"cam07","EpsilonSpent":0.05,"Remaining":999.45}]}`),
-		Trace: trace,
 	}
 }
 

@@ -36,13 +36,9 @@ func FuzzRecordEncode(f *testing.F) {
 			if flag {
 				j.State, j.Error = "failed", s3
 			}
-			// Result and Trace are json.Marshal / obs.Trace.JSON output
-			// in service: canonical JSON.
+			// Result is json.Marshal output in service: canonical JSON.
 			if i1&1 == 1 {
 				j.Result, _ = json.Marshal(map[string]any{"v": s3, "n": fl})
-			}
-			if i2&1 == 1 {
-				j.Trace, _ = json.Marshal([]string{s1, s2})
 			}
 			rec.Job = j
 		}
@@ -80,7 +76,6 @@ func TestAppendRecordRefusesUndecodable(t *testing.T) {
 		{},
 		{Charge: &ChargeRecord{Camera: "c"}, Audit: &AuditRecord{}},
 		{Job: &JobRecord{ID: "q", Result: json.RawMessage(`{"v":`)}},
-		{Job: &JobRecord{ID: "q", Trace: json.RawMessage(`nope`)}},
 	} {
 		if _, err := appendRecord(nil, rec); err == nil {
 			t.Errorf("record %+v encoded", rec)
@@ -153,7 +148,7 @@ func TestSnapshotMatchesEncodingJSON(t *testing.T) {
 		if rng.IntN(3) > 0 {
 			res, _ := json.Marshal(map[string]any{"releases": []float64{pick(rng, epsilons)}, "note": pick(rng, names)})
 			j := JobRecord{ID: fmt.Sprintf("q-%06d", step), Analyst: pick(rng, names), Query: "SELECT <x> & y", State: "done",
-				SubmittedAt: at(), StartedAt: at(), FinishedAt: at(), Result: res, Trace: json.RawMessage(`{"name":"query"}`)}
+				SubmittedAt: at(), StartedAt: at(), FinishedAt: at(), Result: res}
 			jobs = append(jobs, j)
 			recs = append(recs, Record{Job: &j})
 		}

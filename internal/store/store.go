@@ -26,6 +26,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"sort"
 	"time"
@@ -58,7 +59,9 @@ type AuditRecord struct {
 // JobRecord is one terminal (done/failed) scheduler job, persisted so
 // an analyst polling after a server restart still gets their result.
 // Result is the JSON encoding of the engine's result (opaque to the
-// store).
+// store). A done job's record is committed after its charges, in the
+// same commit. Records written before traces left the log carry a
+// "trace" key, which decoding ignores.
 type JobRecord struct {
 	ID          string          `json:"id"`
 	Analyst     string          `json:"analyst"`
@@ -69,10 +72,6 @@ type JobRecord struct {
 	StartedAt   time.Time       `json:"started_at"`
 	FinishedAt  time.Time       `json:"finished_at"`
 	Result      json.RawMessage `json:"result,omitempty"`
-	// Trace is the JSON span tree of the job's execution (obs.SpanTree;
-	// opaque to the store), persisted so GET /v1/queries/{id}/trace
-	// resolves for terminal jobs across server restarts.
-	Trace json.RawMessage `json:"trace,omitempty"`
 }
 
 // Record is one WAL entry. Exactly one field is non-nil.
@@ -135,9 +134,10 @@ func NewState() *State {
 	return &State{spent: map[string]*intervalmap.Map{}}
 }
 
-// apply folds one record into the state. An audit or job entry keeps
-// its bytes out of payload, the record's encoding (appendRecord),
-// capacity-clipped so nothing appends into the buffer it shares.
+// apply folds one record into the state. A job entry keeps its bytes
+// out of payload (appendRecord's encoding), capacity-clipped so nothing
+// appends into the buffer it shares; an audit entry, which would pin
+// its query's job record too, copies them out.
 func (s *State) apply(rec Record, payload []byte) {
 	if rec.Charge != nil {
 		c := rec.Charge
@@ -153,7 +153,7 @@ func (s *State) apply(rec Record, payload []byte) {
 	end := len(payload) - 1
 	entry := payload[recordKeyLen:end:end]
 	if rec.Audit != nil {
-		s.audit = appendBounded(s.audit, entry, s.maxAudit)
+		s.audit = appendBounded(s.audit, bytes.Clone(entry), s.maxAudit)
 	} else {
 		s.jobs = appendBounded(s.jobs, entry, s.maxJobs)
 	}
