@@ -381,6 +381,23 @@ func FuzzCacheSegmentDecode(f *testing.F) {
 	sum = crc32.Update(sum, crc32.IEEETable, bad[segHeaderBytes:])
 	bad = binary.LittleEndian.AppendUint32(bad, sum)
 	f.Add(bad)
+	// A segment holding a block ingested from ragged, mistyped executable
+	// rows, which FromRows conforms (defaults, dropped cells, coercion).
+	ragged := f.TempDir()
+	if d, err = OpenDisk(ragged, 1<<20); err != nil {
+		f.Fatal(err)
+	}
+	d.Put("seed-ragged", table.FromRows(mixedTbl(0).Schema, []table.Row{
+		{}, {table.N(7)}, {table.N(1), table.S("2.5"), table.S("extra")}, {table.S("P"), table.S("junk")},
+	}))
+	d.Close()
+	if segs, _ = filepath.Glob(filepath.Join(ragged, "seg-*.pvc")); len(segs) != 1 {
+		f.Fatalf("ragged seed: %d segments", len(segs))
+	}
+	if raw, err = os.ReadFile(segs[0]); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -169,7 +169,8 @@ func (e *Engine) draw(adm admission, charges map[string][]dp.Charge, rels []rel.
 // commit is phase 3 of admission: every charge, the audit entry and,
 // when job is non-nil, the job record it builds from res go to the
 // durable store in one commit. Success finalizes the reservations;
-// failure releases them and withholds res.
+// failure withholds res and releases them, unless the store reports the
+// commit's outcome unknown (store.ErrOutcomeUnknown).
 func (e *Engine) commit(adm admission, charges map[string][]dp.Charge, tag string, res *Result, job func(*Result) *store.JobRecord, sp *obs.Span) error {
 	return e.stage(sp, "wal_commit", func(sp *obs.Span) error {
 		if tag == "" {
@@ -190,18 +191,27 @@ func (e *Engine) commit(adm admission, charges map[string][]dp.Charge, tag strin
 		}
 		sp.Set("records", len(recs))
 		err := e.store.Commit(recs...)
+		// A commit whose outcome is unknown may recover at the next
+		// open, so its charges stay spent here too: over-charged until
+		// the restart, never under-charged.
+		reason, unknown := "charge not persisted", errors.Is(err, store.ErrOutcomeUnknown)
+		if unknown {
+			reason = "charge outcome unknown until restart"
+		}
 		e.mu.Lock()
-		if err != nil {
+		if err != nil && !unknown {
 			adm.resv.Release()
-			audit = AuditEntry{Cameras: adm.camNames, Denied: true, Reason: "charge not persisted: " + err.Error()}
 		} else {
 			adm.resv.Finalize()
+		}
+		if err != nil {
+			audit = AuditEntry{Cameras: adm.camNames, Denied: true, Reason: reason + ": " + err.Error()}
 		}
 		e.recordAudit(audit)
 		e.mu.Unlock()
 		if err != nil {
 			sp.Set("outcome", "failed")
-			return fmt.Errorf("core: charge not persisted, result withheld: %w", err)
+			return fmt.Errorf("core: %s, result withheld: %w", reason, err)
 		}
 		return nil
 	})

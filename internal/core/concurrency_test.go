@@ -2,6 +2,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -572,5 +576,95 @@ SELECT COUNT(*) FROM t CONSUMING 0.2;`
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("follow-up query never got the parallelism slot back")
+	}
+}
+
+// Concurrent cold queries over the same chunks of two cameras — the
+// workers share blocks through the cache and its singleflight, and
+// stamp and fold each chunk in a pooled scratch — release bit for bit
+// the raw values the same programs release one at a time on a fresh
+// engine: no scratch is shared between workers or outlives its chunk.
+// The statements cover COUNT, grouped COUNT, SUM over range() behind a
+// camera filter and a bin(chunk) grouping, over string and number
+// columns. Run under -race.
+func TestConcurrentColdFoldsMatchSerial(t *testing.T) {
+	start := time.Date(2021, 3, 15, 6, 0, 0, 0, time.UTC)
+	colors := []string{"red", "blue", "green"}
+	engine := func() *Engine {
+		e := New(Options{Seed: 1, Evaluation: true})
+		for _, cam := range []string{"camA", "camB"} {
+			src := &video.IntervalSource{Camera: cam, FPS: 2, Start: start, Frames: 2 * 3600}
+			if err := e.RegisterCamera(CameraConfig{Name: cam, Source: src, Policy: policy.Policy{Rho: 25 * time.Second, K: 1}, Epsilon: 1e9}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// A pure function of the chunk: 0-3 rows of fresh strings.
+		if err := e.Registry().Register("synth", func(c *video.Chunk) []table.Row {
+			k := c.Interval.Start/60 + int64(len(c.Camera)+int(c.Camera[3]))
+			rows := make([]table.Row, k%4)
+			for i := range rows {
+				j := k + int64(i)
+				rows[i] = table.Row{table.S(strings.Clone(colors[j%3])), table.N(float64(j*7%80) - 10)}
+			}
+			return rows
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	var progs []*query.Program
+	for w := 0; w < 8; w++ {
+		begin := start.Add(time.Duration(w*5) * time.Minute)
+		prog, err := query.Parse(fmt.Sprintf(`
+SPLIT camA, camB BEGIN %s END %s BY TIME 30sec STRIDE 0sec INTO c;
+PROCESS c USING synth TIMEOUT 5sec PRODUCING 4 ROWS WITH SCHEMA (color:STRING="", speed:NUMBER=0) INTO t;
+SELECT COUNT(*) FROM t CONSUMING 0.01;
+SELECT color, COUNT(*) FROM t GROUP BY color WITH KEYS ["red","blue"] CONSUMING 0.01;
+SELECT SUM(range(speed, 0, 50)) FROM (SELECT * FROM t WHERE camera = "camB") CONSUMING 0.01;
+SELECT COUNT(*) FROM (SELECT bin(chunk, 600) AS b FROM t) GROUP BY b CONSUMING 0.01;`,
+			begin.Format("01-02-2006/3:04pm"), begin.Add(20*time.Minute).Format("01-02-2006/3:04pm")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, prog)
+	}
+	raws := func(res *Result) []uint64 {
+		var out []uint64
+		for _, r := range res.Releases {
+			out = append(out, math.Float64bits(r.Raw))
+		}
+		return out
+	}
+
+	serial, want := engine(), make([][]uint64, len(progs))
+	for i, prog := range progs {
+		res, err := serial.Execute(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = raws(res)
+	}
+	if ps := serial.PartialStats(); ps.Plans != uint64(4*len(progs)) || ps.Declined != 0 || ps.Folds == 0 {
+		t.Fatalf("every statement must fold: %+v", ps)
+	}
+	concurrent, got := engine(), make([][]uint64, len(progs))
+	var wg sync.WaitGroup
+	for round := 0; round < 2; round++ { // cold, then over the shared cache
+		for i, prog := range progs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := concurrent.Execute(prog)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[i] = raws(res)
+			}()
+		}
+		wg.Wait()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: concurrent raw releases differ from serial:\n got %v\nwant %v", round, got, want)
+		}
 	}
 }

@@ -261,6 +261,7 @@ func (e *Engine) runProcess(set *splitPlan, pr *procPlan, folded [][]rel.Release
 		// order (dedup picks the same representative rows regardless of
 		// shard timing), each block stamped with its implicit columns.
 		data, n := table.New(pr.full), 0
+		var consts [3]table.Value
 		for _, out := range outs {
 			n += out.rows
 		}
@@ -272,7 +273,7 @@ func (e *Engine) runProcess(set *splitPlan, pr *procPlan, folded [][]rel.Release
 				clock := split.Source.Info().Clock()
 				for k, blk := range sc.blocks {
 					start := clock.TimeOf(split.IntervalAt(sc.ords[k]).Start)
-					data.AppendBlock(blk, implicitConsts(start, split.Region, pr.hasRegion, camVal, pr.multi)...)
+					data.AppendBlock(blk, implicitConsts(consts[:0], start, split.Region, pr.hasRegion, camVal, pr.multi)...)
 				}
 				sc.release()
 			}
@@ -392,39 +393,33 @@ func forEachChunk(n, par int, fn func(i int)) {
 	wg.Wait()
 }
 
-// implicitConsts returns the trusted implicit column values stamped
-// onto every row of one chunk: its start time, then the region and the
-// camera where the table carries them.
-func implicitConsts(start time.Time, region string, hasRegion bool, camVal table.Value, multi bool) []table.Value {
-	consts := make([]table.Value, 0, 3)
-	consts = append(consts, table.N(float64(start.Unix())))
+// implicitConsts appends to dst the trusted implicit column values
+// stamped onto every row of one chunk: its start time, then the region
+// and the camera where the table carries them.
+func implicitConsts(dst []table.Value, start time.Time, region string, hasRegion bool, camVal table.Value, multi bool) []table.Value {
+	dst = append(dst, table.N(float64(start.Unix())))
 	if hasRegion {
-		consts = append(consts, table.S(region))
+		dst = append(dst, table.S(region))
 	}
 	if multi {
-		consts = append(consts, camVal)
+		dst = append(dst, camVal)
 	}
-	return consts
+	return dst
 }
 
-// stampedView is blk widened to the full execution schema without a
-// copy: blk's frozen columns are shared (the builder clips their
-// capacity) and each implicit column is a constant sized to the block.
-func stampedView(full table.Schema, blk *table.Table, consts []table.Value) *table.Table {
-	b, nb := table.NewBuilder(full, blk.Len()), len(blk.Schema.Cols)
-	for j, c := range full.Cols {
-		switch {
-		case j < nb && c.Type == table.DNumber:
-			b.SetNums(j, blk.Nums(j))
-		case j < nb:
-			b.SetStrsView(j, blk.Strs(j), blk.Nums(j), blk.Valid(j))
-		case c.Type == table.DNumber:
-			b.SetConstNum(j, consts[j-nb].Num())
-		default:
-			b.SetConstStr(j, consts[j-nb].Str())
-		}
-	}
-	return b.Build()
+// foldScratch is a cold chunk's fold working set, pooled: the stamped
+// block and the state each plan folds into before encoding it. release
+// empties the table, so a pooled scratch never pins a block's strings.
+type foldScratch struct {
+	stamped table.Table
+	state   rel.PartialState
+}
+
+var foldPool = sync.Pool{New: func() any { return new(foldScratch) }}
+
+func (fs *foldScratch) release() {
+	fs.stamped.Reset(table.Schema{})
+	foldPool.Put(fs)
 }
 
 // fetchChunkBlock obtains one chunk's block in the declared schema —
@@ -479,7 +474,7 @@ func (e *Engine) execChunk(chunk *video.Chunk, exec sandbox.Executor, tl *shardT
 		}
 	}
 	execStart := time.Now()
-	rows, clean := exec.RunChecked(chunk)
+	blk, clean := exec.RunTable(chunk)
 	execDur := time.Since(execStart)
 	e.met.sandbox(execDur, clean)
 	tl.sandboxNanos.Add(int64(execDur))
@@ -492,7 +487,7 @@ func (e *Engine) execChunk(chunk *video.Chunk, exec sandbox.Executor, tl *shardT
 	if !clean && !released.Load() {
 		time.AfterFunc(slotGraceMultiple*exec.Timeout, exec.Done)
 	}
-	return table.FromRows(exec.Schema, rows), clean
+	return blk, clean
 }
 
 // runShard executes the analyst's executable over every chunk of one
@@ -560,19 +555,23 @@ func (e *Engine) runShard(shard int, sh *splitShard, pr *procPlan, par int, psp 
 				return
 			}
 			// The fold sees exactly the rows this chunk contributes to
-			// the materialized table (same consts, same order), without
-			// copying the block.
-			view := stampedView(pr.full, blk, implicitConsts(clock.TimeOf(iv.Start), split.Region, pr.hasRegion, camVal, pr.multi))
+			// the materialized table: the same AppendBlock, the same
+			// consts, into a pooled table.
+			var consts [3]table.Value
+			fs := foldPool.Get().(*foldScratch)
+			defer fs.release()
+			fs.stamped.Reset(pr.full)
+			fs.stamped.AppendBlock(blk, implicitConsts(consts[:0], clock.TimeOf(iv.Start), split.Region, pr.hasRegion, camVal, pr.multi)...)
 			for p, pp := range pr.plans {
-				ps, err := pp.Partial(view, camName)
+				raw, err := pp.FoldEncoded(&fs.stamped, camName, &fs.state)
 				if err != nil {
-					err = fmt.Errorf("core: partial fold of a chunk: %w", err)
-					foldErr.CompareAndSwap(nil, &err)
+					ferr := fmt.Errorf("core: partial fold of a chunk: %w", err)
+					foldErr.CompareAndSwap(nil, &ferr)
 					return
 				}
 				tl.folds.Add(1)
 				e.ppFolds.Add(1)
-				states[i*np+p] = ps.EncodeBinary()
+				states[i*np+p] = raw
 				if clean && e.chunkCache != nil {
 					// Memoize only clean executions' states, mirroring
 					// the table tier's fallback-row rule.

@@ -30,12 +30,6 @@ type TrackerParams struct {
 	DistGate float64
 }
 
-// DefaultTrackerParams are a reasonable starting point; the experiment
-// harness tunes per video like Appendix A does.
-func DefaultTrackerParams() TrackerParams {
-	return TrackerParams{IoUThreshold: 0.25, MaxAge: 30, MinHits: 3, DistGate: 40}
-}
-
 // Track is one completed trajectory.
 type Track struct {
 	ID    int

@@ -103,7 +103,8 @@ type Ledger struct {
 	reserved []reservation
 	resSeq   int64
 	// pend overlays the reservations' charges, sized by the in-flight
-	// charges, never the ledger's history; rebuilt once they change.
+	// charges, never the ledger's history; rebuilt in place once they
+	// change.
 	pend   intervalmap.Map
 	pendOK bool
 }
@@ -134,7 +135,12 @@ func (l *Ledger) Remaining(frame int64) float64 {
 // pending returns the outstanding reservations as one overlay map.
 func (l *Ledger) pending() *intervalmap.Map {
 	if !l.pendOK {
-		l.pend, l.pendOK = intervalmap.Map{}, true
+		// Rebuilt in place: the overlay is a sum of bounded ranges, so it
+		// is zero past its last breakpoint, and zeroing [lo, hi) empties
+		// it while keeping its storage for the adds below.
+		lo, hi := l.pend.Bounds()
+		l.pend.SetRange(lo, hi, 0)
+		l.pendOK = true
 		for _, res := range l.reserved {
 			for _, c := range res.charges {
 				l.pend.AddRange(c.Interval.Start, c.Interval.End, c.Eps)

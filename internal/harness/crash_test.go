@@ -148,3 +148,56 @@ func TestCrashKeepsPolledResult(t *testing.T) {
 		t.Errorf("result after crash:\n got %s\nwant %s", got, wantRes)
 	}
 }
+
+// TestFsyncFailureOutcome: a commit whose fsync fails tells the analyst
+// what a restart will show. When the rollback (truncate to the last
+// acked offset, then fsync) succeeds, the job is withheld for good:
+// after a crash neither it, its result nor its charge recovers. When the
+// rollback fails too, the job's error says the outcome is unknown until
+// restart, its charge stays spent, and after the crash the job recovers
+// done with its result. The WAL refuses later commits either way.
+func TestFsyncFailureOutcome(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		truncate  bool // the rollback's truncate fails
+		errText   string
+		recovered bool
+	}{
+		{"rollback-ok", false, "charge not persisted, result withheld", false},
+		{"rollback-failed", true, "charge outcome unknown until restart", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var ff *storetest.FaultyFile
+			h := harness.Start(t, harness.Config{StateDir: t.TempDir(),
+				WrapWALFile: func(f store.File) store.File { ff = storetest.Wrap(f); return ff }})
+			const eps = 0.5
+			before := h.Budget(600)
+			ff.Mu.Lock()
+			ff.FailNextSync, ff.FailTruncate = true, tc.truncate
+			ff.Mu.Unlock()
+			job := h.SubmitWait("alice", harness.CountQuery(0, 2, eps))
+			if job.State != "failed" || job.Result != nil || !strings.Contains(job.Error, tc.errText) {
+				t.Fatalf("job = %+v, want failed, no result, error containing %q", job, tc.errText)
+			}
+			wantSpent := 0.0
+			if tc.recovered {
+				wantSpent = eps
+			}
+			if got := before - h.Budget(600); got != wantSpent {
+				t.Errorf("before the crash the failed commit spent %v, want %v", got, wantSpent)
+			}
+			if next := h.SubmitWait("alice", harness.CountQuery(2, 4, eps)); next.State != "failed" {
+				t.Fatalf("a commit after the failed fsync was accepted: %+v", next)
+			}
+
+			h.Crash()
+			after, ok := h.Job(job.ID)
+			if got := ok && after.State == "done" && after.Result != nil; got != tc.recovered {
+				t.Errorf("after the crash the job recovered done with its result = %v, want %v (%+v)", got, tc.recovered, after)
+			}
+			if got := before - h.Budget(600); got != wantSpent {
+				t.Errorf("after the crash the failed commit spent %v, want %v", got, wantSpent)
+			}
+		})
+	}
+}

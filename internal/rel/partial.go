@@ -242,11 +242,18 @@ func (p *PartialPlan) slots() int {
 
 // NewState returns an empty state shaped for this plan.
 func (p *PartialPlan) NewState() *PartialState {
-	s := &PartialState{Counts: make([]int64, p.slots())}
-	if p.needSum {
-		s.Sums = make([]float64, p.slots())
-	}
+	s := &PartialState{}
+	p.reset(s)
 	return s
+}
+
+// reset shapes s for this plan and zeroes it, reusing its slot storage.
+func (p *PartialPlan) reset(s *PartialState) {
+	n, sums := p.slots(), s.Sums[:0]
+	*s = PartialState{Counts: append(s.Counts[:0], make([]int64, n)...)}
+	if p.needSum {
+		s.Sums = append(sums, make([]float64, n)...)
+	}
 }
 
 // compatible reports whether a (possibly decoded) state matches this
@@ -265,54 +272,70 @@ func (p *PartialPlan) compatible(s *PartialState) bool {
 // chunk table must carry the full execution schema the plan was built
 // against; camera attributes the chunk's rows for per-camera tallies.
 func (p *PartialPlan) Partial(chunk *table.Table, camera string) (*PartialState, error) {
-	s := p.NewState()
+	s := &PartialState{}
+	if err := p.fold(s, chunk); err != nil {
+		return nil, err
+	}
+	if camera != "" && s.Rows > 0 {
+		s.CamRows = map[string]int64{camera: s.Rows}
+	}
+	return s, nil
+}
+
+// FoldEncoded returns Partial(chunk, camera).EncodeBinary() in one
+// allocation of exactly its size: the fold lands in scratch (reshaped
+// for this plan, its storage reused) and the camera entry is written
+// straight into the payload.
+func (p *PartialPlan) FoldEncoded(chunk *table.Table, camera string, scratch *PartialState) ([]byte, error) {
+	if err := p.fold(scratch, chunk); err != nil {
+		return nil, err
+	}
+	if camera == "" || scratch.Rows == 0 {
+		return scratch.encode(nil, nil), nil
+	}
+	return scratch.encode([]string{camera}, func(string) int64 { return scratch.Rows }), nil
+}
+
+// fold is the one fold loop: it resets s and folds the chunk into it.
+func (p *PartialPlan) fold(s *PartialState, chunk *table.Table) error {
+	p.reset(s)
 	tbl := chunk
 	for _, st := range p.chain {
 		var err error
 		if tbl, err = selectRows(st.sel, st.schema, tbl); err != nil {
-			return nil, err // unreachable for a validated plan; stay defensive
+			return err // unreachable for a validated plan; stay defensive
 		}
 	}
 	n := tbl.Len()
 	s.Chunks = 1
 	s.Rows = int64(n)
-	if camera != "" && n > 0 {
-		s.CamRows = map[string]int64{camera: int64(n)}
-	}
 	if n == 0 {
-		return s, nil
+		return nil
 	}
 
 	var argAt func(i int) float64
 	if p.needSum {
-		lo, hi := p.rp.rg.Lo, p.rp.rg.Hi
+		var raw func(i int) float64
 		if p.argCol >= 0 {
 			nums := tbl.Nums(p.argCol)
-			argAt = func(i int) float64 {
-				x := nums[i]
-				if x < lo {
-					x = lo
-				}
-				if x > hi {
-					x = hi
-				}
-				return x
-			}
+			raw = func(i int) float64 { return nums[i] }
 		} else {
 			av, err := evalVec(p.agg.Arg, tbl)
 			if err != nil {
-				return nil, err // unreachable: argument is statically total
+				return err // unreachable: argument is statically total
 			}
-			argAt = func(i int) float64 {
-				x := av.numAt(i)
-				if x < lo {
-					x = lo
-				}
-				if x > hi {
-					x = hi
-				}
-				return x
+			raw = av.numAt
+		}
+		lo, hi := p.rp.rg.Lo, p.rp.rg.Hi
+		argAt = func(i int) float64 {
+			x := raw(i)
+			if x < lo {
+				x = lo
 			}
+			if x > hi {
+				x = hi
+			}
+			return x
 		}
 	}
 
@@ -325,7 +348,7 @@ func (p *PartialPlan) Partial(chunk *table.Table, camera string) (*PartialState,
 			}
 			s.Sums[0] = sum
 		}
-		return s, nil
+		return nil
 	}
 
 	ci, keys, slots := p.rp.ci, p.rp.keys, p.rp.slots
@@ -344,7 +367,7 @@ func (p *PartialPlan) Partial(chunk *table.Table, camera string) (*PartialState,
 			}
 		}
 	}
-	return s, nil
+	return nil
 }
 
 // Merge folds src into dst. Merging is commutative and associative on

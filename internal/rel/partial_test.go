@@ -8,6 +8,7 @@ package rel
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -136,10 +137,13 @@ func cloneState(s *PartialState) *PartialState {
 // accepts is evaluated by folding random chunkings, round-tripping each
 // chunk state through the binary codec, merging in shuffled orders, and
 // finalizing — and must reproduce the row-major oracle's releases
-// exactly. Every merge runs twice, decoded (Merge∘Decode) and straight
+// exactly. Every chunk is also folded straight to bytes (FoldEncoded,
+// the engine's cold path), which must equal its encoded Partial state
+// byte for byte. Every merge runs twice, decoded (Merge∘Decode) and straight
 // out of the encoded bytes (MergeEncoded, the engine's warm path); the
 // two merged states must be identical bit for bit.
 func TestDifferentialStreamingMerge(t *testing.T) {
+	var foldScratch PartialState
 	accepted := 0
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
@@ -174,6 +178,11 @@ func TestDifferentialStreamingMerge(t *testing.T) {
 					t.Fatalf("seed %d: fold chunk %d: %v", seed, i, err)
 				}
 				raws[i] = s.EncodeBinary()
+				// The engine's fold-to-bytes path, its scratch shared
+				// with every earlier statement and chunk.
+				if enc, err := plan.FoldEncoded(c, inst.Metas[0].Camera, &foldScratch); err != nil || string(enc) != string(raws[i]) {
+					t.Fatalf("seed %d: FoldEncoded of chunk %d = %x, %v; want %x", seed, i, enc, err, raws[i])
+				}
 				dec, err := DecodePartialState(raws[i])
 				if err != nil {
 					t.Fatalf("seed %d: codec round-trip chunk %d: %v", seed, i, err)
@@ -563,5 +572,61 @@ func TestPlanPartialEligibility(t *testing.T) {
 			t.Fatalf("%s: execute: %v", sel, err)
 		}
 		comparePartialReleases(t, 0, plan.Finalize(s), want)
+	}
+}
+
+// TestFoldEncodedStampedChunks: the engine's fold-to-bytes path equals
+// Partial(chunk, camera).EncodeBinary() byte for byte on chunks stamped
+// the way the engine stamps them (the block appended with its chunk,
+// region and camera columns), for COUNT, grouped COUNT and SUM over
+// range(), chains filtering on each implicit column, a two-camera
+// table and empty chunks, with one scratch state reused throughout.
+func TestFoldEncodedStampedChunks(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	base := table.MustSchema(
+		table.Column{Name: "plate", Type: table.DString, Default: table.S("")},
+		table.Column{Name: "color", Type: table.DString, Default: table.S("")},
+		table.Column{Name: "speed", Type: table.DNumber, Default: table.N(0)},
+	)
+	full := base.WithImplicitCols(true, true)
+	metas := []TableMeta{testMeta("tableA", "camA"), testMeta("tableA", "camB")}
+	start := metas[0].Begin.Unix()
+	var scratch PartialState
+	for _, sel := range []string{
+		`SELECT COUNT(*) FROM tableA;`,
+		`SELECT color, COUNT(*) FROM tableA GROUP BY color WITH KEYS ["RED","WHITE","42"];`,
+		`SELECT SUM(range(speed, 0, 60)) FROM tableA;`,
+		`SELECT color, SUM(range(speed, 0, 5)) FROM tableA GROUP BY color WITH KEYS ["RED","SILVER"];`,
+		`SELECT COUNT(*) FROM (SELECT bin(chunk, 100) AS b FROM tableA) GROUP BY b;`,
+		fmt.Sprintf(`SELECT COUNT(*) FROM (SELECT * FROM tableA WHERE chunk >= %d);`, start+100),
+		`SELECT SUM(range(speed, 0, 60)) FROM (SELECT * FROM tableA WHERE region = "north");`,
+		`SELECT color, COUNT(*) FROM (SELECT * FROM tableA WHERE camera = "camB") GROUP BY color WITH KEYS ["RED","WHITE"];`,
+	} {
+		st := parseSelect(t, sel)
+		plan := PlanPartial(st, "tableA", full, metas)
+		if plan == nil {
+			t.Fatalf("%s: declined pushdown", sel)
+		}
+		for c := 0; c < 60; c++ {
+			blk := table.New(base)
+			for r := rng.Intn(4); r > 0 && c%7 != 0; r-- { // every 7th chunk is empty
+				blk.Append(table.Row{
+					table.S(diffStrings[rng.Intn(len(diffStrings))]),
+					table.S([]string{"RED", "WHITE", "SILVER", "42"}[rng.Intn(4)]),
+					table.N(diffNum(rng)),
+				})
+			}
+			cam := metas[c%2].Camera
+			stamped := table.New(full)
+			stamped.AppendBlock(blk.Freeze(), table.N(float64(start+int64(c)*5)), table.S([]string{"north", "south"}[rng.Intn(2)]), table.S(cam))
+			s, err := plan.Partial(stamped, cam)
+			if err != nil {
+				t.Fatalf("%s: chunk %d: %v", sel, c, err)
+			}
+			want := s.EncodeBinary()
+			if got, err := plan.FoldEncoded(stamped, cam, &scratch); err != nil || string(got) != string(want) {
+				t.Fatalf("%s: chunk %d: FoldEncoded = %x, %v; want %x", sel, c, got, err, want)
+			}
+		}
 	}
 }

@@ -33,12 +33,23 @@ var partialMagic = [4]byte{'P', 'P', 'S', '1'}
 
 // EncodeBinary serializes the state.
 func (s *PartialState) EncodeBinary() []byte {
+	cams := make([]string, 0, 8) // on the stack for up to 8 cameras
+	for cam := range s.CamRows {
+		cams = append(cams, cam)
+	}
+	sort.Strings(cams)
+	return s.encode(cams, func(cam string) int64 { return s.CamRows[cam] })
+}
+
+// encode writes the payload in one exact-size allocation, its camera
+// entries rows(cam) for cams (ascending) in place of CamRows.
+func (s *PartialState) encode(cams []string, rows func(cam string) int64) []byte {
 	n := len(s.Counts)
-	size := 4 + 1 + 4 + 8*n + 16 + 2
+	size := stateHeaderLen + 8*n + stateTallyLen
 	if s.Sums != nil {
 		size += 8 * n
 	}
-	for cam := range s.CamRows {
+	for _, cam := range cams {
 		size += 2 + len(cam) + 8
 	}
 	b := make([]byte, 0, size)
@@ -52,23 +63,16 @@ func (s *PartialState) EncodeBinary() []byte {
 	for _, c := range s.Counts {
 		b = binary.LittleEndian.AppendUint64(b, uint64(c))
 	}
-	if s.Sums != nil {
-		for _, v := range s.Sums {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-		}
+	for _, v := range s.Sums {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
 	b = binary.LittleEndian.AppendUint64(b, uint64(s.Rows))
 	b = binary.LittleEndian.AppendUint64(b, uint64(s.Chunks))
-	cams := make([]string, 0, 8) // on the stack for up to 8 cameras
-	for cam := range s.CamRows {
-		cams = append(cams, cam)
-	}
-	sort.Strings(cams)
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(cams)))
 	for _, cam := range cams {
 		b = binary.LittleEndian.AppendUint16(b, uint16(len(cam)))
 		b = append(b, cam...)
-		b = binary.LittleEndian.AppendUint64(b, uint64(s.CamRows[cam]))
+		b = binary.LittleEndian.AppendUint64(b, uint64(rows(cam)))
 	}
 	return b
 }

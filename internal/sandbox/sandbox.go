@@ -109,18 +109,39 @@ func (e *Executor) Run(chunk *video.Chunk) []table.Row {
 // (the engine's chunk cache) must not treat as the chunk's true
 // output.
 func (e *Executor) RunChecked(chunk *video.Chunk) (rows []table.Row, ok bool) {
+	raw, ok := e.run(chunk)
+	out := make([]table.Row, len(raw))
+	for i, r := range raw {
+		out[i] = e.Schema.Conform(r)
+	}
+	return out, ok
+}
+
+// RunTable is RunChecked returning the rows as a table in the declared
+// schema: table.FromRows conforms the executable's raw rows as it
+// ingests them, so no row is copied. It is the engine's ingest path.
+func (e *Executor) RunTable(chunk *video.Chunk) (*table.Table, bool) {
+	raw, ok := e.run(chunk)
+	return table.FromRows(e.Schema, raw), ok
+}
+
+// run executes the ProcessFunc on its own goroutine and returns its raw
+// rows cut to MaxRows, or the default row and false. The goroutine
+// captures Fn and Done, not e, so the caller's Executor stays off the
+// heap.
+func (e *Executor) run(chunk *video.Chunk) (raw []table.Row, ok bool) {
 	a := attempts.Get().(*attempt)
-	done := a.done
+	fn, done, exited := e.Fn, a.done, e.Done
 	go func() {
-		if e.Done != nil {
-			defer e.Done()
+		if exited != nil {
+			defer exited()
 		}
 		defer func() {
 			if recover() != nil {
 				done <- result{ok: false}
 			}
 		}()
-		rows := e.Fn(chunk)
+		rows := fn(chunk)
 		done <- result{rows: rows, ok: true}
 	}()
 
@@ -142,19 +163,14 @@ func (e *Executor) RunChecked(chunk *video.Chunk) (rows []table.Row, ok bool) {
 		res = <-done
 		attempts.Put(a)
 	}
-
 	if !res.ok {
 		return []table.Row{e.Schema.DefaultRow()}, false
 	}
-	raw := res.rows
+	raw = res.rows
 	if e.MaxRows > 0 && len(raw) > e.MaxRows {
 		raw = raw[:e.MaxRows]
 	}
-	out := make([]table.Row, len(raw))
-	for i, r := range raw {
-		out[i] = e.Schema.Conform(r)
-	}
-	return out, true
+	return raw, true
 }
 
 // result is what an execution's goroutine reports.

@@ -84,7 +84,7 @@ func TestRetentionAcrossTrimBoundary(t *testing.T) {
 // O(1).
 func BenchmarkStateApply_AtCap(b *testing.B) {
 	const maxAudit = 10000
-	s := NewState()
+	s := newState()
 	s.maxAudit = maxAudit
 	rec := Record{Audit: &AuditRecord{Cameras: []string{"cam"}, Releases: 1, EpsilonSpent: 0.001}}
 	payload, err := appendRecord(nil, rec)

@@ -129,8 +129,8 @@ type State struct {
 	maxJobs, maxAudit int
 }
 
-// NewState returns an empty state that retains everything.
-func NewState() *State {
+// newState returns an empty state that retains everything.
+func newState() *State {
 	return &State{spent: map[string]*intervalmap.Map{}}
 }
 

@@ -52,6 +52,9 @@ type FaultyFile struct {
 	// may or may not be durable — here they are, which recovery must
 	// tolerate).
 	FailSync bool
+	// FailNextSync makes only the next Sync fail, then clears itself:
+	// the commit's fsync fails and the rollback's succeeds.
+	FailNextSync bool
 	// FailTruncate makes the post-error rollback fail, leaving the
 	// torn record on disk.
 	FailTruncate bool
@@ -87,6 +90,7 @@ func (f *FaultyFile) Heal() {
 	f.Mu.Lock()
 	f.FailWriteAfter = -1
 	f.FailSync = false
+	f.FailNextSync = false
 	f.FailTruncate = false
 	f.Mu.Unlock()
 }
@@ -113,7 +117,8 @@ func (f *FaultyFile) Write(p []byte) (int, error) {
 
 func (f *FaultyFile) Sync() error {
 	f.Mu.Lock()
-	fail := f.FailSync
+	fail := f.FailSync || f.FailNextSync
+	f.FailNextSync = false
 	f.Mu.Unlock()
 	if fail {
 		return ErrInjected

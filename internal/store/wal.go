@@ -16,6 +16,11 @@ import (
 // ErrClosed is returned by Commit on a closed WAL.
 var ErrClosed = errors.New("store: WAL closed")
 
+// ErrOutcomeUnknown marks a failed Commit whose records may be on disk
+// all the same: its fsync failed and so did the rollback, so whether
+// they recover is decided by the next Open.
+var ErrOutcomeUnknown = errors.New("store: commit outcome unknown until restart")
+
 // File is the WAL's storage handle — the subset of *os.File the log
 // needs. Tests substitute faulty implementations (partial writes,
 // failing fsyncs) to simulate crashes mid-commit.
@@ -234,7 +239,7 @@ func Open(dir string, opts Options) (*WAL, error) {
 // active generation, the WAL's byte size (0 when the file does not
 // exist yet), and the number of records replayed from the WAL.
 func loadState(dir string, maxJobs, maxAudit int) (*State, int64, int64, int64, error) {
-	state := NewState()
+	state := newState()
 	state.maxJobs, state.maxAudit = maxJobs, maxAudit
 	var gen int64
 	snapPath := filepath.Join(dir, snapshotName)
@@ -437,11 +442,18 @@ func (w *WAL) appendLocked(buf []byte, batch []*commitReq) error {
 	}
 	syncStart := time.Now()
 	if err := w.f.Sync(); err != nil {
-		// After a failed fsync the kernel may have dropped the dirty
-		// pages without writing them; the log's on-disk tail is
-		// unknowable. Refuse further commits — recovery on the next
-		// open resolves what actually made it to disk.
+		// After a failed fsync the kernel may have written the dirty
+		// pages or dropped them: the log's on-disk tail is unknowable.
+		// Cut the batch off again and make the cut durable; only then
+		// are its commits truly lost. Refuse further commits either way
+		// — recovery on the next open resolves what made it to disk.
 		w.poisoned = fmt.Errorf("store: wal fsync failed, store disabled: %w", err)
+		if terr := w.f.Truncate(w.size); terr != nil {
+			return fmt.Errorf("%w: %w (rollback failed: %v)", ErrOutcomeUnknown, w.poisoned, terr)
+		}
+		if serr := w.f.Sync(); serr != nil {
+			return fmt.Errorf("%w: %w (rollback not synced: %v)", ErrOutcomeUnknown, w.poisoned, serr)
+		}
 		return w.poisoned
 	}
 	now := time.Now()

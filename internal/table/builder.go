@@ -41,17 +41,6 @@ func (b *Builder) SetNums(j int, vals []float64) {
 	b.t.cols[j].nums = vals[:len(vals):len(vals)]
 }
 
-// SetStrs installs vals as STRING column j, computing the parse-once
-// numeric view.
-func (b *Builder) SetStrs(j int, vals []string) {
-	nums := make([]float64, len(vals))
-	valid := make([]bool, len(vals))
-	for i, s := range vals {
-		nums[i], valid[i] = parseNum(s)
-	}
-	b.SetStrsView(j, vals, nums, valid)
-}
-
 // SetStrsView installs STRING column j with its precomputed numeric
 // view, taking ownership of all three slices (which may be shared with
 // another table — they are capacity-clipped here).

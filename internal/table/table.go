@@ -353,8 +353,10 @@ func New(s Schema) *Table {
 	return &Table{Schema: s, cols: make([]column, len(s.Cols))}
 }
 
-// FromRows builds a table from the schema and rows, coercing each cell
-// to the declared column type at ingest.
+// FromRows builds a table from the schema and rows, conforming each
+// row at ingest exactly as Schema.Conform does (a short row takes the
+// column defaults, extra cells are dropped, each cell is coerced to its
+// column's type), so sandbox.Executor.RunTable copies no row.
 //
 // Because the row count is known up front, storage is carved out of
 // arena blocks — one []float64, one []string and one []bool allocation
@@ -396,16 +398,17 @@ func FromRows(s Schema, rows []Row) *Table {
 		}
 	}
 	for i, r := range rows {
-		if len(r) != nc {
-			panic(fmt.Sprintf("table: row width %d != schema width %d", len(r), nc))
-		}
-		for j := range s.Cols {
+		for j, col := range s.Cols {
+			v := col.Default
+			if j < len(r) {
+				v = r[j]
+			}
 			c := &t.cols[j]
-			if s.Cols[j].Type == DNumber {
-				c.nums[i] = r[j].Num()
+			if col.Type == DNumber {
+				c.nums[i] = v.Num()
 				continue
 			}
-			str := r[j].Str()
+			str := v.Str()
 			f, ok := parseNum(str)
 			c.strs[i] = str
 			c.nums[i] = f
@@ -522,6 +525,22 @@ func (t *Table) appendCell(j int, v Value) {
 	c.strs = append(c.strs, s)
 	c.nums = append(c.nums, f)
 	c.valid = append(c.valid, ok)
+}
+
+// Reset empties t into schema s, keeping its column storage so that a
+// pooled scratch table refilled by AppendBlock stops allocating; the
+// strings it held are cleared, so it pins nothing. t must be mutable.
+func (t *Table) Reset(s Schema) {
+	t.mutable()
+	all := t.cols[:cap(t.cols)]
+	for j, c := range all {
+		clear(c.strs)
+		all[j] = column{c.nums[:0], c.strs[:0], c.valid[:0]}
+	}
+	if cap(all) < len(s.Cols) {
+		all = make([]column, len(s.Cols))
+	}
+	t.Schema, t.cols, t.n = s, all[:len(s.Cols)], 0
 }
 
 // Grow reserves capacity for n more rows in every column, so appending

@@ -2,6 +2,7 @@ package table
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -439,6 +440,66 @@ func TestFromRowsEmpty(t *testing.T) {
 	tb.Append(Row{N(1), S("a"), N(2), S("b")}) // still usable
 	if tb.Len() != 1 {
 		t.Fatalf("append after empty FromRows: %d rows", tb.Len())
+	}
+}
+
+// raggedRows are untrusted executable output FromRows must conform:
+// short rows (defaults fill the rest), long rows (extra cells dropped)
+// and cells of the wrong type, over a schema with a mistyped default.
+func raggedRows() (Schema, []Row) {
+	s := MustSchema(
+		Column{Name: "plate", Type: DString, Default: S("none")},
+		Column{Name: "speed", Type: DNumber, Default: S("2.5")},
+		Column{Name: "lane", Type: DString, Default: N(3)},
+	)
+	return s, []Row{
+		{},
+		{S("a")},
+		{N(7), S("12.5"), N(math.Copysign(0, -1))},
+		{S("b"), S("junk"), N(math.NaN()), S("extra"), N(9)},
+		{N(math.Inf(1)), N(-1)},
+		{S(" 4 "), S(" 4 "), S("")},
+	}
+}
+
+// FromRows conforms at ingest: over ragged, mistyped rows it builds,
+// byte for byte, the table it builds over the same rows Conform'ed.
+func TestFromRowsConformsRaggedRows(t *testing.T) {
+	s, rows := raggedRows()
+	conformed := make([]Row, len(rows))
+	for i, r := range rows {
+		conformed[i] = s.Conform(r)
+	}
+	for i := 0; i <= len(rows); i++ {
+		got, want := FromRows(s, rows[:i]).EncodeBinary(), FromRows(s, conformed[:i]).EncodeBinary()
+		if string(got) != string(want) {
+			t.Fatalf("first %d rows: FromRows over raw rows = %x, over conformed rows %x", i, got, want)
+		}
+	}
+}
+
+// A Reset table refilled by AppendBlock equals a fresh one, whatever
+// schema it held before, and holds no string of its earlier contents.
+func TestResetRefillsLikeNew(t *testing.T) {
+	base, rows := mixedSchemaRows(5)
+	blk := FromRows(base, rows).Freeze()
+	wide := base.WithImplicitCols(true, true)
+	var scratch Table
+	for _, full := range []Schema{wide, base.WithImplicit(false), wide, base.WithImplicit(true)} {
+		consts := []Value{N(1616000000), S("north"), S("camB")}[:len(full.Cols)-len(base.Cols)]
+		want := New(full)
+		want.AppendBlock(blk, consts...)
+		scratch.Reset(full)
+		scratch.AppendBlock(blk, consts...)
+		if got := scratch.EncodeBinary(); string(got) != string(want.EncodeBinary()) {
+			t.Fatalf("%d columns: refilled scratch differs from a fresh table", len(full.Cols))
+		}
+	}
+	scratch.Reset(Schema{})
+	for _, c := range scratch.cols[:cap(scratch.cols)] {
+		if slices.ContainsFunc(c.strs[:cap(c.strs)], func(s string) bool { return s != "" }) {
+			t.Fatal("a reset table still holds a string")
+		}
 	}
 }
 
