@@ -1,6 +1,12 @@
 package experiments
 
 import (
+	"encoding/json"
+	"flag"
+	"math"
+	"os"
+	"sort"
+	"sync"
 	"testing"
 )
 
@@ -9,6 +15,28 @@ import (
 // scale-free while signals grow).
 func testConfig() Config { return Config{Scale: 0.02, Seed: 1} }
 
+var update = flag.Bool("update", false, "rewrite the values in "+goldenPath+" from this run (tolerances and reasons are kept)")
+
+const goldenPath = "testdata/golden.json"
+
+// golden is one recorded metric under testConfig: a later run may stray
+// from Value by at most Tol (absolute), for the reason Why gives.
+type golden struct {
+	Value float64 `json:"value"`
+	Tol   float64 `json:"tol"`
+	Why   string  `json:"why"`
+}
+
+var goldens struct {
+	sync.Mutex
+	once sync.Once
+	m    map[string]map[string]golden // experiment -> metric -> golden
+	err  error
+}
+
+// runExp runs one experiment under testConfig and checks every metric
+// it reports against its golden, so each experiment runs once for both
+// its shape test and its golden check.
 func runExp(t *testing.T, id string) *Summary {
 	t.Helper()
 	exp, ok := Get(id)
@@ -19,7 +47,88 @@ func runExp(t *testing.T, id string) *Summary {
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
+	checkGolden(t, id, sum)
 	return sum
+}
+
+func checkGolden(t *testing.T, id string, sum *Summary) {
+	t.Helper()
+	goldens.once.Do(func() {
+		b, err := os.ReadFile(goldenPath)
+		if err == nil {
+			err = json.Unmarshal(b, &goldens.m)
+		}
+		goldens.err = err
+	})
+	if goldens.err != nil && !*update {
+		t.Fatalf("goldens: %v", goldens.err)
+	}
+	goldens.Lock()
+	defer goldens.Unlock()
+	want := goldens.m[id]
+	if *update {
+		next := map[string]golden{}
+		for k, v := range sum.Metrics {
+			g := want[k]
+			g.Value = v
+			next[k] = g
+		}
+		if goldens.m == nil {
+			goldens.m = map[string]map[string]golden{}
+		}
+		goldens.m[id] = next
+		b, err := json.MarshalIndent(goldens.m, "", "  ")
+		if err == nil {
+			err = os.WriteFile(goldenPath, append(b, '\n'), 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	for _, k := range sum.SortedKeys() {
+		g, ok := want[k]
+		got := sum.Metrics[k]
+		switch {
+		case !ok:
+			t.Errorf("%s: metric %s=%v has no golden", id, k, got)
+		case g.Why == "":
+			t.Errorf("%s: golden %s states no reason for its tolerance", id, k)
+		case !(math.Abs(got-g.Value) <= g.Tol):
+			t.Errorf("%s: %s=%v left its golden %v±%v (%s)", id, k, got, g.Value, g.Tol, g.Why)
+		}
+	}
+	var gone []string
+	for k := range want {
+		if _, ok := sum.Metrics[k]; !ok {
+			gone = append(gone, k)
+		}
+	}
+	sort.Strings(gone)
+	for _, k := range gone {
+		t.Errorf("%s: golden metric %s no longer reported", id, k)
+	}
+}
+
+// TestGoldensCover: every experiment has goldens, so none escapes the
+// check by lacking a shape test.
+func TestGoldensCover(t *testing.T) {
+	if *update {
+		t.Skip("rewriting goldens")
+	}
+	b, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]map[string]golden
+	if err := json.Unmarshal(b, &m); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range All() {
+		if len(m[e.ID]) == 0 {
+			t.Errorf("experiment %s has no goldens", e.ID)
+		}
+	}
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -232,5 +341,19 @@ func TestEvalEngine(t *testing.T) {
 	}
 	if FormatTimestamp(begin) == "" || DescribeEngine(cfg) == "" {
 		t.Errorf("describe helpers empty")
+	}
+}
+
+// TestSoakShape: the fleet soak finds no invariant violation, clean or
+// under chaos.
+func TestSoakShape(t *testing.T) {
+	sum := runExp(t, "soak")
+	for _, mode := range []string{"clean", "chaos"} {
+		if v := sum.Metrics[mode+"_violations"]; v != 0 {
+			t.Errorf("%s soak: %v invariant violations", mode, v)
+		}
+		if sum.Metrics[mode+"_ops_done"] == 0 {
+			t.Errorf("%s soak: no operation completed", mode)
+		}
 	}
 }
