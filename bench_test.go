@@ -74,7 +74,7 @@ func BenchmarkAblation_DesignChoices(b *testing.B) { runExperiment(b, "ablation"
 // on.
 
 // BenchmarkAlg1_BudgetLedger measures Algorithm 1's admission path:
-// check + charge of a query over a ledger already holding many
+// Reserve + Finalize of a query over a ledger already holding many
 // disjoint charges.
 func BenchmarkAlg1_BudgetLedger(b *testing.B) {
 	l := dp.NewLedger("cam", 1e6)
@@ -84,9 +84,11 @@ func BenchmarkAlg1_BudgetLedger(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		iv := vtime.NewInterval(int64(i%5000)*1000, int64(i%5000)*1000+800)
-		if err := l.Admit([]dp.Charge{{Interval: iv, Eps: 1e-6}}, 300); err != nil {
+		id, err := l.Reserve([]dp.Charge{{Interval: iv, Eps: 1e-6}}, 300)
+		if err != nil {
 			b.Fatal(err)
 		}
+		l.Finalize(id)
 	}
 }
 

@@ -59,7 +59,10 @@ type check struct {
 	//                   multiple below the materialized path's);
 	//   "max_allocs"  — allocs/op of Benchmark, fail if above
 	//                   recorded*(1+tolerance) (allocations are
-	//                   deterministic, so this is machine-independent);
+	//                   deterministic, so this is machine-independent),
+	//                   or below recorded*(1-tolerance): a pin left far
+	//                   above the code would pass a regression up to it,
+	//                   so a saving must lower its pin;
 	//   "max_bytes"   — B/op of Benchmark, fail if above
 	//                   recorded*(1+tolerance);
 	//   "max_metric"  — a custom b.ReportMetric value of Benchmark
@@ -229,9 +232,12 @@ func evaluate(c check, tol float64, results map[string]*measurement) (bool, stri
 		if !m.hasAllocs {
 			return false, "", fmt.Errorf("max_allocs needs -benchmem or ReportAllocs on %s", c.Benchmark)
 		}
-		limit := c.Recorded * (1 + tol)
+		limit, floor := c.Recorded*(1+tol), c.Recorded*(1-tol)
 		detail := fmt.Sprintf("%.0f allocs/op (recorded %.0f, limit %.0f)", m.allocsPerOp, c.Recorded, limit)
-		return m.allocsPerOp <= limit, detail, nil
+		if m.allocsPerOp < floor {
+			detail += fmt.Sprintf("; below %.0f, the pin is loose: lower recorded to the measured count", floor)
+		}
+		return m.allocsPerOp <= limit && m.allocsPerOp >= floor, detail, nil
 	case "max_bytes":
 		m, err := get(c.Benchmark)
 		if err != nil {

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -154,6 +156,79 @@ PROCESS c USING adv TIMEOUT 5sec PRODUCING 3 ROWS
 				}
 			}
 		}
+	}
+}
+
+// TestNaNCannotSteerRelease is the neighbour pair for an executable
+// that emits NaN in its summed column exactly when a person is in the
+// chunk. The declared range must hold for NaN as for any other value:
+// with or without people, every SUM and AVG release — on the pushdown
+// fold and on the materialised path — is finite and the result has the
+// same wire shape, so the NaN reveals nothing.
+func TestNaNCannotSteerRelease(t *testing.T) {
+	nanIfPerson := func(chunk *video.Chunk) []table.Row {
+		for f := int64(0); f < chunk.Len(); f++ {
+			for _, o := range chunk.Frame(f).Objects {
+				if o.Class.Private() {
+					return []table.Row{{table.N(math.NaN())}}
+				}
+			}
+		}
+		return []table.Row{{table.N(1)}}
+	}
+	prog, err := query.Parse(`
+SPLIT camA BEGIN 03-15-2021/6:00am END 03-15-2021/7:00am
+  BY TIME 30sec STRIDE 0sec INTO c;
+PROCESS c USING nan TIMEOUT 5sec PRODUCING 1 ROWS WITH SCHEMA (v:NUMBER=0) INTO t;
+SELECT SUM(range(v, 0, 1)) FROM t;
+SELECT AVG(range(v, 0, 1)) FROM t;
+SELECT SUM(range(v, 0, 1)) FROM (SELECT bin(chunk, 600) AS b, v FROM t) GROUP BY b;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// shape is the result's JSON with every number zeroed.
+	var shape func(v any) any
+	shape = func(v any) any {
+		switch x := v.(type) {
+		case float64:
+			return 0.0
+		case []any:
+			for i := range x {
+				x[i] = shape(x[i])
+			}
+		case map[string]any:
+			for k := range x {
+				x[k] = shape(x[k])
+			}
+		}
+		return v
+	}
+	run := func(people int) any {
+		e := newTestEngine(t, countScene(people), policy.Policy{Rho: 30 * time.Second, K: 1}, 1e6)
+		if err := e.Registry().Register("nan", nanIfPerson); err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Execute(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range res.Releases {
+			if math.IsNaN(r.Value) || math.IsInf(r.Value, 0) || math.IsNaN(r.Raw) || math.IsInf(r.Raw, 0) {
+				t.Errorf("%d people: %s released %v (raw %v)", people, r.Desc, r.Value, r.Raw)
+			}
+		}
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatalf("%d people: result does not encode: %v", people, err)
+		}
+		var v any
+		if err := json.Unmarshal(b, &v); err != nil {
+			t.Fatal(err)
+		}
+		return shape(v)
+	}
+	if with, without := run(60), run(0); !reflect.DeepEqual(with, without) {
+		t.Errorf("wire shapes differ:\n with people: %v\n without:     %v", with, without)
 	}
 }
 

@@ -7,53 +7,62 @@ import (
 	"privid/internal/vtime"
 )
 
-// TestCommitHookOrdering: the hook fires between check and spend, and
-// a hook error aborts the admission with nothing spent — the
-// charge-before-release contract.
-func TestCommitHookOrdering(t *testing.T) {
+// TestReserveCommitOrdering: admission is Reserve, the caller's
+// durable commit, then Finalize. A failed commit Releases the
+// reservation with nothing spent, and a denied Reserve never reaches
+// the commit — the charge-before-release contract.
+func TestReserveCommitOrdering(t *testing.T) {
 	led := NewLedger("camA", 10)
-	var hooked [][]Charge
-	led.SetCommitHook(func(camera string, charges []Charge) error {
-		if camera != "camA" {
-			t.Errorf("hook camera = %q", camera)
+	var committed [][]Charge
+	durably := func(ch []Charge, commit func([]Charge) error) error {
+		id, err := led.Reserve(ch, 0)
+		if err != nil {
+			return err
 		}
-		hooked = append(hooked, charges)
+		if err := commit(ch); err != nil {
+			led.Release(id)
+			return err
+		}
+		led.Finalize(id)
 		return nil
-	})
+	}
+	record := func(ch []Charge) error {
+		committed = append(committed, ch)
+		return nil
+	}
 	ch := []Charge{{Interval: vtime.NewInterval(0, 100), Eps: 3}}
-	if err := led.Admit(ch, 0); err != nil {
+	if err := durably(ch, record); err != nil {
 		t.Fatal(err)
 	}
-	if len(hooked) != 1 {
-		t.Fatalf("hook fired %d times, want 1", len(hooked))
+	if len(committed) != 1 {
+		t.Fatalf("committed %d times, want 1", len(committed))
 	}
 	if got := led.Remaining(50); got != 7 {
 		t.Errorf("remaining = %v, want 7", got)
 	}
 
-	// A failing hook blocks the spend entirely.
+	// A failing commit spends nothing.
 	failErr := errors.New("disk on fire")
-	led.SetCommitHook(func(string, []Charge) error { return failErr })
-	err := led.Admit(ch, 0)
+	err := durably(ch, func([]Charge) error { return failErr })
 	if !errors.Is(err, failErr) {
-		t.Fatalf("admit with failing hook: %v", err)
+		t.Fatalf("admit with failing commit: %v", err)
 	}
 	if got := led.Remaining(50); got != 7 {
-		t.Errorf("failed hook spent budget: remaining = %v, want 7", got)
-	}
-	if len(hooked) != 1 {
-		t.Errorf("failed admission recorded a hook charge")
+		t.Errorf("failed commit spent budget: remaining = %v, want 7", got)
 	}
 
-	// The hook does not fire on an admission denial.
-	led.SetCommitHook(func(string, []Charge) error {
-		t.Error("hook fired for a denied admission")
-		return nil
-	})
+	// A denied admission never reaches the commit.
 	big := []Charge{{Interval: vtime.NewInterval(0, 100), Eps: 100}}
 	var ex *ErrBudgetExhausted
-	if err := led.Admit(big, 0); !errors.As(err, &ex) {
+	err = durably(big, func([]Charge) error {
+		t.Error("commit reached for a denied admission")
+		return nil
+	})
+	if !errors.As(err, &ex) {
 		t.Fatalf("want budget denial, got %v", err)
+	}
+	if len(committed) != 1 {
+		t.Errorf("committed %d times, want 1", len(committed))
 	}
 }
 
@@ -80,7 +89,7 @@ func TestReserveFinalizeRelease(t *testing.T) {
 	if got := led.Remaining(50); got != 10 {
 		t.Errorf("remaining after release = %v, want 10 exactly", got)
 	}
-	// Reserve + Finalize equals Admit.
+	// Reserve + Finalize spends the charge.
 	id, err = led.Reserve(ch, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -97,8 +106,8 @@ func TestReserveFinalizeRelease(t *testing.T) {
 	}
 }
 
-// TestReserveRhoMargin: the admission margin applies to reservations
-// exactly as to Admit.
+// TestReserveRhoMargin: Reserve checks each charge over its interval
+// widened by ρ.
 func TestReserveRhoMargin(t *testing.T) {
 	led := NewLedger("camA", 1)
 	id, err := led.Reserve([]Charge{{Interval: vtime.NewInterval(0, 100), Eps: 1}}, 10)
@@ -128,7 +137,7 @@ func TestRestoreSpent(t *testing.T) {
 		{{Interval: vtime.NewInterval(120, 130), Eps: 1.1}},
 	}
 	for _, ch := range charges {
-		if err := orig.Admit(ch, 0); err != nil {
+		if err := admit(orig, ch, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

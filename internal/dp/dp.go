@@ -71,30 +71,20 @@ func (e *ErrBudgetExhausted) Error() string {
 		e.Camera, e.Frame, e.Remaining, e.Requested)
 }
 
-// CommitHook durably persists admitted charges before they are spent.
-// Admit invokes it between the admission check and the spend: an error
-// aborts the admission, so nothing is spent and no result backed by
-// these charges may be released to the analyst. This is the
-// charge-before-release ordering that makes the privacy guarantee
-// survive process crashes (a persisted charge without a released
-// result only wastes budget; a released result without a persisted
-// charge would refund it on restart).
-type CommitHook func(camera string, charges []Charge) error
-
 // Ledger tracks the privacy budget spent on every frame of one camera.
 // Privid assigns a separate budget of ε to each frame (§6.4); the
 // ledger stores the spent amount as a piecewise-constant function so
 // memory scales with the number of queries, not frames.
 //
 // Ledgers are not safe for concurrent use; the engine serializes
-// access. For callers that must persist charges outside their lock
-// (group commit), the Reserve/Finalize/Release triple splits admission
-// from the durable commit.
+// access. Admission is Reserve, then the caller's durable commit, then
+// Finalize (or Release when the commit failed): the charge is recorded
+// before it is spent, and spent before any result it backs is
+// released.
 type Ledger struct {
 	camera  string
 	epsilon float64 // per-frame budget εC
 	spent   intervalmap.Map
-	hook    CommitHook
 
 	// reserved holds admitted-but-not-yet-committed charges. They
 	// count against admission and Remaining exactly like spent budget,
@@ -121,10 +111,6 @@ func NewLedger(camera string, eps float64) *Ledger {
 
 // Epsilon returns the per-frame budget εC.
 func (l *Ledger) Epsilon() float64 { return l.epsilon }
-
-// SetCommitHook installs the durable-persistence hook Admit invokes
-// between the admission check and the spend.
-func (l *Ledger) SetCommitHook(h CommitHook) { l.hook = h }
 
 // Remaining returns the unspent budget at one frame, counting
 // outstanding reservations as spent.
@@ -157,43 +143,23 @@ type Charge struct {
 	Eps      float64
 }
 
-// Admit implements Algorithm 1 lines 1–5 for a set of charges
+// Reserve implements Algorithm 1 lines 1–5 for a set of charges
 // atomically: every charge must find at least its ε remaining on every
-// frame of its interval expanded by ρ on both sides; only then is each
-// charge's ε subtracted from its unexpanded interval. The ρ margin
+// frame of its interval expanded by ρ on both sides, counting spent
+// budget and every outstanding reservation; only then are the charges
+// held as a reservation, whose handle is returned. The ρ margin
 // ensures a single event segment (duration ≤ ρ) cannot straddle two
 // temporally disjoint queries and be paid for twice (Appendix E.2).
+// Overlapping charges within one call are summed for the check, so a
+// query cannot evade the limit by splitting its demand.
 //
-// Overlapping charges within one call are summed for the admission
-// check, so a query cannot evade the limit by splitting its demand.
-//
-// When a commit hook is installed, the charges are durably persisted
-// (hook) after the check and before the spend; a hook error aborts the
-// admission with nothing spent, and the caller must not release any
-// result backed by these charges.
-func (l *Ledger) Admit(charges []Charge, rhoFrames int64) error {
-	if err := l.Check(charges, rhoFrames); err != nil {
-		return err
-	}
-	if l.hook != nil {
-		if err := l.hook(l.camera, charges); err != nil {
-			return fmt.Errorf("dp: charge not persisted, nothing spent or released: %w", err)
-		}
-	}
-	l.Spend(charges)
-	return nil
-}
-
-// Reserve admission-checks charges — against spent budget plus every
-// outstanding reservation — and on success holds them as a
-// reservation, returning its handle. The caller persists the charges
-// durably, then calls Finalize (moving the reservation into spent) or
-// Release (dropping it, e.g. when persistence failed). Splitting
-// admission from the durable commit lets an engine persist outside its
-// admission lock so concurrent queries' commits can group into shared
-// fsyncs.
+// The caller persists the charges durably, then calls Finalize (moving
+// the reservation into spent) or Release (dropping it, e.g. when
+// persistence failed). Splitting admission from the durable commit lets
+// an engine persist outside its admission lock so concurrent queries'
+// commits can group into shared fsyncs.
 func (l *Ledger) Reserve(charges []Charge, rhoFrames int64) (int64, error) {
-	if err := l.Check(charges, rhoFrames); err != nil {
+	if err := l.check(charges, rhoFrames); err != nil {
 		return 0, err
 	}
 	l.resSeq, l.pendOK = l.resSeq+1, false
@@ -234,11 +200,8 @@ func (l *Ledger) RestoreSpent(start, end int64, eps float64) {
 	l.spent.AddRange(start, end, eps)
 }
 
-// Check performs the admission test of Admit without committing.
-// Queries spanning multiple cameras Check every ledger first, then
-// Spend on all of them, so denial on one camera consumes nothing
-// anywhere.
-func (l *Ledger) Check(charges []Charge, rhoFrames int64) error {
+// check performs Reserve's admission test without holding anything.
+func (l *Ledger) check(charges []Charge, rhoFrames int64) error {
 	// Build the total demanded budget per frame (expanded intervals).
 	var demand intervalmap.Map
 	for _, c := range charges {

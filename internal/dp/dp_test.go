@@ -53,10 +53,20 @@ func TestLaplaceScale(t *testing.T) {
 	}
 }
 
+// admit is the engine's admission path on one ledger, with no durable
+// store between Reserve and Finalize.
+func admit(l *Ledger, charges []Charge, rhoFrames int64) error {
+	id, err := l.Reserve(charges, rhoFrames)
+	if err == nil {
+		l.Finalize(id)
+	}
+	return err
+}
+
 func TestLedgerBasicAdmit(t *testing.T) {
 	l := NewLedger("camA", 1.0)
 	iv := vtime.NewInterval(1000, 2000)
-	if err := l.Admit([]Charge{{Interval: iv, Eps: 0.4}}, 100); err != nil {
+	if err := admit(l, []Charge{{Interval: iv, Eps: 0.4}}, 100); err != nil {
 		t.Fatalf("first admit: %v", err)
 	}
 	if got := l.Remaining(1500); got != 0.6 {
@@ -66,11 +76,11 @@ func TestLedgerBasicAdmit(t *testing.T) {
 	if got := l.Remaining(950); got != 1.0 {
 		t.Errorf("margin remaining=%v, want 1.0", got)
 	}
-	if err := l.Admit([]Charge{{Interval: iv, Eps: 0.4}}, 100); err != nil {
+	if err := admit(l, []Charge{{Interval: iv, Eps: 0.4}}, 100); err != nil {
 		t.Fatalf("second admit: %v", err)
 	}
 	// Third 0.4 exceeds 1.0.
-	err := l.Admit([]Charge{{Interval: iv, Eps: 0.4}}, 100)
+	err := admit(l, []Charge{{Interval: iv, Eps: 0.4}}, 100)
 	var ex *ErrBudgetExhausted
 	if !errors.As(err, &ex) {
 		t.Fatalf("want ErrBudgetExhausted, got %v", err)
@@ -88,16 +98,16 @@ func TestLedgerRhoMargin(t *testing.T) {
 	// Two queries on adjacent intervals: the rho margin must make the
 	// second query check frames of the first query's interval.
 	l := NewLedger("camA", 1.0)
-	if err := l.Admit([]Charge{{Interval: vtime.NewInterval(0, 1000), Eps: 0.8}}, 100); err != nil {
+	if err := admit(l, []Charge{{Interval: vtime.NewInterval(0, 1000), Eps: 0.8}}, 100); err != nil {
 		t.Fatal(err)
 	}
 	// [1000, 2000) is disjoint, but its expansion [900, 2100) overlaps
 	// the charged [0, 1000) where only 0.2 remains.
-	if err := l.Admit([]Charge{{Interval: vtime.NewInterval(1000, 2000), Eps: 0.5}}, 100); err == nil {
+	if err := admit(l, []Charge{{Interval: vtime.NewInterval(1000, 2000), Eps: 0.5}}, 100); err == nil {
 		t.Fatalf("margin check failed to deny")
 	}
 	// Far enough away (expansion clears the first interval) it passes.
-	if err := l.Admit([]Charge{{Interval: vtime.NewInterval(1100, 2000), Eps: 0.5}}, 100); err != nil {
+	if err := admit(l, []Charge{{Interval: vtime.NewInterval(1100, 2000), Eps: 0.5}}, 100); err != nil {
 		t.Fatalf("disjoint-with-margin admit: %v", err)
 	}
 }
@@ -107,7 +117,7 @@ func TestLedgerOverlappingChargesSummed(t *testing.T) {
 	// the admission check.
 	l := NewLedger("camA", 1.0)
 	iv := vtime.NewInterval(0, 1000)
-	err := l.Admit([]Charge{
+	err := admit(l, []Charge{
 		{Interval: iv, Eps: 0.6},
 		{Interval: iv, Eps: 0.6},
 	}, 10)
@@ -115,7 +125,7 @@ func TestLedgerOverlappingChargesSummed(t *testing.T) {
 		t.Fatalf("overlapping charges admitted beyond budget")
 	}
 	// Disjoint per-bucket charges of a standing query are fine.
-	err = l.Admit([]Charge{
+	err = admit(l, []Charge{
 		{Interval: vtime.NewInterval(0, 500), Eps: 0.6},
 		{Interval: vtime.NewInterval(1500, 2000), Eps: 0.6},
 	}, 10)
@@ -124,7 +134,7 @@ func TestLedgerOverlappingChargesSummed(t *testing.T) {
 	}
 	// But adjacent buckets within rho of each other interact: the
 	// margin overlap must deny a follow-up that would exceed budget.
-	if err := l.Admit([]Charge{{Interval: vtime.NewInterval(500, 600), Eps: 0.6}}, 10); err == nil {
+	if err := admit(l, []Charge{{Interval: vtime.NewInterval(500, 600), Eps: 0.6}}, 10); err == nil {
 		t.Fatalf("charge within margin of a 0.6-spent region admitted")
 	}
 }
@@ -132,7 +142,7 @@ func TestLedgerOverlappingChargesSummed(t *testing.T) {
 func TestLedgerManyQueriesMemory(t *testing.T) {
 	l := NewLedger("camA", 100)
 	for i := int64(0); i < 1000; i++ {
-		if err := l.Admit([]Charge{{Interval: vtime.NewInterval(i*100, i*100+100), Eps: 0.05}}, 10); err != nil {
+		if err := admit(l, []Charge{{Interval: vtime.NewInterval(i*100, i*100+100), Eps: 0.05}}, 10); err != nil {
 			t.Fatalf("admit %d: %v", i, err)
 		}
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"privid/internal/query"
 	"privid/internal/scene"
 )
 
@@ -25,24 +24,19 @@ func runAblation(cfg Config) (*Summary, error) {
 	begin := cs.scene.Start
 	end := begin.Add(cfg.window())
 
+	// One engine runs every variant, so variants that share a PROCESS
+	// share its chunks through the chunk cache.
+	e, err := sceneEngine(cfg, cs, "entrants", entrantCounter(p, cfg.Seed))
+	if err != nil {
+		return nil, err
+	}
 	variant := func(name, maskClause, chunk, consuming string) (float64, error) {
-		e := newEngine(cfg)
-		if err := registerSceneCamera(e, cs); err != nil {
-			return 0, err
-		}
-		if err := e.Registry().Register("entrants", entrantCounter(p, cfg.Seed)); err != nil {
-			return 0, err
-		}
 		src := fmt.Sprintf(`
 SPLIT %s BEGIN %s END %s BY TIME %s STRIDE 0sec %s INTO c;
 PROCESS c USING entrants TIMEOUT 60sec PRODUCING %d ROWS WITH SCHEMA (one:NUMBER=0) INTO t;
 SELECT COUNT(*) FROM (SELECT bin(chunk, 3600) AS hr FROM t) GROUP BY hr %s;`,
 			p.Name, fmtTS(begin), fmtTS(end), chunk, maskClause, fig5MaxRows(p), consuming)
-		prog, err := query.Parse(src)
-		if err != nil {
-			return 0, err
-		}
-		res, err := e.Execute(prog)
+		res, err := execute(e, src)
 		if err != nil {
 			return 0, fmt.Errorf("%s: %w", name, err)
 		}

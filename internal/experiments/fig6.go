@@ -1,13 +1,14 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"time"
 
-	"privid/internal/rel"
 	"privid/internal/scene"
+	"privid/internal/table"
 	"privid/internal/video"
-	"privid/internal/vtime"
 )
 
 // runFig6 reproduces Fig. 6: RMSE of the hourly-count queries as a
@@ -16,30 +17,62 @@ import (
 // but let any one individual influence a larger fraction of the table
 // (the noise grows); small output caps truncate real rows.
 //
-// For each chunk size the pipeline is processed once, recording the
-// untruncated per-chunk entrant counts; the output-range sweep and the
-// noise variance are then evaluated analytically (the Laplace RMSE
-// contribution is sqrt(2)·b exactly, which is what averaging 100 noisy
-// samples estimates).
+// Each chunk size is one program. Its executable emits a chunk's
+// entrant count as one row, and each output cap m is a SELECT of the
+// hourly SUM(range(n, 0, m)): the same raw series and the same Δ as
+// PRODUCING m ROWS of one row per entrant, from a single tracker pass
+// (max rows is part of the chunk-cache key, so five PRODUCING caps
+// would run the tracker five times). Each hour's Raw and NoiseScale
+// come from the releases; the Laplace RMSE contribution is √2·b
+// exactly, which is what averaging 100 noisy samples estimates.
 func runFig6(cfg Config) (*Summary, error) {
 	sum := newSummary()
-	window := cfg.window()
-	if window > 2*time.Hour {
-		window = 2 * time.Hour
-	}
+	window := min(cfg.window(), 2*time.Hour)
 	chunkSecs := []int64{1, 5, 10, 30, 60, 120}
 	rowMults := []float64{0.25, 0.5, 1, 2, 4}
 
 	for _, p := range []scene.Profile{scene.Campus(), scene.Highway(), scene.Urban()} {
 		cs := setupCamera(p, cfg.Seed, window)
-		s := cs.scene
-		fps := int64(s.FPS)
-		hourFrames := fps * 3600
-		numHours := int((s.Frames + hourFrames - 1) / hourFrames)
-		orig := baselineHourly(cs, cfg.Seed, s.Bounds(), nil)
-		lingerEntry, _ := cs.policyMap.Lookup(maskLinger)
-		masked := video.Masked(cs.source, lingerEntry.Mask)
-		baseRows := fig5MaxRows(p)
+		entrants := entrantCounter(p, cfg.Seed)
+		e, err := sceneEngine(cfg, cs, "entrant_count", func(chunk *video.Chunk) []table.Row {
+			return []table.Row{{table.N(float64(len(entrants(chunk))))}}
+		})
+		if err != nil {
+			return nil, err
+		}
+		caps := make([]int, len(rowMults))
+		for i, mult := range rowMults {
+			caps[i] = max(1, int(float64(fig5MaxRows(p))*mult+0.5))
+		}
+		orig := baselineHourly(cs, cfg.Seed)
+
+		rmse := make([][]float64, len(caps)) // [cap][chunk size]
+		for _, c := range chunkSecs {
+			var b strings.Builder
+			fmt.Fprintf(&b, "SPLIT %s BEGIN %s END %s BY TIME %dsec STRIDE 0sec WITH MASK %s INTO c;\n",
+				p.Name, fmtTS(cs.scene.Start), fmtTS(cs.scene.Start.Add(window)), c, maskLinger)
+			b.WriteString("PROCESS c USING entrant_count TIMEOUT 60sec PRODUCING 1 ROWS WITH SCHEMA (n:NUMBER=0) INTO t;\n")
+			for _, m := range caps {
+				fmt.Fprintf(&b, "SELECT SUM(range(n, 0, %d)) FROM (SELECT bin(chunk, 3600) AS hr, n FROM t) GROUP BY hr CONSUMING 1;\n", m)
+			}
+			res, err := execute(e, b.String())
+			if err != nil {
+				return nil, fmt.Errorf("fig6 %s %ds: %w", p.Name, c, err)
+			}
+			hours := len(res.Releases) / len(caps)
+			for i := range caps {
+				var se float64
+				for h, r := range res.Releases[i*hours : (i+1)*hours] {
+					o := 0.0
+					if h < len(orig) {
+						o = orig[h]
+					}
+					d := r.Raw - o
+					se += d*d + 2*r.NoiseScale*r.NoiseScale // E[(bias+Lap)^2] = bias^2 + 2b^2
+				}
+				rmse[i] = append(rmse[i], math.Sqrt(se/float64(hours)))
+			}
+		}
 
 		cfg.printf("Fig 6 (%s): RMSE vs chunk size x max per-chunk output (window %v)\n", p.Name, window)
 		cfg.printf("  %-8s", "rows\\c")
@@ -47,70 +80,12 @@ func runFig6(cfg Config) (*Summary, error) {
 			cfg.printf(" %8ds", c)
 		}
 		cfg.printf("\n")
-
-		// Process once per chunk size, recording per-chunk counts.
-		type chunkCount struct {
-			hour int
-			n    int
-		}
-		countsByChunkSec := map[int64][]chunkCount{}
-		fn := entrantCounter(p, cfg.Seed)
-		for _, c := range chunkSecs {
-			split := video.Split{
-				Source:      masked,
-				Interval:    vtime.NewInterval(0, s.Frames),
-				ChunkFrames: c * fps,
-			}
-			var counts []chunkCount
-			n := split.NumChunks()
-			for i := int64(0); i < n; i++ {
-				chunk := split.ChunkAt(i)
-				counts = append(counts, chunkCount{
-					hour: int(chunk.Interval.Start / hourFrames),
-					n:    len(fn(chunk)),
-				})
-			}
-			countsByChunkSec[c] = counts
-		}
-
-		for _, mult := range rowMults {
-			maxRows := int(float64(baseRows)*mult + 0.5)
-			if maxRows < 1 {
-				maxRows = 1
-			}
-			cfg.printf("  %-8d", maxRows)
-			for _, c := range chunkSecs {
-				// Privid's raw per-hour counts with truncation.
-				raw := make([]float64, numHours)
-				for _, cc := range countsByChunkSec[c] {
-					v := cc.n
-					if v > maxRows {
-						v = maxRows
-					}
-					if cc.hour < numHours {
-						raw[cc.hour] += float64(v)
-					}
-				}
-				meta := rel.TableMeta{
-					MaxRows:     maxRows,
-					ChunkFrames: c * fps,
-					FPS:         s.FPS,
-					Policy:      cs.lingerPolicy,
-				}
-				b := meta.Delta() // eps = 1 per release
-				var se float64
-				for h := 0; h < numHours; h++ {
-					o := 0.0
-					if h < len(orig) {
-						o = orig[h]
-					}
-					d := raw[h] - o
-					se += d*d + 2*b*b // E[(bias+Lap)^2] = bias^2 + 2b^2
-				}
-				rmse := math.Sqrt(se / float64(numHours))
-				cfg.printf(" %9.0f", rmse)
-				if key := keyFig6(p.Name, c); mult == 1 && key != "" {
-					sum.set(key, rmse)
+		for i, m := range caps {
+			cfg.printf("  %-8d", m)
+			for j, c := range chunkSecs {
+				cfg.printf(" %9.0f", rmse[i][j])
+				if key := keyFig6(p.Name, c); rowMults[i] == 1 && key != "" {
+					sum.set(key, rmse[i][j])
 				}
 			}
 			cfg.printf("\n")

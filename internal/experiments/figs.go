@@ -4,11 +4,15 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
+	"time"
 
+	"privid/internal/core"
 	"privid/internal/dp"
 	"privid/internal/mask"
-	"privid/internal/query"
 	"privid/internal/scene"
+	"privid/internal/table"
+	"privid/internal/video"
 )
 
 // runFig3 reproduces Fig. 3: per-cell persistence heatmaps and the
@@ -165,11 +169,8 @@ func runFig5(cfg Config) (*Summary, error) {
 	for i, p := range []scene.Profile{scene.Campus(), scene.Highway(), scene.Urban()} {
 		qid := fmt.Sprintf("q%d", i+1)
 		cs := setupCamera(p, cfg.Seed, window)
-		e := newEngine(cfg)
-		if err := registerSceneCamera(e, cs); err != nil {
-			return nil, err
-		}
-		if err := e.Registry().Register("entrants", entrantCounter(p, cfg.Seed)); err != nil {
+		e, err := sceneEngine(cfg, cs, "entrants", entrantCounter(p, cfg.Seed))
+		if err != nil {
 			return nil, err
 		}
 		begin := cs.scene.Start
@@ -179,15 +180,11 @@ SPLIT %s BEGIN %s END %s BY TIME 30sec STRIDE 0sec WITH MASK %s INTO c;
 PROCESS c USING entrants TIMEOUT 60sec PRODUCING %d ROWS WITH SCHEMA (one:NUMBER=0) INTO t;
 SELECT COUNT(*) FROM (SELECT bin(chunk, 3600) AS hr FROM t) GROUP BY hr CONSUMING 1;`,
 			p.Name, fmtTS(begin), fmtTS(end), maskLinger, fig5MaxRows(p))
-		prog, err := query.Parse(src)
-		if err != nil {
-			return nil, err
-		}
-		res, err := e.Execute(prog)
+		res, err := execute(e, src)
 		if err != nil {
 			return nil, fmt.Errorf("fig5 %s: %w", p.Name, err)
 		}
-		orig := baselineHourly(cs, cfg.Seed, cs.scene.Bounds(), nil)
+		orig := baselineHourly(cs, cfg.Seed)
 
 		cfg.printf("Fig 5 %s (%s): hourly unique objects; noise scale b=%.1f, 99%% band ±%.0f\n",
 			qid, p.Name, res.Releases[0].NoiseScale, res.Releases[0].NoiseScale*math.Log(100))
@@ -216,44 +213,68 @@ SELECT COUNT(*) FROM (SELECT bin(chunk, 3600) AS hr FROM t) GROUP BY hr CONSUMIN
 	return sum, nil
 }
 
-// runFig7 reproduces Fig. 7 analytically: with chunk size and output
-// range fixed, the per-hour noise needed to protect an individual
-// decays as the query window grows, because the individual's chunks
-// are a shrinking fraction of the aggregate.
+// runFig7 reproduces Fig. 7: with chunk size and output range fixed,
+// the per-hour noise needed to protect an individual decays as the
+// query window grows, because the individual's chunks are a shrinking
+// fraction of the aggregate. Each point is read from the engine: the
+// noise scale of one release, the window's mean per-chunk count (AVG
+// of one row per 30 s chunk with Fig. 5's max rows as its range), in
+// objects per hour. Δ never depends on the data, so the camera is
+// Fig. 5's masked policy over a blank 12 h source and the executable
+// emits a constant.
 func runFig7(cfg Config) (*Summary, error) {
 	sum := newSummary()
-	cfg.printf("Fig 7: noise (objects/hour) vs window size, chunk 30s, eps=1\n")
-	cfg.printf("%-8s", "window")
+	const chunkSec = 30
+	hours := []int{2, 4, 6, 8, 10, 12}
 	profiles := []scene.Profile{scene.Campus(), scene.Highway(), scene.Urban()}
+	noise := make([][]float64, len(profiles)) // [profile][window]
+	for i, p := range profiles {
+		// Use the policies calibrated at the evaluation scale.
+		cs := setupCamera(p, cfg.Seed, cfg.window())
+		e := newEngine(cfg)
+		if err := e.RegisterCamera(core.CameraConfig{
+			Name: p.Name,
+			Source: &video.IntervalSource{Camera: p.Name, W: p.W, H: p.H, FPS: p.FPS,
+				Start: scene.DefaultStart, Frames: int64(p.FPS) * 3600 * int64(hours[len(hours)-1])},
+			Policy:  cs.lingerPolicy,
+			Epsilon: 1e6,
+		}); err != nil {
+			return nil, err
+		}
+		if err := e.Registry().Register("zero", func(*video.Chunk) []table.Row {
+			return []table.Row{{table.N(0)}}
+		}); err != nil {
+			return nil, err
+		}
+		var b strings.Builder
+		for _, h := range hours {
+			fmt.Fprintf(&b, "SPLIT %s BEGIN %s END %s BY TIME %dsec STRIDE 0sec INTO c%d;\n", p.Name,
+				fmtTS(scene.DefaultStart), fmtTS(scene.DefaultStart.Add(time.Duration(h)*time.Hour)), chunkSec, h)
+			fmt.Fprintf(&b, "PROCESS c%d USING zero TIMEOUT 1sec PRODUCING 1 ROWS WITH SCHEMA (n:NUMBER=0) INTO t%d;\n", h, h)
+			fmt.Fprintf(&b, "SELECT AVG(range(n, 0, %d)) FROM t%d CONSUMING 1;\n", fig5MaxRows(p), h)
+		}
+		res, err := execute(e, b.String())
+		if err != nil {
+			return nil, fmt.Errorf("fig7 %s: %w", p.Name, err)
+		}
+		for _, r := range res.Releases {
+			noise[i] = append(noise[i], r.NoiseScale*3600/chunkSec)
+		}
+		sum.set("noise2h_"+p.Name, noise[i][0])
+		sum.set("noise12h_"+p.Name, noise[i][len(hours)-1])
+	}
+	cfg.printf("Fig 7: noise (objects/hour) vs window size, chunk %ds, eps=1\n", chunkSec)
+	cfg.printf("%-8s", "window")
 	for _, p := range profiles {
 		cfg.printf(" %10s", p.Name)
 	}
 	cfg.printf("\n")
-	// Use the policies calibrated at the evaluation scale.
-	var first, last [3]float64
-	for _, hours := range []int{2, 4, 6, 8, 10, 12} {
-		cfg.printf("%-8s", fmt.Sprintf("%dh", hours))
-		for i, p := range profiles {
-			cs := setupCamera(p, cfg.Seed, cfg.window())
-			chunkFrames := int64(p.FPS) * 30
-			delta := float64(fig5MaxRows(p)) * float64(cs.lingerPolicy.K) *
-				float64(cs.lingerPolicy.MaxChunks(p.FPS, chunkFrames))
-			// AVG-style release over the whole window, re-expressed as
-			// an hourly rate: noise ∝ Δ / (ε · hours).
-			noise := delta / float64(hours)
-			cfg.printf(" %10.1f", noise)
-			if hours == 2 {
-				first[i] = noise
-			}
-			if hours == 12 {
-				last[i] = noise
-			}
+	for j, h := range hours {
+		cfg.printf("%-8s", fmt.Sprintf("%dh", h))
+		for i := range profiles {
+			cfg.printf(" %10.1f", noise[i][j])
 		}
 		cfg.printf("\n")
-	}
-	for i, p := range profiles {
-		sum.set("noise2h_"+p.Name, first[i])
-		sum.set("noise12h_"+p.Name, last[i])
 	}
 	return sum, nil
 }

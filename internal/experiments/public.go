@@ -6,8 +6,6 @@ import (
 
 	"privid/internal/core"
 	"privid/internal/scene"
-	"privid/internal/table"
-	"privid/internal/video"
 )
 
 // NewEvalEngine returns an engine with the three paper cameras
@@ -41,14 +39,7 @@ func NewEvalEngine(cfg Config) (*core.Engine, error) {
 	if err := e.Registry().Register("redlight", redLightMeter(profiles[0].FPS)); err != nil {
 		return nil, err
 	}
-	counter := directionalCounter(profiles[0], cfg.Seed)
-	if err := e.Registry().Register("south2north", func(chunk *video.Chunk) []table.Row {
-		n := len(counter(chunk))
-		if n > 25 {
-			n = 25
-		}
-		return []table.Row{{table.N(float64(n))}}
-	}); err != nil {
+	if err := e.Registry().Register("south2north", south2north(profiles[0], cfg.Seed)); err != nil {
 		return nil, err
 	}
 	return e, nil

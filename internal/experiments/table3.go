@@ -8,7 +8,6 @@ import (
 
 	"privid/internal/core"
 	"privid/internal/policy"
-	"privid/internal/query"
 	"privid/internal/scene"
 	"privid/internal/table"
 	"privid/internal/taxi"
@@ -131,11 +130,7 @@ func runTaxiCases(cfg Config, sum *Summary) error {
  OUTER JOIN
  (SELECT plate, bin(chunk, 3600) AS hr FROM t27 GROUP BY plate, hr)
  ON plate, hr;`)
-	prog, err := query.Parse(b.String())
-	if err != nil {
-		return err
-	}
-	res, err := e.Execute(prog)
+	res, err := execute(e, b.String())
 	if err != nil {
 		return fmt.Errorf("Q4: %w", err)
 	}
@@ -160,11 +155,7 @@ func runTaxiCases(cfg Config, sum *Summary) error {
 	if err != nil {
 		return err
 	}
-	prog5, err := query.Parse(b5.String())
-	if err != nil {
-		return err
-	}
-	res5, err := e5.Execute(prog5)
+	res5, err := execute(e5, b5.String())
 	if err != nil {
 		return fmt.Errorf("Q5: %w", err)
 	}
@@ -210,11 +201,7 @@ func runTaxiCases(cfg Config, sum *Summary) error {
 		fmt.Fprintf(&b6, "%q", taxi.CameraName(c))
 	}
 	b6.WriteString("];")
-	prog6, err := query.Parse(b6.String())
-	if err != nil {
-		return err
-	}
-	res6, err := e6.Execute(prog6)
+	res6, err := execute(e6, b6.String())
 	if err != nil {
 		return fmt.Errorf("Q6: %w", err)
 	}
@@ -296,11 +283,8 @@ func runTreeCases(cfg Config, sum *Summary) error {
 	for i, p := range []scene.Profile{scene.Campus(), scene.Highway(), scene.Urban()} {
 		qid := fmt.Sprintf("Q%d", 7+i)
 		cs := setupCamera(p, cfg.Seed, cfg.window())
-		e := newEngine(cfg)
-		if err := registerSceneCamera(e, cs); err != nil {
-			return err
-		}
-		if err := e.Registry().Register("trees", treeReader()); err != nil {
+		e, err := sceneEngine(cfg, cs, "trees", treeReader())
+		if err != nil {
 			return err
 		}
 		begin := cs.scene.Start
@@ -313,11 +297,7 @@ SPLIT %s BEGIN %s END %s BY TIME 1frame STRIDE 0sec WITH MASK %s INTO c;
 PROCESS c USING trees TIMEOUT 30sec PRODUCING %d ROWS WITH SCHEMA (leaf:NUMBER=0) INTO t;
 SELECT AVG(range(leaf, 0, 100)) FROM t;`,
 			p.Name, fmtTS(begin), fmtTS(end), maskLinger, p.TreeCount)
-		prog, err := query.Parse(src)
-		if err != nil {
-			return err
-		}
-		res, err := e.Execute(prog)
+		res, err := execute(e, src)
 		if err != nil {
 			return fmt.Errorf("%s: %w", qid, err)
 		}
@@ -340,11 +320,8 @@ func runLightCases(cfg Config, sum *Summary) error {
 			return fmt.Errorf("%s: profile %s has no traffic light", qid, p.Name)
 		}
 		cs := setupCamera(p, cfg.Seed, cfg.window())
-		e := newEngine(cfg)
-		if err := registerSceneCamera(e, cs); err != nil {
-			return err
-		}
-		if err := e.Registry().Register("redlight", redLightMeter(p.FPS)); err != nil {
+		e, err := sceneEngine(cfg, cs, "redlight", redLightMeter(p.FPS))
+		if err != nil {
 			return err
 		}
 		begin := cs.scene.Start
@@ -354,11 +331,7 @@ SPLIT %s BEGIN %s END %s BY TIME 10min STRIDE 0sec WITH MASK %s INTO c;
 PROCESS c USING redlight TIMEOUT 30sec PRODUCING 1 ROWS WITH SCHEMA (red:NUMBER=0) INTO t;
 SELECT AVG(range(red, 0, 300)) FROM t;`,
 			p.Name, fmtTS(begin), fmtTS(end), maskLight)
-		prog, err := query.Parse(src)
-		if err != nil {
-			return err
-		}
-		res, err := e.Execute(prog)
+		res, err := execute(e, src)
 		if err != nil {
 			return fmt.Errorf("%s: %w", qid, err)
 		}
@@ -378,20 +351,8 @@ SELECT AVG(range(red, 0, 300)) FROM t;`,
 func runQ13(cfg Config, sum *Summary) error {
 	p := scene.Campus()
 	cs := setupCamera(p, cfg.Seed, cfg.window())
-	e := newEngine(cfg)
-	if err := registerSceneCamera(e, cs); err != nil {
-		return err
-	}
-	counter := directionalCounter(p, cfg.Seed)
-	// Wrap to emit a single per-chunk count row (Table 3: sum with
-	// range (0, 25)).
-	if err := e.Registry().Register("south2north", func(chunk *video.Chunk) []table.Row {
-		n := len(counter(chunk))
-		if n > 25 {
-			n = 25
-		}
-		return []table.Row{{table.N(float64(n))}}
-	}); err != nil {
+	e, err := sceneEngine(cfg, cs, "south2north", south2north(p, cfg.Seed))
+	if err != nil {
 		return err
 	}
 	begin := cs.scene.Start
@@ -401,25 +362,17 @@ SPLIT %s BEGIN %s END %s BY TIME 10min STRIDE 0sec WITH MASK %s INTO c;
 PROCESS c USING south2north TIMEOUT 60sec PRODUCING 1 ROWS WITH SCHEMA (cnt:NUMBER=0) INTO t;
 SELECT SUM(range(cnt, 0, 25)) FROM t;`,
 		p.Name, fmtTS(begin), fmtTS(end), maskLinger)
-	prog, err := query.Parse(src)
-	if err != nil {
-		return err
-	}
-	res, err := e.Execute(prog)
+	res, err := execute(e, src)
 	if err != nil {
 		return fmt.Errorf("Q13: %w", err)
 	}
 	r := res.Releases[0]
 
 	// Baseline: the same pipeline over the whole (masked) window as a
-	// single chunk — no chunking, no noise.
+	// single chunk — no chunking, no noise. cfg.Seed is the detector
+	// seed chunkSeed gives a chunk starting at frame 0.
 	entry, _ := cs.policyMap.Lookup(maskLinger)
-	whole := video.Split{
-		Source:      video.Masked(cs.source, entry.Mask),
-		Interval:    cs.scene.Bounds(),
-		ChunkFrames: cs.scene.Frames,
-	}
-	orig := float64(len(counter(whole.ChunkAt(0))))
+	orig := float64(southToNorth(p, cfg.Seed, cs.scene.Frames, video.Masked(cs.source, entry.Mask).Frame))
 	acc := accuracy(r.Raw, orig, r.NoiseScale)
 	cfg.printf("%-4s %-34s %-10s %12.0f %12.0f %8.2f%%\n",
 		"Q13", "people entering south, exiting north", p.Name, orig, r.Value, acc*100)

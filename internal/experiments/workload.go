@@ -12,6 +12,7 @@ import (
 	"privid/internal/geom"
 	"privid/internal/mask"
 	"privid/internal/policy"
+	"privid/internal/query"
 	"privid/internal/region"
 	"privid/internal/sandbox"
 	"privid/internal/scene"
@@ -157,6 +158,25 @@ func newEngine(cfg Config) *core.Engine {
 	})
 }
 
+// execute parses and runs one program.
+func execute(e *core.Engine, src string) (*core.Result, error) {
+	prog, err := query.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return e.Execute(prog)
+}
+
+// sceneEngine returns an evaluation engine with cs's camera and one
+// executable registered.
+func sceneEngine(cfg Config, cs *camSetup, exe string, fn sandbox.ProcessFunc) (*core.Engine, error) {
+	e := newEngine(cfg)
+	if err := registerSceneCamera(e, cs); err != nil {
+		return nil, err
+	}
+	return e, e.Registry().Register(exe, fn)
+}
+
 // registerSceneCamera registers one profile camera with a generous
 // per-frame budget (experiments run many queries over the same video).
 func registerSceneCamera(e *core.Engine, cs *camSetup) error {
@@ -246,34 +266,6 @@ func entrantMargin(p scene.Profile) int64 {
 	return n
 }
 
-// plateEmitter emits the set of license plates detected in the chunk —
-// the Listing 1 pattern, deduplicated downstream with GROUP BY plate.
-func plateEmitter(p scene.Profile, seed int64) sandbox.ProcessFunc {
-	return func(chunk *video.Chunk) []table.Row {
-		det := cv.NewDetector(cv.ParamsFor(p), p.W, p.H, chunkSeed(seed, chunk))
-		seen := map[string]bool{}
-		var rows []table.Row
-		for f := int64(0); f < chunk.Len(); f++ {
-			frame := chunk.Frame(f)
-			dets := det.Detect(frame)
-			// Plate reading: associate each true detection with its
-			// ground-truth observation by box overlap.
-			for _, d := range dets {
-				if d.FalsePositive {
-					continue
-				}
-				for _, o := range frame.Objects {
-					if o.Plate != "" && o.Box.IoU(d.Box) > 0.5 && !seen[o.Plate] {
-						seen[o.Plate] = true
-						rows = append(rows, table.Row{table.S(o.Plate)})
-					}
-				}
-			}
-		}
-		return rows
-	}
-}
-
 // treeReader reports each tree's foliage state (100 = leaves, 0 =
 // bare) from a single frame — Q7-Q9's processing.
 func treeReader() sandbox.ProcessFunc {
@@ -334,84 +326,74 @@ func redLightMeter(fps vtime.FrameRate) sandbox.ProcessFunc {
 	}
 }
 
-// directionalCounter counts people whose trajectory enters from the
-// south edge and exits toward the north — Q13's stateful processing,
-// which needs chunks long enough to contain whole trajectories.
-func directionalCounter(p scene.Profile, seed int64) sandbox.ProcessFunc {
+// south2north is Q13's executable: one row holding the chunk's count
+// of south-to-north walkers, capped at 25 (Table 3: sum with range
+// (0, 25)).
+func south2north(p scene.Profile, seed int64) sandbox.ProcessFunc {
 	return func(chunk *video.Chunk) []table.Row {
-		det := cv.NewDetector(cv.ParamsFor(p), p.W, p.H, chunkSeed(seed, chunk))
-		trk := cv.NewTracker(cv.TrackerParams{IoUThreshold: 0.2, MaxAge: 30, MinHits: 3, DistGate: 50})
-		type span struct{ firstY, lastY float64 }
-		spans := map[int]*span{}
-		// Track boxes by re-running detection and recording per-track
-		// extents via a second pass association: simplest is to record
-		// first/last detection positions per frame cluster. We tag
-		// detections by nearest final track using time overlap below,
-		// so here we collect detections per frame first.
-		type det2 struct {
-			frame int64
-			y     float64
-		}
-		var all []det2
-		for f := int64(0); f < chunk.Len(); f++ {
-			frame := chunk.Frame(f)
-			ds := det.Detect(frame)
-			trk.Observe(frame.Index, ds)
-			for _, d := range ds {
-				all = append(all, det2{frame.Index, d.Box.Center().Y})
-			}
-		}
-		tracks := trk.Flush()
-		// Approximate each track's first/last Y by the detections at
-		// its boundary frames.
-		for _, tr := range tracks {
-			s := &span{firstY: -1, lastY: -1}
-			for _, d := range all {
-				if d.frame == tr.First && s.firstY < 0 {
-					s.firstY = d.y
-				}
-				if d.frame == tr.Last {
-					s.lastY = d.y
-				}
-			}
-			spans[tr.ID] = s
-		}
-		var rows []table.Row
-		for _, tr := range tracks {
-			s := spans[tr.ID]
-			if s == nil || s.firstY < 0 || s.lastY < 0 {
-				continue
-			}
-			// Entered near the south (bottom) edge, exited in the
-			// northern half heading north.
-			if s.firstY > p.H*0.7 && s.lastY < p.H*0.45 {
-				rows = append(rows, table.Row{table.N(1)})
-			}
-		}
-		return rows
+		n := min(southToNorth(p, chunkSeed(seed, chunk), chunk.Len(), chunk.Frame), 25)
+		return []table.Row{{table.N(float64(n))}}
 	}
+}
+
+// southToNorth counts people whose trajectory over the n frames frame
+// returns enters from the south edge and exits toward the north —
+// Q13's stateful processing, which needs chunks long enough to contain
+// whole trajectories. detSeed seeds the detector.
+func southToNorth(p scene.Profile, detSeed, n int64, frame func(int64) video.Frame) int {
+	det := cv.NewDetector(cv.ParamsFor(p), p.W, p.H, detSeed)
+	trk := cv.NewTracker(cv.TrackerParams{IoUThreshold: 0.2, MaxAge: 30, MinHits: 3, DistGate: 50})
+	// Each track's first/last Y is approximated by the detections at
+	// its boundary frames, so detections are collected per frame first.
+	type det2 struct {
+		frame int64
+		y     float64
+	}
+	var all []det2
+	for f := int64(0); f < n; f++ {
+		fr := frame(f)
+		ds := det.Detect(fr)
+		trk.Observe(fr.Index, ds)
+		for _, d := range ds {
+			all = append(all, det2{fr.Index, d.Box.Center().Y})
+		}
+	}
+	count := 0
+	for _, tr := range trk.Flush() {
+		firstY, lastY := -1.0, -1.0
+		for _, d := range all {
+			if d.frame == tr.First && firstY < 0 {
+				firstY = d.y
+			}
+			if d.frame == tr.Last {
+				lastY = d.y
+			}
+		}
+		// Entered near the south (bottom) edge, exited in the northern
+		// half heading north.
+		if firstY >= 0 && lastY >= 0 && firstY > p.H*0.7 && lastY < p.H*0.45 {
+			count++
+		}
+	}
+	return count
 }
 
 // Baselines ("Original" in Fig. 5): the same analyst pipeline run
 // without Privid — no chunking, no masking, no noise.
 
-// baselineHourly counts new tracks per hour over the whole window in
+// baselineHourly counts new tracks per hour over the whole scene in
 // one unchunked pass.
-func baselineHourly(cs *camSetup, seed int64, iv vtime.Interval, private func(scene.Class) bool) []float64 {
-	_ = private
+func baselineHourly(cs *camSetup, seed int64) []float64 {
 	p := cs.profile
 	det := cv.NewDetector(cv.ParamsFor(p), p.W, p.H, seed)
 	trk := cv.NewTracker(analystTracker())
-	for f := iv.Start; f < iv.End; f++ {
-		frame := cs.source.Frame(f)
-		trk.Observe(f, det.Detect(frame))
+	for f := int64(0); f < cs.scene.Frames; f++ {
+		trk.Observe(f, det.Detect(cs.source.Frame(f)))
 	}
 	hourFrames := int64(cs.scene.FPS) * 3600
-	n := int((iv.Len() + hourFrames - 1) / hourFrames)
-	out := make([]float64, n)
+	out := make([]float64, (cs.scene.Frames+hourFrames-1)/hourFrames)
 	for _, tr := range trk.Flush() {
-		h := int((tr.First - iv.Start) / hourFrames)
-		if h >= 0 && h < n {
+		if h := int(tr.First / hourFrames); h >= 0 && h < len(out) {
 			out[h]++
 		}
 	}

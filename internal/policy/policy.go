@@ -38,20 +38,15 @@ func (p Policy) RhoFrames(fps vtime.FrameRate) int64 {
 	return fps.FramesCeil(p.Rho)
 }
 
-// MaxChunks returns the maximum number of chunks of duration
-// chunkFrames that a single event segment of duration ρ can span
-// (Eq. 6.1): 1 + ceil(ρ/c). The worst case is a segment first visible
-// in the last frame of a chunk.
-func (p Policy) MaxChunks(fps vtime.FrameRate, chunkFrames int64) int64 {
-	return p.MaxChunksStrided(fps, chunkFrames, 0)
-}
-
-// MaxChunksStrided generalizes Eq. 6.1 to strided splits: consecutive
-// chunk starts are period = c + stride frames apart, so a segment of
-// duration ρ overlaps at most 1 + ceil(ρ/period) chunks. Stride 0
-// recovers the paper's formula; positive strides (sampled chunks)
-// yield fewer reachable chunks, negative strides (overlapping chunks)
-// more.
+// MaxChunksStrided returns the maximum number of chunks that a single
+// event segment of duration ρ can span. Eq. 6.1 gives it for
+// contiguous chunks of c frames as 1 + ceil(ρ/c), the worst case being
+// a segment first visible in the last frame of a chunk. Generalized to
+// strided splits, consecutive chunk starts are period = c + stride
+// frames apart, so a segment overlaps at most 1 + ceil(ρ/period)
+// chunks. Stride 0 recovers the paper's formula; positive strides
+// (sampled chunks) yield fewer reachable chunks, negative strides
+// (overlapping chunks) more.
 func (p Policy) MaxChunksStrided(fps vtime.FrameRate, chunkFrames, strideFrames int64) int64 {
 	if chunkFrames <= 0 {
 		return 0

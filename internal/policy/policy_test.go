@@ -49,11 +49,11 @@ func TestMaxChunks(t *testing.T) {
 	for _, c := range cases {
 		p := Policy{Rho: time.Duration(c.rhoSec) * time.Second, K: 1}
 		chunkFrames := int64(c.chunkSec * c.fps)
-		if got := p.MaxChunks(10, chunkFrames); got != c.want {
-			t.Errorf("MaxChunks(rho=%ds, c=%ds)=%d, want %d", c.rhoSec, c.chunkSec, got, c.want)
+		if got := p.MaxChunksStrided(10, chunkFrames, 0); got != c.want {
+			t.Errorf("MaxChunksStrided(rho=%ds, c=%ds, stride 0)=%d, want %d", c.rhoSec, c.chunkSec, got, c.want)
 		}
 	}
-	if got := (Policy{Rho: time.Second, K: 1}).MaxChunks(10, 0); got != 0 {
-		t.Errorf("MaxChunks with zero chunk=%d", got)
+	if got := (Policy{Rho: time.Second, K: 1}).MaxChunksStrided(10, 0, 0); got != 0 {
+		t.Errorf("MaxChunksStrided with zero chunk=%d", got)
 	}
 }

@@ -210,23 +210,11 @@ func aggregateSel(agg query.AggExpr, tbl *table.Table, sel []int, all bool, eval
 			return 0, err
 		}
 	}
-	// Defensive truncation: the declared range is a privacy constraint,
-	// so it is enforced regardless of what the untrusted rows contain.
-	clamped := func(i int) float64 {
-		x := av.numAt(i)
-		if x < rg.Lo {
-			x = rg.Lo
-		}
-		if x > rg.Hi {
-			x = rg.Hi
-		}
-		return x
-	}
 	at := func(k int) float64 {
 		if all {
-			return clamped(k)
+			return rg.clamp(av.numAt(k))
 		}
-		return clamped(sel[k])
+		return rg.clamp(av.numAt(sel[k]))
 	}
 	switch agg.Fun {
 	case query.AggSum:

@@ -97,6 +97,20 @@ type Range struct {
 	Lo, Hi float64
 }
 
+// clamp enforces the range on one value an executable produced. The
+// range is a privacy constraint, so it holds whatever the untrusted
+// rows contain: NaN maps to Lo, a constant that does not depend on the
+// data, and ±Inf clamp to the nearer bound like any value outside.
+func (r Range) clamp(x float64) float64 {
+	if !(x >= r.Lo) { // below Lo, or NaN
+		x = r.Lo
+	}
+	if x > r.Hi {
+		x = r.Hi
+	}
+	return x
+}
+
 // width returns the conservative per-row contribution bound: the
 // maximum of |Lo|, |Hi| and Hi−Lo, so that both changing a row's value
 // within the range and adding/removing the row entirely are covered.

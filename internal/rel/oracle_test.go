@@ -603,14 +603,7 @@ func oracleAggregate(agg query.AggExpr, schema table.Schema, rows []table.Row, c
 		if err != nil {
 			return 0, 0, err
 		}
-		x := v.Num()
-		if x < rg.Lo {
-			x = rg.Lo
-		}
-		if x > rg.Hi {
-			x = rg.Hi
-		}
-		vals = append(vals, x)
+		vals = append(vals, rg.clamp(v.Num()))
 	}
 	switch agg.Fun {
 	case query.AggSum:

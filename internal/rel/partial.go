@@ -326,17 +326,8 @@ func (p *PartialPlan) fold(s *PartialState, chunk *table.Table) error {
 			}
 			raw = av.numAt
 		}
-		lo, hi := p.rp.rg.Lo, p.rp.rg.Hi
-		argAt = func(i int) float64 {
-			x := raw(i)
-			if x < lo {
-				x = lo
-			}
-			if x > hi {
-				x = hi
-			}
-			return x
-		}
+		rg := p.rp.rg
+		argAt = func(i int) float64 { return rg.clamp(raw(i)) }
 	}
 
 	if p.rp.ci < 0 {
@@ -372,7 +363,7 @@ func (p *PartialPlan) fold(s *PartialState, chunk *table.Table) error {
 
 // Merge folds src into dst. Merging is commutative and associative on
 // the values the differential harness exercises: counts are integers,
-// and sums only combine range-clamped (finite or NaN) chunk subtotals.
+// and sums only combine range-clamped, finite chunk subtotals.
 func (p *PartialPlan) Merge(dst, src *PartialState) {
 	for i, c := range src.Counts {
 		dst.Counts[i] += c

@@ -15,8 +15,9 @@ import (
 
 // The LedgerCommit benchmarks measure the cost of durability on the
 // admission hot path: 16 concurrent submitters (the scheduler's
-// worker-pool scale), each owning one camera's ledger with a commit
-// hook into a shared store, admitting one charge per iteration.
+// worker-pool scale), each owning one camera's ledger, admitting one
+// charge per iteration as the engine does — Reserve, commit the charge
+// to a shared store, Finalize.
 //
 //	Null — store.NullStore: the pre-durability in-memory cost.
 //	WAL  — the WAL with real fsyncs: charges that arrive while one
@@ -36,25 +37,27 @@ func benchLedgerCommit(b *testing.B, mk func(b *testing.B) store.Store) {
 		go func(s int) {
 			defer wg.Done()
 			led := dp.NewLedger("cam", 1e18) // never exhausts
-			led.SetCommitHook(func(camera string, charges []dp.Charge) error {
-				recs := make([]store.Record, len(charges))
-				for i, c := range charges {
-					recs[i] = store.Record{Charge: &store.ChargeRecord{
-						Camera: camera,
-						Start:  c.Interval.Start,
-						End:    c.Interval.End,
-						Eps:    c.Eps,
-						Query:  "bench",
-					}}
-				}
-				return st.Commit(recs...)
-			})
 			charges := []dp.Charge{{Interval: vtime.NewInterval(0, 100), Eps: 1e-9}}
 			for atomic.AddInt64(&iter, 1) <= int64(b.N) {
-				if err := led.Admit(charges, 0); err != nil {
+				id, err := led.Reserve(charges, 0)
+				if err == nil {
+					recs := make([]store.Record, len(charges))
+					for i, c := range charges {
+						recs[i] = store.Record{Charge: &store.ChargeRecord{
+							Camera: "cam",
+							Start:  c.Interval.Start,
+							End:    c.Interval.End,
+							Eps:    c.Eps,
+							Query:  "bench",
+						}}
+					}
+					err = st.Commit(recs...)
+				}
+				if err != nil {
 					b.Error(err)
 					return
 				}
+				led.Finalize(id)
 			}
 		}(s)
 	}
