@@ -6,6 +6,7 @@ package geom
 
 import (
 	"fmt"
+	"iter"
 	"math"
 )
 
@@ -205,25 +206,26 @@ func (g Grid) CellRect(c Cell) Rect {
 	return r.Intersect(Rect{0, 0, g.FrameW, g.FrameH})
 }
 
-// CellsFor returns the cells intersected by r (clipped to the frame).
-func (g Grid) CellsFor(r Rect) []Cell {
-	r = r.Intersect(Rect{0, 0, g.FrameW, g.FrameH})
-	if r.Empty() || g.BoxW <= 0 || g.BoxH <= 0 {
-		return nil
-	}
-	c0 := int(r.X0 / g.BoxW)
-	r0 := int(r.Y0 / g.BoxH)
-	c1 := int(math.Ceil(r.X1/g.BoxW)) - 1
-	r1 := int(math.Ceil(r.Y1/g.BoxH)) - 1
-	c1 = minInt(c1, g.Cols()-1)
-	r1 = minInt(r1, g.Rows()-1)
-	var cells []Cell
-	for row := r0; row <= r1; row++ {
-		for col := c0; col <= c1; col++ {
-			cells = append(cells, Cell{Col: col, Row: row})
+// Cells yields the cells intersected by r (clipped to the frame) in
+// row-major order, allocating nothing.
+func (g Grid) Cells(r Rect) iter.Seq[Cell] {
+	return func(yield func(Cell) bool) {
+		r := r.Intersect(Rect{0, 0, g.FrameW, g.FrameH})
+		if r.Empty() || g.BoxW <= 0 || g.BoxH <= 0 {
+			return
+		}
+		c0 := int(r.X0 / g.BoxW)
+		r0 := int(r.Y0 / g.BoxH)
+		c1 := min(int(math.Ceil(r.X1/g.BoxW))-1, g.Cols()-1)
+		r1 := min(int(math.Ceil(r.Y1/g.BoxH))-1, g.Rows()-1)
+		for row := r0; row <= r1; row++ {
+			for col := c0; col <= c1; col++ {
+				if !yield(Cell{Col: col, Row: row}) {
+					return
+				}
+			}
 		}
 	}
-	return cells
 }
 
 // CellOf returns the cell containing point p, or ok=false if p is
@@ -233,11 +235,4 @@ func (g Grid) CellOf(p Point) (Cell, bool) {
 		return Cell{}, false
 	}
 	return Cell{Col: int(p.X / g.BoxW), Row: int(p.Y / g.BoxH)}, true
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

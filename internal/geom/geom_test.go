@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -118,20 +119,31 @@ func TestGridIndexRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCellsFor(t *testing.T) {
+func TestCells(t *testing.T) {
 	g := NewGrid(100, 100, 10, 10)
-	cells := g.CellsFor(Rect{5, 5, 25, 15})
-	// Spans cols 0..2, rows 0..1 = 6 cells.
-	if len(cells) != 6 {
-		t.Fatalf("CellsFor returned %d cells: %v", len(cells), cells)
+	// Spans cols 0..2, rows 0..1, walked row by row.
+	want := []Cell{{0, 0}, {1, 0}, {2, 0}, {0, 1}, {1, 1}, {2, 1}}
+	if cells := slices.Collect(g.Cells(Rect{5, 5, 25, 15})); !slices.Equal(cells, want) {
+		t.Fatalf("Cells = %v, want %v", cells, want)
 	}
-	if cells := g.CellsFor(Rect{-50, -50, -10, -10}); cells != nil {
+	if cells := slices.Collect(g.Cells(Rect{-50, -50, -10, -10})); cells != nil {
 		t.Errorf("out-of-frame rect gave cells %v", cells)
 	}
 	// A rect exactly on a cell boundary touches only one cell.
-	one := g.CellsFor(Rect{10, 10, 20, 20})
-	if len(one) != 1 || one[0] != (Cell{1, 1}) {
+	if one := slices.Collect(g.Cells(Rect{10, 10, 20, 20})); len(one) != 1 || one[0] != (Cell{1, 1}) {
 		t.Errorf("aligned rect cells=%v", one)
+	}
+	// Clipped to the frame; stopping early stops the walk.
+	n := 0
+	for c := range g.Cells(Rect{85, 95, 200, 200}) {
+		if c != (Cell{8, 9}) {
+			t.Fatalf("first clipped cell %v", c)
+		}
+		n++
+		break
+	}
+	if n != 1 {
+		t.Errorf("walk yielded %d cells before break", n)
 	}
 }
 

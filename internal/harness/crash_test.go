@@ -113,21 +113,19 @@ SELECT COUNT(*) FROM t CONSUMING 0.5;`, strings.Join(cams, ", ")))
 	}
 }
 
-// TestCrashKeepsPolledResult: a job polled done survives a kill-style
-// crash — disk failing, no graceful close — bit-identical, because its
-// record was fsynced with its charges before the first poll could see
-// it.
+// TestCrashKeepsPolledResult: done jobs' poll and result bodies,
+// Evaluation-mode raw values included, are byte-identical after a
+// graceful restart and after a kill-style crash — disk failing, no
+// graceful close — because each job's record was fsynced with its
+// charges before the first poll could see it, and every poll writes
+// the committed bytes.
 func TestCrashKeepsPolledResult(t *testing.T) {
 	var ff *storetest.FaultyFile
-	h := harness.Start(t, harness.Config{StateDir: t.TempDir(),
+	h := harness.Start(t, harness.Config{StateDir: t.TempDir(), Evaluation: true,
 		WrapWALFile: func(f store.File) store.File { ff = storetest.Wrap(f); return ff }})
-	job := h.SubmitWait("alice", harness.CountQuery(0, 2, 0.5))
-	if job.State != "done" {
-		t.Fatalf("job = %+v", job)
-	}
 	get := func(path string) []byte {
 		t.Helper()
-		resp, err := http.Get(h.Srv.URL + "/v1/queries/" + job.ID + path)
+		resp, err := http.Get(h.Srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,14 +136,30 @@ func TestCrashKeepsPolledResult(t *testing.T) {
 		}
 		return body
 	}
-	wantJob, wantRes := get(""), get("/result")
-	ff.FailAll() // nothing more reaches the disk
-	h.Crash()
-	if got := get(""); !bytes.Equal(got, wantJob) {
-		t.Errorf("job after crash:\n got %s\nwant %s", got, wantJob)
+	bodies := map[string][]byte{}
+	for i := range 3 {
+		job := h.SubmitWait("alice", harness.CountQuery(2*i, 2*i+3, 0.5))
+		if job.State != "done" {
+			t.Fatalf("job = %+v", job)
+		}
+		for _, path := range []string{"/v1/queries/" + job.ID, "/v1/queries/" + job.ID + "/result"} {
+			bodies[path] = get(path)
+		}
 	}
-	if got := get("/result"); !bytes.Equal(got, wantRes) {
-		t.Errorf("result after crash:\n got %s\nwant %s", got, wantRes)
+	crash := func() {
+		ff.FailAll() // nothing more reaches the disk
+		h.Crash()
+	}
+	for _, stop := range []struct {
+		name string
+		fn   func()
+	}{{"restart", h.Restart}, {"crash", crash}} {
+		stop.fn()
+		for path, want := range bodies {
+			if got := get(path); !bytes.Equal(got, want) {
+				t.Errorf("%s after %s:\n got %s\nwant %s", path, stop.name, got, want)
+			}
+		}
 	}
 }
 

@@ -36,7 +36,7 @@ func New(g geom.Grid) *Mask {
 func FromRects(g geom.Grid, rects ...geom.Rect) *Mask {
 	m := New(g)
 	for _, r := range rects {
-		for _, c := range g.CellsFor(r) {
+		for c := range g.Cells(r) {
 			m.Set(c)
 		}
 	}
@@ -103,7 +103,7 @@ func (m *Mask) CoveredFraction(box geom.Rect) float64 {
 		return 0
 	}
 	var covered float64
-	for _, c := range m.Grid.CellsFor(box) {
+	for c := range m.Grid.Cells(box) {
 		if m.Masked(c) {
 			covered += m.Grid.CellRect(c).Intersect(box).Area()
 		}

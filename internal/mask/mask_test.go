@@ -56,6 +56,20 @@ func TestFromRectsAndCovered(t *testing.T) {
 	}
 }
 
+// TestCoveredFractionAllocatesNothing: every masked frame asks
+// CoveredFraction of every object, so the cell walk must not allocate.
+func TestCoveredFractionAllocatesNothing(t *testing.T) {
+	m := FromRects(grid100(), geom.Rect{X0: 0, Y0: 0, X1: 50, Y1: 100})
+	box := geom.Rect{X0: 12, Y0: 7, X1: 68, Y1: 43} // 6×5 cells, half masked
+	var got float64
+	if n := testing.AllocsPerRun(100, func() { got = m.CoveredFraction(box) }); n != 0 {
+		t.Errorf("CoveredFraction made %v allocations, want 0", n)
+	}
+	if want := 38.0 * 36 / (56 * 36); got != want {
+		t.Errorf("covered = %v, want %v", got, want)
+	}
+}
+
 func TestInvert(t *testing.T) {
 	m := FromRects(grid100(), geom.Rect{X0: 0, Y0: 0, X1: 30, Y1: 30})
 	inv := m.Invert()

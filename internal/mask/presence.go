@@ -41,16 +41,13 @@ func CollectPresence(s *scene.Scene, grid geom.Grid, iv vtime.Interval, stride i
 			}
 			tp := TrackPresence{EntityID: e.ID, Appearance: ai}
 			for f := clip.Start; f < clip.End; f += stride {
-				box := a.Traj.Box(f)
-				cells := grid.CellsFor(box)
-				if len(cells) == 0 {
-					continue
+				fp := FramePresence{Frame: f}
+				for c := range grid.Cells(a.Traj.Box(f)) {
+					fp.Cells = append(fp.Cells, int32(grid.Index(c)))
 				}
-				fp := FramePresence{Frame: f, Cells: make([]int32, len(cells))}
-				for i, c := range cells {
-					fp.Cells[i] = int32(grid.Index(c))
+				if len(fp.Cells) > 0 {
+					tp.Frames = append(tp.Frames, fp)
 				}
-				tp.Frames = append(tp.Frames, fp)
 			}
 			if len(tp.Frames) > 0 {
 				out = append(out, tp)

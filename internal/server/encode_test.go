@@ -119,7 +119,9 @@ type jobJSON struct {
 	Result      *resultJSON `json:"result,omitempty"`
 }
 
-func toJobJSON(info JobInfo, withResult bool) jobJSON {
+// toJobJSON is the reference for a snapshot of the job info, whose
+// result, when it has one, is res.
+func toJobJSON(info JobInfo, res *core.Result, withResult bool) jobJSON {
 	j := jobJSON{
 		ID:          info.ID,
 		Analyst:     info.Analyst,
@@ -135,8 +137,8 @@ func toJobJSON(info JobInfo, withResult bool) jobJSON {
 		t := info.FinishedAt
 		j.FinishedAt = &t
 	}
-	if withResult && info.Result != nil {
-		j.Result = toResultJSON(info.Result)
+	if withResult && res != nil {
+		j.Result = toResultJSON(res)
 	}
 	return j
 }
@@ -150,8 +152,10 @@ var wireStrings = []string{"", "alice", "<a&b>", "é\u2028\u2029", "\xff", "tab\
 
 // randJob builds a job of random shape: every optional field present or
 // absent, and the given string, float and time mixed in among the
-// tricky ones.
-func randJob(rng *rand.Rand, s string, f float64, tm time.Time) JobInfo {
+// tricky ones. A job with a result is done, holding the result's
+// encoding, and res is the result; a job without one is in any other
+// state.
+func randJob(rng *rand.Rand, s string, f float64, tm time.Time) (info JobInfo, res *core.Result) {
 	str := func() string {
 		if rng.Intn(4) == 0 {
 			return s
@@ -182,15 +186,15 @@ func randJob(rng *rand.Rand, s string, f float64, tm time.Time) JobInfo {
 		}
 		return table.N(num())
 	}
-	info := JobInfo{ID: str(), Analyst: str(), State: JobState(str()), Error: str(),
+	info = JobInfo{ID: str(), Analyst: str(), State: JobState(str()), Error: str(),
 		SubmittedAt: at(), StartedAt: at(), FinishedAt: at()}
 	if rng.Intn(4) == 0 {
-		return info
+		if info.State == JobDone {
+			info.State = JobFailed
+		}
+		return info, nil
 	}
-	res := &core.Result{EpsilonSpent: num()}
-	if rng.Intn(4) == 0 { // empty, not nil: [] where nil writes null
-		res.Releases, res.Cameras = []core.ReleaseResult{}, []core.CameraBudget{}
-	}
+	res = &core.Result{EpsilonSpent: num()}
 	for range rng.Intn(3) {
 		res.Releases = append(res.Releases, core.ReleaseResult{
 			Desc: str(), Key: val(), HasKey: rng.Intn(2) == 0, Value: num(),
@@ -201,16 +205,16 @@ func randJob(rng *rand.Rand, s string, f float64, tm time.Time) JobInfo {
 	for range rng.Intn(3) {
 		res.Cameras = append(res.Cameras, core.CameraBudget{Camera: str(), EpsilonSpent: num(), Remaining: num()})
 	}
-	info.Result = res
-	return info
+	info.State, info.Result = JobDone, encodeResult(res)
+	return info, res
 }
 
-// checkWire requires every body built from info — the job with and
-// without its result, the result alone, a two-job listing — to be
-// exactly what encoding/json's Encoder writes for the reference struct,
-// and to be empty when the Encoder refuses it; and the durable job
-// record's result to be json.Marshal's bytes of the *core.Result.
-func checkWire(t *testing.T, info JobInfo) {
+// checkWire requires every body built from info, whose result is res —
+// the job with and without its result, the result alone, a two-job
+// listing — to be exactly what encoding/json's Encoder writes for the
+// reference struct, and to be empty when the Encoder refuses it; and
+// the durable job record's result to be the result body's bytes.
+func checkWire(t *testing.T, info JobInfo, res *core.Result) {
 	t.Helper()
 	check := func(what string, fill func(*jsonBuf), ref any) {
 		t.Helper()
@@ -225,32 +229,32 @@ func checkWire(t *testing.T, info JobInfo) {
 			t.Fatalf("Content-Type %q", ct)
 		}
 	}
-	check("job", func(j *jsonBuf) { j.job(info, false) }, toJobJSON(info, false))
-	check("job with result", func(j *jsonBuf) { j.job(info, true) }, toJobJSON(info, true))
+	check("job", func(j *jsonBuf) { j.job(info, false) }, toJobJSON(info, res, false))
+	check("job with result", func(j *jsonBuf) { j.job(info, true) }, toJobJSON(info, res, true))
 	check("listing", func(j *jsonBuf) {
 		j.b = append(j.b, '[')
 		j.job(info, false)
 		j.b = append(j.b, ',')
 		j.job(info, false)
 		j.b = append(j.b, ']')
-	}, []jobJSON{toJobJSON(info, false), toJobJSON(info, false)})
-	if info.Result != nil {
-		check("result", func(j *jsonBuf) { j.result(info.Result) }, toResultJSON(info.Result))
+	}, []jobJSON{toJobJSON(info, res, false), toJobJSON(info, res, false)})
+	if res == nil {
+		return
 	}
-	// The terminal job record holds json.Marshal's bytes of the result,
-	// and no result where json.Marshal refuses it.
-	var want []byte
-	if info.Result != nil {
-		want, _ = json.Marshal(info.Result) // nil on error
-	}
-	if got := terminalRecord(info).Result; !bytes.Equal(got, want) {
-		t.Fatalf("terminal record of %+v:\n got %q\nwant %q", info, got, want)
+	check("result", func(j *jsonBuf) { j.doneResult(info.Result) }, toResultJSON(res))
+	// The terminal job record holds the result body's bytes, and no
+	// result where the Encoder refuses it.
+	var want bytes.Buffer
+	_ = json.NewEncoder(&want).Encode(toResultJSON(res))
+	if got := terminalRecord(info).Result; !bytes.Equal(got, bytes.TrimSuffix(want.Bytes(), []byte("\n"))) {
+		t.Fatalf("terminal record of %+v:\n got %q\nwant %q", info, got, want.Bytes())
 	}
 }
 
 func TestWireBodiesMatchEncodingJSON(t *testing.T) {
 	for seed := int64(0); seed < 3000; seed++ {
-		checkWire(t, randJob(rand.New(rand.NewSource(seed)), "", 0, time.Time{}))
+		info, res := randJob(rand.New(rand.NewSource(seed)), "", 0, time.Time{})
+		checkWire(t, info, res)
 	}
 }
 
@@ -262,6 +266,7 @@ func FuzzWireEncode(f *testing.F) {
 	f.Add(int64(2), "<\xff\u2028>", math.Inf(1), int64(-62135596801), int64(999999999))
 	f.Add(int64(3), "", 1e-7, int64(253402300800), int64(1))
 	f.Fuzz(func(t *testing.T, seed int64, s string, x float64, sec, nsec int64) {
-		checkWire(t, randJob(rand.New(rand.NewSource(seed)), s, x, time.Unix(sec, nsec).UTC()))
+		info, res := randJob(rand.New(rand.NewSource(seed)), s, x, time.Unix(sec, nsec).UTC())
+		checkWire(t, info, res)
 	})
 }

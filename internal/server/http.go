@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/json"
 	"errors"
@@ -89,12 +90,24 @@ const maxPooledBody = 64 << 10
 
 var bodyPool = sync.Pool{New: func() any { return new(jsonBuf) }}
 
+// getBuf and putBuf lend out an emptied pooled buffer and take it back.
+func getBuf() *jsonBuf {
+	j := bodyPool.Get().(*jsonBuf)
+	j.b, j.err = j.b[:0], nil
+	return j
+}
+
+func putBuf(j *jsonBuf) {
+	if cap(j.b) <= maxPooledBody {
+		bodyPool.Put(j)
+	}
+}
+
 // writeBody writes the body fill appends into a pooled buffer. An
 // unencodable value (NaN, ±Inf, a time RFC 3339 cannot hold) leaves the
 // body empty after the status line, as the Encoder does.
 func writeBody(w http.ResponseWriter, status int, fill func(j *jsonBuf)) {
-	j := bodyPool.Get().(*jsonBuf)
-	j.b, j.err = j.b[:0], nil
+	j := getBuf()
 	fill(j)
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
@@ -102,9 +115,7 @@ func writeBody(w http.ResponseWriter, status int, fill func(j *jsonBuf)) {
 		j.b = append(j.b, '\n')
 		_, _ = w.Write(j.b)
 	}
-	if cap(j.b) <= maxPooledBody {
-		bodyPool.Put(j)
-	}
+	putBuf(j)
 }
 
 func (j *jsonBuf) str(key, s string) { j.b = obs.AppendJSONString(append(j.b, key...), s) }
@@ -130,6 +141,33 @@ func (j *jsonBuf) value(key string, v table.Value) {
 		j.num(`,"num":`, n)
 	}
 	j.b = append(j.b, '}')
+}
+
+// encodeResult returns a finished query's outcome in its wire form, the
+// one encoding of it: the job record commits these bytes and every poll
+// of the job writes them. nil where the encoder refuses res.
+func encodeResult(res *core.Result) []byte {
+	j := getBuf()
+	j.result(res)
+	var b []byte
+	if j.err == nil {
+		b = bytes.Clone(j.b)
+	}
+	putBuf(j)
+	return b
+}
+
+// errUnencodable stands for the encoder's refusal of a done job's
+// result, which encodeResult leaves nil.
+var errUnencodable = errors.New("server: result not encodable as JSON")
+
+// doneResult appends a done job's result bytes. A done job without any
+// holds a result the encoder refused, so the body stays empty.
+func (j *jsonBuf) doneResult(b []byte) {
+	if b == nil {
+		j.err = cmp.Or(j.err, errUnencodable)
+	}
+	j.b = append(j.b, b...)
 }
 
 // result appends a finished query's outcome: every noised release, the
@@ -184,78 +222,6 @@ func (j *jsonBuf) result(res *core.Result) {
 	j.b = append(j.b, '}')
 }
 
-// storedResult appends res as json.Marshal writes a *core.Result — Go
-// field names, every field, null for a nil slice — the form a terminal
-// job record persists and recovery decodes.
-func (j *jsonBuf) storedResult(res *core.Result) {
-	j.b = append(j.b, `{"Releases":`...)
-	j.array(res.Releases == nil, len(res.Releases), func(i int) {
-		r := &res.Releases[i]
-		j.str(`{"Desc":`, r.Desc)
-		j.storedValue(`,"Key":`, r.Key)
-		j.bool(`,"HasKey":`, r.HasKey)
-		j.num(`,"Value":`, r.Value)
-		j.storedValue(`,"ArgmaxKey":`, r.ArgmaxKey)
-		j.storedValue(`,"RawArgmaxKey":`, r.RawArgmaxKey)
-		j.bool(`,"IsArgmax":`, r.IsArgmax)
-		j.num(`,"NoiseScale":`, r.NoiseScale)
-		j.num(`,"Epsilon":`, r.Epsilon)
-		j.num(`,"Sensitivity":`, r.Sensitivity)
-		j.num(`,"Raw":`, r.Raw)
-		j.bool(`,"RawSet":`, r.RawSet)
-		j.time(`,"Begin":`, r.Begin)
-		j.time(`,"End":`, r.End)
-		j.b = append(j.b, '}')
-	})
-	j.num(`,"EpsilonSpent":`, res.EpsilonSpent)
-	j.b = append(j.b, `,"Cameras":`...)
-	j.array(res.Cameras == nil, len(res.Cameras), func(i int) {
-		cb := &res.Cameras[i]
-		j.str(`{"Camera":`, cb.Camera)
-		j.num(`,"EpsilonSpent":`, cb.EpsilonSpent)
-		j.num(`,"Remaining":`, cb.Remaining)
-		j.b = append(j.b, '}')
-	})
-	j.b = append(j.b, '}')
-}
-
-// array appends n elements, each by elem, as a JSON array; null when
-// isNil, as json.Marshal writes a nil slice.
-func (j *jsonBuf) array(isNil bool, n int, elem func(i int)) {
-	if isNil {
-		j.b = append(j.b, "null"...)
-		return
-	}
-	j.b = append(j.b, '[')
-	for i := range n {
-		if i > 0 {
-			j.b = append(j.b, ',')
-		}
-		elem(i)
-	}
-	j.b = append(j.b, ']')
-}
-
-// storedValue appends v as table.Value.MarshalJSON writes it.
-func (j *jsonBuf) storedValue(key string, v table.Value) {
-	if v.Type() == table.DNumber {
-		j.b = append(append(j.b, key...), `{"t":"n"`...)
-		if n := v.Num(); n != 0 {
-			j.num(`,"n":`, n)
-		}
-	} else {
-		j.b = append(append(j.b, key...), `{"t":"s"`...)
-		if s := v.Str(); s != "" {
-			j.str(`,"s":`, s)
-		}
-	}
-	j.b = append(j.b, '}')
-}
-
-func (j *jsonBuf) bool(key string, v bool) {
-	j.b = strconv.AppendBool(append(j.b, key...), v)
-}
-
 // job appends a job snapshot; the result only once the job is done and
 // when withResult asks for it.
 func (j *jsonBuf) job(info JobInfo, withResult bool) {
@@ -272,9 +238,9 @@ func (j *jsonBuf) job(info JobInfo, withResult bool) {
 	if !info.FinishedAt.IsZero() {
 		j.time(`,"finished_at":`, info.FinishedAt)
 	}
-	if withResult && info.Result != nil {
+	if withResult && info.State == JobDone {
 		j.b = append(j.b, `,"result":`...)
-		j.result(info.Result)
+		j.doneResult(info.Result)
 	}
 	j.b = append(j.b, '}')
 }
@@ -348,13 +314,7 @@ func (a *API) getResult(w http.ResponseWriter, r *http.Request) {
 	}
 	switch info.State {
 	case JobDone:
-		if info.Result == nil {
-			// Defensive: a done job always carries a result in this
-			// process; never nil-deref if an invariant slips.
-			writeError(w, http.StatusInternalServerError, errors.New("server: result unavailable"))
-			return
-		}
-		writeBody(w, http.StatusOK, func(j *jsonBuf) { j.result(info.Result) })
+		writeBody(w, http.StatusOK, func(j *jsonBuf) { j.doneResult(info.Result) })
 	case JobFailed:
 		writeJSON(w, http.StatusUnprocessableEntity, map[string]string{
 			"state": string(JobFailed), "error": info.Error,

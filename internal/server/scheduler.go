@@ -22,6 +22,7 @@
 package server
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -106,8 +107,11 @@ type JobInfo struct {
 	State   JobState
 	// Error is the failure reason (JobFailed only).
 	Error string
-	// Result is the query outcome (JobDone only).
-	Result *core.Result
+	// Result is the query outcome in its wire form (JobDone only): the
+	// bytes a poll writes and the durable job record holds. A done job
+	// with none holds a result the encoder refused (a NaN, ±Inf, or a
+	// time RFC 3339 cannot hold); its poll body is empty.
+	Result json.RawMessage
 	// Trace is the execution's span tree, set when the job reaches a
 	// terminal state. It is kept in memory only: a job recovered after a
 	// restart has none.
@@ -293,16 +297,12 @@ func (s *Scheduler) adoptRecovered(jr store.JobRecord) {
 		// missing or undecodable payload degrades to a resolvable-
 		// but-failed job rather than a recovery failure (or a "done"
 		// job whose result endpoint would have nothing to serve).
-		var res core.Result
+		info.Result = adoptResult(jr.Result)
 		switch {
 		case len(jr.Result) == 0:
-			info.State = JobFailed
-			info.Error = "server: persisted result missing"
-		case json.Unmarshal(jr.Result, &res) != nil:
-			info.State = JobFailed
-			info.Error = "server: persisted result undecodable"
-		default:
-			info.Result = &res
+			info.State, info.Error = JobFailed, "server: persisted result missing"
+		case info.Result == nil:
+			info.State, info.Error = JobFailed, "server: persisted result undecodable"
 		}
 	}
 	s.jobs[jr.ID] = &job{info: info}
@@ -326,6 +326,25 @@ func (s *Scheduler) adoptRecovered(jr store.JobRecord) {
 			s.seq = sn
 		}
 	}
+}
+
+// legacyResult opens a result json.Marshal wrote from a *core.Result,
+// Go field names and all, as job records did before they held the wire
+// form.
+var legacyResult = []byte(`{"Releases":`)
+
+// adoptResult returns a recovered result in its wire form: the record's
+// bytes as they are, or a legacy record's decoded and encoded afresh;
+// nil when there are none or they do not decode.
+func adoptResult(b json.RawMessage) []byte {
+	if !bytes.HasPrefix(b, legacyResult) {
+		return b
+	}
+	var res core.Result
+	if json.Unmarshal(b, &res) != nil {
+		return nil
+	}
+	return encodeResult(&res)
 }
 
 func (s *Scheduler) now() time.Time {
@@ -438,22 +457,21 @@ func (s *Scheduler) worker() {
 		s.mu.Unlock()
 		s.met.stage("queue_wait", queueWait)
 
-		// A durable job's terminal record rides the engine's one commit,
-		// after its charges: the job turns done only once the answer
-		// and its charge are on disk together.
+		// The job's terminal record rides the engine's one commit, after
+		// its charges: the job turns done only once the answer and its
+		// charge are on disk together, and its polls write the bytes
+		// committed.
 		var finished time.Time
-		var record func(*core.Result) *store.JobRecord
-		if _, discard := s.store.(store.NullStore); !discard {
-			record = func(res *core.Result) *store.JobRecord {
-				s.mu.Lock()
-				finished = s.now()
-				s.mu.Unlock()
-				info := j.info // only this worker writes it
-				info.State, info.Result, info.FinishedAt = JobDone, res, finished
-				return terminalRecord(info)
-			}
-		}
-		res, tr, err := s.engine.ExecuteTraced(j.prog, j.qhash, record)
+		var result []byte
+		res, tr, err := s.engine.ExecuteTraced(j.prog, j.qhash, func(res *core.Result) *store.JobRecord {
+			s.mu.Lock()
+			finished = s.now()
+			s.mu.Unlock()
+			result = encodeResult(res)
+			info := j.info // only this worker writes it
+			info.State, info.Result, info.FinishedAt = JobDone, result, finished
+			return terminalRecord(info)
+		})
 
 		// Annotate the finished trace with serving-layer context: the
 		// job identity and the submit-side parse as a pre-measured span.
@@ -463,20 +481,16 @@ func (s *Scheduler) worker() {
 		tr.Root().ChildSpanning("parse", j.parseStart, j.parseDur)
 
 		s.mu.Lock()
-		if err != nil || finished.IsZero() {
-			finished = s.now()
-		}
-		j.info.FinishedAt = finished
-		j.info.Trace = tr
 		if err != nil {
 			j.info.State = JobFailed
 			j.info.Error = err.Error()
+			j.info.FinishedAt = s.now()
 			s.failedTotal++
 		} else {
-			j.info.State = JobDone
-			j.info.Result = res
+			j.info.State, j.info.Result, j.info.FinishedAt = JobDone, result, finished
 			s.doneTotal++
 		}
+		j.info.Trace = tr
 		s.inflight[j.info.Analyst]--
 		if s.inflight[j.info.Analyst] == 0 {
 			delete(s.inflight, j.info.Analyst)
@@ -491,7 +505,7 @@ func (s *Scheduler) worker() {
 		// persisted here, outside the lock. Best-effort: no charge
 		// rides on it; a lost record only leaves a post-restart poll
 		// unresolved.
-		if err != nil && record != nil {
+		if err != nil {
 			_ = s.store.Commit(store.Record{Job: terminalRecord(info)})
 		}
 		s.recordSlow(info, tr, res, queueWait)
@@ -527,11 +541,9 @@ func (s *Scheduler) recordSlow(info JobInfo, tr *obs.Trace, res *core.Result, qu
 }
 
 // terminalRecord converts a terminal job snapshot into its durable
-// form. The result goes in as json.Marshal would write it, and is left
-// out where json.Marshal refuses it (NaN, ±Inf, a time RFC 3339 cannot
-// hold).
+// form; the result is the snapshot's own bytes.
 func terminalRecord(info JobInfo) *store.JobRecord {
-	jr := store.JobRecord{
+	return &store.JobRecord{
 		ID:          info.ID,
 		Analyst:     info.Analyst,
 		Query:       info.Query,
@@ -540,15 +552,8 @@ func terminalRecord(info JobInfo) *store.JobRecord {
 		SubmittedAt: info.SubmittedAt,
 		StartedAt:   info.StartedAt,
 		FinishedAt:  info.FinishedAt,
+		Result:      info.Result,
 	}
-	if info.Result != nil {
-		j := jsonBuf{b: make([]byte, 0, 512)}
-		j.storedResult(info.Result)
-		if j.err == nil {
-			jr.Result = j.b
-		}
-	}
-	return &jr
 }
 
 // pruneLocked drops the oldest terminal jobs beyond MaxFinishedJobs so

@@ -81,8 +81,8 @@ var encodeScratch = sync.Pool{New: func() any { return new([]byte) }}
 const recordKeyLen = len(`{"a":`)
 
 // appendRecord appends json.Marshal(rec)'s bytes to b (FuzzRecordEncode).
-// A job's Result, json.Marshal output, is copied verbatim once checked:
-// no record DecodeAll refuses is logged.
+// A job's Result, already JSON, is copied verbatim once checked: no
+// record DecodeAll refuses is logged.
 func appendRecord(b []byte, rec Record) ([]byte, error) {
 	if countSet(rec) != 1 {
 		return nil, errors.New("record must set exactly one field")

@@ -58,10 +58,10 @@ type AuditRecord struct {
 
 // JobRecord is one terminal (done/failed) scheduler job, persisted so
 // an analyst polling after a server restart still gets their result.
-// Result is the JSON encoding of the engine's result (opaque to the
-// store). A done job's record is committed after its charges, in the
-// same commit. Records written before traces left the log carry a
-// "trace" key, which decoding ignores.
+// Result holds the bytes the job's polls write, opaque to the store.
+// A done job's record is committed after its charges, in the same
+// commit. Older records may carry a "trace" key, which decoding
+// ignores, and a Result in Go-field form, re-encoded at recovery.
 type JobRecord struct {
 	ID          string          `json:"id"`
 	Analyst     string          `json:"analyst"`

@@ -299,10 +299,8 @@ func loadState(dir string, maxJobs, maxAudit int) (*State, int64, int64, int64, 
 // without opening it for writing — for inspection and tests. maxJobs
 // as in Options; 0 uses the default.
 func ReadState(dir string, maxJobs int) (*State, error) {
-	if maxJobs == 0 {
-		maxJobs = 1000
-	}
-	state, _, _, _, err := loadState(dir, maxJobs, 10000)
+	opts := Options{MaxJobs: maxJobs}.withDefaults()
+	state, _, _, _, err := loadState(dir, opts.MaxJobs, opts.MaxAudit)
 	return state, err
 }
 

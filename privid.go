@@ -187,8 +187,8 @@ type (
 	// form).
 	QueryTrace = obs.Trace
 	// SpanTree is the serialized form of a trace: the wire format of
-	// GET /v1/queries/{id}/trace and the shape persisted on terminal
-	// job records.
+	// GET /v1/queries/{id}/trace. Traces stay in memory; job records
+	// carry none.
 	SpanTree = obs.SpanTree
 	// SlowEntry is one structured slow-query log record
 	// (SchedulerOptions.SlowQueryLog).
