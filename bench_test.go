@@ -121,7 +121,7 @@ SELECT color, COUNT(plate) FROM (SELECT plate, color FROM tableA GROUP BY plate)
 // busiest profile.
 func BenchmarkSceneFrame(b *testing.B) {
 	s := scene.Generate(scene.Highway(), 1, 30*time.Minute)
-	src := &video.SceneSource{Camera: "h", Scene: s}
+	src := s.Source("h")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src.Frame(int64(i) % s.Frames)

@@ -10,16 +10,22 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 )
 
 // The size ledger: per package of the module, non-test lines, test
-// lines (both as `wc -l` counts them) and exported top-level symbols.
-// It sits in the benchmark snapshot next to the perf contract so that
+// lines (both as `wc -l` counts them) and exported top-level symbols,
+// plus the same non-test totals over the service's import closure. It
+// sits in the benchmark snapshot next to the perf contract so that
 // growth, like a perf regression, is a decision someone reviewed:
 // `-size <dir>` prints the table, and with `-baseline` fails when a
-// package outgrows the ceiling the snapshot recorded for it.
+// package or the service outgrows the ceiling the snapshot recorded.
+
+// serviceRoot is the package whose non-test import closure is the
+// service: the code a running server trusts.
+const serviceRoot = "internal/server"
 
 // pkgSize is one package's row of the size table.
 type pkgSize struct {
@@ -29,9 +35,18 @@ type pkgSize struct {
 }
 
 // sizeTable is the snapshot's "size" section: rows keyed by the
-// package's directory relative to the module root ("." for the root).
+// package's directory relative to the module root ("." for the root),
+// and the sum of the rows of serviceRoot's non-test import closure.
 type sizeTable struct {
 	Packages map[string]pkgSize `json:"packages"`
+	Service  pkgSize            `json:"service"`
+	service  []string           // the closure's packages
+}
+
+func (s *pkgSize) add(row pkgSize) {
+	s.LOC += row.LOC
+	s.TestLOC += row.TestLOC
+	s.Exported += row.Exported
 }
 
 // measureSizes walks the module rooted at root. Nested modules (bench/
@@ -39,8 +54,17 @@ type sizeTable struct {
 // directories are not part of it.
 func measureSizes(root string) (sizeTable, error) {
 	t := sizeTable{Packages: map[string]pkgSize{}}
+	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return t, err
+	}
+	module := "" // the path whose packages are the module's
+	if m := regexp.MustCompile(`(?m)^module\s+"?([^\s"]+)`).FindSubmatch(mod); m != nil {
+		module = string(m[1])
+	}
+	imports := map[string][]string{} // package -> module packages its non-test files import
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -80,11 +104,36 @@ func measureSizes(root string) (sizeTable, error) {
 				return err
 			}
 			row.Exported += exportedSymbols(f)
+			for _, imp := range f.Imports {
+				// The root package imports the service, so the closure
+				// never holds it: only module+"/" paths matter.
+				if dep, ok := strings.CutPrefix(strings.Trim(imp.Path.Value, `"`), module+"/"); ok {
+					imports[key] = append(imports[key], dep)
+				}
+			}
 		}
 		t.Packages[key] = row
 		return nil
 	})
-	return t, err
+	if err != nil {
+		return t, err
+	}
+	seen := map[string]bool{}
+	var visit func(pkg string)
+	visit = func(pkg string) {
+		row, ok := t.Packages[pkg]
+		if seen[pkg] || !ok {
+			return
+		}
+		seen[pkg] = true
+		t.service = append(t.service, pkg)
+		t.Service.add(row)
+		for _, dep := range imports[pkg] {
+			visit(dep)
+		}
+	}
+	visit(serviceRoot)
+	return t, nil
 }
 
 // exportedSymbols counts a file's exported top-level names: functions,
@@ -144,6 +193,10 @@ func runSize(root, baselinePath string) (ok bool, err error) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	var module pkgSize
+	for _, name := range names {
+		module.add(got.Packages[name])
+	}
 	if baselinePath == "" {
 		// One row per line, ready to paste into the snapshot.
 		fmt.Println(`"size": {"packages": {`)
@@ -155,7 +208,10 @@ func runSize(root, baselinePath string) (ok bool, err error) {
 			}
 			fmt.Printf("  %q: %s%s\n", name, row, sep)
 		}
-		fmt.Println("}}")
+		service, _ := json.Marshal(got.Service)
+		fmt.Printf("},\n\"service\": %s}\n", service)
+		fmt.Fprintf(os.Stderr, "module: %d packages, %d lines, %d exported; service (%s and its imports): %d packages, %d lines, %d exported\n",
+			len(names), module.LOC, module.Exported, serviceRoot, len(got.service), got.Service.LOC, got.Service.Exported)
 		return true, nil
 	}
 	raw, err := os.ReadFile(baselinePath)
@@ -188,11 +244,18 @@ func runSize(root, baselinePath string) (ok bool, err error) {
 		}
 		fmt.Printf("%s %-28s %6d %8d %8d   %s\n", status, name, g.LOC, g.TestLOC, g.Exported, detail)
 	}
+	fmt.Printf("     %-28s %6d %8s %8d\n", fmt.Sprintf("module (%d packages)", len(names)), module.LOC, "", module.Exported)
+	status, detail := "ok  ", ""
+	if b := base.Size.Service; got.Service.LOC > b.LOC || got.Service.Exported > b.Exported {
+		status, detail = "FAIL", fmt.Sprintf("ceiling loc %d, exported %d", b.LOC, b.Exported)
+		failed++
+	}
+	fmt.Printf("%s %-28s %6d %8s %8d   %s\n", status, fmt.Sprintf("service (%d packages)", len(got.service)), got.Service.LOC, "", got.Service.Exported, detail)
 	if failed > 0 {
-		fmt.Printf("\n%d packages outgrew their recorded size; shrink them or re-record the size section of %s (privid-benchdiff -size %s) in the same change\n",
+		fmt.Printf("\n%d rows outgrew their recorded size; shrink them or re-record the size section of %s (privid-benchdiff -size %s) in the same change\n",
 			failed, baselinePath, root)
 		return false, nil
 	}
-	fmt.Printf("\nall %d packages within the sizes recorded in %s\n", len(names), base.Snapshot)
+	fmt.Printf("\nall %d packages and the service within the sizes recorded in %s\n", len(names), base.Snapshot)
 	return true, nil
 }

@@ -20,7 +20,6 @@ import (
 	"privid/internal/geom"
 	"privid/internal/mask"
 	"privid/internal/scene"
-	"privid/internal/video"
 )
 
 func main() {
@@ -38,20 +37,19 @@ func main() {
 		os.Exit(1)
 	}
 	s := scene.Generate(p, *seed, *dur)
-	src := &video.SceneSource{Camera: p.Name, Scene: s}
+	src := s.Source(p.Name)
 
 	fmt.Printf("== %s: %v of historical video, %d private entities\n", p.Name, *dur, len(s.Ents))
 
 	// Step 1: CV duration estimation (the Table 1 pipeline).
-	rep := cv.EstimateDurations(src, s.Bounds(), cv.ParamsFor(p),
-		cv.TrackerParams{IoUThreshold: 0.2, MaxAge: 150, MinHits: 3, DistGate: 50}, *seed, 1)
+	rep := cv.EstimateDurations(src, s.Bounds(), cv.ParamsFor(p), cv.OwnerTracker(), *seed, 1)
 	gt := s.MaxDurationSeconds(s.Bounds())
 	fmt.Printf("CV max-duration estimate: %.1f s (ground truth %.1f s, %.0f%% of per-frame objects missed)\n",
 		rep.MaxSeconds, gt, rep.MissedFraction()*100)
 
 	// Step 2: persistence heatmap.
 	grid := geom.NewGrid(s.W, s.H, 10, 10)
-	pres := mask.CollectPresence(s, grid, s.Bounds(), int64(s.FPS))
+	pres := scene.CollectPresence(s, grid, s.Bounds(), int64(s.FPS))
 	heat := mask.Heatmap(pres, grid)
 	maxHeat := 0.0
 	for _, h := range heat {

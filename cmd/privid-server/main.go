@@ -113,8 +113,8 @@ type config struct {
 	DiskCacheDir string `json:"disk_cache_dir"`
 	// DiskCacheBytes bounds the tier-2 store (0 = 256 MiB default).
 	DiskCacheBytes int64 `json:"disk_cache_bytes"`
-	// Workers, PerAnalystInFlight, QueueDepth and MaxFinishedJobs
-	// configure the scheduler (0 = defaults).
+	// Workers, PerAnalystInFlight and QueueDepth size the scheduler;
+	// MaxFinishedJobs bounds the jobs it and the state dir keep (0 = defaults).
 	Workers            int `json:"workers"`
 	PerAnalystInFlight int `json:"per_analyst_in_flight"`
 	QueueDepth         int `json:"queue_depth"`
@@ -184,6 +184,7 @@ func buildEngine(cfg config, repair bool) (*privid.Engine, error) {
 		DiskCacheBytes:       cfg.DiskCacheBytes,
 		StateDir:             cfg.StateDir,
 		SnapshotEvery:        cfg.SnapshotEvery,
+		MaxFinishedJobs:      cfg.MaxFinishedJobs,
 		RepairState:          repair,
 	})
 	if err != nil {
@@ -204,7 +205,7 @@ func buildEngine(cfg config, repair bool) (*privid.Engine, error) {
 			Source:  privid.NewSceneCamera(spec.Name, p, spec.Seed, dur),
 			Policy:  privid.Policy{Rho: time.Duration(spec.RhoSeconds * float64(time.Second)), K: spec.K},
 			Epsilon: spec.Epsilon,
-			Schemes: privid.SchemesFromProfile(p),
+			Schemes: p.FrameSchemes(),
 		}
 		if len(spec.MaskFactors) > 0 {
 			s := privid.GenerateScene(p, spec.Seed, dur)
@@ -344,7 +345,6 @@ func main() {
 		Workers:            cfg.Workers,
 		PerAnalystInFlight: cfg.PerAnalystInFlight,
 		QueueDepth:         cfg.QueueDepth,
-		MaxFinishedJobs:    cfg.MaxFinishedJobs,
 	}
 	var slowFile *os.File
 	if cfg.SlowQueryLog != "" {

@@ -23,7 +23,7 @@ func main() {
 		Epsilon: 10,
 		// The owner registers the per-direction splitting scheme; the
 		// boundary is hard (cars never switch directions mid-frame).
-		Schemes: privid.SchemesFromProfile(profile),
+		Schemes: profile.FrameSchemes(),
 	})
 	if err != nil {
 		log.Fatal(err)

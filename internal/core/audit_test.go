@@ -7,7 +7,6 @@ import (
 
 	"privid/internal/policy"
 	"privid/internal/query"
-	"privid/internal/video"
 )
 
 func TestAuditLog(t *testing.T) {
@@ -16,7 +15,7 @@ func TestAuditLog(t *testing.T) {
 	e := New(Options{Seed: 1, Now: func() time.Time { return fixed }})
 	if err := e.RegisterCamera(CameraConfig{
 		Name:    "camA",
-		Source:  &video.SceneSource{Camera: "camA", Scene: s},
+		Source:  s.Source("camA"),
 		Policy:  policy.Policy{Rho: 25 * time.Second, K: 1},
 		Epsilon: 1.5,
 	}); err != nil {
@@ -78,7 +77,7 @@ func TestAuditLogBounded(t *testing.T) {
 	e := New(Options{Seed: 1, Now: func() time.Time { tick = tick.Add(time.Second); return tick }})
 	if err := e.RegisterCamera(CameraConfig{
 		Name:    "camA",
-		Source:  &video.SceneSource{Camera: "camA", Scene: countScene(10)},
+		Source:  countScene(10).Source("camA"),
 		Policy:  policy.Policy{Rho: 25 * time.Second, K: 1},
 		Epsilon: 1.5,
 	}); err != nil {

@@ -179,7 +179,7 @@ func TestParallelismBoundsEngineWide(t *testing.T) {
 	e := New(Options{Seed: 1, Parallelism: 2, ChunkCacheBytes: -1})
 	if err := e.RegisterCamera(CameraConfig{
 		Name:    "camA",
-		Source:  &video.SceneSource{Camera: "camA", Scene: s},
+		Source:  s.Source("camA"),
 		Policy:  policy.Policy{Rho: 25 * time.Second, K: 1},
 		Epsilon: 1e6,
 	}); err != nil {
@@ -228,7 +228,7 @@ func TestTimedOutExecutableHoldsParallelismSlot(t *testing.T) {
 	e := New(Options{Seed: 1, Parallelism: 1, ChunkCacheBytes: -1})
 	if err := e.RegisterCamera(CameraConfig{
 		Name:    "camA",
-		Source:  &video.SceneSource{Camera: "camA", Scene: s},
+		Source:  s.Source("camA"),
 		Policy:  policy.Policy{Rho: 25 * time.Second, K: 1},
 		Epsilon: 1e6,
 	}); err != nil {
@@ -281,7 +281,7 @@ func TestHungExecutableForfeitsSlotAfterGrace(t *testing.T) {
 	e := New(Options{Seed: 1, Parallelism: 1, ChunkCacheBytes: -1})
 	if err := e.RegisterCamera(CameraConfig{
 		Name:    "camA",
-		Source:  &video.SceneSource{Camera: "camA", Scene: s},
+		Source:  s.Source("camA"),
 		Policy:  policy.Policy{Rho: 25 * time.Second, K: 1},
 		Epsilon: 1e6,
 	}); err != nil {
@@ -335,7 +335,7 @@ func TestChunkCacheSkipsFailedRuns(t *testing.T) {
 	e := New(Options{Seed: 1, Evaluation: true})
 	if err := e.RegisterCamera(CameraConfig{
 		Name:    "camA",
-		Source:  &video.SceneSource{Camera: "camA", Scene: s},
+		Source:  s.Source("camA"),
 		Policy:  policy.Policy{Rho: 25 * time.Second, K: 1},
 		Epsilon: 1e6,
 	}); err != nil {
@@ -478,7 +478,7 @@ func seedEngine(t *testing.T, e *Engine, s *scene.Scene, pol policy.Policy, eps 
 	t.Helper()
 	if err := e.RegisterCamera(CameraConfig{
 		Name:    "camA",
-		Source:  &video.SceneSource{Camera: "camA", Scene: s},
+		Source:  s.Source("camA"),
 		Policy:  pol,
 		Epsilon: eps,
 	}); err != nil {
@@ -510,7 +510,7 @@ func TestHungExecutableWithoutTimeoutReleasesSlot(t *testing.T) {
 	})
 	if err := e.RegisterCamera(CameraConfig{
 		Name:    "camA",
-		Source:  &video.SceneSource{Camera: "camA", Scene: s},
+		Source:  s.Source("camA"),
 		Policy:  policy.Policy{Rho: 25 * time.Second, K: 1},
 		Epsilon: 10,
 	}); err != nil {

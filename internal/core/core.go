@@ -118,6 +118,11 @@ type Options struct {
 	// Empty (the default) keeps the pre-durability in-memory behavior.
 	// See DESIGN.md §"Durability & the privacy ledger".
 	StateDir string
+	// MaxFinishedJobs bounds the terminal (done/failed) jobs kept for
+	// polling, oldest dropped first: by the serving layer's job table
+	// and, with StateDir, by the WAL's state and snapshots, so a restart
+	// recovers every job the server was retaining. 0 uses 1000.
+	MaxFinishedJobs int
 	// RepairState truncates a torn or corrupt WAL tail to the last
 	// valid record when opening StateDir instead of refusing to start
 	// (the -repair server flag).
@@ -249,6 +254,9 @@ func Open(opts Options) (*Engine, error) {
 	if opts.DefaultProcessTimeout <= 0 {
 		opts.DefaultProcessTimeout = defaultProcessTimeout
 	}
+	if opts.MaxFinishedJobs <= 0 {
+		opts.MaxFinishedJobs = 1000
+	}
 	// Assemble the chunk cache tiers; with neither configured the
 	// engine holds no cache at all (the hot path's nil checks).
 	var mem *cache.LRU
@@ -286,6 +294,7 @@ func Open(opts Options) (*Engine, error) {
 		}
 		w, err := store.Open(opts.StateDir, store.Options{
 			SnapshotEvery: opts.SnapshotEvery,
+			MaxJobs:       opts.MaxFinishedJobs,
 			WrapFile:      opts.WrapWALFile,
 			Metrics:       storeMetrics(reg),
 		})
@@ -362,6 +371,10 @@ func (e *Engine) Metrics() *obs.Registry { return e.metrics }
 // durability is off — for co-located serving layers (the scheduler
 // persists terminal jobs through it so polls resolve across restarts).
 func (e *Engine) StateStore() store.Store { return e.store }
+
+// MaxFinishedJobs returns Options.MaxFinishedJobs after defaults: the
+// bound a serving layer's job table shares with the WAL.
+func (e *Engine) MaxFinishedJobs() int { return e.opts.MaxFinishedJobs }
 
 // RecoveredJobs returns the terminal job records recovered from the
 // state dir (nil without one).

@@ -38,7 +38,7 @@ func countScene(n int) *scene.Scene {
 		enter := int64(i)*600 + 37
 		exit := enter + 200
 		s.Ents = append(s.Ents, &scene.Entity{
-			ID: i, Class: scene.Person,
+			ID: i, Class: video.Person,
 			Appearances: []scene.Appearance{{
 				Enter: enter, Exit: exit,
 				Traj: scene.NewPath(enter, exit, 20, 40, 1,
@@ -80,7 +80,7 @@ func newTestEngine(t *testing.T, s *scene.Scene, pol policy.Policy, eps float64)
 	e := New(Options{Seed: 1, Evaluation: true})
 	if err := e.RegisterCamera(CameraConfig{
 		Name:    "camA",
-		Source:  &video.SceneSource{Camera: "camA", Scene: s},
+		Source:  s.Source("camA"),
 		Policy:  pol,
 		Epsilon: eps,
 	}); err != nil {
@@ -249,7 +249,7 @@ func TestMaskedQueryUsesMaskPolicy(t *testing.T) {
 	e := New(Options{Seed: 1, Evaluation: true})
 	if err := e.RegisterCamera(CameraConfig{
 		Name:     "camA",
-		Source:   &video.SceneSource{Camera: "camA", Scene: s},
+		Source:   s.Source("camA"),
 		Policy:   policy.Policy{Rho: 25 * time.Second, K: 1},
 		Epsilon:  10,
 		Policies: pm,
@@ -316,7 +316,7 @@ func TestRegionSplitHardBoundaries(t *testing.T) {
 	e := New(Options{Seed: 1, Evaluation: true})
 	if err := e.RegisterCamera(CameraConfig{
 		Name:    "camA",
-		Source:  &video.SceneSource{Camera: "camA", Scene: s},
+		Source:  s.Source("camA"),
 		Policy:  policy.Policy{Rho: 25 * time.Second, K: 1},
 		Epsilon: 10,
 		Schemes: map[string]region.Scheme{"halves": sch},
@@ -361,7 +361,7 @@ func TestSoftRegionRequiresFrameChunks(t *testing.T) {
 	e := New(Options{Seed: 1})
 	if err := e.RegisterCamera(CameraConfig{
 		Name:    "camA",
-		Source:  &video.SceneSource{Camera: "camA", Scene: s},
+		Source:  s.Source("camA"),
 		Policy:  policy.Policy{Rho: 25 * time.Second, K: 1},
 		Epsilon: 10,
 		Schemes: map[string]region.Scheme{"softy": sch},
@@ -397,7 +397,7 @@ func TestUnregisteredExecutable(t *testing.T) {
 func TestRegisterCameraValidation(t *testing.T) {
 	e := New(Options{})
 	s := countScene(1)
-	src := &video.SceneSource{Camera: "c", Scene: s}
+	src := s.Source("c")
 	cases := []CameraConfig{
 		{Name: "", Source: src, Policy: policy.Policy{Rho: time.Second, K: 1}, Epsilon: 1},
 		{Name: "a", Source: nil, Policy: policy.Policy{Rho: time.Second, K: 1}, Epsilon: 1},
@@ -424,7 +424,7 @@ func TestParallelismDeterminism(t *testing.T) {
 	run := func(par int) float64 {
 		e := New(Options{Seed: 1, Evaluation: true, Parallelism: par})
 		if err := e.RegisterCamera(CameraConfig{
-			Name: "camA", Source: &video.SceneSource{Camera: "camA", Scene: s},
+			Name: "camA", Source: s.Source("camA"),
 			Policy: policy.Policy{Rho: 25 * time.Second, K: 1}, Epsilon: 10,
 		}); err != nil {
 			t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"privid/internal/policy"
 	"privid/internal/query"
 	"privid/internal/region"
-	"privid/internal/video"
 )
 
 func gridEngine(t *testing.T) *Engine {
@@ -18,7 +17,7 @@ func gridEngine(t *testing.T) *Engine {
 	e := New(Options{Seed: 1, Evaluation: true})
 	if err := e.RegisterCamera(CameraConfig{
 		Name:    "camA",
-		Source:  &video.SceneSource{Camera: "camA", Scene: s},
+		Source:  s.Source("camA"),
 		Policy:  policy.Policy{Rho: 25 * time.Second, K: 1},
 		Epsilon: 100,
 		GridSchemes: map[string]region.GridScheme{
@@ -109,7 +108,7 @@ func TestGridSchemeNameCollision(t *testing.T) {
 	e := New(Options{Seed: 1})
 	err := e.RegisterCamera(CameraConfig{
 		Name:    "camA",
-		Source:  &video.SceneSource{Camera: "camA", Scene: s},
+		Source:  s.Source("camA"),
 		Policy:  policy.Policy{Rho: time.Second, K: 1},
 		Epsilon: 1,
 		Schemes: map[string]region.Scheme{

@@ -28,7 +28,7 @@ func newFleetEngine(t *testing.T, opts Options, n int, eps float64) *Engine {
 		name := "cam" + string(rune('A'+i))
 		if err := e.RegisterCamera(CameraConfig{
 			Name:    name,
-			Source:  &video.SceneSource{Camera: name, Scene: s},
+			Source:  s.Source(name),
 			Policy:  policy.Policy{Rho: 25 * time.Second, K: 1},
 			Epsilon: eps,
 		}); err != nil {
@@ -270,7 +270,7 @@ func TestAtomicAdmissionAcrossCameras(t *testing.T) {
 	s := countScene(10)
 	if err := e.RegisterCamera(CameraConfig{
 		Name:    "camC",
-		Source:  &video.SceneSource{Camera: "camC", Scene: s},
+		Source:  s.Source("camC"),
 		Policy:  policy.Policy{Rho: 25 * time.Second, K: 1},
 		Epsilon: 0.01,
 	}); err != nil {
@@ -426,7 +426,7 @@ func TestChunkCachePerCamera(t *testing.T) {
 	}{{"camA", sA}, {"camB", sB}} {
 		if err := e.RegisterCamera(CameraConfig{
 			Name:    c.name,
-			Source:  &video.SceneSource{Camera: c.name, Scene: c.s},
+			Source:  c.s.Source(c.name),
 			Policy:  policy.Policy{Rho: 25 * time.Second, K: 1},
 			Epsilon: 1e6,
 		}); err != nil {

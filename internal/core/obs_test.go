@@ -11,7 +11,6 @@ import (
 	"privid/internal/obs"
 	"privid/internal/policy"
 	"privid/internal/query"
-	"privid/internal/video"
 )
 
 // findSpans collects every span named name, depth-first.
@@ -250,7 +249,7 @@ func TestCloseFlushesMetricsSnapshot(t *testing.T) {
 	}
 	if err := e.RegisterCamera(CameraConfig{
 		Name:    "camA",
-		Source:  &video.SceneSource{Camera: "camA", Scene: countScene(10)},
+		Source:  countScene(10).Source("camA"),
 		Policy:  policy.Policy{Rho: 25 * time.Second, K: 1},
 		Epsilon: 10,
 	}); err != nil {

@@ -26,7 +26,7 @@ func countedEngine(t *testing.T, opts Options, eps float64, runs *atomic.Int64) 
 	}
 	if err := e.RegisterCamera(CameraConfig{
 		Name:    "camA",
-		Source:  &video.SceneSource{Camera: "camA", Scene: countScene(200)},
+		Source:  countScene(200).Source("camA"),
 		Policy:  policy.Policy{Rho: 25 * time.Second, K: 1},
 		Epsilon: eps,
 	}); err != nil {

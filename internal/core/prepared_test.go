@@ -38,7 +38,7 @@ func TestRegionSplitOrderDeterministic(t *testing.T) {
 	engine := func() *Engine {
 		e := New(Options{Seed: 1, Evaluation: true})
 		if err := e.RegisterCamera(CameraConfig{
-			Name: "camA", Source: &video.SceneSource{Camera: "camA", Scene: s},
+			Name: "camA", Source: s.Source("camA"),
 			Policy: policy.Policy{Rho: 25 * time.Second, K: 1}, Epsilon: 1e9,
 			Schemes: map[string]region.Scheme{"quarters": quarters, "halves": halves},
 		}); err != nil {
@@ -162,7 +162,7 @@ func (g *growingSource) Info() video.Info {
 // does. An unchanged third run is a hit.
 func TestPlanMemoReplansWhenBoundsGrow(t *testing.T) {
 	s := countScene(50)
-	src := &growingSource{Source: &video.SceneSource{Camera: "camA", Scene: s}}
+	src := &growingSource{Source: s.Source("camA")}
 	src.frames.Store(18000) // 30 of the window's 60 minutes
 	e := New(Options{Seed: 1, Evaluation: true})
 	if err := e.RegisterCamera(CameraConfig{Name: "camA", Source: src,
@@ -228,7 +228,7 @@ func TestPlanMemoChecksMaskAndScheme(t *testing.T) {
 	engine := func() *Engine {
 		e := New(Options{Seed: 1, Evaluation: true})
 		if err := e.RegisterCamera(CameraConfig{
-			Name: "camA", Source: &video.SceneSource{Camera: "camA", Scene: s},
+			Name: "camA", Source: s.Source("camA"),
 			Policy: policy.Policy{Rho: 25 * time.Second, K: 1}, Epsilon: 1e9, Schemes: schemes,
 		}); err != nil {
 			t.Fatal(err)

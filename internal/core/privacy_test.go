@@ -57,7 +57,7 @@ func TestSensitivityBoundsNeighboringVideos(t *testing.T) {
 					exit = s.Frames
 				}
 				s.Ents = append(s.Ents, &scene.Entity{
-					ID: i, Class: scene.Person,
+					ID: i, Class: video.Person,
 					Appearances: []scene.Appearance{{
 						Enter: enter, Exit: exit,
 						Traj: scene.NewPath(enter, exit, 20, 20, 1,
@@ -66,7 +66,7 @@ func TestSensitivityBoundsNeighboringVideos(t *testing.T) {
 				})
 			}
 			if withEvent {
-				e := &scene.Entity{ID: 1000, Class: scene.Person}
+				e := &scene.Entity{ID: 1000, Class: video.Person}
 				pos := int64(erng.Intn(3000))
 				for seg := 0; seg < k; seg++ {
 					durF := int64(1 + erng.Intn(rhoSec*10))
@@ -128,7 +128,7 @@ PROCESS c USING adv TIMEOUT 5sec PRODUCING 3 ROWS
 				e := New(Options{Seed: 1, Evaluation: true})
 				if err := e.RegisterCamera(CameraConfig{
 					Name:    "cam",
-					Source:  &video.SceneSource{Camera: "cam", Scene: mkScene(withEvent)},
+					Source:  mkScene(withEvent).Source("cam"),
 					Policy:  pol,
 					Epsilon: 1e9,
 				}); err != nil {
@@ -273,7 +273,7 @@ func TestProcessFailureInjection(t *testing.T) {
 			e := New(Options{Seed: 1, Evaluation: true})
 			if err := e.RegisterCamera(CameraConfig{
 				Name:    "camA",
-				Source:  &video.SceneSource{Camera: "camA", Scene: s},
+				Source:  s.Source("camA"),
 				Policy:  policy.Policy{Rho: 25 * time.Second, K: 1},
 				Epsilon: 100,
 			}); err != nil {
@@ -306,7 +306,7 @@ func TestTimeoutFailureInjection(t *testing.T) {
 	e := New(Options{Seed: 1, Evaluation: true})
 	if err := e.RegisterCamera(CameraConfig{
 		Name:    "camA",
-		Source:  &video.SceneSource{Camera: "camA", Scene: s},
+		Source:  s.Source("camA"),
 		Policy:  policy.Policy{Rho: 25 * time.Second, K: 1},
 		Epsilon: 100,
 	}); err != nil {

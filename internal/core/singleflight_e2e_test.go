@@ -31,7 +31,7 @@ func newSingleflightEngine(t *testing.T, execs *atomic.Int64) *Engine {
 	e := New(Options{Seed: 1, Evaluation: true})
 	if err := e.RegisterCamera(CameraConfig{
 		Name:    "camA",
-		Source:  &video.SceneSource{Camera: "camA", Scene: countScene(10)},
+		Source:  countScene(10).Source("camA"),
 		Policy:  policy.Policy{Rho: 25 * time.Second, K: 1},
 		Epsilon: 100,
 	}); err != nil {
@@ -176,7 +176,7 @@ func TestSingleflightLeaderFailureHandoff(t *testing.T) {
 	e := New(Options{Seed: 1, Evaluation: true})
 	if err := e.RegisterCamera(CameraConfig{
 		Name:    "camA",
-		Source:  &video.SceneSource{Camera: "camA", Scene: countScene(10)},
+		Source:  countScene(10).Source("camA"),
 		Policy:  policy.Policy{Rho: 25 * time.Second, K: 1},
 		Epsilon: 100,
 	}); err != nil {

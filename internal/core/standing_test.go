@@ -7,7 +7,6 @@ import (
 
 	"privid/internal/policy"
 	"privid/internal/query"
-	"privid/internal/video"
 )
 
 const standingQuery = `
@@ -235,7 +234,7 @@ func TestStandingQueryRestartChaos(t *testing.T) {
 		}
 		if err := e.RegisterCamera(CameraConfig{
 			Name:    "camA",
-			Source:  &video.SceneSource{Camera: "camA", Scene: s},
+			Source:  s.Source("camA"),
 			Policy:  policy.Policy{Rho: 25 * time.Second, K: 1},
 			Epsilon: 10,
 		}); err != nil {

@@ -20,7 +20,7 @@ func walkScene(enter, exit, frames int64) *scene.Scene {
 	s := &scene.Scene{Name: "w", W: 1000, H: 100, FPS: 10, Frames: frames,
 		Start: time.Date(2021, 1, 1, 0, 0, 0, 0, time.UTC)}
 	s.Ents = []*scene.Entity{{
-		ID: 0, Class: scene.Person,
+		ID: 0, Class: video.Person,
 		Appearances: []scene.Appearance{{
 			Enter: enter, Exit: exit,
 			Traj: scene.NewPath(enter, exit, 20, 40, 1,
@@ -34,7 +34,7 @@ func walkScene(enter, exit, frames int64) *scene.Scene {
 
 func TestDetectorPerfect(t *testing.T) {
 	s := walkScene(0, 100, 100)
-	src := &video.SceneSource{Camera: "c", Scene: s}
+	src := s.Source("c")
 	d := NewDetector(perfectParams(), 1000, 100, 1)
 	for _, f := range []int64{0, 50, 99} {
 		dets := d.Detect(src.Frame(f))
@@ -45,14 +45,14 @@ func TestDetectorPerfect(t *testing.T) {
 			t.Errorf("true object flagged as false positive")
 		}
 	}
-	if dets := d.Detect(src.Frame(0)); dets[0].Class != scene.Person {
+	if dets := d.Detect(src.Frame(0)); dets[0].Class != video.Person {
 		t.Errorf("wrong class %v", dets[0].Class)
 	}
 }
 
 func TestDetectorMissRate(t *testing.T) {
 	s := walkScene(0, 5000, 5000)
-	src := &video.SceneSource{Camera: "c", Scene: s}
+	src := s.Source("c")
 	p := perfectParams()
 	p.Base = 0.7
 	d := NewDetector(p, 1000, 100, 42)
@@ -72,8 +72,8 @@ func TestDetectorCrowdPenalty(t *testing.T) {
 	mkFrame := func(n int) video.Frame {
 		f := video.Frame{Index: 0}
 		for i := 0; i < n; i++ {
-			f.Objects = append(f.Objects, scene.Observation{
-				EntityID: i, Class: scene.Person,
+			f.Objects = append(f.Objects, video.Observation{
+				EntityID: i, Class: video.Person,
 				Box: geom.RectAround(geom.Point{X: float64(30 * (i + 1)), Y: 50}, 20, 40),
 			})
 		}
@@ -98,9 +98,9 @@ func TestDetectorCrowdPenalty(t *testing.T) {
 }
 
 func TestDetectorIgnoresSceneElements(t *testing.T) {
-	f := video.Frame{Objects: []scene.Observation{
-		{EntityID: -1, Class: scene.TrafficLight, Box: geom.Rect{X0: 0, Y0: 0, X1: 40, Y1: 80}, State: "red"},
-		{EntityID: -1, Class: scene.Tree, Box: geom.Rect{X0: 100, Y0: 0, X1: 200, Y1: 80}},
+	f := video.Frame{Objects: []video.Observation{
+		{EntityID: -1, Class: video.TrafficLight, Box: geom.Rect{X0: 0, Y0: 0, X1: 40, Y1: 80}, State: "red"},
+		{EntityID: -1, Class: video.Tree, Box: geom.Rect{X0: 100, Y0: 0, X1: 200, Y1: 80}},
 	}}
 	d := NewDetector(perfectParams(), 1000, 100, 1)
 	if dets := d.Detect(f); len(dets) != 0 {
@@ -110,7 +110,7 @@ func TestDetectorIgnoresSceneElements(t *testing.T) {
 
 func TestTrackerSingleObject(t *testing.T) {
 	s := walkScene(0, 200, 200)
-	src := &video.SceneSource{Camera: "c", Scene: s}
+	src := s.Source("c")
 	d := NewDetector(perfectParams(), 1000, 100, 1)
 	trk := NewTracker(TrackerParams{IoUThreshold: 0.2, MaxAge: 10, MinHits: 3})
 	for f := int64(0); f < 200; f++ {
@@ -129,7 +129,7 @@ func TestTrackerBridgesGaps(t *testing.T) {
 	// Miss every other frame: with MaxAge large enough the tracker
 	// must produce a single track covering the full span.
 	s := walkScene(0, 300, 300)
-	src := &video.SceneSource{Camera: "c", Scene: s}
+	src := s.Source("c")
 	d := NewDetector(perfectParams(), 1000, 100, 1)
 	trk := NewTracker(TrackerParams{IoUThreshold: 0.15, MaxAge: 20, MinHits: 3})
 	for f := int64(0); f < 300; f++ {
@@ -152,8 +152,8 @@ func TestTrackerMinHits(t *testing.T) {
 	trk := NewTracker(TrackerParams{IoUThreshold: 0.3, MaxAge: 5, MinHits: 3})
 	// A detection seen only twice must be suppressed.
 	box := geom.Rect{X0: 10, Y0: 10, X1: 30, Y1: 30}
-	trk.Observe(0, []Detection{{Frame: 0, Box: box, Class: scene.Person}})
-	trk.Observe(1, []Detection{{Frame: 1, Box: box, Class: scene.Person}})
+	trk.Observe(0, []Detection{{Frame: 0, Box: box, Class: video.Person}})
+	trk.Observe(1, []Detection{{Frame: 1, Box: box, Class: video.Person}})
 	for f := int64(2); f < 20; f++ {
 		trk.Observe(f, nil)
 	}
@@ -168,8 +168,8 @@ func TestTrackerSeparatesDistantObjects(t *testing.T) {
 	b := geom.Rect{X0: 500, Y0: 500, X1: 520, Y1: 520}
 	for f := int64(0); f < 10; f++ {
 		trk.Observe(f, []Detection{
-			{Frame: f, Box: a, Class: scene.Person},
-			{Frame: f, Box: b, Class: scene.Person},
+			{Frame: f, Box: a, Class: video.Person},
+			{Frame: f, Box: b, Class: video.Person},
 		})
 	}
 	if tracks := trk.Flush(); len(tracks) != 2 {
@@ -183,12 +183,12 @@ func TestEstimateConservative(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		p := scene.Campus()
 		s := scene.Generate(p, seed, 10*time.Minute)
-		src := &video.SceneSource{Camera: "campus", Scene: s}
+		src := s.Source("campus")
 		gt := s.MaxDurationSeconds(s.Bounds())
 		if gt == 0 {
 			continue
 		}
-		rep := EstimateDurations(src, s.Bounds(), ParamsFor(p), TrackerParams{IoUThreshold: 0.2, MaxAge: 60, MinHits: 3, DistGate: 50}, seed, 1)
+		rep := EstimateDurations(src, s.Bounds(), ParamsFor(p), OwnerTracker(), seed, 1)
 		if rep.MaxSeconds < gt*0.9 {
 			t.Errorf("seed %d: CV estimate %.1fs < ground truth %.1fs", seed, rep.MaxSeconds, gt)
 		}

@@ -26,7 +26,7 @@ import (
 type Detection struct {
 	Frame int64
 	Box   geom.Rect
-	Class scene.Class
+	Class video.Class
 	Conf  float64
 	// FalsePositive marks spurious detections. It is ground-truth
 	// information available only because this is a simulator; the
@@ -137,7 +137,7 @@ func (d *Detector) Detect(f video.Frame) []Detection {
 		out = append(out, Detection{
 			Frame:         f.Index,
 			Box:           geom.RectAround(geom.Point{X: cx, Y: cy}, 30, 30),
-			Class:         scene.Person,
+			Class:         video.Person,
 			Conf:          0.5,
 			FalsePositive: true,
 		})

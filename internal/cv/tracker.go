@@ -30,6 +30,15 @@ type TrackerParams struct {
 	DistGate float64
 }
 
+// OwnerTracker is the owner's tracking configuration for choosing ρ
+// (Appendix A's tuned hyperparameters, one setting for all profiles).
+// MaxAge 150 frames bridges the long detection gaps of crowded urban
+// video; at worst it chains nearby objects, which only lengthens
+// estimates, the conservative direction Table 1 relies on.
+func OwnerTracker() TrackerParams {
+	return TrackerParams{IoUThreshold: 0.2, MaxAge: 150, MinHits: 3, DistGate: 50}
+}
+
 // Track is one completed trajectory.
 type Track struct {
 	ID    int

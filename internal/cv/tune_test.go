@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"privid/internal/scene"
-	"privid/internal/video"
 )
 
 func TestKSDistance(t *testing.T) {
@@ -43,7 +42,7 @@ func TestKSDistance(t *testing.T) {
 func TestTuneChoosesSaneParams(t *testing.T) {
 	p := scene.Campus()
 	s := scene.Generate(p, 3, 8*time.Minute)
-	src := &video.SceneSource{Camera: "campus", Scene: s}
+	src := s.Source("campus")
 
 	// The owner's manual annotation: ground-truth durations.
 	var gt []float64

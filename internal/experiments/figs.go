@@ -25,7 +25,7 @@ func runFig3(cfg Config) (*Summary, error) {
 	for _, p := range []scene.Profile{scene.Campus(), scene.Highway(), scene.Urban()} {
 		cs := setupCamera(p, cfg.Seed, window)
 		s := cs.scene
-		pres := mask.CollectPresence(s, cs.grid, s.Bounds(), int64(s.FPS))
+		pres := scene.CollectPresence(s, cs.grid, s.Bounds(), int64(s.FPS))
 		heat := mask.Heatmap(pres, cs.grid)
 
 		maxHeat := 0.0
@@ -90,8 +90,8 @@ func runFig4(cfg Config) (*Summary, error) {
 		cs := setupCamera(p, cfg.Seed, window)
 		s := cs.scene
 		stride := int64(s.FPS)
-		orig := mask.PersistenceUnderMask(s, nil, s.Bounds(), stride)
-		masked := mask.PersistenceUnderMask(s, lingerMask(p, cs.grid), s.Bounds(), stride)
+		orig := scene.PersistenceUnderMask(s, nil, s.Bounds(), stride)
+		masked := scene.PersistenceUnderMask(s, lingerMask(p, cs.grid), s.Bounds(), stride)
 		maxO, _ := mask.MaxVisible(orig)
 		maxM, retained := mask.MaxVisible(masked)
 		factor := 0.0

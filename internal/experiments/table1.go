@@ -5,7 +5,6 @@ import (
 
 	"privid/internal/cv"
 	"privid/internal/scene"
-	"privid/internal/video"
 )
 
 // runTable1 reproduces Table 1: despite missing a large fraction of
@@ -26,7 +25,7 @@ func runTable1(cfg Config) (*Summary, error) {
 		// columns with segment-length artifacts).
 		p.Parked = nil
 		s := sceneFor(p, cfg.Seed+7, dur)
-		src := &video.SceneSource{Camera: p.Name, Scene: s}
+		src := s.Source(p.Name)
 
 		// Defensively exclude near-full-segment appearances from both
 		// sides of the comparison as well.
@@ -48,7 +47,7 @@ func runTable1(cfg Config) (*Summary, error) {
 		}
 		gt := s.FPS.Seconds(gtFrames)
 
-		rep := cv.EstimateDurations(src, s.Bounds(), cv.ParamsFor(p), ownerTracker(), cfg.Seed, 1)
+		rep := cv.EstimateDurations(src, s.Bounds(), cv.ParamsFor(p), cv.OwnerTracker(), cfg.Seed, 1)
 		est := 0.0
 		for _, tr := range rep.Tracks {
 			if float64(tr.Frames()) >= full {

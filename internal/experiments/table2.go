@@ -5,7 +5,6 @@ import (
 
 	"privid/internal/region"
 	"privid/internal/scene"
-	"privid/internal/video"
 	"privid/internal/vtime"
 )
 
@@ -26,8 +25,8 @@ func runTable2(cfg Config) (*Summary, error) {
 			continue
 		}
 		s := sceneFor(p, cfg.Seed, window)
-		src := &video.SceneSource{Camera: p.Name, Scene: s}
-		sch := region.FromSpec(p.Schemes[0], p.W, p.H)
+		src := s.Source(p.Name)
+		sch := p.FrameSchemes()[p.Schemes[0].Name]
 		chunkFrames := int64(p.FPS) * 30
 		a := region.Analyze(src, sch, vtime.NewInterval(0, s.Frames), chunkFrames, int64(p.FPS))
 		cfg.printf("%-10s %12d %12d %9.2fx\n", p.Name, a.FrameMax, a.RegionMax, a.Reduction())

@@ -31,7 +31,7 @@ func runTable6(cfg Config) (*Summary, error) {
 		p := scene.Profiles()[name]
 		cs := setupCamera(p, cfg.Seed, dur)
 		s := cs.scene
-		pres := mask.CollectPresence(s, cs.grid, s.Bounds(), int64(s.FPS))
+		pres := scene.CollectPresence(s, cs.grid, s.Bounds(), int64(s.FPS))
 		if len(pres) == 0 {
 			continue
 		}

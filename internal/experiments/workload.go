@@ -13,23 +13,12 @@ import (
 	"privid/internal/mask"
 	"privid/internal/policy"
 	"privid/internal/query"
-	"privid/internal/region"
 	"privid/internal/sandbox"
 	"privid/internal/scene"
 	"privid/internal/table"
 	"privid/internal/video"
 	"privid/internal/vtime"
 )
-
-// ownerTracker is the owner-side tracking configuration (Appendix A's
-// tuned hyperparameters, one setting that works across our profiles).
-func ownerTracker() cv.TrackerParams {
-	// MaxAge 150 frames (15 s) bridges the long detection gaps of
-	// crowded, high-miss-rate video (urban) — at worst it chains
-	// nearby objects, which only lengthens duration estimates (the
-	// conservative direction Table 1 relies on).
-	return cv.TrackerParams{IoUThreshold: 0.2, MaxAge: 150, MinHits: 3, DistGate: 50}
-}
 
 // sceneCache memoizes generated scenes across experiments (generation
 // of a 12 h highway scene is the dominant setup cost).
@@ -100,7 +89,7 @@ func lingerMask(p scene.Profile, grid geom.Grid) *mask.Mask {
 // CV path bounds this conservatively).
 func rhoUnder(s *scene.Scene, m *mask.Mask) time.Duration {
 	stride := int64(s.FPS)
-	stats := mask.PersistenceUnderMask(s, m, s.Bounds(), stride)
+	stats := scene.PersistenceUnderMask(s, m, s.Bounds(), stride)
 	maxFrames, _ := mask.MaxVisible(stats)
 	secs := float64(maxFrames+1) * float64(stride) / float64(s.FPS)
 	return time.Duration(secs * float64(time.Second))
@@ -122,7 +111,7 @@ func setupCamera(p scene.Profile, seed int64, dur time.Duration) *camSetup {
 	cs := &camSetup{
 		profile: p,
 		scene:   s,
-		source:  &video.SceneSource{Camera: p.Name, Scene: s},
+		source:  s.Source(p.Name),
 		grid:    grid,
 	}
 	cs.policy = policy.Policy{Rho: rhoUnder(s, nil), K: k}
@@ -186,16 +175,8 @@ func registerSceneCamera(e *core.Engine, cs *camSetup) error {
 		Policy:   cs.policy,
 		Epsilon:  1e6,
 		Policies: cs.policyMap,
-		Schemes:  schemesOf(cs.profile),
+		Schemes:  cs.profile.FrameSchemes(),
 	})
-}
-
-func schemesOf(p scene.Profile) map[string]region.Scheme {
-	out := map[string]region.Scheme{}
-	for _, spec := range p.Schemes {
-		out[spec.Name] = region.FromSpec(spec, p.W, p.H)
-	}
-	return out
 }
 
 // Analyst processing code (registered as the query's "executables").
@@ -272,7 +253,7 @@ func treeReader() sandbox.ProcessFunc {
 	return func(chunk *video.Chunk) []table.Row {
 		var rows []table.Row
 		for _, o := range chunk.Frame(0).Objects {
-			if o.Class != scene.Tree {
+			if o.Class != video.Tree {
 				continue
 			}
 			v := 0.0
@@ -296,7 +277,7 @@ func redLightMeter(fps vtime.FrameRate) sandbox.ProcessFunc {
 		for f := int64(0); f < chunk.Len(); f++ {
 			state := ""
 			for _, o := range chunk.Frame(f).Objects {
-				if o.Class == scene.TrafficLight {
+				if o.Class == video.TrafficLight {
 					state = o.State
 					break
 				}

@@ -176,7 +176,7 @@ func testScene(minutes int) *scene.Scene {
 		enter := int64(i)*600 + 37
 		exit := enter + 200
 		s.Ents = append(s.Ents, &scene.Entity{
-			ID: i, Class: scene.Person,
+			ID: i, Class: video.Person,
 			Appearances: []scene.Appearance{{
 				Enter: enter, Exit: exit,
 				Traj: scene.NewPath(enter, exit, 20, 40, 1,
@@ -239,7 +239,7 @@ func (h *H) boot() {
 			name := CameraName(i)
 			cams = append(cams, core.CameraConfig{
 				Name:    name,
-				Source:  &video.SceneSource{Camera: name, Scene: testScene(h.Cfg.Minutes)},
+				Source:  testScene(h.Cfg.Minutes).Source(name),
 				Policy:  policy.Policy{Rho: 25 * time.Second, K: 1},
 				Epsilon: h.Cfg.Epsilon,
 			})

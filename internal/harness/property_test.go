@@ -40,7 +40,7 @@ func buildPropEngine(t *testing.T, dir string) *core.Engine {
 	for _, cam := range propCameras {
 		if err := e.RegisterCamera(core.CameraConfig{
 			Name:    cam,
-			Source:  &video.SceneSource{Camera: cam, Scene: testScene(propMinutes)},
+			Source:  testScene(propMinutes).Source(cam),
 			Policy:  policy.Policy{Rho: 25 * time.Second, K: 1},
 			Epsilon: propEpsilon,
 		}); err != nil {

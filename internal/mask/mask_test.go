@@ -1,18 +1,20 @@
-package mask
+package mask_test
 
 import (
 	"testing"
 	"time"
 
 	"privid/internal/geom"
+	"privid/internal/mask"
 	"privid/internal/scene"
+	"privid/internal/video"
 	"privid/internal/vtime"
 )
 
 func grid100() geom.Grid { return geom.NewGrid(100, 100, 10, 10) }
 
 func TestMaskBasics(t *testing.T) {
-	m := New(grid100())
+	m := mask.New(grid100())
 	if m.Count() != 0 || m.Fraction() != 0 {
 		t.Fatalf("new mask not empty")
 	}
@@ -32,7 +34,7 @@ func TestMaskBasics(t *testing.T) {
 
 func TestFromRectsAndCovered(t *testing.T) {
 	// Mask the left half of the frame.
-	m := FromRects(grid100(), geom.Rect{X0: 0, Y0: 0, X1: 50, Y1: 100})
+	m := mask.FromRects(grid100(), geom.Rect{X0: 0, Y0: 0, X1: 50, Y1: 100})
 	if m.Count() != 50 {
 		t.Fatalf("Count=%d, want 50", m.Count())
 	}
@@ -59,7 +61,7 @@ func TestFromRectsAndCovered(t *testing.T) {
 // TestCoveredFractionAllocatesNothing: every masked frame asks
 // CoveredFraction of every object, so the cell walk must not allocate.
 func TestCoveredFractionAllocatesNothing(t *testing.T) {
-	m := FromRects(grid100(), geom.Rect{X0: 0, Y0: 0, X1: 50, Y1: 100})
+	m := mask.FromRects(grid100(), geom.Rect{X0: 0, Y0: 0, X1: 50, Y1: 100})
 	box := geom.Rect{X0: 12, Y0: 7, X1: 68, Y1: 43} // 6×5 cells, half masked
 	var got float64
 	if n := testing.AllocsPerRun(100, func() { got = m.CoveredFraction(box) }); n != 0 {
@@ -71,7 +73,7 @@ func TestCoveredFractionAllocatesNothing(t *testing.T) {
 }
 
 func TestInvert(t *testing.T) {
-	m := FromRects(grid100(), geom.Rect{X0: 0, Y0: 0, X1: 30, Y1: 30})
+	m := mask.FromRects(grid100(), geom.Rect{X0: 0, Y0: 0, X1: 30, Y1: 30})
 	inv := m.Invert()
 	if m.Count()+inv.Count() != grid100().NumCells() {
 		t.Fatalf("invert counts: %d + %d != %d", m.Count(), inv.Count(), grid100().NumCells())
@@ -83,7 +85,7 @@ func TestInvert(t *testing.T) {
 }
 
 func TestClone(t *testing.T) {
-	m := New(grid100())
+	m := mask.New(grid100())
 	m.Set(geom.Cell{Col: 1, Row: 1})
 	c := m.Clone()
 	c.Set(geom.Cell{Col: 2, Row: 2})
@@ -100,7 +102,7 @@ func lingerScene() *scene.Scene {
 	id := 0
 	add := func(enter, exit int64, pts ...scene.Waypoint) {
 		s.Ents = append(s.Ents, &scene.Entity{
-			ID: id, Class: scene.Person,
+			ID: id, Class: video.Person,
 			Appearances: []scene.Appearance{{
 				Enter: enter, Exit: exit,
 				Traj: scene.NewPath(enter, exit, 8, 8, 1, pts...),
@@ -126,11 +128,11 @@ func lingerScene() *scene.Scene {
 func TestCollectPresenceAndHeatmap(t *testing.T) {
 	s := lingerScene()
 	g := grid100()
-	pres := CollectPresence(s, g, s.Bounds(), 10)
+	pres := scene.CollectPresence(s, g, s.Bounds(), 10)
 	if len(pres) != 21 {
 		t.Fatalf("presence tracks=%d, want 21", len(pres))
 	}
-	heat := Heatmap(pres, g)
+	heat := mask.Heatmap(pres, g)
 	// The bench cell must dominate the heatmap.
 	benchCell, _ := g.CellOf(geom.Point{X: 85, Y: 85})
 	benchHeat := heat[g.Index(benchCell)]
@@ -147,8 +149,8 @@ func TestCollectPresenceAndHeatmap(t *testing.T) {
 
 func TestPersistenceUnderMask(t *testing.T) {
 	s := lingerScene()
-	stats := PersistenceUnderMask(s, nil, s.Bounds(), 10)
-	maxNoMask, retained := MaxVisible(stats)
+	stats := scene.PersistenceUnderMask(s, nil, s.Bounds(), 10)
+	maxNoMask, retained := mask.MaxVisible(stats)
 	if retained != 1 {
 		t.Fatalf("no mask should retain all identities, got %v", retained)
 	}
@@ -156,9 +158,9 @@ func TestPersistenceUnderMask(t *testing.T) {
 		t.Fatalf("unmasked max persistence=%d, want ~1000 sampled frames", maxNoMask)
 	}
 	// Mask the bench corner: max persistence collapses to transits.
-	m := FromRects(grid100(), geom.Rect{X0: 70, Y0: 70, X1: 100, Y1: 100})
-	stats2 := PersistenceUnderMask(s, m, s.Bounds(), 10)
-	maxMasked, retained2 := MaxVisible(stats2)
+	m := mask.FromRects(grid100(), geom.Rect{X0: 70, Y0: 70, X1: 100, Y1: 100})
+	stats2 := scene.PersistenceUnderMask(s, m, s.Bounds(), 10)
+	maxMasked, retained2 := mask.MaxVisible(stats2)
 	if maxMasked > 40 {
 		t.Errorf("masked max persistence=%d, want ~20 (transit length)", maxMasked)
 	}
@@ -174,8 +176,8 @@ func TestPersistenceUnderMask(t *testing.T) {
 func TestGreedyOrder(t *testing.T) {
 	s := lingerScene()
 	g := grid100()
-	pres := CollectPresence(s, g, s.Bounds(), 10)
-	steps := GreedyOrder(pres, g)
+	pres := scene.CollectPresence(s, g, s.Bounds(), 10)
+	steps := mask.GreedyOrder(pres, g)
 	if len(steps) == 0 {
 		t.Fatal("no greedy steps")
 	}
@@ -210,9 +212,9 @@ func TestGreedyOrder(t *testing.T) {
 func TestMaskForTarget(t *testing.T) {
 	s := lingerScene()
 	g := grid100()
-	pres := CollectPresence(s, g, s.Bounds(), 10)
-	steps := GreedyOrder(pres, g)
-	m, st := MaskForTarget(steps, g, 40)
+	pres := scene.CollectPresence(s, g, s.Bounds(), 10)
+	steps := mask.GreedyOrder(pres, g)
+	m, st := mask.MaskForTarget(steps, g, 40)
 	if st.MaxPersistence > 40 {
 		t.Errorf("target not reached: %+v", st)
 	}
@@ -224,8 +226,8 @@ func TestMaskForTarget(t *testing.T) {
 func TestBuildPolicyMap(t *testing.T) {
 	s := lingerScene()
 	g := grid100()
-	pres := CollectPresence(s, g, s.Bounds(), 10)
-	pm := BuildPolicyMap("camA", pres, g, s.FPS, 10, 2, []float64{1, 2, 10})
+	pres := scene.CollectPresence(s, g, s.Bounds(), 10)
+	pm := mask.BuildPolicyMap("camA", pres, g, s.FPS, 10, 2, []float64{1, 2, 10})
 	if len(pm.Entries) != 3 {
 		t.Fatalf("%d entries, want 3", len(pm.Entries))
 	}
@@ -263,7 +265,7 @@ func TestPresenceClipping(t *testing.T) {
 	s := lingerScene()
 	g := grid100()
 	// Clip to a window covering only the first transit.
-	pres := CollectPresence(s, g, vtime.NewInterval(0, 250), 10)
+	pres := scene.CollectPresence(s, g, vtime.NewInterval(0, 250), 10)
 	if len(pres) != 1 {
 		t.Fatalf("clipped presence=%d tracks, want 1", len(pres))
 	}

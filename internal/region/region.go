@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"privid/internal/geom"
-	"privid/internal/scene"
 	"privid/internal/video"
 	"privid/internal/vtime"
 )
@@ -29,18 +28,6 @@ type Scheme struct {
 	Name    string
 	Hard    bool
 	Regions []Named
-}
-
-// FromSpec scales a profile's unit-coordinate region spec to a frame.
-func FromSpec(spec scene.RegionSpec, w, h float64) Scheme {
-	s := Scheme{Name: spec.Name, Hard: spec.Hard}
-	for _, r := range spec.Regions {
-		s.Regions = append(s.Regions, Named{
-			Name: r.Name,
-			Rect: geom.Rect{X0: r.Rect.X0 * w, Y0: r.Rect.Y0 * h, X1: r.Rect.X1 * w, Y1: r.Rect.Y1 * h},
-		})
-	}
-	return s
 }
 
 // Validate checks the scheme is non-empty with uniquely named,

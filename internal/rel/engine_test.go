@@ -58,7 +58,7 @@ func genEngine(t *testing.T) *core.Engine {
 	t.Cleanup(func() { _ = e.Close() })
 	if err := e.RegisterCamera(core.CameraConfig{
 		Name:    "cam",
-		Source:  &video.SceneSource{Camera: "cam", Scene: scene.Generate(scene.Campus(), 1, 5*time.Minute)},
+		Source:  scene.Generate(scene.Campus(), 1, 5*time.Minute).Source("cam"),
 		Policy:  policy.Policy{Rho: 20 * time.Second, K: 2},
 		Epsilon: 1e12,
 	}); err != nil {

@@ -25,7 +25,7 @@ func testChunk(t *testing.T) *video.Chunk {
 	s := &scene.Scene{Name: "t", W: 100, H: 100, FPS: 10, Frames: 1000,
 		Start: time.Date(2021, 1, 1, 0, 0, 0, 0, time.UTC)}
 	s.BuildIndex()
-	src := &video.SceneSource{Camera: "camA", Scene: s}
+	src := s.Source("camA")
 	sp := video.Split{Source: src, Interval: vtime.NewInterval(0, 1000), ChunkFrames: 100}
 	return sp.ChunkAt(0)
 }

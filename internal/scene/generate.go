@@ -7,13 +7,15 @@ import (
 	"time"
 
 	"privid/internal/geom"
+	"privid/internal/region"
+	"privid/internal/video"
 	"privid/internal/vtime"
 )
 
 // ClassArrivals configures the arrival process of one entity class:
 // a Poisson process whose rate is modulated by hour of day.
 type ClassArrivals struct {
-	Class   Class
+	Class   video.Class
 	PerHour float64     // mean arrivals per hour at diurnal weight 1.0
 	Diurnal [24]float64 // multiplicative weight per hour of day
 }
@@ -35,7 +37,7 @@ type Route struct {
 	Weight   float64
 	From, To Side
 	Via      []geom.Point // unit coordinates (0..1, 0..1)
-	Classes  []Class
+	Classes  []video.Class
 	// Entry/exit jitter along the edge, as a fraction range of the
 	// edge. Defaults to the whole edge when zero.
 	FromLo, FromHi float64
@@ -50,20 +52,6 @@ type ParkedSpec struct {
 	MedianParkSec float64
 	SigmaLog      float64
 	ManeuverSec   float64 // visible driving time on each side of the park
-}
-
-// RegionSpec is a named spatial-splitting scheme shipped with the
-// profile (Table 2 regions are defined per video by the owner).
-type RegionSpec struct {
-	Name    string
-	Hard    bool // true if entities never cross region boundaries
-	Regions []NamedRect
-}
-
-// NamedRect is one region of a splitting scheme.
-type NamedRect struct {
-	Name string
-	Rect geom.Rect // unit coordinates
 }
 
 // Profile fully parameterizes a synthetic camera scene.
@@ -87,14 +75,17 @@ type Profile struct {
 
 	Parked []ParkedSpec
 
-	SizeByClass map[Class][2]float64 // {w, h} pixels
-	Colors      []string             // vehicle color palette (weighted by position)
+	SizeByClass map[video.Class][2]float64 // {w, h} pixels
+	Colors      []string                   // vehicle color palette (weighted by position)
 
 	Lights    []Light
 	TreeCount int
 	TreeLeafy int // how many of the trees have leaves
 
-	Schemes []RegionSpec
+	// Schemes are the owner's spatial-splitting schemes (Table 2
+	// regions are defined per video), in unit coordinates (0..1, 0..1);
+	// FrameSchemes scales them to the frame.
+	Schemes []region.Scheme
 
 	// Detector calibration (consumed by internal/cv): per-frame
 	// detection probability for a typical object, and how much
@@ -102,6 +93,21 @@ type Profile struct {
 	// reported miss rates (campus 29%, highway 5%, urban 76%).
 	DetectBase  float64
 	CrowdFactor float64 // subtracted per log2(1+concurrent objects)
+}
+
+// FrameSchemes returns the profile's splitting schemes scaled to its
+// frame, keyed by name: the schemes a camera showing it registers.
+func (p Profile) FrameSchemes() map[string]region.Scheme {
+	out := make(map[string]region.Scheme, len(p.Schemes))
+	for _, sch := range p.Schemes {
+		scaled := region.Scheme{Name: sch.Name, Hard: sch.Hard}
+		for _, r := range sch.Regions {
+			r.Rect = geom.Rect{X0: r.Rect.X0 * p.W, Y0: r.Rect.Y0 * p.H, X1: r.Rect.X1 * p.W, Y1: r.Rect.Y1 * p.H}
+			scaled.Regions = append(scaled.Regions, r)
+		}
+		out[sch.Name] = scaled
+	}
+	return out
 }
 
 // DefaultStart is the wall-clock anchor used by the evaluation: 6am,
@@ -181,7 +187,7 @@ func (g *generator) placeTrees() {
 	}
 }
 
-func (g *generator) size(c Class) (w, h float64) {
+func (g *generator) size(c video.Class) (w, h float64) {
 	if dims, ok := g.p.SizeByClass[c]; ok {
 		return dims[0], dims[1]
 	}
@@ -220,7 +226,7 @@ func (g *generator) edgePoint(side Side, f float64) geom.Point {
 	}
 }
 
-func (g *generator) pickRoute(c Class) Route {
+func (g *generator) pickRoute(c video.Class) Route {
 	var eligible []Route
 	total := 0.0
 	for _, r := range g.p.Routes {
@@ -257,7 +263,7 @@ func (g *generator) edgeFraction(lo, hi float64) float64 {
 
 // buildPath constructs an appearance path along a route, optionally
 // dwelling at a linger spot partway through.
-func (g *generator) buildPath(c Class, route Route, enter, exit int64, linger *LingerSpot, lingerFrac float64) *Path {
+func (g *generator) buildPath(c video.Class, route Route, enter, exit int64, linger *LingerSpot, lingerFrac float64) *Path {
 	w, h := g.size(c)
 	from := g.edgePoint(route.From, g.edgeFraction(route.FromLo, route.FromHi))
 	to := g.edgePoint(route.To, g.edgeFraction(route.ToLo, route.ToHi))
@@ -299,7 +305,7 @@ func (g *generator) placeArrivals(dur time.Duration) {
 	}
 }
 
-func (g *generator) placeEntity(c Class, hour int, hourFrac float64) {
+func (g *generator) placeEntity(c video.Class, hour int, hourFrac float64) {
 	fps := float64(g.p.FPS)
 	enterSec := (float64(hour) + g.rng.Float64()*hourFrac) * 3600
 	enter := int64(enterSec * fps)
@@ -333,7 +339,7 @@ func (g *generator) placeEntity(c Class, hour int, hourFrac float64) {
 		EnterSide: route.From,
 		ExitSide:  route.To,
 	}
-	if c == Car || c == Boat {
+	if c == video.Car || c == video.Boat {
 		e.Color = g.color()
 		e.Plate = fmt.Sprintf("P%05X", e.ID)
 	}
@@ -384,7 +390,7 @@ func (g *generator) placeParked() {
 			if exit <= enter {
 				continue
 			}
-			w, h := g.size(Car)
+			w, h := g.size(video.Car)
 			spot := spec.Spot.Center().Add(geom.Point{
 				X: (g.rng.Float64() - 0.5) * spec.Spot.W() * 0.5,
 				Y: (g.rng.Float64() - 0.5) * spec.Spot.H() * 0.5,
@@ -394,7 +400,7 @@ func (g *generator) placeParked() {
 			mf := manSec / totalSec
 			e := &Entity{
 				ID:        g.newID(),
-				Class:     Car,
+				Class:     video.Car,
 				Color:     g.color(),
 				EnterSide: SideWest,
 				ExitSide:  SideEast,

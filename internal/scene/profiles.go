@@ -4,6 +4,8 @@ import (
 	"sort"
 
 	"privid/internal/geom"
+	"privid/internal/region"
+	"privid/internal/video"
 )
 
 // diurnal builds a 24-entry hour-of-day weight table from (hour,
@@ -65,8 +67,8 @@ func Campus() Profile {
 	return Profile{
 		Name: "campus", W: 1280, H: 720, FPS: 10, MPHPerPxSec: 0.035,
 		Arrivals: []ClassArrivals{
-			{Class: Person, PerHour: 110, Diurnal: day},
-			{Class: Bike, PerHour: 12, Diurnal: day},
+			{Class: video.Person, PerHour: 110, Diurnal: day},
+			{Class: video.Bike, PerHour: 12, Diurnal: day},
 		},
 		Routes: []Route{
 			// Two crosswalks (left and right), the Table 2 regions.
@@ -81,15 +83,15 @@ func Campus() Profile {
 			{Rect: geom.Rect{X0: 80, Y0: 560, X1: 260, Y1: 680}, MedianSec: 500, SigmaLog: 0.6},
 		},
 		ReturnProb: 0.08, ReturnGapMedSec: 1800,
-		SizeByClass: map[Class][2]float64{
-			Person: {26, 64}, Bike: {40, 55},
+		SizeByClass: map[video.Class][2]float64{
+			video.Person: {26, 64}, video.Bike: {40, 55},
 		},
 		Lights: []Light{
 			{Box: geom.Rect{X0: 420, Y0: 50, X1: 455, Y1: 130}, RedSec: 75, GreenSec: 45, PhaseSec: 20},
 		},
 		TreeCount: 15, TreeLeafy: 15,
-		Schemes: []RegionSpec{
-			{Name: "crosswalks", Regions: []NamedRect{
+		Schemes: []region.Scheme{
+			{Name: "crosswalks", Regions: []region.Named{
 				{Name: "xwalk-west", Rect: geom.Rect{X0: 0, Y0: 0, X1: 0.5, Y1: 1}},
 				{Name: "xwalk-east", Rect: geom.Rect{X0: 0.5, Y0: 0, X1: 1, Y1: 1}},
 			}},
@@ -107,7 +109,7 @@ func Highway() Profile {
 	return Profile{
 		Name: "highway", W: 1280, H: 720, FPS: 10, MPHPerPxSec: 0.38,
 		Arrivals: []ClassArrivals{
-			{Class: Car, PerHour: 3900, Diurnal: day},
+			{Class: video.Car, PerHour: 3900, Diurnal: day},
 		},
 		Routes: []Route{
 			// Eastbound in the top half, westbound in the bottom half —
@@ -119,14 +121,14 @@ func Highway() Profile {
 		Parked: []ParkedSpec{
 			{Spot: geom.Rect{X0: 1060, Y0: 620, X1: 1270, Y1: 710}, Count: 14, MedianParkSec: 5400, SigmaLog: 0.7, ManeuverSec: 25},
 		},
-		SizeByClass: map[Class][2]float64{Car: {80, 45}},
+		SizeByClass: map[video.Class][2]float64{video.Car: {80, 45}},
 		Colors:      carPalette,
 		Lights: []Light{
 			{Box: geom.Rect{X0: 620, Y0: 30, X1: 660, Y1: 110}, RedSec: 50, GreenSec: 70, PhaseSec: 10},
 		},
 		TreeCount: 7, TreeLeafy: 3,
-		Schemes: []RegionSpec{
-			{Name: "directions", Hard: true, Regions: []NamedRect{
+		Schemes: []region.Scheme{
+			{Name: "directions", Hard: true, Regions: []region.Named{
 				{Name: "eastbound", Rect: geom.Rect{X0: 0, Y0: 0, X1: 1, Y1: 0.5}},
 				{Name: "westbound", Rect: geom.Rect{X0: 0, Y0: 0.5, X1: 1, Y1: 1}},
 			}},
@@ -145,15 +147,15 @@ func Urban() Profile {
 	return Profile{
 		Name: "urban", W: 1280, H: 720, FPS: 10, MPHPerPxSec: 0.05,
 		Arrivals: []ClassArrivals{
-			{Class: Person, PerHour: 3400, Diurnal: day},
-			{Class: Car, PerHour: 420, Diurnal: day},
+			{Class: video.Person, PerHour: 3400, Diurnal: day},
+			{Class: video.Car, PerHour: 420, Diurnal: day},
 		},
 		Routes: []Route{
-			{Weight: 1, From: SideSouth, To: SideNorth, Via: []geom.Point{xw(0.2, 0.5)}, FromLo: 0.1, FromHi: 0.3, ToLo: 0.1, ToHi: 0.3, Classes: []Class{Person}},
-			{Weight: 1, From: SideNorth, To: SideSouth, Via: []geom.Point{xw(0.4, 0.5)}, FromLo: 0.3, FromHi: 0.5, ToLo: 0.3, ToHi: 0.5, Classes: []Class{Person}},
-			{Weight: 1, From: SideSouth, To: SideNorth, Via: []geom.Point{xw(0.6, 0.5)}, FromLo: 0.5, FromHi: 0.7, ToLo: 0.5, ToHi: 0.7, Classes: []Class{Person}},
-			{Weight: 1, From: SideNorth, To: SideSouth, Via: []geom.Point{xw(0.8, 0.5)}, FromLo: 0.7, FromHi: 0.9, ToLo: 0.7, ToHi: 0.9, Classes: []Class{Person}},
-			{Weight: 1, From: SideWest, To: SideEast, FromLo: 0.45, FromHi: 0.55, ToLo: 0.45, ToHi: 0.55, Classes: []Class{Car}},
+			{Weight: 1, From: SideSouth, To: SideNorth, Via: []geom.Point{xw(0.2, 0.5)}, FromLo: 0.1, FromHi: 0.3, ToLo: 0.1, ToHi: 0.3, Classes: []video.Class{video.Person}},
+			{Weight: 1, From: SideNorth, To: SideSouth, Via: []geom.Point{xw(0.4, 0.5)}, FromLo: 0.3, FromHi: 0.5, ToLo: 0.3, ToHi: 0.5, Classes: []video.Class{video.Person}},
+			{Weight: 1, From: SideSouth, To: SideNorth, Via: []geom.Point{xw(0.6, 0.5)}, FromLo: 0.5, FromHi: 0.7, ToLo: 0.5, ToHi: 0.7, Classes: []video.Class{video.Person}},
+			{Weight: 1, From: SideNorth, To: SideSouth, Via: []geom.Point{xw(0.8, 0.5)}, FromLo: 0.7, FromHi: 0.9, ToLo: 0.7, ToHi: 0.9, Classes: []video.Class{video.Person}},
+			{Weight: 1, From: SideWest, To: SideEast, FromLo: 0.45, FromHi: 0.55, ToLo: 0.45, ToHi: 0.55, Classes: []video.Class{video.Car}},
 		},
 		DwellMedianSec: 24, DwellSigmaLog: 0.4,
 		LingerProb: 0.003,
@@ -166,16 +168,16 @@ func Urban() Profile {
 			{Rect: geom.Rect{X0: 5, Y0: 550, X1: 205, Y1: 690}, MedianSec: 420, SigmaLog: 0.55},
 		},
 		ReturnProb: 0.05, ReturnGapMedSec: 2400,
-		SizeByClass: map[Class][2]float64{
-			Person: {14, 34}, Car: {60, 36},
+		SizeByClass: map[video.Class][2]float64{
+			video.Person: {14, 34}, video.Car: {60, 36},
 		},
 		Colors: carPalette,
 		Lights: []Light{
 			{Box: geom.Rect{X0: 900, Y0: 40, X1: 935, Y1: 120}, RedSec: 100, GreenSec: 60, PhaseSec: 0},
 		},
 		TreeCount: 6, TreeLeafy: 4,
-		Schemes: []RegionSpec{
-			{Name: "crosswalks", Regions: []NamedRect{
+		Schemes: []region.Scheme{
+			{Name: "crosswalks", Regions: []region.Named{
 				{Name: "xwalk-1", Rect: geom.Rect{X0: 0, Y0: 0, X1: 0.25, Y1: 1}},
 				{Name: "xwalk-2", Rect: geom.Rect{X0: 0.25, Y0: 0, X1: 0.5, Y1: 1}},
 				{Name: "xwalk-3", Rect: geom.Rect{X0: 0.5, Y0: 0, X1: 0.75, Y1: 1}},
@@ -188,13 +190,13 @@ func Urban() Profile {
 
 // extended returns a parameter-variant profile used by the Table 6 /
 // Fig. 11 extended masking evaluation (BlazeIt and MIRIS videos).
-func extended(name string, class Class, perHour, dwellMed float64, lingerProb, lingerMed float64, spots []geom.Rect, detect float64) Profile {
+func extended(name string, class video.Class, perHour, dwellMed float64, lingerProb, lingerMed float64, spots []geom.Rect, detect float64) Profile {
 	var ls []LingerSpot
 	for _, r := range spots {
 		ls = append(ls, LingerSpot{Rect: r, MedianSec: lingerMed, SigmaLog: 0.6})
 	}
-	sizes := map[Class][2]float64{
-		Person: {18, 44}, Car: {70, 40}, Boat: {110, 50}, Bike: {36, 50},
+	sizes := map[video.Class][2]float64{
+		video.Person: {18, 44}, video.Car: {70, 40}, video.Boat: {110, 50}, video.Bike: {36, 50},
 	}
 	return Profile{
 		Name: name, W: 1280, H: 720, FPS: 10, MPHPerPxSec: 0.05,
@@ -215,7 +217,7 @@ func extended(name string, class Class, perHour, dwellMed float64, lingerProb, l
 // masking is less selective — the paper retains only 26.7% of
 // identities there).
 func GrandCanal() Profile {
-	return extended("grand-canal", Boat, 140, 60, 0.25, 2500, []geom.Rect{
+	return extended("grand-canal", video.Boat, 140, 60, 0.25, 2500, []geom.Rect{
 		{X0: 100, Y0: 450, X1: 600, Y1: 700},
 		{X0: 700, Y0: 430, X1: 1200, Y1: 700},
 	}, 0.85)
@@ -224,7 +226,7 @@ func GrandCanal() Profile {
 // VeniceRialto returns the BlazeIt venice-rialto profile: busier boat
 // traffic with one concentrated mooring area.
 func VeniceRialto() Profile {
-	return extended("venice-rialto", Boat, 260, 45, 0.05, 3500, []geom.Rect{
+	return extended("venice-rialto", video.Boat, 260, 45, 0.05, 3500, []geom.Rect{
 		{X0: 1050, Y0: 500, X1: 1270, Y1: 710},
 	}, 0.88)
 }
@@ -232,7 +234,7 @@ func VeniceRialto() Profile {
 // Taipei returns the BlazeIt taipei profile: a busy road with a
 // bus-stop lingering area.
 func Taipei() Profile {
-	return extended("taipei", Car, 1500, 14, 0.01, 2000, []geom.Rect{
+	return extended("taipei", video.Car, 1500, 14, 0.01, 2000, []geom.Rect{
 		{X0: 60, Y0: 560, X1: 340, Y1: 700},
 	}, 0.9)
 }
@@ -240,7 +242,7 @@ func Taipei() Profile {
 // Shibuya returns the MIRIS shibuya profile: dense pedestrian crossing
 // with a small waiting area.
 func Shibuya() Profile {
-	return extended("shibuya", Person, 2600, 30, 0.006, 1400, []geom.Rect{
+	return extended("shibuya", video.Person, 2600, 30, 0.006, 1400, []geom.Rect{
 		{X0: 560, Y0: 600, X1: 760, Y1: 710},
 	}, 0.55)
 }
@@ -248,7 +250,7 @@ func Shibuya() Profile {
 // Beach returns the MIRIS beach profile: sparse strollers plus
 // sunbathers who stay for a long time in one band of the frame.
 func Beach() Profile {
-	return extended("beach", Person, 110, 90, 0.1, 2200, []geom.Rect{
+	return extended("beach", video.Person, 110, 90, 0.1, 2200, []geom.Rect{
 		{X0: 200, Y0: 400, X1: 1100, Y1: 560},
 	}, 0.8)
 }
@@ -256,7 +258,7 @@ func Beach() Profile {
 // Warsaw returns the MIRIS warsaw profile: an intersection with cars
 // queueing at a stop line.
 func Warsaw() Profile {
-	return extended("warsaw", Car, 800, 20, 0.015, 1500, []geom.Rect{
+	return extended("warsaw", video.Car, 800, 20, 0.015, 1500, []geom.Rect{
 		{X0: 420, Y0: 300, X1: 700, Y1: 420},
 	}, 0.85)
 }
@@ -265,7 +267,7 @@ func Warsaw() Profile {
 // parking lot occupying much of the frame (40% of boxes masked in
 // Table 6).
 func UAV() Profile {
-	return extended("uav", Car, 420, 25, 0.12, 1800, []geom.Rect{
+	return extended("uav", video.Car, 420, 25, 0.12, 1800, []geom.Rect{
 		{X0: 100, Y0: 100, X1: 700, Y1: 600},
 	}, 0.82)
 }

@@ -14,64 +14,14 @@
 package scene
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
 	"privid/internal/geom"
+	"privid/internal/mask"
+	"privid/internal/video"
 	"privid/internal/vtime"
 )
-
-// Class is the semantic class of an entity or scene element.
-type Class int
-
-const (
-	// Person is a pedestrian (a private object).
-	Person Class = iota
-	// Car is a motor vehicle (a private object; the paper protects
-	// vehicles because they can identify their driver).
-	Car
-	// Bike is a bicycle (private).
-	Bike
-	// Boat is a watercraft (private; the Venice profiles use it).
-	Boat
-	// TrafficLight is a fixed signal head (not private).
-	TrafficLight
-	// Tree is fixed vegetation (not private).
-	Tree
-)
-
-// String implements fmt.Stringer.
-func (c Class) String() string {
-	switch c {
-	case Person:
-		return "person"
-	case Car:
-		return "car"
-	case Bike:
-		return "bike"
-	case Boat:
-		return "boat"
-	case TrafficLight:
-		return "light"
-	case Tree:
-		return "tree"
-	default:
-		return fmt.Sprintf("class(%d)", int(c))
-	}
-}
-
-// Private reports whether the class identifies an individual and is
-// therefore covered by the video owner's privacy goal (§5.2: all
-// people and vehicles).
-func (c Class) Private() bool {
-	switch c {
-	case Person, Car, Bike, Boat:
-		return true
-	default:
-		return false
-	}
-}
 
 // Side identifies a frame edge; Q13 filters entities by the edges they
 // enter and exit through.
@@ -123,7 +73,7 @@ func (a Appearance) Interval() vtime.Interval {
 // Entity is one distinct private object observed by the camera.
 type Entity struct {
 	ID          int
-	Class       Class
+	Class       video.Class
 	Color       string // vehicle color, e.g. "RED" (empty for people)
 	Plate       string // unique license plate (vehicles only)
 	EnterSide   Side   // edge the entity first enters through
@@ -151,17 +101,6 @@ func (e *Entity) MaxSegmentFrames() int64 {
 		}
 	}
 	return m
-}
-
-// Observation is what the camera sees of one object in one frame.
-type Observation struct {
-	EntityID int
-	Class    Class
-	Box      geom.Rect
-	Color    string
-	Plate    string
-	Speed    float64 // instantaneous ground speed, mph (vehicles)
-	State    string  // scene-element state: "red"/"green", "leaves"/"bare"
 }
 
 // Light is a traffic signal with a fixed red/green cycle.
@@ -217,14 +156,8 @@ type appRef struct {
 	app int
 }
 
-// Clock returns the scene's wall-clock anchoring.
-func (s *Scene) Clock() vtime.Clock { return vtime.Clock{Start: s.Start, Rate: s.FPS} }
-
 // Bounds returns the full frame interval of the scene.
 func (s *Scene) Bounds() vtime.Interval { return vtime.NewInterval(0, s.Frames) }
-
-// Duration returns the wall-clock length of the scene.
-func (s *Scene) Duration() time.Duration { return s.FPS.Duration(s.Frames) }
 
 // BuildIndex (re)builds the time-bucketed appearance index. Generate
 // calls it automatically; call it again after mutating Ents.
@@ -251,8 +184,8 @@ func (s *Scene) BuildIndex() {
 // entities currently on screen plus static scene elements (lights with
 // their current state, trees). Results are ordered by entity ID with
 // scene elements last, so output is deterministic.
-func (s *Scene) At(frame int64) []Observation {
-	var out []Observation
+func (s *Scene) At(frame int64) []video.Observation {
+	var out []video.Observation
 	if frame >= 0 && frame < s.Frames && s.buckets != nil {
 		b := frame / s.bucketLen
 		if b < int64(len(s.buckets)) {
@@ -262,7 +195,7 @@ func (s *Scene) At(frame int64) []Observation {
 					continue
 				}
 				box := a.Traj.Box(frame)
-				out = append(out, Observation{
+				out = append(out, video.Observation{
 					EntityID: ref.ent.ID,
 					Class:    ref.ent.Class,
 					Box:      box,
@@ -275,9 +208,9 @@ func (s *Scene) At(frame int64) []Observation {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].EntityID < out[j].EntityID })
 	for _, l := range s.Lights {
-		out = append(out, Observation{
+		out = append(out, video.Observation{
 			EntityID: -1,
-			Class:    TrafficLight,
+			Class:    video.TrafficLight,
 			Box:      l.Box,
 			State:    l.StateAt(frame, s.FPS),
 		})
@@ -287,9 +220,9 @@ func (s *Scene) At(frame int64) []Observation {
 		if tr.Leaves {
 			state = "leaves"
 		}
-		out = append(out, Observation{
+		out = append(out, video.Observation{
 			EntityID: -1,
-			Class:    Tree,
+			Class:    video.Tree,
 			Box:      tr.Box,
 			State:    state,
 		})
@@ -297,32 +230,24 @@ func (s *Scene) At(frame int64) []Observation {
 	return out
 }
 
-// GroundTruth summarizes one appearance for evaluation: who, when, and
-// the trajectory. The paper's manual annotation records exactly this.
-type GroundTruth struct {
-	EntityID   int
-	Class      Class
-	Appearance int
-	Interval   vtime.Interval
+// Source returns the scene as the named camera's stream: frame i shows
+// At(i).
+func (s *Scene) Source(camera string) video.Source {
+	return &source{camera: camera, s: s}
 }
 
-// GroundTruthTracks returns every private appearance in the scene.
-func (s *Scene) GroundTruthTracks() []GroundTruth {
-	var out []GroundTruth
-	for _, e := range s.Ents {
-		if !e.Class.Private() {
-			continue
-		}
-		for i, a := range e.Appearances {
-			out = append(out, GroundTruth{
-				EntityID:   e.ID,
-				Class:      e.Class,
-				Appearance: i,
-				Interval:   a.Interval(),
-			})
-		}
-	}
-	return out
+type source struct {
+	camera string
+	s      *Scene
+}
+
+func (src *source) Info() video.Info {
+	s := src.s
+	return video.Info{Camera: src.camera, W: s.W, H: s.H, FPS: s.FPS, Start: s.Start, Frames: s.Frames}
+}
+
+func (src *source) Frame(i int64) video.Frame {
+	return video.Frame{Index: i, Objects: src.s.At(i)}
 }
 
 // MaxDurationSeconds returns the ground-truth maximum single-appearance
@@ -362,4 +287,72 @@ func (s *Scene) MaxK(iv vtime.Interval) int {
 		}
 	}
 	return m
+}
+
+// CollectPresence samples every stride-th frame of each private
+// appearance in s within iv and records the grid cells its box
+// intersects. stride trades resolution for speed; persistence values
+// derived from the result are in units of sampled frames.
+func CollectPresence(s *Scene, grid geom.Grid, iv vtime.Interval, stride int64) []mask.TrackPresence {
+	if stride < 1 {
+		stride = 1
+	}
+	var out []mask.TrackPresence
+	for _, e := range s.Ents {
+		if !e.Class.Private() {
+			continue
+		}
+		for ai, a := range e.Appearances {
+			clip := a.Interval().Intersect(iv)
+			if clip.Empty() {
+				continue
+			}
+			tp := mask.TrackPresence{EntityID: e.ID, Appearance: ai}
+			for f := clip.Start; f < clip.End; f += stride {
+				fp := mask.FramePresence{Frame: f}
+				for c := range grid.Cells(a.Traj.Box(f)) {
+					fp.Cells = append(fp.Cells, int32(grid.Index(c)))
+				}
+				if len(fp.Cells) > 0 {
+					tp.Frames = append(tp.Frames, fp)
+				}
+			}
+			if len(tp.Frames) > 0 {
+				out = append(out, tp)
+			}
+		}
+	}
+	return out
+}
+
+// PersistenceUnderMask evaluates, for every private appearance in s
+// within iv, how many sampled frames remain visible under mask m using
+// the area-based visibility rule (the same rule the engine's masked
+// sources apply). A nil mask hides nothing. The result backs the
+// Fig. 4 persistence histograms.
+func PersistenceUnderMask(s *Scene, m *mask.Mask, iv vtime.Interval, stride int64) []mask.PersistenceStat {
+	if stride < 1 {
+		stride = 1
+	}
+	var out []mask.PersistenceStat
+	for _, e := range s.Ents {
+		if !e.Class.Private() {
+			continue
+		}
+		for ai, a := range e.Appearances {
+			clip := a.Interval().Intersect(iv)
+			if clip.Empty() {
+				continue
+			}
+			st := mask.PersistenceStat{EntityID: e.ID, Appearance: ai}
+			for f := clip.Start; f < clip.End; f += stride {
+				st.TotalFrames++
+				if m == nil || m.Visible(a.Traj.Box(f)) {
+					st.VisibleFrames++
+				}
+			}
+			out = append(out, st)
+		}
+	}
+	return out
 }

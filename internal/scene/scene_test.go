@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"privid/internal/geom"
+	"privid/internal/region"
+	"privid/internal/video"
 	"privid/internal/vtime"
 )
 
@@ -108,7 +110,7 @@ func TestGenerateVolumes(t *testing.T) {
 	campus := Generate(Campus(), 1, 12*time.Hour)
 	people := 0
 	for _, e := range campus.Ents {
-		if e.Class == Person {
+		if e.Class == video.Person {
 			people++
 		}
 	}
@@ -119,7 +121,7 @@ func TestGenerateVolumes(t *testing.T) {
 	hw := Generate(Highway(), 1, 12*time.Hour)
 	cars := 0
 	for _, e := range hw.Ents {
-		if e.Class == Car {
+		if e.Class == video.Car {
 			cars++
 		}
 	}
@@ -144,12 +146,12 @@ func TestAtVisibility(t *testing.T) {
 		var lights, trees int
 		for _, o := range obs {
 			switch o.Class {
-			case TrafficLight:
+			case video.TrafficLight:
 				lights++
 				if o.State != "red" && o.State != "green" {
 					t.Errorf("bad light state %q", o.State)
 				}
-			case Tree:
+			case video.Tree:
 				trees++
 			}
 		}
@@ -191,7 +193,7 @@ func TestAtMatchesAppearances(t *testing.T) {
 func TestMaxDurationAndK(t *testing.T) {
 	s := &Scene{Name: "t", W: 100, H: 100, FPS: 10, Frames: 10000}
 	mk := func(id int, ivs ...[2]int64) *Entity {
-		e := &Entity{ID: id, Class: Person}
+		e := &Entity{ID: id, Class: video.Person}
 		for _, iv := range ivs {
 			e.Appearances = append(e.Appearances, Appearance{
 				Enter: iv[0], Exit: iv[1],
@@ -229,7 +231,7 @@ func TestHeavyTail(t *testing.T) {
 	s := Generate(Campus(), 11, 12*time.Hour)
 	var durs []int64
 	for _, e := range s.Ents {
-		if e.Class == Person {
+		if e.Class == video.Person {
 			durs = append(durs, e.MaxSegmentFrames())
 		}
 	}
@@ -286,16 +288,45 @@ func TestProfilesComplete(t *testing.T) {
 	}
 }
 
-func TestClassStringsAndPrivacy(t *testing.T) {
-	if !Person.Private() || !Car.Private() || !Bike.Private() || !Boat.Private() {
-		t.Errorf("individual classes must be private")
+func TestFrameSchemesScaling(t *testing.T) {
+	p := Profile{W: 1280, H: 720, Schemes: []region.Scheme{{Name: "halves", Hard: true, Regions: []region.Named{
+		{Name: "left", Rect: geom.Rect{X0: 0, Y0: 0, X1: 0.5, Y1: 1}},
+		{Name: "right", Rect: geom.Rect{X0: 0.5, Y0: 0, X1: 1, Y1: 1}},
+	}}}}
+	s, ok := p.FrameSchemes()["halves"]
+	if !ok || !s.Hard || len(s.Regions) != 2 {
+		t.Fatalf("scheme: %+v", s)
 	}
-	if TrafficLight.Private() || Tree.Private() {
-		t.Errorf("scene elements must not be private")
+	if s.Regions[0].Rect != (geom.Rect{X0: 0, Y0: 0, X1: 640, Y1: 720}) {
+		t.Errorf("left rect: %v", s.Regions[0].Rect)
 	}
-	for _, c := range []Class{Person, Car, Bike, Boat, TrafficLight, Tree} {
-		if c.String() == "" {
-			t.Errorf("empty String for %d", c)
-		}
+	if err := s.Validate(); err != nil {
+		t.Errorf("valid scheme rejected: %v", err)
+	}
+	if p.Schemes[0].Regions[0].Rect.X1 != 0.5 {
+		t.Errorf("scaling wrote through to the profile: %v", p.Schemes[0].Regions[0].Rect)
+	}
+}
+
+func TestSceneSource(t *testing.T) {
+	s := &Scene{Name: "t", W: 100, H: 100, FPS: 10, Frames: 1000,
+		Start: time.Date(2021, 1, 1, 0, 0, 0, 0, time.UTC)}
+	for id, iv := range [][2]int64{{100, 200}, {150, 400}} {
+		s.Ents = append(s.Ents, &Entity{ID: id, Class: video.Person, Appearances: []Appearance{{
+			Enter: iv[0], Exit: iv[1],
+			Traj: NewPath(iv[0], iv[1], 10, 10, 1, Waypoint{T: 0, P: geom.Point{X: 50, Y: 50}}, Waypoint{T: 1, P: geom.Point{X: 50, Y: 50}}),
+		}}})
+	}
+	s.BuildIndex()
+	src := s.Source("camA")
+	info := src.Info()
+	if info.Camera != "camA" || info.Frames != 1000 || info.FPS != 10 || !info.Start.Equal(s.Start) {
+		t.Fatalf("bad info: %+v", info)
+	}
+	if got := len(src.Frame(50).Objects); got != 0 {
+		t.Errorf("frame 50 has %d objects, want 0", got)
+	}
+	if f := src.Frame(160); f.Index != 160 || len(f.Objects) != 2 {
+		t.Errorf("frame 160 = index %d with %d objects, want 160 with 2", f.Index, len(f.Objects))
 	}
 }

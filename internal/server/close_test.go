@@ -26,7 +26,7 @@ func newSlowEngine(t *testing.T) (e *core.Engine, release chan struct{}, started
 	s := scene.Generate(scene.Campus(), 1, 10*time.Minute)
 	if err := e.RegisterCamera(core.CameraConfig{
 		Name:    "campus",
-		Source:  &video.SceneSource{Camera: "campus", Scene: s},
+		Source:  s.Source("campus"),
 		Policy:  policy.Policy{Rho: time.Minute, K: 2},
 		Epsilon: 100,
 	}); err != nil {

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"privid/internal/core"
 )
 
 // TestPruneKeepsLiveJobsInOrder: at MaxFinishedJobs = 3, pruning drops
@@ -14,9 +16,10 @@ import (
 // submission order. The reference model is that rule written out.
 func TestPruneKeepsLiveJobsInOrder(t *testing.T) {
 	const maxFinished = 3
+	engine := core.New(core.Options{MaxFinishedJobs: maxFinished, DisableMetrics: true})
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		s := &Scheduler{opts: SchedulerOptions{MaxFinishedJobs: maxFinished}, jobs: map[string]*job{}}
+		s := &Scheduler{engine: engine, jobs: map[string]*job{}}
 		var ref []string // every retained id, submission order
 		done := map[string]bool{}
 		var live []string

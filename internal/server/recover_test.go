@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"privid/internal/core"
+	"privid/internal/store"
 	"privid/internal/table"
 	"privid/internal/video"
 )
@@ -87,6 +88,44 @@ func TestLegacyJobRecordsAdopted(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("recovered bodies drifted from %s:\ngot:\n%s", golden, got.Bytes())
+	}
+}
+
+// TestRestartKeepsEveryRetainedJob: one MaxFinishedJobs bounds both the
+// scheduler's job table and the WAL, so with a bound above the store's
+// own default of 1000, a restart still serves every retained job.
+func TestRestartKeepsEveryRetainedJob(t *testing.T) {
+	const n = 1050
+	opts := core.Options{StateDir: t.TempDir(), MaxFinishedJobs: n}
+	e, err := core.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]store.Record, n)
+	for i := range recs {
+		recs[i].Job = &store.JobRecord{ID: fmt.Sprintf("q-%06d", i+1), Analyst: "a", Query: "q", State: string(JobFailed), Error: "denied"}
+	}
+	if err := e.StateStore().Commit(recs...); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	e, err = core.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = e.Close() })
+	sched := NewScheduler(e, SchedulerOptions{Workers: 1})
+	t.Cleanup(sched.Close)
+	if got := len(sched.Jobs("")); got != n {
+		t.Fatalf("%d jobs recovered, want %d", got, n)
+	}
+	ts := httptest.NewServer(NewAPI(e, sched))
+	t.Cleanup(ts.Close)
+	if status, body := getBody(t, ts.URL+"/v1/queries/q-000001"); status != http.StatusOK {
+		t.Errorf("oldest retained job: %d %s", status, body)
 	}
 }
 

@@ -54,10 +54,6 @@ type SchedulerOptions struct {
 	// analysts; submissions beyond it are refused with ErrQueueFull.
 	// 0 uses 256.
 	QueueDepth int
-	// MaxFinishedJobs bounds how many terminal (done/failed) jobs the
-	// scheduler retains for polling; the oldest are dropped beyond it,
-	// so a long-running server's memory stays bounded. 0 uses 1000.
-	MaxFinishedJobs int
 	// SlowQueryLog receives one JSON line (obs.SlowEntry) per terminal
 	// job whose execution took at least SlowQueryThreshold. nil disables
 	// the slow-query log.
@@ -78,9 +74,6 @@ func (o SchedulerOptions) withDefaults() SchedulerOptions {
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 256
-	}
-	if o.MaxFinishedJobs <= 0 {
-		o.MaxFinishedJobs = 1000
 	}
 	return o
 }
@@ -556,13 +549,14 @@ func terminalRecord(info JobInfo) *store.JobRecord {
 	}
 }
 
-// pruneLocked drops the oldest terminal jobs beyond MaxFinishedJobs so
-// retained history (query text + results) stays bounded. Queued and
-// running jobs are never dropped. Only the live jobs submitted before
-// the dropped one move, one slot up over it; the rest of the order is
-// resliced in place. Caller holds s.mu.
+// pruneLocked drops the oldest terminal jobs beyond the engine's
+// MaxFinishedJobs (the WAL's bound too) so retained history (query
+// text + results) stays bounded. Queued and running jobs are never
+// dropped. Only the live jobs submitted before the dropped one move,
+// one slot up over it; the rest of the order is resliced in place.
+// Caller holds s.mu.
 func (s *Scheduler) pruneLocked() {
-	for s.finished > s.opts.MaxFinishedJobs {
+	for s.finished > s.engine.MaxFinishedJobs() {
 		i := 0
 		for i < len(s.order) && !s.jobs[s.order[i]].info.Finished() {
 			i++

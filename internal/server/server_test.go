@@ -35,7 +35,7 @@ func newTestEngineWith(t testing.TB, opts core.Options) *core.Engine {
 	s := scene.Generate(scene.Campus(), 1, 10*time.Minute)
 	if err := e.RegisterCamera(core.CameraConfig{
 		Name:    "campus",
-		Source:  &video.SceneSource{Camera: "campus", Scene: s},
+		Source:  s.Source("campus"),
 		Policy:  policy.Policy{Rho: time.Minute, K: 2},
 		Epsilon: 100,
 	}); err != nil {
@@ -477,8 +477,8 @@ func TestStatsMatchesExposition(t *testing.T) {
 // Terminal jobs beyond MaxFinishedJobs are pruned oldest-first so a
 // long-running server's job table stays bounded.
 func TestSchedulerPrunesFinishedJobs(t *testing.T) {
-	engine := newTestEngine(t)
-	sched := NewScheduler(engine, SchedulerOptions{Workers: 1, PerAnalystInFlight: 100, MaxFinishedJobs: 3})
+	engine := newTestEngineWith(t, core.Options{Seed: 1, MaxFinishedJobs: 3})
+	sched := NewScheduler(engine, SchedulerOptions{Workers: 1, PerAnalystInFlight: 100})
 	defer sched.Close()
 
 	ids := make([]string, 0, 6)

@@ -72,7 +72,7 @@ func shapeStack(t *testing.T, opts core.Options, cached bool) (*core.Engine, *Sc
 	t.Cleanup(func() { _ = e.Close() })
 	if err := e.RegisterCamera(core.CameraConfig{
 		Name:    "campus",
-		Source:  &video.SceneSource{Camera: "campus", Scene: scene.Generate(scene.Campus(), 1, 10*time.Minute)},
+		Source:  scene.Generate(scene.Campus(), 1, 10*time.Minute).Source("campus"),
 		Policy:  policy.Policy{Rho: time.Minute, K: 2},
 		Epsilon: 100,
 	}); err != nil {

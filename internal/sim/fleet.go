@@ -199,7 +199,7 @@ func NewFleet(cfg FleetConfig) *Fleet {
 				}
 				cam.Events = append(cam.Events, video.FakeObject{
 					ID:    id,
-					Class: scene.Person,
+					Class: video.Person,
 					Enter: enter,
 					Exit:  exit,
 				})

@@ -71,9 +71,3 @@ func CellKeyEqual(a *Table, ai, aj int, b *Table, bi, bj int) bool {
 	}
 	return x == y && math.Signbit(x) == math.Signbit(y)
 }
-
-// CellKeyEqualValue reports grouping-key equality between cell (i, j)
-// and a standalone value (used to match analyst-requested WITH KEYS).
-func (t *Table) CellKeyEqualValue(i, j int, v Value) bool {
-	return t.At(i, j).KeyEqual(v)
-}

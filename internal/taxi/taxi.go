@@ -17,7 +17,6 @@ import (
 	"sync"
 	"time"
 
-	"privid/internal/scene"
 	"privid/internal/video"
 	"privid/internal/vtime"
 )
@@ -238,9 +237,9 @@ func (s *camSource) Frame(i int64) video.Frame {
 	for j := lo; j < len(visits) && visits[j].Start <= sec; j++ {
 		v := visits[j]
 		if sec < v.End {
-			frame.Objects = append(frame.Objects, scene.Observation{
+			frame.Objects = append(frame.Objects, video.Observation{
 				EntityID: v.Taxi,
-				Class:    scene.Car,
+				Class:    video.Car,
 				Plate:    fmt.Sprintf("TAXI%04d", v.Taxi),
 			})
 		}

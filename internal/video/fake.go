@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"privid/internal/geom"
-	"privid/internal/scene"
 	"privid/internal/vtime"
 )
 
@@ -21,7 +20,7 @@ import (
 // built on (cf. the rdk fake-camera test doubles).
 type FakeObject struct {
 	ID          int
-	Class       scene.Class
+	Class       Class
 	Enter, Exit int64 // visible on frames [Enter, Exit)
 	Box         geom.Rect
 }
@@ -50,7 +49,7 @@ type IntervalSource struct {
 	// ascending; snaps[k] is the set on [bounds[k], bounds[k+1]), in
 	// Objects order, and the last one is empty.
 	bounds []int64
-	snaps  [][]scene.Observation
+	snaps  [][]Observation
 }
 
 // Sort orders Objects by Enter. Constructors in internal/sim call it
@@ -83,9 +82,9 @@ func (s *IntervalSource) index() {
 	slices.SortStableFunc(byEnter, func(a, b int) int {
 		return cmp.Compare(s.Objects[a].Enter, s.Objects[b].Enter)
 	})
-	s.snaps = make([][]scene.Observation, len(s.bounds))
+	s.snaps = make([][]Observation, len(s.bounds))
 	var visible []int
-	var arena []scene.Observation
+	var arena []Observation
 	for k, b := range s.bounds {
 		visible = slices.DeleteFunc(visible, func(p int) bool { return s.Objects[p].Exit <= b })
 		for ; len(byEnter) > 0 && s.Objects[byEnter[0]].Enter == b; byEnter = byEnter[1:] {
@@ -93,12 +92,12 @@ func (s *IntervalSource) index() {
 		}
 		slices.Sort(visible)
 		if len(visible) > cap(arena)-len(arena) {
-			arena = make([]scene.Observation, 0, max(snapBlock, len(visible)))
+			arena = make([]Observation, 0, max(snapBlock, len(visible)))
 		}
 		lo := len(arena)
 		for _, p := range visible {
 			o := s.Objects[p]
-			arena = append(arena, scene.Observation{EntityID: o.ID, Class: o.Class, Box: o.Box})
+			arena = append(arena, Observation{EntityID: o.ID, Class: o.Class, Box: o.Box})
 		}
 		if len(arena) > lo {
 			// Capacity-clipped: a consumer's append reallocates instead

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"privid/internal/geom"
-	"privid/internal/scene"
 	"privid/internal/vtime"
 )
 
@@ -28,7 +27,7 @@ func randomFake(seed int64, frames int64, n int) (*SparseIntervalSource, [][]int
 		if exit > frames {
 			exit = frames
 		}
-		s.Objects = append(s.Objects, FakeObject{ID: id, Class: scene.Person, Enter: enter, Exit: exit})
+		s.Objects = append(s.Objects, FakeObject{ID: id, Class: Person, Enter: enter, Exit: exit})
 		for f := enter; f < exit; f++ {
 			visible[f] = append(visible[f], id)
 		}
@@ -51,7 +50,7 @@ func adversarialFake(seed int64, sorted bool) *SparseIntervalSource {
 		if id > 0 && rng.Intn(4) == 0 {
 			enter = s.Objects[rng.Intn(id)].Enter // tie
 		}
-		o := FakeObject{ID: id, Class: scene.Person, Enter: enter, Exit: enter + 1 + rng.Int63n(60)}
+		o := FakeObject{ID: id, Class: Person, Enter: enter, Exit: enter + 1 + rng.Int63n(60)}
 		switch rng.Intn(8) {
 		case 0:
 			o.Exit = o.Enter // zero-length
@@ -116,12 +115,12 @@ func TestIntervalSourceFrameSharedSnapshots(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, func() { s.Frame(f % s.Frames); f++ }); allocs != 0 {
 		t.Errorf("warm Frame allocates %v times, want 0", allocs)
 	}
-	before := make([][]scene.Observation, s.Frames)
+	before := make([][]Observation, s.Frames)
 	for f := range before {
 		before[f] = slices.Clone(s.Frame(int64(f)).Objects)
 	}
 	for f := range before {
-		_ = append(s.Frame(int64(f)).Objects, scene.Observation{EntityID: -1})
+		_ = append(s.Frame(int64(f)).Objects, Observation{EntityID: -1})
 	}
 	for f := range before {
 		if !slices.Equal(s.Frame(int64(f)).Objects, before[f]) {

@@ -1,15 +1,16 @@
 // Package video provides Privid's view of a camera stream: a Source of
-// frames (each frame is the set of ground-truth observations visible at
-// that instant), masked and region-cropped source decorators, and the
-// temporal chunking of the SPLIT statement (§6.2).
+// frames (each frame is the set of observations visible at that
+// instant, in the object model this package owns), masked and
+// region-cropped source decorators, and the temporal chunking of the
+// SPLIT statement (§6.2).
 package video
 
 import (
+	"fmt"
 	"slices"
 	"time"
 
 	"privid/internal/geom"
-	"privid/internal/scene"
 	"privid/internal/vtime"
 )
 
@@ -34,7 +35,69 @@ func (i Info) Bounds() vtime.Interval { return vtime.NewInterval(0, i.Frames) }
 // they filter nothing), so consumers must treat it as read-only.
 type Frame struct {
 	Index   int64
-	Objects []scene.Observation
+	Objects []Observation
+}
+
+// Class is the semantic class of an object in a frame.
+type Class int
+
+const (
+	// Person is a pedestrian (a private object).
+	Person Class = iota
+	// Car is a motor vehicle (a private object; the paper protects
+	// vehicles because they can identify their driver).
+	Car
+	// Bike is a bicycle (private).
+	Bike
+	// Boat is a watercraft (private; the Venice profiles use it).
+	Boat
+	// TrafficLight is a fixed signal head (not private).
+	TrafficLight
+	// Tree is fixed vegetation (not private).
+	Tree
+)
+
+// String implements fmt.Stringer.
+func (c Class) String() string {
+	switch c {
+	case Person:
+		return "person"
+	case Car:
+		return "car"
+	case Bike:
+		return "bike"
+	case Boat:
+		return "boat"
+	case TrafficLight:
+		return "light"
+	case Tree:
+		return "tree"
+	default:
+		return fmt.Sprintf("class(%d)", int(c))
+	}
+}
+
+// Private reports whether the class identifies an individual and is
+// therefore covered by the video owner's privacy goal (§5.2: all
+// people and vehicles).
+func (c Class) Private() bool {
+	switch c {
+	case Person, Car, Bike, Boat:
+		return true
+	default:
+		return false
+	}
+}
+
+// Observation is what the camera sees of one object in one frame.
+type Observation struct {
+	EntityID int
+	Class    Class
+	Box      geom.Rect
+	Color    string
+	Plate    string
+	Speed    float64 // instantaneous ground speed, mph (vehicles)
+	State    string  // scene-element state: "red"/"green", "leaves"/"bare"
 }
 
 // Source is a readable camera stream. Implementations must be safe for
@@ -59,29 +122,6 @@ type SparseSource interface {
 	// engine passes a reused buffer (dst[:0]), so a warm enumeration
 	// allocates nothing.
 	ActiveIntervals(dst []vtime.Interval, iv vtime.Interval) []vtime.Interval
-}
-
-// SceneSource adapts a synthetic scene to the Source interface.
-type SceneSource struct {
-	Camera string
-	Scene  *scene.Scene
-}
-
-// Info implements Source.
-func (s *SceneSource) Info() Info {
-	return Info{
-		Camera: s.Camera,
-		W:      s.Scene.W,
-		H:      s.Scene.H,
-		FPS:    s.Scene.FPS,
-		Start:  s.Scene.Start,
-		Frames: s.Scene.Frames,
-	}
-}
-
-// Frame implements Source.
-func (s *SceneSource) Frame(i int64) Frame {
-	return Frame{Index: i, Objects: s.Scene.At(i)}
 }
 
 // Occluder decides whether an object at a given box survives a mask.
@@ -120,7 +160,7 @@ func (m *maskedSource) Info() Info { return m.src.Info() }
 
 func (m *maskedSource) Frame(i int64) Frame {
 	f := m.src.Frame(i)
-	f.Objects = filterObjects(f.Objects, func(o *scene.Observation) bool {
+	f.Objects = filterObjects(f.Objects, func(o *Observation) bool {
 		return m.occ.Visible(o.Box)
 	})
 	return f
@@ -130,7 +170,7 @@ func (m *maskedSource) Frame(i int64) Frame {
 // slice is returned untouched (shared, not copied) when every element
 // survives; otherwise exactly one allocation of the surviving length
 // is made. keep is called once per element.
-func filterObjects(objs []scene.Observation, keep func(*scene.Observation) bool) []scene.Observation {
+func filterObjects(objs []Observation, keep func(*Observation) bool) []Observation {
 	// Scan for the first casualty; until one is found there is nothing
 	// to copy.
 	drop := -1
@@ -143,7 +183,7 @@ func filterObjects(objs []scene.Observation, keep func(*scene.Observation) bool)
 	if drop < 0 {
 		return objs
 	}
-	out := make([]scene.Observation, drop, len(objs)-1)
+	out := make([]Observation, drop, len(objs)-1)
 	copy(out, objs[:drop])
 	for i := drop + 1; i < len(objs); i++ {
 		if keep(&objs[i]) {
@@ -184,7 +224,7 @@ func (c *croppedSource) Info() Info { return c.src.Info() }
 
 func (c *croppedSource) Frame(i int64) Frame {
 	f := c.src.Frame(i)
-	f.Objects = filterObjects(f.Objects, func(o *scene.Observation) bool {
+	f.Objects = filterObjects(f.Objects, func(o *Observation) bool {
 		return c.region.Contains(o.Box.Center())
 	})
 	return f

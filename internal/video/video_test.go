@@ -5,49 +5,19 @@ import (
 	"time"
 
 	"privid/internal/geom"
-	"privid/internal/scene"
 	"privid/internal/vtime"
 )
 
-// testScene builds a tiny scene with two entities at known times and
+// testSource builds a tiny stream with two people at known times and
 // positions.
-func testScene(t *testing.T) *scene.Scene {
-	t.Helper()
-	s := &scene.Scene{
-		Name: "t", W: 100, H: 100, FPS: 10,
+func testSource() *IntervalSource {
+	return &IntervalSource{
+		Camera: "camA", W: 100, H: 100, FPS: 10,
 		Start: time.Date(2021, 1, 1, 0, 0, 0, 0, time.UTC), Frames: 1000,
-	}
-	mk := func(id int, enter, exit int64, x, y float64) *scene.Entity {
-		return &scene.Entity{
-			ID: id, Class: scene.Person,
-			Appearances: []scene.Appearance{{
-				Enter: enter, Exit: exit,
-				Traj: scene.NewPath(enter, exit, 10, 10, 1,
-					scene.Waypoint{T: 0, P: geom.Point{X: x, Y: y}},
-					scene.Waypoint{T: 1, P: geom.Point{X: x, Y: y}}),
-			}},
-		}
-	}
-	s.Ents = []*scene.Entity{
-		mk(0, 100, 200, 25, 25),
-		mk(1, 150, 400, 75, 75),
-	}
-	s.BuildIndex()
-	return s
-}
-
-func TestSceneSource(t *testing.T) {
-	s := testScene(t)
-	src := &SceneSource{Camera: "camA", Scene: s}
-	info := src.Info()
-	if info.Camera != "camA" || info.Frames != 1000 || info.FPS != 10 {
-		t.Fatalf("bad info: %+v", info)
-	}
-	if got := len(src.Frame(50).Objects); got != 0 {
-		t.Errorf("frame 50 has %d objects, want 0", got)
-	}
-	if got := len(src.Frame(160).Objects); got != 2 {
-		t.Errorf("frame 160 has %d objects, want 2", got)
+		Objects: []FakeObject{
+			{ID: 0, Class: Person, Enter: 100, Exit: 200, Box: geom.RectAround(geom.Point{X: 25, Y: 25}, 10, 10)},
+			{ID: 1, Class: Person, Enter: 150, Exit: 400, Box: geom.RectAround(geom.Point{X: 75, Y: 75}, 10, 10)},
+		},
 	}
 }
 
@@ -58,8 +28,7 @@ func (o rectOccluder) Visible(box geom.Rect) bool {
 }
 
 func TestMaskedSource(t *testing.T) {
-	s := testScene(t)
-	src := &SceneSource{Camera: "camA", Scene: s}
+	src := testSource()
 	// Occlude the top-left quadrant: entity 0 (at 25,25) disappears.
 	m := Masked(src, rectOccluder{geom.Rect{X0: 0, Y0: 0, X1: 50, Y1: 50}})
 	objs := m.Frame(160).Objects
@@ -73,8 +42,7 @@ func TestMaskedSource(t *testing.T) {
 }
 
 func TestCroppedSource(t *testing.T) {
-	s := testScene(t)
-	src := &SceneSource{Camera: "camA", Scene: s}
+	src := testSource()
 	c := Cropped(src, geom.Rect{X0: 50, Y0: 50, X1: 100, Y1: 100})
 	objs := c.Frame(160).Objects
 	if len(objs) != 1 || objs[0].EntityID != 1 {
@@ -84,11 +52,11 @@ func TestCroppedSource(t *testing.T) {
 
 // staticSource serves one pre-built Objects slice for every frame, so
 // tests and benchmarks can observe exactly what the decorators do with
-// it (SceneSource materializes a fresh slice per At call, which would
-// mask decorator copies and allocations).
+// it (a source that built a fresh slice per frame would mask decorator
+// copies and allocations).
 type staticSource struct {
 	info Info
-	objs []scene.Observation
+	objs []Observation
 }
 
 func (s *staticSource) Info() Info          { return s.info }
@@ -100,7 +68,7 @@ func (s *staticSource) Frame(i int64) Frame { return Frame{Index: i, Objects: s.
 func TestDecoratorPassthroughSharesSlice(t *testing.T) {
 	src := &staticSource{
 		info: Info{Camera: "camA", W: 100, H: 100, FPS: 10, Frames: 1000},
-		objs: []scene.Observation{
+		objs: []Observation{
 			{EntityID: 0, Box: geom.Rect{X0: 20, Y0: 20, X1: 30, Y1: 30}},
 			{EntityID: 1, Box: geom.Rect{X0: 70, Y0: 70, X1: 80, Y1: 80}},
 		},
@@ -140,23 +108,23 @@ func TestDecoratorPassthroughSharesSlice(t *testing.T) {
 }
 
 func TestFilterObjects(t *testing.T) {
-	objs := []scene.Observation{{EntityID: 0}, {EntityID: 1}, {EntityID: 2}, {EntityID: 3}}
+	objs := []Observation{{EntityID: 0}, {EntityID: 1}, {EntityID: 2}, {EntityID: 3}}
 
 	// Everything kept: same slice back.
-	got := filterObjects(objs, func(*scene.Observation) bool { return true })
+	got := filterObjects(objs, func(*Observation) bool { return true })
 	if &got[0] != &objs[0] || len(got) != 4 {
 		t.Errorf("keep-all should return the input slice")
 	}
 
 	// Drop first, drop middle, drop last, drop everything.
 	cases := []struct {
-		keep func(*scene.Observation) bool
+		keep func(*Observation) bool
 		want []int
 	}{
-		{func(o *scene.Observation) bool { return o.EntityID != 0 }, []int{1, 2, 3}},
-		{func(o *scene.Observation) bool { return o.EntityID != 2 }, []int{0, 1, 3}},
-		{func(o *scene.Observation) bool { return o.EntityID != 3 }, []int{0, 1, 2}},
-		{func(*scene.Observation) bool { return false }, nil},
+		{func(o *Observation) bool { return o.EntityID != 0 }, []int{1, 2, 3}},
+		{func(o *Observation) bool { return o.EntityID != 2 }, []int{0, 1, 3}},
+		{func(o *Observation) bool { return o.EntityID != 3 }, []int{0, 1, 2}},
+		{func(*Observation) bool { return false }, nil},
 	}
 	for i, tc := range cases {
 		got := filterObjects(objs, tc.keep)
@@ -174,7 +142,7 @@ func TestFilterObjects(t *testing.T) {
 	}
 
 	// Empty and nil inputs pass through.
-	if got := filterObjects(nil, func(*scene.Observation) bool { return false }); got != nil {
+	if got := filterObjects(nil, func(*Observation) bool { return false }); got != nil {
 		t.Errorf("nil input: got %v", got)
 	}
 }
@@ -189,8 +157,8 @@ func benchSource() *staticSource {
 			x = 70.0
 		}
 		y := 10.0 * float64(i+1)
-		src.objs = append(src.objs, scene.Observation{
-			EntityID: i, Class: scene.Person,
+		src.objs = append(src.objs, Observation{
+			EntityID: i, Class: Person,
 			Box: geom.Rect{X0: x, Y0: y, X1: x + 10, Y1: y + 8},
 		})
 	}
@@ -233,8 +201,7 @@ func BenchmarkMasked_Filtering(b *testing.B) {
 var sinkInt int
 
 func TestSplitChunking(t *testing.T) {
-	s := testScene(t)
-	src := &SceneSource{Camera: "camA", Scene: s}
+	src := testSource()
 	sp := Split{Source: src, Interval: vtime.NewInterval(0, 1000), ChunkFrames: 100, StrideFrames: 0}
 	if got := sp.NumChunks(); got != 10 {
 		t.Fatalf("NumChunks=%d, want 10", got)
@@ -262,8 +229,7 @@ func TestSplitChunking(t *testing.T) {
 }
 
 func TestSplitWithStride(t *testing.T) {
-	s := testScene(t)
-	src := &SceneSource{Camera: "camA", Scene: s}
+	src := testSource()
 	// chunk=100, stride=100: chunks start every 200 frames.
 	sp := Split{Source: src, Interval: vtime.NewInterval(0, 1000), ChunkFrames: 100, StrideFrames: 100}
 	if got := sp.NumChunks(); got != 5 {
@@ -283,7 +249,7 @@ func TestSplitWithStride(t *testing.T) {
 }
 
 type sparseSrc struct {
-	*SceneSource
+	*IntervalSource
 	active []vtime.Interval
 }
 
@@ -297,9 +263,8 @@ func (s *sparseSrc) ActiveIntervals(out []vtime.Interval, iv vtime.Interval) []v
 }
 
 func TestActiveChunksSparse(t *testing.T) {
-	s := testScene(t)
-	base := &SceneSource{Camera: "camA", Scene: s}
-	src := &sparseSrc{SceneSource: base, active: []vtime.Interval{{Start: 100, End: 400}}}
+	base := testSource()
+	src := &sparseSrc{IntervalSource: base, active: []vtime.Interval{{Start: 100, End: 400}}}
 	sp := Split{Source: src, Interval: vtime.NewInterval(0, 1000), ChunkFrames: 100, StrideFrames: 0}
 	got := sp.ActiveChunks()
 	// Frames 100-399 → chunks 1, 2, 3.
@@ -320,17 +285,16 @@ func TestActiveChunksSparse(t *testing.T) {
 }
 
 func TestActiveChunksBoundary(t *testing.T) {
-	s := testScene(t)
-	base := &SceneSource{Camera: "camA", Scene: s}
+	base := testSource()
 	// Activity touching exactly the last frame of chunk 0.
-	src := &sparseSrc{SceneSource: base, active: []vtime.Interval{{Start: 99, End: 100}}}
+	src := &sparseSrc{IntervalSource: base, active: []vtime.Interval{{Start: 99, End: 100}}}
 	sp := Split{Source: src, Interval: vtime.NewInterval(0, 1000), ChunkFrames: 100, StrideFrames: 0}
 	got := sp.ActiveChunks()
 	if len(got) != 1 || got[0] != 0 {
 		t.Fatalf("boundary ActiveChunks=%v, want [0]", got)
 	}
 	// No activity at all.
-	src2 := &sparseSrc{SceneSource: base}
+	src2 := &sparseSrc{IntervalSource: base}
 	sp2 := Split{Source: src2, Interval: vtime.NewInterval(0, 1000), ChunkFrames: 100}
 	if got := sp2.ActiveChunks(); len(got) != 0 {
 		t.Fatalf("empty ActiveChunks=%v", got)

@@ -105,7 +105,7 @@ type (
 	// Frame is one video frame: the set of visible observations.
 	Frame = video.Frame
 	// Observation is one visible object in one frame.
-	Observation = scene.Observation
+	Observation = video.Observation
 	// Row is one intermediate-table row.
 	Row = table.Row
 	// Value is a typed STRING/NUMBER scalar.
@@ -248,7 +248,7 @@ func S(v string) Value { return table.S(v) }
 // profile-independent anchor (6:00 am, matching the paper's capture
 // window).
 func NewSceneCamera(name string, p Profile, seed int64, dur time.Duration) Source {
-	return &video.SceneSource{Camera: name, Scene: scene.Generate(p, seed, dur)}
+	return scene.Generate(p, seed, dur).Source(name)
 }
 
 // GenerateScene generates the deterministic synthetic scene a
@@ -296,12 +296,8 @@ func DefaultTaxiConfig() TaxiConfig { return taxi.DefaultConfig() }
 // seconds — the value used to choose ρ (§5.2, Table 1).
 func EstimateMaxDuration(src Source, p Profile, seed int64) float64 {
 	info := src.Info()
-	rep := cv.EstimateDurations(src, info.Bounds(), cv.ParamsFor(p), ownerTrackerParams(), seed, 1)
+	rep := cv.EstimateDurations(src, info.Bounds(), cv.ParamsFor(p), cv.OwnerTracker(), seed, 1)
 	return rep.MaxSeconds
-}
-
-func ownerTrackerParams() cv.TrackerParams {
-	return cv.TrackerParams{IoUThreshold: 0.2, MaxAge: 60, MinHits: 3, DistGate: 50}
 }
 
 // TuneTracker runs Appendix A's hyperparameter search: it evaluates a
@@ -323,16 +319,6 @@ func TuneTracker(src Source, p Profile, gtDurationsSec []float64, seed int64) (m
 func BuildMaskPolicyMap(camera string, s *Scene, k int, factors []float64) *PolicyMap {
 	grid := geom.NewGrid(s.W, s.H, 10, 10)
 	stride := int64(s.FPS) // sample once per second
-	pres := mask.CollectPresence(s, grid, s.Bounds(), stride)
+	pres := scene.CollectPresence(s, grid, s.Bounds(), stride)
 	return mask.BuildPolicyMap(camera, pres, grid, s.FPS, stride, k, factors)
-}
-
-// SchemesFromProfile converts a profile's region specs to registered
-// schemes keyed by name.
-func SchemesFromProfile(p Profile) map[string]Scheme {
-	out := map[string]Scheme{}
-	for _, spec := range p.Schemes {
-		out[spec.Name] = region.FromSpec(spec, p.W, p.H)
-	}
-	return out
 }

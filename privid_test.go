@@ -3,7 +3,12 @@ package privid_test
 import (
 	"encoding/json"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -106,7 +111,7 @@ func TestFacadeOwnerTooling(t *testing.T) {
 	if est := privid.EstimateMaxDuration(src, p, 3); est <= 0 {
 		t.Errorf("duration estimate %v", est)
 	}
-	schemes := privid.SchemesFromProfile(privid.HighwayProfile())
+	schemes := privid.HighwayProfile().FrameSchemes()
 	if _, ok := schemes["directions"]; !ok {
 		t.Errorf("highway schemes missing directions: %v", schemes)
 	}
@@ -167,4 +172,126 @@ func TestDocProgramsParse(t *testing.T) {
 		t.Fatal("found no documented programs")
 	}
 	t.Logf("%d documented programs parse", programs)
+}
+
+// TestDocIdentifiersResolve: every backticked `pkg.Name` or
+// `pkg.Type.Member` in README.md, DESIGN.md and docs/*.md whose pkg is
+// one of the module's internal packages names a declaration there (test
+// files included, so test names resolve). Lower-case names, such as
+// the bench metric `store.commits_per_op`, are not identifiers.
+func TestDocIdentifiersResolve(t *testing.T) {
+	decls := map[string]map[string]bool{} // package -> "Name" and "Type.Member"
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.Name() == "testdata" {
+			if err == nil {
+				err = filepath.SkipDir
+			}
+			return err
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := filepath.Base(filepath.Dir(path))
+		if decls[pkg] == nil {
+			decls[pkg] = map[string]bool{}
+		}
+		declareFile(decls[pkg], f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	span := regexp.MustCompile("`[^`\n]+`")
+	ref := regexp.MustCompile(`(?:^|[^\w.])([a-z]\w*)\.([A-Z]\w*)(?:\.(\w+))?`)
+	checked := 0
+	for _, path := range append([]string{"README.md", "DESIGN.md"}, docs...) {
+		doc, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Even-numbered pieces lie outside fenced blocks.
+		pieces := strings.Split(string(doc), "\n```")
+		for i := 0; i < len(pieces); i += 2 {
+			for _, s := range span.FindAllString(pieces[i], -1) {
+				for _, m := range ref.FindAllStringSubmatch(s, -1) {
+					names, ok := decls[m[1]]
+					if !ok {
+						continue
+					}
+					checked++
+					name := m[2]
+					if m[3] != "" && !names[name+"."+m[3]] && names[name] {
+						t.Errorf("%s: %s: %s.%s has no member %s", path, s, m[1], name, m[3])
+					} else if !names[name] {
+						t.Errorf("%s: %s: package %s declares no %s", path, s, m[1], name)
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no documented identifiers")
+	}
+	t.Logf("%d documented identifiers resolve", checked)
+}
+
+// declareFile records f's top-level names, and each type's methods,
+// fields and interface methods as "Type.Member".
+func declareFile(names map[string]bool, f *ast.File) {
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				names[d.Name.Name] = true
+				continue
+			}
+			typ := d.Recv.List[0].Type
+			if star, ok := typ.(*ast.StarExpr); ok {
+				typ = star.X
+			}
+			switch g := typ.(type) { // generic receivers: T[K] or T[K, V]
+			case *ast.IndexExpr:
+				typ = g.X
+			case *ast.IndexListExpr:
+				typ = g.X
+			}
+			if id, ok := typ.(*ast.Ident); ok {
+				names[id.Name+"."+d.Name.Name] = true
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						names[n.Name] = true
+					}
+				case *ast.TypeSpec:
+					names[s.Name.Name] = true
+					var fields *ast.FieldList
+					switch u := s.Type.(type) {
+					case *ast.StructType:
+						fields = u.Fields
+					case *ast.InterfaceType:
+						fields = u.Methods
+					}
+					if fields == nil {
+						continue
+					}
+					for _, fl := range fields.List {
+						for _, n := range fl.Names {
+							names[s.Name.Name+"."+n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
 }
