@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"privid"
+	"privid/internal/core"
 	"privid/internal/dp"
 	"privid/internal/experiments"
 	"privid/internal/query"
@@ -200,8 +201,9 @@ func runCacheBench(b *testing.B, warm bool) {
 		cacheBytes = 0 // default-sized cache
 	}
 	engine := newCacheBenchEngine(b, src, privid.Options{ChunkCacheBytes: cacheBytes}, &execs)
+	p := &core.Prepared{Program: prog} // a resubmitted query reuses its plan
 	if warm {
-		if _, err := engine.Execute(prog); err != nil { // populate the cache
+		if _, err := engine.ExecutePrepared(p); err != nil { // populate the cache
 			b.Fatal(err)
 		}
 	}
@@ -216,7 +218,7 @@ func runCacheBench(b *testing.B, warm bool) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Execute(prog); err != nil {
+		if _, err := engine.ExecutePrepared(p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -307,7 +309,8 @@ func BenchmarkChunkCache_DiskWarm(b *testing.B) {
 		DiskCacheDir:    b.TempDir(),
 	}, &execs)
 	defer engine.Close()
-	if _, err := engine.Execute(prog); err != nil { // populate the disk tier
+	p := &core.Prepared{Program: prog}
+	if _, err := engine.ExecutePrepared(p); err != nil { // populate the disk tier
 		b.Fatal(err)
 	}
 	execsBefore := execs.Load()
@@ -317,7 +320,7 @@ func BenchmarkChunkCache_DiskWarm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Execute(prog); err != nil {
+		if _, err := engine.ExecutePrepared(p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -343,7 +346,8 @@ func BenchmarkPartialStateCache_Warm(b *testing.B) {
 	}
 	var execs atomic.Int64
 	engine := newCacheBenchEngine(b, src, privid.Options{}, &execs)
-	if _, err := engine.Execute(prog); err != nil { // populate the state tier
+	p := &core.Prepared{Program: prog}
+	if _, err := engine.ExecutePrepared(p); err != nil { // populate the state tier
 		b.Fatal(err)
 	}
 	if ps := engine.PartialStats(); ps.Plans == 0 || ps.Folds == 0 {
@@ -354,7 +358,7 @@ func BenchmarkPartialStateCache_Warm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Execute(prog); err != nil {
+		if _, err := engine.ExecutePrepared(p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -405,10 +409,10 @@ func BenchmarkColdChunk_Pushdown(b *testing.B) {
 	}); err != nil {
 		b.Fatal(err)
 	}
-	progs := make([]*privid.Program, windows)
+	progs := make([]*core.Prepared, windows)
 	for w := range progs {
 		begin := start.Add(time.Duration(w*chunks) * 30 * time.Second)
-		progs[w], err = privid.Parse(fmt.Sprintf(`
+		progs[w], err = engine.Prepare(fmt.Sprintf(`
 SPLIT cam BEGIN %s END %s BY TIME 30sec STRIDE 0sec INTO c;
 PROCESS c USING reader TIMEOUT 5sec PRODUCING 2 ROWS WITH SCHEMA (id:NUMBER=0) INTO t;
 SELECT COUNT(*) FROM t CONSUMING 0.0001;`,
@@ -417,7 +421,7 @@ SELECT COUNT(*) FROM t CONSUMING 0.0001;`,
 			b.Fatal(err)
 		}
 	}
-	if _, err := engine.Execute(progs[windows-1]); err != nil { // builds the snapshot index
+	if _, err := engine.ExecutePrepared(progs[windows-1]); err != nil { // builds the snapshot index
 		b.Fatal(err)
 	}
 	execs.Store(0)
@@ -425,7 +429,7 @@ SELECT COUNT(*) FROM t CONSUMING 0.0001;`,
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Execute(progs[i%windows]); err != nil {
+		if _, err := engine.ExecutePrepared(progs[i%windows]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -493,18 +497,18 @@ func runMultiCamBench(b *testing.B, serial bool) {
 	}); err != nil {
 		b.Fatal(err)
 	}
-	var progs []*privid.Program
+	var progs []*core.Prepared
 	for _, src := range sources {
-		prog, err := privid.Parse(src)
+		p, err := engine.Prepare(src)
 		if err != nil {
 			b.Fatal(err)
 		}
-		progs = append(progs, prog)
+		progs = append(progs, p)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, prog := range progs {
-			if _, err := engine.Execute(prog); err != nil {
+		for _, p := range progs {
+			if _, err := engine.ExecutePrepared(p); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -571,14 +575,15 @@ SELECT AVG(range(n, 0, 30)) FROM t CONSUMING 0.0001;`)
 	}); err != nil {
 		b.Fatal(err)
 	}
+	p := &core.Prepared{Program: prog, Tag: "bench"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if level == obsTraced {
-			if _, _, err := engine.ExecuteTraced(prog, "bench", nil); err != nil {
+			if _, _, err := engine.ExecuteTraced(p, nil); err != nil {
 				b.Fatal(err)
 			}
 		} else {
-			if _, err := engine.Execute(prog); err != nil {
+			if _, err := engine.ExecutePrepared(p); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -629,9 +634,10 @@ SELECT AVG(range(n, 0, 30)) FROM t CONSUMING 0.0001;`)
 	}); err != nil {
 		b.Fatal(err)
 	}
+	p := &core.Prepared{Program: prog}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Execute(prog); err != nil {
+		if _, err := engine.ExecutePrepared(p); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -460,20 +460,6 @@ func (d *Disk) Len() int {
 	return len(d.index)
 }
 
-// Sync flushes the active segment to stable storage.
-func (d *Disk) Sync() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.order) == 0 {
-		return nil
-	}
-	seg := d.segs[d.order[len(d.order)-1]]
-	if seg.f != nil {
-		return seg.f.Sync()
-	}
-	return nil
-}
-
 // Close syncs and releases every segment. The cache must not be used
 // afterwards.
 func (d *Disk) Close() error {

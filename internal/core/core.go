@@ -22,7 +22,6 @@ import (
 	"privid/internal/mask"
 	"privid/internal/obs"
 	"privid/internal/policy"
-	"privid/internal/query"
 	"privid/internal/region"
 	"privid/internal/sandbox"
 	"privid/internal/store"
@@ -199,9 +198,11 @@ type Engine struct {
 	// workers bump them concurrently). See PartialAggStats.
 	ppPlans, ppDeclined, ppFolds, ppMerges, ppCachedChunks atomic.Uint64
 
-	// memo holds each program's plan: as many programs as the parse
-	// cache holds, and at most 65,536 shards' metas and keys.
-	memo cache.Memo[*query.Program, *programPlan]
+	// prepared is the one program cache: each source text's Prepared,
+	// its plan kept with it (see Prepare). planHits and planMisses count
+	// executions that reused a Prepared's plan and those that planned.
+	prepared             cache.Memo[string, *Prepared]
+	planHits, planMisses atomic.Uint64
 
 	mu      sync.Mutex
 	cameras map[string]*camera
@@ -315,7 +316,7 @@ func Open(opts Options) (*Engine, error) {
 		met:        newEngineMetrics(reg),
 		cameras:    map[string]*camera{},
 		noise:      dp.NewNoise(opts.Seed),
-		memo:       cache.Memo[*query.Program, *programPlan]{MaxEntries: 1024, MaxSize: 1 << 16},
+		prepared:   cache.Memo[string, *Prepared]{MaxEntries: maxPrepared, MaxSize: maxPreparedBytes},
 	}
 	if wal != nil {
 		// Restore the owner's audit log so accountability spans

@@ -100,25 +100,31 @@ const flightWaitMultiple = 4
 
 // Execute runs a parsed program end to end and returns its noised
 // releases. On budget exhaustion the query is denied as a whole and
-// nothing is consumed on any camera.
+// nothing is consumed on any camera. It plans prog afresh and keeps
+// nothing: a program run more than once runs through a Prepared.
 func (e *Engine) Execute(prog *query.Program) (*Result, error) {
-	return e.execute(prog, "", nil, nil, nil)
+	return e.execute(&Prepared{Program: prog}, nil, nil, nil)
 }
 
-// ExecuteTraced runs prog like Execute, tagging its WAL charge records
-// with tag (typically a hash of the query source; empty falls back to a
-// fingerprint of the charge set), and records a span tree: one span per
-// pipeline stage, one per camera shard of each PROCESS, and the
-// admission and commit outcomes. job, when non-nil, builds a terminal
-// job record from the noised result; it lands in the same commit as
-// the charges, after them, so no crash keeps the answer and loses its
-// charge. The trace is returned even when execution fails. Its
-// attributes carry only identifiers, chunk and cache counts, durations
-// and ε amounts — never released values, row contents or row counts (an
-// exact row count is an un-noised COUNT).
-func (e *Engine) ExecuteTraced(prog *query.Program, tag string, job func(*Result) *store.JobRecord) (*Result, *obs.Trace, error) {
+// ExecutePrepared runs p like Execute, reusing the plan p keeps while
+// the catalog it was planned over is unchanged, and tags its WAL charge
+// records with p.Tag.
+func (e *Engine) ExecutePrepared(p *Prepared) (*Result, error) {
+	return e.execute(p, nil, nil, nil)
+}
+
+// ExecuteTraced runs p like ExecutePrepared and records a span tree:
+// one span per pipeline stage, one per camera shard of each PROCESS,
+// and the admission and commit outcomes. job, when non-nil, builds a
+// terminal job record from the noised result; it lands in the same
+// commit as the charges, after them, so no crash keeps the answer and
+// loses its charge. The trace is returned even when execution fails.
+// Its attributes carry only identifiers, chunk and cache counts,
+// durations and ε amounts — never released values, row contents or row
+// counts (an exact row count is an un-noised COUNT).
+func (e *Engine) ExecuteTraced(p *Prepared, job func(*Result) *store.JobRecord) (*Result, *obs.Trace, error) {
 	tr := obs.NewTrace("query", nil)
-	res, err := e.execute(prog, tag, nil, job, tr.Root())
+	res, err := e.execute(p, nil, job, tr.Root())
 	if err != nil {
 		tr.Root().Set("error", err.Error())
 	}
@@ -128,18 +134,18 @@ func (e *Engine) ExecuteTraced(prog *query.Program, tag string, job func(*Result
 
 // execute is the pipeline (Algorithm 1): plan, reserve the budget from
 // the release skeleton, run every PROCESS and SELECT to fill the values
-// in, noise them, then commit the charges with the result (see admit)
-// and return exactly the result committed. keep, when non-nil, filters
-// the releases emitted and paid for (a standing query's newly completed
-// buckets, Appendix D); when it keeps none, no chunk is touched. A
-// failure after the reservation returns it exactly. sp, when non-nil,
-// receives one child span per stage. The maps are made here so they
-// stay on the stack.
-func (e *Engine) execute(prog *query.Program, tag string, keep func(rel.Release) bool, job func(*Result) *store.JobRecord, sp *obs.Span) (res *Result, err error) {
+// in, noise them, then commit the charges, tagged p.Tag, with the result
+// (see admit) and return exactly the result committed. keep, when
+// non-nil, filters the releases emitted and paid for (a standing query's
+// newly completed buckets, Appendix D); when it keeps none, no chunk is
+// touched. A failure after the reservation returns it exactly. sp, when
+// non-nil, receives one child span per stage. The maps are made here so
+// they stay on the stack.
+func (e *Engine) execute(p *Prepared, keep func(rel.Release) bool, job func(*Result) *store.JobRecord, sp *obs.Span) (res *Result, err error) {
 	start := time.Now()
 	defer func() { e.met.queryDone(res, err, time.Since(start)) }()
 	sets := map[string]*splitPlan{}
-	pp, err := e.plan(prog, sets, sp)
+	pp, err := e.plan(p, sets, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +164,7 @@ func (e *Engine) execute(prog *query.Program, tag string, keep func(rel.Release)
 		}
 	}
 	res = e.draw(adm, charges, rels, sp)
-	if err := e.commit(adm, charges, tag, res, job, sp); err != nil {
+	if err := e.commit(adm, charges, p.Tag, res, job, sp); err != nil {
 		return nil, err
 	}
 	return res, nil

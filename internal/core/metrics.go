@@ -213,9 +213,9 @@ var collectors = []collector{
 		group: "partial_agg", key: "state_puts", read: func(e *Engine) float64 { return float64(e.PartialStats().StatePuts) }},
 
 	{name: "privid_plan_memo_hits_total", help: "Program executions whose plan (chunk-set layout, SELECT skeletons, pushdown decisions and cache-key prefixes) came from the program memo.", typ: obs.TypeCounter,
-		group: "plan_memo", key: "hits", read: func(e *Engine) float64 { return float64(e.memo.Hits.Load()) }},
+		group: "plan_memo", key: "hits", read: func(e *Engine) float64 { return float64(e.planHits.Load()) }},
 	{name: "privid_plan_memo_misses_total", help: "Program executions planned afresh (a program not in the memo, or one whose catalog inputs changed).", typ: obs.TypeCounter,
-		group: "plan_memo", key: "misses", read: func(e *Engine) float64 { return float64(e.memo.Misses.Load()) }},
+		group: "plan_memo", key: "misses", read: func(e *Engine) float64 { return float64(e.planMisses.Load()) }},
 
 	{name: "privid_chunk_singleflight_leaders_total", help: "Chunk executions performed under singleflight leadership (initial leaders plus promoted followers).", typ: obs.TypeCounter,
 		group: "singleflight", key: "leaders", when: hasCache, read: func(e *Engine) float64 { return float64(e.FlightStats().Leaders) }},

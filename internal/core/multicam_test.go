@@ -64,7 +64,7 @@ func resolveSet(t *testing.T, e *Engine, prog *query.Program) *splitPlan {
 // releases in order.
 func runProcessFor(t *testing.T, e *Engine, st *query.ProcessStmt, set *splitPlan, sels []*query.SelectStmt) (*rel.Instance, [][]rel.Release) {
 	t.Helper()
-	pp, _, err := e.prepare(&query.Program{Processes: []*query.ProcessStmt{st}, Selects: sels}, map[string]*splitPlan{st.Input: set})
+	pp, _, err := e.newPlan(&query.Program{Processes: []*query.ProcessStmt{st}, Selects: sels}, map[string]*splitPlan{st.Input: set})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func TestExecuteTracedSpanTree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, tr, err := e.ExecuteTraced(prog, "qhash-1", nil)
+	res, tr, err := e.ExecuteTraced(&Prepared{Program: prog, Tag: "qhash-1"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestExecuteTracedSpanTree(t *testing.T) {
 	// Warm run: every chunk should come from the cache, and the shard
 	// spans must say so in agreement with the cache counters.
 	preHits := e.CacheStats().Hits
-	_, tr2, err := e.ExecuteTraced(prog, "qhash-2", nil)
+	_, tr2, err := e.ExecuteTraced(&Prepared{Program: prog, Tag: "qhash-2"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestTracedDenialStillReturnsTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, tr, err := e.ExecuteTraced(prog, "", nil)
+	_, tr, err := e.ExecuteTraced(&Prepared{Program: prog}, nil)
 	if err == nil {
 		t.Fatal("expected budget denial")
 	}
@@ -232,7 +232,7 @@ func TestMetricsDenialAndDisable(t *testing.T) {
 	if _, err := d.Execute(prog); err != nil {
 		t.Fatalf("uninstrumented execute: %v", err)
 	}
-	if _, _, err := d.ExecuteTraced(prog, "", nil); err != nil {
+	if _, _, err := d.ExecuteTraced(&Prepared{Program: prog}, nil); err != nil {
 		t.Fatalf("traced execute without metrics: %v", err)
 	}
 }

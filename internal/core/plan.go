@@ -5,8 +5,11 @@ package core
 // names the row container (rel's plan_test.go checks it on the AST).
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"privid/internal/obs"
@@ -44,7 +47,7 @@ type splitPlan struct {
 	multi  bool
 }
 
-// programPlan is a program's table-blind plan, as the memo holds it: per
+// programPlan is a program's table-blind plan, as a Prepared keeps it: per
 // PROCESS and per SELECT in program order, every planned release with
 // its ε, and which SELECTs are answered by folding their table's chunks.
 type programPlan struct {
@@ -73,17 +76,60 @@ type procPlan struct {
 	keys             [][][]string
 }
 
-// plan resolves prog's chunk sets into sets and returns its plan: the
-// memo's when every catalog input it was derived from is unchanged, else
-// (a new program, a live camera whose bounds grew) a fresh one.
-func (e *Engine) plan(prog *query.Program, sets map[string]*splitPlan, sp *obs.Span) (pp *programPlan, err error) {
+// Prepared is a parsed program, the tag its WAL charge records carry
+// (Prepare's hashes the source; "" tags by the charge set), and a slot
+// for its last plan. The engine never writes Program, so jobs of one
+// text share one Prepared, and concurrent runs swap the slot atomically.
+type Prepared struct {
+	Program *query.Program
+	Tag     string
+	plan    atomic.Pointer[programPlan]
+}
+
+// The program cache holds at most 1,024 texts and 1 MiB of source (one
+// submission's cap): a dashboard's panels or Appendix D's standing
+// queries fit with room to spare, and the ASTs it pins stay a few MiB.
+// A slot keeps a plan of at most maxSlotShards shards, so the cache
+// holds at most 65,536 shards' metadata and keys.
+const maxPrepared, maxPreparedBytes, maxSlotShards = 1024, 1 << 20, 65536 / 1024
+
+// Prepare returns src's Prepared from the program cache, parsing only on
+// a miss. A parse error is not cached, so it reads the same every time.
+func (e *Engine) Prepare(src string) (*Prepared, error) {
+	return e.prepared.Load(src, nil, func() (*Prepared, int, error) {
+		prog, err := query.Parse(src)
+		if err != nil {
+			return nil, 0, err
+		}
+		sum := sha256.Sum256([]byte(src))
+		return &Prepared{Program: prog, Tag: hex.EncodeToString(sum[:8])}, len(src), nil
+	})
+}
+
+// ParseCacheStats counts Prepare's program-cache hits and misses.
+func (e *Engine) ParseCacheStats() (hits, misses uint64) {
+	return e.prepared.Hits.Load(), e.prepared.Misses.Load()
+}
+
+// plan resolves p's chunk sets into sets and returns its plan: the
+// slot's when every catalog input it was derived from is unchanged, else
+// (a first run, a live camera whose bounds grew) a fresh one, which the
+// slot keeps if it spans at most maxSlotShards shards.
+func (e *Engine) plan(p *Prepared, sets map[string]*splitPlan, sp *obs.Span) (pp *programPlan, err error) {
 	err = e.stage(sp, "split", func(sp *obs.Span) error {
-		if err := e.resolvePlans(prog, sets); err != nil {
+		if err := e.resolvePlans(p.Program, sets); err != nil {
 			return err
 		}
 		sp.Set("chunk_sets", len(sets))
-		pp, err = e.memo.Load(prog, func(m *programPlan) bool { return m.matches(prog, sets) },
-			func() (*programPlan, int, error) { return e.prepare(prog, sets) })
+		if pp = p.plan.Load(); pp != nil && pp.matches(p.Program, sets) {
+			e.planHits.Add(1)
+			return nil
+		}
+		e.planMisses.Add(1)
+		var shards int
+		if pp, shards, err = e.newPlan(p.Program, sets); err == nil && shards <= maxSlotShards {
+			p.plan.Store(pp)
+		}
 		return err
 	})
 	return pp, err
@@ -110,10 +156,10 @@ func (m *programPlan) matches(prog *query.Program, sets map[string]*splitPlan) b
 	return true
 }
 
-// prepare plans every PROCESS in order (a later one into a name replaces
+// newPlan plans every PROCESS in order (a later one into a name replaces
 // the earlier in the catalog), every SELECT against that catalog, then
-// pushdown. The memo charges it the number of shards.
-func (e *Engine) prepare(prog *query.Program, sets map[string]*splitPlan) (*programPlan, int, error) {
+// pushdown. It also returns the number of shards it spans.
+func (e *Engine) newPlan(prog *query.Program, sets map[string]*splitPlan) (*programPlan, int, error) {
 	m := &programPlan{
 		selects: slices.Clone(prog.Selects),
 		procs:   make([]procPlan, len(prog.Processes)),

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -93,10 +96,10 @@ SELECT region, COUNT(*) FROM (SELECT * FROM t LIMIT 1) GROUP BY region WITH KEYS
 	}
 }
 
-// One parsed program executed from 8 goroutines at once (as the
-// scheduler's parse cache and a standing query share one) gives every
-// goroutine the same raw releases and leaves the program as parsed.
-// Run under -race.
+// One Prepared executed from 8 goroutines at once (as jobs of one text
+// share it through the program cache) gives every goroutine the same
+// raw releases, leaves the program as parsed and reuses its plan. Run
+// under -race: the goroutines swap the plan slot concurrently.
 func TestSharedProgramConcurrentExecute(t *testing.T) {
 	const src = `SPLIT camA BEGIN 03-15-2021/6:00am END 03-15-2021/7:00am
   BY TIME 30sec STRIDE 0sec INTO chunks;
@@ -107,7 +110,7 @@ PROCESS chunks USING counter TIMEOUT 5sec PRODUCING 20 ROWS
 SELECT COUNT(*) FROM t CONSUMING 0.01;
 SELECT AVG(range(one, 0, 1)) FROM u CONSUMING 0.01;`
 	e := newTestEngine(t, countScene(40), policy.Policy{Rho: 25 * time.Second, K: 1}, 1e9)
-	prog, err := query.Parse(src)
+	p, err := e.Prepare(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +121,7 @@ SELECT AVG(range(one, 0, 1)) FROM u CONSUMING 0.01;`
 		go func() {
 			defer wg.Done()
 			for range 4 {
-				res, err := e.Execute(prog)
+				res, err := e.ExecutePrepared(p)
 				if err != nil {
 					t.Error(err)
 					return
@@ -136,11 +139,11 @@ SELECT AVG(range(one, 0, 1)) FROM u CONSUMING 0.01;`
 			t.Fatalf("goroutine %d released %v, goroutine 0 %v", g, raws[g], raws[0])
 		}
 	}
-	if fresh, _ := query.Parse(src); !reflect.DeepEqual(prog, fresh) {
+	if fresh, _ := query.Parse(src); !reflect.DeepEqual(p.Program, fresh) {
 		t.Fatal("concurrent execution modified the shared program")
 	}
 	if hits := e.StatsGroups()["plan_memo"]["hits"]; hits == 0 {
-		t.Fatal("32 executions of one program never hit the planner memo")
+		t.Fatal("32 executions of one Prepared never reused its plan")
 	}
 }
 
@@ -157,7 +160,7 @@ func (g *growingSource) Info() video.Info {
 }
 
 // A program whose camera's bounds grew between two executions is
-// planned again: the memo checks the shard metadata, so the second
+// planned again: the plan slot checks the shard metadata, so the second
 // run's release covers the grown window, exactly as a fresh engine's
 // does. An unchanged third run is a hit.
 func TestPlanMemoReplansWhenBoundsGrow(t *testing.T) {
@@ -172,7 +175,7 @@ func TestPlanMemoReplansWhenBoundsGrow(t *testing.T) {
 	if err := e.Registry().Register("counter", countNewEntrants); err != nil {
 		t.Fatal(err)
 	}
-	prog, err := query.Parse(countQuery)
+	p, err := e.Prepare(countQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,19 +183,19 @@ func TestPlanMemoReplansWhenBoundsGrow(t *testing.T) {
 		g := e.StatsGroups()["plan_memo"]
 		return g["hits"], g["misses"]
 	}
-	half, err := e.Execute(prog)
+	half, err := e.ExecutePrepared(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	src.frames.Store(s.Frames)
-	full, err := e.Execute(prog)
+	full, err := e.ExecutePrepared(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hits, misses := memo(); hits != 0 || misses != 2 {
 		t.Fatalf("after the bounds grew: %v hits, %v misses; want a re-plan", hits, misses)
 	}
-	want, err := newTestEngine(t, s, policy.Policy{Rho: 25 * time.Second, K: 1}, 1e9).Execute(prog)
+	want, err := newTestEngine(t, s, policy.Policy{Rho: 25 * time.Second, K: 1}, 1e9).Execute(p.Program)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +203,7 @@ func TestPlanMemoReplansWhenBoundsGrow(t *testing.T) {
 	if !f.End.Equal(w.End) || f.Raw != w.Raw || f.Sensitivity != w.Sensitivity || f.End.Equal(h.End) {
 		t.Fatalf("grown run released %+v\nwant %+v (half-window run %+v)", f, w, h)
 	}
-	if _, err := e.Execute(prog); err != nil {
+	if _, err := e.ExecutePrepared(p); err != nil {
 		t.Fatal(err)
 	}
 	if hits, misses := memo(); hits != 1 || misses != 2 {
@@ -208,7 +211,7 @@ func TestPlanMemoReplansWhenBoundsGrow(t *testing.T) {
 	}
 }
 
-// The memo checks each shard's mask and region scheme: the cache-key
+// The plan slot checks each shard's mask and region scheme: the cache-key
 // prefixes depend on them, and the shard metadata alone cannot tell two
 // schemes with the same region count apart. A program whose SPLIT is
 // swapped, between two executions, for one naming another scheme must
@@ -248,8 +251,8 @@ SELECT region, COUNT(*) FROM t GROUP BY region WITH KEYS ["top", "bottom", "left
 		}
 		return prog
 	}
-	raws := func(e *Engine, prog *query.Program) []float64 {
-		res, err := e.Execute(prog)
+	raws := func(e *Engine, p *Prepared) []float64 {
+		res, err := e.ExecutePrepared(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,10 +262,76 @@ SELECT region, COUNT(*) FROM t GROUP BY region WITH KEYS ["top", "bottom", "left
 		}
 		return out
 	}
-	e, prog := engine(), parse("rows")
-	raws(e, prog)
-	prog.Splits = parse("cols").Splits
-	if got, want := raws(e, prog), raws(engine(), parse("cols")); !slices.Equal(got, want) {
+	e, p := engine(), &Prepared{Program: parse("rows")}
+	raws(e, p)
+	p.Program.Splits = parse("cols").Splits
+	if got, want := raws(e, p), raws(engine(), &Prepared{Program: parse("cols")}); !slices.Equal(got, want) {
 		t.Fatalf("the program under another scheme released %v, a fresh engine %v", got, want)
+	}
+}
+
+// A resubmitted text shares the first submission's Prepared, and with
+// it the program and the WAL tag (the source's hash). A parse error is
+// never cached: it is returned afresh, and byte-identical, every time.
+func TestParseCacheSharesPrograms(t *testing.T) {
+	e := New(Options{})
+	first, err := e.Prepare(countQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := e.Prepare(countQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256([]byte(countQuery))
+	if again != first || again.Program != first.Program || first.Tag != fmt.Sprintf("%x", sum[:8]) {
+		t.Fatalf("resubmission got program %p tag %s, first %p tag %s", again.Program, again.Tag, first.Program, first.Tag)
+	}
+	const bad = "SPLIT camA BEGIN nope"
+	_, want := query.Parse(bad)
+	for range 2 {
+		if _, err := e.Prepare(bad); err == nil || err.Error() != want.Error() {
+			t.Fatalf("bad text: %v, want %v", err, want)
+		}
+	}
+	if hits, misses := e.ParseCacheStats(); hits != 1 || misses != 3 {
+		t.Fatalf("program cache %d hits, %d misses; want 1, 3", hits, misses)
+	}
+}
+
+// A plan over more than maxSlotShards shards is not kept: a program
+// whose PROCESS statements span 65 shards runs correctly twice, planning
+// both times, while Execute keeps no plan at all.
+func TestWidePlanNotKept(t *testing.T) {
+	var src strings.Builder
+	src.WriteString("SPLIT camA BEGIN 03-15-2021/6:00am END 03-15-2021/6:10am BY TIME 30sec STRIDE 0sec INTO chunks;\n")
+	for i := range maxSlotShards + 1 {
+		fmt.Fprintf(&src, "PROCESS chunks USING counter TIMEOUT 5sec PRODUCING 20 ROWS WITH SCHEMA (one:NUMBER=0) INTO t%d;\n", i)
+	}
+	fmt.Fprintf(&src, "SELECT COUNT(*) FROM t%d;", maxSlotShards)
+	s := countScene(50)
+	e := newTestEngine(t, s, policy.Policy{Rho: 25 * time.Second, K: 1}, 1e9)
+	p, err := e.Prepare(src.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := newTestEngine(t, s, policy.Policy{Rho: 25 * time.Second, K: 1}, 1e9).Execute(p.Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := range 2 {
+		got, err := e.ExecutePrepared(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := got.Releases[0], want.Releases[0]; g.Raw != w.Raw || g.Sensitivity != w.Sensitivity || !g.End.Equal(w.End) {
+			t.Fatalf("run %d released %+v, want %+v", run, g, w)
+		}
+	}
+	if p.plan.Load() != nil {
+		t.Fatal("a 65-shard plan was kept")
+	}
+	if g := e.StatsGroups()["plan_memo"]; g["hits"] != 0 || g["misses"] != 2 {
+		t.Fatalf("plan %v hits, %v misses; want 0, 2", g["hits"], g["misses"])
 	}
 }

@@ -72,7 +72,7 @@ func TestSingleflightConcurrentColdQueries(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			<-start
-			results[w], traces[w], errs[w] = e.ExecuteTraced(prog, fmt.Sprintf("sf-%d", w), nil)
+			results[w], traces[w], errs[w] = e.ExecuteTraced(&Prepared{Program: prog, Tag: fmt.Sprintf("sf-%d", w)}, nil)
 		}(w)
 	}
 	close(start)

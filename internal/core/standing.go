@@ -27,7 +27,8 @@ import (
 // defined with respect to a total order of Advance calls.
 type StandingQuery struct {
 	engine *Engine
-	prog   *query.Program
+	// p keeps the program's plan between Advances.
+	p *Prepared
 
 	// mu serializes Advance end to end. The filter callback passed to
 	// execute reads released and appends to the call's newly slice;
@@ -49,7 +50,7 @@ func (e *Engine) Standing(prog *query.Program) (*StandingQuery, error) {
 	}
 	return &StandingQuery{
 		engine:   e,
-		prog:     prog,
+		p:        &Prepared{Program: prog},
 		released: map[string]bool{},
 	}, nil
 }
@@ -69,7 +70,7 @@ func (sq *StandingQuery) Advance(now time.Time) (*Result, error) {
 	sq.mu.Lock()
 	defer sq.mu.Unlock()
 	var newly []string
-	res, err := sq.engine.execute(sq.prog, "", func(r rel.Release) bool {
+	res, err := sq.engine.execute(sq.p, func(r rel.Release) bool {
 		if r.End.After(now) {
 			return false // bucket still accumulating
 		}

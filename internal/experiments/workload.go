@@ -12,7 +12,6 @@ import (
 	"privid/internal/geom"
 	"privid/internal/mask"
 	"privid/internal/policy"
-	"privid/internal/query"
 	"privid/internal/sandbox"
 	"privid/internal/scene"
 	"privid/internal/table"
@@ -147,13 +146,14 @@ func newEngine(cfg Config) *core.Engine {
 	})
 }
 
-// execute parses and runs one program.
+// execute runs one program through the engine's program cache, so a
+// text repeated across trials is parsed and planned once.
 func execute(e *core.Engine, src string) (*core.Result, error) {
-	prog, err := query.Parse(src)
+	p, err := e.Prepare(src)
 	if err != nil {
 		return nil, err
 	}
-	return e.Execute(prog)
+	return e.ExecutePrepared(p)
 }
 
 // sceneEngine returns an evaluation engine with cs's camera and one

@@ -152,13 +152,7 @@ type H struct {
 	Srv    *httptest.Server
 
 	stopped bool
-	// reg is this incarnation's obs registry (Cfg.Metrics, or a fresh
-	// one per boot when nil).
-	reg *obs.Registry
 }
-
-// Registry returns the running stack's isolated obs registry.
-func (h *H) Registry() *obs.Registry { return h.reg }
 
 // streamStart anchors the test camera (matching the repo's test
 // convention: the paper's 6:00 am capture window).
@@ -209,11 +203,11 @@ func (h *H) boot() {
 	if h.Cfg.BeforeBoot != nil {
 		h.Cfg.BeforeBoot()
 	}
-	h.reg = h.Cfg.Metrics
-	if h.reg == nil {
+	reg := h.Cfg.Metrics
+	if reg == nil {
 		// Isolated per-boot registry: parallel stacks (sim scenarios,
 		// obs e2e tests) never see each other's counters.
-		h.reg = obs.NewRegistry()
+		reg = obs.NewRegistry()
 	}
 	engine, err := core.Open(core.Options{
 		Seed:                h.Cfg.Seed,
@@ -228,7 +222,7 @@ func (h *H) boot() {
 		DiskCacheDir:        h.Cfg.DiskCacheDir,
 		DiskCacheBytes:      h.Cfg.DiskCacheBytes,
 		WrapWALFile:         h.Cfg.WrapWALFile,
-		Metrics:             h.reg,
+		Metrics:             reg,
 	})
 	if err != nil {
 		h.T.Fatalf("harness: open engine: %v", err)

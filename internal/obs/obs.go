@@ -1,7 +1,7 @@
 // Package obs is Privid's dependency-free observability substrate: a
-// metrics registry (atomic counters, gauges and fixed-bucket latency
-// histograms with Prometheus text exposition), a per-query span tracer,
-// and a structured slow-query log.
+// metrics registry (atomic counters, fixed-bucket latency histograms
+// and scrape-time collectors, with Prometheus text exposition), a
+// per-query span tracer, and a structured slow-query log.
 //
 // Design constraints, in order:
 //
@@ -103,41 +103,6 @@ func (c *Counter) Value() float64 {
 	return math.Float64frombits(c.bits.Load())
 }
 
-// Gauge is a settable float64. All methods are safe on a nil receiver.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add adds delta (may be negative).
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value (0 on nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
 // Histogram is a fixed-bucket histogram. Buckets are upper bounds
 // (inclusive, per Prometheus `le` semantics) in ascending order; an
 // implicit +Inf bucket catches the rest. Observe is lock-free: one
@@ -224,17 +189,6 @@ func (v *CounterVec) With(labelVals ...string) *Counter {
 	return v.fam.child(labelVals, func() any { return &Counter{} }).(*Counter)
 }
 
-// GaugeVec is a family of Gauges distinguished by label values.
-type GaugeVec struct{ fam *family }
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(labelVals ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	return v.fam.child(labelVals, func() any { return &Gauge{} }).(*Gauge)
-}
-
 // HistogramVec is a family of Histograms distinguished by label values.
 type HistogramVec struct{ fam *family }
 
@@ -272,7 +226,7 @@ type family struct {
 
 type child struct {
 	labelVals []string
-	inst      any // *Counter, *Gauge or *Histogram
+	inst      any // *Counter or *Histogram
 }
 
 func (f *family) child(labelVals []string, mk func() any) any {
@@ -349,23 +303,6 @@ func (r *Registry) CounterVec(name, help string, labelKeys ...string) *CounterVe
 	return &CounterVec{fam: r.register(name, help, TypeCounter, labelKeys, nil)}
 }
 
-// Gauge registers (or finds) an unlabelled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	f := r.register(name, help, TypeGauge, nil, nil)
-	return f.child(nil, func() any { return &Gauge{} }).(*Gauge)
-}
-
-// GaugeVec registers (or finds) a labelled gauge family.
-func (r *Registry) GaugeVec(name, help string, labelKeys ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	return &GaugeVec{fam: r.register(name, help, TypeGauge, labelKeys, nil)}
-}
-
 // Histogram registers (or finds) an unlabelled histogram with the
 // given bucket upper bounds (nil uses DurationBuckets).
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
@@ -406,11 +343,6 @@ func (r *Registry) CollectFunc(name, help string, typ MetricType, labelKeys []st
 	}
 	f := r.register(name, help, typ, labelKeys, nil)
 	f.collect = fn
-}
-
-// GaugeFunc registers an unlabelled scrape-time gauge.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.CollectFunc(name, help, TypeGauge, nil, func(emit Emit) { emit(nil, fn()) })
 }
 
 // --- exposition ---
@@ -492,10 +424,6 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 		for _, c := range children {
 			switch inst := c.inst.(type) {
 			case *Counter:
-				b.WriteString(f.name)
-				writeLabels(&b, f.labelKeys, c.labelVals, "", "")
-				fmt.Fprintf(&b, " %s\n", formatValue(inst.Value()))
-			case *Gauge:
 				b.WriteString(f.name)
 				writeLabels(&b, f.labelKeys, c.labelVals, "", "")
 				fmt.Fprintf(&b, " %s\n", formatValue(inst.Value()))

@@ -63,9 +63,6 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	if c.Value() != 0 {
 		t.Error("nil counter has a value")
 	}
-	var g *Gauge
-	g.Set(1)
-	g.Add(-1)
 	var h *Histogram
 	h.Observe(1)
 	if h.Count() != 0 || h.BucketCounts() != nil {
@@ -73,13 +70,11 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	}
 	var cv *CounterVec
 	cv.With("a").Inc()
-	var gv *GaugeVec
-	gv.With("a").Set(1)
 	var hv *HistogramVec
 	hv.With("a").Observe(1)
 	var r *Registry
 	r.Counter("x", "").Inc()
-	r.GaugeFunc("y", "", func() float64 { return 1 })
+	r.CollectFunc("y", "", TypeGauge, nil, func(emit Emit) { emit(nil, 1) })
 	if n, err := r.WriteTo(&strings.Builder{}); n != 0 || err != nil {
 		t.Errorf("nil registry wrote %d bytes, err %v", n, err)
 	}
@@ -107,7 +102,7 @@ func TestRegistryConcurrency(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("ops_total", "ops")
 	hv := r.HistogramVec("lat_seconds", "latency", []float64{0.1, 1}, "stage")
-	r.GaugeFunc("depth", "queue depth", func() float64 { return 7 })
+	r.CollectFunc("depth", "queue depth", TypeGauge, nil, func(emit Emit) { emit(nil, 7) })
 
 	const workers, perWorker = 16, 500
 	var wg sync.WaitGroup
@@ -171,7 +166,7 @@ func TestReRegistrationSharesFamily(t *testing.T) {
 			t.Error("schema mismatch did not panic")
 		}
 	}()
-	r.Gauge("stage_total", "") // different type must panic
+	r.CollectFunc("stage_total", "", TypeGauge, []string{"stage"}, func(Emit) {}) // different type must panic
 }
 
 // TestExpositionFormat checks the rendered text against the validator
@@ -180,7 +175,7 @@ func TestReRegistrationSharesFamily(t *testing.T) {
 func TestExpositionFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c_total", "a counter").Add(2)
-	r.GaugeVec("g", "a gauge", "camera").With(`we"ird\cam`).Set(1.5)
+	r.CollectFunc("g", "a gauge", TypeGauge, []string{"camera"}, func(emit Emit) { emit([]string{`we"ird\cam`}, 1.5) })
 	h := r.Histogram("h_seconds", "a histogram", []float64{0.5, 1})
 	h.Observe(0.25)
 	h.Observe(0.75)

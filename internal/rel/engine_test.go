@@ -128,25 +128,27 @@ func astEqual(a, b reflect.Value) bool {
 }
 
 // TestExecuteLeavesProgramUnchanged runs every generator program —
-// accepted, pushed down, materialised or rejected — and requires its
-// AST afterwards to equal a fresh build of the same program.
+// accepted, pushed down, materialised or rejected — twice through one
+// Prepared, planned and then reusing its plan, and requires its AST
+// afterwards to equal a fresh build of the same program.
 func TestExecuteLeavesProgramUnchanged(t *testing.T) {
 	e := genEngine(t)
 	for seed := int64(0); seed < genSeeds; seed++ {
 		prog, env := genProgram(t, seed)
 		registerRows(t, e, seed, env)
-		_, _ = e.Execute(prog)
-		_, _ = e.Execute(prog)
+		p := &core.Prepared{Program: prog}
+		_, _ = e.ExecutePrepared(p)
+		_, _ = e.ExecutePrepared(p)
 		if fresh, _ := genProgram(t, seed); !astEqual(reflect.ValueOf(prog), reflect.ValueOf(fresh)) {
 			t.Fatalf("seed %d: executing the program modified its AST", seed)
 		}
 	}
 }
 
-// TestPlanMemoDifferential runs every generator program twice on one
-// engine — a memo miss, then a hit — and each time against an engine
-// that only ever sees fresh programs, so its memo is cold for every
-// call. With the same noise seed and the same execution order, the
+// TestPlanMemoDifferential runs every generator program twice through
+// one Prepared — a plan miss, then a hit on the plan it keeps — and
+// each time against an engine that only ever sees fresh programs, so
+// it plans every call afresh. With the same noise seed and the same execution order, the
 // releases, sensitivities, noise scales and per-camera charges must be
 // bit-identical, and rejections must read the same.
 func TestPlanMemoDifferential(t *testing.T) {
@@ -155,9 +157,10 @@ func TestPlanMemoDifferential(t *testing.T) {
 		prog, env := genProgram(t, seed)
 		registerRows(t, warm, seed, env)
 		registerRows(t, cold, seed, env)
+		p := &core.Prepared{Program: prog}
 		for run := 0; run < 2; run++ {
 			fresh, _ := genProgram(t, seed)
-			got, gerr := warm.Execute(prog)
+			got, gerr := warm.ExecutePrepared(p)
 			want, werr := cold.Execute(fresh)
 			if fmt.Sprint(gerr) != fmt.Sprint(werr) {
 				t.Fatalf("seed %d run %d: error %v, cold memo %v", seed, run, gerr, werr)

@@ -81,28 +81,6 @@ type Entity struct {
 	Appearances []Appearance
 }
 
-// TotalFrames returns the total number of frames across all
-// appearances (the entity's total "persistence").
-func (e *Entity) TotalFrames() int64 {
-	var n int64
-	for _, a := range e.Appearances {
-		n += a.Interval().Len()
-	}
-	return n
-}
-
-// MaxSegmentFrames returns the length of the entity's longest single
-// appearance — the quantity a (ρ, K) policy's ρ must bound.
-func (e *Entity) MaxSegmentFrames() int64 {
-	var m int64
-	for _, a := range e.Appearances {
-		if l := a.Interval().Len(); l > m {
-			m = l
-		}
-	}
-	return m
-}
-
 // Light is a traffic signal with a fixed red/green cycle.
 type Light struct {
 	Box      geom.Rect
@@ -266,27 +244,6 @@ func (s *Scene) MaxDurationSeconds(iv vtime.Interval) float64 {
 		}
 	}
 	return s.FPS.Seconds(m)
-}
-
-// MaxK returns the maximum number of appearances of any single private
-// entity within [iv] — the K the policy must cover.
-func (s *Scene) MaxK(iv vtime.Interval) int {
-	m := 0
-	for _, e := range s.Ents {
-		if !e.Class.Private() {
-			continue
-		}
-		k := 0
-		for _, a := range e.Appearances {
-			if !a.Interval().Intersect(iv).Empty() {
-				k++
-			}
-		}
-		if k > m {
-			m = k
-		}
-	}
-	return m
 }
 
 // CollectPresence samples every stride-th frame of each private

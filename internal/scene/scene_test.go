@@ -210,18 +210,8 @@ func TestMaxDurationAndK(t *testing.T) {
 	if got := s.MaxDurationSeconds(s.Bounds()); got != 50 {
 		t.Errorf("MaxDurationSeconds=%v, want 50", got)
 	}
-	if got := s.MaxK(s.Bounds()); got != 2 {
-		t.Errorf("MaxK=%v, want 2", got)
-	}
-	// Clipped to a window covering only the first appearance.
-	if got := s.MaxK(vtime.NewInterval(0, 500)); got != 1 {
-		t.Errorf("windowed MaxK=%v, want 1", got)
-	}
 	if got := s.MaxDurationSeconds(vtime.NewInterval(0, 100)); got != 10 {
 		t.Errorf("clipped MaxDurationSeconds=%v, want 10", got)
-	}
-	if e := s.Ents[0]; e.TotalFrames() != 400 || e.MaxSegmentFrames() != 300 {
-		t.Errorf("TotalFrames=%d MaxSegmentFrames=%d", e.TotalFrames(), e.MaxSegmentFrames())
 	}
 }
 
@@ -231,9 +221,16 @@ func TestHeavyTail(t *testing.T) {
 	s := Generate(Campus(), 11, 12*time.Hour)
 	var durs []int64
 	for _, e := range s.Ents {
-		if e.Class == video.Person {
-			durs = append(durs, e.MaxSegmentFrames())
+		if e.Class != video.Person {
+			continue
 		}
+		var longest int64 // the person's longest single appearance
+		for _, a := range e.Appearances {
+			if l := a.Interval().Len(); l > longest {
+				longest = l
+			}
+		}
+		durs = append(durs, longest)
 	}
 	if len(durs) < 100 {
 		t.Fatalf("too few people: %d", len(durs))

@@ -1,33 +1,30 @@
 package server
 
 import (
-	"crypto/sha256"
-	"fmt"
 	"net/http/httptest"
 	"testing"
 
 	"privid/internal/query"
 )
 
-// A resubmitted text shares the first submission's parsed program and
-// WAL tag. A parse error is never cached: it is returned afresh, and
-// byte-identical, on every submission.
+// Submissions go through the engine's program cache: a resubmitted
+// text is a hit (core's TestParseCacheSharesPrograms pins that the hit
+// shares the first Prepared, program and tag). A parse error is never
+// cached: it is returned afresh, and byte-identical, on every
+// submission. A finished job keeps no program.
 func TestParseCacheSharesPrograms(t *testing.T) {
-	sched := NewScheduler(newTestEngine(t), SchedulerOptions{Workers: 1})
+	engine := newTestEngine(t)
+	sched := NewScheduler(engine, SchedulerOptions{Workers: 1})
 	defer sched.Close()
-	var jobs []*job
+	ts := httptest.NewServer(NewAPI(engine, sched))
+	defer ts.Close()
+	var ids []string
 	for _, analyst := range []string{"alice", "bob"} {
 		id, err := sched.Submit(analyst, testQuery)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sched.mu.Lock()
-		jobs = append(jobs, sched.jobs[id])
-		sched.mu.Unlock()
-	}
-	sum := sha256.Sum256([]byte(testQuery))
-	if jobs[0].prog != jobs[1].prog || jobs[0].qhash != jobs[1].qhash || jobs[0].qhash != fmt.Sprintf("%x", sum[:8]) {
-		t.Fatalf("resubmission got program %p tag %s, first %p tag %s", jobs[1].prog, jobs[1].qhash, jobs[0].prog, jobs[0].qhash)
+		ids = append(ids, id)
 	}
 	const bad = "SPLIT campus BEGIN nope"
 	_, want := query.Parse(bad)
@@ -38,6 +35,15 @@ func TestParseCacheSharesPrograms(t *testing.T) {
 	}
 	if st := sched.Stats(); st.ParseCacheHits != 1 || st.ParseCacheMisses != 3 {
 		t.Fatalf("parse cache %d hits, %d misses; want 1, 3", st.ParseCacheHits, st.ParseCacheMisses)
+	}
+	for _, id := range ids {
+		pollJob(t, ts.URL, id)
+		sched.mu.Lock()
+		prep := sched.jobs[id].prep
+		sched.mu.Unlock()
+		if prep != nil {
+			t.Fatalf("finished job %s still holds its program", id)
+		}
 	}
 }
 

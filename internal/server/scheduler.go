@@ -23,8 +23,6 @@ package server
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -35,10 +33,8 @@ import (
 	"sync"
 	"time"
 
-	"privid/internal/cache"
 	"privid/internal/core"
 	"privid/internal/obs"
-	"privid/internal/query"
 	"privid/internal/store"
 )
 
@@ -129,39 +125,15 @@ var (
 
 type job struct {
 	info JobInfo
-	prog *query.Program
-	// qhash tags the job's WAL charge records (sha256 of the source,
-	// truncated) so the durable ledger ties ε debits to queries.
-	qhash string
+	// prep is the job's program, shared with every job of the same text
+	// through the engine's program cache; the worker drops it once it
+	// has run, so a finished job holds no program.
+	prep *core.Prepared
 	// parseStart/parseDur time the submit-side parse so the worker can
 	// attach it to the execution trace as a pre-measured span.
 	parseStart time.Time
 	parseDur   time.Duration
 }
-
-// queryHash derives the WAL tag for a query source.
-func queryHash(src string) string {
-	sum := sha256.Sum256([]byte(src))
-	return hex.EncodeToString(sum[:8])
-}
-
-// prepared is a parsed program and its WAL tag, shared read-only by
-// every job submitted with the same source text (the engine never
-// writes a program it executes).
-type prepared struct {
-	prog  *query.Program
-	qhash string
-}
-
-// Parse-cache bounds. Analysts resubmit a small working set — a
-// dashboard's panels, the standing queries of the paper's Appendix D —
-// that a thousand programs hold with room to spare, and 1 MiB of source
-// (one submission's cap) keeps what the cache pins, ASTs included, to a
-// few MiB however long the texts are.
-const (
-	maxPrepared      = 1024
-	maxPreparedBytes = 1 << 20
-)
 
 // Scheduler runs analyst queries asynchronously on a worker pool over
 // one engine. It is safe for concurrent use.
@@ -179,9 +151,6 @@ type Scheduler struct {
 	// when unconfigured).
 	met  *schedMetrics
 	slow *obs.SlowLog
-	// parsed caches successful parses by source text; failures are
-	// never stored, so a parse error is reported the same every time.
-	parsed cache.Memo[string, prepared]
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -249,7 +218,6 @@ func NewScheduler(engine *core.Engine, opts SchedulerOptions) *Scheduler {
 		inflight: map[string]int{},
 		met:      newSchedMetrics(engine.Metrics()),
 		slow:     obs.NewSlowLog(opts.SlowQueryLog, opts.SlowQueryThreshold),
-		parsed:   cache.Memo[string, prepared]{MaxEntries: maxPrepared, MaxSize: maxPreparedBytes},
 	}
 	for _, jr := range engine.RecoveredJobs() {
 		s.adoptRecovered(jr)
@@ -370,13 +338,7 @@ func (s *Scheduler) Submit(analyst, src string) (string, error) {
 	// becomes a span on the execution trace, and traces always use real
 	// time (see core.ExecuteTraced).
 	parseStart := time.Now()
-	pr, err := s.parsed.Load(src, nil, func() (prepared, int, error) {
-		prog, err := query.Parse(src)
-		if err != nil {
-			return prepared{}, 0, err
-		}
-		return prepared{prog, queryHash(src)}, len(src), nil
-	})
+	prep, err := s.engine.Prepare(src)
 	parseDur := time.Since(parseStart)
 	s.met.stage("parse", parseDur)
 	if err != nil {
@@ -413,8 +375,7 @@ func (s *Scheduler) Submit(analyst, src string) (string, error) {
 			State:       JobQueued,
 			SubmittedAt: s.now(),
 		},
-		prog:       pr.prog,
-		qhash:      pr.qhash,
+		prep:       prep,
 		parseStart: parseStart,
 		parseDur:   parseDur,
 	}
@@ -456,7 +417,7 @@ func (s *Scheduler) worker() {
 		// committed.
 		var finished time.Time
 		var result []byte
-		res, tr, err := s.engine.ExecuteTraced(j.prog, j.qhash, func(res *core.Result) *store.JobRecord {
+		res, tr, err := s.engine.ExecuteTraced(j.prep, func(res *core.Result) *store.JobRecord {
 			s.mu.Lock()
 			finished = s.now()
 			s.mu.Unlock()
@@ -474,6 +435,7 @@ func (s *Scheduler) worker() {
 		tr.Root().ChildSpanning("parse", j.parseStart, j.parseDur)
 
 		s.mu.Lock()
+		j.prep = nil
 		if err != nil {
 			j.info.State = JobFailed
 			j.info.Error = err.Error()
@@ -620,12 +582,14 @@ type Stats struct {
 	// is unconfigured).
 	SlowQueries int64
 	// ParseCacheHits and ParseCacheMisses count submissions whose
-	// program came from the parse cache, and those parsed afresh.
+	// program came from the engine's program cache, and those parsed
+	// afresh.
 	ParseCacheHits, ParseCacheMisses int64
 }
 
 // Stats returns a snapshot of scheduler load.
 func (s *Scheduler) Stats() Stats {
+	hits, misses := s.engine.ParseCacheStats()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{
@@ -636,8 +600,8 @@ func (s *Scheduler) Stats() Stats {
 		Recovered:   s.recovered,
 		SlowQueries: int64(s.slow.Entries()),
 
-		ParseCacheHits:   int64(s.parsed.Hits.Load()),
-		ParseCacheMisses: int64(s.parsed.Misses.Load()),
+		ParseCacheHits:   int64(hits),
+		ParseCacheMisses: int64(misses),
 	}
 	for _, j := range s.jobs {
 		switch j.info.State {

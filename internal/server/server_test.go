@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -146,6 +147,34 @@ func TestHTTPSubmitPollResult(t *testing.T) {
 	res := decode[resultJSON](t, resp2)
 	if len(res.Releases) != 1 || res.Releases[0].Desc != job.Result.Releases[0].Desc {
 		t.Fatalf("result mismatch: %+v vs %+v", res, job.Result)
+	}
+
+	// The liveness probe answers, and the job listing is in submission
+	// order, filters by analyst, and never carries a result.
+	if resp, err := http.Get(ts.URL + "/v1/healthz"); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz: %v %v", resp, err)
+	} else if h := decode[map[string]string](t, resp); h["status"] != "ok" {
+		t.Fatalf("healthz body %v", h)
+	}
+	bob := decode[jobJSON](t, postJSON(t, ts.URL+"/v1/queries", submitRequest{Analyst: "bob", Query: testQuery}))
+	pollJob(t, ts.URL, bob.ID)
+	for query, want := range map[string][]string{"": {sub.ID, bob.ID}, "?analyst=bob": {bob.ID}, "?analyst=carol": {}} {
+		resp, err := http.Get(ts.URL + "/v1/queries" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []string
+		for _, j := range decode[[]map[string]json.RawMessage](t, resp) {
+			var id string
+			_ = json.Unmarshal(j["id"], &id)
+			if _, ok := j["result"]; ok {
+				t.Errorf("listing %q carries job %s's result", query, id)
+			}
+			ids = append(ids, id)
+		}
+		if !slices.Equal(ids, want) {
+			t.Errorf("listing %q: jobs %v, want %v", query, ids, want)
+		}
 	}
 }
 

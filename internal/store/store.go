@@ -120,9 +120,8 @@ type State struct {
 	spent map[string]*intervalmap.Map
 	// audit and jobs hold at least the retained entries, each as its JSON
 	// encoding (see apply); only the last maxAudit/maxJobs are state.
-	audit   [][]byte
-	jobs    [][]byte
-	charges int64 // charge records applied since the last snapshot base
+	audit [][]byte
+	jobs  [][]byte
 	// maxJobs and maxAudit bound the retained terminal jobs and audit
 	// entries (oldest dropped); <= 0 keeps all. Spent budget is never
 	// bounded — it IS the guarantee.
@@ -147,7 +146,6 @@ func (s *State) apply(rec Record, payload []byte) {
 			s.spent[c.Camera] = m
 		}
 		m.AddRange(c.Start, c.End, c.Eps)
-		s.charges++
 		return
 	}
 	end := len(payload) - 1
@@ -241,10 +239,6 @@ func decodeEntries[T any](entries [][]byte) []T {
 	}
 	return out
 }
-
-// Charges returns the number of charge records folded into the state
-// since its snapshot base.
-func (s *State) Charges() int64 { return s.charges }
 
 // segmentsOf exports a map's non-zero maximal segments. Spent-budget
 // maps are zero outside the union of charged intervals, so the

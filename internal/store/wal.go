@@ -256,7 +256,6 @@ func loadState(dir string, maxJobs, maxAudit int) (*State, int64, int64, int64, 
 				}}, nil)
 			}
 		}
-		state.charges = 0 // snapshot segments are the base, not new records
 		for i := range sf.Audit {
 			if err := state.replay(Record{Audit: &sf.Audit[i]}); err != nil {
 				return nil, 0, 0, 0, fmt.Errorf("store: corrupt snapshot %s: %w", snapPath, err)
@@ -541,7 +540,6 @@ func (w *WAL) snapshotLocked() error {
 	w.f = f
 	w.gen = newGen
 	w.size = int64(len(walMagic))
-	w.state.charges = 0
 	w.recsSinceSnap = 0
 	w.poisoned = nil
 	os.Remove(oldPath)
@@ -623,13 +621,6 @@ func (w *WAL) SpentSegments(camera string) []Segment {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.state.SpentSegments(camera)
-}
-
-// Cameras lists cameras with recorded charges.
-func (w *WAL) Cameras() []string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.state.Cameras()
 }
 
 // AuditEntries returns the recovered-and-since-committed audit log.

@@ -679,20 +679,6 @@ func (t *Table) Col(name string) ([]Value, error) {
 	return out, nil
 }
 
-// Clone returns a deep, mutable copy of the table.
-func (t *Table) Clone() *Table {
-	out := New(t.Schema)
-	out.n = t.n
-	for j := range t.cols {
-		out.cols[j].nums = append([]float64(nil), t.cols[j].nums...)
-		if t.Schema.Cols[j].Type == DString {
-			out.cols[j].strs = append([]string(nil), t.cols[j].strs...)
-			out.cols[j].valid = append([]bool(nil), t.cols[j].valid...)
-		}
-	}
-	return out
-}
-
 // SortBy sorts rows by the named column ascending (numeric comparison
 // for NUMBER columns, lexicographic for STRING). Used by deterministic
 // tests and output printers; relational semantics never depend on order.

@@ -161,20 +161,6 @@ func TestTableColAndSort(t *testing.T) {
 	}
 }
 
-func TestTableClone(t *testing.T) {
-	s := MustSchema(Column{Name: "n", Type: DNumber})
-	tb := New(s)
-	tb.Append(Row{N(1)})
-	c := tb.Clone()
-	c.Append(Row{N(2)})
-	if err := c.SortBy("n"); err != nil {
-		t.Fatal(err)
-	}
-	if tb.At(0, 0).Num() != 1 || tb.Len() != 1 {
-		t.Errorf("clone not deep")
-	}
-}
-
 func TestIngestCoercion(t *testing.T) {
 	s := MustSchema(
 		Column{Name: "n", Type: DNumber},
