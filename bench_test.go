@@ -338,14 +338,25 @@ func BenchmarkChunkCache_DiskWarm(b *testing.B) {
 // per-chunk folds, just decode + merge + finalize. Both work counters
 // are asserted to be exactly zero and reported for the CI contract
 // (BENCH_12.json pins them at 0).
-func BenchmarkPartialStateCache_Warm(b *testing.B) {
+func BenchmarkPartialStateCache_Warm(b *testing.B) { runPartialStateBench(b, privid.Options{}) }
+
+// BenchmarkPartialStateCache_DiskWarm is the same repeat with the RAM
+// tier disabled: every chunk's state is read from the disk tier into a
+// buffer of the chunk workers' pooled scratch, so it allocates what the
+// RAM warm path does (BENCH_12.json pins allocs/op).
+func BenchmarkPartialStateCache_DiskWarm(b *testing.B) {
+	runPartialStateBench(b, privid.Options{ChunkCacheBytes: -1, DiskCacheDir: b.TempDir()})
+}
+
+func runPartialStateBench(b *testing.B, opts privid.Options) {
 	src := privid.NewSceneCamera("campus", privid.CampusProfile(), 1, 10*time.Minute)
 	prog, err := privid.Parse(partialBenchQuery)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var execs atomic.Int64
-	engine := newCacheBenchEngine(b, src, privid.Options{}, &execs)
+	engine := newCacheBenchEngine(b, src, opts, &execs)
+	defer engine.Close()
 	p := &core.Prepared{Program: prog}
 	if _, err := engine.ExecutePrepared(p); err != nil { // populate the state tier
 		b.Fatal(err)

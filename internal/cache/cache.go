@@ -2,7 +2,8 @@
 // engine uses to memoize PROCESS results per chunk: a tier-1 in-RAM
 // LRU of immutable columnar tables and an optional tier-2 append-only
 // disk store (disk.go) that survives process restarts, composed by
-// Tiered (tiered.go).
+// Tiered (tiered.go). A disk hit is one copy out of memory, promoted
+// into RAM only when RAM would keep it.
 //
 // Why memoization is sound: the sandbox contract (Appendix B, enforced
 // by internal/sandbox) requires every ProcessFunc to be a pure function
@@ -23,9 +24,11 @@
 //
 // Why sharing is safe: Put freezes the stored table (table.Freeze), so
 // every Get can hand back the same *table.Table without copying — any
-// attempted mutation panics instead of corrupting other readers. The
-// engine stamps implicit columns via Table.AppendBlock, which copies
-// out of the frozen block rather than appending to its rows.
+// attempted mutation panics instead of corrupting other readers. A
+// payload RAM keeps is never a caller's buffer: a promotion stores a
+// copy of its own. The engine stamps implicit columns via
+// Table.AppendBlock, which copies out of the frozen block rather than
+// appending to its rows.
 package cache
 
 import (
@@ -64,7 +67,8 @@ type Stats struct {
 	DiskHits, DiskMisses uint64
 	// DiskPuts counts entries appended to the disk tier.
 	DiskPuts uint64
-	// Promotions counts disk hits copied back into the RAM tier.
+	// Promotions counts disk hits admitted back into the RAM tier; a
+	// hit RAM would not keep (see Tiered) is not promoted.
 	Promotions uint64
 	// DiskBytes and DiskMaxBytes are the current and configured size
 	// of the disk tier; DiskSegments is its segment-file count.
@@ -262,6 +266,14 @@ func (c *LRU) evictOldest() *lruEntry {
 	c.bytes -= ent.cost
 	c.evictions++
 	return ent
+}
+
+// room reports what c can take without evicting, for promotion
+// admission (see diskGet).
+func (c *LRU) room() room {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return room{free: c.maxBytes - c.bytes, entries: len(c.items)}
 }
 
 // Len returns the current entry count.

@@ -7,9 +7,11 @@ package cache
 //
 // all little-endian, where payload is table.EncodeBinary and the CRC
 // (IEEE) covers keyLen|payLen|key|payload. Writes go to one active
-// segment file; at segmentTarget bytes the segment is sealed (synced,
-// reopened read-only and mmap'd where the platform supports it) and a
-// new active segment starts. When the total size exceeds the
+// segment file, whose bytes are mirrored in memory; at segmentTarget
+// bytes the segment is sealed (synced and mmap'd where the platform
+// supports it), its mirror buffer is handed to the next active segment,
+// and reads copy from the mirror or the mapping, so no lookup makes a
+// syscall under the lock. When the total size exceeds the
 // configured bound, whole oldest segments are deleted — eviction is
 // coarse but requires no compaction, and a deleted entry simply
 // becomes a future sandbox re-execution.
@@ -26,6 +28,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -47,12 +50,14 @@ const (
 
 // diskEntry locates one live entry inside a segment. key is the
 // index's own key string, which a disk→RAM promotion hands to the RAM
-// tier, so a promotion makes no key string. Entries are immutable.
+// tier, so a promotion makes no key string. Only hit changes after
+// indexing, under Disk.mu.
 type diskEntry struct {
 	seg  int64 // segment id
 	off  int64 // offset of the frame start
 	key  string
 	pLen uint32
+	hit  uint64 // Disk.tick at its last counted hit; 0 before the first
 }
 
 // segment is one on-disk file, either active (being appended) or
@@ -63,10 +68,12 @@ type segment struct {
 	size int64
 	f    *os.File // nil once sealed and mmap'd successfully
 	mm   []byte   // non-nil when mmap'd
+	mem  []byte   // the active segment's bytes; nil once sealed
 	live int      // live (non-superseded) entries; 0 allows deletion
 }
 
-// Disk is the tier-2 cache. It is safe for concurrent use.
+// Disk is the tier-2 cache. It is safe for concurrent use. Its mirror
+// of the active segment costs at most one segment of RAM.
 type Disk struct {
 	mu       sync.Mutex
 	dir      string
@@ -76,6 +83,8 @@ type Disk struct {
 	order    []int64 // segment ids, oldest first; last is active
 	bytes    int64
 	nextID   int64
+	spare    []byte // the mirror buffer between a seal and the next segment
+	tick     uint64 // counted hits, the clock of diskEntry.hit
 
 	hits, misses, puts, evictions     uint64
 	stateHits, stateMisses, statePuts uint64
@@ -135,20 +144,20 @@ func OpenDisk(dir string, maxBytes int64) (*Disk, error) {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	// Every segment but the newest is sealed once the next is loaded;
+	// the newest stays active (append target, its bytes the mirror) if
+	// it is under the sealing threshold.
 	for _, id := range ids {
+		if n := len(d.order); n > 0 {
+			d.seal(d.segs[d.order[n-1]])
+		}
 		if err := d.loadSegment(id); err != nil {
 			return nil, err
 		}
-		if id >= d.nextID {
-			d.nextID = id + 1
-		}
+		d.nextID = max(d.nextID, id+1)
 	}
-	// The newest segment stays active (append target) if it is under
-	// the sealing threshold; everything older is sealed.
-	for i, id := range d.order {
-		if i < len(d.order)-1 || d.segs[id].size >= segmentTarget {
-			d.seal(d.segs[id])
-		}
+	if n := len(d.order); n > 0 && d.segs[d.order[n-1]].size >= segmentTarget {
+		d.seal(d.segs[d.order[n-1]])
 	}
 	return d, nil
 }
@@ -157,8 +166,9 @@ func (d *Disk) segPath(id int64) string {
 	return filepath.Join(d.dir, fmt.Sprintf("seg-%012d.pvc", id))
 }
 
-// loadSegment scans one segment file, indexing every valid frame and
-// truncating the file after the last one.
+// loadSegment reads one segment file into the spare buffer, indexes
+// every valid frame, truncates the file after the last one and keeps
+// the bytes as the segment's mirror until it is sealed.
 func (d *Disk) loadSegment(id int64) error {
 	path := d.segPath(id)
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
@@ -170,14 +180,15 @@ func (d *Disk) loadSegment(id int64) error {
 		f.Close()
 		return fmt.Errorf("cache: disk tier: %w", err)
 	}
+	buf := slices.Grow(d.spare[:0], int(fi.Size()))[:fi.Size()]
+	d.spare = nil
+	n, _ := f.ReadAt(buf, 0) // a short read ends the scan where the bytes do, like a torn tail
+	buf = buf[:n]
 	seg := &segment{id: id, path: path, f: f}
-	size := fi.Size()
+	size := int64(n)
 	var off int64
-	head := make([]byte, segHeaderBytes)
 	for off+segHeaderBytes+segTrailer <= size {
-		if _, err := f.ReadAt(head, off); err != nil {
-			break
-		}
+		head := buf[off:]
 		if binary.LittleEndian.Uint32(head[0:4]) != segMagic {
 			break
 		}
@@ -190,16 +201,10 @@ func (d *Disk) loadSegment(id int64) error {
 		if frameEnd > size {
 			break // torn final frame
 		}
-		body := make([]byte, int(kLen)+int(pLen)+segTrailer)
-		if _, err := f.ReadAt(body, off+segHeaderBytes); err != nil {
-			break
-		}
-		sum := crc32.ChecksumIEEE(head[4:12])
-		sum = crc32.Update(sum, crc32.IEEETable, body[:kLen+pLen])
-		if sum != binary.LittleEndian.Uint32(body[kLen+pLen:]) {
+		if crc32.ChecksumIEEE(buf[off+4:frameEnd-segTrailer]) != binary.LittleEndian.Uint32(buf[frameEnd-segTrailer:]) {
 			break // corrupt frame: stop scanning this segment
 		}
-		key := string(body[:kLen])
+		key := string(head[segHeaderBytes : segHeaderBytes+kLen])
 		if old, ok := d.index[key]; ok {
 			// The superseded copy may live in this same (not yet
 			// registered) segment or an older one.
@@ -213,7 +218,7 @@ func (d *Disk) loadSegment(id int64) error {
 		seg.live++
 		off = frameEnd
 	}
-	if off < size {
+	if off < fi.Size() {
 		// Drop everything after the last valid frame so the next
 		// append starts on a clean boundary.
 		if err := f.Truncate(off); err != nil {
@@ -221,7 +226,7 @@ func (d *Disk) loadSegment(id int64) error {
 			return fmt.Errorf("cache: disk tier: %w", err)
 		}
 	}
-	seg.size = off
+	seg.size, seg.mem = off, buf[:off]
 	d.segs[id] = seg
 	d.order = append(d.order, id)
 	d.bytes += off
@@ -229,8 +234,12 @@ func (d *Disk) loadSegment(id int64) error {
 }
 
 // seal makes a segment read-only and maps it into memory where the
-// platform supports it. Caller holds d.mu (or is in OpenDisk).
+// platform supports it; its mirror buffer becomes the spare the next
+// active segment takes over. Caller holds d.mu (or is in OpenDisk).
 func (d *Disk) seal(seg *segment) {
+	if seg.mem != nil {
+		d.spare, seg.mem = seg.mem[:0], nil
+	}
 	if seg.f != nil {
 		seg.f.Sync()
 	}
@@ -258,16 +267,20 @@ func (d *Disk) active() (*segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	seg := &segment{id: id, path: d.segPath(id), f: f}
+	if d.spare == nil { // a segment's worth once, so appends seldom regrow it
+		d.spare = make([]byte, 0, segmentTarget)
+	}
+	seg := &segment{id: id, path: d.segPath(id), f: f, mem: d.spare}
+	d.spare = nil
 	d.segs[id] = seg
 	d.order = append(d.order, id)
 	return seg, nil
 }
 
 // readFrame copies the payload of one indexed entry into dst, which
-// holds exactly its bytes. It copies out of the mapping so a later
-// munmap cannot invalidate the payload while the caller still holds it.
-// Caller holds d.mu.
+// holds exactly its bytes, from the mirror or the mapping (the file only
+// where the platform cannot map), so a later munmap or append cannot
+// change the payload while the caller still holds it. Caller holds d.mu.
 func (d *Disk) readFrame(e *diskEntry, dst []byte) bool {
 	seg, ok := d.segs[e.seg]
 	if !ok {
@@ -275,11 +288,15 @@ func (d *Disk) readFrame(e *diskEntry, dst []byte) bool {
 	}
 	start := e.off + segHeaderBytes + int64(len(e.key))
 	end := start + int64(len(dst))
-	if seg.mm != nil {
-		if end > int64(len(seg.mm)) {
+	src := seg.mm
+	if src == nil {
+		src = seg.mem
+	}
+	if src != nil {
+		if end > int64(len(src)) {
 			return false
 		}
-		copy(dst, seg.mm[start:end])
+		copy(dst, src[start:end])
 		return true
 	}
 	if seg.f == nil {
@@ -292,31 +309,57 @@ func (d *Disk) readFrame(e *diskEntry, dst []byte) bool {
 // Get decodes and returns the table stored under key. The returned
 // table is frozen.
 func (d *Disk) Get(key string) (*table.Table, bool) {
-	tbl, _, e := diskGet(d, key, false, true)
+	tbl, _, e, _ := diskGet(d, key, false, true, room{}, nil)
 	return tbl, e != nil
 }
 
 // GetRaw returns the raw partial-state payload stored under key. The
 // returned slice is a private copy.
 func (d *Disk) GetRaw(key string) ([]byte, bool) {
-	_, raw, e := diskGet(d, key, true, true)
+	_, raw, e, _ := diskGet(d, key, true, true, room{}, nil)
 	return raw, e != nil
 }
 
-// diskGet is the one lookup body: the table (raw false) or a private
-// copy of the raw payload (raw true) stored under key, and the entry it
-// came from (nil on a miss). A raw payload is read straight into the
-// slice returned; a table's encoded form goes through a pooled buffer,
-// since DecodeBinary copies everything out of it. An uncounted lookup
-// (the flight leader's re-check) bumps no counter and leaves a corrupt
-// frame indexed for the next counted one to collect.
-func diskGet[K cacheKey](d *Disk, key K, raw, count bool) (*table.Table, []byte, *diskEntry) {
+// room is the RAM tier as a counted disk hit finds it: the bytes it can
+// take without evicting and the entries it holds. The zero value, no
+// RAM tier, admits nothing.
+type room struct {
+	free    int64
+	entries int
+}
+
+// diskGet is the one lookup body: the table (raw false) or the raw
+// payload (raw true) stored under key, the entry it came from (nil on a
+// miss) and whether the hit is promoted into RAM. A counted hit is
+// promoted when ram can take it, by its encoded size, without evicting,
+// or when the key's previous hit was no more hits ago than ram holds
+// entries: a key cycle larger than RAM would only churn through it. A
+// raw payload is read straight into the slice returned: a fresh one
+// when promoted (RAM's own copy) or when dst is nil, else *dst, grown
+// as needed. A table's encoded form goes through a pooled buffer, since
+// DecodeBinary copies everything out of it. An uncounted lookup (the
+// flight leader's re-check) bumps no counter or hit tick, promotes
+// nothing and leaves a corrupt frame indexed for the next counted one
+// to collect.
+func diskGet[K cacheKey](d *Disk, key K, raw, count bool, ram room, dst *[]byte) (*table.Table, []byte, *diskEntry, bool) {
 	d.mu.Lock()
 	e, ok := d.index[string(key)]
+	promote := false
+	if ok && count {
+		d.tick++
+		promote = int64(entryOverhead+len(e.key))+int64(e.pLen) <= ram.free ||
+			e.hit != 0 && d.tick-e.hit <= uint64(ram.entries)
+		e.hit = d.tick
+	}
 	var payload []byte
 	var bp *[]byte
 	if ok && raw {
-		payload = make([]byte, e.pLen)
+		if promote || dst == nil {
+			payload = make([]byte, e.pLen)
+		} else {
+			*dst = slices.Grow((*dst)[:0], int(e.pLen))[:e.pLen]
+			payload = *dst
+		}
 		ok = d.readFrame(e, payload)
 	} else if ok {
 		bp = getReadBuf(int(e.pLen))
@@ -336,17 +379,17 @@ func diskGet[K cacheKey](d *Disk, key K, raw, count bool) (*table.Table, []byte,
 		if bp != nil {
 			putReadBuf(bp)
 		}
-		return nil, nil, nil
+		return nil, nil, nil, false
 	}
 	if raw {
-		return nil, payload, e
+		return nil, payload, e, promote
 	}
 	// Decode outside the lock: it allocates proportionally to the
 	// entry and must not serialize other lookups.
 	t, err := table.DecodeBinary(*bp)
 	putReadBuf(bp)
 	if err == nil {
-		return t.Freeze(), nil, e
+		return t.Freeze(), nil, e, promote
 	}
 	if count {
 		// Bit rot after indexing; treat as a miss.
@@ -361,7 +404,7 @@ func diskGet[K cacheKey](d *Disk, key K, raw, count bool) (*table.Table, []byte,
 		d.misses++
 		d.mu.Unlock()
 	}
-	return nil, nil, nil
+	return nil, nil, nil, false
 }
 
 // Put appends the table under key. Oversized entries and encode-free
@@ -410,6 +453,7 @@ func (d *Disk) putFrame(key string, payload []byte, counter *uint64) {
 		// logical end and is truncated away on next open.
 		return
 	}
+	seg.mem = append(seg.mem, frame...)
 	seg.size += int64(len(frame))
 	d.bytes += int64(len(frame))
 	*counter++

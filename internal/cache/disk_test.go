@@ -1,11 +1,14 @@
 package cache
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -210,6 +213,35 @@ func TestDiskSegmentEviction(t *testing.T) {
 	}
 }
 
+// The unsealed segment OpenDisk finds stays the append target, its
+// bytes loaded into the mirror that reads copy from: entries written
+// before and after the reopen both read back from the one segment.
+func TestDiskReopenedTailStaysActive(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDisk(dir, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.PutRaw("before", []byte("one"))
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, err = OpenDisk(dir, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	d.PutRaw("after", []byte("two"))
+	for key, want := range map[string]string{"before": "one", "after": "two"} {
+		if got, ok := d.GetRaw(key); !ok || string(got) != want {
+			t.Fatalf("GetRaw(%q) = %q, %v; want %q", key, got, ok, want)
+		}
+	}
+	if segs := d.Stats().DiskSegments; segs != 1 {
+		t.Fatalf("%d segments, want the reopened one only", segs)
+	}
+}
+
 func TestTieredPromotion(t *testing.T) {
 	dir := t.TempDir()
 	disk, err := OpenDisk(dir, 1<<20)
@@ -287,6 +319,104 @@ func TestTieredPromotionDoesNotInflatePuts(t *testing.T) {
 	}
 }
 
+// fullTiered returns a two-tier cache whose RAM tier is full of
+// resident 8-byte states of other keys, and the keys of n 8-byte states
+// held on disk only.
+func fullTiered(t *testing.T, resident, n int) (*Tiered, *LRU, [][]byte) {
+	t.Helper()
+	disk, err := OpenDisk(t.TempDir(), 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := New(int64(resident) * (entryOverhead + 49 + 8))
+	for i := 0; mem.Stats().Evictions == 0; i++ {
+		mem.PutRaw(string(engineKey('R', i)), make([]byte, 8))
+	}
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = engineKey('S', i)
+		disk.PutRaw(string(keys[i]), statePayload(i))
+	}
+	c := NewTiered(mem, disk)
+	t.Cleanup(func() { c.Close() })
+	return c, mem, keys
+}
+
+func statePayload(i int) []byte { return binary.LittleEndian.AppendUint64(nil, uint64(i)) }
+
+// passes looks every key up n times in order, checking each payload.
+func passes(t *testing.T, c *Tiered, keys [][]byte, n int) {
+	t.Helper()
+	var dst []byte
+	for range n {
+		for i, k := range keys {
+			if got, ok := c.GetState(k, &dst); !ok || !slices.Equal(got, statePayload(i)) {
+				t.Fatalf("GetState(%d) = %v, %v", i, got, ok)
+			}
+		}
+	}
+}
+
+// A hot set smaller than a RAM tier full of other entries is promoted
+// on its second disk hit and then served from RAM alone.
+func TestTieredAdmitsHotSetOnSecondHit(t *testing.T) {
+	c, _, keys := fullTiered(t, 16, 4)
+	passes(t, c, keys, 1)
+	if st := c.Stats(); st.Promotions != 0 || st.DiskStateHits != 4 {
+		t.Fatalf("first pass: %+v, want 4 disk hits and no promotion into a full RAM tier", st)
+	}
+	passes(t, c, keys, 1)
+	if st := c.Stats(); st.Promotions != 4 || st.DiskStateHits != 8 {
+		t.Fatalf("second pass: %+v, want each key promoted on its second disk hit", st)
+	}
+	passes(t, c, keys, 1)
+	if st := c.Stats(); st.DiskStateHits != 8 {
+		t.Fatalf("third pass made %d disk hits, want 0", st.DiskStateHits-8)
+	}
+}
+
+// A key cycle longer than the RAM tier is never promoted: it evicts
+// nothing and leaves RAM's entries as they were.
+func TestTieredDeclinesCycleLargerThanRAM(t *testing.T) {
+	c, mem, keys := fullTiered(t, 16, 24)
+	resident := slices.Sorted(maps.Keys(mem.items))
+	evictions := mem.Stats().Evictions
+	passes(t, c, keys, 3)
+	if st := c.Stats(); st.Promotions != 0 || st.Evictions != evictions || st.DiskStateHits != 3*24 {
+		t.Fatalf("stats = %+v, want 72 disk hits, no promotion and no eviction", st)
+	}
+	if got := slices.Sorted(maps.Keys(mem.items)); !slices.Equal(got, resident) {
+		t.Fatal("a declined cycle changed RAM's entries")
+	}
+}
+
+// A payload read into the caller's buffer is never RAM's copy: an
+// unpromoted hit lands in dst, a promoted one does not, and scribbling
+// over dst after either leaves what RAM serves intact.
+func TestOwnedReadNeverAliasesRAM(t *testing.T) {
+	c, _, keys := fullTiered(t, 16, 1)
+	want := statePayload(0)
+	dst := make([]byte, 0, 64)
+	scribble := func() {
+		for i := range cap(dst) {
+			dst[:cap(dst)][i] = 0xff
+		}
+	}
+	for hit, wantPromotions := range []uint64{0, 1, 1} {
+		got, ok := c.GetState(keys[0], &dst)
+		if !ok || !slices.Equal(got, want) {
+			t.Fatalf("hit %d = %v, %v; want %v", hit, got, ok, want)
+		}
+		if st := c.Stats(); st.Promotions != wantPromotions {
+			t.Fatalf("hit %d: %d promotions, want %d", hit, st.Promotions, wantPromotions)
+		}
+		if owned := &got[0] == &dst[:1][0]; owned != (hit == 0) {
+			t.Fatalf("hit %d: payload in the caller's buffer = %v", hit, owned)
+		}
+		scribble()
+	}
+}
+
 func TestTieredWriteThroughSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	disk, err := OpenDisk(dir, 1<<20)
@@ -342,6 +472,41 @@ func TestDiskConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// Concurrent state puts and lookups through a small RAM tier and a disk
+// tier that seals several segments: the mirror is handed from segment
+// to segment, hits are promoted or declined, and every hit still reads
+// the bytes its key was stored with. Run under -race.
+func TestTieredConcurrentStatesAcrossSeals(t *testing.T) {
+	disk, err := OpenDisk(t.TempDir(), 64<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewTiered(New(256<<10), disk)
+	defer c.Close()
+	payload := func(k int) []byte { return bytes.Repeat([]byte{byte(k)}, 64<<10) }
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var dst []byte
+			for n := 0; n < 150; n++ {
+				k := (g*7 + n) % 16
+				key := engineKey('S', k)
+				if n%3 == 0 {
+					c.PutState(key, payload(k))
+				} else if got, ok := c.GetState(key, &dst); ok && !bytes.Equal(got, payload(k)) {
+					t.Errorf("key %d read another key's bytes", k)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := c.Stats(); st.DiskSegments < 2 || st.Promotions == 0 || st.DiskStateHits <= st.Promotions {
+		t.Fatalf("stats = %+v, want several segments and both promoted and declined disk hits", st)
+	}
 }
 
 // FuzzCacheSegmentDecode hardens the segment scanner against arbitrary

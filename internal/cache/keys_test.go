@@ -50,7 +50,7 @@ func TestByteAndStringKeysShareEntries(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			state, tbl := engineKey('S', i), engineKey('T', i)
-			if raw, ok := c.GetState(use(state)); !ok || !slices.Equal(raw, []byte{byte(i)}) {
+			if raw, ok := c.GetState(use(state), nil); !ok || !slices.Equal(raw, []byte{byte(i)}) {
 				t.Fatalf("GetState(%d) = %v, %v", i, raw, ok)
 			}
 			scribble()
@@ -111,7 +111,7 @@ func TestSegmentWithEngineKeysReopens(t *testing.T) {
 		if got, ok := c.get(string(engineKey('T', 1))); !ok || got.Len() != 3 {
 			t.Fatal("get missed the table entry")
 		}
-		if raw, ok := c.GetState(engineKey('S', 1)); !ok || !slices.Equal(raw, []byte{1, 2, 3}) {
+		if raw, ok := c.GetState(engineKey('S', 1), nil); !ok || !slices.Equal(raw, []byte{1, 2, 3}) {
 			t.Fatalf("GetState = %v, %v", raw, ok)
 		}
 		if raw, ok := c.GetRaw(string(engineKey('S', 2))); !ok || !slices.Equal(raw, []byte{4}) {
@@ -159,6 +159,10 @@ func TestPutAtCapacityAllocatesOnlyTheKey(t *testing.T) {
 		t.Fatalf("a put at capacity allocates %v times by bytes, %v by string; want 1 and 0", bytesPut, stringPut)
 	}
 
+	// Two keys alternate on disk, each hit two disk hits after its last,
+	// which admission promotes into a RAM tier of 64 entries; between
+	// lookups, puts of other keys fill RAM and push the promoted key out
+	// again, so every lookup is a promotion at capacity.
 	disk, err := OpenDisk(t.TempDir(), 1<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -166,20 +170,30 @@ func TestPutAtCapacityAllocatesOnlyTheKey(t *testing.T) {
 	defer disk.Close()
 	mem = New(resident * (entryOverhead + 49 + 8))
 	c = NewTiered(mem, disk)
-	keys := make([][]byte, 4*resident)
-	for k := range keys {
-		keys[k] = engineKey('S', k)
-		c.PutState(keys[k], payload)
+	keys := [][]byte{engineKey('S', 0), engineKey('S', 1)}
+	for _, key := range keys {
+		disk.PutRaw(string(key), payload)
 	}
 	k = 0
-	promote := testing.AllocsPerRun(200, func() {
-		if _, ok := c.GetState(keys[k%len(keys)]); !ok {
+	dst := make([]byte, 0, 64)
+	lookup := func() {
+		if _, ok := c.GetState(keys[k%len(keys)], &dst); !ok {
 			t.Fatal("disk tier lost an entry")
 		}
 		k++
-	})
-	if st := c.Stats(); promote > 1 || st.Promotions < 200 {
-		t.Fatalf("a promotion at capacity allocates %v times (%d promotions); want 1, the payload", promote, st.Promotions)
+		for range resident {
+			mem.PutRaw(strs[k%len(strs)], payload)
+			k++
+		}
+	}
+	lookup()
+	lookup()
+	before := c.Stats()
+	promote := testing.AllocsPerRun(200, lookup)
+	st := c.Stats()
+	if promote > 1 || st.Promotions-before.Promotions < 200 || st.Evictions-before.Evictions < 200*(resident+1) {
+		t.Fatalf("a promotion at capacity allocates %v times (%d promotions, %d evictions); want 1, the payload",
+			promote, st.Promotions-before.Promotions, st.Evictions-before.Evictions)
 	}
 }
 

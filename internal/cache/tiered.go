@@ -3,9 +3,11 @@ package cache
 // Tiered composes the RAM LRU (tier 1), the disk store (tier 2) and
 // the singleflight that fronts them into the one handle the engine
 // memoizes chunk results behind. Lookups try RAM first; a disk hit is
-// promoted back into RAM so the working set migrates to the fast tier.
-// Puts are write-through: the entry lands in both tiers, so it both
-// serves hot repeats at RAM speed and survives a process restart.
+// promoted back into RAM when RAM would keep it (see diskGet), so a
+// hot set that fits migrates to the fast tier while a scan larger than
+// RAM does not churn through it. Puts are write-through: the entry
+// lands in both tiers, so it both serves hot repeats at RAM speed and
+// survives a process restart.
 //
 // One store serves two kinds of entry: frozen tables (Do) and opaque
 // byte payloads — encoded partial aggregate states — under their own
@@ -23,7 +25,8 @@ import (
 // Tiered is a two-tier cache. Either tier may be nil, in which case it
 // degenerates to the other tier alone (both nil stores nothing). It is
 // safe for concurrent use. Tables it returns are frozen and shared;
-// callers must not mutate them.
+// callers must not mutate them. A disk hit is promoted into RAM only
+// if RAM would keep it (see diskGet).
 type Tiered struct {
 	mem    *LRU
 	disk   *Disk
@@ -50,7 +53,7 @@ func NewTiered(mem *LRU, disk *Disk) *Tiered {
 // hit makes no key string, and a leader makes the one its flight and
 // stored entry share.
 func (t *Tiered) Do(key []byte, maxWait time.Duration, compute func() (*table.Table, bool)) (*table.Table, bool, Outcome) {
-	if tbl, _, ok := tieredGet(t, key, false, true); ok {
+	if tbl, _, ok := tieredGet(t, key, false, true, nil); ok {
 		return tbl, true, Hit
 	}
 	return t.flight.do(key, maxWait, func(key string) (*table.Table, bool) {
@@ -60,7 +63,7 @@ func (t *Tiered) Do(key []byte, maxWait time.Duration, compute func() (*table.Ta
 		// be recomputed. Uncounted — the miss was already counted, and
 		// this internal re-check must not distort the analyst-visible
 		// hit rate, recency or promotions.
-		if tbl, _, ok := tieredGet(t, key, false, false); ok {
+		if tbl, _, ok := tieredGet(t, key, false, false, nil); ok {
 			return tbl, true
 		}
 		tbl, clean := compute()
@@ -77,11 +80,12 @@ func (t *Tiered) FlightStats() FlightStats { return t.flight.stats() }
 
 // tieredGet is the one lookup body of both kinds: RAM, then disk, for a
 // table (raw false) or a raw partial-state payload (raw true). A
-// counted lookup promotes a disk hit into RAM; an uncounted one (the
-// leader's re-check) counts no hit or miss, touches no recency and
-// promotes nothing. A returned payload is shared; callers must not
-// mutate it.
-func tieredGet[K cacheKey](t *Tiered, key K, raw, count bool) (*table.Table, []byte, bool) {
+// counted lookup promotes a disk hit into RAM if diskGet admits it; an
+// uncounted one (the leader's re-check) counts no hit or miss, touches
+// no recency and promotes nothing. A payload from RAM, or promoted into
+// it, is shared and must not be mutated; any other disk hit is read
+// into *dst (see diskGet), which the caller owns.
+func tieredGet[K cacheKey](t *Tiered, key K, raw, count bool, dst *[]byte) (*table.Table, []byte, bool) {
 	if t.mem != nil {
 		if tbl, payload, ok := lruGet(t.mem, key, raw, count); ok {
 			return tbl, payload, true
@@ -90,8 +94,12 @@ func tieredGet[K cacheKey](t *Tiered, key K, raw, count bool) (*table.Table, []b
 	if t.disk == nil {
 		return nil, nil, false
 	}
-	tbl, payload, e := diskGet(t.disk, key, raw, count)
-	if e != nil && count && t.mem != nil {
+	var ram room
+	if count && t.mem != nil {
+		ram = t.mem.room()
+	}
+	tbl, payload, e, promote := diskGet(t.disk, key, raw, count, ram, dst)
+	if promote {
 		// Internal promote path: the entry migrates to the fast tier,
 		// under the disk index's key string, without inflating the RAM
 		// tier's Puts counter, so operators can tell real write-through
@@ -104,20 +112,23 @@ func tieredGet[K cacheKey](t *Tiered, key K, raw, count bool) (*table.Table, []b
 
 // GetRaw tries RAM, then disk, for a raw partial-state payload. Disk
 // hits are promoted into RAM like table entries. The returned slice is
-// shared; callers must not mutate it.
+// shared with RAM or private; callers must not mutate it.
 func (t *Tiered) GetRaw(key string) ([]byte, bool) {
-	_, raw, ok := tieredGet(t, key, true, true)
+	_, raw, ok := tieredGet(t, key, true, true, nil)
 	return raw, ok
 }
 
 // GetState is GetRaw for a key the caller holds as bytes; key is not
-// retained. It stays out of line: inlined, it would instantiate
-// tieredGet in the caller's package, where escape analysis loses that
-// the key is not kept and moves the caller's stack key to the heap.
+// retained. A disk hit that is not promoted is read into *dst, grown as
+// needed, and the returned slice aliases it; any other hit returns
+// RAM's shared copy. It stays out of line: inlined, it would
+// instantiate tieredGet in the caller's package, where escape analysis
+// loses that the key is not kept and moves the caller's stack key to
+// the heap.
 //
 //go:noinline
-func (t *Tiered) GetState(key []byte) ([]byte, bool) {
-	_, raw, ok := tieredGet(t, key, true, true)
+func (t *Tiered) GetState(key []byte, dst *[]byte) ([]byte, bool) {
+	_, raw, ok := tieredGet(t, key, true, true, dst)
 	return raw, ok
 }
 

@@ -42,7 +42,7 @@ func eachTiering(t *testing.T, fn func(t *testing.T, c *Tiered)) {
 // get tries RAM, then disk, for a table, promoting a disk hit: the
 // string-keyed table lookup the tests read entries back with.
 func (t *Tiered) get(key string) (*table.Table, bool) {
-	tbl, _, ok := tieredGet(t, key, false, true)
+	tbl, _, ok := tieredGet(t, key, false, true, nil)
 	return tbl, ok
 }
 
@@ -149,7 +149,7 @@ func TestTieredDoUncleanNeitherStoredNorShared(t *testing.T) {
 			followerTbl, followerClean, followerOutcome = c.Do([]byte("k"), 0, func() (*table.Table, bool) {
 				// Running at all proves the leader's rows were not
 				// shared; nothing may have been stored either.
-				if _, _, ok := tieredGet(c, "k", false, false); ok {
+				if _, _, ok := tieredGet(c, "k", false, false, nil); ok {
 					t.Error("unclean result was stored")
 				}
 				return fresh, true

@@ -312,11 +312,14 @@ type shardOutput struct {
 // splitScratch is one region split's per-chunk working set, pooled so a
 // warm query allocates nothing per chunk. release clears the slots
 // first: a pooled slot never pins a cached table or payload, and slots
-// past a slice's length are always nil.
+// past a slice's length are always nil. bufs, one per state slot with a
+// disk tier, are the scratch's own: a disk hit RAM does not keep is read
+// into its slot's buffer, which the next query reuses.
 type splitScratch struct {
 	ords   []int64
 	ivs    []vtime.Interval
 	states [][]byte
+	bufs   [][]byte
 	blocks []*table.Table
 }
 
@@ -532,6 +535,11 @@ func (e *Engine) runShard(shard int, sh *splitShard, pr *procPlan, par int, psp 
 		ords, n := sc.ords, len(sc.ords)
 		blocks, states := slices.Grow(sc.blocks, n)[:n], slices.Grow(sc.states, n*np)[:n*np]
 		sc.blocks, sc.states, chunks = blocks, states, chunks+n
+		var bufs [][]byte // only a disk hit is read into a buffer of the scratch's own
+		if hasDisk(e) {
+			sc.bufs = slices.Grow(sc.bufs[:0], n*np)[:n*np]
+			bufs = sc.bufs
+		}
 		var foldErr atomic.Pointer[error]
 		prefixes := pr.keys[shard][s]
 		clock := split.Source.Info().Clock()
@@ -545,7 +553,11 @@ func (e *Engine) runShard(shard int, sh *splitShard, pr *procPlan, par int, psp 
 				warm := np > 0
 				for p := 0; warm && p < np; p++ {
 					k := chunkKey(prefixes[1+p], iv)
-					states[i*np+p], warm = e.chunkCache.GetState(k[:])
+					var dst *[]byte
+					if bufs != nil {
+						dst = &bufs[i*np+p]
+					}
+					states[i*np+p], warm = e.chunkCache.GetState(k[:], dst)
 					warm = warm && pr.plans[p].CompatibleEncoded(states[i*np+p])
 				}
 				if warm {

@@ -469,3 +469,47 @@ SELECT COUNT(*) FROM t CONSUMING 0.001;`)
 		t.Errorf("results differ structurally: %+v vs %+v", r1, r2)
 	}
 }
+
+// A 4-camera COUNT rerun on a disk-tier engine whose 32 KiB RAM tier
+// holds only part of its states is served by a mix of RAM hits,
+// promotions and disk hits read into the pooled scratch's own buffers.
+// Every rerun's release equals the cold run's: no buffer a scratch
+// reuses is ever the payload RAM serves. Promotions start on the third
+// run (admission needs a previous disk hit), so a RAM entry that
+// aliased a scratch buffer could only read wrong from the fourth; which
+// scratch a shard draws varies, so the test runs eight times.
+func TestDiskTierRerunsMatchCold(t *testing.T) {
+	e := New(Options{Seed: 1, Evaluation: true, ChunkCacheBytes: 32 << 10, DiskCacheDir: t.TempDir()})
+	defer e.Close()
+	for i, n := range []int{3, 5, 7, 10} {
+		name := "cam" + string(rune('A'+i))
+		if err := e.RegisterCamera(CameraConfig{
+			Name: name, Source: countScene(n).Source(name),
+			Policy: policy.Policy{Rho: 25 * time.Second, K: 1}, Epsilon: 10,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Registry().Register("counter", countNewEntrants); err != nil {
+		t.Fatal(err)
+	}
+	prog, err := query.Parse(strings.Replace(fleetQuery, "camA, camB, camC", "camA, camB, camC, camD", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cold float64
+	for run := 0; run < 8; run++ {
+		res, err := e.Execute(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if raw := res.Releases[0].Raw; run == 0 {
+			cold = raw
+		} else if raw != cold {
+			t.Fatalf("rerun %d released raw %v, want the cold run's %v", run, raw, cold)
+		}
+	}
+	if st := e.CacheStats(); st.Promotions == 0 || st.DiskStateHits <= st.Promotions {
+		t.Fatalf("reruns were not a mix of promoted and owned disk reads: %+v", st)
+	}
+}
