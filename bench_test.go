@@ -385,13 +385,16 @@ func runPartialStateBench(b *testing.B, opts privid.Options) {
 
 // BenchmarkColdChunk_Pushdown measures the per-chunk miss path with the
 // cache on, the way the service benchmark's cold_scan drives it: every
-// op is a pushdown COUNT over a 60-chunk window whose entries a 256 KiB
-// cache evicted long before the window comes round again, so every
-// chunk pays keys, flight, harness, ingest, stamped view, fold, encode
-// and two puts. The executable reads every frame (allocation-free since
-// the interval source serves shared snapshots) and hands back one
-// preallocated row slice, so allocs/op is the engine's own and
-// BENCH_12.json pins it (cold_chunk_allocs_absolute).
+// op is a pushdown COUNT over a 60-chunk window, and the 48 windows'
+// cycle is far longer than a 256 KiB cache holds. Before the timer
+// another executable's entries fill the cache, so every timed chunk
+// misses and pays keys, flight, harness, ingest, stamped view, fold,
+// encode and two write-through puts that the full RAM tier declines
+// (cache-puts/op counts the ones it stored). The executable reads
+// every frame (allocation-free since the interval source serves shared
+// snapshots) and hands back one preallocated row slice, so allocs/op
+// is the engine's own and BENCH_12.json pins it
+// (cold_chunk_allocs_absolute).
 func BenchmarkColdChunk_Pushdown(b *testing.B) {
 	const chunks, windows = 60, 48
 	start := time.Date(2021, 3, 15, 0, 0, 0, 0, time.UTC)
@@ -420,23 +423,37 @@ func BenchmarkColdChunk_Pushdown(b *testing.B) {
 	}); err != nil {
 		b.Fatal(err)
 	}
-	progs := make([]*core.Prepared, windows)
-	for w := range progs {
+	if err := engine.Registry().Register("filler", func(*privid.Chunk) []privid.Row { return rows }); err != nil {
+		b.Fatal(err)
+	}
+	prepare := func(using string, w int) *core.Prepared {
 		begin := start.Add(time.Duration(w*chunks) * 30 * time.Second)
-		progs[w], err = engine.Prepare(fmt.Sprintf(`
+		p, err := engine.Prepare(fmt.Sprintf(`
 SPLIT cam BEGIN %s END %s BY TIME 30sec STRIDE 0sec INTO c;
-PROCESS c USING reader TIMEOUT 5sec PRODUCING 2 ROWS WITH SCHEMA (id:NUMBER=0) INTO t;
+PROCESS c USING %s TIMEOUT 5sec PRODUCING 2 ROWS WITH SCHEMA (id:NUMBER=0) INTO t;
 SELECT COUNT(*) FROM t CONSUMING 0.0001;`,
-			begin.Format("01-02-2006/3:04pm"), begin.Add(chunks*30*time.Second).Format("01-02-2006/3:04pm")))
+			begin.Format("01-02-2006/3:04pm"), begin.Add(chunks*30*time.Second).Format("01-02-2006/3:04pm"), using))
 		if err != nil {
 			b.Fatal(err)
 		}
+		return p
+	}
+	// Fill the RAM tier until it declines a put, so that no timed
+	// window's entries are stored while it still has room.
+	for w := 0; engine.CacheStats().Declined == 0; w++ {
+		if _, err := engine.ExecutePrepared(prepare("filler", w%windows)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	progs := make([]*core.Prepared, windows)
+	for w := range progs {
+		progs[w] = prepare("reader", w)
 	}
 	if _, err := engine.ExecutePrepared(progs[windows-1]); err != nil { // builds the snapshot index
 		b.Fatal(err)
 	}
 	execs.Store(0)
-	folds := engine.PartialStats().Folds
+	folds, cs := engine.PartialStats().Folds, engine.CacheStats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -448,8 +465,10 @@ SELECT COUNT(*) FROM t CONSUMING 0.0001;`,
 	if ran := execs.Load(); ran != int64(b.N)*chunks || objs.Load() == 0 {
 		b.Fatalf("%d sandbox executions over %d cold %d-chunk ops, %d objects read", ran, b.N, chunks, objs.Load())
 	}
+	after := engine.CacheStats()
 	b.ReportMetric(float64(execs.Load())/float64(b.N), "sandbox-execs/op")
 	b.ReportMetric(float64(engine.PartialStats().Folds-folds)/float64(b.N), "partial-folds/op")
+	b.ReportMetric(float64(after.Puts+after.StatePuts-cs.Puts-cs.StatePuts)/float64(b.N), "cache-puts/op")
 }
 
 // Multi-camera benchmarks: the same 4-camera fleet processed serially

@@ -2,8 +2,10 @@
 // engine uses to memoize PROCESS results per chunk: a tier-1 in-RAM
 // LRU of immutable columnar tables and an optional tier-2 append-only
 // disk store (disk.go) that survives process restarts, composed by
-// Tiered (tiered.go). A disk hit is one copy out of memory, promoted
-// into RAM only when RAM would keep it.
+// Tiered (tiered.go). With a disk tier, the engine's puts land on disk
+// alone and a disk hit, which is one copy out of memory, is promoted
+// into RAM only when RAM would keep it; without one, RAM stores an
+// engine put only when it would keep it (see LRU.admit).
 //
 // Why memoization is sound: the sandbox contract (Appendix B, enforced
 // by internal/sandbox) requires every ProcessFunc to be a pure function
@@ -32,6 +34,7 @@
 package cache
 
 import (
+	"hash/maphash"
 	"sync"
 
 	"privid/internal/table"
@@ -55,6 +58,10 @@ type Stats struct {
 	Puts uint64
 	// Evictions counts entries dropped to stay under the byte bound.
 	Evictions uint64
+	// Declined counts the engine puts a RAM tier without a disk tier
+	// did not store because it would not have kept them (see admit);
+	// they are not in Puts or StatePuts.
+	Declined uint64
 	// Entries is the current entry count.
 	Entries int
 	// Bytes is the current approximate memory footprint.
@@ -108,9 +115,11 @@ type LRU struct {
 	bytes    int64
 	root     lruEntry // ring sentinel: root.next = most recent, root.prev = oldest
 	items    map[string]*lruEntry
+	history  []uint64 // declined keys by bucket; built at the first decline (see admit)
+	tick     uint32   // rulings that reached the history, its clock
 
-	hits, misses, puts, evictions     uint64
-	stateHits, stateMisses, statePuts uint64
+	hits, misses, puts, evictions, declined uint64
+	stateHits, stateMisses, statePuts       uint64
 }
 
 // lruEntry is one cached value: a frozen table (tbl non-nil) or a raw
@@ -125,6 +134,7 @@ type lruEntry struct {
 	tbl        *table.Table
 	raw        []byte
 	cost       int64
+	used       bool // hit by a counted lookup since it was stored, or a covered table (see admit)
 }
 
 // cacheKey is a key as a caller holds it: a string, or bytes on a chunk
@@ -153,7 +163,7 @@ func New(maxBytes int64) *LRU {
 }
 
 // tableCost approximates the memory footprint of one entry.
-func tableCost(key string, t *table.Table) int64 {
+func tableCost[K cacheKey](key K, t *table.Table) int64 {
 	return int64(entryOverhead+len(key)) + t.MemBytes()
 }
 
@@ -192,6 +202,7 @@ func lruGet[K cacheKey](c *LRU, key K, raw, count bool) (*table.Table, []byte, b
 		return nil, nil, false
 	case count:
 		*hits++
+		ent.used = true
 		ent.unlink()
 		c.toFront(ent)
 	}
@@ -202,41 +213,58 @@ func lruGet[K cacheKey](c *LRU, key K, raw, count bool) (*table.Table, []byte, b
 // entries as needed to respect the byte bound. The caller must not
 // mutate t after Put (Freeze makes any attempt panic). An entry larger
 // than the whole bound is not stored.
-func (c *LRU) Put(key string, t *table.Table) { c.store(key, t, nil, true) }
+func (c *LRU) Put(key string, t *table.Table) { store(c, key, t, nil, plainPut) }
 
 // PutRaw stores a raw partial-state payload under key, subject to the
 // same byte bound and eviction policy as tables. The caller must not
 // mutate raw afterwards.
-func (c *LRU) PutRaw(key string, raw []byte) { c.store(key, nil, raw, true) }
+func (c *LRU) PutRaw(key string, raw []byte) { store(c, key, nil, raw, plainPut) }
+
+// storeKind says how store treats an entry.
+type storeKind uint8
+
+const (
+	plainPut   storeKind = iota // stored and counted: LRU.Put, LRU.PutRaw and Tiered.PutRaw
+	promotion                   // a disk hit migrating to RAM: stored, not counted as a put
+	coveredPut                  // a table its chunk's partial states stand in for: counted if admit stores it
+	solePut                     // any other engine put: likewise, but see admit
+)
 
 // store inserts or overwrites key's entry with a table (t non-nil,
-// frozen here) or a raw payload (t nil). countPut is false for a
-// disk→RAM promotion: that is a tier migration of an entry that was
-// already written through, not new write traffic, and conflating the
-// two hides the real write-through rate from operators (the composite
-// cache counts promotions separately in Stats.Promotions).
+// frozen here, even when it is declined, so that a flight can share
+// it) or a raw payload (t nil). A promotion is not counted in Puts or
+// StatePuts: it is a tier migration of an entry that was already
+// written through, and conflating the two hides the real write-through
+// rate from operators (the composite cache counts promotions
+// separately in Stats.Promotions). An engine put (Tiered's, when RAM
+// is its only tier) of a key RAM does not hold is ruled on by admit,
+// and one it declines makes no key string, no map entry and no
+// eviction.
 //
 // It evicts before it inserts, and a new key takes over the node the
 // last eviction freed. The entry being stored is out of the ring while
 // the oldest are dropped, so the victims are exactly those that
 // inserting first and then evicting down to the bound would drop.
-func (c *LRU) store(key string, t *table.Table, raw []byte, countPut bool) {
+func store[K cacheKey](c *LRU, key K, t *table.Table, raw []byte, kind storeKind) {
 	cost := int64(entryOverhead + len(key) + len(raw))
 	if t != nil {
 		cost = tableCost(key, t.Freeze())
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if cost > c.maxBytes {
+	if cost > c.maxBytes-int64(8*len(c.history)) {
 		// Too large to ever fit; admitting it would flush everything.
 		return
 	}
-	if countPut && t != nil {
+	ent, ok := c.items[string(key)]
+	if !ok && kind >= coveredPut && !c.admit(keyHash(key), cost, kind == solePut) {
+		return
+	}
+	if kind != promotion && t != nil {
 		c.puts++
-	} else if countPut {
+	} else if kind != promotion {
 		c.statePuts++
 	}
-	ent, ok := c.items[key]
 	if ok {
 		c.bytes -= ent.cost
 		ent.unlink()
@@ -249,12 +277,109 @@ func (c *LRU) store(key string, t *table.Table, raw []byte, countPut bool) {
 		if ent = freed; ent == nil {
 			ent = &lruEntry{}
 		}
-		ent.key = key
-		c.items[key] = ent
+		ent.key = string(key)
+		c.items[ent.key] = ent
 	}
-	ent.tbl, ent.raw, ent.cost = t, raw, cost
+	ent.tbl, ent.raw, ent.cost, ent.used = t, raw, cost, kind == coveredPut
 	c.toFront(ent)
 	c.bytes += cost
+}
+
+// historyWays is the associativity of the decline history: a bucket of
+// slots is one 64-byte cache line.
+const historyWays = 8
+
+// admit rules on an engine put of cost bytes, key hash h, that RAM
+// does not hold. It is stored if RAM can take it without evicting, or
+// if the same key was declined no more than len(c.items) rulings ago
+// (c.tick counts the rulings that reached the history), the horizon
+// within which RAM would still hold it had it been stored then;
+// otherwise it is declined. A key cycle longer than RAM therefore never
+// churns through it, while a key that comes round again within the
+// horizon gets in.
+//
+// That is the whole rule for a covered table (Tiered.DoCovered), which
+// is not looked up again while its chunk's states are cached, so a
+// decline costs nothing. For any other put, sole, a decline costs a
+// sandbox execution when the key comes back, so the put is also stored
+// if every entry it would evict is used: hit since it was stored, or a
+// covered table, whose chunk is read through its states. Entries that
+// were in use and are now the least recent are what a window that
+// moves on leaves behind, and LRU's bet on the newcomer is the right
+// one; an entry nobody read while it aged through the whole tier is
+// what a scan leaves, and the scan's next put would be no better.
+//
+// Declines are remembered in c.history: buckets of historyWays slots,
+// two slots per resident entry when it is built at the first decline,
+// each holding a key's 32-bit tag and the tick of its decline. A
+// decline takes an empty slot of its key's bucket, or one whose decline
+// has left the horizon; it is not recorded when all of them hold
+// declines within it (evicting one would let a key cycle one longer
+// than the bucket forget every key in turn), and a record is cleared
+// when its key is admitted. So a decline is forgotten within the
+// horizon only when more than historyWays declines within it share its
+// bucket, which holds four on average: fewer than one key in a hundred
+// at the horizon's far end (TestTieredAdmitsRepeatedPutsAtHorizon
+// measures the rate). A tag that matches another key's admits an
+// entry; either way the error is on the cost side. The history's bytes
+// count in c.bytes; a decline evicts nothing, so the next entry stored
+// makes room for them. Caller holds c.mu.
+func (c *LRU) admit(h uint64, cost int64, sole bool) bool {
+	if c.bytes+cost <= c.maxBytes {
+		return true
+	}
+	if sole && c.evictsOnlyUsed(c.bytes+cost-c.maxBytes) {
+		return true
+	}
+	if c.history == nil {
+		buckets := max(1, (2*len(c.items)+historyWays-1)/historyWays)
+		c.history = make([]uint64, buckets*historyWays)
+		c.bytes += int64(8 * len(c.history))
+	}
+	c.tick++
+	i := historyWays * int((h>>32)*uint64(len(c.history)/historyWays)>>32)
+	bucket := c.history[i : i+historyWays]
+	tag, free := uint32(h)|1, -1
+	for j, slot := range bucket {
+		if slot == 0 || c.tick-uint32(slot>>32) > uint32(len(c.items)) {
+			free = max(free, j)
+		} else if uint32(slot) == tag {
+			bucket[j] = 0
+			return true
+		}
+	}
+	if free >= 0 {
+		bucket[free] = uint64(c.tick)<<32 | uint64(tag)
+	}
+	c.declined++
+	return false
+}
+
+// evictsOnlyUsed reports whether freeing over bytes from the tail of
+// the ring would evict used entries alone. Caller holds c.mu.
+func (c *LRU) evictsOnlyUsed(over int64) bool {
+	for e := c.root.prev; over > 0; e = e.prev {
+		if e == &c.root || !e.used {
+			return false
+		}
+		over -= e.cost
+	}
+	return true
+}
+
+// hashSeed seeds keyHash for the life of the process.
+var hashSeed = maphash.MakeSeed()
+
+// keyHash hashes a key as either form a caller holds it in; the two
+// agree for equal contents.
+func keyHash[K cacheKey](key K) uint64 {
+	switch k := any(key).(type) {
+	case string:
+		return maphash.String(hashSeed, k)
+	case []byte:
+		return maphash.Bytes(hashSeed, k)
+	}
+	panic("unreachable")
 }
 
 // evictOldest drops the least-recently-used entry and returns its node
@@ -292,6 +417,7 @@ func (c *LRU) Stats() Stats {
 		Misses:      c.misses,
 		Puts:        c.puts,
 		Evictions:   c.evictions,
+		Declined:    c.declined,
 		Entries:     len(c.items),
 		Bytes:       c.bytes,
 		MaxBytes:    c.maxBytes,

@@ -252,7 +252,7 @@ func TestTieredPromotion(t *testing.T) {
 	c := NewTiered(mem, disk)
 	defer c.Close()
 
-	c.put("k", mixedTbl(5))
+	c.put("k", mixedTbl(5), false)
 	// Drop the RAM copy, keep disk.
 	mem.mu.Lock()
 	for len(mem.items) > 0 {
@@ -292,7 +292,7 @@ func TestTieredPromotionDoesNotInflatePuts(t *testing.T) {
 	c := NewTiered(mem, disk)
 	defer c.Close()
 
-	c.put("k", mixedTbl(3))
+	c.put("k", mixedTbl(3), false)
 	if st := c.Stats(); st.Puts != 1 || st.DiskPuts != 1 {
 		t.Fatalf("after write-through: Puts=%d DiskPuts=%d, want 1/1", st.Puts, st.DiskPuts)
 	}
@@ -425,7 +425,7 @@ func TestTieredWriteThroughSurvivesRestart(t *testing.T) {
 	}
 	c := NewTiered(New(1<<20), disk)
 	want := mixedTbl(7)
-	c.put("k", want)
+	c.put("k", want, false)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}

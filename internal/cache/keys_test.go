@@ -44,7 +44,7 @@ func TestByteAndStringKeysShareEntries(t *testing.T) {
 				c.Do(use(tbl), 0, func() (*table.Table, bool) { return mixedTbl(i + 1), true })
 			} else {
 				c.PutRaw(string(state), []byte{byte(i)})
-				c.put(string(tbl), mixedTbl(i+1))
+				c.put(string(tbl), mixedTbl(i+1), false)
 			}
 			scribble()
 		}
@@ -128,8 +128,10 @@ func TestSegmentWithEngineKeysReopens(t *testing.T) {
 
 // A put at capacity evicts first and reuses the node it freed, so it
 // allocates only the key string it keeps: none for a caller's string,
-// one for a caller's bytes. A disk→RAM promotion at capacity takes the
-// disk index's key string and allocates only the payload copy it keeps.
+// one for a caller's bytes. A write-through put that RAM declines
+// allocates nothing, and one it admits on its second put allocates the
+// key alone. A disk→RAM promotion at capacity takes the disk index's
+// key string and allocates only the payload copy it keeps.
 func TestPutAtCapacityAllocatesOnlyTheKey(t *testing.T) {
 	const resident = 64
 	payload := make([]byte, 8)
@@ -138,14 +140,26 @@ func TestPutAtCapacityAllocatesOnlyTheKey(t *testing.T) {
 	i := 0
 	next := func() []byte { i++; return engineKey('S', i) }
 	for mem.Stats().Evictions == 0 {
-		c.PutState(next(), payload)
+		mem.PutRaw(string(next()), payload)
 	}
 	key := next()
-	bytesPut := testing.AllocsPerRun(200, func() {
+	fresh := func() {
 		binary.BigEndian.PutUint64(key[33:], uint64(i))
 		i++
+	}
+	declinedPut := testing.AllocsPerRun(200, func() {
+		fresh()
 		c.PutState(key, payload)
 	})
+	before := mem.Stats()
+	bytesPut := testing.AllocsPerRun(200, func() {
+		fresh()
+		c.PutState(key, payload) // declined
+		c.PutState(key, payload) // admitted: put again within the horizon
+	})
+	if st := mem.Stats(); st.StatePuts-before.StatePuts < 200 || st.Evictions-before.Evictions < 200 {
+		t.Fatalf("repeated puts were not admitted at capacity: %+v, before %+v", st, before)
+	}
 	strs := make([]string, 256)
 	for k := range strs {
 		strs[k] = string(next())
@@ -155,8 +169,9 @@ func TestPutAtCapacityAllocatesOnlyTheKey(t *testing.T) {
 		mem.PutRaw(strs[k], payload)
 		k++
 	})
-	if bytesPut > 1 || stringPut > 0 {
-		t.Fatalf("a put at capacity allocates %v times by bytes, %v by string; want 1 and 0", bytesPut, stringPut)
+	if declinedPut > 0 || bytesPut > 1 || stringPut > 0 {
+		t.Fatalf("a put at capacity allocates %v times declined, %v admitted by bytes, %v by string; want 0, 1 and 0",
+			declinedPut, bytesPut, stringPut)
 	}
 
 	// Two keys alternate on disk, each hit two disk hits after its last,
@@ -188,7 +203,7 @@ func TestPutAtCapacityAllocatesOnlyTheKey(t *testing.T) {
 	}
 	lookup()
 	lookup()
-	before := c.Stats()
+	before = c.Stats()
 	promote := testing.AllocsPerRun(200, lookup)
 	st := c.Stats()
 	if promote > 1 || st.Promotions-before.Promotions < 200 || st.Evictions-before.Evictions < 200*(resident+1) {

@@ -3,11 +3,14 @@ package cache
 // Tiered composes the RAM LRU (tier 1), the disk store (tier 2) and
 // the singleflight that fronts them into the one handle the engine
 // memoizes chunk results behind. Lookups try RAM first; a disk hit is
-// promoted back into RAM when RAM would keep it (see diskGet), so a
-// hot set that fits migrates to the fast tier while a scan larger than
-// RAM does not churn through it. Puts are write-through: the entry
-// lands in both tiers, so it both serves hot repeats at RAM speed and
-// survives a process restart.
+// promoted back into RAM when RAM would keep it, so a hot set that
+// fits migrates to the fast tier while a scan larger than RAM does not
+// churn through it. The engine's puts (Do's, DoCovered's and
+// PutState's) land in one tier: on disk when there is one, so an entry
+// survives a process restart and comes back into RAM only if it is read
+// again; without one, in RAM if LRU.admit lets them. Either way a
+// scan's puts, which RAM would evict before any read, cost it nothing,
+// and hot repeats are served at RAM speed.
 //
 // One store serves two kinds of entry: frozen tables (Do) and opaque
 // byte payloads — encoded partial aggregate states — under their own
@@ -25,8 +28,9 @@ import (
 // Tiered is a two-tier cache. Either tier may be nil, in which case it
 // degenerates to the other tier alone (both nil stores nothing). It is
 // safe for concurrent use. Tables it returns are frozen and shared;
-// callers must not mutate them. A disk hit is promoted into RAM only
-// if RAM would keep it (see diskGet).
+// callers must not mutate them. An engine put is stored in one tier
+// (see put), and a disk hit is promoted into RAM only if RAM would keep
+// it.
 type Tiered struct {
 	mem    *LRU
 	disk   *Disk
@@ -53,22 +57,36 @@ func NewTiered(mem *LRU, disk *Disk) *Tiered {
 // hit makes no key string, and a leader makes the one its flight and
 // stored entry share.
 func (t *Tiered) Do(key []byte, maxWait time.Duration, compute func() (*table.Table, bool)) (*table.Table, bool, Outcome) {
+	return t.do(key, maxWait, compute, false)
+}
+
+// DoCovered is Do for a table whose chunk's partial states the caller
+// also stores (PutState), so that a rerun of its statement reads those
+// and never this table: a full RAM tier without a disk tier keeps it
+// only if it recurs (see LRU.admit).
+func (t *Tiered) DoCovered(key []byte, maxWait time.Duration, compute func() (*table.Table, bool)) (*table.Table, bool, Outcome) {
+	return t.do(key, maxWait, compute, true)
+}
+
+func (t *Tiered) do(key []byte, maxWait time.Duration, compute func() (*table.Table, bool), covered bool) (*table.Table, bool, Outcome) {
 	if tbl, _, ok := tieredGet(t, key, false, true, nil); ok {
 		return tbl, true, Hit
 	}
 	return t.flight.do(key, maxWait, func(key string) (*table.Table, bool) {
 		// Re-check under flight leadership: a clean result published
-		// between this caller's miss and its turn to lead is stored by
-		// now (leaders store before dissolving the flight) and must not
-		// be recomputed. Uncounted — the miss was already counted, and
-		// this internal re-check must not distort the analyst-visible
-		// hit rate, recency or promotions.
+		// between this caller's miss and its turn to lead was offered
+		// to the cache before that flight dissolved, and one the cache
+		// kept must not be recomputed. One that RAM declined and no
+		// disk holds is recomputed, as after an eviction. Uncounted —
+		// the miss was already counted, and this internal re-check must
+		// not distort the analyst-visible hit rate, recency or
+		// promotions.
 		if tbl, _, ok := tieredGet(t, key, false, false, nil); ok {
 			return tbl, true
 		}
 		tbl, clean := compute()
 		if clean {
-			t.put(key, tbl) // freezes tbl
+			t.put(key, tbl, covered) // freezes tbl
 		}
 		return tbl, clean
 	})
@@ -104,7 +122,7 @@ func tieredGet[K cacheKey](t *Tiered, key K, raw, count bool, dst *[]byte) (*tab
 		// under the disk index's key string, without inflating the RAM
 		// tier's Puts counter, so operators can tell real write-through
 		// traffic from promotions.
-		t.mem.store(e.key, tbl, payload, false)
+		store(t.mem, e.key, tbl, payload, promotion)
 		t.promotions.Add(1)
 	}
 	return tbl, payload, e != nil
@@ -132,8 +150,9 @@ func (t *Tiered) GetState(key []byte, dst *[]byte) ([]byte, bool) {
 	return raw, ok
 }
 
-// PutRaw stores a raw partial-state payload in both tiers. The caller
-// must not mutate raw afterwards.
+// PutRaw stores a raw partial-state payload in both tiers, RAM
+// included whether or not it would keep it. The caller must not mutate
+// raw afterwards.
 func (t *Tiered) PutRaw(key string, raw []byte) {
 	if t.mem != nil {
 		t.mem.PutRaw(key, raw)
@@ -143,18 +162,31 @@ func (t *Tiered) PutRaw(key string, raw []byte) {
 	}
 }
 
-// PutState is PutRaw for a key the caller holds as bytes: both tiers
-// keep the one string it makes.
-func (t *Tiered) PutState(key, raw []byte) { t.PutRaw(string(key), raw) }
-
-// put stores the (frozen) table in both tiers.
-func (t *Tiered) put(key string, tbl *table.Table) {
-	tbl.Freeze()
-	if t.mem != nil {
-		t.mem.Put(key, tbl)
+// PutState is the engine's state put, for a key the caller holds as
+// bytes: the disk tier stores it, or with none the RAM tier if admit
+// lets it (see put). A key string is made only for an entry kept.
+func (t *Tiered) PutState(key, raw []byte) {
+	if t.disk != nil {
+		t.disk.PutRaw(string(key), raw)
+	} else if t.mem != nil {
+		store(t.mem, key, nil, raw, solePut)
 	}
+}
+
+// put is Do's table put: it freezes tbl and stores it in one tier. The
+// disk tier keeps every put, and RAM takes what is read again by
+// promotion (see diskGet), so a put RAM would evict unread costs it
+// nothing. Without a disk tier, RAM stores the put if admit lets it.
+func (t *Tiered) put(key string, tbl *table.Table, covered bool) {
+	tbl.Freeze()
 	if t.disk != nil {
 		t.disk.Put(key, tbl)
+	} else if t.mem != nil {
+		kind := solePut
+		if covered {
+			kind = coveredPut
+		}
+		store(t.mem, key, tbl, nil, kind)
 	}
 }
 
@@ -170,10 +202,11 @@ func (t *Tiered) Close() error {
 // Stats merges both tiers: RAM counters in the classic fields, disk
 // counters in the Disk* fields. Hits/Misses reflect the composite view
 // (a Get served by either tier is one hit; a miss in both is one
-// miss), which keeps HitRate meaningful for the whole cache. Puts
-// counts write-through stores only; disk→RAM promotions appear solely
-// in Promotions (the RAM tier's internal promote path skips its Puts
-// counter).
+// miss), which keeps HitRate meaningful for the whole cache. Puts and
+// StatePuts count the write-through stores the cache kept: the disk
+// tier's when there is one, else RAM's, whose declines are in
+// Declined. Disk→RAM promotions appear solely in Promotions (the RAM
+// tier's internal promote path skips its Puts counter).
 func (t *Tiered) Stats() Stats {
 	var s Stats
 	if t.mem != nil {
@@ -192,12 +225,12 @@ func (t *Tiered) Stats() Stats {
 		s.DiskStateMisses = ds.DiskStateMisses
 		s.DiskStatePuts = ds.DiskStatePuts
 		s.Promotions = t.promotions.Load()
+		// Write-through puts land on disk alone (see put).
+		s.Puts, s.StatePuts = ds.DiskPuts, ds.DiskStatePuts
 		if t.mem == nil {
 			s.Hits, s.Misses = ds.DiskHits, ds.DiskMisses
-			s.Puts = ds.DiskPuts
 			s.Entries = ds.Entries
 			s.StateHits, s.StateMisses = ds.DiskStateHits, ds.DiskStateMisses
-			s.StatePuts = ds.DiskStatePuts
 		} else {
 			// RAM misses that the disk tier absorbed are composite hits.
 			s.Hits += ds.DiskHits

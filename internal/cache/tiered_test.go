@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -68,7 +70,7 @@ func waitFollowers(t *testing.T, c *Tiered, n int64) {
 
 func TestTieredDoHitSkipsCompute(t *testing.T) {
 	eachTiering(t, func(t *testing.T, c *Tiered) {
-		c.put("k", tbl(1, 2))
+		c.put("k", tbl(1, 2), false)
 		got, clean, outcome := c.Do([]byte("k"), 0, mustNotCompute(t))
 		if outcome != Hit || !clean || got.Len() != 2 {
 			t.Fatalf("Do on a stored key = (%d rows, clean=%v, %v), want a clean 2-row Hit", got.Len(), clean, outcome)
@@ -195,7 +197,7 @@ func TestTieredDoRecheckIsInvisible(t *testing.T) {
 		c.Do([]byte("k"), 0, func() (*table.Table, bool) {
 			close(leaderIn)
 			waitFollowers(t, c, 1)
-			c.put("k", published)
+			c.put("k", published, false)
 			return tbl(0), false
 		})
 		<-done
@@ -207,4 +209,157 @@ func TestTieredDoRecheckIsInvisible(t *testing.T) {
 			t.Fatalf("stats = %+v, want the two callers' own misses and nothing from the re-check", st)
 		}
 	})
+}
+
+// fullRAM returns a RAM-only tier whose RAM is full of resident 8-byte
+// states of other keys, none of them read, and whose decline history is
+// built, and n consecutive keys alternating between states (even) and
+// tables (odd) that it does not hold. The first decline evicts nothing:
+// the history's bytes, two slots per resident entry, count against the
+// bound, and the next stored put makes room for them.
+func fullRAM(t *testing.T, resident, n int) (*Tiered, *LRU, [][]byte) {
+	mem := New(int64(resident) * (entryOverhead + 49 + 8))
+	for i := 0; mem.Stats().Evictions == 0; i++ {
+		mem.PutRaw(string(engineKey('R', i)), make([]byte, 8))
+	}
+	c := NewTiered(mem, nil)
+	before := mem.Stats()
+	c.PutState(engineKey('X', 0), make([]byte, 8))
+	if st := mem.Stats(); st.Declined != 1 || st.Evictions != before.Evictions || len(mem.history) != 2*resident ||
+		st.Bytes != before.Bytes+int64(16*resident) {
+		t.Fatalf("first decline: %+v with a %d-slot history, before %+v; want a %d-slot history's bytes and no eviction",
+			st, len(mem.history), before, 2*resident)
+	}
+	return c, mem, consecutiveKeys(n)
+}
+
+// consecutiveKeys returns n engine keys alternating between states
+// (even) and tables (odd).
+func consecutiveKeys(n int) [][]byte {
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = engineKey("ST"[i%2], i)
+	}
+	return keys
+}
+
+// putAll write-throughs every key once, the way the engine does: a
+// state by PutState, a table by a Do that misses and computes. It
+// returns how many Do calls computed.
+func putAll(c *Tiered, keys [][]byte) (computed int) {
+	for i, k := range keys {
+		if i%2 == 0 {
+			c.PutState(k, statePayload(i))
+			continue
+		}
+		c.Do(k, 0, func() (*table.Table, bool) { computed++; return tbl(float64(i)), true })
+	}
+	return computed
+}
+
+// readAll looks every key of keys up once and checks it hits.
+func readAll(t *testing.T, c *Tiered, keys [][]byte) {
+	t.Helper()
+	for i, k := range keys {
+		if i%2 == 0 {
+			if got, ok := c.GetState(k, nil); !ok || !slices.Equal(got, statePayload(i)) {
+				t.Fatalf("GetState(%d) = %v, %v", i, got, ok)
+			}
+		} else if got, _, outcome := c.Do(k, 0, mustNotCompute(t)); outcome != Hit || got.At(0, 0).Num() != float64(i) {
+			t.Fatalf("Do(%d) = %v, %v; want a hit", i, got, outcome)
+		}
+	}
+}
+
+// A key cycle longer than a full RAM tier's entry count is declined on
+// every put: nothing is stored, nothing is evicted, and RAM keeps its
+// entries and bytes.
+func TestTieredDeclinesWriteCycleLargerThanRAM(t *testing.T) {
+	c, mem, keys := fullRAM(t, 16, 24)
+	resident := slices.Sorted(maps.Keys(mem.items))
+	before := mem.Stats()
+	for pass := 0; pass < 3; pass++ {
+		if computed := putAll(c, keys); computed != len(keys)/2 {
+			t.Fatalf("pass %d computed %d tables, want every one of %d", pass, computed, len(keys)/2)
+		}
+	}
+	st := mem.Stats()
+	if st.Puts != before.Puts || st.StatePuts != before.StatePuts || st.Evictions != before.Evictions ||
+		st.Bytes != before.Bytes || st.Declined-before.Declined != 3*24 {
+		t.Fatalf("stats = %+v, before %+v; want 72 declined puts, none stored and nothing evicted", st, before)
+	}
+	if got := slices.Sorted(maps.Keys(mem.items)); !slices.Equal(got, resident) {
+		t.Fatal("a declined cycle changed RAM's entries")
+	}
+}
+
+// Keys put again within the horizon are stored on their second put,
+// evicting the oldest entries, and then hit. Four consecutive keys
+// make five declines, fewer than a history bucket holds, so none can
+// be forgotten however they hash.
+func TestTieredStoresPutsRepeatedWithinHorizon(t *testing.T) {
+	c, mem, keys := fullRAM(t, 16, 4)
+	before := mem.Stats()
+	putAll(c, keys)
+	if st := mem.Stats(); st.Declined-before.Declined != 4 || st.Puts+st.StatePuts != before.StatePuts {
+		t.Fatalf("first put: %+v, want 4 declined and only the filling puts stored", st)
+	}
+	putAll(c, keys)
+	if st := mem.Stats(); st.Declined-before.Declined != 4 || st.Puts != 2 || st.StatePuts != before.StatePuts+2 ||
+		st.Evictions <= before.Evictions || st.Bytes > st.MaxBytes {
+		t.Fatalf("second put: %+v, want each key stored, evicting down to the bound", st)
+	}
+	readAll(t, c, keys)
+}
+
+// Over ordinary keys the history keeps nearly every decline within the
+// horizon: 192 consecutive keys, each put again 192 rulings after its
+// decline (the tier then holds about 230 entries, its horizon), are
+// stored on that second put at least 95% of the time. A decline is
+// forgotten only when more than eight declines within the horizon
+// share its bucket: over 60 processes, each with a hash seed of its
+// own, this loses 17 keys of 11,520.
+func TestTieredAdmitsRepeatedPutsAtHorizon(t *testing.T) {
+	c, mem, keys := fullRAM(t, 256, 192)
+	before := mem.Stats()
+	putAll(c, keys)
+	if st := mem.Stats(); st.Declined-before.Declined != 192 {
+		t.Fatalf("first pass: %+v, want every put declined", st)
+	}
+	putAll(c, keys)
+	st := mem.Stats()
+	stored := int(st.Puts + st.StatePuts - before.Puts - before.StatePuts)
+	if stored < 192*95/100 || st.Entries <= 192 {
+		t.Fatalf("second pass stored %d of 192 keys with %d entries resident; want at least 95%% and a horizon above 192",
+			stored, st.Entries)
+	}
+}
+
+// A put that only RAM would keep replaces an entry that was read and
+// has since aged to the tail, as LRU would: a window that moves on
+// executes each new chunk once. Once the tail is an entry nobody read
+// (the new window, until it is read), the next new keys are declined.
+func TestTieredSolePutReplacesReadEntry(t *testing.T) {
+	mem := New(16 * (entryOverhead + 49 + 8))
+	c := NewTiered(mem, nil)
+	old := make([][]byte, 16)
+	for i := range old {
+		old[i] = engineKey('O', i)
+		c.PutState(old[i], statePayload(i))
+	}
+	for _, k := range old {
+		if _, ok := c.GetState(k, nil); !ok {
+			t.Fatal("the tier lost an entry before it was full")
+		}
+	}
+	keys := consecutiveKeys(32)
+	putAll(c, keys[:16])
+	if st := mem.Stats(); st.Declined != 0 || st.Evictions != 16 || st.Entries != 16 {
+		t.Fatalf("after the new window: %+v, want all 16 stored over the 16 read entries", st)
+	}
+	putAll(c, keys[16:])
+	if st := mem.Stats(); st.Declined != 16 || st.Evictions != 16 {
+		t.Fatalf("after a third window: %+v, want its 16 puts declined over the unread second", st)
+	}
+	readAll(t, c, keys[:16])
 }

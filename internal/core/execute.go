@@ -436,15 +436,24 @@ func (fs *foldScratch) release() {
 // and reports whether the block is clean (cache hits and shared
 // results always are; an execution is clean unless the sandbox
 // substituted fallback rows, which the cache then neither stores nor
-// shares). key is nil exactly when the chunk cache is disabled. The
-// video.Chunk is built only when the executable has to run: a hit costs
-// the lookup and nothing else.
-func (e *Engine) fetchChunkBlock(key []byte, split *video.Split, ord int64, exec sandbox.Executor, tl *shardTallies) (*table.Table, bool) {
+// shares). key is nil exactly when the chunk cache is disabled.
+// covered says the caller folds the block into partial states it caches
+// too, so a rerun reads those and not the table (cache.Tiered.DoCovered).
+// The video.Chunk is built only when the executable has to run: a hit
+// costs the lookup and nothing else.
+func (e *Engine) fetchChunkBlock(key []byte, split *video.Split, ord int64, exec sandbox.Executor, covered bool, tl *shardTallies) (*table.Table, bool) {
 	run := func() (*table.Table, bool) { return e.execChunk(split.ChunkAt(ord), exec, tl) }
 	if e.chunkCache == nil {
 		return run()
 	}
-	blk, clean, outcome := e.chunkCache.Do(key, flightWaitMultiple*exec.Timeout, run)
+	var blk *table.Table
+	var clean bool
+	var outcome cache.Outcome
+	if covered {
+		blk, clean, outcome = e.chunkCache.DoCovered(key, flightWaitMultiple*exec.Timeout, run)
+	} else {
+		blk, clean, outcome = e.chunkCache.Do(key, flightWaitMultiple*exec.Timeout, run)
+	}
 	switch outcome {
 	case cache.Hit:
 		tl.hits.Add(1)
@@ -567,7 +576,7 @@ func (e *Engine) runShard(shard int, sh *splitShard, pr *procPlan, par int, psp 
 				k := chunkKey(prefixes[0], iv)
 				tableKey = k[:]
 			}
-			blk, clean := e.fetchChunkBlock(tableKey, split, ords[i], pr.exec, tl)
+			blk, clean := e.fetchChunkBlock(tableKey, split, ords[i], pr.exec, np > 0, tl)
 			if np == 0 {
 				blocks[i] = blk
 				return

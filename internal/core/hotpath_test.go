@@ -397,3 +397,106 @@ func TestSplitScratchReleasedClear(t *testing.T) {
 		}
 	}
 }
+
+// admissionRig is one 30-second-chunk interval camera whose executable
+// counts its executions, and a pushdown COUNT over any window of its
+// chunks, for the RAM tier's write-admission gates.
+type admissionRig struct {
+	t     *testing.T
+	execs atomic.Int64
+}
+
+const rigChunks = 440
+
+var rigStart = time.Date(2021, 3, 15, 0, 0, 0, 0, time.UTC)
+
+// engine returns a RAM-only engine over the rig's camera.
+func (r *admissionRig) engine(cacheBytes int64) *Engine {
+	e := New(Options{Seed: 1, Evaluation: true, ChunkCacheBytes: cacheBytes})
+	src := &video.IntervalSource{Camera: "camA", FPS: 2, Start: rigStart, Frames: 2 * 30 * rigChunks}
+	if err := e.RegisterCamera(CameraConfig{Name: "camA", Source: src, Policy: policy.Policy{Rho: 25 * time.Second, K: 1}, Epsilon: 1e9}); err != nil {
+		r.t.Fatal(err)
+	}
+	rows := []table.Row{{table.N(1)}, {table.N(2)}}
+	if err := e.Registry().Register("fixed", func(*video.Chunk) []table.Row { r.execs.Add(1); return rows }); err != nil {
+		r.t.Fatal(err)
+	}
+	return e
+}
+
+// window parses the COUNT over chunks [from, from+chunks).
+func (r *admissionRig) window(from, chunks int) *query.Program {
+	begin := rigStart.Add(time.Duration(from) * 30 * time.Second)
+	prog, err := query.Parse(fmt.Sprintf(`
+SPLIT camA BEGIN %s END %s BY TIME 30sec STRIDE 0sec INTO chunks;
+PROCESS chunks USING fixed TIMEOUT 5sec PRODUCING 2 ROWS WITH SCHEMA (id:NUMBER=0) INTO t;
+SELECT COUNT(*) FROM t CONSUMING 0.001;`,
+		begin.Format("01-02-2006/3:04pm"), begin.Add(time.Duration(chunks)*30*time.Second).Format("01-02-2006/3:04pm")))
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	return prog
+}
+
+// run executes prog on e and returns how many chunks it executed.
+func (r *admissionRig) run(e *Engine, prog *query.Program) int64 {
+	before := r.execs.Load()
+	if _, err := e.Execute(prog); err != nil {
+		r.t.Fatal(err)
+	}
+	return r.execs.Load() - before
+}
+
+// windowBytes is what a 40-chunk window's tables and states take in the
+// RAM tier.
+func (r *admissionRig) windowBytes() int64 {
+	e := r.engine(0)
+	defer e.Close()
+	r.run(e, r.window(0, 40))
+	return e.CacheStats().Bytes
+}
+
+// A scan larger than the RAM tier does not flush the hot set from it.
+// The tier holds one 40-chunk hot window with room to spare; after the
+// hot query, a scan of ten times as many chunks (several times the
+// tier's bytes) runs, and the hot query again then makes no sandbox
+// execution and hits every chunk's state. Without write admission the
+// scan's puts evict the hot window, and the rerun executes it afresh.
+func TestScanKeepsHotSetResident(t *testing.T) {
+	const hotChunks, scanChunks = 40, 400
+	r := &admissionRig{t: t}
+	e := r.engine(r.windowBytes() * 3 / 2)
+	defer e.Close()
+	hot := r.window(0, hotChunks)
+	r.run(e, hot)
+	r.run(e, r.window(hotChunks, scanChunks))
+	before := e.CacheStats()
+	ran := r.run(e, hot)
+	st := e.CacheStats()
+	if ran != 0 || st.StateHits-before.StateHits != hotChunks || st.StateMisses != before.StateMisses {
+		t.Fatalf("hot rerun after a %d-chunk scan through a %d-byte tier made %d executions, %d state hits and %d state misses; want 0, %d and 0",
+			scanChunks, st.MaxBytes, ran, st.StateHits-before.StateHits, st.StateMisses-before.StateMisses, hotChunks)
+	}
+}
+
+// A window that moves on through a full RAM tier executes only its new
+// chunks, as plain LRU does: the entries it leaves behind were read, so
+// its new chunks' states replace them on their first put instead of
+// being declined and executed again on the next refresh. A 40-chunk
+// dashboard window, run twice, then slides by 10 chunks six times
+// through a tier of 1.25 windows.
+func TestMovingWindowExecutesOnlyNewChunks(t *testing.T) {
+	r := &admissionRig{t: t}
+	e := r.engine(r.windowBytes() * 5 / 4)
+	defer e.Close()
+	r.run(e, r.window(0, 40))
+	r.run(e, r.window(0, 40))
+	for slide := 1; slide <= 6; slide++ {
+		if ran := r.run(e, r.window(10*slide, 40)); ran != 10 {
+			t.Fatalf("slide %d executed %d chunks, want its 10 new ones; cache %+v", slide, ran, e.CacheStats())
+		}
+	}
+	if st := e.CacheStats(); st.Evictions == 0 || st.Declined == 0 {
+		t.Fatalf("the tier never filled and ruled: %+v", st)
+	}
+}

@@ -190,6 +190,8 @@ var collectors = []collector{
 		group: "chunk_cache", key: "entries", read: func(e *Engine) float64 { return float64(e.CacheStats().Entries) }},
 	{name: "privid_chunk_cache_puts_total", help: "Chunk-result cache write-through stores (disk→RAM promotions excluded).", typ: obs.TypeCounter,
 		group: "chunk_cache", key: "puts", read: func(e *Engine) float64 { return float64(e.CacheStats().Puts) }},
+	{name: "privid_chunk_cache_declined_total", help: "Chunk-result cache puts a RAM-only tier declined because it would not have kept them.", typ: obs.TypeCounter,
+		group: "chunk_cache", key: "declined", read: func(e *Engine) float64 { return float64(e.CacheStats().Declined) }},
 	{name: "privid_chunk_cache_bytes", help: "Chunk-result cache resident bytes.", typ: obs.TypeGauge,
 		group: "chunk_cache", key: "bytes", read: func(e *Engine) float64 { return float64(e.CacheStats().Bytes) }},
 	{name: "privid_chunk_cache_max_bytes", help: "Chunk-result cache RAM-tier byte bound.", typ: obs.TypeGauge,

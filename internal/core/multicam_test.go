@@ -474,9 +474,9 @@ SELECT COUNT(*) FROM t CONSUMING 0.001;`)
 // holds only part of its states is served by a mix of RAM hits,
 // promotions and disk hits read into the pooled scratch's own buffers.
 // Every rerun's release equals the cold run's: no buffer a scratch
-// reuses is ever the payload RAM serves. Promotions start on the third
-// run (admission needs a previous disk hit), so a RAM entry that
-// aliased a scratch buffer could only read wrong from the fourth; which
+// reuses is ever the payload RAM serves. Promotions start on the second
+// run (the first run's puts land on disk alone), so a RAM entry that
+// aliased a scratch buffer could read wrong from the third; which
 // scratch a shard draws varies, so the test runs eight times.
 func TestDiskTierRerunsMatchCold(t *testing.T) {
 	e := New(Options{Seed: 1, Evaluation: true, ChunkCacheBytes: 32 << 10, DiskCacheDir: t.TempDir()})

@@ -206,6 +206,33 @@ func TestEngineMetricsExposition(t *testing.T) {
 	}
 }
 
+// privid_chunk_cache_declined_total counts the write-through puts a full
+// RAM tier declined: the fleet query's 180 chunks put 360 entries, which
+// an 8 KiB tier cannot keep, and none of which a 64 MiB tier declines.
+func TestChunkCacheDeclinedFamily(t *testing.T) {
+	prog, err := query.Parse(fleetQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		cacheBytes int64
+		declined   bool
+	}{{8 << 10, true}, {0, false}} {
+		e := newFleetEngine(t, Options{Seed: 1, ChunkCacheBytes: tc.cacheBytes}, 3, 10)
+		if _, err := e.Execute(prog); err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if _, err := e.Metrics().WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		zero := strings.Contains(b.String(), "\nprivid_chunk_cache_declined_total 0\n")
+		if st := e.CacheStats(); zero == tc.declined || (st.Declined > 0) != tc.declined {
+			t.Errorf("%d-byte tier: declined family at zero = %v, stats %+v; want declines %v", tc.cacheBytes, zero, st, tc.declined)
+		}
+	}
+}
+
 // TestMetricsDenialAndDisable covers the denied outcome counter and the
 // DisableMetrics escape hatch.
 func TestMetricsDenialAndDisable(t *testing.T) {

@@ -15,7 +15,9 @@ import (
 	"time"
 
 	"privid"
+	"privid/internal/core"
 	"privid/internal/query"
+	"privid/internal/server"
 )
 
 // TestFacadeEndToEnd exercises the public API exactly as the README
@@ -178,8 +180,11 @@ func TestDocProgramsParse(t *testing.T) {
 // `pkg.Type.Member` in README.md, DESIGN.md and docs/*.md whose pkg is
 // one of the module's internal packages names a declaration there (test
 // files included, so test names resolve). Lower-case names, such as
-// the bench metric `store.commits_per_op`, are not identifiers.
+// the bench metric `store.commits_per_op`, are not identifiers. Every
+// backticked `privid_*` metric name is a family that core or server
+// registers, or the _bucket, _sum or _count series of one.
 func TestDocIdentifiersResolve(t *testing.T) {
+	families := registeredFamilies(t)
 	decls := map[string]map[string]bool{} // package -> "Name" and "Type.Member"
 	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.Name() == "testdata" {
@@ -211,6 +216,8 @@ func TestDocIdentifiersResolve(t *testing.T) {
 	}
 	span := regexp.MustCompile("`[^`\n]+`")
 	ref := regexp.MustCompile(`(?:^|[^\w.])([a-z]\w*)\.([A-Z]\w*)(?:\.(\w+))?`)
+	metric := regexp.MustCompile(`^privid_\w+$`)
+	metricSeries := regexp.MustCompile(`_(bucket|sum|count)$`)
 	checked := 0
 	for _, path := range append([]string{"README.md", "DESIGN.md"}, docs...) {
 		doc, err := os.ReadFile(path)
@@ -221,6 +228,13 @@ func TestDocIdentifiersResolve(t *testing.T) {
 		pieces := strings.Split(string(doc), "\n```")
 		for i := 0; i < len(pieces); i += 2 {
 			for _, s := range span.FindAllString(pieces[i], -1) {
+				if name := strings.Trim(s, "`"); metric.MatchString(name) {
+					checked++
+					if !families[name] && !families[metricSeries.ReplaceAllString(name, "")] {
+						t.Errorf("%s: %s is no registered metric family", path, s)
+					}
+					continue
+				}
 				for _, m := range ref.FindAllStringSubmatch(s, -1) {
 					names, ok := decls[m[1]]
 					if !ok {
@@ -241,6 +255,32 @@ func TestDocIdentifiersResolve(t *testing.T) {
 		t.Fatal("found no documented identifiers")
 	}
 	t.Logf("%d documented identifiers resolve", checked)
+}
+
+// registeredFamilies returns the name of every metric family an engine
+// with every optional part (disk tier, state dir) and a scheduler on it
+// register, as the exposition's TYPE lines list them.
+func registeredFamilies(t *testing.T) map[string]bool {
+	t.Helper()
+	dir := t.TempDir()
+	e, err := core.Open(core.Options{DiskCacheDir: filepath.Join(dir, "chunks"), StateDir: filepath.Join(dir, "state")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	sched := server.NewScheduler(e, server.SchedulerOptions{Workers: 1})
+	defer sched.Close()
+	var b strings.Builder
+	if _, err := e.Metrics().WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	families := map[string]bool{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
+			families[f[2]] = true
+		}
+	}
+	return families
 }
 
 // declareFile records f's top-level names, and each type's methods,
