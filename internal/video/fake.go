@@ -136,10 +136,14 @@ type SparseIntervalSource struct {
 // ActiveIntervals implements SparseSource: the merged object spans
 // clipped to iv. It scans Objects, which must be Enter-sorted (Sort),
 // rather than read the snapshot index: enumerating a camera's chunks
-// must not be what builds it.
+// must not be what builds it. The scan stops at the first object that
+// enters at or after iv ends, since no later one can overlap iv.
 func (s *SparseIntervalSource) ActiveIntervals(dst []vtime.Interval, iv vtime.Interval) []vtime.Interval {
 	base := len(dst)
 	for _, o := range s.Objects {
+		if o.Enter >= iv.End {
+			break
+		}
 		span := vtime.Interval{Start: o.Enter, End: o.Exit}.Intersect(iv)
 		if span.Empty() {
 			continue

@@ -166,6 +166,39 @@ func TestSparseIntervalSourceActiveIntervals(t *testing.T) {
 	}
 }
 
+// TestSparseIntervalSourceActiveIntervalsWindows is the seeded
+// differential of ActiveIntervals against a per-frame reference over
+// random sub-windows of Enter-sorted objects, ties, empty and inverted
+// spans and spans reaching outside the stream included: the runs of
+// frames some object covers, clipped to the window, and nothing else.
+func TestSparseIntervalSourceActiveIntervalsWindows(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for seed := int64(0); seed < 200; seed++ {
+		s := adversarialFake(seed, true)
+		for w := 0; w < 20; w++ {
+			start := rng.Int63n(s.Frames+60) - 30
+			iv := vtime.Interval{Start: start, End: start + rng.Int63n(s.Frames/2)}
+			var want []vtime.Interval
+			for f := iv.Start; f < iv.End; f++ {
+				covered := false
+				for _, o := range s.Objects {
+					covered = covered || (o.Enter <= f && f < o.Exit)
+				}
+				switch n := len(want); {
+				case !covered:
+				case n > 0 && want[n-1].End == f:
+					want[n-1].End++
+				default:
+					want = append(want, vtime.Interval{Start: f, End: f + 1})
+				}
+			}
+			if got := s.ActiveIntervals(nil, iv); !slices.Equal(got, want) {
+				t.Fatalf("seed %d, window %v: ActiveIntervals = %v, want %v", seed, iv, got, want)
+			}
+		}
+	}
+}
+
 // TestSparseIntervalSourceSkipsEmptyChunks pins the contract the sim
 // fleet depends on: with an object-dependent executable, skipping
 // never-active chunks is invisible — ActiveChunks enumerates exactly
