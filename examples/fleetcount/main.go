@@ -139,7 +139,8 @@ type resultPayload struct {
 }
 
 // submit posts a query and polls it to a terminal state, returning the
-// result or the failure message.
+// result or the failure message; the server's bounded hold on each
+// poll of an unfinished job paces the loop.
 func submit(baseURL, src string) (*resultPayload, string) {
 	body, err := json.Marshal(map[string]string{"analyst": "fleet-analyst", "query": src})
 	if err != nil {
@@ -174,7 +175,6 @@ func submit(baseURL, src string) (*resultPayload, string) {
 		case "failed":
 			return nil, status.Error
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -436,7 +436,8 @@ func (h *H) TrySubmit(analyst, query string) (id string, status int, errMsg stri
 	return decoded.ID, resp.StatusCode, decoded.Error
 }
 
-// Wait polls a job until it reaches a terminal state (or times out).
+// Wait polls a job until it reaches a terminal state (or times out);
+// the server's bounded hold on each poll paces the loop.
 func (h *H) Wait(id string) Job {
 	h.T.Helper()
 	timeout := h.Cfg.WaitTimeout
@@ -453,7 +454,6 @@ func (h *H) Wait(id string) Job {
 		if time.Now().After(deadline) {
 			h.T.Fatalf("job %s stuck in state %s", id, j.State)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -18,11 +18,16 @@ import (
 // until release is closed, so tests can hold jobs in-flight
 // deterministically.
 func newSlowEngine(t *testing.T) (e *core.Engine, release chan struct{}, started *atomic.Int64) {
-	t.Helper()
 	// Parallelism is explicit: the default (GOMAXPROCS) can be 1 on a
 	// small CI machine, which would serialize the blocking executables
 	// on the engine-wide sandbox semaphore.
-	e = core.New(core.Options{Seed: 1, Parallelism: 8})
+	return newSlowEngineWith(t, core.Options{Seed: 1, Parallelism: 8})
+}
+
+// newSlowEngineWith is newSlowEngine over an engine built from opts.
+func newSlowEngineWith(t *testing.T, opts core.Options) (e *core.Engine, release chan struct{}, started *atomic.Int64) {
+	t.Helper()
+	e = core.New(opts)
 	s := scene.Generate(scene.Campus(), 1, 10*time.Minute)
 	if err := e.RegisterCamera(core.CameraConfig{
 		Name:    "campus",

@@ -22,8 +22,8 @@ import (
 //	GET  /v1/healthz                   liveness probe
 //	POST /v1/queries                   submit {analyst, query} → 202 {id}
 //	GET  /v1/queries?analyst=A         list jobs (newest last)
-//	GET  /v1/queries/{id}              job status (+result when done)
-//	GET  /v1/queries/{id}/result       result only; 409 while pending
+//	GET  /v1/queries/{id}              job status (+result when done), held
+//	GET  /v1/queries/{id}/result       result only, held; 409 while pending
 //	GET  /v1/queries/{id}/trace        span tree (409 pending, 404 recovered)
 //	GET  /v1/cameras                   registered cameras
 //	GET  /v1/cameras/{name}/budget     remaining ε at ?frame=N (default 0)
@@ -32,6 +32,10 @@ import (
 //	GET  /v1/stats                     scheduler load + cache + per-camera ε
 //	GET  /v1/state                     durable-store status (WAL/snapshots)
 //	GET  /v1/metrics                   Prometheus text exposition (not JSON)
+//
+// A held route waits for an unfinished job to finish, for at most
+// pollHold or until the request ends, then answers with the job's state
+// as it stands; a finished job answers at once. No other route holds.
 type API struct {
 	engine *core.Engine
 	sched  *Scheduler
@@ -298,7 +302,7 @@ func (a *API) listJobs(w http.ResponseWriter, r *http.Request) {
 var errUnknownJob = errors.New("server: unknown job id")
 
 func (a *API) getJob(w http.ResponseWriter, r *http.Request) {
-	info, ok := a.sched.Job(r.PathValue("id"))
+	info, ok := a.sched.await(r.Context(), r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, errUnknownJob)
 		return
@@ -307,7 +311,7 @@ func (a *API) getJob(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) getResult(w http.ResponseWriter, r *http.Request) {
-	info, ok := a.sched.Job(r.PathValue("id"))
+	info, ok := a.sched.await(r.Context(), r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, errUnknownJob)
 		return

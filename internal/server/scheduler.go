@@ -4,13 +4,15 @@
 // camera and budget inspection, and the owner's audit log.
 //
 // The scheduler model is submit → job ID → poll: queries can run for
-// minutes (they process video), so the API never blocks a connection
-// on execution. Fairness under heavy multi-analyst traffic comes from
-// a bounded per-analyst in-flight limit — one analyst flooding the
-// queue is refused admission (retryable) before it can starve others —
-// while the worker pool bounds total engine concurrency. Privacy
-// enforcement stays entirely inside the engine: the scheduler adds no
-// privacy semantics of its own.
+// minutes (they process video), so a submission is answered as soon as
+// the job is queued, and a poll of an unfinished job waits for it at
+// most pollHold before answering with its state. Fairness under heavy
+// multi-analyst traffic comes from a bounded per-analyst in-flight
+// limit — one analyst flooding the queue is refused admission
+// (retryable) before it can starve others — while the worker pool
+// bounds total engine concurrency. Privacy enforcement stays entirely
+// inside the engine: the scheduler adds no privacy semantics of its
+// own.
 //
 // The layer performs no authentication: the analyst name is
 // client-supplied, so the in-flight limit is a fairness mechanism
@@ -23,6 +25,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -125,6 +128,8 @@ var (
 
 type job struct {
 	info JobInfo
+	// done is closed once info is terminal; a recovered job has none.
+	done chan struct{}
 	// prep is the job's program, shared with every job of the same text
 	// through the engine's program cache; the worker drops it once it
 	// has run, so a finished job holds no program.
@@ -375,6 +380,7 @@ func (s *Scheduler) Submit(analyst, src string) (string, error) {
 			State:       JobQueued,
 			SubmittedAt: s.now(),
 		},
+		done:       make(chan struct{}),
 		prep:       prep,
 		parseStart: parseStart,
 		parseDur:   parseDur,
@@ -385,19 +391,9 @@ func (s *Scheduler) Submit(analyst, src string) (string, error) {
 	// Reserve the slot under the lock; the buffered send cannot block
 	// because queue length was checked above and only Submit sends.
 	s.queue <- j
-	handed := len(s.queue) == 0 // an idle worker received it
 	s.mu.Unlock()
 	s.met.submissions.Inc()
-	if handed {
-		// The worker is runnable on this P but does not run until the
-		// caller blocks, so the job would start only after the caller
-		// has answered. Yield so it starts first: a client polls right
-		// after the answer, and a job shorter than that round trip is
-		// then already done instead of costing the client a poll
-		// interval.
-		runtime.Gosched()
-	}
-	return j.info.ID, nil
+	return id, nil
 }
 
 // worker executes queued jobs until the queue closes.
@@ -454,6 +450,7 @@ func (s *Scheduler) worker() {
 		s.pruneLocked()
 		info := j.info
 		s.mu.Unlock()
+		close(j.done)
 
 		// A job whose engine call committed nothing of its own — a plan
 		// error, a denial, a failed run or a failed commit — is
@@ -540,6 +537,36 @@ func (s *Scheduler) Job(id string) (JobInfo, bool) {
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	if !ok {
+		return JobInfo{}, false
+	}
+	return j.info, true
+}
+
+// pollHold bounds how long a poll of an unfinished job waits for it to
+// finish before answering with the state it is in.
+const pollHold = 50 * time.Millisecond
+
+// await returns a snapshot of one job like Job, but first waits for an
+// unfinished job to finish, until pollHold passes or ctx ends. A
+// terminal job answers at once.
+func (s *Scheduler) await(ctx context.Context, id string) (JobInfo, bool) {
+	s.mu.Lock()
+	j := s.jobs[id]
+	if j != nil && !j.info.Finished() {
+		s.mu.Unlock()
+		hold := time.NewTimer(pollHold)
+		select {
+		case <-j.done:
+		case <-hold.C:
+		case <-ctx.Done():
+		}
+		hold.Stop()
+		// j is read through its pointer: pruning may have dropped it
+		// from the table once it finished.
+		s.mu.Lock()
+	}
+	defer s.mu.Unlock()
+	if j == nil {
 		return JobInfo{}, false
 	}
 	return j.info, true

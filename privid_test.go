@@ -7,6 +7,8 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -182,9 +184,12 @@ func TestDocProgramsParse(t *testing.T) {
 // files included, so test names resolve). Lower-case names, such as
 // the bench metric `store.commits_per_op`, are not identifiers. Every
 // backticked `privid_*` metric name is a family that core or server
-// registers, or the _bucket, _sum or _count series of one.
+// registers, or the _bucket, _sum or _count series of one. Every
+// `GET /v1/…` or `POST /v1/…` route they name, query string stripped,
+// is one server.NewAPI registers.
 func TestDocIdentifiersResolve(t *testing.T) {
 	families := registeredFamilies(t)
+	routes := docRoutes(t)
 	decls := map[string]map[string]bool{} // package -> "Name" and "Type.Member"
 	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.Name() == "testdata" {
@@ -218,11 +223,18 @@ func TestDocIdentifiersResolve(t *testing.T) {
 	ref := regexp.MustCompile(`(?:^|[^\w.])([a-z]\w*)\.([A-Z]\w*)(?:\.(\w+))?`)
 	metric := regexp.MustCompile(`^privid_\w+$`)
 	metricSeries := regexp.MustCompile(`_(bucket|sum|count)$`)
+	route := regexp.MustCompile(`\b(GET|POST) (/v1/[^\s?` + "`" + `"'),;]*)`)
 	checked := 0
 	for _, path := range append([]string{"README.md", "DESIGN.md"}, docs...) {
 		doc, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, m := range route.FindAllStringSubmatch(string(doc), -1) {
+			checked++
+			if !routes(m[1], m[2]) {
+				t.Errorf("%s: %s %s is no route server.NewAPI registers", path, m[1], m[2])
+			}
 		}
 		// Even-numbered pieces lie outside fenced blocks.
 		pieces := strings.Split(string(doc), "\n```")
@@ -255,6 +267,23 @@ func TestDocIdentifiersResolve(t *testing.T) {
 		t.Fatal("found no documented identifiers")
 	}
 	t.Logf("%d documented identifiers resolve", checked)
+}
+
+// docRoutes returns a check of whether server.NewAPI routes a method
+// and path, placeholders such as {id} included: the API's mux answers a
+// path it has no pattern for with its own 404 body, and a method its
+// pattern lacks with 405.
+func docRoutes(t *testing.T) func(method, path string) bool {
+	t.Helper()
+	e := core.New(core.Options{DisableMetrics: true})
+	sched := server.NewScheduler(e, server.SchedulerOptions{Workers: 1})
+	t.Cleanup(sched.Close)
+	api := server.NewAPI(e, sched)
+	return func(method, path string) bool {
+		rec := httptest.NewRecorder()
+		api.ServeHTTP(rec, httptest.NewRequest(method, path, nil))
+		return rec.Code != http.StatusMethodNotAllowed && rec.Body.String() != "404 page not found\n"
+	}
 }
 
 // registeredFamilies returns the name of every metric family an engine
