@@ -3,9 +3,9 @@
 // LRU of immutable columnar tables and an optional tier-2 append-only
 // disk store (disk.go) that survives process restarts, composed by
 // Tiered (tiered.go). With a disk tier, the engine's puts land on disk
-// alone and a disk hit, which is one copy out of memory, is promoted
-// into RAM only when RAM would keep it; without one, RAM stores an
-// engine put only when it would keep it (see LRU.admit).
+// alone and RAM's candidates are the disk hits, each one copy out of
+// memory; without one, they are the engine's puts. Either way one rule,
+// LRU.admit, decides what RAM keeps.
 //
 // Why memoization is sound: the sandbox contract (Appendix B, enforced
 // by internal/sandbox) requires every ProcessFunc to be a pure function
@@ -35,6 +35,7 @@ package cache
 
 import (
 	"hash/maphash"
+	"slices"
 	"sync"
 
 	"privid/internal/table"
@@ -95,15 +96,6 @@ type Stats struct {
 	// DiskStateHits/DiskStateMisses/DiskStatePuts are the disk tier's
 	// share of the raw-state traffic.
 	DiskStateHits, DiskStateMisses, DiskStatePuts uint64
-}
-
-// HitRate returns Hits/(Hits+Misses), or 0 before any lookup.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
 }
 
 // LRU is a least-recently-used cache from string keys to frozen
@@ -225,44 +217,56 @@ type storeKind uint8
 
 const (
 	plainPut   storeKind = iota // stored and counted: LRU.Put, LRU.PutRaw and Tiered.PutRaw
-	promotion                   // a disk hit migrating to RAM: stored, not counted as a put
+	promotion                   // a counted disk hit: ruled on by admit, counted in neither Puts nor Declined
 	coveredPut                  // a table its chunk's partial states stand in for: counted if admit stores it
 	solePut                     // any other engine put: likewise, but see admit
 )
 
 // store inserts or overwrites key's entry with a table (t non-nil,
 // frozen here, even when it is declined, so that a flight can share
-// it) or a raw payload (t nil). A promotion is not counted in Puts or
-// StatePuts: it is a tier migration of an entry that was already
-// written through, and conflating the two hides the real write-through
-// rate from operators (the composite cache counts promotions
-// separately in Stats.Promotions). An engine put (Tiered's, when RAM
-// is its only tier) of a key RAM does not hold is ruled on by admit,
-// and one it declines makes no key string, no map entry and no
-// eviction.
+// it) or a raw payload (t nil), and reports whether it stored it, with
+// the payload it keeps. Every kind but a plain put is a candidate for
+// RAM that admit rules on when RAM does not hold the key (a promotion
+// is ruled on first); one it declines makes no key string, no map
+// entry and no eviction. A
+// promotion is a disk hit migrating to RAM: it keeps a copy of the
+// payload, which is the caller's buffer, is not counted in Puts or
+// StatePuts (it was written through already; Tiered counts it in
+// Stats.Promotions), and stores nothing when RAM already holds the key.
 //
 // It evicts before it inserts, and a new key takes over the node the
 // last eviction freed. The entry being stored is out of the ring while
 // the oldest are dropped, so the victims are exactly those that
 // inserting first and then evicting down to the bound would drop.
-func store[K cacheKey](c *LRU, key K, t *table.Table, raw []byte, kind storeKind) {
+func store[K cacheKey](c *LRU, key K, t *table.Table, raw []byte, kind storeKind) ([]byte, bool) {
 	cost := int64(entryOverhead + len(key) + len(raw))
 	if t != nil {
 		cost = tableCost(key, t.Freeze())
+	}
+	var h uint64
+	if kind != plainPut {
+		h = keyHash(key)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if cost > c.maxBytes-int64(8*len(c.history)) {
 		// Too large to ever fit; admitting it would flush everything.
-		return
+		return nil, false
+	}
+	// A promotion is ruled on before the map is read: most are declined,
+	// and RAM holds the key only if a concurrent lookup promoted it first.
+	if kind == promotion && !c.admit(h, cost, kind) {
+		return nil, false
 	}
 	ent, ok := c.items[string(key)]
-	if !ok && kind >= coveredPut && !c.admit(keyHash(key), cost, kind == solePut) {
-		return
+	if ok && kind == promotion || !ok && kind >= coveredPut && !c.admit(h, cost, kind) {
+		return nil, false
 	}
-	if kind != promotion && t != nil {
+	if kind == promotion {
+		raw = slices.Clone(raw) // nil for a table
+	} else if t != nil {
 		c.puts++
-	} else if kind != promotion {
+	} else {
 		c.statePuts++
 	}
 	if ok {
@@ -283,31 +287,34 @@ func store[K cacheKey](c *LRU, key K, t *table.Table, raw []byte, kind storeKind
 	ent.tbl, ent.raw, ent.cost, ent.used = t, raw, cost, kind == coveredPut
 	c.toFront(ent)
 	c.bytes += cost
+	return raw, true
 }
 
 // historyWays is the associativity of the decline history: a bucket of
 // slots is one 64-byte cache line.
 const historyWays = 8
 
-// admit rules on an engine put of cost bytes, key hash h, that RAM
-// does not hold. It is stored if RAM can take it without evicting, or
-// if the same key was declined no more than len(c.items) rulings ago
-// (c.tick counts the rulings that reached the history), the horizon
-// within which RAM would still hold it had it been stored then;
-// otherwise it is declined. A key cycle longer than RAM therefore never
-// churns through it, while a key that comes round again within the
-// horizon gets in.
+// admit is the one rule for what RAM keeps: it rules on a candidate of
+// the given kind, cost bytes and key hash h that RAM does not hold. It
+// is stored if RAM can take it without evicting, or if the same key was
+// declined no more than len(c.items) rulings ago (c.tick counts the
+// rulings that reached the history), the horizon within which RAM
+// would still hold it had it been stored then; otherwise it is
+// declined. A key cycle longer than RAM therefore never churns through
+// it, while a key that comes round again within the horizon gets in.
 //
-// That is the whole rule for a covered table (Tiered.DoCovered), which
-// is not looked up again while its chunk's states are cached, so a
-// decline costs nothing. For any other put, sole, a decline costs a
-// sandbox execution when the key comes back, so the put is also stored
-// if every entry it would evict is used: hit since it was stored, or a
-// covered table, whose chunk is read through its states. Entries that
-// were in use and are now the least recent are what a window that
-// moves on leaves behind, and LRU's bet on the newcomer is the right
-// one; an entry nobody read while it aged through the whole tier is
-// what a scan leaves, and the scan's next put would be no better.
+// That is the whole rule for a promotion, whose decline costs a disk
+// read when the key comes back, and for a covered table
+// (Tiered.DoCovered), which is not looked up again while its chunk's
+// states are cached, so a decline costs nothing. For a sole put, a
+// decline costs a sandbox execution when the key comes back, so the put
+// is also stored if every entry it would evict is used: hit since it
+// was stored, or a covered table, whose chunk is read through its
+// states. Entries that were in use and are now the least recent are
+// what a window that moves on leaves behind, and LRU's bet on the
+// newcomer is the right one; an entry nobody read while it aged through
+// the whole tier is what a scan leaves, and the scan's next put would
+// be no better.
 //
 // Declines are remembered in c.history: buckets of historyWays slots,
 // two slots per resident entry when it is built at the first decline,
@@ -316,19 +323,21 @@ const historyWays = 8
 // has left the horizon; it is not recorded when all of them hold
 // declines within it (evicting one would let a key cycle one longer
 // than the bucket forget every key in turn), and a record is cleared
-// when its key is admitted. So a decline is forgotten within the
+// when its key is admitted, so a key evicted later must be declined
+// and recur again to come back. A decline is forgotten within the
 // horizon only when more than historyWays declines within it share its
 // bucket, which holds four on average: fewer than one key in a hundred
 // at the horizon's far end (TestTieredAdmitsRepeatedPutsAtHorizon
 // measures the rate). A tag that matches another key's admits an
 // entry; either way the error is on the cost side. The history's bytes
 // count in c.bytes; a decline evicts nothing, so the next entry stored
-// makes room for them. Caller holds c.mu.
-func (c *LRU) admit(h uint64, cost int64, sole bool) bool {
+// makes room for them. Declined counts the engine puts declined, not
+// the promotions. Caller holds c.mu.
+func (c *LRU) admit(h uint64, cost int64, kind storeKind) bool {
 	if c.bytes+cost <= c.maxBytes {
 		return true
 	}
-	if sole && c.evictsOnlyUsed(c.bytes+cost-c.maxBytes) {
+	if kind == solePut && c.evictsOnlyUsed(c.bytes+cost-c.maxBytes) {
 		return true
 	}
 	if c.history == nil {
@@ -351,7 +360,9 @@ func (c *LRU) admit(h uint64, cost int64, sole bool) bool {
 	if free >= 0 {
 		bucket[free] = uint64(c.tick)<<32 | uint64(tag)
 	}
-	c.declined++
+	if kind != promotion {
+		c.declined++
+	}
 	return false
 }
 
@@ -391,21 +402,6 @@ func (c *LRU) evictOldest() *lruEntry {
 	c.bytes -= ent.cost
 	c.evictions++
 	return ent
-}
-
-// room reports what c can take without evicting, for promotion
-// admission (see diskGet).
-func (c *LRU) room() room {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return room{free: c.maxBytes - c.bytes, entries: len(c.items)}
-}
-
-// Len returns the current entry count.
-func (c *LRU) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.items)
 }
 
 // Stats returns a snapshot of the cache counters.

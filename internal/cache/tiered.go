@@ -2,15 +2,15 @@ package cache
 
 // Tiered composes the RAM LRU (tier 1), the disk store (tier 2) and
 // the singleflight that fronts them into the one handle the engine
-// memoizes chunk results behind. Lookups try RAM first; a disk hit is
-// promoted back into RAM when RAM would keep it, so a hot set that
-// fits migrates to the fast tier while a scan larger than RAM does not
-// churn through it. The engine's puts (Do's, DoCovered's and
-// PutState's) land in one tier: on disk when there is one, so an entry
-// survives a process restart and comes back into RAM only if it is read
-// again; without one, in RAM if LRU.admit lets them. Either way a
-// scan's puts, which RAM would evict before any read, cost it nothing,
-// and hot repeats are served at RAM speed.
+// memoizes chunk results behind. Lookups try RAM first. The engine's
+// puts (Do's, DoCovered's and PutState's) land in one tier: on disk
+// when there is one, so an entry survives a process restart; without
+// one, in RAM. What RAM takes is ruled by LRU.admit alone, whether the
+// candidate is a put (RAM-only) or a counted disk hit (a promotion):
+// it is stored if RAM has room, or if the key recurs within RAM's
+// horizon. So a hot set that fits migrates to the fast tier, while a
+// scan larger than RAM, whose entries RAM would evict before any read,
+// does not churn through it.
 //
 // One store serves two kinds of entry: frozen tables (Do) and opaque
 // byte payloads — encoded partial aggregate states — under their own
@@ -29,7 +29,7 @@ import (
 // degenerates to the other tier alone (both nil stores nothing). It is
 // safe for concurrent use. Tables it returns are frozen and shared;
 // callers must not mutate them. An engine put is stored in one tier
-// (see put), and a disk hit is promoted into RAM only if RAM would keep
+// (see put), and a disk hit is promoted into RAM if LRU.admit admits
 // it.
 type Tiered struct {
 	mem    *LRU
@@ -98,11 +98,12 @@ func (t *Tiered) FlightStats() FlightStats { return t.flight.stats() }
 
 // tieredGet is the one lookup body of both kinds: RAM, then disk, for a
 // table (raw false) or a raw partial-state payload (raw true). A
-// counted lookup promotes a disk hit into RAM if diskGet admits it; an
-// uncounted one (the leader's re-check) counts no hit or miss, touches
-// no recency and promotes nothing. A payload from RAM, or promoted into
-// it, is shared and must not be mutated; any other disk hit is read
-// into *dst (see diskGet), which the caller owns.
+// counted disk hit is offered to RAM as a promotion, which LRU.admit
+// rules on; an uncounted lookup (the leader's re-check) counts no hit
+// or miss, touches no recency and offers nothing. A payload from RAM,
+// or promoted into it, is RAM's own copy, shared, and must not be
+// mutated; any other disk hit is read into *dst (see diskGet), which
+// the caller owns.
 func tieredGet[K cacheKey](t *Tiered, key K, raw, count bool, dst *[]byte) (*table.Table, []byte, bool) {
 	if t.mem != nil {
 		if tbl, payload, ok := lruGet(t.mem, key, raw, count); ok {
@@ -112,24 +113,18 @@ func tieredGet[K cacheKey](t *Tiered, key K, raw, count bool, dst *[]byte) (*tab
 	if t.disk == nil {
 		return nil, nil, false
 	}
-	var ram room
-	if count && t.mem != nil {
-		ram = t.mem.room()
+	tbl, payload, stored, ok := diskGet(t.disk, key, raw, count, dst)
+	if ok && count && t.mem != nil {
+		if kept, promoted := store(t.mem, stored, tbl, payload, promotion); promoted {
+			t.promotions.Add(1)
+			payload = kept
+		}
 	}
-	tbl, payload, e, promote := diskGet(t.disk, key, raw, count, ram, dst)
-	if promote {
-		// Internal promote path: the entry migrates to the fast tier,
-		// under the disk index's key string, without inflating the RAM
-		// tier's Puts counter, so operators can tell real write-through
-		// traffic from promotions.
-		store(t.mem, e.key, tbl, payload, promotion)
-		t.promotions.Add(1)
-	}
-	return tbl, payload, e != nil
+	return tbl, payload, ok
 }
 
 // GetRaw tries RAM, then disk, for a raw partial-state payload. Disk
-// hits are promoted into RAM like table entries. The returned slice is
+// hits are offered to RAM like table entries. The returned slice is
 // shared with RAM or private; callers must not mutate it.
 func (t *Tiered) GetRaw(key string) ([]byte, bool) {
 	_, raw, ok := tieredGet(t, key, true, true, nil)
@@ -139,7 +134,7 @@ func (t *Tiered) GetRaw(key string) ([]byte, bool) {
 // GetState is GetRaw for a key the caller holds as bytes; key is not
 // retained. A disk hit that is not promoted is read into *dst, grown as
 // needed, and the returned slice aliases it; any other hit returns
-// RAM's shared copy. It stays out of line: inlined, it would
+// RAM's shared copy, which a promotion copies out of *dst. It stays out of line: inlined, it would
 // instantiate tieredGet in the caller's package, where escape analysis
 // loses that the key is not kept and moves the caller's stack key to
 // the heap.
@@ -175,7 +170,7 @@ func (t *Tiered) PutState(key, raw []byte) {
 
 // put is Do's table put: it freezes tbl and stores it in one tier. The
 // disk tier keeps every put, and RAM takes what is read again by
-// promotion (see diskGet), so a put RAM would evict unread costs it
+// promotion (see tieredGet), so a put RAM would evict unread costs it
 // nothing. Without a disk tier, RAM stores the put if admit lets it.
 func (t *Tiered) put(key string, tbl *table.Table, covered bool) {
 	tbl.Freeze()
@@ -202,7 +197,7 @@ func (t *Tiered) Close() error {
 // Stats merges both tiers: RAM counters in the classic fields, disk
 // counters in the Disk* fields. Hits/Misses reflect the composite view
 // (a Get served by either tier is one hit; a miss in both is one
-// miss), which keeps HitRate meaningful for the whole cache. Puts and
+// miss), so their ratio is the whole cache's hit rate. Puts and
 // StatePuts count the write-through stores the cache kept: the disk
 // tier's when there is one, else RAM's, whose declines are in
 // Declined. Disk→RAM promotions appear solely in Promotions (the RAM

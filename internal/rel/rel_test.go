@@ -429,3 +429,86 @@ func TestConstraintsWindow(t *testing.T) {
 		t.Errorf("release begin=%v, want %v", rels[0].Begin, m.Begin)
 	}
 }
+
+// unionCamEnv builds two multi-camera tables that share camB:
+// tableA over camA and camB (max_rows 10 each, ΔP 70 each) and tableB
+// over camB (max_rows 20, ΔP 140) and camC (max_rows 5, ΔP 35), each
+// row stamped with its shard's camera. Rows per camera: camA 2 and
+// camB 1 in tableA; camB 3 and camC 1 in tableB.
+func unionCamEnv(t *testing.T) Env {
+	t.Helper()
+	schema := table.MustSchema(
+		table.Column{Name: "plate", Type: table.DString, Default: table.S("")},
+	).WithImplicitCols(false, true)
+	shard := func(name, camera string, maxRows int) TableMeta {
+		m := testMeta(name, camera)
+		m.MaxRows = maxRows
+		return m
+	}
+	build := func(metas []TableMeta, rows map[string]int) *Instance {
+		tbl := table.New(schema)
+		for _, m := range metas {
+			for i := 0; i < rows[m.Camera]; i++ {
+				tbl.Append(table.Row{table.S("P"), table.N(float64(m.Begin.Unix())), table.S(m.Camera)})
+			}
+		}
+		return &Instance{Metas: metas, Data: tbl}
+	}
+	return Env{
+		"tableA": build([]TableMeta{shard("tableA", "camA", 10), shard("tableA", "camB", 10)}, map[string]int{"camA": 2, "camB": 1}),
+		"tableB": build([]TableMeta{shard("tableB", "camB", 20), shard("tableB", "camC", 5)}, map[string]int{"camB": 3, "camC": 1}),
+	}
+}
+
+// Fig. 10's per-key UNION rule over two multi-camera branches: rows
+// keyed camera=c come only from c's shards in either branch, so the
+// release for c carries the sum of those shards' ΔP and charges c
+// alone, and ARGMAX's sensitivity is the largest per-key ΔP, not the
+// union's. Expected values are worked by hand from unionCamEnv.
+func TestUnionPerKeyAttribution(t *testing.T) {
+	from := `FROM (SELECT plate, camera FROM tableA) UNION (SELECT plate, camera FROM tableB) GROUP BY camera`
+	st := parseSelect(t, `SELECT camera, COUNT(*) `+from+` WITH KEYS ["camD", "camC", "camB", "camA"];`)
+	rels, err := ExecuteSelect(st, unionCamEnv(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		key       string
+		raw, sens float64
+		cams      string
+	}{
+		{"camA", 2, 70, "camA"},
+		{"camB", 4, 70 + 140, "camB"}, // both branches' camB shards
+		{"camC", 1, 35, "camC"},
+		{"camD", 0, 0, ""}, // in no branch: no rows, no sensitivity, no charge
+	}
+	if len(rels) != len(want) {
+		t.Fatalf("%d releases, want %d", len(rels), len(want))
+	}
+	for i, w := range want {
+		r := rels[i]
+		if r.Key.Str() != w.key || r.Raw != w.raw || r.Sensitivity != w.sens || strings.Join(r.Cameras, ",") != w.cams {
+			t.Errorf("release %d = key %s, raw %v, sensitivity %v, cameras %v; want %s, %v, %v, [%s]",
+				i, r.Key.Str(), r.Raw, r.Sensitivity, r.Cameras, w.key, w.raw, w.sens, w.cams)
+		}
+	}
+
+	st = parseSelect(t, `SELECT ARGMAX(camera) `+from+` WITH KEYS ["camA", "camB", "camC"];`)
+	if rels, err = ExecuteSelect(st, unionCamEnv(t)); err != nil {
+		t.Fatal(err)
+	}
+	if len(rels) != 1 {
+		t.Fatalf("%d ARGMAX releases, want 1", len(rels))
+	}
+	r := rels[0]
+	scores := map[string]float64{}
+	for _, s := range r.Scores {
+		scores[s.Key.Str()] = s.Raw
+	}
+	// The largest per-key ΔP is camB's 210; the whole union's is 315.
+	if r.Sensitivity != 210 || scores["camA"] != 2 || scores["camB"] != 4 || scores["camC"] != 1 ||
+		strings.Join(r.Cameras, ",") != "camA,camB,camC" {
+		t.Errorf("ARGMAX = sensitivity %v, scores %v, cameras %v; want 210, camA 2 camB 4 camC 1, every camera",
+			r.Sensitivity, scores, r.Cameras)
+	}
+}

@@ -85,29 +85,22 @@ type Executor struct {
 	Timeout time.Duration
 	MaxRows int
 	Schema  table.Schema
-	// Done, if non-nil, is called exactly once per Run when the
+	// Done, if non-nil, is called exactly once per execution when the
 	// executable goroutine actually exits. On a timeout that is later
-	// than Run's own return — which is what lets callers bound the
+	// than the run's own return — which is what lets callers bound the
 	// true number of in-flight executions rather than the number of
-	// un-returned Run calls.
+	// un-returned runs.
 	Done func()
 }
 
-// Run processes one chunk and returns schema-conforming rows. On
-// timeout, panic, or crash the executor returns the single default row
-// (Appendix D's TIMEOUT semantics). Output beyond MaxRows is dropped;
-// every row is coerced to the schema.
-func (e *Executor) Run(chunk *video.Chunk) []table.Row {
-	rows, _ := e.RunChecked(chunk)
-	return rows
-}
-
-// RunChecked is Run, additionally reporting whether the executable
-// completed cleanly. ok is false when the default row was substituted
-// for a timeout, panic, or crash — outcomes that depend on machine
-// load rather than on the chunk alone, which callers memoizing results
-// (the engine's chunk cache) must not treat as the chunk's true
-// output.
+// RunChecked processes one chunk and returns schema-conforming rows,
+// reporting whether the executable completed cleanly. On timeout,
+// panic, or crash the executor returns the single default row
+// (Appendix D's TIMEOUT semantics) and ok is false: those outcomes
+// depend on machine load rather than on the chunk alone, so callers
+// memoizing results (the engine's chunk cache) must not treat them as
+// the chunk's true output. Output beyond MaxRows is dropped; every row
+// is coerced to the schema.
 func (e *Executor) RunChecked(chunk *video.Chunk) (rows []table.Row, ok bool) {
 	raw, ok := e.run(chunk)
 	out := make([]table.Row, len(raw))

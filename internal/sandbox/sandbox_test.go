@@ -1,6 +1,7 @@
 package sandbox
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -65,12 +66,12 @@ func TestRunNormal(t *testing.T) {
 		MaxRows: 10,
 		Schema:  testSchema(),
 	}
-	rows := e.Run(testChunk(t))
-	if len(rows) != 2 {
-		t.Fatalf("%d rows", len(rows))
+	tb, ok := e.RunTable(testChunk(t))
+	if !ok || tb.Len() != 2 {
+		t.Fatalf("%d rows, clean=%v", tb.Len(), ok)
 	}
-	if rows[0][0].Num() != 0 || rows[0][1].Str() != "a" {
-		t.Errorf("row 0 = %v", rows[0])
+	if tb.At(0, 0).Num() != 0 || tb.At(0, 1).Str() != "a" {
+		t.Errorf("row 0 = %v", tb.Row(0))
 	}
 }
 
@@ -87,8 +88,8 @@ func TestRunTruncatesMaxRows(t *testing.T) {
 		MaxRows: 7,
 		Schema:  testSchema(),
 	}
-	if rows := e.Run(testChunk(t)); len(rows) != 7 {
-		t.Fatalf("over-production not truncated: %d rows", len(rows))
+	if tb, _ := e.RunTable(testChunk(t)); tb.Len() != 7 {
+		t.Fatalf("over-production not truncated: %d rows", tb.Len())
 	}
 }
 
@@ -105,19 +106,19 @@ func TestRunConformsSchema(t *testing.T) {
 		MaxRows: 10,
 		Schema:  testSchema(),
 	}
-	rows := e.Run(testChunk(t))
-	if len(rows) != 2 {
-		t.Fatalf("%d rows", len(rows))
+	tb, _ := e.RunTable(testChunk(t))
+	if tb.Len() != 2 {
+		t.Fatalf("%d rows", tb.Len())
 	}
-	if rows[0][0].Type() != table.DNumber || rows[0][0].Num() != 42 {
-		t.Errorf("coercion failed: %v", rows[0][0])
+	if v := tb.At(0, 0); v.Type() != table.DNumber || v.Num() != 42 {
+		t.Errorf("coercion failed: %v", v)
 	}
-	if len(rows[0]) != 2 {
-		t.Errorf("extraneous column kept: %v", rows[0])
+	if row := tb.Row(0); len(row) != 2 || row[1].Type() != table.DString || row[1].Str() != "7" {
+		t.Errorf("extraneous column kept or tag not coerced: %v", row)
 	}
 	// Missing column filled with the default.
-	if rows[1][1].Str() != "dflt" {
-		t.Errorf("missing column default: %v", rows[1])
+	if tb.At(1, 1).Str() != "dflt" {
+		t.Errorf("missing column default: %v", tb.Row(1))
 	}
 }
 
@@ -128,12 +129,12 @@ func TestRunPanicYieldsDefault(t *testing.T) {
 		MaxRows: 10,
 		Schema:  testSchema(),
 	}
-	rows := e.Run(testChunk(t))
-	if len(rows) != 1 {
-		t.Fatalf("%d rows, want 1 default row", len(rows))
+	tb, ok := e.RunTable(testChunk(t))
+	if ok || tb.Len() != 1 {
+		t.Fatalf("%d rows, clean=%v; want 1 default row", tb.Len(), ok)
 	}
-	if rows[0][0].Num() != -1 || rows[0][1].Str() != "dflt" {
-		t.Errorf("default row = %v", rows[0])
+	if tb.At(0, 0).Num() != -1 || tb.At(0, 1).Str() != "dflt" {
+		t.Errorf("default row = %v", tb.Row(0))
 	}
 }
 
@@ -147,9 +148,9 @@ func TestRunTimeoutYieldsDefault(t *testing.T) {
 		MaxRows: 10,
 		Schema:  testSchema(),
 	}
-	rows := e.Run(testChunk(t))
-	if len(rows) != 1 || rows[0][0].Num() != -1 {
-		t.Fatalf("timeout did not yield default: %v", rows)
+	tb, ok := e.RunTable(testChunk(t))
+	if ok || tb.Len() != 1 || tb.At(0, 0).Num() != -1 {
+		t.Fatalf("timeout did not yield default: %v, clean=%v", tb, ok)
 	}
 }
 
@@ -176,12 +177,12 @@ func TestRunStateSmugglingStillBounded(t *testing.T) {
 	}
 	c := testChunk(t)
 	for i := 0; i < 10; i++ {
-		rows := e.Run(c)
+		tb, _ := e.RunTable(c)
 		// Whatever the smuggled state does, the per-chunk contribution
 		// stays bounded by MaxRows — which is what the sensitivity
 		// analysis relies on.
-		if len(rows) > 5 {
-			t.Fatalf("iteration %d emitted %d rows", i, len(rows))
+		if tb.Len() > 5 {
+			t.Fatalf("iteration %d emitted %d rows", i, tb.Len())
 		}
 	}
 }
@@ -231,5 +232,63 @@ func TestRunCheckedTimerReuse(t *testing.T) {
 	exited.Wait()
 	if got := done.Load(); got != n {
 		t.Fatalf("Done ran %d times for %d executions", got, n)
+	}
+}
+
+// RunTable (the engine's ingest path) and RunChecked (the conformed
+// rows) agree cell by cell and on the clean verdict for every kind of
+// hostile output: ragged rows, zero values, NaN and ±Inf, strings in a
+// NUMBER column and numbers in a STRING one, output past MaxRows, no
+// output, a panic and a timeout.
+func TestRunTableMatchesRunChecked(t *testing.T) {
+	block := make(chan struct{})
+	defer close(block)
+	inf := math.Inf(1)
+	many := make([]table.Row, 40)
+	for i := range many {
+		many[i] = table.Row{table.N(float64(i)), table.S("x")}
+	}
+	for _, tc := range []struct {
+		name string
+		fn   ProcessFunc
+	}{
+		{"ragged", func(*video.Chunk) []table.Row {
+			return []table.Row{nil, {}, {table.N(1)}, {table.N(2), table.S("b"), table.S("extra"), table.N(9)}}
+		}},
+		{"zero values", func(*video.Chunk) []table.Row { return []table.Row{{table.Value{}, table.Value{}}} }},
+		{"non-finite", func(*video.Chunk) []table.Row {
+			return []table.Row{{table.N(math.NaN()), table.N(inf)}, {table.N(-inf), table.N(math.NaN())}}
+		}},
+		{"strings in NUMBER", func(*video.Chunk) []table.Row {
+			return []table.Row{{table.S("42"), table.S("")}, {table.S("abc"), table.S("7")}, {table.S(""), table.S("NaN")},
+				{table.S("Inf"), table.S("-1e400")}, {table.S(" 3 "), table.S("0x10")}, {table.S("1e400"), table.S("nan")}}
+		}},
+		{"numbers in STRING", func(*video.Chunk) []table.Row {
+			return []table.Row{{table.N(1), table.N(2.5)}, {table.N(3), table.N(-0.0)}, {table.N(4), table.N(1e21)}}
+		}},
+		{"past MaxRows", func(*video.Chunk) []table.Row { return many }},
+		{"no output", func(*video.Chunk) []table.Row { return nil }},
+		{"panic", func(*video.Chunk) []table.Row { panic("analyst bug") }},
+		{"timeout", func(*video.Chunk) []table.Row { <-block; return many }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := &Executor{Fn: tc.fn, Timeout: 20 * time.Millisecond, MaxRows: 10, Schema: testSchema()}
+			c := testChunk(t)
+			rows, okRows := e.RunChecked(c)
+			tb, okTable := e.RunTable(c)
+			if okRows != okTable || len(rows) != tb.Len() {
+				t.Fatalf("RunChecked: %d rows, clean=%v; RunTable: %d rows, clean=%v", len(rows), okRows, tb.Len(), okTable)
+			}
+			for i, row := range rows {
+				for j, want := range row {
+					got := tb.At(i, j)
+					same := got.Type() == want.Type() && got.Str() == want.Str() &&
+						(got.Num() == want.Num() || math.IsNaN(got.Num()) && math.IsNaN(want.Num()))
+					if !same {
+						t.Errorf("row %d column %d: RunTable %v, RunChecked %v", i, j, got, want)
+					}
+				}
+			}
+		})
 	}
 }

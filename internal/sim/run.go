@@ -312,7 +312,8 @@ func (r *runner) submit(o op, bg bool) *opOutcome {
 	return rec
 }
 
-// await polls rec's job to a terminal state (or declares it lost).
+// await polls rec's job to a terminal state (or declares it lost). The
+// service holds each poll while the job runs, so await needs no sleep.
 func (r *runner) await(rec *opOutcome) {
 	if rec.State == "refused" {
 		return
@@ -344,7 +345,6 @@ func (r *runner) await(rec *opOutcome) {
 			rec.Err = "sim: poll deadline exceeded"
 			return
 		}
-		time.Sleep(3 * time.Millisecond)
 	}
 }
 
