@@ -162,24 +162,27 @@ func tableCost[K cacheKey](key K, t *table.Table) int64 {
 // Get returns the frozen table stored under key (shared, not copied)
 // and marks the entry most recently used.
 func (c *LRU) Get(key string) (*table.Table, bool) {
+	c.mu.Lock()
 	tbl, _, ok := lruGet(c, key, false, true)
+	c.mu.Unlock()
 	return tbl, ok
 }
 
 // GetRaw returns the raw partial-state payload stored under key
 // (shared, not copied) and marks the entry most recently used.
 func (c *LRU) GetRaw(key string) ([]byte, bool) {
+	c.mu.Lock()
 	_, raw, ok := lruGet(c, key, true, true)
+	c.mu.Unlock()
 	return raw, ok
 }
 
 // lruGet is the one lookup body: the table (raw false) or the raw
 // payload (raw true) stored under key. A counted lookup bumps the
 // kind's hit or miss counter and marks a hit most recently used; an
-// uncounted one (the flight leader's re-check) touches neither.
+// uncounted one (the flight leader's re-check) touches neither. Caller
+// holds c.mu, for one lookup or for a batch of them (Tiered.GetStates).
 func lruGet[K cacheKey](c *LRU, key K, raw, count bool) (*table.Table, []byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	ent, ok := c.items[string(key)]
 	ok = ok && (ent.tbl == nil) == raw
 	hits, misses := &c.hits, &c.misses
@@ -249,6 +252,14 @@ func store[K cacheKey](c *LRU, key K, t *table.Table, raw []byte, kind storeKind
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return storeLocked(c, key, t, raw, kind, cost, h)
+}
+
+// storeLocked is store's body, given the entry's cost and, for every
+// kind but a plain put, its key hash, both computed outside the lock.
+// Caller holds c.mu, for one store or for a batch's promotions
+// (Tiered.GetStates).
+func storeLocked[K cacheKey](c *LRU, key K, t *table.Table, raw []byte, kind storeKind, cost int64, h uint64) ([]byte, bool) {
 	if cost > c.maxBytes-int64(8*len(c.history)) {
 		// Too large to ever fit; admitting it would flush everything.
 		return nil, false

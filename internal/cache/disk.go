@@ -48,12 +48,12 @@ const (
 	maxFrameBytes = 64 << 20
 )
 
-// diskEntry locates one live entry inside a segment. key is the
-// index's own key string, which a disk→RAM promotion hands to the RAM
-// tier, so a promotion makes no key string. It does not change after
-// indexing.
+// diskEntry locates one live entry inside a segment, which it holds
+// itself, so a read looks nothing up but the entry. key is the index's
+// own key string, which a disk→RAM promotion hands to the RAM tier, so
+// a promotion makes no key string. It does not change after indexing.
 type diskEntry struct {
-	seg  int64 // segment id
+	seg  *segment
 	off  int64 // offset of the frame start
 	key  string
 	pLen uint32
@@ -62,13 +62,11 @@ type diskEntry struct {
 // segment is one on-disk file, either active (being appended) or
 // sealed (read-only, possibly mmap'd).
 type segment struct {
-	id   int64
 	path string
 	size int64
 	f    *os.File // nil once sealed and mmap'd successfully
 	mm   []byte   // non-nil when mmap'd
 	mem  []byte   // the active segment's bytes; nil once sealed
-	live int      // live (non-superseded) entries; 0 allows deletion
 }
 
 // Disk is the tier-2 cache. It is safe for concurrent use. Its mirror
@@ -78,8 +76,7 @@ type Disk struct {
 	dir      string
 	maxBytes int64
 	index    map[string]*diskEntry
-	segs     map[int64]*segment
-	order    []int64 // segment ids, oldest first; last is active
+	segs     []*segment // oldest first; the last is active
 	bytes    int64
 	nextID   int64
 	spare    []byte // the mirror buffer between a seal and the next segment
@@ -99,15 +96,6 @@ var readBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return
 
 const maxPooledReadBuf = 4 << 20
 
-func getReadBuf(n int) *[]byte {
-	bp := readBufPool.Get().(*[]byte)
-	if cap(*bp) < n {
-		*bp = make([]byte, n)
-	}
-	*bp = (*bp)[:n]
-	return bp
-}
-
 func putReadBuf(bp *[]byte) {
 	if cap(*bp) > maxPooledReadBuf {
 		return
@@ -126,7 +114,6 @@ func OpenDisk(dir string, maxBytes int64) (*Disk, error) {
 		dir:      dir,
 		maxBytes: maxBytes,
 		index:    map[string]*diskEntry{},
-		segs:     map[int64]*segment{},
 	}
 	names, err := filepath.Glob(filepath.Join(dir, "seg-*.pvc"))
 	if err != nil {
@@ -146,16 +133,16 @@ func OpenDisk(dir string, maxBytes int64) (*Disk, error) {
 	// the newest stays active (append target, its bytes the mirror) if
 	// it is under the sealing threshold.
 	for _, id := range ids {
-		if n := len(d.order); n > 0 {
-			d.seal(d.segs[d.order[n-1]])
+		if n := len(d.segs); n > 0 {
+			d.seal(d.segs[n-1])
 		}
 		if err := d.loadSegment(id); err != nil {
 			return nil, err
 		}
 		d.nextID = max(d.nextID, id+1)
 	}
-	if n := len(d.order); n > 0 && d.segs[d.order[n-1]].size >= segmentTarget {
-		d.seal(d.segs[d.order[n-1]])
+	if n := len(d.segs); n > 0 && d.segs[n-1].size >= segmentTarget {
+		d.seal(d.segs[n-1])
 	}
 	return d, nil
 }
@@ -182,7 +169,7 @@ func (d *Disk) loadSegment(id int64) error {
 	d.spare = nil
 	n, _ := f.ReadAt(buf, 0) // a short read ends the scan where the bytes do, like a torn tail
 	buf = buf[:n]
-	seg := &segment{id: id, path: path, f: f}
+	seg := &segment{path: path, f: f}
 	size := int64(n)
 	var off int64
 	for off+segHeaderBytes+segTrailer <= size {
@@ -203,17 +190,7 @@ func (d *Disk) loadSegment(id int64) error {
 			break // corrupt frame: stop scanning this segment
 		}
 		key := string(head[segHeaderBytes : segHeaderBytes+kLen])
-		if old, ok := d.index[key]; ok {
-			// The superseded copy may live in this same (not yet
-			// registered) segment or an older one.
-			if old.seg == id {
-				seg.live--
-			} else if oseg, ok := d.segs[old.seg]; ok {
-				oseg.live--
-			}
-		}
-		d.index[key] = &diskEntry{seg: id, off: off, key: key, pLen: pLen}
-		seg.live++
+		d.index[key] = &diskEntry{seg: seg, off: off, key: key, pLen: pLen}
 		off = frameEnd
 	}
 	if off < fi.Size() {
@@ -225,8 +202,7 @@ func (d *Disk) loadSegment(id int64) error {
 		}
 	}
 	seg.size, seg.mem = off, buf[:off]
-	d.segs[id] = seg
-	d.order = append(d.order, id)
+	d.segs = append(d.segs, seg)
 	d.bytes += off
 	return nil
 }
@@ -253,8 +229,8 @@ func (d *Disk) seal(seg *segment) {
 // active returns the segment new frames are appended to, creating or
 // rotating as needed. Caller holds d.mu.
 func (d *Disk) active() (*segment, error) {
-	if len(d.order) > 0 {
-		seg := d.segs[d.order[len(d.order)-1]]
+	if n := len(d.segs); n > 0 {
+		seg := d.segs[n-1]
 		if seg.mm == nil && seg.f != nil && seg.size < segmentTarget {
 			return seg, nil
 		}
@@ -268,10 +244,9 @@ func (d *Disk) active() (*segment, error) {
 	if d.spare == nil { // a segment's worth once, so appends seldom regrow it
 		d.spare = make([]byte, 0, segmentTarget)
 	}
-	seg := &segment{id: id, path: d.segPath(id), f: f, mem: d.spare}
+	seg := &segment{path: d.segPath(id), f: f, mem: d.spare}
 	d.spare = nil
-	d.segs[id] = seg
-	d.order = append(d.order, id)
+	d.segs = append(d.segs, seg)
 	return seg, nil
 }
 
@@ -280,10 +255,7 @@ func (d *Disk) active() (*segment, error) {
 // where the platform cannot map), so a later munmap or append cannot
 // change the payload while the caller still holds it. Caller holds d.mu.
 func (d *Disk) readFrame(e *diskEntry, dst []byte) bool {
-	seg, ok := d.segs[e.seg]
-	if !ok {
-		return false
-	}
+	seg := e.seg
 	start := e.off + segHeaderBytes + int64(len(e.key))
 	end := start + int64(len(dst))
 	src := seg.mm
@@ -304,20 +276,16 @@ func (d *Disk) readFrame(e *diskEntry, dst []byte) bool {
 	return err == nil
 }
 
-// diskGet is the one lookup body: the table (raw false) or the raw
-// payload (raw true) stored under key, with the index's own key string,
-// which a promotion stores under so that it makes none. A raw payload
-// is read into *dst, grown as needed, or into a fresh slice when dst is
-// nil. A table's encoded form goes through a pooled buffer, since
-// DecodeBinary copies everything out of it. An uncounted lookup (the
-// flight leader's re-check) bumps no counter and leaves a corrupt frame
-// indexed for the next counted one to collect.
-func diskGet[K cacheKey](d *Disk, key K, raw, count bool, dst *[]byte) (*table.Table, []byte, string, bool) {
-	d.mu.Lock()
+// diskGet is the one lookup body: the entry stored under key, its
+// payload read into *dst, grown as needed, or into a fresh slice when
+// dst is nil. raw names the kind whose counters a counted lookup bumps;
+// an uncounted one (the flight leader's re-check) bumps none. Caller
+// holds d.mu, for one table lookup (diskLookup) or for a batch of state
+// lookups (Tiered.GetStates).
+func diskGet[K cacheKey](d *Disk, key K, raw, count bool, dst *[]byte) (*diskEntry, []byte, bool) {
 	e, ok := d.index[string(key)]
 	var payload []byte
-	var bp *[]byte
-	if ok && raw {
+	if ok {
 		if dst == nil {
 			payload = make([]byte, e.pLen)
 		} else {
@@ -325,56 +293,59 @@ func diskGet[K cacheKey](d *Disk, key K, raw, count bool, dst *[]byte) (*table.T
 			payload = *dst
 		}
 		ok = d.readFrame(e, payload)
-	} else if ok {
-		bp = getReadBuf(int(e.pLen))
-		ok = d.readFrame(e, *bp)
 	}
-	hits, misses := &d.hits, &d.misses
-	if raw {
-		hits, misses = &d.stateHits, &d.stateMisses
+	if count {
+		hits, misses := &d.hits, &d.misses
+		if raw {
+			hits, misses = &d.stateHits, &d.stateMisses
+		}
+		if ok {
+			*hits++
+		} else {
+			*misses++
+		}
 	}
-	if count && ok {
-		*hits++
-	} else if count {
-		*misses++
-	}
+	return e, payload, ok
+}
+
+// diskLookup is one table lookup, with the index's own key string,
+// which a promotion stores under so that it makes none. The encoded
+// form goes through a pooled buffer, since DecodeBinary copies
+// everything out of it. An uncounted lookup leaves a corrupt frame
+// indexed for the next counted one to collect.
+func diskLookup[K cacheKey](d *Disk, key K, count bool) (*table.Table, string, bool) {
+	bp := readBufPool.Get().(*[]byte)
+	d.mu.Lock()
+	e, payload, ok := diskGet(d, key, false, count, bp)
 	d.mu.Unlock()
 	if !ok {
-		if bp != nil {
-			putReadBuf(bp)
-		}
-		return nil, nil, "", false
-	}
-	if raw {
-		return nil, payload, e.key, true
+		putReadBuf(bp)
+		return nil, "", false
 	}
 	// Decode outside the lock: it allocates proportionally to the
 	// entry and must not serialize other lookups.
-	t, err := table.DecodeBinary(*bp)
+	t, err := table.DecodeBinary(payload)
 	putReadBuf(bp)
 	if err == nil {
-		return t.Freeze(), nil, e.key, true
+		return t.Freeze(), e.key, true
 	}
 	if count {
 		// Bit rot after indexing; treat as a miss.
 		d.mu.Lock()
 		if cur, ok := d.index[e.key]; ok && cur == e {
 			delete(d.index, e.key)
-			if seg, ok := d.segs[e.seg]; ok {
-				seg.live--
-			}
 		}
 		d.hits--
 		d.misses++
 		d.mu.Unlock()
 	}
-	return nil, nil, "", false
+	return nil, "", false
 }
 
-// Put appends the table under key. Oversized entries and encode-free
-// zero-bound stores are dropped silently; a failed write leaves the
-// previous value (if any) intact.
-func (d *Disk) Put(key string, t *table.Table) {
+// put appends the table under key, Tiered's table put. Oversized
+// entries and encode-free zero-bound stores are dropped silently; a
+// failed write leaves the previous value (if any) intact.
+func (d *Disk) put(key string, t *table.Table) {
 	t.Freeze()
 	d.putFrame(key, t.EncodeBinary(), &d.puts)
 }
@@ -421,17 +392,11 @@ func (d *Disk) putFrame(key string, payload []byte, counter *uint64) {
 	seg.size += int64(len(frame))
 	d.bytes += int64(len(frame))
 	*counter++
-	if old, ok := d.index[key]; ok {
-		if oseg, ok := d.segs[old.seg]; ok {
-			oseg.live--
-		}
-	}
-	d.index[key] = &diskEntry{seg: seg.id, off: off, key: key, pLen: uint32(len(payload))}
-	seg.live++
+	d.index[key] = &diskEntry{seg: seg, off: off, key: key, pLen: uint32(len(payload))}
 	if seg.size >= segmentTarget {
 		d.seal(seg)
 	}
-	for d.bytes > d.maxBytes && len(d.order) > 1 {
+	for d.bytes > d.maxBytes && len(d.segs) > 1 {
 		d.evictOldestSegment()
 	}
 }
@@ -439,12 +404,10 @@ func (d *Disk) putFrame(key string, payload []byte, counter *uint64) {
 // evictOldestSegment deletes the oldest segment and its index entries.
 // Caller holds d.mu; the active (newest) segment is never evicted.
 func (d *Disk) evictOldestSegment() {
-	id := d.order[0]
-	d.order = d.order[1:]
-	seg := d.segs[id]
-	delete(d.segs, id)
+	seg := d.segs[0]
+	d.segs = slices.Delete(d.segs, 0, 1)
 	for key, e := range d.index {
-		if e.seg == id {
+		if e.seg == seg {
 			delete(d.index, key)
 		}
 	}
@@ -467,8 +430,7 @@ func (d *Disk) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var first error
-	for _, id := range d.order {
-		seg := d.segs[id]
+	for _, seg := range d.segs {
 		if seg.mm != nil {
 			if err := munmapFile(seg.mm); err != nil && first == nil {
 				first = err
@@ -500,7 +462,7 @@ func (d *Disk) Stats() Stats {
 		DiskEvictions:   d.evictions,
 		DiskBytes:       d.bytes,
 		DiskMaxBytes:    d.maxBytes,
-		DiskSegments:    len(d.order),
+		DiskSegments:    len(d.segs),
 		Entries:         len(d.index),
 		StateHits:       d.stateHits,
 		StateMisses:     d.stateMisses,

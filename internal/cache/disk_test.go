@@ -32,12 +32,14 @@ func mixedTbl(n int) *table.Table {
 // get and getRaw are the counted disk-tier lookups the tests read
 // entries back with.
 func (d *Disk) get(key string) (*table.Table, bool) {
-	tbl, _, _, ok := diskGet(d, key, false, true, nil)
+	tbl, _, ok := diskLookup(d, key, true)
 	return tbl, ok
 }
 
 func (d *Disk) getRaw(key string) ([]byte, bool) {
-	_, raw, _, ok := diskGet(d, key, true, true, nil)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	_, raw, ok := diskGet(d, key, true, true, nil)
 	return raw, ok
 }
 
@@ -48,8 +50,8 @@ func TestDiskRoundTripAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := mixedTbl(10)
-	d.Put("k1", want)
-	d.Put("k2", mixedTbl(3))
+	d.put("k1", want)
+	d.put("k2", mixedTbl(3))
 	if got, ok := d.get("k1"); !ok || got.String() != want.String() {
 		t.Fatalf("get before close: ok=%v", ok)
 	}
@@ -83,9 +85,9 @@ func TestDiskOverwriteLatestWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Put("k", mixedTbl(1))
+	d.put("k", mixedTbl(1))
 	want := mixedTbl(5)
-	d.Put("k", want)
+	d.put("k", want)
 	d.Close()
 
 	d2, err := OpenDisk(dir, 1<<20)
@@ -108,8 +110,8 @@ func TestDiskTornWriteRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Put("good1", mixedTbl(4))
-	d.Put("good2", mixedTbl(2))
+	d.put("good1", mixedTbl(4))
+	d.put("good2", mixedTbl(2))
 	d.Close()
 
 	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.pvc"))
@@ -147,7 +149,7 @@ func TestDiskTornWriteRecovery(t *testing.T) {
 	}
 	// The file must have been truncated back to a clean boundary so
 	// new appends survive the next reopen.
-	d2.Put("after", mixedTbl(1))
+	d2.put("after", mixedTbl(1))
 	d2.Close()
 	d3, err := OpenDisk(dir, 1<<20)
 	if err != nil {
@@ -170,8 +172,8 @@ func TestDiskCorruptPayloadRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Put("a", mixedTbl(4))
-	d.Put("b", mixedTbl(4))
+	d.put("a", mixedTbl(4))
+	d.put("b", mixedTbl(4))
 	d.Close()
 
 	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.pvc"))
@@ -212,7 +214,7 @@ func TestDiskSegmentEviction(t *testing.T) {
 	defer d.Close()
 	big := mixedTbl(20000) // several hundred KB encoded
 	for i := 0; i < 40; i++ {
-		d.Put(fmt.Sprintf("k%02d", i), big)
+		d.put(fmt.Sprintf("k%02d", i), big)
 	}
 	st := d.Stats()
 	if st.DiskEvictions == 0 {
@@ -482,7 +484,7 @@ func TestTieredPromotionRuledLikeCoveredPut(t *testing.T) {
 			hits := NewTiered(memHit, disk)
 			defer hits.Close()
 			for _, k := range tc.seq {
-				disk.Put(string(engineKey('T', k)), tbl(float64(k)))
+				disk.put(string(engineKey('T', k)), tbl(float64(k)))
 			}
 			step := func(ruled, admitted bool) byte {
 				switch {
@@ -632,7 +634,7 @@ func TestDiskConcurrentAccess(t *testing.T) {
 						}
 					}
 				} else {
-					d.Put(key, mixedTbl((g+i)%10+1))
+					d.put(key, mixedTbl((g+i)%10+1))
 				}
 			}
 		}(g)
@@ -685,8 +687,8 @@ func FuzzCacheSegmentDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	d.Put("seed-a", mixedTbl(3))
-	d.Put("seed-b", mixedTbl(1))
+	d.put("seed-a", mixedTbl(3))
+	d.put("seed-b", mixedTbl(1))
 	d.Close()
 	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.pvc"))
 	raw, err := os.ReadFile(segs[0])
@@ -718,7 +720,7 @@ func FuzzCacheSegmentDecode(f *testing.F) {
 	if d, err = OpenDisk(ragged, 1<<20); err != nil {
 		f.Fatal(err)
 	}
-	d.Put("seed-ragged", table.FromRows(mixedTbl(0).Schema, []table.Row{
+	d.put("seed-ragged", table.FromRows(mixedTbl(0).Schema, []table.Row{
 		{}, {table.N(7)}, {table.N(1), table.S("2.5"), table.S("extra")}, {table.S("P"), table.S("junk")},
 	}))
 	d.Close()
@@ -752,7 +754,7 @@ func FuzzCacheSegmentDecode(f *testing.F) {
 			d.get(k)
 		}
 		// And the store must still accept appends.
-		d.Put("post", mixedTbl(1))
+		d.put("post", mixedTbl(1))
 		if _, ok := d.get("post"); !ok {
 			t.Fatal("store rejected append after scan")
 		}
@@ -787,11 +789,11 @@ func TestDiskCorruptRawFrameRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Interleave: table, raw, table, raw, table.
-	d.Put("tbl1", mixedTbl(4))
+	d.put("tbl1", mixedTbl(4))
 	d.PutRaw("ps:one", fakePPS1(40))
-	d.Put("tbl2", mixedTbl(3))
+	d.put("tbl2", mixedTbl(3))
 	d.PutRaw("ps:two", fakePPS1(60))
-	d.Put("tbl3", mixedTbl(2))
+	d.put("tbl3", mixedTbl(2))
 	d.Close()
 
 	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.pvc"))
@@ -841,7 +843,7 @@ func TestDiskCorruptRawFrameRecovery(t *testing.T) {
 		t.Fatal("tbl3 (after corruption) must have been dropped with the scan")
 	}
 	// New writes land on a clean boundary and survive another reopen.
-	d2.Put("tbl4", mixedTbl(5))
+	d2.put("tbl4", mixedTbl(5))
 	d2.PutRaw("ps:three", fakePPS1(10))
 	d2.Close()
 	d3, err := OpenDisk(dir, 1<<20)

@@ -177,12 +177,12 @@ func TestPutAtCapacityAllocatesOnlyTheKey(t *testing.T) {
 			declinedPut, bytesPut, stringPut)
 	}
 
-	// Two keys alternate on disk, each looked up twice in a row: the
-	// first hit is declined and read into dst, and the second recurs
-	// within the horizon, which admission promotes into a RAM tier of 64
-	// entries; between lookups, puts of other keys fill RAM and push the
-	// promoted key out again, so every lookup ends in a promotion at
-	// capacity.
+	// Two keys alternate on disk, each looked up twice in a row through
+	// one reused batch of one: the first hit is declined and read into
+	// the batch's buffer, and the second recurs within the horizon,
+	// which admission promotes into a RAM tier of 64 entries; between
+	// lookups, puts of other keys fill RAM and push the promoted key out
+	// again, so every lookup ends in a promotion at capacity.
 	disk, err := OpenDisk(t.TempDir(), 1<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -195,10 +195,11 @@ func TestPutAtCapacityAllocatesOnlyTheKey(t *testing.T) {
 		disk.PutRaw(string(key), payload)
 	}
 	k = 0
-	dst := make([]byte, 0, 64)
+	b := &StateBatch{Keys: make([][]byte, 1), Bufs: [][]byte{make([]byte, 0, 64)}}
 	lookup := func() {
 		for range 2 {
-			if _, ok := c.GetState(keys[k%len(keys)], &dst); !ok {
+			b.Keys[0] = keys[k%len(keys)]
+			if c.GetStates(b); !b.Hit[0] {
 				t.Fatal("disk tier lost an entry")
 			}
 		}

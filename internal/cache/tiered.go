@@ -14,11 +14,19 @@ package cache
 //
 // One store serves two kinds of entry: frozen tables (Do) and opaque
 // byte payloads — encoded partial aggregate states — under their own
-// counters (GetState/PutState, and the string-keyed GetRaw/PutRaw). The
-// engine tags keys by kind, so raw keys and table keys can never
+// counters (GetStates/PutState, and the string-keyed GetRaw/PutRaw).
+// The engine tags keys by kind, so raw keys and table keys can never
 // collide.
+//
+// States are looked up in batches (GetStates; the engine runs a batch
+// per plan of a region split, GetRaw a batch of one), and a batch takes
+// each lock once rather than once per key: LRU.mu for every RAM lookup,
+// Disk.mu to copy every disk hit into the caller's buffers, and LRU.mu
+// again to rule on every promotion. Do's table lookup (tieredGet) runs
+// the same lock-held bodies (lruGet, diskGet, store) for one key.
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -69,7 +77,7 @@ func (t *Tiered) DoCovered(key []byte, maxWait time.Duration, compute func() (*t
 }
 
 func (t *Tiered) do(key []byte, maxWait time.Duration, compute func() (*table.Table, bool), covered bool) (*table.Table, bool, Outcome) {
-	if tbl, _, ok := tieredGet(t, key, false, true, nil); ok {
+	if tbl, ok := tieredGet(t, key, true); ok {
 		return tbl, true, Hit
 	}
 	return t.flight.do(key, maxWait, func(key string) (*table.Table, bool) {
@@ -81,7 +89,7 @@ func (t *Tiered) do(key []byte, maxWait time.Duration, compute func() (*table.Ta
 		// the miss was already counted, and this internal re-check must
 		// not distort the analyst-visible hit rate, recency or
 		// promotions.
-		if tbl, _, ok := tieredGet(t, key, false, false, nil); ok {
+		if tbl, ok := tieredGet(t, key, false); ok {
 			return tbl, true
 		}
 		tbl, clean := compute()
@@ -96,53 +104,130 @@ func (t *Tiered) do(key []byte, maxWait time.Duration, compute func() (*table.Ta
 // Do.
 func (t *Tiered) FlightStats() FlightStats { return t.flight.stats() }
 
-// tieredGet is the one lookup body of both kinds: RAM, then disk, for a
-// table (raw false) or a raw partial-state payload (raw true). A
-// counted disk hit is offered to RAM as a promotion, which LRU.admit
-// rules on; an uncounted lookup (the leader's re-check) counts no hit
-// or miss, touches no recency and offers nothing. A payload from RAM,
-// or promoted into it, is RAM's own copy, shared, and must not be
-// mutated; any other disk hit is read into *dst (see diskGet), which
-// the caller owns.
-func tieredGet[K cacheKey](t *Tiered, key K, raw, count bool, dst *[]byte) (*table.Table, []byte, bool) {
-	if t.mem != nil {
-		if tbl, payload, ok := lruGet(t.mem, key, raw, count); ok {
-			return tbl, payload, true
+// tieredGet is the table lookup of one key: RAM, then disk. A counted
+// disk hit is offered to RAM as a promotion, which LRU.admit rules on;
+// an uncounted lookup (the leader's re-check) counts no hit or miss,
+// touches no recency and offers nothing.
+func tieredGet[K cacheKey](t *Tiered, key K, count bool) (*table.Table, bool) {
+	if c := t.mem; c != nil {
+		c.mu.Lock()
+		tbl, _, ok := lruGet(c, key, false, count)
+		c.mu.Unlock()
+		if ok {
+			return tbl, true
 		}
 	}
 	if t.disk == nil {
-		return nil, nil, false
+		return nil, false
 	}
-	tbl, payload, stored, ok := diskGet(t.disk, key, raw, count, dst)
+	tbl, stored, ok := diskLookup(t.disk, key, count)
 	if ok && count && t.mem != nil {
-		if kept, promoted := store(t.mem, stored, tbl, payload, promotion); promoted {
+		if _, promoted := store(t.mem, stored, tbl, nil, promotion); promoted {
 			t.promotions.Add(1)
-			payload = kept
 		}
 	}
-	return tbl, payload, ok
+	return tbl, ok
 }
 
-// GetRaw tries RAM, then disk, for a raw partial-state payload. Disk
-// hits are offered to RAM like table entries. The returned slice is
-// shared with RAM or private; callers must not mutate it.
+// GetRaw looks one raw partial-state payload up as a batch of one
+// (GetStates), read into a fresh slice. The returned slice is shared
+// with RAM or private; callers must not mutate it. It allocates its
+// batch; a caller with many keys reuses one StateBatch instead.
 func (t *Tiered) GetRaw(key string) ([]byte, bool) {
-	_, raw, ok := tieredGet(t, key, true, true, nil)
-	return raw, ok
+	b := StateBatch{Keys: [][]byte{[]byte(key)}}
+	t.GetStates(&b)
+	return b.Out[0], b.Hit[0]
 }
 
-// GetState is GetRaw for a key the caller holds as bytes; key is not
-// retained. A disk hit that is not promoted is read into *dst, grown as
-// needed, and the returned slice aliases it; any other hit returns
-// RAM's shared copy, which a promotion copies out of *dst. It stays out of line: inlined, it would
-// instantiate tieredGet in the caller's package, where escape analysis
-// loses that the key is not kept and moves the caller's stack key to
-// the heap.
-//
-//go:noinline
-func (t *Tiered) GetState(key []byte, dst *[]byte) ([]byte, bool) {
-	_, raw, ok := tieredGet(t, key, true, true, dst)
-	return raw, ok
+// StateBatch is one batched lookup of raw partial states, for keys the
+// caller holds as bytes (GetStates). The caller sets Keys and, to own
+// its disk reads, Bufs; GetStates fills Out and Hit, index-aligned with
+// Keys. A batch is meant to be reused: its slices keep their capacity,
+// so a warm batch allocates nothing, and GetStates retains no key.
+type StateBatch struct {
+	Keys [][]byte
+	// Bufs, if not nil, holds a buffer per key, the caller's: a disk
+	// hit RAM does not keep is read into its key's buffer, grown as
+	// needed, and Out aliases it. Without Bufs it is read into a fresh
+	// slice.
+	Bufs [][]byte
+	// Out holds each hit's payload: RAM's shared copy, which must not
+	// be mutated (a promotion copies the payload out of Bufs), or the
+	// caller's buffer. Hit says which keys were found.
+	Out [][]byte
+	Hit []bool
+
+	disk []diskHit // this lookup's disk hits, the promotion candidates
+}
+
+// diskHit is one key of a batch that the disk tier answered.
+type diskHit struct {
+	i   int    // its position in Keys
+	key string // the disk index's key string, which a promotion stores under
+	h   uint64 // keyHash(key), for admit
+}
+
+// GetStates looks up every key of b, counted, in three lock holds: RAM
+// for every key, then disk for every key RAM missed, then RAM again for
+// every disk hit, offered as a promotion that LRU.admit rules on. For
+// distinct keys, counters, recency, rulings and payloads come out
+// exactly as from a batch of one per key in this order: the keys RAM
+// holds, then the others, each in batch order. Only
+// RAM's hits move, ahead of the promotions: a RAM miss changes nothing
+// but a counter, and a disk lookup changes nothing RAM holds. A key
+// repeated after its promotion is a second disk hit, not a RAM hit.
+func (t *Tiered) GetStates(b *StateBatch) {
+	n := len(b.Keys)
+	clear(b.Out[:cap(b.Out)]) // a longer batch's payloads too: none is kept past the length
+	b.Out, b.Hit = slices.Grow(b.Out[:0], n)[:n], slices.Grow(b.Hit[:0], n)[:n]
+	clear(b.Hit)
+	missed := n
+	if c := t.mem; c != nil {
+		c.mu.Lock()
+		for i, k := range b.Keys {
+			if _, b.Out[i], b.Hit[i] = lruGet(c, k, true, true); b.Hit[i] {
+				missed--
+			}
+		}
+		c.mu.Unlock()
+	}
+	if t.disk == nil || missed == 0 {
+		return
+	}
+	d := t.disk
+	d.mu.Lock()
+	for i, k := range b.Keys {
+		if b.Hit[i] {
+			continue
+		}
+		var dst *[]byte
+		if b.Bufs != nil {
+			dst = &b.Bufs[i]
+		}
+		if e, payload, ok := diskGet(d, k, true, true, dst); ok {
+			b.Out[i], b.Hit[i] = payload, true
+			b.disk = append(b.disk, diskHit{i: i, key: e.key})
+		}
+	}
+	d.mu.Unlock()
+	if c := t.mem; c != nil && len(b.disk) > 0 {
+		for j := range b.disk {
+			b.disk[j].h = keyHash(b.disk[j].key)
+		}
+		promoted := 0
+		c.mu.Lock()
+		for _, hit := range b.disk {
+			raw := b.Out[hit.i]
+			if kept, ok := storeLocked(c, hit.key, nil, raw, promotion, int64(entryOverhead+len(hit.key)+len(raw)), hit.h); ok {
+				b.Out[hit.i] = kept
+				promoted++
+			}
+		}
+		c.mu.Unlock()
+		t.promotions.Add(uint64(promoted))
+	}
+	clear(b.disk) // a pooled batch must not pin an evicted entry's key
+	b.disk = b.disk[:0]
 }
 
 // PutRaw stores a raw partial-state payload in both tiers, RAM
@@ -170,12 +255,13 @@ func (t *Tiered) PutState(key, raw []byte) {
 
 // put is Do's table put: it freezes tbl and stores it in one tier. The
 // disk tier keeps every put, and RAM takes what is read again by
-// promotion (see tieredGet), so a put RAM would evict unread costs it
-// nothing. Without a disk tier, RAM stores the put if admit lets it.
+// promotion (see tieredGet and GetStates), so a put RAM would evict
+// unread costs it nothing. Without a disk tier, RAM stores the put if
+// admit lets it.
 func (t *Tiered) put(key string, tbl *table.Table, covered bool) {
 	tbl.Freeze()
 	if t.disk != nil {
-		t.disk.Put(key, tbl)
+		t.disk.put(key, tbl)
 	} else if t.mem != nil {
 		kind := solePut
 		if covered {

@@ -44,8 +44,23 @@ func eachTiering(t *testing.T, fn func(t *testing.T, c *Tiered)) {
 // get tries RAM, then disk, for a table, promoting a disk hit: the
 // string-keyed table lookup the tests read entries back with.
 func (t *Tiered) get(key string) (*table.Table, bool) {
-	tbl, _, ok := tieredGet(t, key, false, true, nil)
+	tbl, ok := tieredGet(t, key, true)
 	return tbl, ok
+}
+
+// GetState looks one state up as a batch of one (GetStates), reading a
+// disk hit RAM does not keep into *dst when dst is not nil: the
+// byte-keyed state lookup the tests read entries back with.
+func (t *Tiered) GetState(key []byte, dst *[]byte) ([]byte, bool) {
+	b := StateBatch{Keys: [][]byte{key}}
+	if dst != nil {
+		b.Bufs = [][]byte{*dst}
+	}
+	t.GetStates(&b)
+	if dst != nil {
+		*dst = b.Bufs[0]
+	}
+	return b.Out[0], b.Hit[0]
 }
 
 // mustNotCompute is a compute that fails the test when called.
@@ -151,7 +166,7 @@ func TestTieredDoUncleanNeitherStoredNorShared(t *testing.T) {
 			followerTbl, followerClean, followerOutcome = c.Do([]byte("k"), 0, func() (*table.Table, bool) {
 				// Running at all proves the leader's rows were not
 				// shared; nothing may have been stored either.
-				if _, _, ok := tieredGet(c, "k", false, false, nil); ok {
+				if _, ok := tieredGet(c, "k", false); ok {
 					t.Error("unclean result was stored")
 				}
 				return fresh, true

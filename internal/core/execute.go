@@ -312,15 +312,20 @@ type shardOutput struct {
 // splitScratch is one region split's per-chunk working set, pooled so a
 // warm query allocates nothing per chunk. release clears the slots
 // first: a pooled slot never pins a cached table or payload, and slots
-// past a slice's length are always nil. bufs, one per state slot with a
-// disk tier, are the scratch's own: a disk hit RAM does not keep is read
-// into its slot's buffer, which the next query reuses.
+// past a slice's length are always nil. The warm pass (warmStates)
+// looks states up through batch, whose keys it fills into keys. bufs,
+// one per state slot with a disk tier, are the scratch's own: a disk
+// hit RAM does not keep is read into its slot's buffer, which the next
+// query reuses. warm and cold list chunk positions in ords.
 type splitScratch struct {
-	ords   []int64
-	ivs    []vtime.Interval
-	states [][]byte
-	bufs   [][]byte
-	blocks []*table.Table
+	ords       []int64
+	ivs        []vtime.Interval
+	states     [][]byte
+	bufs       [][]byte
+	blocks     []*table.Table
+	batch      cache.StateBatch
+	keys       []byte
+	warm, cold []int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(splitScratch) }}
@@ -328,8 +333,60 @@ var scratchPool = sync.Pool{New: func() any { return new(splitScratch) }}
 func (sc *splitScratch) release() {
 	clear(sc.states)
 	clear(sc.blocks)
+	clear(sc.batch.Out)
 	sc.states, sc.blocks = sc.states[:0], sc.blocks[:0]
 	scratchPool.Put(sc)
+}
+
+// warmStates is a split's warm pass under pushdown: it looks the
+// chunks' states up in one cache batch per plan, fills the states it
+// finds, and appends the chunks left cold to cold, in chunk order. Plan
+// p is looked up only for the chunks whose every earlier plan's state
+// was cached and compatible, as a chunk's own lookups would stop at its
+// first absent, bit-rotten or incompatible state, so hit and miss
+// counts are those of per-chunk lookups; a cold chunk folds every plan
+// afresh and overwrites the states found for it.
+func (e *Engine) warmStates(sc *splitScratch, split *video.Split, prefixes []string, plans []*rel.PartialPlan, cold []int) []int {
+	n, np := len(sc.ords), len(plans)
+	warm, b := sc.warm[:0], &sc.batch
+	for i := range n {
+		warm = append(warm, i)
+	}
+	var bufs [][]byte // with a disk tier, plan p's batch reads into run p of the scratch's own
+	if hasDisk(e) {
+		sc.bufs = slices.Grow(sc.bufs[:0], n*np)[:n*np]
+		bufs = sc.bufs
+	}
+	for p, pp := range plans {
+		if len(warm) == 0 {
+			break
+		}
+		// The keys go into one buffer grown up front, so the batch's
+		// slices of it stay put.
+		sc.keys, b.Keys = slices.Grow(sc.keys[:0], len(warm)*chunkKeyLen), b.Keys[:0]
+		for _, i := range warm {
+			k := chunkKey(prefixes[p], split.IntervalAt(sc.ords[i]))
+			sc.keys = append(sc.keys, k[:]...)
+			b.Keys = append(b.Keys, sc.keys[len(sc.keys)-chunkKeyLen:])
+		}
+		if b.Bufs = nil; bufs != nil {
+			b.Bufs = bufs[p*n : p*n+len(warm)]
+		}
+		e.chunkCache.GetStates(b)
+		kept := warm[:0]
+		for j, i := range warm {
+			if b.Hit[j] && pp.CompatibleEncoded(b.Out[j]) {
+				sc.states[i*np+p] = b.Out[j]
+				kept = append(kept, i)
+			} else {
+				cold = append(cold, i)
+			}
+		}
+		warm = kept
+	}
+	slices.Sort(cold)
+	sc.warm = warm
+	return cold
 }
 
 // shardTallies accumulates one shard's per-chunk counters in atomics
@@ -544,35 +601,27 @@ func (e *Engine) runShard(shard int, sh *splitShard, pr *procPlan, par int, psp 
 		ords, n := sc.ords, len(sc.ords)
 		blocks, states := slices.Grow(sc.blocks, n)[:n], slices.Grow(sc.states, n*np)[:n*np]
 		sc.blocks, sc.states, chunks = blocks, states, chunks+n
-		var bufs [][]byte // only a disk hit is read into a buffer of the scratch's own
-		if hasDisk(e) {
-			sc.bufs = slices.Grow(sc.bufs[:0], n*np)[:n*np]
-			bufs = sc.bufs
-		}
-		var foldErr atomic.Pointer[error]
 		prefixes := pr.keys[shard][s]
+		// Warm pass: a chunk whose every plan's state is cached costs no
+		// sandbox execution, fold or decode, and no chunk worker; the
+		// workers run the cold chunks alone.
+		cold := sc.cold[:0]
+		if e.chunkCache != nil && np > 0 {
+			cold = e.warmStates(sc, split, prefixes[1:], pr.plans, cold)
+			tl.stateChunks.Add(int64(n - len(cold)))
+		} else {
+			for i := range n {
+				cold = append(cold, i)
+			}
+		}
+		sc.cold = cold
+		var foldErr atomic.Pointer[error]
 		clock := split.Source.Info().Clock()
-		forEachChunk(len(ords), par, func(i int) {
+		forEachChunk(len(cold), par, func(c int) {
+			i := cold[c]
 			iv := split.IntervalAt(ords[i])
 			var tableKey []byte
 			if e.chunkCache != nil {
-				// Warm path: every plan's state is cached — no sandbox
-				// execution, no fold, no decode. An absent, bit-rotten or
-				// incompatible entry ends the lookups; the fold overwrites it.
-				warm := np > 0
-				for p := 0; warm && p < np; p++ {
-					k := chunkKey(prefixes[1+p], iv)
-					var dst *[]byte
-					if bufs != nil {
-						dst = &bufs[i*np+p]
-					}
-					states[i*np+p], warm = e.chunkCache.GetState(k[:], dst)
-					warm = warm && pr.plans[p].CompatibleEncoded(states[i*np+p])
-				}
-				if warm {
-					tl.stateChunks.Add(1)
-					return
-				}
 				k := chunkKey(prefixes[0], iv)
 				tableKey = k[:]
 			}

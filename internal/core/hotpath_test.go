@@ -6,6 +6,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"strconv"
@@ -388,7 +389,8 @@ func TestSplitScratchReleasedClear(t *testing.T) {
 			sc := scratchPool.Get().(*splitScratch)
 			held = append(held, sc)
 			if slices.ContainsFunc(sc.states[:cap(sc.states)], func(b []byte) bool { return b != nil }) ||
-				slices.ContainsFunc(sc.blocks[:cap(sc.blocks)], func(b *table.Table) bool { return b != nil }) {
+				slices.ContainsFunc(sc.blocks[:cap(sc.blocks)], func(b *table.Table) bool { return b != nil }) ||
+				slices.ContainsFunc(sc.batch.Out[:cap(sc.batch.Out)], func(b []byte) bool { return b != nil }) {
 				t.Fatalf("%s: a pooled scratch still holds a slot", sel)
 			}
 		}
@@ -498,5 +500,82 @@ func TestMovingWindowExecutesOnlyNewChunks(t *testing.T) {
 	}
 	if st := e.CacheStats(); st.Evictions == 0 || st.Declined == 0 {
 		t.Fatalf("the tier never filled and ruled: %+v", st)
+	}
+}
+
+// A split's warm pass looks plan p up only for the chunks every earlier
+// plan found, and runs only the chunks some plan missed. A program of
+// two SELECTs over one PROCESS table (two pushdown plans) reruns over
+// 120 chunks after earlier programs of one SELECT each stored the first
+// plan's states for chunks 0-79 and the second plan's for chunks 40-119:
+// the first plan hits 80 chunks and misses 40, the second is looked up
+// for those 80 alone and hits 40 and misses 40, so exactly 80 chunks are
+// folded, both plans each, and the release equals a cold run's bit for
+// bit. Then a fully warm rerun folds nothing. RAM-only, and disk-only,
+// where every state is read into the split's buffers, a run of them per
+// plan.
+func TestWarmPassLooksLaterPlansUpForWarmChunksOnly(t *testing.T) {
+	const both = `
+SELECT COUNT(*) FROM t CONSUMING 0.001;
+SELECT SUM(range(one, 0, 1)) FROM t CONSUMING 0.001;`
+	program := func(begin, end, sels string) *query.Program {
+		prog, err := query.Parse(`
+SPLIT camA BEGIN 03-15-2021/` + begin + ` END 03-15-2021/` + end + `
+  BY TIME 30sec STRIDE 0sec INTO chunks;
+PROCESS chunks USING counter TIMEOUT 5sec PRODUCING 20 ROWS
+  WITH SCHEMA (one:NUMBER=0) INTO t;` + sels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog
+	}
+	engine := func(opts Options) *Engine {
+		opts.Seed, opts.Evaluation = 1, true
+		e := New(opts)
+		if err := e.RegisterCamera(CameraConfig{Name: "camA", Source: countScene(50).Source("camA"), Policy: policy.Policy{Rho: 25 * time.Second, K: 1}, Epsilon: 1e9}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Registry().Register("counter", countNewEntrants); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { e.Close() })
+		return e
+	}
+	raws := func(e *Engine, prog *query.Program) []uint64 {
+		res, err := e.Execute(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bits []uint64
+		for _, r := range res.Releases {
+			bits = append(bits, math.Float64bits(r.Raw))
+		}
+		return bits
+	}
+	cold := raws(engine(Options{}), program("6:00am", "7:00am", both))
+	for name, opts := range map[string]Options{
+		"ram":  {},
+		"disk": {ChunkCacheBytes: -1, DiskCacheDir: t.TempDir()},
+	} {
+		e := engine(opts)
+		raws(e, program("6:00am", "6:40am", "SELECT COUNT(*) FROM t CONSUMING 0.001;"))
+		raws(e, program("6:20am", "7:00am", "SELECT SUM(range(one, 0, 1)) FROM t CONSUMING 0.001;"))
+		before := e.PartialStats()
+		got := raws(e, program("6:00am", "7:00am", both))
+		after := e.PartialStats()
+		if !slices.Equal(got, cold) {
+			t.Fatalf("%s: released raw %v, want the cold run's %v", name, got, cold)
+		}
+		if folds, misses, hits, cached := after.Folds-before.Folds, after.StateMisses-before.StateMisses,
+			after.StateHits-before.StateHits, after.CachedChunks-before.CachedChunks; folds != 2*80 || misses != 40+40 || hits != 80+40 || cached != 40 {
+			t.Fatalf("%s: %d folds, %d state misses, %d state hits, %d warm chunks; want 160, 80, 120 and 40", name, folds, misses, hits, cached)
+		}
+		before = after
+		if got := raws(e, program("6:00am", "7:00am", both)); !slices.Equal(got, cold) {
+			t.Fatalf("%s: warm rerun released raw %v, want the cold run's %v", name, got, cold)
+		}
+		if after := e.PartialStats(); after.Folds != before.Folds || after.StateMisses != before.StateMisses || after.CachedChunks-before.CachedChunks != 120 {
+			t.Fatalf("%s: the fully warm rerun was not: %+v -> %+v", name, before, after)
+		}
 	}
 }

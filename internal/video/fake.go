@@ -41,8 +41,13 @@ type IntervalSource struct {
 	Start  time.Time
 	Frames int64
 	// Objects may be in any order (Sort gives frames a canonical one)
-	// and must not change after the first Frame call.
+	// and must not change after Sort or the first Frame call.
 	Objects []FakeObject
+
+	// maxSpan is the longest object span, recorded by Sort: no object
+	// that enters more than maxSpan frames before a window can reach
+	// into it.
+	maxSpan int64
 
 	once sync.Once
 	// bounds holds every frame at which the visible set changes,
@@ -52,10 +57,16 @@ type IntervalSource struct {
 	snaps  [][]Observation
 }
 
-// Sort orders Objects by Enter. Constructors in internal/sim call it
-// once after assembling Objects so that frames list objects by arrival.
+// Sort orders Objects by Enter and records the longest span, which
+// bounds SparseIntervalSource.ActiveIntervals' scan. Constructors in
+// internal/sim call it once after assembling Objects so that frames list
+// objects by arrival.
 func (s *IntervalSource) Sort() {
 	sort.Slice(s.Objects, func(i, j int) bool { return s.Objects[i].Enter < s.Objects[j].Enter })
+	s.maxSpan = 0
+	for _, o := range s.Objects {
+		s.maxSpan = max(s.maxSpan, o.Exit-o.Enter)
+	}
 }
 
 // Info implements Source.
@@ -134,13 +145,17 @@ type SparseIntervalSource struct {
 }
 
 // ActiveIntervals implements SparseSource: the merged object spans
-// clipped to iv. It scans Objects, which must be Enter-sorted (Sort),
-// rather than read the snapshot index: enumerating a camera's chunks
-// must not be what builds it. The scan stops at the first object that
-// enters at or after iv ends, since no later one can overlap iv.
+// clipped to iv. Sort must have run: the scan reads Objects in Enter
+// order rather than the snapshot index, since enumerating a camera's
+// chunks must not be what builds it. It starts at the first object that
+// enters no more than the longest span before iv starts, found by
+// binary search, since no earlier one can reach iv, and stops at the
+// first object that enters at or after iv ends, since no later one can
+// overlap iv.
 func (s *SparseIntervalSource) ActiveIntervals(dst []vtime.Interval, iv vtime.Interval) []vtime.Interval {
 	base := len(dst)
-	for _, o := range s.Objects {
+	from, _ := slices.BinarySearchFunc(s.Objects, iv.Start-s.maxSpan, func(o FakeObject, f int64) int { return cmp.Compare(o.Enter, f) })
+	for _, o := range s.Objects[from:] {
 		if o.Enter >= iv.End {
 			break
 		}

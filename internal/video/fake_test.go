@@ -169,12 +169,17 @@ func TestSparseIntervalSourceActiveIntervals(t *testing.T) {
 // TestSparseIntervalSourceActiveIntervalsWindows is the seeded
 // differential of ActiveIntervals against a per-frame reference over
 // random sub-windows of Enter-sorted objects, ties, empty and inverted
-// spans and spans reaching outside the stream included: the runs of
-// frames some object covers, clipped to the window, and nothing else.
+// spans, spans reaching outside the stream and a long span entering far
+// before any window included: the runs of frames some object covers,
+// clipped to the window, and nothing else.
 func TestSparseIntervalSourceActiveIntervalsWindows(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for seed := int64(0); seed < 200; seed++ {
-		s := adversarialFake(seed, true)
+		s := adversarialFake(seed, false)
+		// Only the longest span Sort records lets a binary search reach
+		// back to this object.
+		s.Objects = append(s.Objects, FakeObject{ID: len(s.Objects), Class: Person, Enter: -5000, Exit: rng.Int63n(s.Frames)})
+		s.Sort()
 		for w := 0; w < 20; w++ {
 			start := rng.Int63n(s.Frames+60) - 30
 			iv := vtime.Interval{Start: start, End: start + rng.Int63n(s.Frames/2)}
